@@ -10,9 +10,8 @@ from .em import (
     EmIteration,
     EmTrace,
     classify_loops,
+    constraint_errors,
     e_step,
-    error_cauchy,
-    error_gaussian,
     learn_theta_cauchy,
     learn_theta_gaussian,
     run_em,
@@ -21,9 +20,9 @@ from .em import (
 from .graphio import ParseError, RunReport, parse, parse_poses, write_graph, write_poses, write_report
 from .model import (
     AlignmentError,
-    FeatureMatch,
     Hyperparams,
     LoopClosureConstraint,
+    MatchTable,
     OdometryConstraint,
     PosteriorState,
     ProblemGraph,
@@ -50,9 +49,9 @@ __all__ = [
     "EmIteration",
     "EmTrace",
     "EvalResult",
-    "FeatureMatch",
     "Hyperparams",
     "LoopClosureConstraint",
+    "MatchTable",
     "OdometryConstraint",
     "ParseError",
     "Pose",
@@ -68,9 +67,8 @@ __all__ = [
     "build_problem",
     "classify_loops",
     "compose",
+    "constraint_errors",
     "e_step",
-    "error_cauchy",
-    "error_gaussian",
     "evaluate",
     "exp",
     "generate",

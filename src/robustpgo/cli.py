@@ -15,9 +15,10 @@ import sys
 import numpy as np
 
 from . import em, graphio, se3, solver, synth
-from .model import Hyperparams, fit_rigid_transform, validate
+from .model import Hyperparams, validate
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_VALIDATE = 4
 EXIT_SOLVER = 5
@@ -52,23 +53,27 @@ def _parse_graph(text: str, path: str):
 
 
 def _cmd_solve(args) -> int:
+    try:
+        params = Hyperparams(
+            sigma=args.sigma,
+            p_hat=args.p_hat,
+            epsilon=args.epsilon,
+            mode=args.mode,
+            max_em_iters=args.max_em_iters,
+            em_tol=args.em_tol,
+            inlier_threshold=args.threshold,
+            refresh_theta=not args.freeze_theta,
+            gaussian_calibration=args.gaussian_calibration,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     graph = _parse_graph(_read(args.infile), args.infile)
     violations = validate(graph)
     if violations:
         for v in violations:
             print(f"error: invalid graph: {v}", file=sys.stderr)
         return EXIT_VALIDATE
-    params = Hyperparams(
-        sigma=args.sigma,
-        p_hat=args.p_hat,
-        epsilon=args.epsilon,
-        mode=args.mode,
-        max_em_iters=args.max_em_iters,
-        em_tol=args.em_tol,
-        inlier_threshold=args.threshold,
-        refresh_theta=not args.freeze_theta,
-        gaussian_calibration=args.gaussian_calibration,
-    )
     try:
         poses, state, trace = em.run_em(graph, params)
     except (em.EmError, solver.SolverError) as err:
@@ -79,17 +84,11 @@ def _cmd_solve(args) -> int:
     errors = em.loop_errors(graph, poses, params)
     metrics: dict[str, float] = {}
     if graph.ground_truth is not None and graph.num_fragments >= 6:
+        metrics["ate_mean"] = synth.anchored_ate(poses, graph.ground_truth)
         if graph.oracle_labels is not None:
             result = synth.evaluate(poses, graph, labels)
-            metrics["ate_mean"] = result.mean_translation_error
             metrics["precision"] = result.precision
             metrics["recall"] = result.recall
-        else:
-            est = np.stack([p.trans for p in poses])
-            gt = np.stack([p.trans for p in graph.ground_truth])
-            align = fit_rigid_transform(est[:5], gt[:5])
-            aligned = se3.transform_points(align, est)
-            metrics["ate_mean"] = float(np.linalg.norm(aligned[5:] - gt[5:], axis=1).mean())
 
     report = graphio.RunReport(
         mode=params.mode,

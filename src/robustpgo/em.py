@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import se3, solver
-from .model import Hyperparams, PosteriorState, ProblemGraph, initialize_poses
+from .model import Hyperparams, MatchTable, PosteriorState, ProblemGraph, initialize_poses
 from .se3 import Pose
 
 
@@ -32,20 +32,14 @@ class EmError(Exception):
     pass
 
 
-def _squared_residuals(p, q, pose_i: Pose, pose_j: Pose) -> np.ndarray:
-    e = se3.transform_points(pose_i, p) - se3.transform_points(pose_j, q)
-    return np.einsum("ij,ij->i", e, e)
-
-
-def error_cauchy(p, q, pose_i: Pose, pose_j: Pose, sigma: float) -> float:
-    """Mean log-Cauchy error of a match set (dimensionless)."""
-    s = _squared_residuals(p, q, pose_i, pose_j)
-    return float(np.mean(np.log1p(s / (sigma * sigma))))
-
-
-def error_gaussian(p, q, pose_i: Pose, pose_j: Pose) -> float:
-    """Mean squared residual of a match set (m^2)."""
-    return float(np.mean(_squared_residuals(p, q, pose_i, pose_j)))
+def constraint_errors(
+    table: MatchTable, poses: list[Pose], kernel: str, sigma: float
+) -> np.ndarray:
+    """Per-constraint error functional: the mean of rho(||T_i p - T_j q||^2)
+    over each constraint's matches, with the solver's kernel rho. That is A
+    under the log-Cauchy kernel and B under the squared kernel."""
+    s = table.residuals(*solver._pose_arrays(poses))[3]
+    return table.segment_sum(solver._rho(s, kernel, sigma)) / table.sizes
 
 
 def lower_median(values) -> float:
@@ -69,9 +63,8 @@ def learn_theta_cauchy(graph: ProblemGraph, poses: list[Pose], sigma: float, p_h
     """
     if not graph.odometry:
         raise EmError("cannot learn theta without odometry constraints")
-    a_values = [
-        error_cauchy(c.p, c.q, poses[c.i], poses[c.i + 1], sigma) for c in graph.odometry
-    ]
+    table = MatchTable.from_graph(graph)
+    a_values = constraint_errors(table, poses, solver.KERNEL_CAUCHY, sigma)[: len(graph.odometry)]
     return p_hat / (1.0 - p_hat) * math.exp(2.0 * lower_median(a_values))
 
 
@@ -107,11 +100,9 @@ def posterior_gaussian(b_values: np.ndarray, theta: float) -> np.ndarray:
 
 def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> np.ndarray:
     """Per-loop error functional at the given poses (A in cauchy mode, B in gaussian)."""
-    if params.mode == "cauchy":
-        return np.array(
-            [error_cauchy(c.p, c.q, poses[c.i], poses[c.j], params.sigma) for c in graph.loops]
-        )
-    return np.array([error_gaussian(c.p, c.q, poses[c.i], poses[c.j]) for c in graph.loops])
+    table = MatchTable.from_graph(graph)
+    errors = constraint_errors(table, poses, solver.KERNELS[params.mode], params.sigma)
+    return errors[len(graph.odometry) :]
 
 
 def e_step(graph: ProblemGraph, poses: list[Pose], theta: float, params: Hyperparams) -> PosteriorState:
@@ -175,35 +166,15 @@ def run_em(
     poses = initialize_poses(graph)
     trace = EmTrace()
 
-    if not graph.loops:
-        state = PosteriorState(theta=_learn_theta(graph, poses, params), posteriors=np.zeros(0))
-        blocks = solver.build_problem(graph, state, params)
-        try:
-            poses_new, report = solver.solve(blocks, poses, gauge=0)
-        except solver.SolverError as err:
-            raise EmError(f"EM iteration 1: {err}") from err
-        trace.iterations.append(
-            EmIteration(
-                theta=state.theta,
-                objective_start=report.initial_objective,
-                objective_end=report.final_objective,
-                inlier_count=0,
-                max_pose_update=_max_update(poses, poses_new),
-                objective_path=report.objective_path,
-            )
-        )
-        trace.converged = True
-        return poses_new, state, trace
-
     theta = None
     prev_objective = None
     for iteration in range(1, params.max_em_iters + 1):
         if theta is None or (params.refresh_theta and params.mode == "cauchy"):
             theta = _learn_theta(graph, poses, params)
         state = e_step(graph, poses, theta, params)
-        blocks = solver.build_problem(graph, state, params)
+        problem = solver.build_problem(graph, state, params)
         try:
-            poses_new, report = solver.solve(blocks, poses, gauge=0)
+            poses_new, report = solver.solve(problem, poses, gauge=0)
         except solver.SolverError as err:
             raise EmError(f"EM iteration {iteration}: {err}") from err
         trace.iterations.append(
@@ -217,6 +188,9 @@ def run_em(
             )
         )
         poses = poses_new
+        if not graph.loops:  # no posterior to update: one M-step is the fixed point
+            trace.converged = True
+            break
         if prev_objective is not None:
             rel = abs(prev_objective - report.final_objective) / max(abs(prev_objective), 1e-300)
             if rel < params.em_tol:

@@ -43,7 +43,10 @@ def _pose_fields(p: Pose) -> str:
 
 def _parse_pose(parts: list[str], line_no: int) -> Pose:
     vals = [_float(v, line_no) for v in parts]
-    return Pose(np.array(vals[3:7]), np.array(vals[0:3]))
+    try:
+        return Pose(np.array(vals[3:7]), np.array(vals[0:3]))
+    except ValueError as err:  # a zero quaternion has no rotation
+        raise ParseError(line_no, str(err)) from None
 
 
 def _int(token: str, line_no: int) -> int:

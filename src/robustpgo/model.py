@@ -3,25 +3,20 @@
 A constraint stores its match set as two (k, 3) arrays: row m of `p` lives in
 the first fragment's local frame and pairs with row m of `q` in the second
 fragment's frame. Graphs are immutable after construction; constraints are
-kept in canonical order (odometry by i, loops by (i, j)).
+kept in canonical order (odometry by i, loops by (i, j)). A MatchTable stacks
+the match sets of many constraints into flat arrays; the E-step, theta
+learning and the pose solver all read a graph through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import se3
 from .se3 import Pose
-
-
-class FeatureMatch(NamedTuple):
-    """One putative correspondence: p in frame i, q in frame j (meters)."""
-
-    p: np.ndarray
-    q: np.ndarray
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -31,13 +26,8 @@ def _as_points(arr, name: str) -> np.ndarray:
     return out
 
 
-@dataclass
-class OdometryConstraint:
-    """Feature matches between consecutive fragments i and i+1."""
-
-    i: int
-    p: np.ndarray
-    q: np.ndarray
+class _MatchSet:
+    """Shared body of the constraint kinds: k matches, row m of `p` paired with row m of `q`."""
 
     def __post_init__(self):
         self.p = _as_points(self.p, "p")
@@ -49,12 +39,22 @@ class OdometryConstraint:
     def size(self) -> int:
         return len(self.p)
 
-    def matches(self) -> list[FeatureMatch]:
-        return [FeatureMatch(pi, qi) for pi, qi in zip(self.p, self.q)]
+
+@dataclass
+class OdometryConstraint(_MatchSet):
+    """Feature matches between consecutive fragments i and i+1."""
+
+    i: int
+    p: np.ndarray
+    q: np.ndarray
+
+    @property
+    def pair(self) -> tuple[int, int]:
+        return (self.i, self.i + 1)
 
 
 @dataclass
-class LoopClosureConstraint:
+class LoopClosureConstraint(_MatchSet):
     """Feature matches between non-consecutive fragments i < j."""
 
     i: int
@@ -62,22 +62,60 @@ class LoopClosureConstraint:
     p: np.ndarray
     q: np.ndarray
 
-    def __post_init__(self):
-        self.p = _as_points(self.p, "p")
-        self.q = _as_points(self.q, "q")
-        if len(self.p) != len(self.q):
-            raise ValueError("p and q must pair up")
-
-    @property
-    def size(self) -> int:
-        return len(self.p)
-
     @property
     def pair(self) -> tuple[int, int]:
         return (self.i, self.j)
 
-    def matches(self) -> list[FeatureMatch]:
-        return [FeatureMatch(pi, qi) for pi, qi in zip(self.p, self.q)]
+
+@dataclass(frozen=True)
+class MatchTable:
+    """The match sets of a list of constraints, stacked flat.
+
+    Constraint c couples poses pairs[c] and owns the matches whose segment id
+    seg[m] equals c; those are contiguous and in the constraint's own order.
+    """
+
+    pairs: np.ndarray  # (C, 2) pose indices (i, j)
+    sizes: np.ndarray  # (C,) match count per constraint
+    seg: np.ndarray  # (M,) constraint index of each match
+    p: np.ndarray  # (M, 3) points in frame i
+    q: np.ndarray  # (M, 3) points in frame j
+
+    @classmethod
+    def from_constraints(cls, constraints) -> MatchTable:
+        sizes = np.array([c.size for c in constraints], dtype=np.intp)
+        return cls(
+            pairs=np.array([c.pair for c in constraints], dtype=np.intp).reshape(-1, 2),
+            sizes=sizes,
+            seg=np.repeat(np.arange(len(sizes)), sizes),
+            p=np.concatenate([np.zeros((0, 3)), *(c.p for c in constraints)]),
+            q=np.concatenate([np.zeros((0, 3)), *(c.q for c in constraints)]),
+        )
+
+    @classmethod
+    def from_graph(cls, graph: ProblemGraph) -> MatchTable:
+        """Odometry constraints first, then loops, each in graph order."""
+        return cls.from_constraints([*graph.odometry, *graph.loops])
+
+    def __len__(self) -> int:
+        return len(self.seg)
+
+    def residuals(self, rots: np.ndarray, trans: np.ndarray):
+        """Per-match world points y_i = T_i p, y_j = T_j q, residual e = y_i - y_j
+        and its squared norm s, for poses given as (N, 3, 3) rotations and (N, 3)
+        translations."""
+        i, j = self.pairs[self.seg, 0], self.pairs[self.seg, 1]
+        yi = np.einsum("mab,mb->ma", rots[i], self.p) + trans[i]
+        yj = np.einsum("mab,mb->ma", rots[j], self.q) + trans[j]
+        e = yi - yj
+        return yi, yj, e, np.einsum("ma,ma->m", e, e)
+
+    def segment_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-match rows (M, ...) over each constraint's matches; an empty
+        constraint sums to zero."""
+        flat = values.reshape(len(values), math.prod(values.shape[1:]))
+        sums = [np.bincount(self.seg, weights=col, minlength=len(self.sizes)) for col in flat.T]
+        return np.stack(sums, axis=-1).reshape((len(self.sizes),) + values.shape[1:])
 
 
 @dataclass

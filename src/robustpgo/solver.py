@@ -2,13 +2,13 @@
 
 The objective is a sum over feature matches of w * rho(||T_i p - T_j q||^2)
 with rho either the log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared
-kernel s. Poses are updated through left-multiplicative twist retractions;
-one pose (the gauge) stays fixed. The damped normal equations are assembled
-block-sparse and solved with a sparse direct factorization.
+kernel s, and w one weight per constraint. Poses are updated through
+left-multiplicative twist retractions; one pose (the gauge) stays fixed. The
+damped normal equations are assembled block-sparse from per-constraint sums
+over a flat match table and solved with a sparse direct factorization.
 
-Residual and Jacobian evaluation is pure per block; assembly and the
-factorization are a single-writer phase inside the synchronous solve() call,
-so callers never observe intermediate state.
+ResidualBlock and its helpers evaluate one match at a time; they are the
+independent oracle for the flat evaluation, not part of the solve path.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from scipy.sparse import coo_matrix, identity as sparse_identity
 from scipy.sparse.linalg import splu
 
 from . import se3
-from .model import Hyperparams, PosteriorState, ProblemGraph
+from .model import Hyperparams, MatchTable, PosteriorState, ProblemGraph
 from .se3 import Pose
 
 KERNEL_CAUCHY = "cauchy-log"
 KERNEL_SQUARED = "squared"
+KERNELS = {"cauchy": KERNEL_CAUCHY, "gaussian": KERNEL_SQUARED}  # kernel of each EM mode
 
 MAX_INNER_ITERS = 100
 GRADIENT_TOL = 1e-8
@@ -54,6 +55,20 @@ class ResidualBlock:
     sigma: float = 1.0
 
 
+@dataclass(frozen=True)
+class Problem:
+    """The objective over a match table: every match of constraint c adds
+    weights[c] * rho(s). Its length is the match count."""
+
+    table: MatchTable
+    weights: np.ndarray  # (C,) per-match weight of each constraint
+    kernel: str
+    sigma: float = 1.0
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+
 @dataclass
 class SolverReport:
     iterations: int  # accepted steps
@@ -64,25 +79,18 @@ class SolverReport:
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
 
 
-def build_problem(
-    graph: ProblemGraph, state: PosteriorState, params: Hyperparams
-) -> list[ResidualBlock]:
-    """One residual block per feature match, weighted per constraint."""
+def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparams) -> Problem:
+    """The graph's match table, weighted per constraint by inlier posterior /
+    match count for loops and 1 / match count for odometry."""
     if len(state.posteriors) != len(graph.loops):
         raise ValueError(
             f"posterior count {len(state.posteriors)} != loop count {len(graph.loops)}"
         )
-    kernel = KERNEL_CAUCHY if params.mode == "cauchy" else KERNEL_SQUARED
-    blocks: list[ResidualBlock] = []
-    for c in graph.odometry:
-        w = 1.0 / c.size
-        for pi, qi in zip(c.p, c.q):
-            blocks.append(ResidualBlock(c.i, c.i + 1, pi, qi, w, kernel, params.sigma))
-    for c, post in zip(graph.loops, state.posteriors):
-        w = float(post) / c.size
-        for pi, qi in zip(c.p, c.q):
-            blocks.append(ResidualBlock(c.i, c.j, pi, qi, w, kernel, params.sigma))
-    return blocks
+    table = MatchTable.from_graph(graph)
+    numerators = np.concatenate([np.ones(len(graph.odometry)), state.posteriors])
+    # an empty constraint has no match to weight
+    weights = numerators / np.maximum(table.sizes, 1)
+    return Problem(table, weights, KERNELS[params.mode], params.sigma)
 
 
 def _rho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
@@ -101,127 +109,101 @@ def _drho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-class _Group:
-    """All blocks sharing (i, j, kernel, sigma), stacked for vectorized evaluation."""
-
-    __slots__ = ("i", "j", "kernel", "sigma", "p", "q", "w")
-
-    def __init__(self, i, j, kernel, sigma, p, q, w):
-        self.i, self.j, self.kernel, self.sigma = i, j, kernel, sigma
-        self.p = np.asarray(p, dtype=float).reshape(-1, 3)
-        self.q = np.asarray(q, dtype=float).reshape(-1, 3)
-        self.w = np.asarray(w, dtype=float).reshape(-1)
-
-
-def _group_blocks(blocks: list[ResidualBlock]) -> list[_Group]:
-    table: dict[tuple, list] = {}
-    for b in blocks:
-        key = (b.i, b.j, b.kernel, b.sigma)
-        table.setdefault(key, []).append(b)
-    groups = []
-    for (i, j, kernel, sigma), items in table.items():
-        groups.append(
-            _Group(
-                i,
-                j,
-                kernel,
-                sigma,
-                [b.p for b in items],
-                [b.q for b in items],
-                [b.weight for b in items],
-            )
-        )
-    return groups
-
-
 def _pose_arrays(poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
     rots = np.stack([p.rotation_matrix() for p in poses])
     trans = np.stack([p.trans for p in poses])
     return rots, trans
 
 
-def _group_terms(g: _Group, rots, trans):
-    yi = g.p @ rots[g.i].T + trans[g.i]
-    yj = g.q @ rots[g.j].T + trans[g.j]
-    e = yi - yj
-    s = np.einsum("ij,ij->i", e, e)
-    return yi, yj, e, s
+def _nonfinite(table: MatchTable, s: np.ndarray) -> SolverError:
+    m = int(np.argmin(np.isfinite(s)))
+    c = int(table.seg[m])
+    i, j = table.pairs[c]
+    k = m - int(np.searchsorted(table.seg, c))
+    return SolverError(f"non-finite residual in constraint {c} (i={i}, j={j}, match {k})")
 
 
-def _objective(groups: list[_Group], rots, trans, strict: bool) -> float:
-    total = 0.0
-    for g in groups:
-        _, _, _, s = _group_terms(g, rots, trans)
-        if not np.isfinite(s).all():
-            if strict:
-                k = int(np.argmin(np.isfinite(s)))
-                raise SolverError(f"non-finite residual in block (i={g.i}, j={g.j}, match {k})")
-            return math.inf
-        total += float(g.w @ _rho(s, g.kernel, g.sigma))
-    return total
+def _total(problem: Problem, s: np.ndarray) -> float:
+    rho = _rho(s, problem.kernel, problem.sigma)
+    return float(problem.weights @ problem.table.segment_sum(rho))
 
 
-def _skew_stack(y: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(y), 3, 3))
-    out[:, 0, 1] = -y[:, 2]
-    out[:, 0, 2] = y[:, 1]
-    out[:, 1, 0] = y[:, 2]
-    out[:, 1, 2] = -y[:, 0]
-    out[:, 2, 0] = -y[:, 1]
-    out[:, 2, 1] = y[:, 0]
+def _objective(problem: Problem, rots, trans, strict: bool) -> float:
+    s = problem.table.residuals(rots, trans)[3]
+    if not np.isfinite(s).all():
+        if strict:
+            raise _nonfinite(problem.table, s)
+        return math.inf
+    return _total(problem, s)
+
+
+def _skew_gram(S: np.ndarray) -> np.ndarray:
+    """sum alpha [a]x^T [b]x = tr(S) I - S^T from the moments S = sum alpha a b^T.
+
+    Each diagonal entry is summed from the other two diagonal moments rather
+    than as tr(S) - S_kk, so no large term cancels.
+    """
+    out = -np.swapaxes(S, 1, 2)
+    d = np.diagonal(S, axis1=1, axis2=2)
+    out[:, [0, 1, 2], [0, 1, 2]] = d[:, [1, 0, 0]] + d[:, [2, 2, 1]]
     return out
 
 
-def _match_jacobians(yi: np.ndarray, yj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d(residual)/d(twist) at zero perturbation for the two poses, (k,3,6) each."""
-    k = len(yi)
-    Ji = np.zeros((k, 3, 6))
-    Jj = np.zeros((k, 3, 6))
-    Ji[:, :, :3] = -_skew_stack(yi)
-    Ji[:, :, 3:] = np.eye(3)
-    Jj[:, :, :3] = _skew_stack(yj)
-    Jj[:, :, 3:] = -np.eye(3)
-    return Ji, Jj
+def _block6(gram, upper, lower, corner) -> np.ndarray:
+    """(C, 6, 6) blocks [[gram, [upper]x], [[lower]x, corner * I]]; row k of
+    [v]x is e_k x v."""
+    out = np.zeros((len(gram), 6, 6))
+    out[:, :3, :3] = gram
+    out[:, :3, 3:] = np.cross(np.eye(3), upper[:, None, :])
+    out[:, 3:, :3] = np.cross(np.eye(3), lower[:, None, :])
+    out[:, 3:, 3:] = corner[:, None, None] * np.eye(3)
+    return out
 
 
-def _assemble(groups: list[_Group], rots, trans, num_poses: int):
-    """Objective, exact gradient, and Gauss-Newton Hessian approximation."""
-    total = 0.0
-    grad = np.zeros(6 * num_poses)
-    h_rows: list[np.ndarray] = []
-    h_cols: list[np.ndarray] = []
-    h_vals: list[np.ndarray] = []
+def _assemble(problem: Problem, rots, trans, num_poses: int):
+    """Objective, exact gradient, and Gauss-Newton Hessian approximation.
+
+    A match with alpha = 2 w rho'(s) has Jacobians J_i = [-[y_i]x, I] and
+    J_j = [[y_j]x, -I]; it adds J^T alpha e to each pose's gradient and
+    alpha J_a^T J_b to block (a, b) of H. Summed over a constraint, those
+    blocks depend only on the moments sum alpha, sum alpha y and
+    sum alpha y y^T, so no per-match 6x6 product is formed.
+    """
+    table = problem.table
+    yi, yj, e, s = table.residuals(rots, trans)
+    if not np.isfinite(s).all():
+        raise _nonfinite(table, s)
+    total = _total(problem, s)
+    alpha = 2.0 * problem.weights[table.seg] * _drho(s, problem.kernel, problem.sigma)
+    ae, ayi, ayj = alpha[:, None] * e, alpha[:, None] * yi, alpha[:, None] * yj
+
+    i, j = table.pairs[:, 0], table.pairs[:, 1]
+    grad = np.zeros((num_poses, 6))
+    np.add.at(grad, i, table.segment_sum(np.hstack([np.cross(yi, ae), ae])))
+    np.add.at(grad, j, -table.segment_sum(np.hstack([np.cross(yj, ae), ae])))
+
+    a0 = table.segment_sum(alpha)
+    si, sj = table.segment_sum(ayi), table.segment_sum(ayj)
+    sii = table.segment_sum(ayi[:, :, None] * yi[:, None, :])
+    sjj = table.segment_sum(ayj[:, :, None] * yj[:, None, :])
+    sij = table.segment_sum(ayi[:, :, None] * yj[:, None, :])
+    h_ij = _block6(-_skew_gram(sij), -si, sj, -a0)
+    blocks = np.concatenate(
+        [
+            _block6(_skew_gram(sii), si, -si, a0),
+            _block6(_skew_gram(sjj), sj, -sj, a0),
+            h_ij,
+            np.swapaxes(h_ij, 1, 2),
+        ]
+    )
     idx6 = np.arange(6)
-
-    def _add_block(bi: int, bj: int, mat: np.ndarray):
-        rows = np.repeat(6 * bi + idx6, 6)
-        cols = np.tile(6 * bj + idx6, 6)
-        h_rows.append(rows)
-        h_cols.append(cols)
-        h_vals.append(mat.reshape(-1))
-
-    for g in groups:
-        yi, yj, e, s = _group_terms(g, rots, trans)
-        if not np.isfinite(s).all():
-            k = int(np.argmin(np.isfinite(s)))
-            raise SolverError(f"non-finite residual in block (i={g.i}, j={g.j}, match {k})")
-        total += float(g.w @ _rho(s, g.kernel, g.sigma))
-        alpha = 2.0 * g.w * _drho(s, g.kernel, g.sigma)
-        Ji, Jj = _match_jacobians(yi, yj)
-        grad[6 * g.i : 6 * g.i + 6] += np.einsum("n,nab,na->b", alpha, Ji, e)
-        grad[6 * g.j : 6 * g.j + 6] += np.einsum("n,nab,na->b", alpha, Jj, e)
-        _add_block(g.i, g.i, np.einsum("n,nab,nac->bc", alpha, Ji, Ji))
-        _add_block(g.j, g.j, np.einsum("n,nab,nac->bc", alpha, Jj, Jj))
-        h_ij = np.einsum("n,nab,nac->bc", alpha, Ji, Jj)
-        _add_block(g.i, g.j, h_ij)
-        _add_block(g.j, g.i, h_ij.T)
-
-    if h_vals:
-        vals, rows, cols = np.concatenate(h_vals), np.concatenate(h_rows), np.concatenate(h_cols)
-    else:
-        vals = rows = cols = np.zeros(0)
-    H = coo_matrix((vals, (rows, cols)), shape=(6 * num_poses, 6 * num_poses)).tocsc()
-    return total, grad, H
+    rows = 6 * np.concatenate([i, j, i, j])[:, None, None] + idx6[None, :, None]
+    cols = 6 * np.concatenate([i, j, j, i])[:, None, None] + idx6[None, None, :]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    H = coo_matrix(
+        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(6 * num_poses, 6 * num_poses)
+    ).tocsc()
+    return total, grad.reshape(-1), H
 
 
 def _retract_all(poses: list[Pose], delta: np.ndarray, gauge: int) -> list[Pose]:
@@ -235,14 +217,14 @@ def _retract_all(poses: list[Pose], delta: np.ndarray, gauge: int) -> list[Pose]
 
 
 def solve(
-    blocks: list[ResidualBlock],
+    problem: Problem,
     poses: list[Pose],
     gauge: int = 0,
     max_iterations: int = MAX_INNER_ITERS,
     gradient_tol: float = GRADIENT_TOL,
     objective_tol: float = OBJECTIVE_TOL,
 ) -> tuple[list[Pose], SolverReport]:
-    """Minimize the block objective over all poses except the gauge pose.
+    """Minimize the problem's objective over all poses except the gauge pose.
 
     Levenberg-Marquardt trust strategy: damping starts at 1e-4, x10 on a
     rejected step, x0.5 on acceptance, clamped to [1e-12, 1e8]; a step is
@@ -252,7 +234,6 @@ def solve(
     num_poses = len(poses)
     if not 0 <= gauge < num_poses:
         raise ValueError(f"gauge index {gauge} out of range")
-    groups = _group_blocks(blocks)
     poses = [p.copy() for p in poses]
 
     free = np.ones(6 * num_poses, dtype=bool)
@@ -260,7 +241,7 @@ def solve(
     n_free = int(free.sum())
 
     rots, trans = _pose_arrays(poses)
-    objective = _objective(groups, rots, trans, strict=True)
+    objective = _objective(problem, rots, trans, strict=True)
     initial_objective = objective
 
     if n_free == 0:
@@ -274,7 +255,7 @@ def solve(
     objective_path = []
 
     for _ in range(max_iterations):
-        total, grad, H = _assemble(groups, rots, trans, num_poses)
+        total, grad, H = _assemble(problem, rots, trans, num_poses)
         gradient_norm = float(np.abs(grad[free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
@@ -294,7 +275,7 @@ def solve(
                 delta[free] = delta_f
                 trial = _retract_all(poses, delta, gauge)
                 trial_rots, trial_trans = _pose_arrays(trial)
-                trial_objective = _objective(groups, trial_rots, trial_trans, strict=False)
+                trial_objective = _objective(problem, trial_rots, trial_trans, strict=False)
             else:
                 trial_objective = math.inf
 
@@ -319,7 +300,7 @@ def solve(
 
     # report the gradient at the poses actually returned
     if termination != "gradient":
-        _, grad, _ = _assemble(groups, rots, trans, num_poses)
+        _, grad, _ = _assemble(problem, rots, trans, num_poses)
         gradient_norm = float(np.abs(grad[free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"

@@ -261,6 +261,15 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
     )
 
 
+def anchored_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
+    """Mean translation error of poses 5.. after the rigid fit that aligns the
+    first five estimated positions onto ground truth (m)."""
+    est = np.stack([p.trans for p in poses])
+    gt = np.stack([p.trans for p in ground_truth])
+    aligned = se3.transform_points(fit_rigid_transform(est[:5], gt[:5]), est)
+    return float(np.linalg.norm(aligned[5:] - gt[5:], axis=1).mean())
+
+
 def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
     """Trajectory error after aligning the first five poses, plus loop precision
     and recall against the graph's oracle labels.
@@ -275,12 +284,7 @@ def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
     if n < 6:
         raise ScenarioError("need at least 6 fragments to evaluate (5 for alignment)")
 
-    est = np.stack([p.trans for p in poses])
-    gt = np.stack([p.trans for p in graph.ground_truth])
-    align = fit_rigid_transform(est[:5], gt[:5])
-    aligned = se3.transform_points(align, est)
-    errors = np.linalg.norm(aligned[5:] - gt[5:], axis=1)
-    ate = float(errors.mean())
+    ate = anchored_ate(poses, graph.ground_truth)
 
     labels = np.asarray(labels, dtype=bool).reshape(-1)
     if len(labels) != len(graph.loops):

@@ -85,6 +85,22 @@ class TestSolve:
         )
         assert code == cli.EXIT_NOT_CONVERGED
 
+    @pytest.mark.parametrize("kind", ["INIT", "GT"])
+    def test_zero_quaternion_exit_code(self, tmp_path, capsys, kind):
+        bad = tmp_path / "zero_quat.pcg"
+        bad.write_text(f"PCG 1 2\n{kind} 0 0 0 0 0 0 0 0\nODOM 0 1\nM 0 0 0 0 0 0\n")
+        assert run_cli(["solve", "--in", str(bad)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--sigma", "-1"), ("--p-hat", "1.5"), ("--p-hat", "0"), ("--epsilon", "0")]
+    )
+    def test_bad_hyperparameter_is_usage_error(self, scenario_file, capsys, flag, value):
+        assert run_cli(["solve", "--in", str(scenario_file), flag, value]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_gaussian_mode_flags(self, tmp_path, scenario_file):
         code = run_cli(
             ["solve", "--in", str(scenario_file), "--mode", "gaussian",
@@ -157,6 +173,18 @@ class TestEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "ate_mean" in out and "precision" in out and "recall" in out
+
+
+    def test_zero_quaternion_pose_exit_code(self, tmp_path, scenario_file, capsys):
+        poses = tmp_path / "poses.txt"
+        poses.write_text("POSE 0 0 0 0 1 0 0 0\nPOSE 1 1 0 0 0 0 0 0\n")
+        report = tmp_path / "report.txt"
+        report.write_text("")
+        code = run_cli(["eval", "--poses", str(poses), "--graph", str(scenario_file),
+                        "--labels-from-report", str(report)])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
 
 
 class TestCheckGrad:

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustpgo import em, se3, solver
-from robustpgo.model import Hyperparams, LoopClosureConstraint, ProblemGraph, initialize_poses
+from robustpgo.model import (
+    Hyperparams,
+    LoopClosureConstraint,
+    MatchTable,
+    OdometryConstraint,
+    ProblemGraph,
+    initialize_poses,
+)
 from robustpgo.synth import ScenarioConfig, generate
 
 from test_model import exact_odometry, chain_poses
@@ -24,22 +31,36 @@ def constraint_arrays(residual_norms):
     return p, np.zeros((k, 3))
 
 
+def match_set_error(p, q, Ti, Tj, kernel, sigma=1.0):
+    """Error functional of one match set between poses Ti and Tj."""
+    table = MatchTable.from_constraints([OdometryConstraint(0, p, q)])
+    return em.constraint_errors(table, [Ti, Tj], kernel, sigma)[0]
+
+
+def error_cauchy(p, q, Ti, Tj, sigma):
+    return match_set_error(p, q, Ti, Tj, solver.KERNEL_CAUCHY, sigma)
+
+
+def error_gaussian(p, q, Ti, Tj):
+    return match_set_error(p, q, Ti, Tj, solver.KERNEL_SQUARED)
+
+
 class TestErrorCauchy:
     def test_aligned_matches_are_zero(self):
         Ti, Tj = identity_pair()
         p, q = constraint_arrays([0.0, 0.0, 0.0])
-        assert em.error_cauchy(p, q, Ti, Tj, 0.5) == 0.0
+        assert error_cauchy(p, q, Ti, Tj, 0.5) == 0.0
 
     def test_single_match_hand_value(self):
         # ln(1 + 1/0.25) = ln 5
         Ti, Tj = identity_pair()
         p, q = constraint_arrays([1.0])
-        assert em.error_cauchy(p, q, Ti, Tj, 0.5) == pytest.approx(math.log(5.0), abs=1e-12)
+        assert error_cauchy(p, q, Ti, Tj, 0.5) == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_mean_over_matches(self):
         Ti, Tj = identity_pair()
         p, q = constraint_arrays([0.0, 1.0])
-        assert em.error_cauchy(p, q, Ti, Tj, 0.5) == pytest.approx(math.log(5.0) / 2, abs=1e-12)
+        assert error_cauchy(p, q, Ti, Tj, 0.5) == pytest.approx(math.log(5.0) / 2, abs=1e-12)
 
     def test_direct_summation_oracle(self):
         rng = np.random.default_rng(0)
@@ -58,25 +79,41 @@ class TestErrorCauchy:
                 for pi, qi in zip(p, q)
             ]
         )
-        assert em.error_cauchy(p, q, Ti, Tj, sigma) == pytest.approx(expected, rel=1e-12)
+        assert error_cauchy(p, q, Ti, Tj, sigma) == pytest.approx(expected, rel=1e-12)
+
+
+    def test_table_segments_match_single_constraint_errors(self):
+        """Each row of a many-constraint table equals that constraint's error alone."""
+        rng = np.random.default_rng(1)
+        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(4)]
+        constraints = [
+            LoopClosureConstraint(i, j, rng.uniform(-3, 3, (k, 3)), rng.uniform(-3, 3, (k, 3)))
+            for (i, j), k in (((0, 2), 5), ((1, 3), 1), ((0, 3), 8))
+        ]
+        errors = em.constraint_errors(
+            MatchTable.from_constraints(constraints), poses, solver.KERNEL_CAUCHY, 0.7
+        )
+        for c, err in zip(constraints, errors):
+            alone = error_cauchy(c.p, c.q, poses[c.i], poses[c.j], 0.7)
+            assert err == pytest.approx(alone, rel=1e-12)
 
 
 class TestErrorGaussian:
     def test_aligned_matches_are_zero(self):
         Ti, Tj = identity_pair()
         p, q = constraint_arrays([0.0])
-        assert em.error_gaussian(p, q, Ti, Tj) == 0.0
+        assert error_gaussian(p, q, Ti, Tj) == 0.0
 
     def test_single_match_hand_square(self):
         Ti, Tj = identity_pair()
         p, q = constraint_arrays([0.05])
-        assert em.error_gaussian(p, q, Ti, Tj) == pytest.approx(0.0025, abs=1e-15)
+        assert error_gaussian(p, q, Ti, Tj) == pytest.approx(0.0025, abs=1e-15)
 
     def test_mean_of_squares(self):
         # (0.03^2 + 0.04^2) / 2 = 0.00125
         Ti, Tj = identity_pair()
         p, q = constraint_arrays([0.03, 0.04])
-        assert em.error_gaussian(p, q, Ti, Tj) == pytest.approx(0.00125, abs=1e-15)
+        assert error_gaussian(p, q, Ti, Tj) == pytest.approx(0.00125, abs=1e-15)
 
 
 class TestLearnThetaCauchy:
@@ -103,8 +140,6 @@ class TestLearnThetaCauchy:
         for i, m in enumerate([1.0, 5.0, 100.0]):
             r = sigma * math.sqrt(math.sqrt(m) - 1.0)
             p, q = constraint_arrays([r, r, r])
-            from robustpgo.model import OdometryConstraint
-
             constraints.append(OdometryConstraint(i, p, q))
         graph = ProblemGraph(4, constraints, [])
         theta = em.learn_theta_cauchy(graph, poses, sigma=sigma, p_hat=0.9)
@@ -224,8 +259,8 @@ class TestRunEm:
         # must equal a direct odometry-only optimization
         from robustpgo.model import PosteriorState
 
-        blocks = solver.build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        direct, _ = solver.solve(blocks, initialize_poses(graph), gauge=0)
+        problem = solver.build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        direct, _ = solver.solve(problem, initialize_poses(graph), gauge=0)
         for a, b in zip(out, direct):
             np.testing.assert_array_equal(a.quat, b.quat)
             np.testing.assert_array_equal(a.trans, b.trans)

@@ -6,6 +6,7 @@ from robustpgo.model import (
     AlignmentError,
     Hyperparams,
     LoopClosureConstraint,
+    MatchTable,
     OdometryConstraint,
     ProblemGraph,
     fit_rigid_transform,
@@ -90,6 +91,53 @@ class TestValidate:
             assert i == c.i
             np.testing.assert_array_equal(p, c.p)
             np.testing.assert_array_equal(q, c.q)
+
+
+class TestMatchTable:
+    def test_odometry_rows_first_then_loops(self):
+        rng = np.random.default_rng(5)
+        graph, _ = small_graph(rng, n=4, loops=[loop_of(1, 3, k=2), loop_of(0, 2, k=4)])
+        table = MatchTable.from_graph(graph)
+        assert table.pairs.tolist() == [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3]]
+        assert table.sizes.tolist() == [10, 10, 10, 4, 2]
+        assert len(table) == 36
+        assert table.seg.tolist() == [0] * 10 + [1] * 10 + [2] * 10 + [3] * 4 + [4] * 2
+        constraints = [*graph.odometry, *graph.loops]
+        np.testing.assert_array_equal(table.p, np.concatenate([c.p for c in constraints]))
+        np.testing.assert_array_equal(table.q, np.concatenate([c.q for c in constraints]))
+
+    def test_segment_sum_with_empty_constraints(self):
+        """Empty constraints sum to zero wherever they sit, and row shapes carry through."""
+        sizes = [0, 2, 0, 3, 0]
+        constraints = [
+            LoopClosureConstraint(0, 2, np.ones((k, 3)), np.zeros((k, 3))) for k in sizes
+        ]
+        table = MatchTable.from_constraints(constraints)
+        values = np.arange(5.0)
+        np.testing.assert_array_equal(table.segment_sum(values), [0.0, 1.0, 0.0, 9.0, 0.0])
+        rows = np.arange(45.0).reshape(5, 3, 3)
+        expected = np.zeros((5, 3, 3))
+        expected[1], expected[3] = rows[:2].sum(axis=0), rows[2:].sum(axis=0)
+        np.testing.assert_array_equal(table.segment_sum(rows), expected)
+
+    def test_empty_table(self):
+        table = MatchTable.from_constraints([])
+        assert len(table) == 0 and table.pairs.shape == (0, 2)
+        assert table.segment_sum(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_residuals_match_pose_transforms(self):
+        rng = np.random.default_rng(6)
+        poses = chain_poses(rng, 3)
+        graph, _ = small_graph(rng, n=3, loops=[loop_of(0, 2)])
+        table = MatchTable.from_graph(graph)
+        rots = np.stack([p.rotation_matrix() for p in poses])
+        trans = np.stack([p.trans for p in poses])
+        yi, yj, e, s = table.residuals(rots, trans)
+        for m, (i, j) in enumerate(table.pairs[table.seg]):
+            np.testing.assert_allclose(yi[m], se3.transform_point(poses[i], table.p[m]), atol=1e-12)
+            np.testing.assert_allclose(yj[m], se3.transform_point(poses[j], table.q[m]), atol=1e-12)
+        np.testing.assert_allclose(e, yi - yj, atol=0)
+        np.testing.assert_allclose(s, np.sum(e * e, axis=1), rtol=1e-14)
 
 
 class TestHyperparams:

@@ -5,6 +5,7 @@ from robustpgo import se3, solver
 from robustpgo.model import (
     Hyperparams,
     LoopClosureConstraint,
+    MatchTable,
     OdometryConstraint,
     PosteriorState,
     ProblemGraph,
@@ -12,6 +13,7 @@ from robustpgo.model import (
 from robustpgo.solver import (
     KERNEL_CAUCHY,
     KERNEL_SQUARED,
+    Problem,
     ResidualBlock,
     block_cost,
     build_problem,
@@ -35,11 +37,52 @@ def random_block(rng, kernel):
     )
 
 
+def random_problem(rng, kernel):
+    """Several constraints of a few random matches each over three poses,
+    two of them on the same pair, with random per-constraint weights."""
+    pairs = [(0, 1), (0, 1), (1, 2), (0, 2)]
+    constraints = [
+        LoopClosureConstraint(i, j, rng.uniform(-2, 2, (k, 3)), rng.uniform(-2, 2, (k, 3)))
+        for (i, j), k in zip(pairs, (1, 3, 4, 2))
+    ]
+    weights = rng.uniform(0.1, 1.0, len(pairs))
+    return Problem(MatchTable.from_constraints(constraints), weights, kernel, sigma=0.5)
+
+
+def stepped_objective(problem, poses):
+    """The objective LM evaluates, as a function of one twist step of every pose."""
+
+    def objective(delta):
+        trial = solver._retract_all(poses, delta, gauge=-1)  # no pose held fixed
+        return solver._objective(problem, *solver._pose_arrays(trial), strict=True)
+
+    return objective
+
+
 def random_pose_pair(rng):
     return [
         se3.exp(np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-2, 2, 3)]))
         for _ in range(2)
     ]
+
+
+def per_match_blocks(problem):
+    """The problem spelled out as one independent ResidualBlock per match."""
+    t = problem.table
+    return [
+        ResidualBlock(
+            int(t.pairs[c, 0]), int(t.pairs[c, 1]), t.p[m], t.q[m],
+            float(problem.weights[c]), problem.kernel, problem.sigma,
+        )
+        for m, c in enumerate(t.seg)
+    ]
+
+
+def pair_weights(problem, pair):
+    """Per-match weights of the matches that couple the given pose pair."""
+    t = problem.table
+    on_pair = (t.pairs[t.seg] == pair).all(axis=1)
+    return problem.weights[t.seg][on_pair]
 
 
 def noisy_chain_graph(rng, n=20, k=8, noise=0.05):
@@ -64,9 +107,10 @@ class TestBuildProblem:
             2, [OdometryConstraint(0, np.zeros((4, 3)), np.zeros((4, 3)))], []
         )
         for mode, kernel in (("cauchy", KERNEL_CAUCHY), ("gaussian", KERNEL_SQUARED)):
-            blocks = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams(mode=mode))
-            assert len(blocks) == 4
-            assert all(b.weight == 0.25 and b.kernel == kernel for b in blocks)
+            problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams(mode=mode))
+            assert len(problem) == 4
+            assert problem.kernel == kernel
+            assert all(w == 0.25 for w in pair_weights(problem, (0, 1)))
 
     def test_zero_posterior_disables_loop(self):
         graph = ProblemGraph(
@@ -74,9 +118,9 @@ class TestBuildProblem:
             [OdometryConstraint(i, np.zeros((3, 3)), np.zeros((3, 3))) for i in range(3)],
             [LoopClosureConstraint(0, 3, np.zeros((5, 3)), np.zeros((5, 3)))],
         )
-        blocks = build_problem(graph, PosteriorState(1.0, np.array([0.0])), Hyperparams())
-        loop_blocks = [b for b in blocks if (b.i, b.j) == (0, 3)]
-        assert len(loop_blocks) == 5 and all(b.weight == 0.0 for b in loop_blocks)
+        problem = build_problem(graph, PosteriorState(1.0, np.array([0.0])), Hyperparams())
+        loop_weights = pair_weights(problem, (0, 3))
+        assert len(loop_weights) == 5 and all(w == 0.0 for w in loop_weights)
 
     def test_loop_weight_arithmetic(self):
         graph = ProblemGraph(
@@ -84,10 +128,10 @@ class TestBuildProblem:
             [OdometryConstraint(i, np.zeros((3, 3)), np.zeros((3, 3))) for i in range(3)],
             [LoopClosureConstraint(0, 2, np.zeros((200, 3)), np.zeros((200, 3)))],
         )
-        blocks = build_problem(graph, PosteriorState(1.0, np.array([0.8])), Hyperparams())
-        loop_blocks = [b for b in blocks if (b.i, b.j) == (0, 2)]
-        assert len(loop_blocks) == 200
-        assert all(b.weight == pytest.approx(0.004, rel=1e-12) for b in loop_blocks)
+        problem = build_problem(graph, PosteriorState(1.0, np.array([0.8])), Hyperparams())
+        loop_weights = pair_weights(problem, (0, 2))
+        assert len(loop_weights) == 200
+        assert all(w == pytest.approx(0.004, rel=1e-12) for w in loop_weights)
 
     def test_posterior_count_mismatch(self):
         graph = ProblemGraph(
@@ -134,32 +178,72 @@ class TestGradients:
         assert worst < 1e-5
 
     def test_group_assembly_matches_per_block_sum(self):
-        """The vectorized gradient must equal the sum of single-block gradients."""
+        """The flat objective and gradient must equal the sums of single-block
+        costs and gradients."""
         rng = np.random.default_rng(7)
         poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
-        blocks = [
-            ResidualBlock(
-                i,
-                j,
-                rng.uniform(-2, 2, 3),
-                rng.uniform(-2, 2, 3),
-                float(rng.uniform(0.1, 1.0)),
-                KERNEL_CAUCHY,
-                sigma=0.5,
-            )
-            for i, j in [(0, 1), (0, 1), (1, 2), (0, 2)]
-        ]
-        groups = solver._group_blocks(blocks)
+        for kernel in (KERNEL_CAUCHY, KERNEL_SQUARED):
+            problem = random_problem(rng, kernel)
+            blocks = per_match_blocks(problem)
+            total, grad, _ = solver._assemble(problem, *solver._pose_arrays(poses), 3)
+            expected_total = sum(block_cost(b, poses[b.i], poses[b.j]) for b in blocks)
+            expected_grad = np.zeros(18)
+            for b in blocks:
+                _, gi, gj = residual_and_jacobian(b, poses)
+                expected_grad[6 * b.i : 6 * b.i + 6] += gi
+                expected_grad[6 * b.j : 6 * b.j + 6] += gj
+            assert total == pytest.approx(expected_total, rel=1e-12)
+            np.testing.assert_allclose(grad, expected_grad, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED])
+    def test_assembled_gradient_and_hessian_match_finite_differences(self, kernel):
+        """The gradient and H that LM uses, against finite differences of the
+        objective it minimizes under its own retraction: central differences
+        for the gradient, and second differences for H at a zero-residual
+        problem. With every residual zero, the terms Gauss-Newton drops vanish
+        for either kernel, so H is the exact Hessian there."""
+        rng = np.random.default_rng(8)
+        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
+        problem = random_problem(rng, kernel)
+        objective = stepped_objective(problem, poses)
+        _, grad, _ = solver._assemble(problem, *solver._pose_arrays(poses), 3)
+        h = 1e-6
+        numeric = np.array(
+            [(objective(h * u) - objective(-h * u)) / (2 * h) for u in np.eye(18)]
+        )
+        assert np.abs(numeric - grad).max() <= 1e-6 * np.abs(grad).max()
+
+        # exact correspondences: every residual is zero at these poses
+        t = problem.table
         rots, trans = solver._pose_arrays(poses)
-        total, grad, _ = solver._assemble(groups, rots, trans, 3)
-        expected_total = sum(block_cost(b, poses[b.i], poses[b.j]) for b in blocks)
-        expected_grad = np.zeros(18)
-        for b in blocks:
-            _, gi, gj = residual_and_jacobian(b, poses)
-            expected_grad[6 * b.i : 6 * b.i + 6] += gi
-            expected_grad[6 * b.j : 6 * b.j + 6] += gj
-        assert total == pytest.approx(expected_total, rel=1e-12)
-        np.testing.assert_allclose(grad, expected_grad, atol=1e-12)
+        world = rng.uniform(-3, 3, (len(t), 3))
+        i, j = t.pairs[t.seg, 0], t.pairs[t.seg, 1]
+        p = np.einsum("mba,mb->ma", rots[i], world - trans[i])
+        q = np.einsum("mba,mb->ma", rots[j], world - trans[j])
+        exact = Problem(MatchTable(t.pairs, t.sizes, t.seg, p, q), problem.weights, kernel, 0.5)
+        total, grad, H = solver._assemble(exact, rots, trans, 3)
+        assert total < 1e-25 and np.abs(grad).max() < 1e-12
+        exact_objective = stepped_objective(exact, poses)
+        h = 1e-5
+        basis = h * np.eye(18)
+        numeric = np.array(
+            [
+                [
+                    (
+                        exact_objective(a + b)
+                        - exact_objective(a - b)
+                        - exact_objective(b - a)
+                        + exact_objective(-a - b)
+                    )
+                    / (4 * h * h)
+                    for b in basis
+                ]
+                for a in basis
+            ]
+        )
+        assembled = H.toarray()
+        assert np.abs(assembled - assembled.T).max() <= 1e-14 * np.abs(assembled).max()
+        assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
 
 
 def exact_pair_problem(rng, kernel=KERNEL_CAUCHY, k=20):
@@ -168,18 +252,16 @@ def exact_pair_problem(rng, kernel=KERNEL_CAUCHY, k=20):
     world = rng.uniform(-4, 4, (k, 3))
     p = world
     q = se3.transform_points(se3.inverse(truth), world)
-    blocks = [
-        ResidualBlock(0, 1, pi, qi, 1.0 / k, kernel, sigma=0.5) for pi, qi in zip(p, q)
-    ]
-    return blocks, truth
+    table = MatchTable.from_constraints([OdometryConstraint(0, p, q)])
+    return Problem(table, np.array([1.0 / k]), kernel, sigma=0.5), truth
 
 
 class TestSolve:
     def test_stationary_point_takes_no_steps(self):
         rng = np.random.default_rng(10)
-        blocks, truth = exact_pair_problem(rng)
+        problem, truth = exact_pair_problem(rng)
         poses = [se3.identity(), truth]
-        out, report = solve(blocks, poses, gauge=0)
+        out, report = solve(problem, poses, gauge=0)
         assert report.iterations == 0
         assert report.termination == "gradient"
         for a, b in zip(out, poses):
@@ -188,9 +270,9 @@ class TestSolve:
 
     def test_recovers_perturbed_pose(self):
         rng = np.random.default_rng(11)
-        blocks, truth = exact_pair_problem(rng)
+        problem, truth = exact_pair_problem(rng)
         start = [se3.identity(), se3.retract(truth, np.array([0.05, -0.1, 0.08, 0.5, -0.3, 0.2]))]
-        out, report = solve(blocks, start, gauge=0)
+        out, report = solve(problem, start, gauge=0)
         rot, trans = se3.pose_difference(out[1], truth)
         assert rot < 1e-8 and trans < 1e-8
         assert report.final_objective <= report.initial_objective
@@ -203,30 +285,27 @@ class TestSolve:
         from robustpgo.model import initialize_poses
 
         init = initialize_poses(graph)
-        blocks = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        _, report = solve(blocks, init, gauge=0)
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        _, report = solve(problem, init, gauge=0)
 
-        groups = solver._group_blocks(blocks)
+        table = problem.table
+        i, j = table.pairs[table.seg, 0], table.pairs[table.seg, 1]
+        w = problem.weights[table.seg]
 
         def cost_and_grad(poses):
-            rots, trans = solver._pose_arrays(poses)
-            total = 0.0
-            grad = np.zeros(6 * len(poses))
-            for grp in groups:
-                yi, yj, e, s = solver._group_terms(grp, rots, trans)
-                total += float(grp.w @ solver._rho(s, grp.kernel, grp.sigma))
-                alpha = 2.0 * grp.w * solver._drho(s, grp.kernel, grp.sigma)
-                ae = alpha[:, None] * e
-                grad[6 * grp.i : 6 * grp.i + 3] += np.cross(yi, ae).sum(axis=0)
-                grad[6 * grp.i + 3 : 6 * grp.i + 6] += ae.sum(axis=0)
-                grad[6 * grp.j : 6 * grp.j + 3] -= np.cross(yj, ae).sum(axis=0)
-                grad[6 * grp.j + 3 : 6 * grp.j + 6] -= ae.sum(axis=0)
-            grad[:6] = 0.0  # gauge
-            return total, grad
+            yi, yj, e, s = table.residuals(*solver._pose_arrays(poses))
+            total = float(w @ solver._rho(s, problem.kernel, problem.sigma))
+            alpha = 2.0 * w * solver._drho(s, problem.kernel, problem.sigma)
+            ae = alpha[:, None] * e
+            grad = np.zeros((len(poses), 6))
+            np.add.at(grad, i, np.hstack([np.cross(yi, ae), ae]))
+            np.add.at(grad, j, -np.hstack([np.cross(yj, ae), ae]))
+            grad[0] = 0.0  # gauge
+            return total, grad.reshape(-1)
 
         def cost_only(poses):
             rots, trans = solver._pose_arrays(poses)
-            return solver._objective(groups, rots, trans, strict=False)
+            return solver._objective(problem, rots, trans, strict=False)
 
         poses = [p.copy() for p in init]
         f, g = cost_and_grad(poses)
@@ -265,12 +344,12 @@ class TestSolve:
         from robustpgo.model import initialize_poses
 
         init = initialize_poses(graph)
-        blocks = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        out_a, _ = solve(blocks, init, gauge=0)
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        out_a, _ = solve(problem, init, gauge=0)
 
         G = se3.exp(np.array([0.3, -0.2, 0.9, 5.0, -2.0, 1.0]))
         init_b = [se3.compose(G, p) for p in init]
-        out_b, _ = solve(blocks, init_b, gauge=0)
+        out_b, _ = solve(problem, init_b, gauge=0)
         for a, b in zip(out_a, out_b):
             rot, trans = se3.pose_difference(se3.compose(G, a), b)
             assert rot < 1e-6 and trans < 1e-6
@@ -284,33 +363,35 @@ class TestSolve:
 
         init = initialize_poses(graph)
         params = Hyperparams()
-        blocks_odo = build_problem(graph, PosteriorState(1.0, np.zeros(0)), params)
-        blocks_off = build_problem(with_loop, PosteriorState(1.0, np.array([0.0])), params)
-        out_a, _ = solve(blocks_odo, init, gauge=0)
-        out_b, _ = solve(blocks_off, init, gauge=0)
+        problem_odo = build_problem(graph, PosteriorState(1.0, np.zeros(0)), params)
+        problem_off = build_problem(with_loop, PosteriorState(1.0, np.array([0.0])), params)
+        out_a, _ = solve(problem_odo, init, gauge=0)
+        out_b, _ = solve(problem_off, init, gauge=0)
         for a, b in zip(out_a, out_b):
             np.testing.assert_array_equal(a.quat, b.quat)
             np.testing.assert_array_equal(a.trans, b.trans)
 
     def test_nonfinite_residual_names_block(self):
         poses = [se3.identity(), se3.identity(), se3.identity()]
-        bad = ResidualBlock(1, 2, np.array([np.nan, 0, 0]), np.zeros(3), 1.0, KERNEL_SQUARED)
+        bad = LoopClosureConstraint(1, 2, np.array([[np.nan, 0, 0]]), np.zeros((1, 3)))
+        problem = Problem(MatchTable.from_constraints([bad]), np.ones(1), KERNEL_SQUARED)
         with pytest.raises(solver.SolverError, match=r"i=1, j=2"):
-            solve([bad], poses, gauge=0)
+            solve(problem, poses, gauge=0)
 
     def test_stalled_when_no_strict_decrease_possible(self):
         """At the global minimum with gradient_tol 0, damping escalates until the
         solver gives up and returns its best-so-far."""
         rng = np.random.default_rng(15)
-        blocks, truth = exact_pair_problem(rng)
+        problem, truth = exact_pair_problem(rng)
         poses = [se3.identity(), truth]
-        out, report = solve(blocks, poses, gauge=0, gradient_tol=0.0)
+        out, report = solve(problem, poses, gauge=0, gradient_tol=0.0)
         assert report.termination == "stalled"
         assert report.final_objective <= report.initial_objective
 
     def test_empty_problem_is_a_noop(self):
         poses = [se3.identity(), se3.identity()]
-        out, report = solve([], poses, gauge=0)
+        empty = Problem(MatchTable.from_constraints([]), np.zeros(0), KERNEL_SQUARED)
+        out, report = solve(empty, poses, gauge=0)
         assert report.iterations == 0 and report.final_objective == 0.0
 
     def test_report_objective_invariant(self):
@@ -318,6 +399,6 @@ class TestSolve:
         graph, _ = noisy_chain_graph(rng, n=10)
         from robustpgo.model import initialize_poses
 
-        blocks = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        _, report = solve(blocks, initialize_poses(graph), gauge=0)
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        _, report = solve(problem, initialize_poses(graph), gauge=0)
         assert report.final_objective <= report.initial_objective + 1e-12
