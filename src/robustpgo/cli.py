@@ -1,7 +1,7 @@
 """Command-line surface: solve, simulate, eval, check-grad.
 
 Exit codes identify the failure class:
-    0 success          3 input parse error       5 solver failure
+    0 success          3 input parse error       5 solver or initialization failure
     2 usage error      4 graph/config invalid    6 I/O error
     7 --require-converged set and EM hit the iteration cap
 """
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import em, graphio, se3, solver, synth
-from .model import Hyperparams, validate
+from .model import AlignmentError, Hyperparams, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,7 +76,7 @@ def _cmd_solve(args) -> int:
         return EXIT_VALIDATE
     try:
         poses, state, trace = em.run_em(graph, params)
-    except (em.EmError, solver.SolverError) as err:
+    except (AlignmentError, em.EmError, solver.SolverError) as err:
         print(f"error: solver: {err}", file=sys.stderr)
         return EXIT_SOLVER
 
@@ -111,6 +111,10 @@ def _cmd_solve(args) -> int:
     print(f"em iterations: {len(trace)}  converged: {trace.converged}")
     for name in sorted(metrics):
         print(f"{name}: {metrics[name]:.6f}")
+    capped = [k for k, rec in enumerate(trace.iterations, 1) if rec.termination == "max_iterations"]
+    if capped:
+        its = ", ".join(map(str, capped))
+        print(f"warning: the LM iteration cap stopped the M-step of EM iteration {its}", file=sys.stderr)
     if args.require_converged and not trace.converged:
         print("error: EM did not converge before max iterations", file=sys.stderr)
         return EXIT_NOT_CONVERGED

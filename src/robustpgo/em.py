@@ -129,6 +129,8 @@ class EmIteration:
     inlier_count: int  # posteriors above the classification threshold
     max_pose_update: float  # largest twist norm of any pose update this iteration
     objective_path: list[float] = field(default_factory=list)  # accepted-step objectives
+    termination: str = ""  # why the M-step's LM stopped (SolverReport.termination)
+    factorizations: int = 0  # sparse factorizations the M-step made
 
 
 @dataclass
@@ -141,10 +143,9 @@ class EmTrace:
 
 
 def _max_update(old: list[Pose], new: list[Pose]) -> float:
-    out = 0.0
-    for a, b in zip(old, new):
-        out = max(out, float(np.linalg.norm(se3.log(se3.compose(b, se3.inverse(a))))))
-    return out
+    """Largest twist norm of log(new_k o old_k^-1) over the poses."""
+    step = se3.compose_arrays(*se3.stack(new), *se3.inverse_arrays(*se3.stack(old)))
+    return float(np.linalg.norm(se3.log_arrays(*step)[0], axis=1).max(initial=0.0))
 
 
 def _learn_theta(graph, poses, params: Hyperparams) -> float:
@@ -185,6 +186,8 @@ def run_em(
                 inlier_count=int(np.sum(state.posteriors > params.inlier_threshold)),
                 max_pose_update=_max_update(poses, poses_new),
                 objective_path=report.objective_path,
+                termination=report.termination,
+                factorizations=report.factorizations,
             )
         )
         poses = poses_new

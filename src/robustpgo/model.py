@@ -145,6 +145,8 @@ class Hyperparams:
             raise ValueError("p_hat must lie in (0, 1)")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.max_em_iters < 1:
+            raise ValueError("max_em_iters must be at least 1")
         if self.mode not in ("cauchy", "gaussian"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.gaussian_calibration not in ("rms", "literal"):

@@ -4,6 +4,10 @@ Conventions, fixed repo-wide:
   * quaternions are stored (w, x, y, z) and hemisphere-normalized (w >= 0)
   * twist vectors are (wx, wy, wz, vx, vy, vz): rotation first, then translation
   * retract(T, d) == compose(exp(d), T), i.e. updates multiply on the left
+
+Each formula is written once, over arrays that hold one item, e.g. a (4,)
+quaternion, or a stack of N, e.g. (N, 4) quaternions, (N, 3) translations or
+(N, 6) twists. The Pose functions apply the same formulas to one pose.
 """
 
 from __future__ import annotations
@@ -18,25 +22,41 @@ NEAR_PI_TOL = 1e-6
 
 _UNIT_TOL = 1e-12
 
+# below this squared rotation angle, exp and log use truncated series
+_SMALL_ANGLE_SQ = 1e-8
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ax, ay, az = a.T
+    bx, by, bz = b.T
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]).T
+
+
+def _canonical_quats(q: np.ndarray) -> np.ndarray:
+    """Renormalize quaternions (4,) or (N, 4) whose norm is off 1 by more than
+    1e-12 and pick the w >= 0 hemisphere; at w == 0 the first nonzero
+    component is made positive, so the choice is deterministic."""
+    q = np.array(q, dtype=float)
+    w, x, y, z = q.T
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    off = np.abs(n - 1.0) > _UNIT_TOL
+    if np.count_nonzero(off):
+        np.divide(q.T, n, out=q.T, where=off)
+        w, x, y, z = q.T
+    if np.count_nonzero(w <= 0.0):
+        lead = np.where(w != 0.0, w, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
+        q = np.where(lead < 0.0, -q.T, q.T).T
+    return q
+
 
 def _canonical_quat(q: np.ndarray) -> np.ndarray:
-    """Renormalize and pick the w >= 0 hemisphere (deterministic for w == 0)."""
-    q = np.asarray(q, dtype=float).reshape(4).copy()
+    q = np.asarray(q, dtype=float).reshape(4)
     n = math.sqrt(float(q @ q))
     if n < 1e-9:
         raise ValueError("quaternion norm too small to normalize")
-    if abs(n - 1.0) > _UNIT_TOL:
-        q /= n
-    if q[0] < 0.0:
-        q = -q
-    elif q[0] == 0.0:
-        # w == 0 leaves a sign ambiguity; fix it by the first nonzero component.
-        for c in q[1:]:
-            if c != 0.0:
-                if c < 0.0:
-                    q = -q
-                break
-    return q
+    if q[0] > 0.0 and abs(n - 1.0) <= _UNIT_TOL:  # canonical already, e.g. read from a file
+        return q.copy()
+    return _canonical_quats(q)
 
 
 @dataclass
@@ -60,13 +80,22 @@ class Pose:
         return Pose(self.quat, self.trans)
 
 
+def _pose(quat: np.ndarray, trans: np.ndarray) -> Pose:
+    """Wrap a canonical quaternion and a translation that no one else holds,
+    without the second canonicalization that Pose() would do."""
+    p = object.__new__(Pose)
+    p.quat, p.trans = quat, trans
+    return p
+
+
 def identity() -> Pose:
     return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    """Hamilton product of quaternions (4,) or (N, 4)."""
+    aw, ax, ay, az = np.asarray(a, dtype=float).T
+    bw, bx, by, bz = np.asarray(b, dtype=float).T
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -74,21 +103,26 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
         ]
-    )
+    ).T
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
+    """Rotation matrices (3, 3) or (N, 3, 3) of unit quaternions (4,) or (N, 4)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.T
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    return np.array(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-        ]
-    )
+    entries = [
+        1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+        2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+        2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy),
+    ]
+    return np.array(entries).T.reshape(q.shape[:-1] + (3, 3))
+
+
+def _rotate(quat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    return (quat_to_matrix(quat) @ np.asarray(vectors, dtype=float)[..., None])[..., 0]
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
@@ -122,15 +156,34 @@ def from_matrix(R: np.ndarray, t: np.ndarray) -> Pose:
     return Pose(matrix_to_quat(R), t)
 
 
+def stack(poses) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 4) quaternions and (N, 3) translations of a sequence of poses."""
+    quats = np.array([p.quat for p in poses], dtype=float).reshape(-1, 4)
+    return quats, np.array([p.trans for p in poses], dtype=float).reshape(-1, 3)
+
+
+def unstack(quats: np.ndarray, trans: np.ndarray) -> list[Pose]:
+    """Poses of (N, 4) canonical quaternions and (N, 3) translations."""
+    return [_pose(q, t) for q, t in zip(np.array(quats, order="C"), np.array(trans, order="C"))]
+
+
+def compose_arrays(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:
+    """(a o b), transforming points as a(b(p)), of poses held as arrays."""
+    return _canonical_quats(quat_mul(qa, qb)), _rotate(qa, tb) + ta
+
+
+def inverse_arrays(quat, trans) -> tuple[np.ndarray, np.ndarray]:
+    conj = np.asarray(quat, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+    return _canonical_quats(conj), -_rotate(conj, trans)
+
+
 def compose(a: Pose, b: Pose) -> Pose:
     """(a o b) transforms points as a(b(p))."""
-    return Pose(quat_mul(a.quat, b.quat), a.rotation_matrix() @ b.trans + a.trans)
+    return _pose(*compose_arrays(a.quat, a.trans, b.quat, b.trans))
 
 
 def inverse(p: Pose) -> Pose:
-    w, x, y, z = p.quat
-    q_inv = np.array([w, -x, -y, -z])
-    return Pose(q_inv, -(quat_to_matrix(q_inv) @ p.trans))
+    return _pose(*inverse_arrays(p.quat, p.trans))
 
 
 def transform_point(T: Pose, p: np.ndarray) -> np.ndarray:
@@ -142,61 +195,63 @@ def transform_points(T: Pose, pts: np.ndarray) -> np.ndarray:
     return np.asarray(pts, dtype=float) @ T.rotation_matrix().T + T.trans
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+def exp_arrays(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential map of twists (6,) or (N, 6): canonical quaternions and
+    translations J_l v, with J_l = I + c1 [w]x + c2 [w]x^2."""
+    xi = np.asarray(xi, dtype=float)
+    omega, v = xi[..., :3], xi[..., 3:]
+    wx, wy, wz = omega.T
+    theta_sq = wx * wx + wy * wy + wz * wz
+    theta = np.sqrt(theta_sq)
+    half = 0.5 * theta
+    small = theta_sq < _SMALL_ANGLE_SQ
+    sq = theta_sq * theta_sq
+    # the exact ratios see a dummy angle of 1 where the series is used
+    t1, t2 = np.where(small, 1.0, theta), np.where(small, 1.0, theta_sq)
+    k = np.where(small, 0.5 - theta_sq / 48.0 + sq / 3840.0, np.sin(half) / t1)  # sin(theta/2)/theta
+    c1 = np.where(small, 0.5 - theta_sq / 24.0 + sq / 720.0, (1.0 - np.cos(theta)) / t2)
+    c2 = np.where(
+        small, 1.0 / 6.0 - theta_sq / 120.0 + sq / 5040.0, (theta - np.sin(theta)) / (t2 * t1)
+    )
+    quat = np.array([np.cos(half), *(k * omega.T)]).T
+    wv = _cross(omega, v)
+    return _canonical_quats(quat), (v.T + c1 * wv.T + c2 * _cross(omega, wv).T).T
 
 
-def _so3_coeffs(theta_sq: float) -> tuple[float, float]:
-    """Coefficients c1, c2 of J_l = I + c1*S + c2*S^2 for rotation angle theta."""
-    if theta_sq < 1e-8:
-        c1 = 0.5 - theta_sq / 24.0 + theta_sq * theta_sq / 720.0
-        c2 = 1.0 / 6.0 - theta_sq / 120.0 + theta_sq * theta_sq / 5040.0
-        return c1, c2
-    theta = math.sqrt(theta_sq)
-    return (1.0 - math.cos(theta)) / theta_sq, (theta - math.sin(theta)) / (theta_sq * theta)
+def log_arrays(quat: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of exp_arrays for canonical quaternions: twists (6,) or (N, 6)
+    and a flag marking rotation angles within NEAR_PI_TOL of pi."""
+    quat, trans = np.asarray(quat, dtype=float), np.asarray(trans, dtype=float)
+    w, x, y, z = quat.T
+    vec = quat[..., 1:]
+    n = np.sqrt(x * x + y * y + z * z)
+    theta = 2.0 * np.arctan2(n, w)  # in [0, pi] thanks to w >= 0
+    tiny = n < 1e-9
+    # first order for tiny n; exact at theta == 0
+    omega = (np.where(tiny, 2.0, theta / np.where(tiny, 1.0, n)) * vec.T).T
+
+    theta_sq = theta * theta
+    small = theta_sq < _SMALL_ANGLE_SQ
+    half = np.where(small, 1.0, 0.5 * theta)
+    c3 = np.where(
+        small,
+        1.0 / 12.0 + theta_sq / 720.0 + theta_sq * theta_sq / 30240.0,
+        (1.0 - 0.5 * theta * np.cos(half) / np.sin(half)) / np.where(small, 1.0, theta_sq),
+    )
+    wt = _cross(omega, trans)
+    rho = (trans.T - 0.5 * wt.T + c3 * _cross(omega, wt).T).T
+    return np.concatenate([omega, rho], axis=-1), np.abs(theta - math.pi) < NEAR_PI_TOL
 
 
 def exp(xi: np.ndarray) -> Pose:
     """Exponential map: twist (rotation-first 6-vector) to pose."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    omega, v = xi[:3], xi[3:]
-    theta_sq = float(omega @ omega)
-    theta = math.sqrt(theta_sq)
-
-    half = 0.5 * theta
-    if theta_sq < 1e-8:
-        # sin(theta/2)/theta to fourth order
-        k = 0.5 - theta_sq / 48.0 + theta_sq * theta_sq / 3840.0
-    else:
-        k = math.sin(half) / theta
-    quat = np.concatenate(([math.cos(half)], k * omega))
-
-    c1, c2 = _so3_coeffs(theta_sq)
-    S = skew(omega)
-    J_l = np.eye(3) + c1 * S + c2 * (S @ S)
-    return Pose(quat, J_l @ v)
+    return _pose(*exp_arrays(np.asarray(xi, dtype=float).reshape(6)))
 
 
 def log_flagged(T: Pose) -> tuple[np.ndarray, bool]:
     """Inverse of exp; the flag marks rotation angles within NEAR_PI_TOL of pi."""
-    w = T.quat[0]
-    vec = T.quat[1:]
-    n = math.sqrt(float(vec @ vec))
-    theta = 2.0 * math.atan2(n, w)  # in [0, pi] thanks to w >= 0
-    if n < 1e-9:
-        omega = 2.0 * vec  # first order; exact at theta == 0
-    else:
-        omega = (theta / n) * vec
-
-    theta_sq = theta * theta
-    if theta_sq < 1e-8:
-        c3 = 1.0 / 12.0 + theta_sq / 720.0 + theta_sq * theta_sq / 30240.0
-    else:
-        c3 = (1.0 - 0.5 * theta * math.cos(0.5 * theta) / math.sin(0.5 * theta)) / theta_sq
-    S = skew(omega)
-    J_l_inv = np.eye(3) - 0.5 * S + c3 * (S @ S)
-    xi = np.concatenate([omega, J_l_inv @ T.trans])
-    return xi, bool(abs(theta - math.pi) < NEAR_PI_TOL)
+    xi, near_pi = log_arrays(T.quat, T.trans)
+    return xi, bool(near_pi)
 
 
 def log(T: Pose) -> np.ndarray:

@@ -5,7 +5,10 @@ with rho either the log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared
 kernel s, and w one weight per constraint. Poses are updated through
 left-multiplicative twist retractions; one pose (the gauge) stays fixed. The
 damped normal equations are assembled block-sparse from per-constraint sums
-over a flat match table and solved with a sparse direct factorization.
+over a flat match table. Their matrix is symmetric positive definite, and
+each step factors it as such: a minimum-degree ordering of its symmetric
+pattern and pivots taken on the diagonal. The poses stay in (N, 4) quaternion
+and (N, 3) translation arrays while LM runs.
 
 ResidualBlock and its helpers evaluate one match at a time; they are the
 independent oracle for the flat evaluation, not part of the solve path.
@@ -77,6 +80,7 @@ class SolverReport:
     termination: str  # "gradient" | "objective" | "max_iterations" | "stalled"
     gradient_norm: float  # max-norm over free dofs at exit
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
+    factorizations: int = 0  # sparse factorizations attempted, one per trial step
 
 
 def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparams) -> Problem:
@@ -110,9 +114,9 @@ def _drho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
 
 
 def _pose_arrays(poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
-    rots = np.stack([p.rotation_matrix() for p in poses])
-    trans = np.stack([p.trans for p in poses])
-    return rots, trans
+    """(N, 3, 3) rotations and (N, 3) translations of the poses."""
+    quats, trans = se3.stack(poses)
+    return se3.quat_to_matrix(quats), trans
 
 
 def _nonfinite(table: MatchTable, s: np.ndarray) -> SolverError:
@@ -206,14 +210,14 @@ def _assemble(problem: Problem, rots, trans, num_poses: int):
     return total, grad.reshape(-1), H
 
 
-def _retract_all(poses: list[Pose], delta: np.ndarray, gauge: int) -> list[Pose]:
-    out = []
-    for k, p in enumerate(poses):
-        if k == gauge:
-            out.append(p)
-        else:
-            out.append(se3.retract(p, delta[6 * k : 6 * k + 6]))
-    return out
+def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
+    """Retract every pose k by its twist delta[6k : 6k + 6], as se3.retract
+    does one pose. The gauge pose comes back bit-identical; a gauge outside
+    [0, N) holds no pose fixed."""
+    quats_new, trans_new = se3.compose_arrays(*se3.exp_arrays(delta.reshape(-1, 6)), quats, trans)
+    if 0 <= gauge < len(quats):
+        quats_new[gauge], trans_new[gauge] = quats[gauge], trans[gauge]
+    return quats_new, trans_new
 
 
 def solve(
@@ -234,25 +238,26 @@ def solve(
     num_poses = len(poses)
     if not 0 <= gauge < num_poses:
         raise ValueError(f"gauge index {gauge} out of range")
-    poses = [p.copy() for p in poses]
+    quats, trans = se3.stack(poses)
 
     free = np.ones(6 * num_poses, dtype=bool)
     free[6 * gauge : 6 * gauge + 6] = False
     n_free = int(free.sum())
 
-    rots, trans = _pose_arrays(poses)
+    rots = se3.quat_to_matrix(quats)
     objective = _objective(problem, rots, trans, strict=True)
     initial_objective = objective
 
     if n_free == 0:
         report = SolverReport(0, initial_objective, objective, "gradient", 0.0)
-        return poses, report
+        return se3.unstack(quats, trans), report
 
     damping = DAMPING_INIT
     accepted = 0
     termination = "max_iterations"
     gradient_norm = math.inf
     objective_path = []
+    factorizations = 0
 
     for _ in range(max_iterations):
         total, grad, H = _assemble(problem, rots, trans, num_poses)
@@ -266,22 +271,28 @@ def solve(
         stepped = False
         while True:
             system = (H_ff + damping * sparse_identity(n_free, format="csc")).tocsc()
+            factorizations += 1
             try:
-                delta_f = splu(system).solve(-g_f)
+                # SPD: minimum-degree ordering of the symmetric pattern and
+                # diagonal pivots keep the fill low. The factor is not kept,
+                # so it is freed before the next one is made.
+                delta_f = splu(
+                    system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                ).solve(-g_f)
             except RuntimeError:
                 delta_f = None
             if delta_f is not None and np.isfinite(delta_f).all():
                 delta = np.zeros(6 * num_poses)
                 delta[free] = delta_f
-                trial = _retract_all(poses, delta, gauge)
-                trial_rots, trial_trans = _pose_arrays(trial)
+                trial_quats, trial_trans = _retract_all(quats, trans, delta, gauge)
+                trial_rots = se3.quat_to_matrix(trial_quats)
                 trial_objective = _objective(problem, trial_rots, trial_trans, strict=False)
             else:
                 trial_objective = math.inf
 
             if trial_objective < objective:
-                poses = trial
-                rots, trans = trial_rots, trial_trans
+                quats, rots, trans = trial_quats, trial_rots, trial_trans
                 drop = objective - trial_objective
                 objective = trial_objective
                 accepted += 1
@@ -306,9 +317,10 @@ def solve(
             termination = "gradient"
 
     report = SolverReport(
-        accepted, initial_objective, objective, termination, gradient_norm, objective_path
+        accepted, initial_objective, objective, termination, gradient_norm, objective_path,
+        factorizations,
     )
-    return poses, report
+    return se3.unstack(quats, trans), report
 
 
 def block_cost(block: ResidualBlock, pose_i: Pose, pose_j: Pose) -> float:

@@ -52,6 +52,10 @@ class ScenarioConfig:
             raise ScenarioError("spacing must be positive")
         if self.matches_per_constraint < 3:
             raise ScenarioError("need at least 3 matches per constraint")
+        for name in ("match_noise", "outlier_displacement"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ScenarioError(f"{name} must be finite and >= 0")
         for name in ("outlier_match_fraction", "outlier_loop_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -1,8 +1,9 @@
+import functools
 import json
 
 import pytest
 
-from robustpgo import cli
+from robustpgo import cli, solver
 from robustpgo.graphio import parse_poses, write_graph
 from robustpgo.synth import ScenarioConfig, generate
 
@@ -41,8 +42,9 @@ class TestSolve:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "inlier loops" in out and "ate_mean" in out
+        captured = capsys.readouterr()
+        assert "inlier loops" in captured.out and "ate_mean" in captured.out
+        assert "warning" not in captured.err
         assert len(parse_poses(poses.read_text())) == 20
         assert csv.read_text().startswith("id,tx,ty,tz")
         assert any(l.startswith("LOOP") for l in report.read_text().splitlines())
@@ -94,12 +96,32 @@ class TestSolve:
         assert "line 2" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--sigma", "-1"), ("--p-hat", "1.5"), ("--p-hat", "0"), ("--epsilon", "0")]
+        "flag, value",
+        [
+            ("--sigma", "-1"),
+            ("--p-hat", "1.5"),
+            ("--p-hat", "0"),
+            ("--epsilon", "0"),
+            ("--max-em-iters", "0"),
+        ],
     )
     def test_bad_hyperparameter_is_usage_error(self, scenario_file, capsys, flag, value):
         assert run_cli(["solve", "--in", str(scenario_file), flag, value]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_degenerate_odometry_is_solver_error(self, tmp_path, capsys):
+        bad = tmp_path / "collinear.pcg"
+        bad.write_text("PCG 1 2\nODOM 0 3\nM 0 0 0 0 0 0\nM 1 0 0 1 0 0\nM 2 0 0 2 0 0\n")
+        assert run_cli(["solve", "--in", str(bad)]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "odometry constraint 0->1" in err and "Traceback" not in err
+
+    def test_warns_when_lm_cap_stops_an_m_step(self, scenario_file, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "solve", functools.partial(solver.solve, max_iterations=1))
+        assert run_cli(["solve", "--in", str(scenario_file), "--max-em-iters", "2"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning:") and "EM iteration 1, 2" in err
 
     def test_gaussian_mode_flags(self, tmp_path, scenario_file):
         code = run_cli(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,9 +54,11 @@ def random_problem(rng, kernel):
 def stepped_objective(problem, poses):
     """The objective LM evaluates, as a function of one twist step of every pose."""
 
+    quats, trans = se3.stack(poses)
+
     def objective(delta):
-        trial = solver._retract_all(poses, delta, gauge=-1)  # no pose held fixed
-        return solver._objective(problem, *solver._pose_arrays(trial), strict=True)
+        q, t = solver._retract_all(quats, trans, delta, gauge=-1)  # no pose held fixed
+        return solver._objective(problem, se3.quat_to_matrix(q), t, strict=True)
 
     return objective
 
@@ -246,6 +250,48 @@ class TestGradients:
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
 
 
+class TestRetractAll:
+    def random_state(self, rng, n):
+        poses = [
+            se3.exp(np.concatenate([rng.uniform(-3.0, 3.0, 3), rng.uniform(-5.0, 5.0, 3)]))
+            for _ in range(n)
+        ]
+        axes = rng.normal(size=(n, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate(
+            [
+                rng.uniform(0.0, 1e-4, 10),  # the small-angle series of exp
+                math.pi - rng.uniform(0.0, 1e-6, 10),  # near pi
+                rng.uniform(0.0, 2.0 * math.pi, n - 20),  # past pi, exp flips hemisphere
+            ]
+        )
+        delta = np.hstack([axes * angles[:, None], rng.uniform(-2.0, 2.0, (n, 3))])
+        return poses, delta
+
+    def test_matches_per_pose_retract(self):
+        rng = np.random.default_rng(30)
+        poses, delta = self.random_state(rng, 60)
+        # the composed quaternion leaves the w >= 0 hemisphere for some poses
+        raw = se3.quat_mul(se3.exp_arrays(delta)[0], se3.stack(poses)[0])
+        assert (raw[:, 0] < 0.0).any() and (raw[:, 0] > 0.0).any()
+
+        quats, trans = solver._retract_all(*se3.stack(poses), delta.reshape(-1), gauge=-1)
+        expected = [se3.retract(p, d) for p, d in zip(poses, delta)]
+        np.testing.assert_allclose(quats, [e.quat for e in expected], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(trans, [e.trans for e in expected], rtol=1e-14, atol=1e-14)
+        assert (quats[:, 0] >= 0.0).all()
+
+    def test_gauge_pose_comes_back_unchanged(self):
+        rng = np.random.default_rng(31)
+        poses, delta = self.random_state(rng, 30)
+        quats, trans = se3.stack(poses)
+        out_q, out_t = solver._retract_all(quats, trans, delta.reshape(-1), gauge=7)
+        assert out_q[7].tobytes() == quats[7].tobytes()
+        assert out_t[7].tobytes() == trans[7].tobytes()
+        moved = np.arange(30) != 7
+        assert (np.abs(out_t[moved] - trans[moved]).max(axis=1) > 0).all()
+
+
 def exact_pair_problem(rng, kernel=KERNEL_CAUCHY, k=20):
     """Two fragments with exact correspondences; optimum is the true pair."""
     truth = se3.exp(np.concatenate([rng.uniform(-0.6, 0.6, 3), rng.uniform(-3, 3, 3)]))
@@ -292,23 +338,22 @@ class TestSolve:
         i, j = table.pairs[table.seg, 0], table.pairs[table.seg, 1]
         w = problem.weights[table.seg]
 
-        def cost_and_grad(poses):
-            yi, yj, e, s = table.residuals(*solver._pose_arrays(poses))
+        def cost_and_grad(quats, trans):
+            yi, yj, e, s = table.residuals(se3.quat_to_matrix(quats), trans)
             total = float(w @ solver._rho(s, problem.kernel, problem.sigma))
             alpha = 2.0 * w * solver._drho(s, problem.kernel, problem.sigma)
             ae = alpha[:, None] * e
-            grad = np.zeros((len(poses), 6))
+            grad = np.zeros((len(quats), 6))
             np.add.at(grad, i, np.hstack([np.cross(yi, ae), ae]))
             np.add.at(grad, j, -np.hstack([np.cross(yj, ae), ae]))
             grad[0] = 0.0  # gauge
             return total, grad.reshape(-1)
 
-        def cost_only(poses):
-            rots, trans = solver._pose_arrays(poses)
-            return solver._objective(problem, rots, trans, strict=False)
+        def cost_only(quats, trans):
+            return solver._objective(problem, se3.quat_to_matrix(quats), trans, strict=False)
 
-        poses = [p.copy() for p in init]
-        f, g = cost_and_grad(poses)
+        poses = se3.stack(init)
+        f, g = cost_and_grad(*poses)
         step = 1e-4
         prev_g = prev_delta = None
         best_recent = f
@@ -327,14 +372,14 @@ class TestSolve:
             step = min(max(step, 1e-12), 1e2)
             while True:
                 delta = -step * g
-                trial = solver._retract_all(poses, delta, gauge=0)
-                f_new = cost_only(trial)
+                trial = solver._retract_all(*poses, delta, gauge=0)
+                f_new = cost_only(*trial)
                 if f_new <= f - 1e-4 * step * float(g @ g) or step < 1e-14:
                     break
                 step *= 0.5
             prev_delta, prev_g = delta, g
             poses = trial
-            f, g = cost_and_grad(poses)
+            f, g = cost_and_grad(*poses)
         assert abs(f - report.final_objective) / max(report.final_objective, 1e-300) < 1e-6
 
     def test_gauge_invariance(self):
@@ -393,6 +438,34 @@ class TestSolve:
         empty = Problem(MatchTable.from_constraints([]), np.zeros(0), KERNEL_SQUARED)
         out, report = solve(empty, poses, gauge=0)
         assert report.iterations == 0 and report.final_objective == 0.0
+
+    def test_spd_step_matches_dense_solve(self, monkeypatch):
+        """One LM step, factored as SPD, against np.linalg.solve on the dense
+        damped system that the step solves."""
+        rng = np.random.default_rng(17)
+        graph, truth = noisy_chain_graph(rng, n=12)
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        factored = []
+        real_splu = solver.splu
+
+        def spy(system, **options):
+            factored.append((system.toarray(), options))
+            return real_splu(system, **options)
+
+        monkeypatch.setattr(solver, "splu", spy)
+        out, report = solve(problem, start, gauge=0, max_iterations=1)
+        assert report.iterations == 1 and report.factorizations == len(factored) == 1
+        system, options = factored[0]
+        assert options["options"] == {"SymmetricMode": True}
+
+        _, grad, H = solver._assemble(problem, *solver._pose_arrays(start), 12)
+        dense = H.toarray()[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
+        np.testing.assert_array_equal(system, dense)
+        expected = np.linalg.solve(dense, -grad[6:])
+        step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(start)))
+        taken = se3.log_arrays(*step)[0][1:].reshape(-1)
+        assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_report_objective_invariant(self):
         rng = np.random.default_rng(16)

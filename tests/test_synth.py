@@ -105,6 +105,20 @@ class TestGenerate:
         graph = generate(cfg)
         assert graph.loops and not any(graph.oracle_labels.values())
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("match_noise", -1.0),
+            ("match_noise", float("inf")),
+            ("match_noise", float("nan")),
+            ("outlier_displacement", -2.0),
+            ("outlier_displacement", float("inf")),
+        ],
+    )
+    def test_noise_fields_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ScenarioError, match=name):
+            ScenarioConfig(**{name: value})
+
     def test_fraction_too_close_to_one_rejected(self):
         with pytest.raises(ScenarioError, match="rounds to 0"):
             generate(ScenarioConfig(num_fragments=20, outlier_loop_fraction=0.95, seed=0))
