@@ -26,12 +26,6 @@ _UNIT_TOL = 1e-12
 _SMALL_ANGLE_SQ = 1e-8
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ax, ay, az = a.T
-    bx, by, bz = b.T
-    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]).T
-
-
 def _canonical_quats(q: np.ndarray) -> np.ndarray:
     """Renormalize quaternions (4,) or (N, 4) whose norm is off 1 by more than
     1e-12 and pick the w >= 0 hemisphere; at w == 0 the first nonzero
@@ -78,14 +72,6 @@ class Pose:
 
     def copy(self) -> "Pose":
         return Pose(self.quat, self.trans)
-
-
-def _pose(quat: np.ndarray, trans: np.ndarray) -> Pose:
-    """Wrap a canonical quaternion and a translation that no one else holds,
-    without the second canonicalization that Pose() would do."""
-    p = object.__new__(Pose)
-    p.quat, p.trans = quat, trans
-    return p
 
 
 def identity() -> Pose:
@@ -164,7 +150,7 @@ def stack(poses) -> tuple[np.ndarray, np.ndarray]:
 
 def unstack(quats: np.ndarray, trans: np.ndarray) -> list[Pose]:
     """Poses of (N, 4) canonical quaternions and (N, 3) translations."""
-    return [_pose(q, t) for q, t in zip(np.array(quats, order="C"), np.array(trans, order="C"))]
+    return [Pose(q, t) for q, t in zip(quats, trans)]
 
 
 def compose_arrays(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:
@@ -179,11 +165,11 @@ def inverse_arrays(quat, trans) -> tuple[np.ndarray, np.ndarray]:
 
 def compose(a: Pose, b: Pose) -> Pose:
     """(a o b) transforms points as a(b(p))."""
-    return _pose(*compose_arrays(a.quat, a.trans, b.quat, b.trans))
+    return Pose(*compose_arrays(a.quat, a.trans, b.quat, b.trans))
 
 
 def inverse(p: Pose) -> Pose:
-    return _pose(*inverse_arrays(p.quat, p.trans))
+    return Pose(*inverse_arrays(p.quat, p.trans))
 
 
 def transform_point(T: Pose, p: np.ndarray) -> np.ndarray:
@@ -214,8 +200,8 @@ def exp_arrays(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         small, 1.0 / 6.0 - theta_sq / 120.0 + sq / 5040.0, (theta - np.sin(theta)) / (t2 * t1)
     )
     quat = np.array([np.cos(half), *(k * omega.T)]).T
-    wv = _cross(omega, v)
-    return _canonical_quats(quat), (v.T + c1 * wv.T + c2 * _cross(omega, wv).T).T
+    wv = np.cross(omega, v)
+    return _canonical_quats(quat), (v.T + c1 * wv.T + c2 * np.cross(omega, wv).T).T
 
 
 def log_arrays(quat: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,14 +224,14 @@ def log_arrays(quat: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndar
         1.0 / 12.0 + theta_sq / 720.0 + theta_sq * theta_sq / 30240.0,
         (1.0 - 0.5 * theta * np.cos(half) / np.sin(half)) / np.where(small, 1.0, theta_sq),
     )
-    wt = _cross(omega, trans)
-    rho = (trans.T - 0.5 * wt.T + c3 * _cross(omega, wt).T).T
+    wt = np.cross(omega, trans)
+    rho = (trans.T - 0.5 * wt.T + c3 * np.cross(omega, wt).T).T
     return np.concatenate([omega, rho], axis=-1), np.abs(theta - math.pi) < NEAR_PI_TOL
 
 
 def exp(xi: np.ndarray) -> Pose:
     """Exponential map: twist (rotation-first 6-vector) to pose."""
-    return _pose(*exp_arrays(np.asarray(xi, dtype=float).reshape(6)))
+    return Pose(*exp_arrays(np.asarray(xi, dtype=float).reshape(6)))
 
 
 def log_flagged(T: Pose) -> tuple[np.ndarray, bool]:
