@@ -63,8 +63,7 @@ def learn_theta_cauchy(graph: ProblemGraph, poses: list[Pose], sigma: float, p_h
     """
     if not graph.odometry:
         raise EmError("cannot learn theta without odometry constraints")
-    table = MatchTable.from_graph(graph)
-    a_values = constraint_errors(table, poses, solver.KERNEL_CAUCHY, sigma)[: len(graph.odometry)]
+    a_values = constraint_errors(graph.table, poses, solver.KERNEL_CAUCHY, sigma)[: len(graph.odometry)]
     return p_hat / (1.0 - p_hat) * math.exp(2.0 * lower_median(a_values))
 
 
@@ -100,8 +99,7 @@ def posterior_gaussian(b_values: np.ndarray, theta: float) -> np.ndarray:
 
 def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> np.ndarray:
     """Per-loop error functional at the given poses (A in cauchy mode, B in gaussian)."""
-    table = MatchTable.from_graph(graph)
-    errors = constraint_errors(table, poses, solver.KERNELS[params.mode], params.sigma)
+    errors = constraint_errors(graph.table, poses, solver.KERNELS[params.mode], params.sigma)
     return errors[len(graph.odometry) :]
 
 

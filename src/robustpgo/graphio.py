@@ -43,6 +43,8 @@ def _pose_fields(p: Pose) -> str:
 
 def _parse_pose(parts: list[str], line_no: int) -> Pose:
     vals = [_float(v, line_no) for v in parts]
+    if not np.isfinite(vals).all():
+        raise ParseError(line_no, "pose values must be finite")
     try:
         return Pose(np.array(vals[3:7]), np.array(vals[0:3]))
     except ValueError as err:  # a zero quaternion has no rotation

@@ -5,15 +5,19 @@ the first fragment's local frame and pairs with row m of `q` in the second
 fragment's frame. Graphs are immutable after construction; constraints are
 kept in canonical order (odometry by i, loops by (i, j)). A MatchTable stacks
 the match sets of many constraints into flat arrays; the E-step, theta
-learning and the pose solver all read a graph through it.
+learning and the pose solver all read a graph through the one table
+ProblemGraph.table builds, and the initialization fits every odometry
+constraint at once over a table of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import se3
 from .se3 import Pose
@@ -73,6 +77,10 @@ class MatchTable:
 
     Constraint c couples poses pairs[c] and owns the matches whose segment id
     seg[m] equals c; those are contiguous and in the constraint's own order.
+    Every per-constraint sum is one product with a (C, M) indicator of the
+    segments, held in compressed sparse row form: row c has a nonzero at each
+    match of constraint c. A row sums its matches in order, as np.bincount
+    over seg does, so either gives the same bits.
     """
 
     pairs: np.ndarray  # (C, 2) pose indices (i, j)
@@ -100,22 +108,56 @@ class MatchTable:
     def __len__(self) -> int:
         return len(self.seg)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(C + 1,) start of each constraint's matches, then M."""
+        return np.concatenate([[0], np.cumsum(self.sizes)])
+
+    @cached_property
+    def _summer_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column indices and row pointers of the (C, M) segment indicator."""
+        return np.arange(len(self.seg), dtype=np.int32), self.offsets.astype(np.int32)
+
+    @cached_property
+    def _outer_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The same for the (3C, M) operator whose row (a, c) is constraint
+        c's row of the indicator."""
+        columns, starts = self._summer_index
+        count = len(self.seg)
+        return np.tile(columns, 3), np.concatenate(
+            [starts[:-1], starts[:-1] + count, starts[:-1] + 2 * count, [3 * count]]
+        ).astype(np.int32)
+
     def residuals(self, rots: np.ndarray, trans: np.ndarray):
         """Per-match world points y_i = T_i p, y_j = T_j q, residual e = y_i - y_j
         and its squared norm s, for poses given as (N, 3, 3) rotations and (N, 3)
-        translations."""
+        translations. Poses far enough apart overflow to inf, which the caller
+        reports, so numpy is not asked to warn of it."""
         i, j = self.pairs[self.seg, 0], self.pairs[self.seg, 1]
-        yi = np.einsum("mab,mb->ma", rots[i], self.p) + trans[i]
-        yj = np.einsum("mab,mb->ma", rots[j], self.q) + trans[j]
-        e = yi - yj
-        return yi, yj, e, np.einsum("ma,ma->m", e, e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            yi = np.einsum("mab,mb->ma", rots[i], self.p) + trans[i]
+            yj = np.einsum("mab,mb->ma", rots[j], self.q) + trans[j]
+            e = yi - yj
+            return yi, yj, e, np.einsum("ma,ma->m", e, e)
 
-    def segment_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum per-match rows (M, ...) over each constraint's matches; an empty
-        constraint sums to zero."""
+    def segment_sum(self, values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """Sum per-match rows (M, ...), each times its weight when weights (M,)
+        are given, over each constraint's matches; an empty constraint sums to
+        zero."""
+        data = np.ones(len(self.seg)) if weights is None else weights
+        summer = csr_matrix((data, *self._summer_index), shape=(len(self.sizes), len(self.seg)))
         flat = values.reshape(len(values), math.prod(values.shape[1:]))
-        sums = [np.bincount(self.seg, weights=col, minlength=len(self.sizes)) for col in flat.T]
-        return np.stack(sums, axis=-1).reshape((len(self.sizes),) + values.shape[1:])
+        return (summer @ flat).reshape((len(self.sizes),) + values.shape[1:])
+
+    def outer_sum(self, weights: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(C, 3, K) sums over each constraint's matches of weights y x^T, for
+        weights (M,), y (M, 3) and x (M, K), with no per-match (3, K) product:
+        row (a, c) of a (3C, M) operator holds weights * y[:, a] over the
+        matches of constraint c."""
+        num, count = len(self.sizes), len(self.seg)
+        data = np.multiply(y.T, weights, order="C").ravel()
+        rows = csr_matrix((data, *self._outer_index), shape=(3 * num, count))
+        return (rows @ x).reshape(3, num, x.shape[1]).transpose(1, 0, 2)
 
 
 @dataclass
@@ -176,6 +218,11 @@ class ProblemGraph:
     def __post_init__(self):
         self.odometry = sorted(self.odometry, key=lambda c: c.i)
         self.loops = sorted(self.loops, key=lambda c: (c.i, c.j))
+
+    @cached_property
+    def table(self) -> MatchTable:
+        """The graph's match table, built on first use and kept."""
+        return MatchTable.from_graph(self)
 
 
 @dataclass(frozen=True)
@@ -245,17 +292,86 @@ class AlignmentError(Exception):
     """Closed-form alignment failed (too few usable matches or degenerate geometry)."""
 
 
+def _fit_rigid(table: MatchTable, active: np.ndarray):
+    """Per constraint, the least-squares rigid transform (R, t) with
+    p ~ R q + t over its active matches, by the SVD closed form: (C, 3, 3)
+    rotations, (C, 3) translations, and by constraint the reason its active
+    matches cannot fix a transform: fewer than 3, or degenerate ones.
+
+    Degenerate means the second singular value of the centered q points is at
+    most 1e-9 * max(1, the first). Both come from scatter eigenvalues; the
+    second is the top eigenvalue of the scatter left once the dominant
+    direction is projected out, which resolves it to the precision of an SVD
+    of the points. The full scatter's own second eigenvalue carries an error
+    near 1e-8 of the first singular value, above the threshold.
+    """
+    w = active.astype(float)
+    count = table.segment_sum(w)
+    scale = np.maximum(count, 1.0)[:, None]
+    cq, cp = table.segment_sum(table.q, w) / scale, table.segment_sum(table.p, w) / scale
+    source = table.q - cq[table.seg]
+    U, _, Vt = np.linalg.svd(table.outer_sum(w, source, table.p - cp[table.seg]))
+    V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
+    d = np.sign(np.linalg.det(V @ Ut))
+    rots = (V * np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)[:, None, :]) @ Ut
+
+    spread, axes = np.linalg.eigh(table.outer_sum(w, source, source))
+    axis = axes[:, :, 2][table.seg]
+    rest = source - np.einsum("ma,ma->m", source, axis)[:, None] * axis
+    s0 = np.sqrt(np.maximum(spread[:, 2], 0.0))
+    s1 = np.sqrt(np.maximum(np.linalg.eigvalsh(table.outer_sum(w, rest, rest))[:, 2], 0.0))
+    failures = {}
+    for c in np.flatnonzero((count < 3) | (s1 <= 1e-9 * np.maximum(1.0, s0))):
+        if count[c] < 3:
+            failures[int(c)] = f"only {int(count[c])} matches survive trimming (need 3)"
+        else:
+            failures[int(c)] = "surviving matches are degenerate (collinear or coincident)"
+    return rots, cp - np.einsum("cab,cb->ca", rots, cq), failures
+
+
+def _segment_medians(table: MatchTable, values: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """np.median of values over each constraint's active matches, from one
+    sort by (constraint, value) with inactive matches last in their segment."""
+    order = np.lexsort((np.where(active, values, np.inf), table.seg))
+    ranked = values[order]
+    count = table.segment_sum(active.astype(float)).astype(np.intp)
+    start = table.offsets[:-1]
+    lo = np.clip(start + (count - 1) // 2, 0, len(values) - 1)
+    hi = np.clip(start + count // 2, 0, len(values) - 1)
+    return 0.5 * (ranked[lo] + ranked[hi])
+
+
+def _robust_fit(table: MatchTable, rounds: int, trim_factor: float):
+    """Rigid fit of every constraint with iterative trimming of matches above
+    trim_factor * their constraint's median residual. Returns the rotations,
+    the translations and, by constraint, the first reason its fit failed."""
+    active = np.ones(len(table), dtype=bool)
+    failures: dict[int, str] = {}
+    for r in range(rounds + 2):
+        rots, trans, round_failures = _fit_rigid(table, active)
+        for c, reason in round_failures.items():
+            failures.setdefault(c, reason)
+        if r == rounds + 1 or len(failures) == len(table.sizes):
+            break
+        seg = table.seg
+        moved = np.einsum("mab,mb->ma", rots[seg], table.q) + trans[seg]
+        resid = np.linalg.norm(moved - table.p, axis=1)
+        med = _segment_medians(table, resid, active)
+        # absolute floor keeps exact matches from trimming each other at med == 0
+        active = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
+    return rots, trans, failures
+
+
+def _source_target_table(source, target) -> MatchTable:
+    """One constraint whose fit maps source onto target."""
+    return MatchTable.from_constraints([LoopClosureConstraint(0, 1, target, source)])
+
+
 def fit_rigid_transform(source: np.ndarray, target: np.ndarray) -> Pose:
     """Least-squares rigid transform with target ~ R @ source + t (SVD closed form)."""
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    cs = source.mean(axis=0)
-    ct = target.mean(axis=0)
-    H = (source - cs).T @ (target - ct)
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    return se3.from_matrix(R, ct - R @ cs)
+    table = _source_target_table(source, target)
+    rots, trans, _ = _fit_rigid(table, np.ones(len(table), dtype=bool))
+    return se3.from_matrix(rots[0], trans[0])
 
 
 def robust_fit_rigid_transform(
@@ -266,43 +382,33 @@ def robust_fit_rigid_transform(
     context: str = "alignment",
 ) -> Pose:
     """Rigid fit with iterative trimming of matches above trim_factor * median residual."""
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    active = np.ones(len(source), dtype=bool)
-    pose = None
-    for _ in range(rounds + 1):
-        _check_fit_points(source[active], context, int(active.sum()))
-        pose = fit_rigid_transform(source[active], target[active])
-        resid = np.linalg.norm(se3.transform_points(pose, source) - target, axis=1)
-        med = float(np.median(resid[active]))
-        # absolute floor keeps exact matches from trimming each other at med == 0
-        active = resid <= max(trim_factor * med, 1e-9)
-    _check_fit_points(source[active], context, int(active.sum()))
-    return fit_rigid_transform(source[active], target[active])
-
-
-def _check_fit_points(pts: np.ndarray, context: str, count: int):
-    if count < 3:
-        raise AlignmentError(f"{context}: only {count} matches survive trimming (need 3)")
-    centered = pts - pts.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    if s[1] <= 1e-9 * max(1.0, s[0]):
-        raise AlignmentError(f"{context}: surviving matches are degenerate (collinear or coincident)")
+    rots, trans, failures = _robust_fit(_source_target_table(source, target), rounds, trim_factor)
+    if failures:
+        raise AlignmentError(f"{context}: {failures[0]}")
+    return se3.from_matrix(rots[0], trans[0])
 
 
 def initialize_poses(graph: ProblemGraph) -> list[Pose]:
     """Initial fragment poses: explicit initial poses verbatim when present,
     otherwise a chain of robust closed-form alignments of the odometry match
-    sets, anchored at T_0 = identity."""
+    sets, anchored at T_0 = identity. All alignments are fitted at once; the
+    error names the lowest constraint that cannot be aligned."""
     if graph.initial_poses is not None:
         return [p.copy() for p in graph.initial_poses]
-    poses = [se3.identity()]
     by_index = {c.i: c for c in graph.odometry}
-    for i in range(graph.num_fragments - 1):
-        c = by_index.get(i)
-        if c is None:
-            raise AlignmentError(f"no odometry constraint between {i} and {i + 1}")
-        # residual model is T_i p - T_{i+1} q, so rel maps frame i+1 into frame i
-        rel = robust_fit_rigid_transform(c.q, c.p, context=f"odometry constraint {i}->{i + 1}")
-        poses.append(se3.compose(poses[i], rel))
+    chain = []
+    while len(chain) < graph.num_fragments - 1 and len(chain) in by_index:
+        chain.append(by_index[len(chain)])
+    poses = [se3.identity()]
+    if chain:
+        rots, trans, failures = _robust_fit(MatchTable.from_constraints(chain), 3, 3.0)
+        if failures:
+            i = min(failures)
+            raise AlignmentError(f"odometry constraint {i}->{i + 1}: {failures[i]}")
+        # residual model is T_i p - T_{i+1} q, so each fit maps frame i+1 into frame i
+        for rot, t in zip(rots, trans):
+            poses.append(se3.compose(poses[-1], se3.from_matrix(rot, t)))
+    if len(poses) < graph.num_fragments:
+        i = len(chain)
+        raise AlignmentError(f"no odometry constraint between {i} and {i + 1}")
     return poses

@@ -5,10 +5,13 @@ with rho either the log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared
 kernel s, and w one weight per constraint. Poses are updated through
 left-multiplicative twist retractions; one pose (the gauge) stays fixed. The
 damped normal equations are assembled block-sparse from per-constraint sums
-over a flat match table. Their matrix is symmetric positive definite, and
-each step factors it as such: a minimum-degree ordering of its symmetric
-pattern and pivots taken on the diagonal. The poses stay in (N, 4) quaternion
-and (N, 3) translation arrays while LM runs.
+over a flat match table. Their sparsity pattern depends only on which poses
+the constraints couple, so a solve maps every block entry to its slot once
+and each LM trial only refills the values. The matrix is symmetric positive
+definite, and each trial factors it as such, with pivots taken on the
+diagonal: the first factorization of a solve orders it by minimum degree on
+its symmetric pattern, and the later ones reuse that order. The poses stay
+in (N, 4) quaternion and (N, 3) translation arrays while LM runs.
 
 ResidualBlock and its helpers evaluate one match at a time; they are the
 independent oracle for the flat evaluation, not part of the solve path.
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, identity as sparse_identity
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from . import se3
@@ -90,7 +93,7 @@ def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparam
         raise ValueError(
             f"posterior count {len(state.posteriors)} != loop count {len(graph.loops)}"
         )
-    table = MatchTable.from_graph(graph)
+    table = graph.table
     numerators = np.concatenate([np.ones(len(graph.odometry)), state.posteriors])
     # an empty constraint has no match to weight
     weights = numerators / np.maximum(table.sizes, 1)
@@ -165,7 +168,9 @@ def _block6(gram, upper, lower, corner) -> np.ndarray:
 
 
 def _assemble(problem: Problem, rots, trans, num_poses: int):
-    """Objective, exact gradient, and Gauss-Newton Hessian approximation.
+    """Objective, exact gradient, and the (4C, 6, 6) blocks of the
+    Gauss-Newton Hessian approximation: H_ii, H_jj, H_ij, H_ji of each
+    constraint (i, j) in turn; _Pattern places them.
 
     A match with alpha = 2 w rho'(s) has Jacobians J_i = [-[y_i]x, I] and
     J_j = [[y_j]x, -I]; it adds J^T alpha e to each pose's gradient and
@@ -179,18 +184,19 @@ def _assemble(problem: Problem, rots, trans, num_poses: int):
         raise _nonfinite(table, s)
     total = _total(problem, s)
     alpha = 2.0 * problem.weights[table.seg] * _drho(s, problem.kernel, problem.sigma)
-    ae, ayi, ayj = alpha[:, None] * e, alpha[:, None] * yi, alpha[:, None] * yj
+    ae = alpha[:, None] * e
 
-    i, j = table.pairs[:, 0], table.pairs[:, 1]
+    g = table.segment_sum(np.hstack([np.cross(yi, ae), ae, np.cross(yj, ae)]))
     grad = np.zeros((num_poses, 6))
-    np.add.at(grad, i, table.segment_sum(np.hstack([np.cross(yi, ae), ae])))
-    np.add.at(grad, j, -table.segment_sum(np.hstack([np.cross(yj, ae), ae])))
+    np.add.at(grad, table.pairs[:, 0], g[:, :6])
+    np.add.at(grad, table.pairs[:, 1], -np.hstack([g[:, 6:], g[:, 3:6]]))
 
     a0 = table.segment_sum(alpha)
-    si, sj = table.segment_sum(ayi), table.segment_sum(ayj)
-    sii = table.segment_sum(ayi[:, :, None] * yi[:, None, :])
-    sjj = table.segment_sum(ayj[:, :, None] * yj[:, None, :])
-    sij = table.segment_sum(ayi[:, :, None] * yj[:, None, :])
+    ones = np.ones((len(table), 1))
+    mi = table.outer_sum(alpha, yi, np.hstack([ones, yi, yj]))  # sum alpha yi [1, yi, yj]^T
+    mj = table.outer_sum(alpha, yj, np.hstack([ones, yj]))
+    si, sii, sij = mi[:, :, 0], mi[:, :, 1:4], mi[:, :, 4:7]
+    sj, sjj = mj[:, :, 0], mj[:, :, 1:4]
     h_ij = _block6(-_skew_gram(sij), -si, sj, -a0)
     blocks = np.concatenate(
         [
@@ -200,14 +206,79 @@ def _assemble(problem: Problem, rots, trans, num_poses: int):
             np.swapaxes(h_ij, 1, 2),
         ]
     )
-    idx6 = np.arange(6)
-    rows = 6 * np.concatenate([i, j, i, j])[:, None, None] + idx6[None, :, None]
-    cols = 6 * np.concatenate([i, j, j, i])[:, None, None] + idx6[None, None, :]
-    rows, cols = np.broadcast_arrays(rows, cols)
-    H = coo_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(6 * num_poses, 6 * num_poses)
-    ).tocsc()
-    return total, grad.reshape(-1), H
+    return total, grad.reshape(-1), blocks
+
+
+# entries of a 6x6 block of H that are not zero by construction
+_BLOCK_ENTRIES = np.flatnonzero(_block6(np.ones((1, 3, 3)), np.ones((1, 3)), np.ones((1, 3)), np.ones(1)))
+
+
+class _Pattern:
+    """Where every block entry lands in the compressed sparse column (CSC)
+    matrix of the damped system over the free dofs. The pattern is fixed by
+    the constraint pairs, so one solve builds it once and each LM trial only
+    refills its values. The gauge pose's rows and columns are left out, each
+    diagonal slot is present, and free dof k sits at position pos[k].
+    """
+
+    def __init__(self, pairs: np.ndarray, num_poses: int, gauge: int, pos: np.ndarray | None = None):
+        i, j = pairs[:, 0], pairs[:, 1]
+        self.free = np.arange(6 * num_poses) // 6 != gauge
+        n = int(self.free.sum())
+        self.ordered = pos is not None
+        self.pos = np.arange(n) if pos is None else pos
+        self.pairs, self.num_poses, self.gauge = pairs, num_poses, gauge
+        place = np.full(6 * num_poses, -1)
+        place[self.free] = self.pos
+        rows = place[(6 * np.concatenate([i, j, i, j])[:, None] + _BLOCK_ENTRIES // 6).ravel()]
+        cols = place[(6 * np.concatenate([i, j, j, i])[:, None] + _BLOCK_ENTRIES % 6).ravel()]
+        kept = (rows >= 0) & (cols >= 0)
+        keys, slots = np.unique(
+            np.concatenate([cols[kept] * n + rows[kept], np.arange(n) * (n + 1)]), return_inverse=True
+        )
+        # entries in the gauge's rows or columns all go to one spare slot
+        self.slot = np.full(len(rows), len(keys))
+        self.slot[kept] = slots[: kept.sum()]
+        self.diagonal = slots[kept.sum() :]
+        self.indices = keys % n
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        self.shape = (n, n)
+
+    def reordered(self, pos: np.ndarray) -> _Pattern:
+        """The same system with its position k moved to pos[k]."""
+        return _Pattern(self.pairs, self.num_poses, self.gauge, pos[self.pos])
+
+    def matrix(self, blocks: np.ndarray, damping: float) -> csc_matrix:
+        """The system H + damping I over the free dofs, from _assemble's blocks."""
+        values = blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES].ravel()
+        data = np.bincount(self.slot, weights=values, minlength=len(self.indices) + 1)[:-1]
+        data[self.diagonal] += damping
+        return csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def take(self, vector: np.ndarray) -> np.ndarray:
+        """A full 6N vector's free entries, in the pattern's order."""
+        out = np.empty(self.shape[0])
+        out[self.pos] = vector[self.free]
+        return out
+
+    def put(self, values: np.ndarray) -> np.ndarray:
+        """The 6N vector with the pattern-ordered values on the free dofs, zero on the gauge."""
+        out = np.zeros(len(self.free))
+        out[self.free] = values[self.pos]
+        return out
+
+
+def _factor_solve(system, rhs: np.ndarray, ordered: bool):
+    """Solve the SPD system by SuperLU in symmetric mode, with diagonal pivots.
+    Unless the system is ordered already, SuperLU orders it by minimum degree
+    on A + A^T, and the order it chose (perm_c) is returned to reorder the
+    next system by. The factor is not kept, so it is freed before the next
+    one is made."""
+    lu = splu(
+        system, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return lu.solve(rhs), None if ordered else lu.perm_c.copy()
 
 
 def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
@@ -240,18 +311,17 @@ def solve(
         raise ValueError(f"gauge index {gauge} out of range")
     quats, trans = se3.stack(poses)
 
-    free = np.ones(6 * num_poses, dtype=bool)
-    free[6 * gauge : 6 * gauge + 6] = False
-    n_free = int(free.sum())
-
     rots = se3.quat_to_matrix(quats)
     objective = _objective(problem, rots, trans, strict=True)
     initial_objective = objective
 
-    if n_free == 0:
+    if num_poses == 1:
         report = SolverReport(0, initial_objective, objective, "gradient", 0.0)
         return se3.unstack(quats, trans), report
 
+    # the first factorization orders the system by minimum degree; every
+    # later one reuses that order, since the pattern does not change
+    pattern = _Pattern(problem.table.pairs, num_poses, gauge)
     damping = DAMPING_INIT
     accepted = 0
     termination = "max_iterations"
@@ -260,32 +330,27 @@ def solve(
     factorizations = 0
 
     for _ in range(max_iterations):
-        total, grad, H = _assemble(problem, rots, trans, num_poses)
-        gradient_norm = float(np.abs(grad[free]).max())
+        total, grad, blocks = _assemble(problem, rots, trans, num_poses)
+        gradient_norm = float(np.abs(grad[pattern.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
             break
 
-        H_ff = H[free][:, free]
-        g_f = grad[free]
         stepped = False
         while True:
-            system = (H_ff + damping * sparse_identity(n_free, format="csc")).tocsc()
             factorizations += 1
             try:
-                # SPD: minimum-degree ordering of the symmetric pattern and
-                # diagonal pivots keep the fill low. The factor is not kept,
-                # so it is freed before the next one is made.
-                delta_f = splu(
-                    system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                ).solve(-g_f)
+                solution, order = _factor_solve(
+                    pattern.matrix(blocks, damping), pattern.take(-grad), pattern.ordered
+                )
             except RuntimeError:
-                delta_f = None
-            if delta_f is not None and np.isfinite(delta_f).all():
-                delta = np.zeros(6 * num_poses)
-                delta[free] = delta_f
-                trial_quats, trial_trans = _retract_all(quats, trans, delta, gauge)
+                step = None
+            else:
+                step = pattern.put(solution)
+                if order is not None:
+                    pattern = pattern.reordered(order)
+            if step is not None and np.isfinite(step).all():
+                trial_quats, trial_trans = _retract_all(quats, trans, step, gauge)
                 trial_rots = se3.quat_to_matrix(trial_quats)
                 trial_objective = _objective(problem, trial_rots, trial_trans, strict=False)
             else:
@@ -312,7 +377,7 @@ def solve(
     # report the gradient at the poses actually returned
     if termination != "gradient":
         _, grad, _ = _assemble(problem, rots, trans, num_poses)
-        gradient_norm = float(np.abs(grad[free]).max())
+        gradient_norm = float(np.abs(grad[pattern.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import warnings
 
 import pytest
 
@@ -94,6 +95,34 @@ class TestSolve:
         assert run_cli(["solve", "--in", str(bad)]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "record",
+        ["INIT 0 0 0 0 nan 0 0 0", "INIT 0 inf 0 0 1 0 0 0", "GT 0 0 0 0 1 nan 0 0", "GT 0 0 -inf 0 1 0 0 0"],
+    )
+    def test_nonfinite_pose_exit_code(self, tmp_path, capsys, record):
+        kind = record.split()[0]
+        bad = tmp_path / "nonfinite.pcg"
+        bad.write_text(
+            f"PCG 1 2\n{record}\n{kind} 1 0 0 0 1 0 0 0\n"
+            "ODOM 0 3\nM 0 0 0 0 0 0\nM 1 0 0 1 0 0\nM 0 1 0 0 1 0\n"
+        )
+        assert run_cli(["solve", "--in", str(bad)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "line 2" in err and "finite" in err and "Traceback" not in err
+
+    def test_overflowing_residual_is_a_solver_error_and_nothing_else(self, tmp_path, capsys):
+        bad = tmp_path / "far.pcg"
+        bad.write_text(
+            "PCG 1 2\nINIT 0 1e308 0 0 1 0 0 0\nINIT 1 -1e308 0 0 1 0 0 0\n"
+            "ODOM 0 3\nM 0 0 0 0 0 0\nM 1 0 0 1 0 0\nM 0 1 0 0 1 0\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["solve", "--in", str(bad)]) == cli.EXIT_SOLVER
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: solver: ")
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -207,6 +236,19 @@ class TestEval:
         assert code == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("pose", ["1 nan 0 0 1 0 0 0", "1 1 0 0 1 0 0 inf"])
+    def test_nonfinite_pose_exit_code(self, tmp_path, scenario_file, capsys, pose):
+        poses = tmp_path / "poses.txt"
+        poses.write_text(f"POSE 0 0 0 0 1 0 0 0\nPOSE {pose}\n")
+        report = tmp_path / "report.txt"
+        report.write_text("")
+        code = run_cli(["eval", "--poses", str(poses), "--graph", str(scenario_file),
+                        "--labels-from-report", str(report)])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "line 2" in err and "finite" in err and "Traceback" not in err
 
 
 class TestCheckGrad:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustpgo import se3
+from robustpgo import model, se3
 from robustpgo.model import (
     AlignmentError,
     Hyperparams,
@@ -120,6 +120,47 @@ class TestMatchTable:
         expected[1], expected[3] = rows[:2].sum(axis=0), rows[2:].sum(axis=0)
         np.testing.assert_array_equal(table.segment_sum(rows), expected)
 
+    @pytest.mark.parametrize("sizes", [[3, 0, 5, 1, 0, 4], [0, 2], [0, 0], []])
+    def test_segment_sum_matches_bincount_bit_for_bit(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        constraints = [
+            LoopClosureConstraint(0, 2, rng.normal(size=(k, 3)), rng.normal(size=(k, 3))) for k in sizes
+        ]
+        table = MatchTable.from_constraints(constraints)
+        m, c = len(table), len(sizes)
+        weights = rng.uniform(0.1, 2.0, m)
+
+        def oracle(values):
+            flat = values.reshape(m, int(np.prod(values.shape[1:])))
+            cols = [np.bincount(table.seg, weights=col, minlength=c) for col in flat.T]
+            return np.stack(cols, axis=-1).reshape((c,) + values.shape[1:])
+
+        for values in (rng.normal(size=m), rng.normal(size=(m, 5)), rng.normal(size=(m, 3, 3))):
+            np.testing.assert_array_equal(table.segment_sum(values), oracle(values))
+            scaled = weights.reshape((m,) + (1,) * (values.ndim - 1)) * values
+            np.testing.assert_array_equal(table.segment_sum(values, weights), oracle(scaled))
+
+    @pytest.mark.parametrize("sizes", [[3, 0, 5, 1, 0, 4], [0, 0], []])
+    def test_outer_sum_matches_per_match_outer_products(self, sizes):
+        """The weighted moments equal segment sums of (M, 3, K) outer products."""
+        rng = np.random.default_rng(7 + len(sizes))
+        constraints = [
+            LoopClosureConstraint(0, 2, rng.normal(size=(k, 3)), rng.normal(size=(k, 3))) for k in sizes
+        ]
+        table = MatchTable.from_constraints(constraints)
+        m = len(table)
+        alpha, y, x = rng.uniform(0.1, 2.0, m), rng.normal(size=(m, 3)), rng.normal(size=(m, 7))
+        expected = table.segment_sum((alpha[:, None] * y)[:, :, None] * x[:, None, :])
+        np.testing.assert_array_equal(table.outer_sum(alpha, y, x), expected)
+        assert table.outer_sum(alpha, y, x).shape == (len(sizes), 3, 7)
+
+    def test_graph_builds_its_table_once(self):
+        graph, _ = small_graph(np.random.default_rng(8), n=4, loops=[loop_of(0, 2)])
+        assert graph.table is graph.table
+        fresh = MatchTable.from_graph(graph)
+        for name in ("pairs", "sizes", "seg", "p", "q"):
+            np.testing.assert_array_equal(getattr(graph.table, name), getattr(fresh, name))
+
     def test_empty_table(self):
         table = MatchTable.from_constraints([])
         assert len(table) == 0 and table.pairs.shape == (0, 2)
@@ -222,6 +263,75 @@ class TestInitializePoses:
         broken = ProblemGraph(4, [graph.odometry[0], graph.odometry[2]], [])
         with pytest.raises(AlignmentError, match="no odometry constraint between 1 and 2"):
             initialize_poses(broken)
+
+    def test_matches_per_constraint_trimmed_fits(self):
+        """The batched fit against a loop over the constraints of the closed-form
+        SVD fit with trimming, one constraint at a time."""
+
+        def fit(source, target):
+            cs, ct = source.mean(axis=0), target.mean(axis=0)
+            U, _, Vt = np.linalg.svd((source - cs).T @ (target - ct))
+            d = np.sign(np.linalg.det(Vt.T @ U.T))
+            R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
+            return se3.from_matrix(R, ct - R @ cs)
+
+        def trimmed_fit(source, target):
+            active = np.ones(len(source), dtype=bool)
+            for _ in range(4):
+                pose = fit(source[active], target[active])
+                resid = np.linalg.norm(se3.transform_points(pose, source) - target, axis=1)
+                active = resid <= max(3.0 * float(np.median(resid[active])), 1e-9)
+            return fit(source[active], target[active])
+
+        rng = np.random.default_rng(25)
+        poses = chain_poses(rng, 9)
+        constraints = []
+        for i, k in enumerate([40, 7, 120, 3, 33, 64, 10, 51]):  # odd and even counts
+            world = poses[i].trans + rng.uniform(-5.0, 5.0, (k, 3))
+            p = se3.transform_points(se3.inverse(poses[i]), world)
+            q = se3.transform_points(se3.inverse(poses[i + 1]), world) + rng.normal(scale=0.02, size=(k, 3))
+            which = rng.choice(k, k // 4, replace=False)
+            q[which] += rng.uniform(-4.0, 4.0, (len(which), 3))
+            constraints.append(OdometryConstraint(i, p, q))
+        recovered = initialize_poses(ProblemGraph(9, constraints, []))
+        expected = [se3.identity()]
+        for c in constraints:
+            expected.append(se3.compose(expected[-1], trimmed_fit(c.q, c.p)))
+        for est, ref in zip(recovered, expected):
+            np.testing.assert_allclose(est.quat, ref.quat, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(est.trans, ref.trans, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("also_short", [False, True])
+    def test_lowest_failing_constraint_is_named(self, also_short):
+        """Constraint 3's matches lie on one line, off every axis; with
+        also_short, constraint 6 has too few matches as well."""
+        rng = np.random.default_rng(26)
+        graph, _ = small_graph(rng, n=9)
+        odometry = list(graph.odometry)
+        # the centered points' scatter alone puts their second singular value
+        # near 2e-7, far above the 1e-9 test; their SVD puts it near 1e-15
+        spread = np.random.default_rng(0).uniform(-3.0, 3.0, (12, 1))
+        line = np.array([2.0, 5.0, -1.0]) + spread * np.array([0.3, -1.2, 0.7])
+        turn = se3.exp(np.array([0.2, -0.4, 0.1, 1.0, 2.0, 3.0]))
+        odometry[3] = OdometryConstraint(3, se3.transform_points(turn, line), line)
+        if also_short:
+            odometry[6] = OdometryConstraint(6, odometry[6].p[:2], odometry[6].q[:2])
+        with pytest.raises(AlignmentError, match=r"^odometry constraint 3->4: surviving matches are degenerate"):
+            initialize_poses(ProblemGraph(9, odometry, []))
+
+    def test_segment_medians_match_np_median(self):
+        rng = np.random.default_rng(27)
+        sizes = [5, 6, 1, 2, 0, 9]
+        constraints = [LoopClosureConstraint(0, 2, np.zeros((k, 3)), np.zeros((k, 3))) for k in sizes]
+        table = MatchTable.from_constraints(constraints)
+        values = rng.uniform(0.0, 1.0, len(table))
+        active = rng.uniform(size=len(table)) < 0.7
+        active[table.seg == 2] = True
+        medians = model._segment_medians(table, values, active)
+        for c in range(len(sizes)):
+            chosen = values[(table.seg == c) & active]
+            if len(chosen):
+                assert medians[c] == np.median(chosen)
 
     def test_outlier_matches_tolerated(self):
         """30% of odometry matches displaced by >= 5 sigma must not break the chain."""

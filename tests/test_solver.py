@@ -82,6 +82,15 @@ def per_match_blocks(problem):
     ]
 
 
+def dense_hessian(blocks, pairs, num_poses):
+    """H as a dense (6N, 6N) array, each of _assemble's blocks added at its pose pair."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    H = np.zeros((num_poses, 6, num_poses, 6))
+    for a, b, block in zip(np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]), blocks):
+        H[a, :, b, :] += block
+    return H.reshape(6 * num_poses, 6 * num_poses)
+
+
 def pair_weights(problem, pair):
     """Per-match weights of the matches that couple the given pose pair."""
     t = problem.table
@@ -225,7 +234,7 @@ class TestGradients:
         p = np.einsum("mba,mb->ma", rots[i], world - trans[i])
         q = np.einsum("mba,mb->ma", rots[j], world - trans[j])
         exact = Problem(MatchTable(t.pairs, t.sizes, t.seg, p, q), problem.weights, kernel, 0.5)
-        total, grad, H = solver._assemble(exact, rots, trans, 3)
+        total, grad, blocks = solver._assemble(exact, rots, trans, 3)
         assert total < 1e-25 and np.abs(grad).max() < 1e-12
         exact_objective = stepped_objective(exact, poses)
         h = 1e-5
@@ -245,9 +254,38 @@ class TestGradients:
                 for a in basis
             ]
         )
-        assembled = H.toarray()
+        assembled = solver._Pattern(t.pairs, 3, gauge=-1).matrix(blocks, 0.0).toarray()
         assert np.abs(assembled - assembled.T).max() <= 1e-14 * np.abs(assembled).max()
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
+
+
+class TestPattern:
+    @pytest.mark.parametrize("gauge", [0, 2, 3])
+    def test_refilled_system_matches_dense(self, gauge):
+        """H[free][:, free] + damping I, for a gauge that is first, in the
+        middle or last; pose 3 is coupled to no other, so only the damping
+        fills its diagonal."""
+        rng = np.random.default_rng(40 + gauge)
+        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(4)]
+        problem = random_problem(rng, KERNEL_CAUCHY)
+        pairs = problem.table.pairs
+        _, grad, blocks = solver._assemble(problem, *solver._pose_arrays(poses), 4)
+        free = np.arange(24) // 6 != gauge
+        expected = dense_hessian(blocks, pairs, 4)[free][:, free] + 0.3 * np.eye(18)
+
+        pattern = solver._Pattern(pairs, 4, gauge)
+        np.testing.assert_array_equal(pattern.matrix(blocks, 0.3).toarray(), expected)
+        np.testing.assert_array_equal(pattern.take(grad), grad[free])
+
+        pos = rng.permutation(18)
+        reordered = pattern.reordered(pos)
+        system = reordered.matrix(blocks, 0.3).toarray()
+        np.testing.assert_array_equal(system[np.ix_(pos, pos)], expected)
+        taken = reordered.take(grad)
+        np.testing.assert_array_equal(taken[pos], grad[free])
+        back = reordered.put(taken)
+        np.testing.assert_array_equal(back[free], grad[free])
+        assert not back[~free].any()
 
 
 class TestRetractAll:
@@ -459,11 +497,44 @@ class TestSolve:
         system, options = factored[0]
         assert options["options"] == {"SymmetricMode": True}
 
-        _, grad, H = solver._assemble(problem, *solver._pose_arrays(start), 12)
-        dense = H.toarray()[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
+        _, grad, blocks = solver._assemble(problem, *solver._pose_arrays(start), 12)
+        H = dense_hessian(blocks, problem.table.pairs, 12)
+        dense = H[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
         np.testing.assert_array_equal(system, dense)
         expected = np.linalg.solve(dense, -grad[6:])
         step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(start)))
+        taken = se3.log_arrays(*step)[0][1:].reshape(-1)
+        assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_reused_order_step_matches_dense_solve(self, monkeypatch):
+        """The second LM step factors the system in the minimum-degree order
+        the first factorization chose, and still solves the dense damped
+        system of its own start."""
+        rng = np.random.default_rng(18)
+        graph, truth = noisy_chain_graph(rng, n=12)
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        first, _ = solve(problem, start, gauge=0, max_iterations=1)
+        factored = []
+        real_splu = solver.splu
+
+        def spy(system, **options):
+            lu = real_splu(system, **options)
+            factored.append((system.toarray(), options["permc_spec"], lu.perm_c.copy()))
+            return lu
+
+        monkeypatch.setattr(solver, "splu", spy)
+        out, report = solve(problem, start, gauge=0, max_iterations=2)
+        assert report.iterations == 2 and report.factorizations == len(factored) == 2
+        assert [spec for _, spec, _ in factored] == ["MMD_AT_PLUS_A", "NATURAL"]
+        order = factored[0][2]
+
+        _, grad, blocks = solver._assemble(problem, *solver._pose_arrays(first), 12)
+        dense = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:]
+        dense += 0.5 * solver.DAMPING_INIT * np.eye(66)  # halved after the first accepted step
+        np.testing.assert_array_equal(factored[1][0][np.ix_(order, order)], dense)
+        expected = np.linalg.solve(dense, -grad[6:])
+        step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(first)))
         taken = se3.log_arrays(*step)[0][1:].reshape(-1)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
 
