@@ -36,10 +36,11 @@ def constraint_errors(
     table: MatchTable, poses: list[Pose], kernel: str, sigma: float
 ) -> np.ndarray:
     """Per-constraint error functional: the mean of rho(||T_i p - T_j q||^2)
-    over each constraint's matches, with the solver's kernel rho. That is A
-    under the log-Cauchy kernel and B under the squared kernel."""
-    s = table.residuals(*solver._pose_arrays(poses))[3]
-    return table.segment_sum(solver._rho(s, kernel, sigma)) / table.sizes
+    over each constraint's matches, with the solver's kernel rho, as a solve
+    reports it at its poses (SolverReport.errors). That is A under the
+    log-Cauchy kernel and B under the squared kernel."""
+    problem = solver.Problem(table, np.ones(len(table.sizes)), kernel, sigma)
+    return solver._evaluate(problem, *se3.stack(poses))[1]
 
 
 def lower_median(values) -> float:
@@ -55,16 +56,18 @@ def theta_from_errors(errors, p_hat: float) -> float:
     return p_hat * lower_median(errors) / (1.0 - p_hat)
 
 
-def learn_theta_cauchy(graph: ProblemGraph, poses: list[Pose], sigma: float, p_hat: float) -> float:
+def learn_theta_cauchy(odometry_errors: np.ndarray, p_hat: float) -> float:
     """Calibrate theta so the median odometry error term exp(2A) maps to p_hat.
 
     The median is taken over A (a monotone transform of exp(2A)), which gives
     the identical order statistic without risking overflow in the exponent.
     """
-    if not graph.odometry:
+    if not len(odometry_errors):
         raise EmError("cannot learn theta without odometry constraints")
-    a_values = constraint_errors(graph.table, poses, solver.KERNEL_CAUCHY, sigma)[: len(graph.odometry)]
-    return p_hat / (1.0 - p_hat) * math.exp(2.0 * lower_median(a_values))
+    median = lower_median(odometry_errors)
+    if not median < 354.0:  # exp(2A) overflows from A = 354.9 on; NaN fails too
+        raise EmError(f"median odometry error {median:.6g} is too large to learn theta from")
+    return p_hat / (1.0 - p_hat) * math.exp(2.0 * median)
 
 
 def learn_theta_gaussian(epsilon: float, p_hat: float, calibration: str = "rms") -> float:
@@ -103,10 +106,10 @@ def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> 
     return errors[len(graph.odometry) :]
 
 
-def e_step(graph: ProblemGraph, poses: list[Pose], theta: float, params: Hyperparams) -> PosteriorState:
+def e_step(errors: np.ndarray, theta: float, params: Hyperparams) -> PosteriorState:
+    """Inlier posteriors of the loops from their errors (A in cauchy mode, B in gaussian)."""
     if not theta > 0:
         raise ValueError("theta must be positive")
-    errors = loop_errors(graph, poses, params)
     if params.mode == "cauchy":
         post = posterior_cauchy(errors, theta)
     else:
@@ -146,9 +149,9 @@ def _max_update(old: list[Pose], new: list[Pose]) -> float:
     return float(np.linalg.norm(se3.log_arrays(*step)[0], axis=1).max(initial=0.0))
 
 
-def _learn_theta(graph, poses, params: Hyperparams) -> float:
+def _learn_theta(odometry_errors: np.ndarray, params: Hyperparams) -> float:
     if params.mode == "cauchy":
-        return learn_theta_cauchy(graph, poses, params.sigma, params.p_hat)
+        return learn_theta_cauchy(odometry_errors, params.p_hat)
     return learn_theta_gaussian(params.epsilon, params.p_hat, params.gaussian_calibration)
 
 
@@ -160,17 +163,20 @@ def run_em(
 
     Returns the final poses, the posterior state evaluated at those poses,
     and the per-iteration trace. With no loop constraints this is a single
-    pose optimization over odometry alone.
+    pose optimization over odometry alone. The errors are evaluated once, at
+    the initial poses; after that each M-step reports them at its own.
     """
     poses = initialize_poses(graph)
+    errors = constraint_errors(graph.table, poses, solver.KERNELS[params.mode], params.sigma)
+    odometry = len(graph.odometry)
     trace = EmTrace()
 
     theta = None
     prev_objective = None
     for iteration in range(1, params.max_em_iters + 1):
         if theta is None or (params.refresh_theta and params.mode == "cauchy"):
-            theta = _learn_theta(graph, poses, params)
-        state = e_step(graph, poses, theta, params)
+            theta = _learn_theta(errors[:odometry], params)
+        state = e_step(errors[odometry:], theta, params)
         problem = solver.build_problem(graph, state, params)
         try:
             poses_new, report = solver.solve(problem, poses, gauge=0)
@@ -188,7 +194,7 @@ def run_em(
                 factorizations=report.factorizations,
             )
         )
-        poses = poses_new
+        poses, errors = poses_new, report.errors
         if not graph.loops:  # no posterior to update: one M-step is the fixed point
             trace.converged = True
             break
@@ -201,6 +207,6 @@ def run_em(
 
     # refresh the posterior at the final poses so labels match what we return
     if params.refresh_theta and params.mode == "cauchy":
-        theta = _learn_theta(graph, poses, params)
-    state = e_step(graph, poses, theta, params)
+        theta = _learn_theta(errors[:odometry], params)
+    state = e_step(errors[odometry:], theta, params)
     return poses, state, trace

@@ -310,20 +310,30 @@ def _fit_rigid(table: MatchTable, active: np.ndarray):
     scale = np.maximum(count, 1.0)[:, None]
     cq, cp = table.segment_sum(table.q, w) / scale, table.segment_sum(table.p, w) / scale
     source = table.q - cq[table.seg]
-    U, _, Vt = np.linalg.svd(table.outer_sum(w, source, table.p - cp[table.seg]))
+    cross = table.outer_sum(w, source, table.p - cp[table.seg])
+    scatter = table.outer_sum(w, source, source)
+    # moments of coordinates from about 1e154 on overflow, and LAPACK may not
+    # return on a non-finite matrix, so such a constraint is fitted to zeros
+    overflow = ~(np.isfinite(cross).all(axis=(1, 2)) & np.isfinite(scatter).all(axis=(1, 2)))
+    cross[overflow] = scatter[overflow] = 0.0
+    U, _, Vt = np.linalg.svd(cross)
     V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
     d = np.sign(np.linalg.det(V @ Ut))
     rots = (V * np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)[:, None, :]) @ Ut
 
-    spread, axes = np.linalg.eigh(table.outer_sum(w, source, source))
+    spread, axes = np.linalg.eigh(scatter)
     axis = axes[:, :, 2][table.seg]
     rest = source - np.einsum("ma,ma->m", source, axis)[:, None] * axis
+    rest_scatter = table.outer_sum(w, rest, rest)
+    rest_scatter[overflow] = 0.0
     s0 = np.sqrt(np.maximum(spread[:, 2], 0.0))
-    s1 = np.sqrt(np.maximum(np.linalg.eigvalsh(table.outer_sum(w, rest, rest))[:, 2], 0.0))
+    s1 = np.sqrt(np.maximum(np.linalg.eigvalsh(rest_scatter)[:, 2], 0.0))
     failures = {}
-    for c in np.flatnonzero((count < 3) | (s1 <= 1e-9 * np.maximum(1.0, s0))):
+    for c in np.flatnonzero((count < 3) | overflow | (s1 <= 1e-9 * np.maximum(1.0, s0))):
         if count[c] < 3:
             failures[int(c)] = f"only {int(count[c])} matches survive trimming (need 3)"
+        elif overflow[c]:
+            failures[int(c)] = "match coordinates too large to fit (their moments overflow)"
         else:
             failures[int(c)] = "surviving matches are degenerate (collinear or coincident)"
     return rots, cp - np.einsum("cab,cb->ca", rots, cq), failures
@@ -347,18 +357,21 @@ def _robust_fit(table: MatchTable, rounds: int, trim_factor: float):
     the translations and, by constraint, the first reason its fit failed."""
     active = np.ones(len(table), dtype=bool)
     failures: dict[int, str] = {}
-    for r in range(rounds + 2):
-        rots, trans, round_failures = _fit_rigid(table, active)
-        for c, reason in round_failures.items():
-            failures.setdefault(c, reason)
-        if r == rounds + 1 or len(failures) == len(table.sizes):
-            break
-        seg = table.seg
-        moved = np.einsum("mab,mb->ma", rots[seg], table.q) + trans[seg]
-        resid = np.linalg.norm(moved - table.p, axis=1)
-        med = _segment_medians(table, resid, active)
-        # absolute floor keeps exact matches from trimming each other at med == 0
-        active = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
+    # a constraint whose coordinates overflow is reported as failed, so numpy
+    # is not asked to warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(rounds + 2):
+            rots, trans, round_failures = _fit_rigid(table, active)
+            for c, reason in round_failures.items():
+                failures.setdefault(c, reason)
+            if r == rounds + 1 or len(failures) == len(table.sizes):
+                break
+            seg = table.seg
+            moved = np.einsum("mab,mb->ma", rots[seg], table.q) + trans[seg]
+            resid = np.linalg.norm(moved - table.p, axis=1)
+            med = _segment_medians(table, resid, active)
+            # absolute floor keeps exact matches from trimming each other at med == 0
+            active = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
     return rots, trans, failures
 
 

@@ -45,9 +45,12 @@ def _canonical_quats(q: np.ndarray) -> np.ndarray:
 
 def _canonical_quat(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(4)
-    n = math.sqrt(float(q @ q))
+    with np.errstate(over="ignore"):  # reported below
+        n = math.sqrt(float(q @ q))
     if n < 1e-9:
         raise ValueError("quaternion norm too small to normalize")
+    if n == math.inf:
+        raise ValueError("quaternion norm too large to normalize")
     if q[0] > 0.0 and abs(n - 1.0) <= _UNIT_TOL:  # canonical already, e.g. read from a file
         return q.copy()
     return _canonical_quats(q)

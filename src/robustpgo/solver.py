@@ -82,6 +82,7 @@ class SolverReport:
     final_objective: float
     termination: str  # "gradient" | "objective" | "max_iterations" | "stalled"
     gradient_norm: float  # max-norm over free dofs at exit
+    errors: np.ndarray  # (C,) each constraint's mean rho over its matches at the returned poses
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
     factorizations: int = 0  # sparse factorizations attempted, one per trial step
 
@@ -116,12 +117,6 @@ def _drho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _pose_arrays(poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3, 3) rotations and (N, 3) translations of the poses."""
-    quats, trans = se3.stack(poses)
-    return se3.quat_to_matrix(quats), trans
-
-
 def _nonfinite(table: MatchTable, s: np.ndarray) -> SolverError:
     m = int(np.argmin(np.isfinite(s)))
     c = int(table.seg[m])
@@ -130,18 +125,18 @@ def _nonfinite(table: MatchTable, s: np.ndarray) -> SolverError:
     return SolverError(f"non-finite residual in constraint {c} (i={i}, j={j}, match {k})")
 
 
-def _total(problem: Problem, s: np.ndarray) -> float:
-    rho = _rho(s, problem.kernel, problem.sigma)
-    return float(problem.weights @ problem.table.segment_sum(rho))
-
-
-def _objective(problem: Problem, rots, trans, strict: bool) -> float:
-    s = problem.table.residuals(rots, trans)[3]
-    if not np.isfinite(s).all():
-        if strict:
-            raise _nonfinite(problem.table, s)
-        return math.inf
-    return _total(problem, s)
+def _evaluate(problem: Problem, quats, trans):
+    """One pose state, evaluated once: every match's residual terms
+    (yi, yj, e, s), each constraint's error (the mean of rho(s) over its
+    matches) and the objective, inf when a residual is not finite. LM keeps
+    it with the poses it holds, for the gradient, H and the report."""
+    table = problem.table
+    residuals = table.residuals(se3.quat_to_matrix(quats), trans)
+    # a kernel value past the float range is inf (NaN at weight 0), not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = table.segment_sum(_rho(residuals[3], problem.kernel, problem.sigma))
+        objective = float(problem.weights @ sums) if np.isfinite(residuals[3]).all() else math.inf
+    return residuals, sums / table.sizes, objective
 
 
 def _skew_gram(S: np.ndarray) -> np.ndarray:
@@ -167,10 +162,11 @@ def _block6(gram, upper, lower, corner) -> np.ndarray:
     return out
 
 
-def _assemble(problem: Problem, rots, trans, num_poses: int):
-    """Objective, exact gradient, and the (4C, 6, 6) blocks of the
-    Gauss-Newton Hessian approximation: H_ii, H_jj, H_ij, H_ji of each
-    constraint (i, j) in turn; _Pattern places them.
+def _assemble(problem: Problem, residuals, num_poses: int):
+    """Exact gradient and the (4C, 6, 6) blocks of the Gauss-Newton Hessian
+    approximation, from the finite residuals (yi, yj, e, s) of a pose state:
+    H_ii, H_jj, H_ij, H_ji of each constraint (i, j) in turn; _Pattern
+    places them.
 
     A match with alpha = 2 w rho'(s) has Jacobians J_i = [-[y_i]x, I] and
     J_j = [[y_j]x, -I]; it adds J^T alpha e to each pose's gradient and
@@ -179,10 +175,7 @@ def _assemble(problem: Problem, rots, trans, num_poses: int):
     sum alpha y y^T, so no per-match 6x6 product is formed.
     """
     table = problem.table
-    yi, yj, e, s = table.residuals(rots, trans)
-    if not np.isfinite(s).all():
-        raise _nonfinite(table, s)
-    total = _total(problem, s)
+    yi, yj, e, s = residuals
     alpha = 2.0 * problem.weights[table.seg] * _drho(s, problem.kernel, problem.sigma)
     ae = alpha[:, None] * e
 
@@ -206,7 +199,7 @@ def _assemble(problem: Problem, rots, trans, num_poses: int):
             np.swapaxes(h_ij, 1, 2),
         ]
     )
-    return total, grad.reshape(-1), blocks
+    return grad.reshape(-1), blocks
 
 
 # entries of a 6x6 block of H that are not zero by construction
@@ -284,8 +277,10 @@ def _factor_solve(system, rhs: np.ndarray, ordered: bool):
 def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
     """Retract every pose k by its twist delta[6k : 6k + 6], as se3.retract
     does one pose. The gauge pose comes back bit-identical; a gauge outside
-    [0, N) holds no pose fixed."""
-    quats_new, trans_new = se3.compose_arrays(*se3.exp_arrays(delta.reshape(-1, 6)), quats, trans)
+    [0, N) holds no pose fixed. A twist too large for floats gives a
+    non-finite pose, whose trial LM rejects, so numpy is not asked to warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        quats_new, trans_new = se3.compose_arrays(*se3.exp_arrays(delta.reshape(-1, 6)), quats, trans)
     if 0 <= gauge < len(quats):
         quats_new[gauge], trans_new[gauge] = quats[gauge], trans[gauge]
     return quats_new, trans_new
@@ -310,13 +305,13 @@ def solve(
     if not 0 <= gauge < num_poses:
         raise ValueError(f"gauge index {gauge} out of range")
     quats, trans = se3.stack(poses)
-
-    rots = se3.quat_to_matrix(quats)
-    objective = _objective(problem, rots, trans, strict=True)
+    residuals, errors, objective = _evaluate(problem, quats, trans)
+    if not np.isfinite(residuals[3]).all():
+        raise _nonfinite(problem.table, residuals[3])
     initial_objective = objective
 
     if num_poses == 1:
-        report = SolverReport(0, initial_objective, objective, "gradient", 0.0)
+        report = SolverReport(0, initial_objective, objective, "gradient", 0.0, errors)
         return se3.unstack(quats, trans), report
 
     # the first factorization orders the system by minimum degree; every
@@ -330,7 +325,7 @@ def solve(
     factorizations = 0
 
     for _ in range(max_iterations):
-        total, grad, blocks = _assemble(problem, rots, trans, num_poses)
+        grad, blocks = _assemble(problem, residuals, num_poses)
         gradient_norm = float(np.abs(grad[pattern.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
@@ -349,15 +344,14 @@ def solve(
                 step = pattern.put(solution)
                 if order is not None:
                     pattern = pattern.reordered(order)
+            trial_objective = math.inf
             if step is not None and np.isfinite(step).all():
                 trial_quats, trial_trans = _retract_all(quats, trans, step, gauge)
-                trial_rots = se3.quat_to_matrix(trial_quats)
-                trial_objective = _objective(problem, trial_rots, trial_trans, strict=False)
-            else:
-                trial_objective = math.inf
+                trial = _evaluate(problem, trial_quats, trial_trans)
+                trial_objective = trial[2]
 
             if trial_objective < objective:
-                quats, rots, trans = trial_quats, trial_rots, trial_trans
+                quats, trans, (residuals, errors, _) = trial_quats, trial_trans, trial
                 drop = objective - trial_objective
                 objective = trial_objective
                 accepted += 1
@@ -376,14 +370,14 @@ def solve(
 
     # report the gradient at the poses actually returned
     if termination != "gradient":
-        _, grad, _ = _assemble(problem, rots, trans, num_poses)
+        grad, _ = _assemble(problem, residuals, num_poses)
         gradient_norm = float(np.abs(grad[pattern.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
 
     report = SolverReport(
-        accepted, initial_objective, objective, termination, gradient_norm, objective_path,
-        factorizations,
+        accepted, initial_objective, objective, termination, gradient_norm, errors,
+        objective_path, factorizations,
     )
     return se3.unstack(quats, trans), report
 

@@ -1,6 +1,10 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,46 @@ class TestSolve:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: solver: ")
+
+    def test_overflowing_match_moments_are_a_solver_error(self, tmp_path):
+        """A match coordinate of 1e200 overflows the alignment's moments; the
+        fit must fail without handing LAPACK a non-finite matrix, on which it
+        may never return, so the CLI runs in a process with a time limit."""
+        bad = tmp_path / "huge_match.pcg"
+        bad.write_text(
+            "PCG 1 2\nODOM 0 5\nM 0 0 0 0 0 0\nM 1 0 0 1 0 0\nM 0 1 0 0 1 0\n"
+            "M 0 0 1 0 0 1\nM 1e200 0 0 -1e200 0 0\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "robustpgo.cli", "solve", "--in", str(bad)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == cli.EXIT_SOLVER
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: solver: odometry constraint 0->1")
+
+    @pytest.mark.parametrize("mode, code", [("cauchy", cli.EXIT_SOLVER), ("gaussian", cli.EXIT_OK)])
+    def test_huge_initial_translations(self, tmp_path, capsys, mode, code):
+        """Poses 1e100 m apart: theta learning would overflow exp(2A), so cauchy
+        mode is a solver error; gaussian mode takes no theta from them, and
+        its LM trials that overflow are rejected without a numpy warning."""
+        far = tmp_path / "far.pcg"
+        matches = "M 1 0 0 1 0 0\nM 0 2 0 0 2 0\nM 0 0 3 0 0 3\nM 1 1 1 1 1 1\n"
+        far.write_text(
+            "PCG 1 3\nINIT 0 1e100 0 0 1 0 0 0\nINIT 1 -1e100 0 0 1 0 0 0\n"
+            f"INIT 2 0 1e100 0 1 0 0 0\nODOM 0 4\n{matches}ODOM 1 4\n{matches}"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["solve", "--in", str(far), "--mode", mode]) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        if code == cli.EXIT_SOLVER:
+            assert len(err) == 1 and err[0].startswith("error: solver: ")
+        else:
+            assert err == []
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -116,6 +116,11 @@ class TestErrorGaussian:
         assert error_gaussian(p, q, Ti, Tj) == pytest.approx(0.00125, abs=1e-15)
 
 
+def odometry_errors(graph, poses, sigma):
+    errors = em.constraint_errors(graph.table, poses, solver.KERNEL_CAUCHY, sigma)
+    return errors[: len(graph.odometry)]
+
+
 class TestLearnThetaCauchy:
     def test_median_oracle(self):
         assert em.theta_from_errors([1.0, 5.0, 100.0], 0.9) == pytest.approx(45.0, abs=1e-12)
@@ -129,7 +134,7 @@ class TestLearnThetaCauchy:
         rng = np.random.default_rng(1)
         poses = chain_poses(rng, 4)
         graph = ProblemGraph(4, exact_odometry(rng, poses), [])
-        theta = em.learn_theta_cauchy(graph, poses, sigma=0.5, p_hat=0.9)
+        theta = em.learn_theta_cauchy(odometry_errors(graph, poses, 0.5), p_hat=0.9)
         assert theta == pytest.approx(9.0, abs=1e-9)
 
     def test_graph_with_prescribed_error_terms(self):
@@ -142,7 +147,7 @@ class TestLearnThetaCauchy:
             p, q = constraint_arrays([r, r, r])
             constraints.append(OdometryConstraint(i, p, q))
         graph = ProblemGraph(4, constraints, [])
-        theta = em.learn_theta_cauchy(graph, poses, sigma=sigma, p_hat=0.9)
+        theta = em.learn_theta_cauchy(odometry_errors(graph, poses, sigma), p_hat=0.9)
         assert theta == pytest.approx(45.0, rel=1e-12)
 
     def test_permutation_invariance(self):
@@ -157,6 +162,14 @@ class TestLearnThetaCauchy:
         errors = [1.0, 5.0, 100.0]
         med = em.lower_median(errors)
         assert em.theta_from_errors(errors + [med], 0.9) == em.theta_from_errors(errors, 0.9)
+
+    def test_overflowing_theta_is_an_em_error(self):
+        """theta is refused from a median A of 354 on, just short of where exp(2A)
+        overflows (354.9); an infinite or NaN median is refused too."""
+        assert math.isfinite(em.learn_theta_cauchy(np.array([353.9]), p_hat=0.5))
+        for a in (355.0, np.inf, np.nan):
+            with pytest.raises(em.EmError, match="too large"):
+                em.learn_theta_cauchy(np.array([0.0, a, a]), p_hat=0.9)
 
     def test_lower_median_for_even_counts(self):
         assert em.lower_median([4.0, 1.0, 3.0, 2.0]) == 2.0
@@ -217,14 +230,13 @@ class TestEStep:
         loops = [LoopClosureConstraint(0, 3, np.zeros((4, 3)), np.zeros((4, 3)))]
         graph = ProblemGraph(5, exact_odometry(rng, poses), loops)
         # loop matches both at origin of each frame: residual is the frame offset
-        state = em.e_step(graph, poses, 45.0, Hyperparams())
+        state = em.e_step(em.loop_errors(graph, poses, Hyperparams()), 45.0, Hyperparams())
         assert state.posteriors.shape == (1,)
         assert 0.0 <= state.posteriors[0] <= 1.0
 
     def test_rejects_nonpositive_theta(self):
-        graph = ProblemGraph(2, [], [])
         with pytest.raises(ValueError):
-            em.e_step(graph, [se3.identity()] * 2, 0.0, Hyperparams())
+            em.e_step(np.zeros(0), 0.0, Hyperparams())
 
 
 class TestClassifyLoops:
@@ -316,6 +328,24 @@ class TestRunEm:
         assert len(thetas) == 1
         _, _, live = em.run_em(graph, Hyperparams(refresh_theta=True))
         assert len({rec.theta for rec in live.iterations}) > 1
+
+    @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
+    def test_evaluates_each_pose_state_once(self, monkeypatch, mode):
+        """One evaluation at the initial poses, then one per LM start and per
+        trial: theta, the E-step and the final posteriors read the errors the
+        M-steps report."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+        calls = []
+        real = MatchTable.residuals
+
+        def spy(table, rots, trans):
+            calls.append(len(table))
+            return real(table, rots, trans)
+
+        monkeypatch.setattr(MatchTable, "residuals", spy)
+        _, _, trace = em.run_em(graph, Hyperparams(mode=mode))
+        assert len(trace) >= 2
+        assert len(calls) == sum(it.factorizations for it in trace.iterations) + len(trace) + 1
 
     def test_all_inlier_error_tracks_noise_floor(self):
         """With no outliers the final trajectory error stays near the noise std."""

@@ -58,9 +58,16 @@ def stepped_objective(problem, poses):
 
     def objective(delta):
         q, t = solver._retract_all(quats, trans, delta, gauge=-1)  # no pose held fixed
-        return solver._objective(problem, se3.quat_to_matrix(q), t, strict=True)
+        return solver._evaluate(problem, q, t)[2]
 
     return objective
+
+
+def lm_terms(problem, poses):
+    """The objective, gradient and H blocks LM forms at the given poses, from
+    one evaluation of them."""
+    residuals, _, objective = solver._evaluate(problem, *se3.stack(poses))
+    return (objective, *solver._assemble(problem, residuals, len(poses)))
 
 
 def random_pose_pair(rng):
@@ -198,7 +205,7 @@ class TestGradients:
         for kernel in (KERNEL_CAUCHY, KERNEL_SQUARED):
             problem = random_problem(rng, kernel)
             blocks = per_match_blocks(problem)
-            total, grad, _ = solver._assemble(problem, *solver._pose_arrays(poses), 3)
+            total, grad, _ = lm_terms(problem, poses)
             expected_total = sum(block_cost(b, poses[b.i], poses[b.j]) for b in blocks)
             expected_grad = np.zeros(18)
             for b in blocks:
@@ -219,7 +226,7 @@ class TestGradients:
         poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
         problem = random_problem(rng, kernel)
         objective = stepped_objective(problem, poses)
-        _, grad, _ = solver._assemble(problem, *solver._pose_arrays(poses), 3)
+        _, grad, _ = lm_terms(problem, poses)
         h = 1e-6
         numeric = np.array(
             [(objective(h * u) - objective(-h * u)) / (2 * h) for u in np.eye(18)]
@@ -228,13 +235,14 @@ class TestGradients:
 
         # exact correspondences: every residual is zero at these poses
         t = problem.table
-        rots, trans = solver._pose_arrays(poses)
+        quats, trans = se3.stack(poses)
+        rots = se3.quat_to_matrix(quats)
         world = rng.uniform(-3, 3, (len(t), 3))
         i, j = t.pairs[t.seg, 0], t.pairs[t.seg, 1]
         p = np.einsum("mba,mb->ma", rots[i], world - trans[i])
         q = np.einsum("mba,mb->ma", rots[j], world - trans[j])
         exact = Problem(MatchTable(t.pairs, t.sizes, t.seg, p, q), problem.weights, kernel, 0.5)
-        total, grad, blocks = solver._assemble(exact, rots, trans, 3)
+        total, grad, blocks = lm_terms(exact, poses)
         assert total < 1e-25 and np.abs(grad).max() < 1e-12
         exact_objective = stepped_objective(exact, poses)
         h = 1e-5
@@ -269,7 +277,7 @@ class TestPattern:
         poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(4)]
         problem = random_problem(rng, KERNEL_CAUCHY)
         pairs = problem.table.pairs
-        _, grad, blocks = solver._assemble(problem, *solver._pose_arrays(poses), 4)
+        _, grad, blocks = lm_terms(problem, poses)
         free = np.arange(24) // 6 != gauge
         expected = dense_hessian(blocks, pairs, 4)[free][:, free] + 0.3 * np.eye(18)
 
@@ -388,7 +396,7 @@ class TestSolve:
             return total, grad.reshape(-1)
 
         def cost_only(quats, trans):
-            return solver._objective(problem, se3.quat_to_matrix(quats), trans, strict=False)
+            return solver._evaluate(problem, quats, trans)[2]
 
         poses = se3.stack(init)
         f, g = cost_and_grad(*poses)
@@ -497,7 +505,7 @@ class TestSolve:
         system, options = factored[0]
         assert options["options"] == {"SymmetricMode": True}
 
-        _, grad, blocks = solver._assemble(problem, *solver._pose_arrays(start), 12)
+        _, grad, blocks = lm_terms(problem, start)
         H = dense_hessian(blocks, problem.table.pairs, 12)
         dense = H[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
         np.testing.assert_array_equal(system, dense)
@@ -529,7 +537,7 @@ class TestSolve:
         assert [spec for _, spec, _ in factored] == ["MMD_AT_PLUS_A", "NATURAL"]
         order = factored[0][2]
 
-        _, grad, blocks = solver._assemble(problem, *solver._pose_arrays(first), 12)
+        _, grad, blocks = lm_terms(problem, first)
         dense = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:]
         dense += 0.5 * solver.DAMPING_INIT * np.eye(66)  # halved after the first accepted step
         np.testing.assert_array_equal(factored[1][0][np.ix_(order, order)], dense)
@@ -537,6 +545,41 @@ class TestSolve:
         step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(first)))
         taken = se3.log_arrays(*step)[0][1:].reshape(-1)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_evaluates_each_pose_state_once(self, monkeypatch):
+        """The start and every trial are evaluated once; the gradient, H and
+        the reported errors of an accepted trial read its evaluation."""
+        rng = np.random.default_rng(19)
+        graph, truth = noisy_chain_graph(rng, n=12)
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        calls = []
+        real = MatchTable.residuals
+
+        def spy(table, rots, trans):
+            calls.append(len(table))
+            return real(table, rots, trans)
+
+        monkeypatch.setattr(MatchTable, "residuals", spy)
+        _, report = solve(problem, start, gauge=0)
+        assert report.iterations >= 2 and report.termination != "gradient"
+        assert len(calls) == report.factorizations + 1
+
+    @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
+    def test_reported_errors_are_the_constraint_errors_of_the_returned_poses(self, mode):
+        from robustpgo import em
+
+        rng = np.random.default_rng(20)
+        graph, truth = noisy_chain_graph(rng, n=10)
+        loop = LoopClosureConstraint(0, 6, rng.uniform(-2, 2, (7, 3)), rng.uniform(-2, 2, (7, 3)))
+        graph = ProblemGraph(10, graph.odometry, [loop])
+        params = Hyperparams(mode=mode, sigma=0.3)
+        problem = build_problem(graph, PosteriorState(1.0, np.array([0.6])), params)
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+        out, report = solve(problem, start, gauge=0)
+        assert report.iterations >= 1
+        expected = em.constraint_errors(graph.table, out, problem.kernel, params.sigma)
+        assert report.errors.tobytes() == expected.tobytes()
 
     def test_report_objective_invariant(self):
         rng = np.random.default_rng(16)
