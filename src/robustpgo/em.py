@@ -132,6 +132,7 @@ class EmIteration:
     objective_path: list[float] = field(default_factory=list)  # accepted-step objectives
     termination: str = ""  # why the M-step's LM stopped (SolverReport.termination)
     factorizations: int = 0  # sparse factorizations the M-step made
+    curvature_steps: int = 0  # accepted steps whose H held the residual-curvature term
 
 
 @dataclass
@@ -192,6 +193,7 @@ def run_em(
                 objective_path=report.objective_path,
                 termination=report.termination,
                 factorizations=report.factorizations,
+                curvature_steps=report.curvature_steps,
             )
         )
         poses, errors = poses_new, report.errors

@@ -7,11 +7,19 @@ left-multiplicative twist retractions; one pose (the gauge) stays fixed. The
 damped normal equations are assembled block-sparse from per-constraint sums
 over a flat match table. Their sparsity pattern depends only on which poses
 the constraints couple, so a solve maps every block entry to its slot once
-and each LM trial only refills the values. The matrix is symmetric positive
-definite, and each trial factors it as such, with pivots taken on the
-diagonal: the first factorization of a solve orders it by minimum degree on
-its symmetric pattern, and the later ones reuse that order. The poses stay
-in (N, 4) quaternion and (N, 3) translation arrays while LM runs.
+and each LM trial only refills the values. H is the Gauss-Newton approximation,
+so the damped matrix is symmetric positive definite, until an accepted step
+lowers the objective by less than CURVATURE_SWITCH relative. From then on,
+for the rest of the solve, H also holds the per-pose residual-curvature term
+that Gauss-Newton drops, which speeds up the linear tail of a large-residual
+problem but may leave the matrix indefinite. Each trial factors it in
+symmetric mode, with pivots taken on the diagonal: a zero pivot or a step
+that is not finite rejects the trial, as the strict-decrease test rejects an
+uphill step. The first factorization of a solve orders the matrix by minimum
+degree on its symmetric pattern, and the later ones reuse that order. A
+solve stalls when the damping passes its cap or when a rejected trial does
+not move the objective beyond objective_tol. The poses stay in (N, 4)
+quaternion and (N, 3) translation arrays while LM runs.
 
 ResidualBlock and its helpers evaluate one match at a time; they are the
 independent oracle for the flat evaluation, not part of the solve path.
@@ -37,6 +45,7 @@ KERNELS = {"cauchy": KERNEL_CAUCHY, "gaussian": KERNEL_SQUARED}  # kernel of eac
 MAX_INNER_ITERS = 100
 GRADIENT_TOL = 1e-8
 OBJECTIVE_TOL = 1e-10
+CURVATURE_SWITCH = 1e-5  # an accepted step's relative drop below which H gains the curvature term
 DAMPING_INIT = 1e-4
 DAMPING_MIN = 1e-12
 DAMPING_MAX = 1e8
@@ -85,6 +94,7 @@ class SolverReport:
     errors: np.ndarray  # (C,) each constraint's mean rho over its matches at the returned poses
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
     factorizations: int = 0  # sparse factorizations attempted, one per trial step
+    curvature_steps: int = 0  # accepted steps whose H held the residual-curvature term
 
 
 def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparams) -> Problem:
@@ -103,7 +113,13 @@ def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparam
 
 def _rho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
     if kernel == KERNEL_CAUCHY:
-        return np.log1p(s / (sigma * sigma))
+        with np.errstate(over="ignore"):
+            ratio = s / (sigma * sigma)
+        out = np.log1p(ratio)
+        # where s / sigma^2 is past the float range, ln(1 + s/sigma^2) is ln(s) - 2 ln(sigma)
+        huge = np.isinf(ratio) & np.isfinite(s)
+        out[huge] = np.log(s[huge]) - 2.0 * math.log(sigma)
+        return out
     if kernel == KERNEL_SQUARED:
         return s
     raise ValueError(f"unknown kernel {kernel!r}")
@@ -162,17 +178,29 @@ def _block6(gram, upper, lower, corner) -> np.ndarray:
     return out
 
 
-def _assemble(problem: Problem, residuals, num_poses: int):
-    """Exact gradient and the (4C, 6, 6) blocks of the Gauss-Newton Hessian
-    approximation, from the finite residuals (yi, yj, e, s) of a pose state:
-    H_ii, H_jj, H_ij, H_ji of each constraint (i, j) in turn; _Pattern
-    places them.
+def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = False):
+    """Exact gradient and the (4C, 6, 6) blocks of H, from the finite
+    residuals (yi, yj, e, s) of a pose state: H_ii, H_jj, H_ij, H_ji of each
+    constraint (i, j) in turn; _Pattern places them.
 
     A match with alpha = 2 w rho'(s) has Jacobians J_i = [-[y_i]x, I] and
     J_j = [[y_j]x, -I]; it adds J^T alpha e to each pose's gradient and
     alpha J_a^T J_b to block (a, b) of H. Summed over a constraint, those
     blocks depend only on the moments sum alpha, sum alpha y and
-    sum alpha y y^T, so no per-match 6x6 product is formed.
+    sum alpha y y^T, so no per-match 6x6 product is formed. That H is the
+    Gauss-Newton approximation, symmetric positive semidefinite.
+
+    With curvature, H also holds the residual-curvature term sum alpha e . d2e
+    that Gauss-Newton drops (still without the rho'' term). Under the left
+    retraction y <- exp(delta) y the second-order part of y is
+    1/2 w x (w x y) + 1/2 w x v, so the term is block-diagonal per pose: with
+    S_i = sum alpha e y_i^T = sii - sij^T and E = sum alpha e = si - sj, H_ii
+    gains 1/2 (S_i + S_i^T) - tr(S_i) I in its ww block, -1/2 [E]x in its wv
+    block and +1/2 [E]x in its vw block; H_jj the same with
+    S_j = -sum alpha e y_j^T = sjj - sij and -E. The sii and sjj moments
+    cancel, and both diagonal blocks become
+    [[tr(m) I - m, [c]x], [-[c]x, a0 I]] with m = 1/2 (sij + sij^T) and
+    c = 1/2 (si + sj). H is then symmetric but may be indefinite.
     """
     table = problem.table
     yi, yj, e, s = residuals
@@ -190,16 +218,14 @@ def _assemble(problem: Problem, residuals, num_poses: int):
     mj = table.outer_sum(alpha, yj, np.hstack([ones, yj]))
     si, sii, sij = mi[:, :, 0], mi[:, :, 1:4], mi[:, :, 4:7]
     sj, sjj = mj[:, :, 0], mj[:, :, 1:4]
+    if curvature:
+        c = 0.5 * (si + sj)
+        h_ii = h_jj = _block6(_skew_gram(0.5 * (sij + np.swapaxes(sij, 1, 2))), c, -c, a0)
+    else:
+        h_ii = _block6(_skew_gram(sii), si, -si, a0)
+        h_jj = _block6(_skew_gram(sjj), sj, -sj, a0)
     h_ij = _block6(-_skew_gram(sij), -si, sj, -a0)
-    blocks = np.concatenate(
-        [
-            _block6(_skew_gram(sii), si, -si, a0),
-            _block6(_skew_gram(sjj), sj, -sj, a0),
-            h_ij,
-            np.swapaxes(h_ij, 1, 2),
-        ]
-    )
-    return grad.reshape(-1), blocks
+    return grad.reshape(-1), np.concatenate([h_ii, h_jj, h_ij, np.swapaxes(h_ij, 1, 2)])
 
 
 # entries of a 6x6 block of H that are not zero by construction
@@ -262,11 +288,11 @@ class _Pattern:
 
 
 def _factor_solve(system, rhs: np.ndarray, ordered: bool):
-    """Solve the SPD system by SuperLU in symmetric mode, with diagonal pivots.
-    Unless the system is ordered already, SuperLU orders it by minimum degree
-    on A + A^T, and the order it chose (perm_c) is returned to reorder the
-    next system by. The factor is not kept, so it is freed before the next
-    one is made."""
+    """Solve the symmetric system by SuperLU in symmetric mode, with diagonal
+    pivots; a zero pivot raises RuntimeError. Unless the system is ordered
+    already, SuperLU orders it by minimum degree on A + A^T, and the order it
+    chose (perm_c) is returned to reorder the next system by. The factor is
+    not kept, so it is freed before the next one is made."""
     lu = splu(
         system, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -299,7 +325,12 @@ def solve(
     Levenberg-Marquardt trust strategy: damping starts at 1e-4, x10 on a
     rejected step, x0.5 on acceptance, clamped to [1e-12, 1e8]; a step is
     accepted only if it strictly decreases the objective, so the objective
-    sequence over accepted steps is non-increasing.
+    sequence over accepted steps is non-increasing. H is the Gauss-Newton
+    approximation until an accepted step lowers the objective by less than
+    CURVATURE_SWITCH relative; from then on it also holds the residual-
+    curvature term (see _assemble), for the rest of the solve. The solve
+    stalls when the damping passes 1e8 or a rejected trial lands within
+    objective_tol (relative) of the current objective.
     """
     num_poses = len(poses)
     if not 0 <= gauge < num_poses:
@@ -323,9 +354,11 @@ def solve(
     gradient_norm = math.inf
     objective_path = []
     factorizations = 0
+    curvature = False
+    curvature_steps = 0
 
     for _ in range(max_iterations):
-        grad, blocks = _assemble(problem, residuals, num_poses)
+        grad, blocks = _assemble(problem, residuals, num_poses, curvature)
         gradient_norm = float(np.abs(grad[pattern.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
@@ -355,14 +388,20 @@ def solve(
                 drop = objective - trial_objective
                 objective = trial_objective
                 accepted += 1
+                curvature_steps += curvature
                 objective_path.append(objective)
                 damping = max(damping * 0.5, DAMPING_MIN)
-                if drop < objective_tol * max(abs(objective), 1e-300):
+                scale = max(abs(objective), 1e-300)
+                if drop < objective_tol * scale:
                     termination = "objective"
+                curvature = curvature or drop < CURVATURE_SWITCH * scale
                 stepped = True
                 break
             damping *= 10.0
-            if damping > DAMPING_MAX:
+            # a trial this close to the objective is at the floor of its float
+            # precision: a more damped one cannot tell a strict decrease either
+            scale = max(abs(objective), 1e-300)
+            if damping > DAMPING_MAX or abs(trial_objective - objective) <= objective_tol * scale:
                 termination = "stalled"
                 break
         if not stepped or termination in ("objective", "stalled"):
@@ -377,7 +416,7 @@ def solve(
 
     report = SolverReport(
         accepted, initial_objective, objective, termination, gradient_norm, errors,
-        objective_path, factorizations,
+        objective_path, factorizations, curvature_steps,
     )
     return se3.unstack(quats, trans), report
 

@@ -315,6 +315,13 @@ class TestRunEm:
             rot, trans = se3.pose_difference(a, b)
             assert rot < 1e-7 and trans < 1e-7
 
+    def test_reports_curvature_steps(self):
+        """On a reference circle scene the M-steps reach the curvature phase."""
+        _, _, trace = em.run_em(generate(ScenarioConfig(seed=0)), Hyperparams())
+        steps = [rec.curvature_steps for rec in trace.iterations]
+        assert sum(steps) > 0
+        assert all(k <= len(rec.objective_path) for k, rec in zip(steps, trace.iterations))
+
     def test_trace_bounded_by_max_iters(self):
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=7))
         _, _, trace = em.run_em(graph, Hyperparams(max_em_iters=2))

@@ -5,7 +5,11 @@ uncaught exception and no warning."""
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,3 +109,25 @@ def test_solve_exits_with_a_documented_code(graph_path, base, mode, changes):
     assert code in DOCUMENTED
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_huge_match_coordinate_solves_cleanly(tmp_path):
+    """A match coordinate of 1e154 puts s / sigma^2 past the float range,
+    where the cauchy kernel is still ~710: every objective stays finite, so
+    EM converges, with no warning even under -W error."""
+    lines = BASES[0].splitlines()
+    first_match = next(n for n, line in enumerate(lines) if line.startswith("M "))
+    tokens = lines[first_match].split()
+    tokens[1] = "1e154"
+    lines[first_match] = " ".join(tokens)
+    path = tmp_path / "huge_match.pcg"
+    path.write_text("\n".join(lines) + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "robustpgo.cli", "solve", "--in", str(path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == cli.EXIT_OK
+    assert done.stderr == ""
+    assert "converged: True" in done.stdout

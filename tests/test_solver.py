@@ -266,6 +266,50 @@ class TestGradients:
         assert np.abs(assembled - assembled.T).max() <= 1e-14 * np.abs(assembled).max()
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
 
+    def test_curvature_hessian_matches_finite_differences_at_nonzero_residual(self):
+        """With the residual-curvature term, H is the exact Hessian of the
+        squared-kernel objective under LM's retraction, residuals or not;
+        the Gauss-Newton H misses it by far at these residuals."""
+        rng = np.random.default_rng(8)
+        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
+        problem = random_problem(rng, KERNEL_SQUARED)
+        objective = stepped_objective(problem, poses)
+        residuals = solver._evaluate(problem, *se3.stack(poses))[0]
+        assert np.sqrt(residuals[3]).min() > 0.1
+        h = 1e-4
+        basis = h * np.eye(18)
+        numeric = np.array(
+            [
+                [
+                    (objective(a + b) - objective(a - b) - objective(b - a) + objective(-a - b))
+                    / (4 * h * h)
+                    for b in basis
+                ]
+                for a in basis
+            ]
+        )
+        pattern = solver._Pattern(problem.table.pairs, 3, gauge=-1)
+        _, blocks = solver._assemble(problem, residuals, 3, curvature=True)
+        assembled = pattern.matrix(blocks, 0.0).toarray()
+        gauss_newton = pattern.matrix(solver._assemble(problem, residuals, 3)[1], 0.0).toarray()
+        np.testing.assert_array_equal(assembled, assembled.T)
+        assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
+        assert np.abs(numeric - gauss_newton).max() > 0.1 * np.abs(assembled).max()
+
+
+class TestKernel:
+    def test_cauchy_kernel_past_the_float_range(self):
+        """ln(1 + s / sigma^2) where s / sigma^2 overflows is ln(s) - 2 ln(sigma)."""
+        s = np.array([1e308, 1e300, 4.0])
+        expected = [
+            math.log(1e308) - 2.0 * math.log(0.5),
+            math.log1p(4e300),
+            math.log1p(16.0),
+        ]
+        rho = solver._rho(s, KERNEL_CAUCHY, 0.5)
+        np.testing.assert_allclose(rho, expected, rtol=1e-15)
+        assert rho[0] == pytest.approx(710.583, abs=1e-3)
+
 
 class TestPattern:
     @pytest.mark.parametrize("gauge", [0, 2, 3])
@@ -580,6 +624,48 @@ class TestSolve:
         assert report.iterations >= 1
         expected = em.constraint_errors(graph.table, out, problem.kernel, params.sigma)
         assert report.errors.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
+    def test_restart_from_converged_poses_stops_at_once(self, mode):
+        """A solve restarted where another converged finds no trial that moves
+        the objective beyond objective_tol, and stops at its first or second,
+        restart after restart; gradient_tol 0 leaves only that test to stop it."""
+        rng = np.random.default_rng(21)
+        graph, truth = noisy_chain_graph(rng, n=12)
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams(mode=mode))
+        poses, report = solve(problem, start, gauge=0)
+        assert report.termination in ("objective", "gradient")
+        for _ in range(3):
+            poses, again = solve(problem, poses, gauge=0, gradient_tol=0.0)
+            assert again.factorizations <= 2
+            assert again.final_objective <= report.final_objective
+            report = again
+
+    def test_curvature_phase_takes_fewer_factorizations(self, monkeypatch):
+        """A noisy chain with three outlier loops, cauchy kernel: the hybrid
+        solve ends no higher than pure Gauss-Newton from the same start, with
+        fewer factorizations."""
+        rng = np.random.default_rng(22)
+        n = 20
+        graph, truth = noisy_chain_graph(rng, n=n, noise=0.3)
+        loops = []
+        for _ in range(3):
+            i = int(rng.integers(0, n - 5))
+            j = i + int(rng.integers(3, 5))
+            loops.append(
+                LoopClosureConstraint(i, j, rng.uniform(-3, 3, (10, 3)), rng.uniform(-3, 3, (10, 3)))
+            )
+        graph = ProblemGraph(n, graph.odometry, loops)
+        problem = build_problem(graph, PosteriorState(1.0, np.full(3, 0.5)), Hyperparams())
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+        _, hybrid = solve(problem, start, gauge=0)
+        monkeypatch.setattr(solver, "CURVATURE_SWITCH", 0.0)
+        _, gauss_newton = solve(problem, start, gauge=0)
+        assert gauss_newton.curvature_steps == 0 < hybrid.curvature_steps
+        assert hybrid.termination == gauss_newton.termination == "objective"
+        assert hybrid.factorizations < gauss_newton.factorizations
+        assert hybrid.final_objective <= gauss_newton.final_objective * (1 + 1e-9)
 
     def test_report_objective_invariant(self):
         rng = np.random.default_rng(16)
