@@ -131,8 +131,10 @@ class EmIteration:
     max_pose_update: float  # largest twist norm of any pose update this iteration
     objective_path: list[float] = field(default_factory=list)  # accepted-step objectives
     termination: str = ""  # why the M-step's LM stopped (SolverReport.termination)
-    factorizations: int = 0  # sparse factorizations the M-step made
+    factorizations: int = 0  # the M-step's LM trial steps, each factoring one system (a fallback adds another)
     curvature_steps: int = 0  # accepted steps whose H held the residual-curvature term
+    pcg_iterations: int = 0  # the M-step's PCG iterations over all its trials
+    fallbacks: int = 0  # full-system factorizations the M-step made after a PCG miss
 
 
 @dataclass
@@ -194,6 +196,8 @@ def run_em(
                 termination=report.termination,
                 factorizations=report.factorizations,
                 curvature_steps=report.curvature_steps,
+                pcg_iterations=report.pcg_iterations,
+                fallbacks=report.fallbacks,
             )
         )
         poses, errors = poses_new, report.errors

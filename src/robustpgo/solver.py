@@ -12,14 +12,25 @@ so the damped matrix is symmetric positive definite, until an accepted step
 lowers the objective by less than CURVATURE_SWITCH relative. From then on,
 for the rest of the solve, H also holds the per-pose residual-curvature term
 that Gauss-Newton drops, which speeds up the linear tail of a large-residual
-problem but may leave the matrix indefinite. Each trial factors it in
-symmetric mode, with pivots taken on the diagonal: a zero pivot or a step
-that is not finite rejects the trial, as the strict-decrease test rejects an
-uphill step. The first factorization of a solve orders the matrix by minimum
-degree on its symmetric pattern, and the later ones reuse that order. A
-solve stalls when the damping passes its cap or when a rejected trial does
-not move the objective beyond objective_tol. The poses stay in (N, 4)
-quaternion and (N, 3) translation arrays while LM runs.
+problem but may leave the matrix indefinite.
+
+Each trial solves the damped system by subgraph preconditioning (Dellaert et
+al., IROS 2010, Subgraph-preconditioned conjugate gradients for large scale
+SLAM). A loop whose posterior is below SUBGRAPH_POSTERIOR adds next to
+nothing to H, but its pose pair spans the graph and drives the fill-in of a
+sparse factor. So only the odometry and the weighted loops are factored, by
+SuperLU in symmetric mode with pivots on the diagonal, and preconditioned
+conjugate gradients (PCG) with that factor recover the step of the full
+system. The first factorization of a solve orders the subgraph by minimum
+degree on its symmetric pattern, and the later ones reuse that order. Where
+PCG misses (a direction of non-positive curvature, which the curvature phase
+can give, a value that is not finite, or no convergence within
+PCG_MAX_ITERS), the trial factors the full system instead. A zero pivot
+there or a step that is not finite rejects the trial, as the strict-decrease
+test rejects an uphill step. A solve stalls when the damping passes its cap
+or when a rejected trial does not move the objective beyond objective_tol.
+The poses stay in (N, 4) quaternion and (N, 3) translation arrays while LM
+runs.
 
 ResidualBlock and its helpers evaluate one match at a time; they are the
 independent oracle for the flat evaluation, not part of the solve path.
@@ -46,6 +57,9 @@ MAX_INNER_ITERS = 100
 GRADIENT_TOL = 1e-8
 OBJECTIVE_TOL = 1e-10
 CURVATURE_SWITCH = 1e-5  # an accepted step's relative drop below which H gains the curvature term
+SUBGRAPH_POSTERIOR = 1e-6  # a loop's posterior below which the preconditioner leaves it out
+PCG_TOL = 1e-13  # residual, relative to the right-hand side, at which PCG returns the step
+PCG_MAX_ITERS = 20  # PCG iterations after which a trial falls back to the full factorization
 DAMPING_INIT = 1e-4
 DAMPING_MIN = 1e-12
 DAMPING_MAX = 1e8
@@ -93,8 +107,10 @@ class SolverReport:
     gradient_norm: float  # max-norm over free dofs at exit
     errors: np.ndarray  # (C,) each constraint's mean rho over its matches at the returned poses
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
-    factorizations: int = 0  # sparse factorizations attempted, one per trial step
+    factorizations: int = 0  # LM trial steps, each factoring one system (a fallback adds another)
     curvature_steps: int = 0  # accepted steps whose H held the residual-curvature term
+    pcg_iterations: int = 0  # PCG iterations over all trials
+    fallbacks: int = 0  # full-system factorizations made after a PCG miss
 
 
 def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparams) -> Problem:
@@ -234,7 +250,7 @@ _BLOCK_ENTRIES = np.flatnonzero(_block6(np.ones((1, 3, 3)), np.ones((1, 3)), np.
 
 class _Pattern:
     """Where every block entry lands in the compressed sparse column (CSC)
-    matrix of the damped system over the free dofs. The pattern is fixed by
+    matrix of a damped system over the free dofs. The pattern is fixed by
     the constraint pairs, so one solve builds it once and each LM trial only
     refills its values. The gauge pose's rows and columns are left out, each
     diagonal slot is present, and free dof k sits at position pos[k].
@@ -287,17 +303,115 @@ class _Pattern:
         return out
 
 
-def _factor_solve(system, rhs: np.ndarray, ordered: bool):
-    """Solve the symmetric system by SuperLU in symmetric mode, with diagonal
-    pivots; a zero pivot raises RuntimeError. Unless the system is ordered
-    already, SuperLU orders it by minimum degree on A + A^T, and the order it
-    chose (perm_c) is returned to reorder the next system by. The factor is
-    not kept, so it is freed before the next one is made."""
-    lu = splu(
-        system, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
+def _factor(pattern: _Pattern, blocks: np.ndarray, damping: float):
+    """SuperLU's factor of the pattern's damped system, in symmetric mode
+    with pivots on the diagonal; a zero pivot raises RuntimeError. Unless the
+    pattern is ordered already, SuperLU orders it by minimum degree on
+    A + A^T, and its perm_c holds that order."""
+    return splu(
+        pattern.matrix(blocks, damping), permc_spec="NATURAL" if pattern.ordered else "MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0, options={"SymmetricMode": True},
     )
-    return lu.solve(rhs), None if ordered else lu.perm_c.copy()
+
+
+def _product(blocks: np.ndarray, pairs: np.ndarray, num_poses: int):
+    """x -> H x for a 6N vector x, straight from _assemble's (4C, 6, 6)
+    blocks: H_ii, H_jj, H_ij and H_ji of each constraint (i, j)."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((num_poses, 6))
+        np.add.at(out, rows, np.einsum("kab,kb->ka", blocks, x.reshape(-1, 6)[cols]))
+        return out.reshape(-1)
+
+    return apply
+
+
+def _pcg(product, precondition, rhs: np.ndarray):
+    """Preconditioned conjugate gradients from x = 0 until the recurred
+    residual is at most PCG_TOL |rhs| in the max-norm. Returns x and the
+    iterations taken, with None for x on a miss: r^T z <= 0 or p^T A p <= 0
+    (the preconditioner or the system is not positive definite), a value
+    that is not finite, or no convergence within PCG_MAX_ITERS."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    rz = p = None
+    k = 0
+    # a value past the float range is a miss, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = PCG_TOL * np.abs(rhs).max()
+        while not np.abs(r).max() <= bound:
+            if k == PCG_MAX_ITERS:
+                return None, k
+            k += 1
+            z = precondition(r)
+            rz, rz_old = float(r @ z), rz
+            if not rz > 0.0:
+                return None, k
+            p = z if p is None else z + (rz / rz_old) * p
+            ap = product(p)
+            curvature = float(p @ ap)
+            if not curvature > 0.0:
+                return None, k
+            x += (rz / curvature) * p
+            r -= (rz / curvature) * ap
+    return (x, k) if np.isfinite(x).all() else (None, k)
+
+
+class _Stepper:
+    """The trial steps of one solve, each the solution of
+    (H + damping I) step = -grad over the free dofs, with H over all
+    constraints. Subgraph preconditioning (Dellaert et al., IROS 2010):
+    only the odometry and the loops whose posterior (weight * match count)
+    is at least SUBGRAPH_POSTERIOR are factored, and PCG with that factor
+    recovers the step of the full system. The first subgraph factorization
+    orders it by minimum degree, and the later ones reuse that order. A PCG
+    miss, or a zero pivot in the subgraph's factor, falls back to factoring
+    the full system."""
+
+    def __init__(self, problem: Problem, num_poses: int, gauge: int):
+        table = problem.table
+        self.kept = problem.weights * table.sizes >= SUBGRAPH_POSTERIOR
+        self.pairs, self.num_poses, self.gauge = table.pairs, num_poses, gauge
+        self.subgraph = _Pattern(table.pairs[self.kept], num_poses, gauge)
+        self.free = self.subgraph.free
+        self.full: _Pattern | None = None  # built at the first fallback
+        self.pcg_iterations = 0
+        self.fallbacks = 0
+
+    def __call__(self, blocks: np.ndarray, grad: np.ndarray, damping: float) -> np.ndarray | None:
+        """The 6N step, zero on the gauge; None when a zero pivot of the full system rejects the trial."""
+        sub = self.subgraph
+        solution = None
+        try:
+            factor = _factor(sub, blocks.reshape(4, -1, 6, 6)[:, self.kept].reshape(-1, 6, 6), damping)
+        except RuntimeError:
+            pass
+        else:
+            order = None if sub.ordered else factor.perm_c.copy()
+            hessian = _product(blocks, self.pairs, self.num_poses)
+            solution, iterations = _pcg(
+                lambda x: sub.take(hessian(sub.put(x))) + damping * x, factor.solve, sub.take(-grad)
+            )
+            self.pcg_iterations += iterations
+            # The factor's workspace (SuperLU sizes it by a fixed multiple of
+            # the matrix's nonzeros) is freed before a fallback makes the full
+            # factor, and before the reordered pattern, which lives for the
+            # rest of the solve, is built: made while the factor held the top
+            # of the heap, it would keep that memory resident after the solve.
+            del factor
+            if order is not None:
+                self.subgraph = sub.reordered(order)
+        if solution is not None:
+            return sub.put(solution)
+        self.fallbacks += 1
+        if self.full is None:
+            self.full = _Pattern(self.pairs, self.num_poses, self.gauge)
+        try:
+            return self.full.put(_factor(self.full, blocks, damping).solve(self.full.take(-grad)))
+        except RuntimeError:
+            return None
 
 
 def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
@@ -345,9 +459,7 @@ def solve(
         report = SolverReport(0, initial_objective, objective, "gradient", 0.0, errors)
         return se3.unstack(quats, trans), report
 
-    # the first factorization orders the system by minimum degree; every
-    # later one reuses that order, since the pattern does not change
-    pattern = _Pattern(problem.table.pairs, num_poses, gauge)
+    stepper = _Stepper(problem, num_poses, gauge)
     damping = DAMPING_INIT
     accepted = 0
     termination = "max_iterations"
@@ -359,7 +471,7 @@ def solve(
 
     for _ in range(max_iterations):
         grad, blocks = _assemble(problem, residuals, num_poses, curvature)
-        gradient_norm = float(np.abs(grad[pattern.free]).max())
+        gradient_norm = float(np.abs(grad[stepper.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
             break
@@ -367,16 +479,7 @@ def solve(
         stepped = False
         while True:
             factorizations += 1
-            try:
-                solution, order = _factor_solve(
-                    pattern.matrix(blocks, damping), pattern.take(-grad), pattern.ordered
-                )
-            except RuntimeError:
-                step = None
-            else:
-                step = pattern.put(solution)
-                if order is not None:
-                    pattern = pattern.reordered(order)
+            step = stepper(blocks, grad, damping)
             trial_objective = math.inf
             if step is not None and np.isfinite(step).all():
                 trial_quats, trial_trans = _retract_all(quats, trans, step, gauge)
@@ -410,13 +513,13 @@ def solve(
     # report the gradient at the poses actually returned
     if termination != "gradient":
         grad, _ = _assemble(problem, residuals, num_poses)
-        gradient_norm = float(np.abs(grad[pattern.free]).max())
+        gradient_norm = float(np.abs(grad[stepper.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
 
     report = SolverReport(
         accepted, initial_objective, objective, termination, gradient_norm, errors,
-        objective_path, factorizations, curvature_steps,
+        objective_path, factorizations, curvature_steps, stepper.pcg_iterations, stepper.fallbacks,
     )
     return se3.unstack(quats, trans), report
 

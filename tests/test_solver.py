@@ -392,6 +392,42 @@ def exact_pair_problem(rng, kernel=KERNEL_CAUCHY, k=20):
     return Problem(table, np.array([1.0 / k]), kernel, sigma=0.5), truth
 
 
+def two_loop_problem():
+    """A 12-pose noisy chain with an exact loop (0, 6) at posterior 1 and a
+    random-match loop (2, 9) at posterior 1e-9, and a start near the truth."""
+    rng = np.random.default_rng(24)
+    graph, truth = noisy_chain_graph(rng, n=12)
+    world = rng.uniform(-4.0, 4.0, (10, 3))
+    exact = LoopClosureConstraint(
+        0, 6, se3.transform_points(se3.inverse(truth[0]), world),
+        se3.transform_points(se3.inverse(truth[6]), world),
+    )
+    outlier = LoopClosureConstraint(2, 9, rng.uniform(-3, 3, (10, 3)), rng.uniform(-3, 3, (10, 3)))
+    graph = ProblemGraph(12, graph.odometry, [exact, outlier])
+    problem = build_problem(graph, PosteriorState(1.0, np.array([1.0, 1e-9])), Hyperparams())
+    start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+    return problem, start
+
+
+def factor_spy(monkeypatch):
+    """Record, as dense arrays, the systems solver.splu factors."""
+    factored = []
+    real_splu = solver.splu
+
+    def spy(system, **options):
+        factored.append(system.toarray())
+        return real_splu(system, **options)
+
+    monkeypatch.setattr(solver, "splu", spy)
+    return factored
+
+
+def taken_step(start, out):
+    """The twists of every pose but the gauge from start to out, as one vector."""
+    step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(start)))
+    return se3.log_arrays(*step)[0][1:].reshape(-1)
+
+
 class TestSolve:
     def test_stationary_point_takes_no_steps(self):
         rng = np.random.default_rng(10)
@@ -589,6 +625,101 @@ class TestSolve:
         step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(first)))
         taken = se3.log_arrays(*step)[0][1:].reshape(-1)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_factors_the_weighted_subgraph_and_takes_the_full_step(self, monkeypatch):
+        """The factored system leaves out the loop at posterior 1e-9, and PCG
+        still returns the step of the full damped system."""
+        problem, start = two_loop_problem()
+        factored = factor_spy(monkeypatch)
+        out, report = solve(problem, start, gauge=0, max_iterations=1)
+        assert report.iterations == report.factorizations == len(factored) == 1
+        assert report.fallbacks == 0 and report.pcg_iterations >= 1
+
+        _, grad, blocks = lm_terms(problem, start)
+        pairs, damping = problem.table.pairs, solver.DAMPING_INIT * np.eye(66)
+        kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
+        subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
+        np.testing.assert_array_equal(factored[0], subgraph[6:, 6:] + damping)
+        full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping
+        assert not factored[0][6:12, 48:54].any() and full[6:12, 48:54].any()  # poses 2 and 9
+        expected = np.linalg.solve(full, -grad[6:])
+        taken = taken_step(start, out)
+        assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_pcg_miss_falls_back_to_the_full_factor(self, monkeypatch):
+        """With no PCG iteration allowed, the trial factors the full damped
+        system after the subgraph's and takes its step."""
+        problem, start = two_loop_problem()
+        monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
+        factored = factor_spy(monkeypatch)
+        out, report = solve(problem, start, gauge=0, max_iterations=1)
+        assert report.iterations == report.factorizations == 1
+        assert report.fallbacks == 1 and report.pcg_iterations == 0 and len(factored) == 2
+
+        _, grad, blocks = lm_terms(problem, start)
+        full = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
+        np.testing.assert_array_equal(factored[1], full)
+        expected = np.linalg.solve(full, -grad[6:])
+        taken = taken_step(start, out)
+        assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_negative_curvature_in_pcg_falls_back(self, monkeypatch):
+        """A curvature-phase system that the left-out loop makes indefinite:
+        the subgraph is positive definite, yet PCG's first direction has
+        p^T A p < 0. The trial takes the full system's step, not the CG
+        iterate."""
+        rng = np.random.default_rng(23)
+        graph, truth = noisy_chain_graph(rng, n=12)
+        far = LoopClosureConstraint(2, 9, rng.uniform(-1e6, 1e6, (10, 3)), rng.uniform(-1e6, 1e6, (10, 3)))
+        graph = ProblemGraph(12, graph.odometry, [far])
+        problem = build_problem(graph, PosteriorState(1.0, np.array([1e-9])), Hyperparams(mode="gaussian"))
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.002, size=6)) for p in truth[1:]]
+        residuals = solver._evaluate(problem, *se3.stack(start))[0]
+        grad, blocks = solver._assemble(problem, residuals, 12, curvature=True)
+        pairs, damping = problem.table.pairs, 1e-4
+        full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping * np.eye(66)
+        subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, :-1].reshape(-1, 6, 6), pairs[:-1], 12)
+        subgraph = subgraph[6:, 6:] + damping * np.eye(66)
+        first = np.linalg.solve(subgraph, -grad[6:])
+        assert np.linalg.eigvalsh(subgraph).min() > 0 and first @ full @ first < 0
+
+        factored = factor_spy(monkeypatch)
+        stepper = solver._Stepper(problem, 12, gauge=0)
+        step = stepper(blocks, grad, damping)
+        assert stepper.fallbacks == 1 and stepper.pcg_iterations == 1 and len(factored) == 2
+        np.testing.assert_array_equal(factored[1], full)
+        expected = np.linalg.solve(full, -grad[6:])
+        assert not step[:6].any()
+        assert np.abs(step[6:] - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_reordered_pattern_is_built_after_the_factor_is_freed(self, monkeypatch):
+        """The reordered pattern lives for the rest of the solve, so it is
+        built only once the first trial's factor, and with it SuperLU's
+        workspace, is freed."""
+        problem, start = two_loop_problem()
+        alive = [0]
+        real_splu = solver.splu
+
+        class Factor:
+            def __init__(self, lu):
+                self.solve, self.perm_c = lu.solve, lu.perm_c
+                alive[0] += 1
+
+            def __del__(self):
+                alive[0] -= 1
+
+        monkeypatch.setattr(solver, "splu", lambda system, **options: Factor(real_splu(system, **options)))
+        alive_at_reorder = []
+        real_reordered = solver._Pattern.reordered
+
+        def reordered(pattern, pos):
+            alive_at_reorder.append(alive[0])
+            return real_reordered(pattern, pos)
+
+        monkeypatch.setattr(solver._Pattern, "reordered", reordered)
+        _, report = solve(problem, start, gauge=0, max_iterations=2)
+        assert report.factorizations >= 1 and report.fallbacks == 0
+        assert alive_at_reorder == [0] and alive[0] == 0
 
     def test_evaluates_each_pose_state_once(self, monkeypatch):
         """The start and every trial are evaluated once; the gradient, H and
