@@ -129,6 +129,9 @@ def _cmd_simulate(args) -> int:
         except json.JSONDecodeError as err:
             print(f"error: {args.config}: invalid JSON: {err}", file=sys.stderr)
             return EXIT_PARSE
+        if not isinstance(cfg, dict):
+            print(f"error: {args.config}: scenario config must be a JSON object", file=sys.stderr)
+            return EXIT_VALIDATE
     if args.seed is not None:
         cfg["seed"] = args.seed
     try:

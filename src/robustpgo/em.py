@@ -10,9 +10,8 @@ errors saturate to 0 instead of overflowing. theta is learned from the
 odometry constraints, which act as known-inlier exemplars: the median error
 term is mapped to posterior p_hat.
 
-Per-constraint error evaluation is pure and safe to fan out over workers;
-the EM driver itself is sequential, and each iteration replaces the
-posterior state wholesale rather than mutating it.
+The EM driver is sequential, and each iteration replaces the posterior
+state wholesale rather than mutating it.
 """
 
 from __future__ import annotations

@@ -375,29 +375,10 @@ def _robust_fit(table: MatchTable, rounds: int, trim_factor: float):
     return rots, trans, failures
 
 
-def _source_target_table(source, target) -> MatchTable:
-    """One constraint whose fit maps source onto target."""
-    return MatchTable.from_constraints([LoopClosureConstraint(0, 1, target, source)])
-
-
 def fit_rigid_transform(source: np.ndarray, target: np.ndarray) -> Pose:
     """Least-squares rigid transform with target ~ R @ source + t (SVD closed form)."""
-    table = _source_target_table(source, target)
+    table = MatchTable.from_constraints([LoopClosureConstraint(0, 1, target, source)])
     rots, trans, _ = _fit_rigid(table, np.ones(len(table), dtype=bool))
-    return se3.from_matrix(rots[0], trans[0])
-
-
-def robust_fit_rigid_transform(
-    source: np.ndarray,
-    target: np.ndarray,
-    rounds: int = 3,
-    trim_factor: float = 3.0,
-    context: str = "alignment",
-) -> Pose:
-    """Rigid fit with iterative trimming of matches above trim_factor * median residual."""
-    rots, trans, failures = _robust_fit(_source_target_table(source, target), rounds, trim_factor)
-    if failures:
-        raise AlignmentError(f"{context}: {failures[0]}")
     return se3.from_matrix(rots[0], trans[0])
 
 

@@ -21,16 +21,16 @@ nothing to H, but its pose pair spans the graph and drives the fill-in of a
 sparse factor. So only the odometry and the weighted loops are factored, by
 SuperLU in symmetric mode with pivots on the diagonal, and preconditioned
 conjugate gradients (PCG) with that factor recover the step of the full
-system. The first factorization of a solve orders the subgraph by minimum
-degree on its symmetric pattern, and the later ones reuse that order. Where
-PCG misses (a direction of non-positive curvature, which the curvature phase
-can give, a value that is not finite, or no convergence within
-PCG_MAX_ITERS), the trial factors the full system instead. A zero pivot
-there or a step that is not finite rejects the trial, as the strict-decrease
-test rejects an uphill step. A solve stalls when the damping passes its cap
-or when a rejected trial does not move the objective beyond objective_tol.
-The poses stay in (N, 4) quaternion and (N, 3) translation arrays while LM
-runs.
+system. Each pattern is ordered once, when it is built, by minimum degree on
+the free poses' graph with each pose's six dofs together, and every
+factorization keeps that order. Where PCG misses (a direction of
+non-positive curvature, which the curvature phase can give, a value that is
+not finite, or no convergence within PCG_MAX_ITERS), the trial factors the
+full system instead. A zero pivot there or a step that is not finite rejects
+the trial, as the strict-decrease test rejects an uphill step. A solve
+stalls when the damping passes its cap or when a rejected trial does not
+move the objective beyond objective_tol. The poses stay in (N, 4)
+quaternion and (N, 3) translation arrays while LM runs.
 
 ResidualBlock and its helpers evaluate one match at a time; they are the
 independent oracle for the flat evaluation, not part of the solve path.
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, diags, linalg as sparse_linalg
 from scipy.sparse.linalg import splu
 
 from . import se3
@@ -248,21 +248,36 @@ def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = Fal
 _BLOCK_ENTRIES = np.flatnonzero(_block6(np.ones((1, 3, 3)), np.ones((1, 3)), np.ones((1, 3)), np.ones(1)))
 
 
+def _pose_order(pairs: np.ndarray, num_poses: int, gauge: int) -> np.ndarray:
+    """Position of each free dof in SuperLU's minimum-degree order of the free
+    poses' graph, each pose's six dofs together (Square Root SAM, Dellaert &
+    Kaess, IJRR 2006): perm_c of the graph's Laplacian plus I, factored by
+    scipy's splu rather than the module global, as it is no LM factorization."""
+    free = np.arange(num_poses) != gauge
+    i, j = (np.cumsum(free) - 1)[pairs[free[pairs].all(axis=1)]].T  # numbered among the free poses
+    n = int(free.sum())
+    coupled = csc_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+    perm = sparse_linalg.splu(
+        diags(1.0 + coupled.sum(axis=0).A1, format="csc") - coupled, permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+    ).perm_c
+    return (6 * perm[:, None] + np.arange(6)).ravel()
+
+
 class _Pattern:
     """Where every block entry lands in the compressed sparse column (CSC)
     matrix of a damped system over the free dofs. The pattern is fixed by
     the constraint pairs, so one solve builds it once and each LM trial only
-    refills its values. The gauge pose's rows and columns are left out, each
-    diagonal slot is present, and free dof k sits at position pos[k].
+    refills its values. Its order, fixed when it is built, is _pose_order's
+    pose-level minimum degree: free dof k sits at position pos[k]. The gauge
+    pose's rows and columns are left out and each diagonal slot is present.
     """
 
-    def __init__(self, pairs: np.ndarray, num_poses: int, gauge: int, pos: np.ndarray | None = None):
+    def __init__(self, pairs: np.ndarray, num_poses: int, gauge: int):
         i, j = pairs[:, 0], pairs[:, 1]
         self.free = np.arange(6 * num_poses) // 6 != gauge
-        n = int(self.free.sum())
-        self.ordered = pos is not None
-        self.pos = np.arange(n) if pos is None else pos
-        self.pairs, self.num_poses, self.gauge = pairs, num_poses, gauge
+        self.pos = _pose_order(pairs, num_poses, gauge)
+        n = len(self.pos)
         place = np.full(6 * num_poses, -1)
         place[self.free] = self.pos
         rows = place[(6 * np.concatenate([i, j, i, j])[:, None] + _BLOCK_ENTRIES // 6).ravel()]
@@ -278,10 +293,6 @@ class _Pattern:
         self.indices = keys % n
         self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
         self.shape = (n, n)
-
-    def reordered(self, pos: np.ndarray) -> _Pattern:
-        """The same system with its position k moved to pos[k]."""
-        return _Pattern(self.pairs, self.num_poses, self.gauge, pos[self.pos])
 
     def matrix(self, blocks: np.ndarray, damping: float) -> csc_matrix:
         """The system H + damping I over the free dofs, from _assemble's blocks."""
@@ -305,11 +316,10 @@ class _Pattern:
 
 def _factor(pattern: _Pattern, blocks: np.ndarray, damping: float):
     """SuperLU's factor of the pattern's damped system, in symmetric mode
-    with pivots on the diagonal; a zero pivot raises RuntimeError. Unless the
-    pattern is ordered already, SuperLU orders it by minimum degree on
-    A + A^T, and its perm_c holds that order."""
+    with pivots on the diagonal; a zero pivot raises RuntimeError. SuperLU
+    keeps the pattern's own pose-level order (NATURAL)."""
     return splu(
-        pattern.matrix(blocks, damping), permc_spec="NATURAL" if pattern.ordered else "MMD_AT_PLUS_A",
+        pattern.matrix(blocks, damping), permc_spec="NATURAL",
         diag_pivot_thresh=0.0, options={"SymmetricMode": True},
     )
 
@@ -365,10 +375,9 @@ class _Stepper:
     constraints. Subgraph preconditioning (Dellaert et al., IROS 2010):
     only the odometry and the loops whose posterior (weight * match count)
     is at least SUBGRAPH_POSTERIOR are factored, and PCG with that factor
-    recovers the step of the full system. The first subgraph factorization
-    orders it by minimum degree, and the later ones reuse that order. A PCG
-    miss, or a zero pivot in the subgraph's factor, falls back to factoring
-    the full system."""
+    recovers the step of the full system. Both patterns are built in their
+    pose-level order, which every factorization keeps. A PCG miss, or a zero
+    pivot in the subgraph's factor, falls back to factoring the full system."""
 
     def __init__(self, problem: Problem, num_poses: int, gauge: int):
         table = problem.table
@@ -382,27 +391,18 @@ class _Stepper:
 
     def __call__(self, blocks: np.ndarray, grad: np.ndarray, damping: float) -> np.ndarray | None:
         """The 6N step, zero on the gauge; None when a zero pivot of the full system rejects the trial."""
-        sub = self.subgraph
-        solution = None
+        sub, solution = self.subgraph, None
         try:
             factor = _factor(sub, blocks.reshape(4, -1, 6, 6)[:, self.kept].reshape(-1, 6, 6), damping)
         except RuntimeError:
             pass
         else:
-            order = None if sub.ordered else factor.perm_c.copy()
             hessian = _product(blocks, self.pairs, self.num_poses)
             solution, iterations = _pcg(
                 lambda x: sub.take(hessian(sub.put(x))) + damping * x, factor.solve, sub.take(-grad)
             )
             self.pcg_iterations += iterations
-            # The factor's workspace (SuperLU sizes it by a fixed multiple of
-            # the matrix's nonzeros) is freed before a fallback makes the full
-            # factor, and before the reordered pattern, which lives for the
-            # rest of the solve, is built: made while the factor held the top
-            # of the heap, it would keep that memory resident after the solve.
-            del factor
-            if order is not None:
-                self.subgraph = sub.reordered(order)
+            del factor  # freed before a fallback makes the full factor
         if solution is not None:
             return sub.put(solution)
         self.fallbacks += 1

@@ -46,6 +46,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.num_fragments < 2:
+            raise ScenarioError("need at least 2 fragments")
         if self.shape not in SHAPES:
             raise ScenarioError(f"unknown shape {self.shape!r}")
         if not self.spacing > 0:
@@ -62,6 +64,8 @@ class ScenarioConfig:
                 raise ScenarioError(f"{name} must lie in [0, 1]")
         if self.keyframe_stride < 1 or self.loops_per_keyframe < 1:
             raise ScenarioError("keyframe_stride and loops_per_keyframe must be >= 1")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
 
 
 @dataclass
@@ -267,11 +271,13 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
 
 def anchored_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
     """Mean translation error of poses 5.. after the rigid fit that aligns the
-    first five estimated positions onto ground truth (m)."""
+    first five estimated positions onto ground truth (m); inf, with no
+    warning, where the squared errors pass the float range."""
     est = np.stack([p.trans for p in poses])
     gt = np.stack([p.trans for p in ground_truth])
-    aligned = se3.transform_points(fit_rigid_transform(est[:5], gt[:5]), est)
-    return float(np.linalg.norm(aligned[5:] - gt[5:], axis=1).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        aligned = se3.transform_points(fit_rigid_transform(est[:5], gt[:5]), est)
+        return float(np.linalg.norm(aligned[5:] - gt[5:], axis=1).mean())
 
 
 def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
@@ -287,6 +293,8 @@ def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
     n = graph.num_fragments
     if n < 6:
         raise ScenarioError("need at least 6 fragments to evaluate (5 for alignment)")
+    if len(poses) != n:
+        raise ScenarioError(f"{len(poses)} poses for {n} fragments")
 
     ate = anchored_ate(poses, graph.ground_truth)
 

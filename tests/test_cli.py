@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from robustpgo import cli, solver
-from robustpgo.graphio import parse_poses, write_graph
+from robustpgo.graphio import parse_poses, write_graph, write_poses
 from robustpgo.synth import ScenarioConfig, generate
 
 
@@ -230,6 +230,29 @@ class TestSimulate:
             == cli.EXIT_VALIDATE
         )
 
+    @pytest.mark.parametrize("num_fragments", [0, -5, 1])
+    def test_too_few_fragments_exit_code(self, tmp_path, capsys, num_fragments):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_fragments": num_fragments}))
+        code = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.pcg")])
+        assert code == cli.EXIT_VALIDATE
+        err = capsys.readouterr().err
+        assert "at least 2 fragments" in err and "Traceback" not in err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert run_cli(["simulate", "--seed", "-3", "--out", str(tmp_path / "o.pcg")]) == cli.EXIT_VALIDATE
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", "3", '"circle"', "null"])
+    def test_non_object_config_exit_code(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        code = run_cli(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o.pcg")])
+        assert code == cli.EXIT_VALIDATE
+        err = capsys.readouterr().err
+        assert "JSON object" in err and "Traceback" not in err
+
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"laps": 7}))
@@ -281,6 +304,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
 
+
+    @pytest.mark.parametrize("count", [3, 96, 101])
+    def test_wrong_pose_count_exit_code(self, tmp_path, capsys, count):
+        """POSE rows for fewer or more fragments than the graph holds are an
+        invalid input, not a crash."""
+        graph = generate(ScenarioConfig(num_fragments=100, seed=0))
+        scene = tmp_path / "scene.pcg"
+        scene.write_text(write_graph(graph))
+        poses = tmp_path / "poses.txt"
+        poses.write_text(write_poses((graph.ground_truth + graph.ground_truth)[:count]))
+        report = tmp_path / "report.txt"
+        report.write_text("".join(f"LOOP {c.i} {c.j} 0 0 1\n" for c in graph.loops))
+        code = run_cli(["eval", "--poses", str(poses), "--graph", str(scene),
+                        "--labels-from-report", str(report)])
+        assert code == cli.EXIT_VALIDATE
+        err = capsys.readouterr().err
+        assert f"{count} poses for 100 fragments" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("pose", ["1 nan 0 0 1 0 0 0", "1 1 0 0 1 0 0 inf"])
     def test_nonfinite_pose_exit_code(self, tmp_path, scenario_file, capsys, pose):

@@ -1,6 +1,7 @@
-"""Mutation fuzzing of `robustpgo solve`: small valid graph files with tokens,
-counts and values replaced (NaN, inf, 1e308, 1e200, zero quaternions), lines
-dropped or repeated. Every outcome must be a documented exit code, with no
+"""Mutation fuzzing of `robustpgo solve` and `robustpgo eval`: small valid
+graph files, and POSE files for eval, with tokens, counts and values replaced
+(NaN, inf, 1e308, 1e200, zero quaternions), lines dropped or repeated, and
+POSE rows added. Every outcome must be a documented exit code, with no
 uncaught exception and no warning."""
 
 import contextlib
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustpgo import cli, se3
-from robustpgo.graphio import write_graph
+from robustpgo.graphio import write_graph, write_poses
 from robustpgo.model import LoopClosureConstraint, OdometryConstraint, ProblemGraph
+from robustpgo.synth import ScenarioConfig, generate
 
 DOCUMENTED = {0, 2, 3, 4, 5, 6, 7}
 VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "0", "-3", "2", "7", "x"]
@@ -54,12 +56,20 @@ def base_graph(with_poses: bool) -> str:
 
 BASES = [base_graph(True), base_graph(False)]
 
-edits = st.tuples(
-    st.sampled_from(["token", "token", "zero_quat", "delete", "duplicate"]),
-    st.integers(0, 999),
-    st.integers(0, 9),
-    st.sampled_from(VALUES),
-)
+
+def eval_base() -> tuple[str, str, str]:
+    """A 20-fragment scene with ground truth and oracle labels, its true
+    poses, and a report that labels every loop an inlier."""
+    graph = generate(ScenarioConfig(num_fragments=20, matches_per_constraint=3, seed=0))
+    report = "".join(f"LOOP {c.i} {c.j} 0 0 1\n" for c in graph.loops)
+    return write_graph(graph), write_poses(graph.ground_truth), report
+
+
+EVAL_BASE = eval_base()
+
+
+def edits(*kinds):
+    return st.tuples(st.sampled_from(kinds), st.integers(0, 999), st.integers(0, 9), st.sampled_from(VALUES))
 
 
 def mutate(text: str, changes) -> str:
@@ -71,7 +81,7 @@ def mutate(text: str, changes) -> str:
             tokens[j % len(tokens)] = value
             lines[at] = " ".join(tokens)
         elif kind == "zero_quat":
-            poses = [n for n, line in enumerate(lines) if line.startswith(("INIT", "GT"))]
+            poses = [n for n, line in enumerate(lines) if line.startswith(("INIT", "GT", "POSE"))]
             if poses:
                 at = poses[k % len(poses)]
                 lines[at] = " ".join(lines[at].split()[:5] + ["0"] * 4)
@@ -79,6 +89,8 @@ def mutate(text: str, changes) -> str:
             del lines[at]
         elif kind == "duplicate":
             lines.insert(at, lines[at])
+        elif kind == "extra":
+            lines.append(f"POSE {len(lines) + j} 0 0 0 1 0 0 0")
     return "\n".join(lines) + "\n"
 
 
@@ -94,21 +106,61 @@ def test_bases_solve_cleanly(graph_path):
             assert cli.main(["solve", "--in", str(graph_path)]) == cli.EXIT_OK
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.sampled_from([0, 1]), st.sampled_from(["cauchy", "gaussian"]), st.lists(edits, min_size=1, max_size=3))
-def test_solve_exits_with_a_documented_code(graph_path, base, mode, changes):
-    graph_path.write_text(mutate(BASES[base], changes))
+def run_quietly(argv):
+    """The CLI's exit code, the warnings it raised and its stderr."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(io.StringIO()):
             try:
-                code = cli.main(["solve", "--in", str(graph_path), "--mode", mode])
+                code = cli.main(argv)
             except SystemExit as exc:  # argparse and I/O failures exit directly
                 code = exc.code
+    return code, [str(w.message) for w in caught], err.getvalue()
+
+
+def assert_documented(argv):
+    code, caught, err = run_quietly(argv)
     assert code in DOCUMENTED
-    assert [str(w.message) for w in caught] == []
-    assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+    assert caught == []
+    assert "Warning" not in err and "Traceback" not in err
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([0, 1]), st.sampled_from(["cauchy", "gaussian"]),
+    st.lists(edits("token", "token", "zero_quat", "delete", "duplicate"), min_size=1, max_size=3),
+)
+def test_solve_exits_with_a_documented_code(graph_path, base, mode, changes):
+    graph_path.write_text(mutate(BASES[base], changes))
+    assert_documented(["solve", "--in", str(graph_path), "--mode", mode])
+
+
+@pytest.fixture(scope="module")
+def eval_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_eval")
+    paths = [root / "graph.pcg", root / "poses.txt", root / "report.txt"]
+    for path, text in zip(paths, EVAL_BASE):
+        path.write_text(text)
+    return paths
+
+
+def eval_argv(paths):
+    graph, poses, report = map(str, paths)
+    return ["eval", "--graph", graph, "--poses", poses, "--labels-from-report", report]
+
+
+def test_eval_base_scores_cleanly(eval_paths):
+    assert run_quietly(eval_argv(eval_paths)) == (cli.EXIT_OK, [], "")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(edits("token", "token", "zero_quat", "delete", "duplicate", "extra"), min_size=1, max_size=3))
+def test_eval_exits_with_a_documented_code(eval_paths, changes):
+    """POSE files with rows dropped, repeated or added, and values replaced
+    by NaN, inf, overflowing numbers or zero quaternions."""
+    eval_paths[1].write_text(mutate(EVAL_BASE[1], changes))
+    assert_documented(eval_argv(eval_paths))
 
 
 def test_huge_match_coordinate_solves_cleanly(tmp_path):

@@ -11,7 +11,6 @@ from robustpgo.model import (
     ProblemGraph,
     fit_rigid_transform,
     initialize_poses,
-    robust_fit_rigid_transform,
     validate,
 )
 
@@ -215,7 +214,7 @@ class TestRigidFit:
         bump = rng.normal(size=(n_out, 3))
         bump /= np.linalg.norm(bump, axis=1, keepdims=True)
         target[:n_out] += bump * (5 * sigma + rng.uniform(0, 5, (n_out, 1)))
-        fit = robust_fit_rigid_transform(source, target)
+        fit = initialize_poses(ProblemGraph(2, [OdometryConstraint(0, target, source)], []))[1]
         rot, trans = se3.pose_difference(fit, truth)
         assert rot < 1e-3 and trans < 1e-3
 
@@ -229,7 +228,7 @@ class TestRigidFit:
     def test_collinear_matches_raise(self):
         pts = np.outer(np.arange(5.0), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(AlignmentError, match="degenerate"):
-            robust_fit_rigid_transform(pts, pts)
+            initialize_poses(ProblemGraph(2, [OdometryConstraint(0, pts, pts)], []))
 
 
 class TestInitializePoses:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from robustpgo import se3, solver
 from robustpgo.model import (
@@ -24,6 +26,7 @@ from robustpgo.solver import (
     solve,
 )
 
+from robustpgo.synth import ScenarioConfig, generate
 from test_model import chain_poses
 
 
@@ -96,6 +99,11 @@ def dense_hessian(blocks, pairs, num_poses):
     for a, b, block in zip(np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]), blocks):
         H[a, :, b, :] += block
     return H.reshape(6 * num_poses, 6 * num_poses)
+
+
+def natural(system, pattern):
+    """A factored system, in the pattern's order, back in free-dof order."""
+    return system[np.ix_(pattern.pos, pattern.pos)]
 
 
 def pair_weights(problem, pair):
@@ -262,7 +270,8 @@ class TestGradients:
                 for a in basis
             ]
         )
-        assembled = solver._Pattern(t.pairs, 3, gauge=-1).matrix(blocks, 0.0).toarray()
+        pattern = solver._Pattern(t.pairs, 3, gauge=-1)
+        assembled = natural(pattern.matrix(blocks, 0.0).toarray(), pattern)
         assert np.abs(assembled - assembled.T).max() <= 1e-14 * np.abs(assembled).max()
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
 
@@ -290,8 +299,9 @@ class TestGradients:
         )
         pattern = solver._Pattern(problem.table.pairs, 3, gauge=-1)
         _, blocks = solver._assemble(problem, residuals, 3, curvature=True)
-        assembled = pattern.matrix(blocks, 0.0).toarray()
+        assembled = natural(pattern.matrix(blocks, 0.0).toarray(), pattern)
         gauss_newton = pattern.matrix(solver._assemble(problem, residuals, 3)[1], 0.0).toarray()
+        gauss_newton = natural(gauss_newton, pattern)
         np.testing.assert_array_equal(assembled, assembled.T)
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
         assert np.abs(numeric - gauss_newton).max() > 0.1 * np.abs(assembled).max()
@@ -326,18 +336,43 @@ class TestPattern:
         expected = dense_hessian(blocks, pairs, 4)[free][:, free] + 0.3 * np.eye(18)
 
         pattern = solver._Pattern(pairs, 4, gauge)
-        np.testing.assert_array_equal(pattern.matrix(blocks, 0.3).toarray(), expected)
-        np.testing.assert_array_equal(pattern.take(grad), grad[free])
-
-        pos = rng.permutation(18)
-        reordered = pattern.reordered(pos)
-        system = reordered.matrix(blocks, 0.3).toarray()
-        np.testing.assert_array_equal(system[np.ix_(pos, pos)], expected)
-        taken = reordered.take(grad)
-        np.testing.assert_array_equal(taken[pos], grad[free])
-        back = reordered.put(taken)
+        np.testing.assert_array_equal(natural(pattern.matrix(blocks, 0.3).toarray(), pattern), expected)
+        taken = pattern.take(grad)
+        np.testing.assert_array_equal(taken[pattern.pos], grad[free])
+        back = pattern.put(taken)
         np.testing.assert_array_equal(back[free], grad[free])
         assert not back[~free].any()
+
+    @pytest.mark.parametrize("gauge", [0, 2, 3])
+    def test_pose_order_keeps_each_pose_whole(self, gauge):
+        """A permutation of the free dofs that moves each pose's six dofs
+        together, in order, for a gauge that is first, in the middle or
+        last; pose 3 is coupled to no other."""
+        problem = random_problem(np.random.default_rng(50 + gauge), KERNEL_CAUCHY)
+        pos = solver._pose_order(problem.table.pairs, 4, gauge)
+        np.testing.assert_array_equal(np.sort(pos), np.arange(18))
+        blocks = pos.reshape(3, 6)
+        assert (blocks[:, 0] % 6 == 0).all()
+        np.testing.assert_array_equal(blocks - blocks[:, :1], np.tile(np.arange(6), (3, 1)))
+
+    def test_pose_order_fills_no_more_than_scalar_minimum_degree(self):
+        """On a circle-100 scene's weighted subgraph, the factor in the
+        pose-level order has no more nonzeros than SuperLU's own minimum-degree
+        order of the same system in free-dof order."""
+        graph = generate(ScenarioConfig(num_fragments=100, seed=0))
+        posteriors = np.array([float(graph.oracle_labels[c.pair]) for c in graph.loops])
+        problem = build_problem(graph, PosteriorState(1.0, posteriors), Hyperparams())
+        stepper = solver._Stepper(problem, 100, gauge=0)
+        assert 0 < stepper.kept.sum() < len(stepper.kept)
+        _, _, blocks = lm_terms(problem, graph.ground_truth)
+        kept = blocks.reshape(4, -1, 6, 6)[:, stepper.kept].reshape(-1, 6, 6)
+        pose_ordered = solver._factor(stepper.subgraph, kept, solver.DAMPING_INIT)
+        system = natural(stepper.subgraph.matrix(kept, solver.DAMPING_INIT).toarray(), stepper.subgraph)
+        scalar = splu(
+            csc_matrix(system), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        assert pose_ordered.nnz <= scalar.nnz
 
 
 class TestRetractAll:
@@ -583,21 +618,21 @@ class TestSolve:
         out, report = solve(problem, start, gauge=0, max_iterations=1)
         assert report.iterations == 1 and report.factorizations == len(factored) == 1
         system, options = factored[0]
-        assert options["options"] == {"SymmetricMode": True}
+        assert options["options"] == {"SymmetricMode": True} and options["permc_spec"] == "NATURAL"
 
         _, grad, blocks = lm_terms(problem, start)
         H = dense_hessian(blocks, problem.table.pairs, 12)
         dense = H[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
-        np.testing.assert_array_equal(system, dense)
+        np.testing.assert_array_equal(natural(system, solver._Pattern(problem.table.pairs, 12, 0)), dense)
         expected = np.linalg.solve(dense, -grad[6:])
         step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(start)))
         taken = se3.log_arrays(*step)[0][1:].reshape(-1)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_reused_order_step_matches_dense_solve(self, monkeypatch):
-        """The second LM step factors the system in the minimum-degree order
-        the first factorization chose, and still solves the dense damped
-        system of its own start."""
+        """The second LM step factors the system in the same pose-level
+        order as the first, and still solves the dense damped system of its
+        own start."""
         rng = np.random.default_rng(18)
         graph, truth = noisy_chain_graph(rng, n=12)
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
@@ -607,20 +642,19 @@ class TestSolve:
         real_splu = solver.splu
 
         def spy(system, **options):
-            lu = real_splu(system, **options)
-            factored.append((system.toarray(), options["permc_spec"], lu.perm_c.copy()))
-            return lu
+            factored.append((system.toarray(), options["permc_spec"]))
+            return real_splu(system, **options)
 
         monkeypatch.setattr(solver, "splu", spy)
         out, report = solve(problem, start, gauge=0, max_iterations=2)
         assert report.iterations == 2 and report.factorizations == len(factored) == 2
-        assert [spec for _, spec, _ in factored] == ["MMD_AT_PLUS_A", "NATURAL"]
-        order = factored[0][2]
+        assert [spec for _, spec in factored] == ["NATURAL", "NATURAL"]
 
         _, grad, blocks = lm_terms(problem, first)
         dense = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:]
         dense += 0.5 * solver.DAMPING_INIT * np.eye(66)  # halved after the first accepted step
-        np.testing.assert_array_equal(factored[1][0][np.ix_(order, order)], dense)
+        pattern = solver._Pattern(problem.table.pairs, 12, 0)
+        np.testing.assert_array_equal(natural(factored[1][0], pattern), dense)
         expected = np.linalg.solve(dense, -grad[6:])
         step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(first)))
         taken = se3.log_arrays(*step)[0][1:].reshape(-1)
@@ -639,9 +673,10 @@ class TestSolve:
         pairs, damping = problem.table.pairs, solver.DAMPING_INIT * np.eye(66)
         kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
         subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
-        np.testing.assert_array_equal(factored[0], subgraph[6:, 6:] + damping)
+        system = natural(factored[0], solver._Pattern(pairs[kept], 12, 0))
+        np.testing.assert_array_equal(system, subgraph[6:, 6:] + damping)
         full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping
-        assert not factored[0][6:12, 48:54].any() and full[6:12, 48:54].any()  # poses 2 and 9
+        assert not system[6:12, 48:54].any() and full[6:12, 48:54].any()  # poses 2 and 9
         expected = np.linalg.solve(full, -grad[6:])
         taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -658,7 +693,7 @@ class TestSolve:
 
         _, grad, blocks = lm_terms(problem, start)
         full = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
-        np.testing.assert_array_equal(factored[1], full)
+        np.testing.assert_array_equal(natural(factored[1], solver._Pattern(problem.table.pairs, 12, 0)), full)
         expected = np.linalg.solve(full, -grad[6:])
         taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -687,39 +722,42 @@ class TestSolve:
         stepper = solver._Stepper(problem, 12, gauge=0)
         step = stepper(blocks, grad, damping)
         assert stepper.fallbacks == 1 and stepper.pcg_iterations == 1 and len(factored) == 2
-        np.testing.assert_array_equal(factored[1], full)
+        np.testing.assert_array_equal(natural(factored[1], stepper.full), full)
         expected = np.linalg.solve(full, -grad[6:])
         assert not step[:6].any()
         assert np.abs(step[6:] - expected).max() <= 1e-10 * np.abs(expected).max()
 
-    def test_reordered_pattern_is_built_after_the_factor_is_freed(self, monkeypatch):
-        """The reordered pattern lives for the rest of the solve, so it is
-        built only once the first trial's factor, and with it SuperLU's
-        workspace, is freed."""
+    def test_no_pattern_is_built_while_a_factor_is_alive(self, monkeypatch):
+        """The subgraph's pattern and, with no PCG iteration allowed, the
+        fallback's full pattern live for the rest of the solve, so neither is
+        built while a factor, and with it SuperLU's workspace, is alive: made
+        while the factor held the top of the heap, they would keep that
+        memory resident after the solve."""
         problem, start = two_loop_problem()
+        monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
         alive = [0]
         real_splu = solver.splu
 
         class Factor:
             def __init__(self, lu):
-                self.solve, self.perm_c = lu.solve, lu.perm_c
+                self.solve = lu.solve
                 alive[0] += 1
 
             def __del__(self):
                 alive[0] -= 1
 
         monkeypatch.setattr(solver, "splu", lambda system, **options: Factor(real_splu(system, **options)))
-        alive_at_reorder = []
-        real_reordered = solver._Pattern.reordered
+        alive_at_build = []
 
-        def reordered(pattern, pos):
-            alive_at_reorder.append(alive[0])
-            return real_reordered(pattern, pos)
+        class Pattern(solver._Pattern):
+            def __init__(self, *args):
+                alive_at_build.append(alive[0])
+                super().__init__(*args)
 
-        monkeypatch.setattr(solver._Pattern, "reordered", reordered)
+        monkeypatch.setattr(solver, "_Pattern", Pattern)
         _, report = solve(problem, start, gauge=0, max_iterations=2)
-        assert report.factorizations >= 1 and report.fallbacks == 0
-        assert alive_at_reorder == [0] and alive[0] == 0
+        assert report.factorizations >= 1 and report.fallbacks == report.factorizations
+        assert alive_at_build == [0, 0] and alive[0] == 0
 
     def test_evaluates_each_pose_state_once(self, monkeypatch):
         """The start and every trial are evaluated once; the gradient, H and

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,11 @@ class TestGenerate:
         with pytest.raises(ScenarioError, match=name):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("num_fragments", [1, 0, -5])
+    def test_needs_two_fragments(self, num_fragments):
+        with pytest.raises(ScenarioError, match="at least 2 fragments"):
+            ScenarioConfig(num_fragments=num_fragments)
+
     def test_fraction_too_close_to_one_rejected(self):
         with pytest.raises(ScenarioError, match="rounds to 0"):
             generate(ScenarioConfig(num_fragments=20, outlier_loop_fraction=0.95, seed=0))
@@ -182,6 +189,23 @@ class TestEvaluate:
         )
         with pytest.raises(ScenarioError, match="at least 6"):
             evaluate(graph.ground_truth[:5], small, [])
+
+    @pytest.mark.parametrize("count", [3, 19, 21])
+    def test_pose_count_mismatch(self, count):
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        poses = (graph.ground_truth + graph.ground_truth)[:count]
+        oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
+        with pytest.raises(ScenarioError, match=f"{count} poses for 20 fragments"):
+            evaluate(poses, graph, oracle)
+
+    def test_overflowing_positions_give_an_infinite_error(self):
+        """A pose at 1e200 m squares past the float range: the error is inf,
+        with no warning (RuntimeWarning is an error in this suite)."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        poses = [p.copy() for p in graph.ground_truth]
+        poses[7] = se3.Pose(poses[7].quat, np.array([1e200, 0.0, 0.0]))
+        oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
+        assert evaluate(poses, graph, oracle).mean_translation_error == math.inf
 
     def test_label_count_mismatch(self):
         cfg = ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3)
