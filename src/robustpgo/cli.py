@@ -84,9 +84,11 @@ def _cmd_solve(args) -> int:
     errors = em.loop_errors(graph, poses, params)
     metrics: dict[str, float] = {}
     if graph.ground_truth is not None and graph.num_fragments >= 6:
-        metrics["ate_mean"] = synth.anchored_ate(poses, graph.ground_truth)
-        if graph.oracle_labels is not None:
+        if graph.oracle_labels is None:
+            metrics["ate_mean"] = synth.anchored_ate(poses, graph.ground_truth)
+        else:
             result = synth.evaluate(poses, graph, labels)
+            metrics["ate_mean"] = result.mean_translation_error
             metrics["precision"] = result.precision
             metrics["recall"] = result.recall
 

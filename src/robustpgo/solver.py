@@ -21,15 +21,18 @@ nothing to H, but its pose pair spans the graph and drives the fill-in of a
 sparse factor. So only the odometry and the weighted loops are factored, by
 SuperLU in symmetric mode with pivots on the diagonal, and preconditioned
 conjugate gradients (PCG) with that factor recover the step of the full
-system. Each pattern is ordered once, when it is built, by minimum degree on
-the free poses' graph with each pose's six dofs together, and every
-factorization keeps that order. Where PCG misses (a direction of
-non-positive curvature, which the curvature phase can give, a value that is
-not finite, or no convergence within PCG_MAX_ITERS), the trial factors the
-full system instead. A zero pivot there or a step that is not finite rejects
-the trial, as the strict-decrease test rejects an uphill step. A solve
-stalls when the damping passes its cap or when a rejected trial does not
-move the objective beyond objective_tol. The poses stay in (N, 4)
+system. There is one pattern per solve; PCG multiplies by the matrix a miss
+factors. The pattern holds every constraint and is ordered once, when it is
+built, by minimum degree on the weighted subgraph's poses with each pose's
+six dofs together, and every factorization keeps that order. Each trial
+fills it twice: as the full system, and with the weightless loops left out
+as the subgraph. Where PCG misses (a direction of non-positive curvature,
+which the curvature phase can give, a value that is not finite, or no
+convergence within PCG_MAX_ITERS), the trial factors the full system's
+matrix instead. A zero pivot there or a step that is not finite rejects
+the trial, as the strict-decrease test rejects an uphill step. A trial that
+does not move the objective beyond objective_tol ends the solve untaken, and
+a solve stalls when the damping passes its cap. The poses stay in (N, 4)
 quaternion and (N, 3) translation arrays while LM runs.
 
 ResidualBlock and its helpers evaluate one match at a time; they are the
@@ -103,7 +106,9 @@ class SolverReport:
     iterations: int  # accepted steps
     initial_objective: float
     final_objective: float
-    termination: str  # "gradient" | "objective" | "max_iterations" | "stalled"
+    # "gradient" | "max_iterations" | "objective" / "stalled": a trial within objective_tol of
+    # the objective, lower / not lower, ended the solve untaken; "stalled" also past DAMPING_MAX
+    termination: str
     gradient_norm: float  # max-norm over free dofs at exit
     errors: np.ndarray  # (C,) each constraint's mean rho over its matches at the returned poses
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
@@ -267,39 +272,51 @@ def _pose_order(pairs: np.ndarray, num_poses: int, gauge: int) -> np.ndarray:
 class _Pattern:
     """Where every block entry lands in the compressed sparse column (CSC)
     matrix of a damped system over the free dofs. The pattern is fixed by
-    the constraint pairs, so one solve builds it once and each LM trial only
-    refills its values. Its order, fixed when it is built, is _pose_order's
-    pose-level minimum degree: free dof k sits at position pos[k]. The gauge
-    pose's rows and columns are left out and each diagonal slot is present.
+    the constraint pairs: one pattern per solve, which each LM trial refills
+    as the full system and as the kept pairs' subgraph; PCG multiplies by
+    the matrix a miss factors. Its order, fixed when it is built, is
+    _pose_order's pose-level minimum degree of the kept pairs' graph (all
+    pairs by default): free dof k sits at position pos[k]. The gauge pose's
+    rows and columns are left out and each diagonal slot is present.
     """
 
-    def __init__(self, pairs: np.ndarray, num_poses: int, gauge: int):
+    def __init__(self, pairs: np.ndarray, num_poses: int, gauge: int, kept: np.ndarray | None = None):
         i, j = pairs[:, 0], pairs[:, 1]
+        self.kept = np.ones(len(pairs), dtype=bool) if kept is None else kept
         self.free = np.arange(6 * num_poses) // 6 != gauge
-        self.pos = _pose_order(pairs, num_poses, gauge)
+        self.pos = _pose_order(pairs[self.kept], num_poses, gauge)
         n = len(self.pos)
         place = np.full(6 * num_poses, -1)
         place[self.free] = self.pos
         rows = place[(6 * np.concatenate([i, j, i, j])[:, None] + _BLOCK_ENTRIES // 6).ravel()]
         cols = place[(6 * np.concatenate([i, j, j, i])[:, None] + _BLOCK_ENTRIES % 6).ravel()]
-        kept = (rows >= 0) & (cols >= 0)
+        placed = (rows >= 0) & (cols >= 0)
         keys, slots = np.unique(
-            np.concatenate([cols[kept] * n + rows[kept], np.arange(n) * (n + 1)]), return_inverse=True
+            np.concatenate([cols[placed] * n + rows[placed], np.arange(n) * (n + 1)]), return_inverse=True
         )
         # entries in the gauge's rows or columns all go to one spare slot
         self.slot = np.full(len(rows), len(keys))
-        self.slot[kept] = slots[: kept.sum()]
-        self.diagonal = slots[kept.sum() :]
+        self.slot[placed] = slots[: placed.sum()]
+        self.diagonal = slots[placed.sum() :]
         self.indices = keys % n
         self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
         self.shape = (n, n)
 
-    def matrix(self, blocks: np.ndarray, damping: float) -> csc_matrix:
-        """The system H + damping I over the free dofs, from _assemble's blocks."""
-        values = blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES].ravel()
-        data = np.bincount(self.slot, weights=values, minlength=len(self.indices) + 1)[:-1]
+    def matrix(self, blocks: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
+        """The system H + damping I over the free dofs, from _assemble's
+        blocks; with subgraph, over the kept pairs only, with no entry stored
+        where only the other pairs' blocks land, as SuperLU's fill follows
+        the stored entries."""
+        values = blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES]
+        if subgraph:
+            values = np.where(np.tile(self.kept, 4)[:, None], values, 0.0)
+        data = np.bincount(self.slot, weights=values.ravel(), minlength=len(self.indices) + 1)[:-1]
         data[self.diagonal] += damping
-        return csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        # eliminate_zeros works in place, so on copies of the pattern's index arrays
+        system = csc_matrix((data, self.indices, self.indptr), shape=self.shape, copy=subgraph)
+        if subgraph:
+            system.eliminate_zeros()
+        return system
 
     def take(self, vector: np.ndarray) -> np.ndarray:
         """A full 6N vector's free entries, in the pattern's order."""
@@ -314,28 +331,13 @@ class _Pattern:
         return out
 
 
-def _factor(pattern: _Pattern, blocks: np.ndarray, damping: float):
-    """SuperLU's factor of the pattern's damped system, in symmetric mode
-    with pivots on the diagonal; a zero pivot raises RuntimeError. SuperLU
-    keeps the pattern's own pose-level order (NATURAL)."""
-    return splu(
-        pattern.matrix(blocks, damping), permc_spec="NATURAL",
-        diag_pivot_thresh=0.0, options={"SymmetricMode": True},
-    )
-
-
-def _product(blocks: np.ndarray, pairs: np.ndarray, num_poses: int):
-    """x -> H x for a 6N vector x, straight from _assemble's (4C, 6, 6)
-    blocks: H_ii, H_jj, H_ij and H_ji of each constraint (i, j)."""
-    i, j = pairs[:, 0], pairs[:, 1]
-    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((num_poses, 6))
-        np.add.at(out, rows, np.einsum("kab,kb->ka", blocks, x.reshape(-1, 6)[cols]))
-        return out.reshape(-1)
-
-    return apply
+def _factor(system: csc_matrix):
+    """SuperLU's factor of a damped system from _Pattern.matrix, in
+    symmetric mode with pivots on the diagonal; a zero pivot raises
+    RuntimeError. SuperLU keeps the pattern's own pose-level order
+    (NATURAL): with one pattern per solve, PCG multiplies by the matrix a
+    miss factors, in the order the subgraph's factor has."""
+    return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 def _pcg(product, precondition, rhs: np.ndarray):
@@ -375,43 +377,40 @@ class _Stepper:
     constraints. Subgraph preconditioning (Dellaert et al., IROS 2010):
     only the odometry and the loops whose posterior (weight * match count)
     is at least SUBGRAPH_POSTERIOR are factored, and PCG with that factor
-    recovers the step of the full system. Both patterns are built in their
-    pose-level order, which every factorization keeps. A PCG miss, or a zero
-    pivot in the subgraph's factor, falls back to factoring the full system."""
+    recovers the step of the full system. One pattern per solve, built
+    before any factor, holds every constraint in the subgraph's pose-level
+    order; PCG multiplies by the matrix a miss factors, so the right-hand
+    side is taken into that order once and the step put back once. A PCG
+    miss, or a zero pivot in the subgraph's factor, falls back to factoring
+    the full system."""
 
     def __init__(self, problem: Problem, num_poses: int, gauge: int):
         table = problem.table
-        self.kept = problem.weights * table.sizes >= SUBGRAPH_POSTERIOR
-        self.pairs, self.num_poses, self.gauge = table.pairs, num_poses, gauge
-        self.subgraph = _Pattern(table.pairs[self.kept], num_poses, gauge)
-        self.free = self.subgraph.free
-        self.full: _Pattern | None = None  # built at the first fallback
+        kept = problem.weights * table.sizes >= SUBGRAPH_POSTERIOR
+        self.pattern = _Pattern(table.pairs, num_poses, gauge, kept)
+        self.free = self.pattern.free
         self.pcg_iterations = 0
         self.fallbacks = 0
 
     def __call__(self, blocks: np.ndarray, grad: np.ndarray, damping: float) -> np.ndarray | None:
         """The 6N step, zero on the gauge; None when a zero pivot of the full system rejects the trial."""
-        sub, solution = self.subgraph, None
+        pattern, solution = self.pattern, None
+        system, rhs = pattern.matrix(blocks, damping), pattern.take(-grad)
         try:
-            factor = _factor(sub, blocks.reshape(4, -1, 6, 6)[:, self.kept].reshape(-1, 6, 6), damping)
+            factor = _factor(pattern.matrix(blocks, damping, subgraph=True))
         except RuntimeError:
             pass
         else:
-            hessian = _product(blocks, self.pairs, self.num_poses)
-            solution, iterations = _pcg(
-                lambda x: sub.take(hessian(sub.put(x))) + damping * x, factor.solve, sub.take(-grad)
-            )
+            solution, iterations = _pcg(system.dot, factor.solve, rhs)
             self.pcg_iterations += iterations
-            del factor  # freed before a fallback makes the full factor
-        if solution is not None:
-            return sub.put(solution)
-        self.fallbacks += 1
-        if self.full is None:
-            self.full = _Pattern(self.pairs, self.num_poses, self.gauge)
-        try:
-            return self.full.put(_factor(self.full, blocks, damping).solve(self.full.take(-grad)))
-        except RuntimeError:
-            return None
+            del factor  # freed before a fallback factors the full system
+        if solution is None:
+            self.fallbacks += 1
+            try:
+                solution = _factor(system).solve(rhs)
+            except RuntimeError:
+                return None
+        return pattern.put(solution)
 
 
 def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
@@ -442,9 +441,10 @@ def solve(
     sequence over accepted steps is non-increasing. H is the Gauss-Newton
     approximation until an accepted step lowers the objective by less than
     CURVATURE_SWITCH relative; from then on it also holds the residual-
-    curvature term (see _assemble), for the rest of the solve. The solve
-    stalls when the damping passes 1e8 or a rejected trial lands within
-    objective_tol (relative) of the current objective.
+    curvature term (see _assemble), for the rest of the solve. A trial
+    within objective_tol (relative) of the current objective ends the solve
+    and is not taken: "objective" if it is lower, "stalled" if not. The
+    solve also stalls when the damping passes 1e8.
     """
     num_poses = len(poses)
     if not 0 <= gauge < num_poses:
@@ -476,7 +476,6 @@ def solve(
             termination = "gradient"
             break
 
-        stepped = False
         while True:
             factorizations += 1
             step = stepper(blocks, grad, damping)
@@ -486,6 +485,11 @@ def solve(
                 trial = _evaluate(problem, trial_quats, trial_trans)
                 trial_objective = trial[2]
 
+            # a trial this close to the objective is at the floor of its float
+            # precision: neither it nor a more damped one tells a decrease
+            if abs(trial_objective - objective) <= objective_tol * max(abs(objective), 1e-300):
+                termination = "objective" if trial_objective < objective else "stalled"
+                break
             if trial_objective < objective:
                 quats, trans, (residuals, errors, _) = trial_quats, trial_trans, trial
                 drop = objective - trial_objective
@@ -494,20 +498,13 @@ def solve(
                 curvature_steps += curvature
                 objective_path.append(objective)
                 damping = max(damping * 0.5, DAMPING_MIN)
-                scale = max(abs(objective), 1e-300)
-                if drop < objective_tol * scale:
-                    termination = "objective"
-                curvature = curvature or drop < CURVATURE_SWITCH * scale
-                stepped = True
+                curvature = curvature or drop < CURVATURE_SWITCH * max(abs(objective), 1e-300)
                 break
             damping *= 10.0
-            # a trial this close to the objective is at the floor of its float
-            # precision: a more damped one cannot tell a strict decrease either
-            scale = max(abs(objective), 1e-300)
-            if damping > DAMPING_MAX or abs(trial_objective - objective) <= objective_tol * scale:
+            if damping > DAMPING_MAX:
                 termination = "stalled"
                 break
-        if not stepped or termination in ("objective", "stalled"):
+        if termination != "max_iterations":
             break
 
     # report the gradient at the poses actually returned

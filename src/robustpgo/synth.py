@@ -271,13 +271,15 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
 
 def anchored_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
     """Mean translation error of poses 5.. after the rigid fit that aligns the
-    first five estimated positions onto ground truth (m); inf, with no
-    warning, where the squared errors pass the float range."""
+    first five estimated positions onto ground truth (m). Each error's length
+    is a nested hypot, which squares nothing; only where a length or the sum
+    of the lengths passes the float range is the mean inf, with no warning."""
     est = np.stack([p.trans for p in poses])
     gt = np.stack([p.trans for p in ground_truth])
     with np.errstate(over="ignore", invalid="ignore"):
         aligned = se3.transform_points(fit_rigid_transform(est[:5], gt[:5]), est)
-        return float(np.linalg.norm(aligned[5:] - gt[5:], axis=1).mean())
+        x, y, z = (aligned[5:] - gt[5:]).T
+        return float(np.hypot(np.hypot(x, y), z).mean())
 
 
 def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:

@@ -54,6 +54,22 @@ class TestSolve:
         assert csv.read_text().startswith("id,tx,ty,tz")
         assert any(l.startswith("LOOP") for l in report.read_text().splitlines())
 
+    def test_measures_the_anchored_ate_once(self, tmp_path, scenario_file, monkeypatch, capsys):
+        """With oracle labels, the ATE solve prints is the one synth.evaluate measured."""
+        from robustpgo import synth
+
+        calls = []
+        real = synth.anchored_ate
+
+        def spy(poses, ground_truth):
+            calls.append(real(poses, ground_truth))
+            return calls[-1]
+
+        monkeypatch.setattr(synth, "anchored_ate", spy)
+        code = run_cli(["solve", "--in", str(scenario_file), "--out-poses", str(tmp_path / "p.txt")])
+        assert code == 0 and len(calls) == 1
+        assert f"{calls[0]:.6f}" in capsys.readouterr().out
+
     def test_bit_reproducible(self, tmp_path, scenario_file):
         outs = []
         for tag in ("a", "b"):

@@ -362,12 +362,12 @@ class TestPattern:
         graph = generate(ScenarioConfig(num_fragments=100, seed=0))
         posteriors = np.array([float(graph.oracle_labels[c.pair]) for c in graph.loops])
         problem = build_problem(graph, PosteriorState(1.0, posteriors), Hyperparams())
-        stepper = solver._Stepper(problem, 100, gauge=0)
-        assert 0 < stepper.kept.sum() < len(stepper.kept)
+        pattern = solver._Stepper(problem, 100, gauge=0).pattern
+        assert 0 < pattern.kept.sum() < len(pattern.kept)
         _, _, blocks = lm_terms(problem, graph.ground_truth)
-        kept = blocks.reshape(4, -1, 6, 6)[:, stepper.kept].reshape(-1, 6, 6)
-        pose_ordered = solver._factor(stepper.subgraph, kept, solver.DAMPING_INIT)
-        system = natural(stepper.subgraph.matrix(kept, solver.DAMPING_INIT).toarray(), stepper.subgraph)
+        subgraph = pattern.matrix(blocks, solver.DAMPING_INIT, subgraph=True)
+        pose_ordered = solver._factor(subgraph)
+        system = natural(subgraph.toarray(), pattern)
         scalar = splu(
             csc_matrix(system), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -681,6 +681,34 @@ class TestSolve:
         taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
 
+    def test_factored_subgraph_stores_only_the_weighted_pairs_entries(self, monkeypatch):
+        """The factored subgraph stores exactly the entries of a pattern over
+        the weighted pairs alone, in the same order, and none in the blocks
+        that couple poses 2 and 9, which only the 1e-9 loop fills: SuperLU's
+        fill follows the stored entries, zero or not."""
+        problem, start = two_loop_problem()
+        stored = []
+        real_splu = solver.splu
+
+        def spy(system, **options):
+            stored.append(system.copy())
+            return real_splu(system, **options)
+
+        monkeypatch.setattr(solver, "splu", spy)
+        solve(problem, start, gauge=0, max_iterations=1)
+        assert len(stored) == 1
+        system, pairs = stored[0], problem.table.pairs
+        alone = solver._Pattern(pairs[:-1], 12, 0)
+        np.testing.assert_array_equal(system.indptr, alone.indptr)
+        np.testing.assert_array_equal(system.indices, alone.indices)
+        pose = np.empty(66, dtype=int)
+        pose[alone.pos] = np.arange(66) // 6 + 1  # the pose of each position; the gauge is pose 0
+        rows = pose[system.indices]
+        cols = pose[np.repeat(np.arange(66), np.diff(system.indptr))]
+        assert not ((rows == 2) & (cols == 9)).any() and not ((rows == 9) & (cols == 2)).any()
+        full = solver._Stepper(problem, 12, 0).pattern
+        assert len(full.indices) > system.nnz
+
     def test_pcg_miss_falls_back_to_the_full_factor(self, monkeypatch):
         """With no PCG iteration allowed, the trial factors the full damped
         system after the subgraph's and takes its step."""
@@ -693,7 +721,8 @@ class TestSolve:
 
         _, grad, blocks = lm_terms(problem, start)
         full = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
-        np.testing.assert_array_equal(natural(factored[1], solver._Pattern(problem.table.pairs, 12, 0)), full)
+        # the fallback factors the full system in the one pattern's order, the subgraph's
+        np.testing.assert_array_equal(natural(factored[1], solver._Stepper(problem, 12, 0).pattern), full)
         expected = np.linalg.solve(full, -grad[6:])
         taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -722,17 +751,18 @@ class TestSolve:
         stepper = solver._Stepper(problem, 12, gauge=0)
         step = stepper(blocks, grad, damping)
         assert stepper.fallbacks == 1 and stepper.pcg_iterations == 1 and len(factored) == 2
-        np.testing.assert_array_equal(natural(factored[1], stepper.full), full)
+        np.testing.assert_array_equal(natural(factored[1], stepper.pattern), full)
         expected = np.linalg.solve(full, -grad[6:])
         assert not step[:6].any()
         assert np.abs(step[6:] - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_no_pattern_is_built_while_a_factor_is_alive(self, monkeypatch):
-        """The subgraph's pattern and, with no PCG iteration allowed, the
-        fallback's full pattern live for the rest of the solve, so neither is
-        built while a factor, and with it SuperLU's workspace, is alive: made
-        while the factor held the top of the heap, they would keep that
-        memory resident after the solve."""
+        """A solve builds one pattern, which lives for the rest of the solve,
+        before its first factorization, even when every trial falls back (no
+        PCG iteration allowed). Built while a factor, and with it SuperLU's
+        workspace, held the top of the heap, it would keep that memory
+        resident after the solve. Each trial factors its subgraph and each
+        fallback the full system, and nothing else is factored."""
         problem, start = two_loop_problem()
         monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
         alive = [0]
@@ -746,7 +776,13 @@ class TestSolve:
             def __del__(self):
                 alive[0] -= 1
 
-        monkeypatch.setattr(solver, "splu", lambda system, **options: Factor(real_splu(system, **options)))
+        calls = []
+
+        def spy(system, **options):
+            calls.append(system.shape)
+            return Factor(real_splu(system, **options))
+
+        monkeypatch.setattr(solver, "splu", spy)
         alive_at_build = []
 
         class Pattern(solver._Pattern):
@@ -757,7 +793,8 @@ class TestSolve:
         monkeypatch.setattr(solver, "_Pattern", Pattern)
         _, report = solve(problem, start, gauge=0, max_iterations=2)
         assert report.factorizations >= 1 and report.fallbacks == report.factorizations
-        assert alive_at_build == [0, 0] and alive[0] == 0
+        assert len(calls) == report.factorizations + report.fallbacks
+        assert alive_at_build == [0] and alive[0] == 0
 
     def test_evaluates_each_pose_state_once(self, monkeypatch):
         """The start and every trial are evaluated once; the gradient, H and
@@ -797,8 +834,9 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
     def test_restart_from_converged_poses_stops_at_once(self, mode):
         """A solve restarted where another converged finds no trial that moves
-        the objective beyond objective_tol, and stops at its first or second,
-        restart after restart; gradient_tol 0 leaves only that test to stop it."""
+        the objective beyond objective_tol, so it takes no step and returns
+        its input poses bit for bit, restart after restart; gradient_tol 0
+        leaves only that test to stop it."""
         rng = np.random.default_rng(21)
         graph, truth = noisy_chain_graph(rng, n=12)
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
@@ -806,10 +844,13 @@ class TestSolve:
         poses, report = solve(problem, start, gauge=0)
         assert report.termination in ("objective", "gradient")
         for _ in range(3):
-            poses, again = solve(problem, poses, gauge=0, gradient_tol=0.0)
-            assert again.factorizations <= 2
-            assert again.final_objective <= report.final_objective
-            report = again
+            out, again = solve(problem, poses, gauge=0, gradient_tol=0.0)
+            assert again.iterations == 0 and again.factorizations <= 2
+            assert again.termination in ("objective", "stalled")
+            assert again.final_objective == report.final_objective
+            for a, b in zip(out, poses):
+                assert a.quat.tobytes() == b.quat.tobytes() and a.trans.tobytes() == b.trans.tobytes()
+            poses, report = out, again
 
     def test_curvature_phase_takes_fewer_factorizations(self, monkeypatch):
         """A noisy chain with three outlier loops, cauchy kernel: the hybrid
