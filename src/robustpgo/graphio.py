@@ -66,40 +66,56 @@ def _float(token: str, line_no: int) -> float:
 
 
 class _Lines:
-    """Token stream over non-empty, comment-stripped lines."""
+    """Token stream over non-empty, comment-stripped lines. Each line is split
+    only when the stream reaches it, so a parse holds the tokens of one record
+    at a time; `rows` yields (line number, tokens)."""
 
     def __init__(self, text: str):
-        self.rows: list[tuple[int, list[str]]] = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((no, body.split()))
-        self.pos = 0
-        self.last_no = len(text.splitlines()) + 1
-
-    def next(self) -> tuple[int, list[str]] | None:
-        if self.pos >= len(self.rows):
-            return None
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
+        raw = text.splitlines()
+        self.last_no = len(raw) + 1
+        self.rows = (
+            (no, parts)
+            for no, line in enumerate(raw, start=1)
+            if (parts := line.split("#", 1)[0].split())
+        )
 
 
-def _read_matches(lines: _Lines, count: int, line_no: int, what: str):
-    p = np.zeros((count, 3))
-    q = np.zeros((count, 3))
-    for m in range(count):
-        row = lines.next()
-        if row is None or row[1][0] != "M":
-            no = row[0] if row else lines.last_no
-            raise ParseError(no, f"expected M record {m + 1} of {count} for {what}")
-        no, parts = row
+def _read_matches(lines: _Lines, count: int, what: str):
+    """The `count` M rows after a record's header as C-contiguous (count, 3)
+    arrays p and q. Each row's structure is checked as it is read; the
+    record's numbers are then converted in one batch. Errors keep line order:
+    a bad number on an earlier row is reported before a short or missing
+    later row."""
+    nos: list[int] = []
+    tokens: list[str] = []
+    # zip draws on range(count) first, so it stops without taking a row too
+    # many, and range takes counts past sys.maxsize, which islice does not
+    for _, (no, parts) in zip(range(count), lines.rows):
+        if parts[0] != "M":
+            _floats(tokens, nos)
+            raise ParseError(no, f"expected M record {len(nos) + 1} of {count} for {what}")
         if len(parts) != 7:
+            _floats(tokens, nos)
             raise ParseError(no, f"M record needs 6 numbers, got {len(parts) - 1}")
-        vals = [_float(v, no) for v in parts[1:]]
-        p[m] = vals[:3]
-        q[m] = vals[3:]
-    return p, q
+        nos.append(no)
+        tokens += parts[1:]
+    if len(nos) < count:
+        _floats(tokens, nos)
+        raise ParseError(lines.last_no, f"expected M record {len(nos) + 1} of {count} for {what}")
+    vals = np.array(_floats(tokens, nos)).reshape(count, 6)
+    return np.ascontiguousarray(vals[:, :3]), np.ascontiguousarray(vals[:, 3:])
+
+
+def _floats(tokens: list[str], nos: list[int]) -> list[float]:
+    """The numbers of the M rows stacked in `tokens`, six a row, as one list
+    of floats. On a bad token, the error names the first one, at its row's
+    line number."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        for at, token in enumerate(tokens):
+            _float(token, nos[at // 6])
+        raise
 
 
 def parse(text: str) -> ProblemGraph:
@@ -109,7 +125,7 @@ def parse(text: str) -> ProblemGraph:
     loops, duplicates) are left to model.validate.
     """
     lines = _Lines(text)
-    row = lines.next()
+    row = next(lines.rows, None)
     if row is None:
         raise ParseError(1, "empty document, expected PCG header")
     no, parts = row
@@ -127,8 +143,7 @@ def parse(text: str) -> ProblemGraph:
     loops: list[LoopClosureConstraint] = []
     labels: dict[tuple[int, int], bool] = {}
 
-    while (row := lines.next()) is not None:
-        no, parts = row
+    for no, parts in lines.rows:
         kind = parts[0]
         if kind in ("INIT", "GT"):
             if len(parts) != 9:
@@ -147,7 +162,7 @@ def parse(text: str) -> ProblemGraph:
             k = _int(parts[2], no)
             if k < 0:
                 raise ParseError(no, f"negative match count {k}")
-            p, q = _read_matches(lines, k, no, f"ODOM {i}")
+            p, q = _read_matches(lines, k, f"ODOM {i}")
             odometry.append(OdometryConstraint(i, p, q))
         elif kind == "LOOP":
             if len(parts) != 4:
@@ -157,7 +172,7 @@ def parse(text: str) -> ProblemGraph:
             k = _int(parts[3], no)
             if k < 0:
                 raise ParseError(no, f"negative match count {k}")
-            p, q = _read_matches(lines, k, no, f"LOOP {i} {j}")
+            p, q = _read_matches(lines, k, f"LOOP {i} {j}")
             loops.append(LoopClosureConstraint(i, j, p, q))
         elif kind == "LABEL":
             if len(parts) != 4:
@@ -225,12 +240,9 @@ def write_poses(poses: list[Pose]) -> str:
 
 
 def parse_poses(text: str) -> list[Pose]:
+    lines = _Lines(text)
     store: dict[int, Pose] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
+    for no, parts in lines.rows:
         if parts[0] != "POSE" or len(parts) != 9:
             raise ParseError(no, "expected: POSE <id> tx ty tz qw qx qy qz")
         idx = _int(parts[1], no)
@@ -239,7 +251,7 @@ def parse_poses(text: str) -> list[Pose]:
         store[idx] = _parse_pose(parts[2:], no)
     missing = [i for i in range(len(store)) if i not in store]
     if missing:
-        raise ParseError(len(text.splitlines()) + 1, f"missing POSE record {missing[0]}")
+        raise ParseError(lines.last_no, f"missing POSE record {missing[0]}")
     return [store[i] for i in range(len(store))]
 
 

@@ -272,14 +272,21 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
 def anchored_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
     """Mean translation error of poses 5.. after the rigid fit that aligns the
     first five estimated positions onto ground truth (m). Each error's length
-    is a nested hypot, which squares nothing; only where a length or the sum
-    of the lengths passes the float range is the mean inf, with no warning."""
+    is a nested hypot, which squares nothing, so the mean is inf, with no
+    warning, only where some length is. Finite lengths whose sum passes the
+    float range are averaged again as fractions of the largest; every mean
+    whose sum stays finite keeps its bits."""
     est = np.stack([p.trans for p in poses])
     gt = np.stack([p.trans for p in ground_truth])
     with np.errstate(over="ignore", invalid="ignore"):
         aligned = se3.transform_points(fit_rigid_transform(est[:5], gt[:5]), est)
         x, y, z = (aligned[5:] - gt[5:]).T
-        return float(np.hypot(np.hypot(x, y), z).mean())
+        lengths = np.hypot(np.hypot(x, y), z)
+        mean = lengths.mean()
+        if np.isinf(mean) and np.isfinite(lengths).all():
+            top = lengths.max()
+            mean = (lengths / top).mean() * top
+        return float(mean)
 
 
 def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:

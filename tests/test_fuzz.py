@@ -1,8 +1,8 @@
 """Mutation fuzzing of `robustpgo solve` and `robustpgo eval`: small valid
 graph files, and POSE files for eval, with tokens, counts and values replaced
-(NaN, inf, 1e308, 1e200, zero quaternions), lines dropped or repeated, and
-POSE rows added. Every outcome must be a documented exit code, with no
-uncaught exception and no warning."""
+(NaN, inf, 1e308, 1e200, zero quaternions), lines dropped or repeated, match
+rows split or joined, and POSE rows added. Every outcome must be a documented
+exit code, with no uncaught exception and no warning."""
 
 import contextlib
 import io
@@ -91,6 +91,15 @@ def mutate(text: str, changes) -> str:
             lines.insert(at, lines[at])
         elif kind == "extra":
             lines.append(f"POSE {len(lines) + j} 0 0 0 1 0 0 0")
+        elif kind == "split":
+            rows = [n for n, line in enumerate(lines) if line.startswith("M ")]
+            if rows:
+                at = rows[k % len(rows)]
+                if j < 6:  # the row's tokens after the first 1 + j go on a line of their own
+                    tokens = lines[at].split()
+                    lines[at : at + 1] = [" ".join(tokens[: 1 + j]), " ".join(tokens[1 + j :])]
+                elif at + 1 < len(lines):  # the row and the next line become one
+                    lines[at : at + 2] = [lines[at] + " " + lines[at + 1]]
     return "\n".join(lines) + "\n"
 
 
@@ -134,6 +143,16 @@ def assert_documented(argv):
 def test_solve_exits_with_a_documented_code(graph_path, base, mode, changes):
     graph_path.write_text(mutate(BASES[base], changes))
     assert_documented(["solve", "--in", str(graph_path), "--mode", mode])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([0, 1]), st.lists(edits("split", "split", "token", "delete"), min_size=1, max_size=3))
+def test_split_match_rows_exit_with_a_documented_code(graph_path, base, changes):
+    """Match rows cut in two or joined to the next line, beside bad values:
+    the parser reads a record's rows before it converts their numbers, and
+    its errors still reach the CLI as exit 3."""
+    graph_path.write_text(mutate(BASES[base], changes))
+    assert_documented(["solve", "--in", str(graph_path)])
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,28 @@ class TestParse:
         once = write_graph(graph)
         assert write_graph(parse(once)) == once
 
+    def test_crlf_document_parses_like_its_lf_twin(self):
+        text = write_graph(generate(ScenarioConfig(num_fragments=20, seed=1)))
+        assert graphs_equal(parse(text.replace("\n", "\r\n")), parse(text))
+
+    def test_match_arrays_are_c_contiguous(self):
+        graph = parse(write_graph(generate(ScenarioConfig(num_fragments=20, seed=1))))
+        for c in graph.odometry + graph.loops:
+            assert c.p.flags.c_contiguous and c.q.flags.c_contiguous
+
+    def test_peak_memory_stays_within_three_times_the_text(self):
+        """The parse splits one line at a time and holds one record's tokens,
+        so its traced peak stays near the line list's size (about twice the
+        text), not that of every line's tokens at once (7x)."""
+        text = write_graph(generate(ScenarioConfig(num_fragments=100, seed=0)))
+        tracemalloc.start()
+        try:
+            parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
+
     def test_fuzzed_round_trips(self):
         """100 random valid graphs survive parse(write(g)) == g."""
         rng = np.random.default_rng(123)
@@ -126,6 +150,19 @@ MALFORMED = [
     ("PCG 1 3\nEDGE 0 1\n", 2, "unknown record kind"),
     ("PCG 1 2\nODOM 0 1 9\n", 2, "ODOM record needs"),
     ("PCG 1 4\nLOOP 0 2\n", 2, "LOOP record needs"),
+    # a record's numbers are converted in one batch, after its rows are read:
+    # the first error in line order still wins
+    ("PCG 1 2\nODOM 0 3\nM 1 2 x 4 5 6\nM 1 2 3 4 5 6\nM 1 2 3 4 5\n", 3, "expected number, got 'x'"),
+    ("PCG 1 2\nODOM 0 3\nM 1 2 3 4 5 6\nM 1 2 3 4 5 y\n", 4, "expected number, got 'y'"),
+    ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nM 1 2 3 4 5\nM 1 2 3 4 5 z\n", 4, "needs 6 numbers"),
+    ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nLOOP 0 1 1\n", 4, "expected M record 2 of 2"),
+    (
+        "PCG 1 2\nODOM 0 3\n\nM 1 2 3 4 5 6\n# a comment\n   \nM 1 2 3 4 5 6  # tail\n\nM 1 2 3 4 five 6\n",
+        9,
+        "expected number, got 'five'",
+    ),
+    ("PCG 1 2\r\nODOM 0 2\r\nM 1 2 3 4 5 6\r\n\r\nM 1 2 3 4 5\r\n", 5, "needs 6 numbers"),
+    ("PCG 1 2\nODOM 0 100000000000000000000\nM 1 2 3 4 5 6\n", 4, "expected M record 2 of"),
 ]
 
 

@@ -207,6 +207,17 @@ class TestEvaluate:
         ate = evaluate(poses, graph, oracle).mean_translation_error
         assert ate == pytest.approx(1e200 / 15, rel=1e-12)
 
+    def test_lengths_summing_past_the_float_range_give_the_true_mean(self):
+        """Two poses 1.5e308 m off have finite errors whose sum is not: the
+        mean over the 15 evaluated poses is still 3e308 / 15 = 2e307."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        poses = [p.copy() for p in graph.ground_truth]
+        for k in (7, 12):
+            poses[k] = se3.Pose(poses[k].quat, np.array([1.5e308, 0.0, 0.0]))
+        oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
+        ate = evaluate(poses, graph, oracle).mean_translation_error
+        assert ate == pytest.approx(2e307, rel=1e-12)
+
     def test_label_count_mismatch(self):
         cfg = ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3)
         graph = generate(cfg)
