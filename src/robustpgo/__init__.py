@@ -31,14 +31,7 @@ from .model import (
     validate,
 )
 from .se3 import Pose, compose, exp, identity, inverse, log, retract, transform_point
-from .solver import (
-    ResidualBlock,
-    SolverError,
-    SolverReport,
-    build_problem,
-    residual_and_jacobian,
-    solve,
-)
+from .solver import SolverError, SolverReport, build_problem, solve
 from .synth import EvalResult, ScenarioConfig, ScenarioError, evaluate, generate
 
 __version__ = "0.1.0"
@@ -57,7 +50,6 @@ __all__ = [
     "Pose",
     "PosteriorState",
     "ProblemGraph",
-    "ResidualBlock",
     "RunReport",
     "ScenarioConfig",
     "ScenarioError",
@@ -80,7 +72,6 @@ __all__ = [
     "log",
     "parse",
     "parse_poses",
-    "residual_and_jacobian",
     "retract",
     "run_em",
     "solve",

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import em, graphio, se3, solver, synth
-from .model import AlignmentError, Hyperparams, validate
+from .model import AlignmentError, Hyperparams, MatchTable, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,32 +174,92 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# each check-grad problem: four constraints of 1, 3, 4 and 2 matches over a pose triple, two on one pair
+_CHECK_PAIRS = np.array([[0, 1], [0, 1], [1, 2], [0, 2]])
+_CHECK_SIZES = np.array([1, 3, 4, 2])
+_CHECK_TOL = 1e-5  # relative error at or above which check-grad fails
+
+
+def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
+    """The worst relative gradient and H errors of solver._assemble over count
+    random problems, stacked over disjoint pose triples into one match table.
+
+    Each problem's objective is read from the per-constraint errors of
+    solver._evaluate at poses moved by solver._retract_all (no gauge). Its
+    central differences along the 18 twist axes check the gradient. A second
+    difference along one random unit direction u checks u^T H u where H is
+    the exact Hessian: at a copy of the problem whose residuals are all zero,
+    and, for the squared kernel, with the curvature term at the random
+    residuals. The gradient error is relative to the problem's largest
+    gradient entry, the H error to its largest H entry.
+    """
+    pairs = (_CHECK_PAIRS + 3 * np.arange(count)[:, None, None]).reshape(-1, 2)
+    sizes = np.tile(_CHECK_SIZES, count)
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    twists = np.hstack([rng.uniform(-0.5, 0.5, (3 * count, 3)), rng.uniform(-2, 2, (3 * count, 3))])
+    quats, trans = se3.exp_arrays(twists)
+    points = rng.uniform(-3, 3, (2, len(seg), 3))
+    table = MatchTable(pairs, sizes, seg, *points)
+    weights = rng.uniform(0.05, 1.0, len(sizes))
+    problem = solver.Problem(table, weights, kernel, float(rng.uniform(0.2, 1.0)))
+
+    # exact correspondences: every residual is zero at these poses
+    rots = se3.quat_to_matrix(quats)
+    world = rng.uniform(-3, 3, (len(seg), 3))
+    i, j = pairs[seg].T
+    p = np.einsum("mba,mb->ma", rots[i], world - trans[i])
+    q = np.einsum("mba,mb->ma", rots[j], world - trans[j])
+    exact = solver.Problem(MatchTable(pairs, sizes, seg, p, q), weights, kernel, problem.sigma)
+    u = rng.normal(size=(count, 18))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+
+    def objectives(prob, delta):
+        """Each problem's objective at its poses retracted by the twists delta, (18,) or (count, 18)."""
+        delta = np.broadcast_to(delta, (count, 18)).ravel()
+        _, errors, _ = solver._evaluate(prob, *solver._retract_all(quats, trans, delta, -1))
+        return (prob.weights * sizes * errors).reshape(count, 4).sum(axis=1)
+
+    def hessian_error(prob, curvature):
+        residuals = solver._evaluate(prob, quats, trans)[0]
+        blocks = solver._assemble(prob, residuals, 3 * count, curvature)[1]
+        # the poses of _assemble's blocks: H_ii, H_jj, H_ij, H_ji of each constraint (i, j) in turn
+        rows, cols = np.concatenate([pairs[:, [0, 0]], pairs[:, [1, 1]], pairs, pairs[:, ::-1]]).T
+        dense = np.zeros((count, 3, 3, 6, 6))
+        np.add.at(dense, (rows // 3, rows % 3, cols % 3), blocks)
+        dense = dense.transpose(0, 1, 3, 2, 4).reshape(count, 18, 18)
+        h = 1e-4
+        at = objectives(prob, np.zeros(18))
+        second = (objectives(prob, h * u) - 2.0 * at + objectives(prob, -h * u)) / (h * h)
+        error = np.abs(second - np.einsum("bk,bkl,bl->b", u, dense, u)) / np.abs(dense).max(axis=(1, 2))
+        return float(error.max())
+
+    residuals = solver._evaluate(problem, quats, trans)[0]
+    grad = solver._assemble(problem, residuals, 3 * count)[0].reshape(count, 18)
+    h = 1e-6
+    numeric = np.stack([objectives(problem, d) - objectives(problem, -d) for d in h * np.eye(18)], axis=1)
+    error = np.abs(numeric / (2.0 * h) - grad).max(axis=1) / np.maximum(np.abs(grad).max(axis=1), 1e-8)
+    grad_error = float(error.max())
+    h_error = hessian_error(exact, False)
+    if kernel == solver.KERNEL_SQUARED:
+        h_error = max(h_error, hessian_error(problem, True))
+    return grad_error, h_error
+
+
 def _cmd_check_grad(args) -> int:
+    if args.blocks < 1:
+        print(f"error: --blocks must be at least 1, got {args.blocks}", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    grad_error = h_error = 0.0
     for kernel in (solver.KERNEL_CAUCHY, solver.KERNEL_SQUARED):
-        for _ in range(args.blocks):
-            poses = [
-                se3.exp(np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-2, 2, 3)]))
-                for _ in range(2)
-            ]
-            block = solver.ResidualBlock(
-                0,
-                1,
-                rng.uniform(-3, 3, 3),
-                rng.uniform(-3, 3, 3),
-                float(rng.uniform(0.05, 1.0)),
-                kernel,
-                sigma=float(rng.uniform(0.2, 1.0)),
-            )
-            _, gi, gj = solver.residual_and_jacobian(block, poses)
-            fi, fj = solver.finite_difference_gradient(block, poses)
-            scale = max(np.abs(np.concatenate([gi, gj])).max(), 1e-8)
-            err = np.abs(np.concatenate([gi - fi, gj - fj])).max() / scale
-            worst = max(worst, float(err))
-    print(f"checked {2 * args.blocks} blocks, max relative gradient error: {worst:.3e}")
-    if worst >= 1e-5:
-        print("error: analytic gradient disagrees with finite differences", file=sys.stderr)
+        g, h = _derivative_errors(rng, kernel, args.blocks)
+        grad_error, h_error = max(grad_error, g), max(h_error, h)
+    print(
+        f"checked {2 * args.blocks} problems, max relative gradient error: {grad_error:.3e}, "
+        f"max relative H error: {h_error:.3e}"
+    )
+    if not max(grad_error, h_error) < _CHECK_TOL:
+        print("error: LM's gradient or H disagrees with finite differences", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -243,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--labels-from-report", dest="labels_from_report", required=True)
     pe.set_defaults(func=_cmd_eval)
 
-    pc = sub.add_parser("check-grad", help="finite-difference check of block gradients")
+    pc = sub.add_parser("check-grad", help="finite-difference check of LM's gradient and H")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--blocks", type=int, default=1000)
     pc.set_defaults(func=_cmd_check_grad)

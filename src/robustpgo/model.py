@@ -181,18 +181,26 @@ class Hyperparams:
     gaussian_calibration: str = "rms"  # "rms" | "literal"
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        # the cauchy kernel divides by sigma^2
+        if not (self.sigma > 0 and 0.0 < self.sigma * self.sigma < math.inf):
+            raise ValueError("sigma must be positive and finite, and sigma^2 a positive finite float")
         if not 0.0 < self.p_hat < 1.0:
             raise ValueError("p_hat must lie in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
         if self.max_em_iters < 1:
             raise ValueError("max_em_iters must be at least 1")
         if self.mode not in ("cauchy", "gaussian"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.gaussian_calibration not in ("rms", "literal"):
             raise ValueError(f"unknown gaussian_calibration {self.gaussian_calibration!r}")
+        # the reference error term, formed as em.learn_theta_gaussian forms it
+        literal = self.gaussian_calibration == "literal"
+        try:
+            term = self.epsilon * self.epsilon if literal else self.epsilon ** 4
+        except OverflowError:  # epsilon ** 4 past the float range
+            term = math.inf
+        if not (self.epsilon > 0 and 0.0 < term < math.inf):
+            name = "epsilon^2" if literal else "epsilon^4"
+            raise ValueError(f"epsilon must be positive and finite, and {name} a positive finite float")
 
 
 @dataclass

@@ -35,8 +35,8 @@ does not move the objective beyond objective_tol ends the solve untaken, and
 a solve stalls when the damping passes its cap. The poses stay in (N, 4)
 quaternion and (N, 3) translation arrays while LM runs.
 
-ResidualBlock and its helpers evaluate one match at a time; they are the
-independent oracle for the flat evaluation, not part of the solve path.
+`robustpgo check-grad` checks _assemble's gradient and H against finite
+differences of _evaluate under _retract_all, the functions LM itself calls.
 """
 
 from __future__ import annotations
@@ -70,21 +70,6 @@ DAMPING_MAX = 1e8
 
 class SolverError(Exception):
     pass
-
-
-@dataclass
-class ResidualBlock:
-    """One feature match: indices of the two poses it couples, the point pair,
-    its weight (inlier posterior / match count for loops, 1 / match count for
-    odometry), and the kernel applied to the squared residual."""
-
-    i: int
-    j: int
-    p: np.ndarray
-    q: np.ndarray
-    weight: float
-    kernel: str
-    sigma: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -520,53 +505,3 @@ def solve(
     )
     return se3.unstack(quats, trans), report
 
-
-def block_cost(block: ResidualBlock, pose_i: Pose, pose_j: Pose) -> float:
-    e = se3.transform_point(pose_i, block.p) - se3.transform_point(pose_j, block.q)
-    s = float(e @ e)
-    return block.weight * float(_rho(np.array([s]), block.kernel, block.sigma)[0])
-
-
-def residual_and_jacobian(
-    block: ResidualBlock, poses: list[Pose]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Block cost and its analytic gradient w.r.t. the two poses' twists.
-
-    For the log-Cauchy kernel the chain rule factor on the squared-residual
-    gradient is 1 / (sigma^2 + s).
-    """
-    pose_i, pose_j = poses[block.i], poses[block.j]
-    yi = se3.transform_point(pose_i, block.p)
-    yj = se3.transform_point(pose_j, block.q)
-    e = yi - yj
-    s = float(e @ e)
-    alpha = 2.0 * block.weight * float(_drho(np.array([s]), block.kernel, block.sigma)[0])
-    g_i = alpha * np.concatenate([np.cross(yi, e), e])
-    g_j = alpha * np.concatenate([-np.cross(yj, e), -e])
-    cost = block.weight * float(_rho(np.array([s]), block.kernel, block.sigma)[0])
-    return cost, g_i, g_j
-
-
-def finite_difference_gradient(
-    block: ResidualBlock, poses: list[Pose], h: float = 1e-6
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradient of the block cost under twist retractions.
-
-    Touches only the cost evaluation, never the analytic derivative path, so
-    it serves as an independent check of residual_and_jacobian.
-    """
-    pose_i, pose_j = poses[block.i], poses[block.j]
-    g_i = np.zeros(6)
-    g_j = np.zeros(6)
-    for k in range(6):
-        d = np.zeros(6)
-        d[k] = h
-        g_i[k] = (
-            block_cost(block, se3.retract(pose_i, d), pose_j)
-            - block_cost(block, se3.retract(pose_i, -d), pose_j)
-        ) / (2.0 * h)
-        g_j[k] = (
-            block_cost(block, pose_i, se3.retract(pose_j, d))
-            - block_cost(block, pose_i, se3.retract(pose_j, -d))
-        ) / (2.0 * h)
-    return g_i, g_j

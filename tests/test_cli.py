@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robustpgo import cli, solver
@@ -192,6 +193,12 @@ class TestSolve:
             ("--p-hat", "0"),
             ("--epsilon", "0"),
             ("--max-em-iters", "0"),
+            ("--sigma", "inf"),
+            ("--sigma", "1e-200"),  # sigma^2 underflows to 0
+            ("--sigma", "1e200"),  # sigma^2 overflows
+            ("--epsilon", "inf"),
+            ("--epsilon", "1e-100"),  # epsilon^4 of the default rms calibration underflows to 0
+            ("--epsilon", "1e100"),  # epsilon^4 overflows
         ],
     )
     def test_bad_hyperparameter_is_usage_error(self, scenario_file, capsys, flag, value):
@@ -355,3 +362,31 @@ class TestCheckGrad:
     def test_passes(self, capsys):
         assert run_cli(["check-grad", "--seed", "1", "--blocks", "50"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_problem_to_check_is_usage_error(self, capsys, count):
+        assert run_cli(["check-grad", "--blocks", count]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize("fault", ["gradient_sign", "transposed_h_ij"])
+    def test_fails_on_a_faulty_assembly(self, capsys, monkeypatch, fault):
+        """check-grad checks the gradient and H that LM assembles: a sign
+        flipped in the gradient's translation part, or the off-diagonal
+        blocks H_ij and H_ji each transposed, fails it."""
+        real = solver._assemble
+
+        def faulty(*args, **kwargs):
+            grad, blocks = real(*args, **kwargs)
+            if fault == "gradient_sign":
+                grad = grad.copy()
+                grad.reshape(-1, 6)[:, 3:] *= -1.0
+            else:
+                off = len(blocks) // 2  # H_ii, H_jj, then H_ij, H_ji of every constraint
+                blocks = np.concatenate([blocks[:off], np.swapaxes(blocks[off:], 1, 2)])
+            return grad, blocks
+
+        monkeypatch.setattr(solver, "_assemble", faulty)
+        assert run_cli(["check-grad", "--seed", "1", "--blocks", "20"]) == cli.EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("error:")

@@ -186,7 +186,11 @@ class TestHyperparams:
         assert params.sigma == 0.5 and params.p_hat == 0.9 and params.epsilon == 0.05
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(sigma=0.0), dict(p_hat=1.0), dict(p_hat=0.0), dict(epsilon=0.0), dict(mode="foo")]
+        "kwargs",
+        [
+            dict(sigma=0.0), dict(p_hat=1.0), dict(p_hat=0.0), dict(epsilon=0.0), dict(mode="foo"),
+            dict(epsilon=1e-170, gaussian_calibration="literal"),  # epsilon^2 underflows to 0
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -14,19 +14,10 @@ from robustpgo.model import (
     PosteriorState,
     ProblemGraph,
 )
-from robustpgo.solver import (
-    KERNEL_CAUCHY,
-    KERNEL_SQUARED,
-    Problem,
-    ResidualBlock,
-    block_cost,
-    build_problem,
-    finite_difference_gradient,
-    residual_and_jacobian,
-    solve,
-)
+from robustpgo.solver import KERNEL_CAUCHY, KERNEL_SQUARED, Problem, build_problem, solve
 
 from robustpgo.synth import ScenarioConfig, generate
+from oracle import ResidualBlock, block_cost, finite_difference_gradient, residual_and_jacobian
 from test_model import chain_poses
 
 
