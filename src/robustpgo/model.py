@@ -7,7 +7,10 @@ kept in canonical order (odometry by i, loops by (i, j)). A MatchTable stacks
 the match sets of many constraints into flat arrays; the E-step, theta
 learning and the pose solver all read a graph through the one table
 ProblemGraph.table builds, and the initialization fits every odometry
-constraint at once over a table of its own.
+constraint at once over a table of its own. The table evaluates each match
+in its constraint's frame i, p - T_i^-1 T_j q, from one relative pose per
+constraint, so no match point is carried to the world frame, whose origin
+may lie a kilometre or more from the fragments.
 """
 
 from __future__ import annotations
@@ -129,16 +132,20 @@ class MatchTable:
         ).astype(np.int32)
 
     def residuals(self, rots: np.ndarray, trans: np.ndarray):
-        """Per-match world points y_i = T_i p, y_j = T_j q, residual e = y_i - y_j
-        and its squared norm s, for poses given as (N, 3, 3) rotations and (N, 3)
-        translations. Poses far enough apart overflow to inf, which the caller
-        reports, so numpy is not asked to warn of it."""
-        i, j = self.pairs[self.seg, 0], self.pairs[self.seg, 1]
+        """Per-match residual e_i = T_i^-1 (T_i p - T_j q) = p - R_ij q - t_ij in
+        constraint frame i and its squared norm s, for poses given as (N, 3, 3)
+        rotations and (N, 3) translations. The relative pose R_ij = R_i^T R_j,
+        t_ij = R_i^T (t_j - t_i) is formed once per constraint, so no point is
+        carried to the world frame and the residuals do not depend on where the
+        world origin lies. Poses far enough apart overflow to inf, which the
+        caller reports, so numpy is not asked to warn of it."""
+        i, j = self.pairs[:, 0], self.pairs[:, 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            yi = np.einsum("mab,mb->ma", rots[i], self.p) + trans[i]
-            yj = np.einsum("mab,mb->ma", rots[j], self.q) + trans[j]
-            e = yi - yj
-            return yi, yj, e, np.einsum("ma,ma->m", e, e)
+            rij = np.einsum("cba,cbd->cad", rots[i], rots[j])
+            tij = np.einsum("cba,cb->ca", rots[i], trans[j] - trans[i])
+            ei = self.p - np.einsum("mab,mb->ma", np.repeat(rij, self.sizes, axis=0), self.q)
+            ei -= np.repeat(tij, self.sizes, axis=0)
+            return ei, np.einsum("ma,ma->m", ei, ei)
 
     def segment_sum(self, values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Sum per-match rows (M, ...), each times its weight when weights (M,)
@@ -194,13 +201,16 @@ class Hyperparams:
             raise ValueError(f"unknown gaussian_calibration {self.gaussian_calibration!r}")
         # the reference error term, formed as em.learn_theta_gaussian forms it
         literal = self.gaussian_calibration == "literal"
+        name = "epsilon^2" if literal else "epsilon^4"
         try:
             term = self.epsilon * self.epsilon if literal else self.epsilon ** 4
         except OverflowError:  # epsilon ** 4 past the float range
             term = math.inf
         if not (self.epsilon > 0 and 0.0 < term < math.inf):
-            name = "epsilon^2" if literal else "epsilon^4"
             raise ValueError(f"epsilon must be positive and finite, and {name} a positive finite float")
+        # gaussian mode's constant theta, formed as em.learn_theta_gaussian forms it
+        if self.mode == "gaussian" and not 0.0 < self.p_hat * term / (1.0 - self.p_hat) < math.inf:
+            raise ValueError(f"in gaussian mode p_hat * {name} / (1 - p_hat) must be a positive finite float")
 
 
 @dataclass

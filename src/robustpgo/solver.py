@@ -2,17 +2,20 @@
 
 The objective is a sum over feature matches of w * rho(||T_i p - T_j q||^2)
 with rho either the log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared
-kernel s, and w one weight per constraint. Poses are updated through
-left-multiplicative twist retractions; one pose (the gauge) stays fixed. The
-damped normal equations are assembled block-sparse from per-constraint sums
-over a flat match table. Their sparsity pattern depends only on which poses
-the constraints couple, so a solve maps every block entry to its slot once
-and each LM trial only refills the values. H is the Gauss-Newton approximation,
-so the damped matrix is symmetric positive definite, until an accepted step
-lowers the objective by less than CURVATURE_SWITCH relative. From then on,
-for the rest of the solve, H also holds the per-pose residual-curvature term
-that Gauss-Newton drops, which speeds up the linear tail of a large-residual
-problem but may leave the matrix indefinite.
+kernel s, and w one weight per constraint. Each residual is evaluated in its
+constraint's frame i, and the gradient and H are built from moments of the
+constant local points p and q, rotated and translated per constraint. Poses
+are updated through left-multiplicative twist retractions; one pose (the
+gauge) stays fixed. The damped normal equations are assembled block-sparse
+from per-constraint sums over a flat match table. Their sparsity pattern
+depends only on which poses the constraints couple, so a solve maps every
+block entry to its slot once and each LM trial only refills the values. H is
+the Gauss-Newton approximation, so the damped matrix is symmetric positive
+definite, until an accepted step lowers the objective by less than
+CURVATURE_SWITCH relative. From then on, for the rest of the solve, H also
+holds the per-pose residual-curvature term that Gauss-Newton drops, which
+speeds up the linear tail of a large-residual problem but may leave the matrix
+indefinite.
 
 Each trial solves the damped system by subgraph preconditioning (Dellaert et
 al., IROS 2010, Subgraph-preconditioned conjugate gradients for large scale
@@ -148,17 +151,19 @@ def _nonfinite(table: MatchTable, s: np.ndarray) -> SolverError:
 
 
 def _evaluate(problem: Problem, quats, trans):
-    """One pose state, evaluated once: every match's residual terms
-    (yi, yj, e, s), each constraint's error (the mean of rho(s) over its
-    matches) and the objective, inf when a residual is not finite. LM keeps
-    it with the poses it holds, for the gradient, H and the report."""
+    """One pose state, evaluated once: the pose rotations and translations
+    with every match's frame-i residual and squared norm (rots, trans, e_i, s),
+    each constraint's error (the mean of rho(s) over its matches) and the
+    objective, inf when a residual is not finite. LM keeps it with the poses
+    it holds, for the gradient, H and the report."""
     table = problem.table
-    residuals = table.residuals(se3.quat_to_matrix(quats), trans)
+    rots = se3.quat_to_matrix(quats)
+    ei, s = table.residuals(rots, trans)
     # a kernel value past the float range is inf (NaN at weight 0), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = table.segment_sum(_rho(residuals[3], problem.kernel, problem.sigma))
-        objective = float(problem.weights @ sums) if np.isfinite(residuals[3]).all() else math.inf
-    return residuals, sums / table.sizes, objective
+        sums = table.segment_sum(_rho(s, problem.kernel, problem.sigma))
+        objective = float(problem.weights @ sums) if np.isfinite(s).all() else math.inf
+    return (rots, trans, ei, s), sums / table.sizes, objective
 
 
 def _skew_gram(S: np.ndarray) -> np.ndarray:
@@ -184,24 +189,44 @@ def _block6(gram, upper, lower, corner) -> np.ndarray:
     return out
 
 
+def _world_moment(ra, local, rb, ua, tb, ta, sb) -> np.ndarray:
+    """sum alpha (R_a x + t_a)(R_b z + t_b)^T from the local moment
+    sum alpha x z^T, with ua = R_a sum alpha x and sb = sum alpha (R_b z + t_b):
+    R_a local R_b^T + ua t_b^T + t_a sb^T."""
+    outer = ua[:, :, None] * tb[:, None, :] + ta[:, :, None] * sb[:, None, :]
+    return ra @ local @ np.swapaxes(rb, 1, 2) + outer
+
+
 def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = False):
-    """Exact gradient and the (4C, 6, 6) blocks of H, from the finite
-    residuals (yi, yj, e, s) of a pose state: H_ii, H_jj, H_ij, H_ji of each
+    """Exact gradient and the (4C, 6, 6) blocks of H, from the finite pose
+    state (rots, trans, e_i, s) of _evaluate: H_ii, H_jj, H_ij, H_ji of each
     constraint (i, j) in turn; _Pattern places them.
 
-    A match with alpha = 2 w rho'(s) has Jacobians J_i = [-[y_i]x, I] and
+    A match with alpha = 2 w rho'(s) has world points y_i = T_i p, y_j = T_j q,
+    residual e = y_i - y_j = R_i e_i and Jacobians J_i = [-[y_i]x, I] and
     J_j = [[y_j]x, -I]; it adds J^T alpha e to each pose's gradient and
-    alpha J_a^T J_b to block (a, b) of H. Summed over a constraint, those
-    blocks depend only on the moments sum alpha, sum alpha y and
-    sum alpha y y^T, so no per-match 6x6 product is formed. That H is the
-    Gauss-Newton approximation, symmetric positive semidefinite.
+    alpha J_a^T J_b to block (a, b) of H. Nothing here is formed per match in
+    the world frame. Summed over a constraint, the gradient of pose i is
+    [w, E] with E = sum alpha e = R_i sum alpha e_i and
+    w = sum alpha y_i x e = R_i (sum alpha p x e_i) + t_i x E; pose j gets
+    -[w, E], as y_j x e = y_i x e. The sum of p x e_i is the antisymmetric
+    part of the per-match moment sum alpha p e_i^T, never a difference of
+    large moments. The H blocks depend only on the world moments a0 = sum
+    alpha, si = sum alpha y_i, sii = sum alpha y_i y_i^T, sij = sum alpha
+    y_i y_j^T, sj and sjj, which are rebuilt from moments of the constant
+    local points: with P = sum alpha p p^T, Q = sum alpha q q^T,
+    X = sum alpha p q^T, si = R_i sum alpha p + a0 t_i,
+    sij = R_i X R_j^T + (R_i sum alpha p) t_j^T + t_i (R_j sum alpha q)^T
+    + a0 t_i t_j^T, and sii, sjj alike from P and Q. So no per-match 6x6 or
+    world-frame product is formed. That H is the Gauss-Newton approximation,
+    symmetric positive semidefinite.
 
     With curvature, H also holds the residual-curvature term sum alpha e . d2e
     that Gauss-Newton drops (still without the rho'' term). Under the left
     retraction y <- exp(delta) y the second-order part of y is
     1/2 w x (w x y) + 1/2 w x v, so the term is block-diagonal per pose: with
-    S_i = sum alpha e y_i^T = sii - sij^T and E = sum alpha e = si - sj, H_ii
-    gains 1/2 (S_i + S_i^T) - tr(S_i) I in its ww block, -1/2 [E]x in its wv
+    S_i = sum alpha e y_i^T = sii - sij^T, H_ii gains
+    1/2 (S_i + S_i^T) - tr(S_i) I in its ww block, -1/2 [E]x in its wv
     block and +1/2 [E]x in its vw block; H_jj the same with
     S_j = -sum alpha e y_j^T = sjj - sij and -E. The sii and sjj moments
     cancel, and both diagonal blocks become
@@ -209,25 +234,33 @@ def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = Fal
     c = 1/2 (si + sj). H is then symmetric but may be indefinite.
     """
     table = problem.table
-    yi, yj, e, s = residuals
+    rots, trans, ei, s = residuals
+    i, j = table.pairs[:, 0], table.pairs[:, 1]
+    ri, rj, ti, tj = rots[i], rots[j], trans[i], trans[j]
     alpha = 2.0 * problem.weights[table.seg] * _drho(s, problem.kernel, problem.sigma)
-    ae = alpha[:, None] * e
 
-    g = table.segment_sum(np.hstack([np.cross(yi, ae), ae, np.cross(yj, ae)]))
-    grad = np.zeros((num_poses, 6))
-    np.add.at(grad, table.pairs[:, 0], g[:, :6])
-    np.add.at(grad, table.pairs[:, 1], -np.hstack([g[:, 6:], g[:, 3:6]]))
-
-    a0 = table.segment_sum(alpha)
     ones = np.ones((len(table), 1))
-    mi = table.outer_sum(alpha, yi, np.hstack([ones, yi, yj]))  # sum alpha yi [1, yi, yj]^T
-    mj = table.outer_sum(alpha, yj, np.hstack([ones, yj]))
-    si, sii, sij = mi[:, :, 0], mi[:, :, 1:4], mi[:, :, 4:7]
-    sj, sjj = mj[:, :, 0], mj[:, :, 1:4]
+    # sum alpha p [1, p, q, e_i]^T and sum alpha q [1, q]^T
+    mp = table.outer_sum(alpha, table.p, np.hstack([ones, table.p, table.q, ei]))
+    mq = table.outer_sum(alpha, table.q, np.hstack([ones, table.q]))
+    a0 = table.segment_sum(alpha)
+
+    e_sum = np.einsum("cab,cb->ca", ri, table.segment_sum(ei, alpha))  # E
+    cross = mp[:, [1, 2, 0], [9, 7, 8]] - mp[:, [2, 0, 1], [8, 9, 7]]  # sum alpha p x e_i
+    g = np.hstack([np.einsum("cab,cb->ca", ri, cross) + np.cross(ti, e_sum), e_sum])
+    grad = np.zeros((num_poses, 6))
+    np.add.at(grad, i, g)
+    np.add.at(grad, j, -g)
+
+    rp, rq = np.einsum("cab,cb->ca", ri, mp[:, :, 0]), np.einsum("cab,cb->ca", rj, mq[:, :, 0])
+    si, sj = rp + a0[:, None] * ti, rq + a0[:, None] * tj
+    sij = _world_moment(ri, mp[:, :, 4:7], rj, rp, tj, ti, sj)
     if curvature:
         c = 0.5 * (si + sj)
         h_ii = h_jj = _block6(_skew_gram(0.5 * (sij + np.swapaxes(sij, 1, 2))), c, -c, a0)
     else:
+        sii = _world_moment(ri, mp[:, :, 1:4], ri, rp, ti, ti, si)
+        sjj = _world_moment(rj, mq[:, :, 1:4], rj, rq, tj, tj, sj)
         h_ii = _block6(_skew_gram(sii), si, -si, a0)
         h_jj = _block6(_skew_gram(sjj), sj, -sj, a0)
     h_ij = _block6(-_skew_gram(sij), -si, sj, -a0)

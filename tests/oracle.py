@@ -1,8 +1,9 @@
-"""Per-match oracle for the flat objective and gradient that LM runs.
+"""Per-match oracle for the flat objective, gradient and H that LM runs.
 
-ResidualBlock and its helpers evaluate one match at a time, through the
-single-pose se3 functions; they are the independent reference the solver
-tests compare the flat evaluation against, not part of the solve path.
+ResidualBlock and its helpers evaluate one match at a time in the world
+frame, through the single-pose se3 functions; they are the independent
+reference the solver tests compare the flat evaluation against, not part of
+the solve path.
 """
 
 from dataclasses import dataclass
@@ -78,3 +79,30 @@ def finite_difference_gradient(
             - block_cost(block, pose_i, se3.retract(pose_j, -d))
         ) / (2.0 * h)
     return g_i, g_j
+
+
+def _cross_matrix(v: np.ndarray) -> np.ndarray:
+    """[v]x, with [v]x u = v x u."""
+    return np.cross(v, np.eye(3)).T
+
+
+def hessian_blocks(block: ResidualBlock, poses: list[Pose], curvature: bool = False):
+    """The match's 6x6 H blocks (ii, jj, ij) from its world-frame Jacobians
+    J_i = [-[y_i]x, I] and J_j = [[y_j]x, -I]: alpha J_a^T J_b, with
+    alpha = 2 w rho'(s). With curvature, H_ii and H_jj also hold the matrix
+    of alpha e . d2e under the left retraction, whose second-order part of
+    y is 1/2 w x (w x y) + 1/2 w x v; e . d2e carries the sign of y in e."""
+    pose_i, pose_j = poses[block.i], poses[block.j]
+    yi = se3.transform_point(pose_i, block.p)
+    yj = se3.transform_point(pose_j, block.q)
+    e = yi - yj
+    alpha = 2.0 * block.weight * float(_drho(np.array([e @ e]), block.kernel, block.sigma)[0])
+    ji = np.hstack([-_cross_matrix(yi), np.eye(3)])
+    jj = np.hstack([_cross_matrix(yj), -np.eye(3)])
+    h_ii, h_jj, h_ij = alpha * ji.T @ ji, alpha * jj.T @ jj, alpha * ji.T @ jj
+    if curvature:
+        for h, y, ae in ((h_ii, yi, alpha * e), (h_jj, yj, -alpha * e)):
+            h[:3, :3] += 0.5 * (np.outer(ae, y) + np.outer(y, ae)) - (ae @ y) * np.eye(3)
+            h[:3, 3:] -= 0.5 * _cross_matrix(ae)
+            h[3:, :3] += 0.5 * _cross_matrix(ae)
+    return h_ii, h_jj, h_ij

@@ -206,6 +206,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # p_hat * epsilon^2 / (1 - p_hat) underflows to 0
+            ["--gaussian-calibration", "literal", "--epsilon", "1e-3", "--p-hat", "1e-320"],
+            # p_hat * epsilon^4 / (1 - p_hat) overflows to inf
+            ["--p-hat", "0.9999999999999999", "--epsilon", "1e77"],
+        ],
+    )
+    def test_gaussian_constant_out_of_float_range_is_usage_error(self, scenario_file, capsys, flags):
+        assert run_cli(["solve", "--in", str(scenario_file), "--mode", "gaussian", *flags]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: in gaussian mode p_hat")
+
     def test_degenerate_odometry_is_solver_error(self, tmp_path, capsys):
         bad = tmp_path / "collinear.pcg"
         bad.write_text("PCG 1 2\nODOM 0 3\nM 0 0 0 0 0 0\nM 1 0 0 1 0 0\nM 2 0 0 2 0 0\n")

@@ -172,12 +172,11 @@ class TestMatchTable:
         table = MatchTable.from_graph(graph)
         rots = np.stack([p.rotation_matrix() for p in poses])
         trans = np.stack([p.trans for p in poses])
-        yi, yj, e, s = table.residuals(rots, trans)
+        ei, s = table.residuals(rots, trans)
         for m, (i, j) in enumerate(table.pairs[table.seg]):
-            np.testing.assert_allclose(yi[m], se3.transform_point(poses[i], table.p[m]), atol=1e-12)
-            np.testing.assert_allclose(yj[m], se3.transform_point(poses[j], table.q[m]), atol=1e-12)
-        np.testing.assert_allclose(e, yi - yj, atol=0)
-        np.testing.assert_allclose(s, np.sum(e * e, axis=1), rtol=1e-14)
+            world = se3.transform_point(poses[i], table.p[m]) - se3.transform_point(poses[j], table.q[m])
+            np.testing.assert_allclose(ei[m], rots[i].T @ world, atol=1e-12)
+        np.testing.assert_allclose(s, np.sum(ei * ei, axis=1), rtol=1e-14)
 
 
 class TestHyperparams:
@@ -190,6 +189,9 @@ class TestHyperparams:
         [
             dict(sigma=0.0), dict(p_hat=1.0), dict(p_hat=0.0), dict(epsilon=0.0), dict(mode="foo"),
             dict(epsilon=1e-170, gaussian_calibration="literal"),  # epsilon^2 underflows to 0
+            # gaussian mode's theta = p_hat * epsilon^k / (1 - p_hat) underflows to 0 / overflows
+            dict(mode="gaussian", gaussian_calibration="literal", epsilon=1e-3, p_hat=1e-320),
+            dict(mode="gaussian", p_hat=0.9999999999999999, epsilon=1e77),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -17,7 +17,13 @@ from robustpgo.model import (
 from robustpgo.solver import KERNEL_CAUCHY, KERNEL_SQUARED, Problem, build_problem, solve
 
 from robustpgo.synth import ScenarioConfig, generate
-from oracle import ResidualBlock, block_cost, finite_difference_gradient, residual_and_jacobian
+from oracle import (
+    ResidualBlock,
+    block_cost,
+    finite_difference_gradient,
+    hessian_blocks,
+    residual_and_jacobian,
+)
 from test_model import chain_poses
 
 
@@ -297,6 +303,56 @@ class TestGradients:
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
         assert np.abs(numeric - gauss_newton).max() > 0.1 * np.abs(assembled).max()
 
+    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED])
+    def test_assembly_far_from_the_origin_matches_per_match_oracle(self, kernel):
+        """About 1 km from the world origin, where the t_i terms of the world
+        moments that _assemble rebuilds from local ones dominate, its gradient
+        and H, with and without the curvature term, equal the per-match sums
+        of the world-frame oracle (rel 1e-12 of the largest entry)."""
+        rng = np.random.default_rng(9)
+        offset = np.array([700.0, -650.0, 300.0])
+        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
+        poses = [se3.Pose(p.quat, p.trans + offset) for p in poses]
+        problem = random_problem(rng, kernel)
+        residuals = solver._evaluate(problem, *se3.stack(poses))[0]
+        blocks = per_match_blocks(problem)
+        expected_grad = np.zeros(18)
+        for b in blocks:
+            _, gi, gj = residual_and_jacobian(b, poses)
+            expected_grad[6 * b.i : 6 * b.i + 6] += gi
+            expected_grad[6 * b.j : 6 * b.j + 6] += gj
+        for curvature in (False, True):
+            grad, assembled = solver._assemble(problem, residuals, 3, curvature)
+            expected = np.zeros((3, 6, 3, 6))
+            for b in blocks:
+                h_ii, h_jj, h_ij = hessian_blocks(b, poses, curvature)
+                expected[b.i, :, b.i] += h_ii
+                expected[b.j, :, b.j] += h_jj
+                expected[b.i, :, b.j] += h_ij
+                expected[b.j, :, b.i] += h_ij.T
+            expected = expected.reshape(18, 18)
+            assert np.abs(grad - expected_grad).max() <= 1e-12 * np.abs(expected_grad).max()
+            hessian = dense_hessian(assembled, problem.table.pairs, 3)
+            assert np.abs(hessian - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestEvaluate:
+    def test_errors_do_not_depend_on_the_world_origin(self):
+        """Shifting every pose by (2^20, 0, 0) leaves the errors and the
+        objective bit-identical: with translations on a 2^-10 grid, the
+        differences t_j - t_i of the relative poses are exact either way."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=4))
+        from robustpgo.model import initialize_poses
+
+        problem = build_problem(graph, PosteriorState(1.0, np.full(len(graph.loops), 0.5)), Hyperparams())
+        quats, trans = se3.stack(initialize_poses(graph))
+        trans = np.round(trans * 1024.0) / 1024.0
+        _, errors, objective = solver._evaluate(problem, quats, trans)
+        _, shifted_errors, shifted_objective = solver._evaluate(problem, quats, trans + [2.0**20, 0.0, 0.0])
+        assert objective > 0.0 and errors.min() > 0.0
+        np.testing.assert_array_equal(shifted_errors, errors)
+        assert shifted_objective == objective
+
 
 class TestKernel:
     def test_cauchy_kernel_past_the_float_range(self):
@@ -491,7 +547,13 @@ class TestSolve:
         w = problem.weights[table.seg]
 
         def cost_and_grad(quats, trans):
-            yi, yj, e, s = table.residuals(se3.quat_to_matrix(quats), trans)
+            at = se3.unstack(quats, trans)
+            yi, yj = np.empty((len(table), 3)), np.empty((len(table), 3))
+            for (a, b), lo, hi in zip(table.pairs, table.offsets[:-1], table.offsets[1:]):
+                yi[lo:hi] = se3.transform_points(at[a], table.p[lo:hi])
+                yj[lo:hi] = se3.transform_points(at[b], table.q[lo:hi])
+            e = yi - yj
+            s = np.einsum("ma,ma->m", e, e)
             total = float(w @ solver._rho(s, problem.kernel, problem.sigma))
             alpha = 2.0 * w * solver._drho(s, problem.kernel, problem.sigma)
             ae = alpha[:, None] * e
