@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import se3, solver
-from .model import Hyperparams, MatchTable, PosteriorState, ProblemGraph, initialize_poses
+from .model import Hyperparams, MatchTable, PosteriorState, ProblemGraph, initialize_poses, learn_theta_gaussian
 from .se3 import Pose
 
 
@@ -69,22 +69,6 @@ def learn_theta_cauchy(odometry_errors: np.ndarray, p_hat: float) -> float:
     return p_hat / (1.0 - p_hat) * math.exp(2.0 * median)
 
 
-def learn_theta_gaussian(epsilon: float, p_hat: float, calibration: str = "rms") -> float:
-    """Gaussian-mode constant from the residual bound epsilon.
-
-    "literal" takes epsilon^2 as the reference error term; "rms" takes
-    (epsilon^2)^2 so that the posterior, whose error term is B^2, equals
-    p_hat exactly when the RMS residual is epsilon.
-    """
-    if calibration == "literal":
-        m_hat = epsilon * epsilon
-    elif calibration == "rms":
-        m_hat = epsilon ** 4
-    else:
-        raise ValueError(f"unknown calibration {calibration!r}")
-    return p_hat * m_hat / (1.0 - p_hat)
-
-
 def posterior_cauchy(a_values: np.ndarray, theta: float) -> np.ndarray:
     """theta / (theta + exp(2A)) computed as a sigmoid in log space."""
     return expit(math.log(theta) - 2.0 * np.asarray(a_values, dtype=float))
@@ -121,19 +105,14 @@ def classify_loops(state: PosteriorState, inlier_threshold: float = 0.5) -> np.n
     return state.posteriors > inlier_threshold
 
 
-@dataclass
-class EmIteration:
+@dataclass(kw_only=True)
+class EmIteration(solver.SolverReport):
+    """One EM iteration: its M-step's report, with the constant theta and the
+    inlier count of the posteriors that weighted it, and the pose update."""
+
     theta: float
-    objective_start: float  # M-step objective at entry, current posteriors
-    objective_end: float  # M-step objective after optimization
     inlier_count: int  # posteriors above the classification threshold
     max_pose_update: float  # largest twist norm of any pose update this iteration
-    objective_path: list[float] = field(default_factory=list)  # accepted-step objectives
-    termination: str = ""  # why the M-step's LM stopped (SolverReport.termination)
-    factorizations: int = 0  # the M-step's LM trial steps, each factoring one system (a fallback adds another)
-    curvature_steps: int = 0  # accepted steps whose H held the residual-curvature term
-    pcg_iterations: int = 0  # the M-step's PCG iterations over all its trials
-    fallbacks: int = 0  # full-system factorizations the M-step made after a PCG miss
 
 
 @dataclass
@@ -186,17 +165,10 @@ def run_em(
             raise EmError(f"EM iteration {iteration}: {err}") from err
         trace.iterations.append(
             EmIteration(
+                **vars(report),
                 theta=theta,
-                objective_start=report.initial_objective,
-                objective_end=report.final_objective,
                 inlier_count=int(np.sum(state.posteriors > params.inlier_threshold)),
                 max_pose_update=_max_update(poses, poses_new),
-                objective_path=report.objective_path,
-                termination=report.termination,
-                factorizations=report.factorizations,
-                curvature_steps=report.curvature_steps,
-                pcg_iterations=report.pcg_iterations,
-                fallbacks=report.fallbacks,
             )
         )
         poses, errors = poses_new, report.errors
@@ -204,11 +176,11 @@ def run_em(
             trace.converged = True
             break
         if prev_objective is not None:
-            rel = abs(prev_objective - report.final_objective) / max(abs(prev_objective), 1e-300)
+            rel = abs(prev_objective - report.objective_end) / max(abs(prev_objective), 1e-300)
             if rel < params.em_tol:
                 trace.converged = True
                 break
-        prev_objective = report.final_objective
+        prev_objective = report.objective_end
 
     # refresh the posterior at the final poses so labels match what we return
     if params.refresh_theta and params.mode == "cauchy":

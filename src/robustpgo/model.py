@@ -199,18 +199,40 @@ class Hyperparams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.gaussian_calibration not in ("rms", "literal"):
             raise ValueError(f"unknown gaussian_calibration {self.gaussian_calibration!r}")
-        # the reference error term, formed as em.learn_theta_gaussian forms it
-        literal = self.gaussian_calibration == "literal"
-        name = "epsilon^2" if literal else "epsilon^4"
-        try:
-            term = self.epsilon * self.epsilon if literal else self.epsilon ** 4
-        except OverflowError:  # epsilon ** 4 past the float range
-            term = math.inf
-        if not (self.epsilon > 0 and 0.0 < term < math.inf):
-            raise ValueError(f"epsilon must be positive and finite, and {name} a positive finite float")
-        # gaussian mode's constant theta, formed as em.learn_theta_gaussian forms it
-        if self.mode == "gaussian" and not 0.0 < self.p_hat * term / (1.0 - self.p_hat) < math.inf:
-            raise ValueError(f"in gaussian mode p_hat * {name} / (1 - p_hat) must be a positive finite float")
+        if self.mode == "gaussian":
+            learn_theta_gaussian(self.epsilon, self.p_hat, self.gaussian_calibration)
+        else:
+            _reference_term(self.epsilon, self.gaussian_calibration)
+
+
+def _reference_term(epsilon: float, calibration: str) -> tuple[str, float]:
+    """Gaussian mode's reference error term from the residual bound epsilon,
+    with its name: epsilon^2 ("literal") or epsilon^4 ("rms"). A term that is
+    not a positive finite float raises ValueError."""
+    if calibration not in ("rms", "literal"):
+        raise ValueError(f"unknown calibration {calibration!r}")
+    literal = calibration == "literal"
+    name = "epsilon^2" if literal else "epsilon^4"
+    try:
+        term = epsilon * epsilon if literal else epsilon**4
+    except OverflowError:  # epsilon ** 4 past the float range
+        term = math.inf
+    if not (epsilon > 0 and 0.0 < term < math.inf):
+        raise ValueError(f"epsilon must be positive and finite, and {name} a positive finite float")
+    return name, term
+
+
+def learn_theta_gaussian(epsilon: float, p_hat: float, calibration: str = "rms") -> float:
+    """Gaussian-mode constant from the residual bound epsilon, or ValueError
+    where the term or the constant is not a positive finite float. "literal"
+    takes epsilon^2 as the reference error term; "rms" takes (epsilon^2)^2 so
+    that the posterior, whose error term is B^2, equals p_hat exactly when the
+    RMS residual is epsilon."""
+    name, term = _reference_term(epsilon, calibration)
+    theta = p_hat * term / (1.0 - p_hat)
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"in gaussian mode p_hat * {name} / (1 - p_hat) must be a positive finite float")
+    return theta
 
 
 @dataclass
@@ -239,7 +261,11 @@ class ProblemGraph:
 
     @cached_property
     def table(self) -> MatchTable:
-        """The graph's match table, built on first use and kept."""
+        """The graph's match table, built on first use and kept; a constraint
+        with no match, which has no error, raises ValueError in validate's words."""
+        for c in (*self.odometry, *self.loops):
+            if c.size == 0:
+                raise ValueError(f"invalid graph: {_empty(c)}")
         return MatchTable.from_graph(self)
 
 
@@ -251,6 +277,13 @@ class Violation:
 
     def __str__(self):
         return f"{self.kind}{self.where}: {self.detail}"
+
+
+def _empty(c: OdometryConstraint | LoopClosureConstraint) -> Violation:
+    """validate's violation for a constraint with no matches."""
+    if isinstance(c, OdometryConstraint):
+        return Violation("empty_odometry", (c.i,), "constraint has no matches")
+    return Violation("empty_loop", c.pair, "constraint has no matches")
 
 
 def validate(graph: ProblemGraph) -> list[Violation]:
@@ -270,7 +303,7 @@ def validate(graph: ProblemGraph) -> list[Violation]:
             out.append(Violation("duplicate_odometry", (c.i,), "more than one constraint for this pair"))
         seen_odo.add(c.i)
         if c.size == 0:
-            out.append(Violation("empty_odometry", (c.i,), "constraint has no matches"))
+            out.append(_empty(c))
         elif not (np.isfinite(c.p).all() and np.isfinite(c.q).all()):
             out.append(Violation("nonfinite_match", (c.i, c.i + 1), "non-finite coordinates"))
     for i in range(n - 1):
@@ -291,7 +324,7 @@ def validate(graph: ProblemGraph) -> list[Violation]:
             out.append(Violation("duplicate_loop", (c.i, c.j), "duplicate loop pair"))
         seen_loops.add((c.i, c.j))
         if c.size == 0:
-            out.append(Violation("empty_loop", (c.i, c.j), "constraint has no matches"))
+            out.append(_empty(c))
         elif not (np.isfinite(c.p).all() and np.isfinite(c.q).all()):
             out.append(Violation("nonfinite_match", (c.i, c.j), "non-finite coordinates"))
 

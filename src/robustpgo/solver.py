@@ -92,12 +92,12 @@ class Problem:
 @dataclass
 class SolverReport:
     iterations: int  # accepted steps
-    initial_objective: float
-    final_objective: float
+    objective_start: float  # the objective at the start poses
+    objective_end: float  # the objective at the returned poses
     # "gradient" | "max_iterations" | "objective" / "stalled": a trial within objective_tol of
     # the objective, lower / not lower, ended the solve untaken; "stalled" also past DAMPING_MAX
     termination: str
-    gradient_norm: float  # max-norm over free dofs at exit
+    gradient_norm: float  # max-norm over free dofs of the last gradient assembled, at the returned poses
     errors: np.ndarray  # (C,) each constraint's mean rho over its matches at the returned poses
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
     factorizations: int = 0  # LM trial steps, each factoring one system (a fallback adds another)
@@ -113,11 +113,8 @@ def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparam
         raise ValueError(
             f"posterior count {len(state.posteriors)} != loop count {len(graph.loops)}"
         )
-    table = graph.table
     numerators = np.concatenate([np.ones(len(graph.odometry)), state.posteriors])
-    # an empty constraint has no match to weight
-    weights = numerators / np.maximum(table.sizes, 1)
-    return Problem(table, weights, KERNELS[params.mode], params.sigma)
+    return Problem(graph.table, numerators / graph.table.sizes, KERNELS[params.mode], params.sigma)
 
 
 def _rho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
@@ -462,7 +459,9 @@ def solve(
     curvature term (see _assemble), for the rest of the solve. A trial
     within objective_tol (relative) of the current objective ends the solve
     and is not taken: "objective" if it is lower, "stalled" if not. The
-    solve also stalls when the damping passes 1e8.
+    solve also stalls when the damping passes 1e8. Each LM pass, the capped
+    one too, assembles at the poses it holds, so a solve assembles once more
+    than it accepts steps and reports the last gradient, at the returned poses.
     """
     num_poses = len(poses)
     if not 0 <= gauge < num_poses:
@@ -471,27 +470,29 @@ def solve(
     residuals, errors, objective = _evaluate(problem, quats, trans)
     if not np.isfinite(residuals[3]).all():
         raise _nonfinite(problem.table, residuals[3])
-    initial_objective = objective
+    objective_start = objective
 
     if num_poses == 1:
-        report = SolverReport(0, initial_objective, objective, "gradient", 0.0, errors)
+        report = SolverReport(0, objective_start, objective, "gradient", 0.0, errors)
         return se3.unstack(quats, trans), report
 
     stepper = _Stepper(problem, num_poses, gauge)
     damping = DAMPING_INIT
     accepted = 0
-    termination = "max_iterations"
-    gradient_norm = math.inf
+    termination = ""
     objective_path = []
     factorizations = 0
     curvature = False
     curvature_steps = 0
 
-    for _ in range(max_iterations):
+    while not termination:
         grad, blocks = _assemble(problem, residuals, num_poses, curvature)
         gradient_norm = float(np.abs(grad[stepper.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
+            break
+        if accepted >= max_iterations:
+            termination = "max_iterations"
             break
 
         while True:
@@ -522,19 +523,9 @@ def solve(
             if damping > DAMPING_MAX:
                 termination = "stalled"
                 break
-        if termination != "max_iterations":
-            break
-
-    # report the gradient at the poses actually returned
-    if termination != "gradient":
-        grad, _ = _assemble(problem, residuals, num_poses)
-        gradient_norm = float(np.abs(grad[stepper.free]).max())
-        if gradient_norm < gradient_tol:
-            termination = "gradient"
 
     report = SolverReport(
-        accepted, initial_objective, objective, termination, gradient_norm, errors,
+        accepted, objective_start, objective, termination, gradient_norm, errors,
         objective_path, factorizations, curvature_steps, stepper.pcg_iterations, stepper.fallbacks,
     )
     return se3.unstack(quats, trans), report
-

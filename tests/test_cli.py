@@ -384,6 +384,20 @@ class TestCheckGrad:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
 
+    @pytest.mark.parametrize("count", ["10001", "1000000000000000000"])
+    def test_count_past_the_limit_is_usage_error(self, capsys, monkeypatch, count):
+        """A count past 10,000 is refused before any problem is drawn, so
+        nothing of its size is allocated."""
+
+        def refuse(*args):
+            raise AssertionError("check-grad drew problems for a count past its limit")
+
+        monkeypatch.setattr(cli, "_derivative_errors", refuse)
+        assert run_cli(["check-grad", "--blocks", count]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
+
     @pytest.mark.parametrize("fault", ["gradient_sign", "transposed_h_ij"])
     def test_fails_on_a_faulty_assembly(self, capsys, monkeypatch, fault):
         """check-grad checks the gradient and H that LM assembles: a sign

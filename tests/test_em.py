@@ -11,8 +11,10 @@ from robustpgo.model import (
     LoopClosureConstraint,
     MatchTable,
     OdometryConstraint,
+    PosteriorState,
     ProblemGraph,
     initialize_poses,
+    validate,
 )
 from robustpgo.synth import ScenarioConfig, generate
 
@@ -195,6 +197,25 @@ class TestLearnThetaGaussian:
         post = em.posterior_gaussian(np.array([eps**2]), theta)
         assert post[0] == pytest.approx(p_hat, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "epsilon, p_hat, message",
+        [
+            (1e100, 0.9, "epsilon must be positive and finite, and epsilon^4 a positive finite float"),
+            (1e-100, 0.9, "epsilon must be positive and finite, and epsilon^4 a positive finite float"),
+            (1e77, 0.9999999999999999, "in gaussian mode p_hat * epsilon^4 / (1 - p_hat) must be a positive finite float"),
+        ],
+        ids=["term-overflows", "term-underflows", "constant-overflows"],
+    )
+    def test_constant_past_the_float_range_is_rejected(self, epsilon, p_hat, message):
+        """epsilon^4 overflows or underflows to 0, or the constant overflows:
+        the error Hyperparams gives, not an OverflowError, 0 or inf."""
+        with pytest.raises(ValueError) as exc:
+            em.learn_theta_gaussian(epsilon, p_hat)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            Hyperparams(mode="gaussian", epsilon=epsilon, p_hat=p_hat)
+        assert str(exc.value) == message
+
 
 class TestEStep:
     def test_posterior_at_zero_error(self):
@@ -364,6 +385,41 @@ class TestRunEm:
         _, _, trace = em.run_em(graph, Hyperparams(mode=mode))
         assert len(trace) >= 2
         assert len(calls) == sum(it.factorizations for it in trace.iterations) + len(trace) + 1
+
+    def test_each_iteration_is_its_m_steps_report(self):
+        """Each EM record carries its M-step's report: one accepted step per
+        objective on its path, and errors at the poses the M-step returned,
+        whose loop part is loop_errors at the final poses."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+        params = Hyperparams()
+        poses, _, trace = em.run_em(graph, params)
+        assert len(trace) >= 2
+        for rec in trace.iterations:
+            assert rec.iterations == len(rec.objective_path)
+            assert rec.gradient_norm >= 0.0
+        last = trace.iterations[-1].errors[len(graph.odometry) :]
+        assert last.tobytes() == em.loop_errors(graph, poses, params).tobytes()
+
+    def test_empty_constraint_is_rejected_in_validates_words(self):
+        """A loop with no matches has no error to weight: run_em,
+        build_problem and loop_errors name it as validate does, with no
+        warning, rather than iterating on NaN objectives."""
+        graph = generate(ScenarioConfig(num_fragments=20, seed=0, outlier_loop_fraction=0.5))
+        empty = LoopClosureConstraint(0, 10, np.zeros((0, 3)), np.zeros((0, 3)))
+        graph = ProblemGraph(graph.num_fragments, graph.odometry, [*graph.loops, empty])
+        (violation,) = [v for v in validate(graph) if v.kind == "empty_loop"]
+        message = f"invalid graph: {violation}"
+        assert message == "invalid graph: empty_loop(0, 10): constraint has no matches"
+        params = Hyperparams()
+        state = PosteriorState(1.0, np.ones(len(graph.loops)))
+        for call in (
+            lambda: em.run_em(graph, params),
+            lambda: solver.build_problem(graph, state, params),
+            lambda: em.loop_errors(graph, initialize_poses(graph), params),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
     def test_all_inlier_error_tracks_noise_floor(self):
         """With no outliers the final trajectory error stays near the noise std."""

@@ -217,7 +217,13 @@ class TestPoseIO:
 class TestReport:
     def make_report(self, pairs, labels):
         trace = EmTrace(
-            iterations=[EmIteration(9.0, 10.0, 8.0, len(pairs), 0.1, [9.5, 8.0])],
+            iterations=[
+                EmIteration(
+                    iterations=2, objective_start=10.0, objective_end=8.0, termination="objective",
+                    gradient_norm=0.0, errors=np.zeros(0), objective_path=[9.5, 8.0],
+                    theta=9.0, inlier_count=len(pairs), max_pose_update=0.1,
+                )
+            ],
             converged=True,
         )
         return RunReport(

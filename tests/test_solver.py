@@ -529,7 +529,7 @@ class TestSolve:
         out, report = solve(problem, start, gauge=0)
         rot, trans = se3.pose_difference(out[1], truth)
         assert rot < 1e-8 and trans < 1e-8
-        assert report.final_objective <= report.initial_objective
+        assert report.objective_end <= report.objective_start
 
     def test_objective_matches_first_order_oracle(self):
         """A slow Barzilai-Borwein descent on identical blocks must reach the
@@ -594,7 +594,7 @@ class TestSolve:
             prev_delta, prev_g = delta, g
             poses = trial
             f, g = cost_and_grad(*poses)
-        assert abs(f - report.final_objective) / max(report.final_objective, 1e-300) < 1e-6
+        assert abs(f - report.objective_end) / max(report.objective_end, 1e-300) < 1e-6
 
     def test_gauge_invariance(self):
         """Left-composing all inputs with a rigid transform transforms the output."""
@@ -645,13 +645,13 @@ class TestSolve:
         poses = [se3.identity(), truth]
         out, report = solve(problem, poses, gauge=0, gradient_tol=0.0)
         assert report.termination == "stalled"
-        assert report.final_objective <= report.initial_objective
+        assert report.objective_end <= report.objective_start
 
     def test_empty_problem_is_a_noop(self):
         poses = [se3.identity(), se3.identity()]
         empty = Problem(MatchTable.from_constraints([]), np.zeros(0), KERNEL_SQUARED)
         out, report = solve(empty, poses, gauge=0)
-        assert report.iterations == 0 and report.final_objective == 0.0
+        assert report.iterations == 0 and report.objective_end == 0.0
 
     def test_spd_step_matches_dense_solve(self, monkeypatch):
         """One LM step, factored as SPD, against np.linalg.solve on the dense
@@ -868,6 +868,32 @@ class TestSolve:
         assert report.iterations >= 2 and report.termination != "gradient"
         assert len(calls) == report.factorizations + 1
 
+    def test_assembles_once_per_pass_and_reports_the_last_gradient(self, monkeypatch):
+        """Each pass of LM assembles once, the cap's included, and no pass
+        follows the last: a solve that ends "objective" and one the cap stops
+        each assemble once more than they accept steps, and report the
+        gradient norm of a fresh assembly at the poses they return."""
+        rng = np.random.default_rng(19)
+        graph, truth = noisy_chain_graph(rng, n=12)
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        real = solver._assemble
+        for max_iterations, termination in ((solver.MAX_INNER_ITERS, "objective"), (2, "max_iterations")):
+            calls = []
+
+            def spy(*args, **kwargs):
+                calls.append(args[2])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, "_assemble", spy)
+            out, report = solve(problem, start, gauge=0, max_iterations=max_iterations)
+            monkeypatch.setattr(solver, "_assemble", real)
+            assert report.termination == termination and report.iterations >= 2
+            assert len(calls) == report.iterations + 1
+            residuals = solver._evaluate(problem, *se3.stack(out))[0]
+            grad = solver._assemble(problem, residuals, len(out))[0]
+            assert report.gradient_norm == np.abs(grad[6:]).max()  # the gauge is pose 0
+
     @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
     def test_reported_errors_are_the_constraint_errors_of_the_returned_poses(self, mode):
         from robustpgo import em
@@ -900,7 +926,7 @@ class TestSolve:
             out, again = solve(problem, poses, gauge=0, gradient_tol=0.0)
             assert again.iterations == 0 and again.factorizations <= 2
             assert again.termination in ("objective", "stalled")
-            assert again.final_objective == report.final_objective
+            assert again.objective_end == report.objective_end
             for a, b in zip(out, poses):
                 assert a.quat.tobytes() == b.quat.tobytes() and a.trans.tobytes() == b.trans.tobytes()
             poses, report = out, again
@@ -928,7 +954,7 @@ class TestSolve:
         assert gauss_newton.curvature_steps == 0 < hybrid.curvature_steps
         assert hybrid.termination == gauss_newton.termination == "objective"
         assert hybrid.factorizations < gauss_newton.factorizations
-        assert hybrid.final_objective <= gauss_newton.final_objective * (1 + 1e-9)
+        assert hybrid.objective_end <= gauss_newton.objective_end * (1 + 1e-9)
 
     def test_report_objective_invariant(self):
         rng = np.random.default_rng(16)
@@ -937,4 +963,4 @@ class TestSolve:
 
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
         _, report = solve(problem, initialize_poses(graph), gauge=0)
-        assert report.final_objective <= report.initial_objective + 1e-12
+        assert report.objective_end <= report.objective_start + 1e-12
