@@ -3,7 +3,7 @@
 Exit codes identify the failure class:
     0 success          3 input parse error       5 solver or initialization failure
     2 usage error      4 graph/config invalid    6 I/O error
-    7 --require-converged set and EM hit the iteration cap
+    7 --require-converged set, and EM hit its iteration cap or the LM cap stopped an M-step
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _cmd_solve(args) -> int:
         return EXIT_SOLVER
 
     labels = em.classify_loops(state, params.inlier_threshold)
-    errors = em.loop_errors(graph, poses, params)
+    errors = trace.iterations[-1].errors[len(graph.odometry) :]  # the last M-step's, at the returned poses
     metrics: dict[str, float] = {}
     if graph.ground_truth is not None and graph.num_fragments >= 6:
         if graph.oracle_labels is None:
@@ -113,14 +113,13 @@ def _cmd_solve(args) -> int:
     print(f"em iterations: {len(trace)}  converged: {trace.converged}")
     for name in sorted(metrics):
         print(f"{name}: {metrics[name]:.6f}")
-    capped = [k for k, rec in enumerate(trace.iterations, 1) if rec.termination == "max_iterations"]
+    capped = [str(k) for k, it in enumerate(trace.iterations, 1) if it.termination == "max_iterations"]
     if capped:
-        its = ", ".join(map(str, capped))
-        print(f"warning: the LM iteration cap stopped the M-step of EM iteration {its}", file=sys.stderr)
+        level, its = "error" if args.require_converged else "warning", ", ".join(capped)
+        print(f"{level}: the LM iteration cap stopped the M-step of EM iteration {its}", file=sys.stderr)
     if args.require_converged and not trace.converged:
         print("error: EM did not converge before max iterations", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return EXIT_NOT_CONVERGED if args.require_converged and (capped or not trace.converged) else EXIT_OK
 
 
 def _cmd_simulate(args) -> int:

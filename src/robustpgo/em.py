@@ -130,22 +130,18 @@ def _max_update(old: list[Pose], new: list[Pose]) -> float:
     return float(np.linalg.norm(se3.log_arrays(*step)[0], axis=1).max(initial=0.0))
 
 
-def _learn_theta(odometry_errors: np.ndarray, params: Hyperparams) -> float:
-    if params.mode == "cauchy":
-        return learn_theta_cauchy(odometry_errors, params.p_hat)
-    return learn_theta_gaussian(params.epsilon, params.p_hat, params.gaussian_calibration)
-
-
 def run_em(
     graph: ProblemGraph, params: Hyperparams
 ) -> tuple[list[Pose], PosteriorState, EmTrace]:
     """Alternate posterior updates and pose optimization until the M-step
     objective stalls.
 
-    Returns the final poses, the posterior state evaluated at those poses,
-    and the per-iteration trace. With no loop constraints this is a single
-    pose optimization over odometry alone. The errors are evaluated once, at
-    the initial poses; after that each M-step reports them at its own.
+    Each pass learns theta (every pass with refresh_theta, else once), runs
+    the E-step at the poses it holds, then returns, once EM has converged or
+    run max_em_iters M-steps, or runs the next M-step; so the posteriors
+    returned are evaluated at the poses returned. With no loop constraints
+    one M-step over odometry alone is the fixed point. The errors are
+    evaluated once, at the initial poses; each M-step reports them at its own.
     """
     poses = initialize_poses(graph)
     errors = constraint_errors(graph.table, poses, solver.KERNELS[params.mode], params.sigma)
@@ -153,16 +149,20 @@ def run_em(
     trace = EmTrace()
 
     theta = None
-    prev_objective = None
-    for iteration in range(1, params.max_em_iters + 1):
-        if theta is None or (params.refresh_theta and params.mode == "cauchy"):
-            theta = _learn_theta(errors[:odometry], params)
+    while True:
+        if theta is None or params.refresh_theta:
+            if params.mode == "cauchy":
+                theta = learn_theta_cauchy(errors[:odometry], params.p_hat)
+            else:
+                theta = learn_theta_gaussian(params.epsilon, params.p_hat, params.gaussian_calibration)
         state = e_step(errors[odometry:], theta, params)
+        if trace.converged or len(trace) == params.max_em_iters:
+            return poses, state, trace
         problem = solver.build_problem(graph, state, params)
         try:
             poses_new, report = solver.solve(problem, poses, gauge=0)
         except solver.SolverError as err:
-            raise EmError(f"EM iteration {iteration}: {err}") from err
+            raise EmError(f"EM iteration {len(trace) + 1}: {err}") from err
         trace.iterations.append(
             EmIteration(
                 **vars(report),
@@ -172,18 +172,7 @@ def run_em(
             )
         )
         poses, errors = poses_new, report.errors
-        if not graph.loops:  # no posterior to update: one M-step is the fixed point
-            trace.converged = True
-            break
-        if prev_objective is not None:
-            rel = abs(prev_objective - report.objective_end) / max(abs(prev_objective), 1e-300)
-            if rel < params.em_tol:
-                trace.converged = True
-                break
-        prev_objective = report.objective_end
-
-    # refresh the posterior at the final poses so labels match what we return
-    if params.refresh_theta and params.mode == "cauchy":
-        theta = _learn_theta(errors[:odometry], params)
-    state = e_step(errors[odometry:], theta, params)
-    return poses, state, trace
+        ends = [rec.objective_end for rec in trace.iterations[-2:]]
+        rel = abs(ends[0] - ends[-1]) / max(abs(ends[0]), 1e-300) if len(ends) == 2 else math.inf
+        # with no loop there is no posterior to update: one M-step is the fixed point
+        trace.converged = not graph.loops or rel < params.em_tol

@@ -156,15 +156,16 @@ class MatchTable:
         flat = values.reshape(len(values), math.prod(values.shape[1:]))
         return (summer @ flat).reshape((len(self.sizes),) + values.shape[1:])
 
-    def outer_sum(self, weights: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(C, 3, K) sums over each constraint's matches of weights y x^T, for
-        weights (M,), y (M, 3) and x (M, K), with no per-match (3, K) product:
-        row (a, c) of a (3C, M) operator holds weights * y[:, a] over the
-        matches of constraint c."""
+    def outer_operator(self, weights: np.ndarray, y: np.ndarray):
+        """For weights (M,) and y (M, 3), the map from x (M, K) to the (C, 3, K)
+        sums of weights y x^T over each constraint's matches (from x (M,) to
+        (C, 3)), with no per-match product: one (3C, M) operator, whose row
+        (a, c) holds weights * y[:, a] over the matches of constraint c, serves
+        every x, and sums a row's matches in order for each column of x."""
         num, count = len(self.sizes), len(self.seg)
         data = np.multiply(y.T, weights, order="C").ravel()
         rows = csr_matrix((data, *self._outer_index), shape=(3 * num, count))
-        return (rows @ x).reshape(3, num, x.shape[1]).transpose(1, 0, 2)
+        return lambda x: np.moveaxis((rows @ x).reshape(3, num, *x.shape[1:]), 0, 1)
 
 
 @dataclass
@@ -195,6 +196,10 @@ class Hyperparams:
             raise ValueError("p_hat must lie in (0, 1)")
         if self.max_em_iters < 1:
             raise ValueError("max_em_iters must be at least 1")
+        if not 0.0 <= self.em_tol < math.inf:
+            raise ValueError("em_tol must be non-negative and finite")
+        if not 0.0 <= self.inlier_threshold <= 1.0:
+            raise ValueError("inlier_threshold must lie in [0, 1]")
         if self.mode not in ("cauchy", "gaussian"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.gaussian_calibration not in ("rms", "literal"):
@@ -361,8 +366,8 @@ def _fit_rigid(table: MatchTable, active: np.ndarray):
     scale = np.maximum(count, 1.0)[:, None]
     cq, cp = table.segment_sum(table.q, w) / scale, table.segment_sum(table.p, w) / scale
     source = table.q - cq[table.seg]
-    cross = table.outer_sum(w, source, table.p - cp[table.seg])
-    scatter = table.outer_sum(w, source, source)
+    moments = table.outer_operator(w, source)
+    cross, scatter = moments(table.p - cp[table.seg]), moments(source)
     # moments of coordinates from about 1e154 on overflow, and LAPACK may not
     # return on a non-finite matrix, so such a constraint is fitted to zeros
     overflow = ~(np.isfinite(cross).all(axis=(1, 2)) & np.isfinite(scatter).all(axis=(1, 2)))
@@ -375,7 +380,7 @@ def _fit_rigid(table: MatchTable, active: np.ndarray):
     spread, axes = np.linalg.eigh(scatter)
     axis = axes[:, :, 2][table.seg]
     rest = source - np.einsum("ma,ma->m", source, axis)[:, None] * axis
-    rest_scatter = table.outer_sum(w, rest, rest)
+    rest_scatter = table.outer_operator(w, rest)(rest)
     rest_scatter[overflow] = 0.0
     s0 = np.sqrt(np.maximum(spread[:, 2], 0.0))
     s1 = np.sqrt(np.maximum(np.linalg.eigvalsh(rest_scatter)[:, 2], 0.0))

@@ -236,28 +236,30 @@ def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = Fal
     ri, rj, ti, tj = rots[i], rots[j], trans[i], trans[j]
     alpha = 2.0 * problem.weights[table.seg] * _drho(s, problem.kernel, problem.sigma)
 
-    ones = np.ones((len(table), 1))
-    # sum alpha p [1, p, q, e_i]^T and sum alpha q [1, q]^T
-    mp = table.outer_sum(alpha, table.p, np.hstack([ones, table.p, table.q, ei]))
-    mq = table.outer_sum(alpha, table.q, np.hstack([ones, table.q]))
+    # the local moments sum alpha p q^T (X) and sum alpha p e_i^T, P and Q
+    # below; on ones, each operator gives its row sums, sum alpha p or sum alpha q
+    alpha_p, alpha_q = table.outer_operator(alpha, table.p), table.outer_operator(alpha, table.q)
+    ones = np.ones(len(table))
+    pq, pe = alpha_p(table.q), alpha_p(ei)
     a0 = table.segment_sum(alpha)
 
     e_sum = np.einsum("cab,cb->ca", ri, table.segment_sum(ei, alpha))  # E
-    cross = mp[:, [1, 2, 0], [9, 7, 8]] - mp[:, [2, 0, 1], [8, 9, 7]]  # sum alpha p x e_i
+    cross = pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]]  # sum alpha p x e_i
     g = np.hstack([np.einsum("cab,cb->ca", ri, cross) + np.cross(ti, e_sum), e_sum])
     grad = np.zeros((num_poses, 6))
     np.add.at(grad, i, g)
     np.add.at(grad, j, -g)
 
-    rp, rq = np.einsum("cab,cb->ca", ri, mp[:, :, 0]), np.einsum("cab,cb->ca", rj, mq[:, :, 0])
+    rp, rq = np.einsum("cab,cb->ca", ri, alpha_p(ones)), np.einsum("cab,cb->ca", rj, alpha_q(ones))
     si, sj = rp + a0[:, None] * ti, rq + a0[:, None] * tj
-    sij = _world_moment(ri, mp[:, :, 4:7], rj, rp, tj, ti, sj)
+    sij = _world_moment(ri, pq, rj, rp, tj, ti, sj)
     if curvature:
         c = 0.5 * (si + sj)
         h_ii = h_jj = _block6(_skew_gram(0.5 * (sij + np.swapaxes(sij, 1, 2))), c, -c, a0)
     else:
-        sii = _world_moment(ri, mp[:, :, 1:4], ri, rp, ti, ti, si)
-        sjj = _world_moment(rj, mq[:, :, 1:4], rj, rq, tj, tj, sj)
+        pp, qq = alpha_p(table.p), alpha_q(table.q)  # P, Q
+        sii = _world_moment(ri, pp, ri, rp, ti, ti, si)
+        sjj = _world_moment(rj, qq, rj, rq, tj, tj, sj)
         h_ii = _block6(_skew_gram(sii), si, -si, a0)
         h_jj = _block6(_skew_gram(sjj), sj, -sj, a0)
     h_ij = _block6(-_skew_gram(sij), -si, sj, -a0)

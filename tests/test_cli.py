@@ -1,6 +1,8 @@
+import argparse
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -199,6 +201,12 @@ class TestSolve:
             ("--epsilon", "inf"),
             ("--epsilon", "1e-100"),  # epsilon^4 of the default rms calibration underflows to 0
             ("--epsilon", "1e100"),  # epsilon^4 overflows
+            ("--em-tol", "nan"),  # no relative change is below NaN: EM ran all its iterations
+            ("--em-tol", "-1"),
+            ("--em-tol", "inf"),
+            ("--threshold", "nan"),  # no posterior is above NaN: every loop was an outlier
+            ("--threshold", "2"),
+            ("--threshold", "-0.5"),
         ],
     )
     def test_bad_hyperparameter_is_usage_error(self, scenario_file, capsys, flag, value):
@@ -232,6 +240,42 @@ class TestSolve:
         assert run_cli(["solve", "--in", str(scenario_file), "--max-em-iters", "2"]) == 0
         err = capsys.readouterr().err
         assert err.startswith("warning:") and "EM iteration 1, 2" in err
+
+    def test_lm_cap_fails_require_converged(self, scenario_file, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "solve", functools.partial(solver.solve, max_iterations=1))
+        args = ["solve", "--in", str(scenario_file), "--max-em-iters", "2"]
+        assert run_cli([*args, "--require-converged"]) == cli.EXIT_NOT_CONVERGED
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: the LM iteration cap stopped the M-step of EM iteration 1, 2"
+
+    def test_reports_the_last_m_steps_errors(self, tmp_path, scenario_file, monkeypatch, capsys):
+        """The report's loop errors are the last M-step's, so the final poses
+        are evaluated once: one residual evaluation at the initial poses, one
+        at each M-step's start and one per LM trial."""
+        from robustpgo import em
+        from robustpgo.model import MatchTable
+
+        report = tmp_path / "report.txt"
+        args = ["solve", "--in", str(scenario_file), "--out-report", str(report)]
+        assert run_cli(args) == 0
+        expected = report.read_text()
+        traces, calls = [], []
+        real_run_em, real_residuals = em.run_em, MatchTable.residuals
+
+        def run_em(graph, params):
+            traces.append(real_run_em(graph, params))
+            return traces[-1]
+
+        def residuals(self, rots, trans):
+            calls.append(None)
+            return real_residuals(self, rots, trans)
+
+        monkeypatch.setattr(em, "run_em", run_em)
+        monkeypatch.setattr(MatchTable, "residuals", residuals)
+        assert run_cli(args) == 0
+        trace = traces[0][2]
+        assert len(calls) == sum(rec.factorizations for rec in trace.iterations) + len(trace) + 1
+        assert report.read_text() == expected
 
     def test_gaussian_mode_flags(self, tmp_path, scenario_file):
         code = run_cli(
@@ -418,3 +462,34 @@ class TestCheckGrad:
         monkeypatch.setattr(solver, "_assemble", faulty)
         assert run_cli(["check-grad", "--seed", "1", "--blocks", "20"]) == cli.EXIT_SOLVER
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestReadme:
+    """README's CLI section keeps up with the parser and the exit codes."""
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def paragraph(self, start: str) -> str:
+        """README's text from `start` to the end of its paragraph."""
+        at = self.readme.index(start)
+        end = self.readme.find("\n\n", at)
+        return self.readme[at : end if end >= 0 else None]
+
+    def test_every_solve_option_is_documented(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = [
+            name for action in sub.choices["solve"]._actions for name in action.option_strings
+            if name.startswith("--") and name != "--help"
+        ]
+        text = self.paragraph("`solve` options:").split("Exit codes:")[0]
+        assert len(options) > 10
+        assert [name for name in options if not re.search(rf"`{name}[` ]", text)] == []
+
+    def test_every_exit_code_is_documented(self):
+        listed = cli.__doc__.split("Exit codes")[1]
+        codes = {int(c) for c in re.findall(r"(?:^ +| {2,})(\d) ", listed, flags=re.MULTILINE)}
+        assert codes == {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")}
+        text = self.paragraph("`solve` options:").split("Exit codes:")[1]
+        documented = {int(c) for c in re.findall(r"(?:^|,) (\d) ", text)}
+        assert codes <= documented

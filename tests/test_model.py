@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,8 +152,28 @@ class TestMatchTable:
         m = len(table)
         alpha, y, x = rng.uniform(0.1, 2.0, m), rng.normal(size=(m, 3)), rng.normal(size=(m, 7))
         expected = table.segment_sum((alpha[:, None] * y)[:, :, None] * x[:, None, :])
-        np.testing.assert_array_equal(table.outer_sum(alpha, y, x), expected)
-        assert table.outer_sum(alpha, y, x).shape == (len(sizes), 3, 7)
+        np.testing.assert_array_equal(table.outer_operator(alpha, y)(x), expected)
+        assert table.outer_operator(alpha, y)(x).shape == (len(sizes), 3, 7)
+
+    def test_outer_operator_serves_each_column_block(self):
+        """One operator per weighted point set, applied to several column
+        blocks in turn and to a vector, gives each block's per-match oracle
+        sums, with zeros for the empty constraints."""
+        rng = np.random.default_rng(12)
+        constraints = [
+            LoopClosureConstraint(0, 2, rng.normal(size=(k, 3)), rng.normal(size=(k, 3)))
+            for k in (0, 4, 2, 0, 5, 0)
+        ]
+        table = MatchTable.from_constraints(constraints)
+        m = len(table)
+        alpha, y = rng.uniform(0.1, 2.0, m), rng.normal(size=(m, 3))
+        moments = table.outer_operator(alpha, y)
+        for x in (table.p, table.q, rng.normal(size=(m, 1)), rng.normal(size=(m, 5))):
+            expected = table.segment_sum((alpha[:, None] * y)[:, :, None] * x[:, None, :])
+            np.testing.assert_array_equal(moments(x), expected)
+        vector = rng.normal(size=m)
+        np.testing.assert_array_equal(moments(vector), table.segment_sum(alpha[:, None] * y * vector[:, None]))
+        assert not moments(np.ones(m))[[0, 3, 5]].any()
 
     def test_graph_builds_its_table_once(self):
         graph, _ = small_graph(np.random.default_rng(8), n=4, loops=[loop_of(0, 2)])
@@ -192,6 +214,8 @@ class TestHyperparams:
             # gaussian mode's theta = p_hat * epsilon^k / (1 - p_hat) underflows to 0 / overflows
             dict(mode="gaussian", gaussian_calibration="literal", epsilon=1e-3, p_hat=1e-320),
             dict(mode="gaussian", p_hat=0.9999999999999999, epsilon=1e77),
+            dict(em_tol=math.nan), dict(em_tol=-1.0), dict(em_tol=math.inf),
+            dict(inlier_threshold=math.nan), dict(inlier_threshold=2.0), dict(inlier_threshold=-0.5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
