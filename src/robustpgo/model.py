@@ -111,6 +111,17 @@ class MatchTable:
     def __len__(self) -> int:
         return len(self.seg)
 
+    def subset(self, keep: np.ndarray) -> MatchTable:
+        """The table of the constraints where keep (C,) is true, in order;
+        the table itself when every one is kept."""
+        if keep.all():
+            return self
+        sizes = self.sizes[keep]
+        rows = keep[self.seg]
+        return MatchTable(
+            self.pairs[keep], sizes, np.repeat(np.arange(len(sizes)), sizes), self.p[rows], self.q[rows]
+        )
+
     @cached_property
     def offsets(self) -> np.ndarray:
         """(C + 1,) start of each constraint's matches, then M."""
@@ -341,6 +352,8 @@ def validate(graph: ProblemGraph) -> list[Violation]:
         for pair in graph.oracle_labels:
             if pair not in seen_loops:
                 out.append(Violation("label_without_loop", pair, "label refers to no declared loop"))
+        for pair in sorted(seen_loops - graph.oracle_labels.keys()):
+            out.append(Violation("loop_without_label", pair, "labels are given, but not for this loop"))
     return out
 
 
@@ -409,25 +422,38 @@ def _segment_medians(table: MatchTable, values: np.ndarray, active: np.ndarray) 
 
 def _robust_fit(table: MatchTable, rounds: int, trim_factor: float):
     """Rigid fit of every constraint with iterative trimming of matches above
-    trim_factor * their constraint's median residual. Returns the rotations,
-    the translations and, by constraint, the first reason its fit failed."""
+    trim_factor * their constraint's median residual, for at most rounds + 2
+    fits. A constraint's fit, median and trim depend on its active matches
+    alone, so each round refits only the constraints whose active set the last
+    trim changed, over a table of their own, and the trimming ends at its
+    fixed point, once no set changes. Returns the rotations, the translations
+    and, by constraint, the first reason its fit failed."""
+    rots, trans = np.empty((len(table.sizes), 3, 3)), np.empty((len(table.sizes), 3))
     active = np.ones(len(table), dtype=bool)
+    changed = np.ones(len(table.sizes), dtype=bool)
     failures: dict[int, str] = {}
     # a constraint whose coordinates overflow is reported as failed, so numpy
     # is not asked to warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(rounds + 2):
-            rots, trans, round_failures = _fit_rigid(table, active)
-            for c, reason in round_failures.items():
-                failures.setdefault(c, reason)
+            index, rows = np.flatnonzero(changed), changed[table.seg]
+            sub, sub_active = table.subset(changed), active[rows]
+            sub_rots, sub_trans, sub_failures = _fit_rigid(sub, sub_active)
+            rots[index], trans[index] = sub_rots, sub_trans
+            for c, reason in sub_failures.items():
+                failures.setdefault(int(index[c]), reason)
             if r == rounds + 1 or len(failures) == len(table.sizes):
                 break
-            seg = table.seg
-            moved = np.einsum("mab,mb->ma", rots[seg], table.q) + trans[seg]
-            resid = np.linalg.norm(moved - table.p, axis=1)
-            med = _segment_medians(table, resid, active)
+            seg = sub.seg
+            moved = np.einsum("mab,mb->ma", sub_rots[seg], sub.q) + sub_trans[seg]
+            resid = np.linalg.norm(moved - sub.p, axis=1)
+            med = _segment_medians(sub, resid, sub_active)
             # absolute floor keeps exact matches from trimming each other at med == 0
-            active = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
+            trimmed = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
+            changed[index] = np.bincount(seg[trimmed != sub_active], minlength=len(index)) > 0
+            if not changed.any():
+                break
+            active[rows] = trimmed
     return rots, trans, failures
 
 
@@ -441,24 +467,25 @@ def fit_rigid_transform(source: np.ndarray, target: np.ndarray) -> Pose:
 def initialize_poses(graph: ProblemGraph) -> list[Pose]:
     """Initial fragment poses: explicit initial poses verbatim when present,
     otherwise a chain of robust closed-form alignments of the odometry match
-    sets, anchored at T_0 = identity. All alignments are fitted at once; the
-    error names the lowest constraint that cannot be aligned."""
+    sets, anchored at T_0 = identity. All alignments are fitted at once, and
+    the chain is composed as arrays; the error names the lowest constraint
+    that cannot be aligned."""
     if graph.initial_poses is not None:
         return [p.copy() for p in graph.initial_poses]
     by_index = {c.i: c for c in graph.odometry}
     chain = []
     while len(chain) < graph.num_fragments - 1 and len(chain) in by_index:
         chain.append(by_index[len(chain)])
-    poses = [se3.identity()]
-    if chain:
-        rots, trans, failures = _robust_fit(MatchTable.from_constraints(chain), 3, 3.0)
-        if failures:
-            i = min(failures)
-            raise AlignmentError(f"odometry constraint {i}->{i + 1}: {failures[i]}")
-        # residual model is T_i p - T_{i+1} q, so each fit maps frame i+1 into frame i
-        for rot, t in zip(rots, trans):
-            poses.append(se3.compose(poses[-1], se3.from_matrix(rot, t)))
-    if len(poses) < graph.num_fragments:
+    rots, steps, failures = _robust_fit(MatchTable.from_constraints(chain), 3, 3.0)
+    if failures:
+        i = min(failures)
+        raise AlignmentError(f"odometry constraint {i}->{i + 1}: {failures[i]}")
+    if len(chain) < graph.num_fragments - 1:
         i = len(chain)
         raise AlignmentError(f"no odometry constraint between {i} and {i + 1}")
-    return poses
+    quats, trans = np.empty((len(chain) + 1, 4)), np.empty((len(chain) + 1, 3))
+    quats[0], trans[0] = (1.0, 0.0, 0.0, 0.0), 0.0
+    # residual model is T_i p - T_{i+1} q, so each fit maps frame i+1 into frame i
+    for k, step in enumerate(se3.matrix_to_quat(rots)):
+        quats[k + 1], trans[k + 1] = se3.compose_arrays(quats[k], trans[k], step, steps[k])
+    return se3.unstack(quats, trans)

@@ -115,30 +115,29 @@ def _rotate(quat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix to quaternion via the max-trace branch (Shepperd)."""
+    """Quaternions (4,) or (N, 4) of rotation matrices (3, 3) or (N, 3, 3),
+    each by its max-trace branch (Shepperd): branch 0 where the trace is
+    positive, else branch k for the largest diagonal entry R[k-1, k-1].
+    Branch k's component k is s / 4, with s = 2 sqrt of the radicand below,
+    and each other component a difference or a sum of two mirrored
+    off-diagonal entries, over s."""
     R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    return _canonical_quat(q)
+    m = R.reshape(-1, 3, 3)
+    d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    tr = d0 + d1 + d2
+    branch = np.where(tr > 0.0, 0, np.where((d0 >= d1) & (d0 >= d2), 1, np.where(d1 >= d2, 2, 3)))
+    radicand = np.choose(branch, [tr + 1.0, 1.0 + d0 - d1 - d2, 1.0 + d1 - d0 - d2, 1.0 + d2 - d0 - d1])
+    s = np.sqrt(radicand) * 2.0
+    # numerators[:, k] holds branch k's (w, x, y, z) numerators
+    numerators = np.zeros((len(m), 4, 4))
+    numerators[:, 0, 1:] = numerators[:, 1:, 0] = np.stack(
+        [m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1
+    )
+    numerators[:, 1:, 1:] = m + np.swapaxes(m, 1, 2)
+    rows = np.arange(len(m))
+    q = numerators[rows, branch] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    return _canonical_quat(q[0]) if R.ndim == 2 else _canonical_quats(q)
 
 
 def from_matrix(R: np.ndarray, t: np.ndarray) -> Pose:

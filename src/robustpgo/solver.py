@@ -24,7 +24,8 @@ nothing to H, but its pose pair spans the graph and drives the fill-in of a
 sparse factor. So only the odometry and the weighted loops are factored, by
 SuperLU in symmetric mode with pivots on the diagonal, and preconditioned
 conjugate gradients (PCG) with that factor recover the step of the full
-system. There is one pattern per solve; PCG multiplies by the matrix a miss
+system. There is one pattern per kept set: the M-steps of an EM run that
+keep the same loops share it, and PCG multiplies by the matrix a miss
 factors. The pattern holds every constraint and is ordered once, when it is
 built, by minimum degree on the weighted subgraph's poses with each pose's
 six dofs together, and every factorization keeps that order. Each trial
@@ -45,6 +46,7 @@ differences of _evaluate under _retract_all, the functions LM itself calls.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,11 +291,12 @@ def _pose_order(pairs: np.ndarray, num_poses: int, gauge: int) -> np.ndarray:
 class _Pattern:
     """Where every block entry lands in the compressed sparse column (CSC)
     matrix of a damped system over the free dofs. The pattern is fixed by
-    the constraint pairs: one pattern per solve, which each LM trial refills
-    as the full system and as the kept pairs' subgraph; PCG multiplies by
-    the matrix a miss factors. Its order, fixed when it is built, is
-    _pose_order's pose-level minimum degree of the kept pairs' graph (all
-    pairs by default): free dof k sits at position pos[k]. The gauge pose's
+    the constraint pairs and ordered by the kept ones: one pattern per kept
+    set, which each LM trial refills as the full system and as the kept
+    pairs' subgraph; PCG multiplies by the matrix a miss factors. Its order,
+    fixed when it is built, is _pose_order's pose-level minimum degree of
+    the kept pairs' graph (all pairs by default): free dof k sits at
+    position pos[k]. The gauge pose's
     rows and columns are left out and each diagonal slot is present.
     """
 
@@ -348,11 +351,39 @@ class _Pattern:
         return out
 
 
+# the last pattern built, as (weak reference to its table, num_poses, gauge, pattern)
+_last_pattern: tuple | None = None
+
+
+def _forget_pattern(table_ref: weakref.ref) -> None:
+    """Drop the last pattern when its table is freed, so it outlives no graph."""
+    global _last_pattern
+    if _last_pattern is not None and _last_pattern[0] is table_ref:
+        _last_pattern = None
+
+
+def _kept_pattern(table: MatchTable, num_poses: int, gauge: int, kept: np.ndarray) -> _Pattern:
+    """The pattern of the table's pairs in the order of the kept pairs'
+    subgraph: one pattern per kept set. The last pattern built is returned
+    again for the same table object, pose count, gauge and kept mask, as the
+    M-steps of an EM run mostly ask for; any other key builds a new one,
+    which replaces it."""
+    global _last_pattern
+    last = _last_pattern
+    if last is not None and last[0]() is table and last[1:3] == (num_poses, gauge):
+        if np.array_equal(last[3].kept, kept):
+            return last[3]
+    _last_pattern = last = None  # the old pattern is freed before its successor is built
+    pattern = _Pattern(table.pairs, num_poses, gauge, kept)
+    _last_pattern = (weakref.ref(table, _forget_pattern), num_poses, gauge, pattern)
+    return pattern
+
+
 def _factor(system: csc_matrix):
     """SuperLU's factor of a damped system from _Pattern.matrix, in
     symmetric mode with pivots on the diagonal; a zero pivot raises
     RuntimeError. SuperLU keeps the pattern's own pose-level order
-    (NATURAL): with one pattern per solve, PCG multiplies by the matrix a
+    (NATURAL): with one pattern per kept set, PCG multiplies by the matrix a
     miss factors, in the order the subgraph's factor has."""
     return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
@@ -394,17 +425,18 @@ class _Stepper:
     constraints. Subgraph preconditioning (Dellaert et al., IROS 2010):
     only the odometry and the loops whose posterior (weight * match count)
     is at least SUBGRAPH_POSTERIOR are factored, and PCG with that factor
-    recovers the step of the full system. One pattern per solve, built
-    before any factor, holds every constraint in the subgraph's pose-level
-    order; PCG multiplies by the matrix a miss factors, so the right-hand
-    side is taken into that order once and the step put back once. A PCG
+    recovers the step of the full system. One pattern per kept set
+    (_kept_pattern), built before the first factor that keeps it, holds
+    every constraint in the subgraph's pose-level order; PCG multiplies by
+    the matrix a miss factors, so the right-hand side is taken into that
+    order once and the step put back once. A PCG
     miss, or a zero pivot in the subgraph's factor, falls back to factoring
     the full system."""
 
     def __init__(self, problem: Problem, num_poses: int, gauge: int):
         table = problem.table
         kept = problem.weights * table.sizes >= SUBGRAPH_POSTERIOR
-        self.pattern = _Pattern(table.pairs, num_poses, gauge, kept)
+        self.pattern = _kept_pattern(table, num_poses, gauge, kept)
         self.free = self.pattern.free
         self.pcg_iterations = 0
         self.fallbacks = 0

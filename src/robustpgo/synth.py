@@ -310,6 +310,9 @@ def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
     labels = np.asarray(labels, dtype=bool).reshape(-1)
     if len(labels) != len(graph.loops):
         raise ScenarioError(f"{len(labels)} labels for {len(graph.loops)} loops")
+    unlabelled = [c.pair for c in graph.loops if c.pair not in graph.oracle_labels]
+    if unlabelled:
+        raise ScenarioError(f"graph carries no oracle label for loop {unlabelled[0]}")
     tp = fp = fn = 0
     confusion = []
     for c, predicted in zip(graph.loops, labels):

@@ -1,9 +1,11 @@
-"""Per-match oracle for the flat objective, gradient and H that LM runs.
+"""Reference implementations the tests compare the package against.
 
-ResidualBlock and its helpers evaluate one match at a time in the world
-frame, through the single-pose se3 functions; they are the independent
-reference the solver tests compare the flat evaluation against, not part of
-the solve path.
+ResidualBlock and its helpers are the per-match oracle for the flat
+objective, gradient and H that LM runs: they evaluate one match at a time in
+the world frame, through the single-pose se3 functions. robust_fit_full_refit
+is the initialization's trimmed fit as it was before it refitted only the
+constraints whose match set changed: every round refits every constraint.
+None of them is on the solve path.
 """
 
 from dataclasses import dataclass
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustpgo import se3
+from robustpgo.model import MatchTable, _fit_rigid, _segment_medians
 from robustpgo.se3 import Pose
 from robustpgo.solver import _drho, _rho
 
@@ -106,3 +109,27 @@ def hessian_blocks(block: ResidualBlock, poses: list[Pose], curvature: bool = Fa
             h[:3, 3:] -= 0.5 * _cross_matrix(ae)
             h[3:, :3] += 0.5 * _cross_matrix(ae)
     return h_ii, h_jj, h_ij
+
+
+def robust_fit_full_refit(table: MatchTable, rounds: int, trim_factor: float):
+    """Rigid fit of every constraint with iterative trimming of matches above
+    trim_factor * their constraint's median residual. Returns the rotations,
+    the translations and, by constraint, the first reason its fit failed."""
+    active = np.ones(len(table), dtype=bool)
+    failures: dict[int, str] = {}
+    # a constraint whose coordinates overflow is reported as failed, so numpy
+    # is not asked to warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(rounds + 2):
+            rots, trans, round_failures = _fit_rigid(table, active)
+            for c, reason in round_failures.items():
+                failures.setdefault(c, reason)
+            if r == rounds + 1 or len(failures) == len(table.sizes):
+                break
+            seg = table.seg
+            moved = np.einsum("mab,mb->ma", rots[seg], table.q) + trans[seg]
+            resid = np.linalg.norm(moved - table.p, axis=1)
+            med = _segment_medians(table, resid, active)
+            # absolute floor keeps exact matches from trimming each other at med == 0
+            active = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
+    return rots, trans, failures

@@ -284,6 +284,27 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_partial_oracle_labels_are_invalid(self, tmp_path, scenario_file, capsys):
+        """A graph with LABEL records for only some loops is an invalid
+        graph, reported before the solve, not a KeyError in the evaluation."""
+        partial = tmp_path / "partial.pcg"
+        partial.write_text(_drop_first_label(scenario_file.read_text()))
+        code = run_cli(["solve", "--in", str(partial), "--out-poses", str(tmp_path / "p.txt")])
+        assert code == cli.EXIT_VALIDATE
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("error: invalid graph: ") for line in err)
+        assert "loop_without_label" in err[0] and not (tmp_path / "p.txt").exists()
+
+    def test_runs_as_a_module(self):
+        """`python -m robustpgo` is the CLI."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "robustpgo", "--help"], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert done.returncode == cli.EXIT_OK
+        assert done.stdout.startswith("usage: robustpgo") and "check-grad" in done.stdout
+
 
 class TestSimulate:
     def test_simulate_and_config(self, tmp_path, capsys):
@@ -343,7 +364,29 @@ class TestSimulate:
         )
 
 
+def _drop_first_label(text: str) -> str:
+    """A graph document without its first LABEL record."""
+    lines = text.splitlines(keepends=True)
+    first = next(k for k, line in enumerate(lines) if line.startswith("LABEL "))
+    return "".join(lines[:first] + lines[first + 1 :])
+
+
 class TestEval:
+    def test_partial_oracle_labels_exit_code(self, tmp_path, scenario_file, capsys):
+        """Scoring against a graph that labels only some loops is an invalid
+        graph, not a KeyError."""
+        poses, report = tmp_path / "poses.txt", tmp_path / "report.txt"
+        assert run_cli(["solve", "--in", str(scenario_file), "--out-poses", str(poses),
+                        "--out-report", str(report)]) == cli.EXIT_OK
+        partial = tmp_path / "partial.pcg"
+        partial.write_text(_drop_first_label(scenario_file.read_text()))
+        capsys.readouterr()
+        code = run_cli(["eval", "--poses", str(poses), "--graph", str(partial),
+                        "--labels-from-report", str(report)])
+        assert code == cli.EXIT_VALIDATE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: graph carries no oracle label for loop (")
+
     def test_missing_label_exit_code(self, tmp_path, scenario_file):
         poses = tmp_path / "poses.txt"
         report = tmp_path / "report.txt"

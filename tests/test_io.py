@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robustpgo import se3
-from robustpgo.em import EmIteration, EmTrace
+from robustpgo.em import EmIteration, EmTrace, classify_loops, run_em
 from robustpgo.graphio import (
     ParseError,
     RunReport,
@@ -16,7 +16,7 @@ from robustpgo.graphio import (
     write_poses_csv,
     write_report,
 )
-from robustpgo.model import LoopClosureConstraint, OdometryConstraint, ProblemGraph
+from robustpgo.model import Hyperparams, LoopClosureConstraint, OdometryConstraint, ProblemGraph
 from robustpgo.synth import ScenarioConfig, generate
 
 MINIMAL = """# two fragments, one odometry constraint
@@ -254,3 +254,22 @@ class TestReport:
         assert any(l.startswith("THETA 1 ") for l in lines)
         assert any(l.startswith("TRACE 1 ") for l in lines)
         assert "METRIC ate_mean 0.25" in text
+
+    def test_solve_rows_round_trip(self):
+        """One SOLVE row per EM iteration holds its M-step's termination and
+        counts and its gradient norm, which reads back bit for bit; the label
+        parse still reads only the LOOP rows."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        poses, state, trace = run_em(graph, Hyperparams())
+        labels = classify_loops(state)
+        pairs = [c.pair for c in graph.loops]
+        text = write_report(RunReport("cauchy", pairs, state.posteriors, state.posteriors, labels, trace))
+        rows = [line.split() for line in text.splitlines() if line.startswith("SOLVE ")]
+        assert len(trace) > 1 and len(rows) == len(trace)
+        for it, (row, rec) in enumerate(zip(rows, trace.iterations), start=1):
+            assert row[:8] == [
+                "SOLVE", str(it), rec.termination, str(rec.iterations), str(rec.factorizations),
+                str(rec.curvature_steps), str(rec.pcg_iterations), str(rec.fallbacks),
+            ]
+            assert len(row) == 9 and float(row[8]) == rec.gradient_norm
+        assert parse_report_labels(text) == dict(zip(pairs, labels.tolist()))

@@ -15,6 +15,8 @@ from robustpgo.model import (
     initialize_poses,
     validate,
 )
+from robustpgo.synth import ScenarioConfig, generate
+from oracle import robust_fit_full_refit
 
 
 def chain_poses(rng, n):
@@ -84,6 +86,17 @@ class TestValidate:
         kinds = [v.kind for v in validate(graph)]
         assert "nonfinite_match" in kinds
 
+    def test_loop_without_label(self):
+        """Labels for some loops but not all: each unlabelled loop is a
+        violation; a graph with no labels at all needs none."""
+        loops = [loop_of(0, 3), loop_of(1, 4), loop_of(2, 5)]
+        graph, _ = small_graph(np.random.default_rng(7), n=6, loops=loops)
+        partial = ProblemGraph(6, graph.odometry, graph.loops, oracle_labels={(1, 4): True})
+        kinds = [(v.kind, v.where) for v in validate(partial)]
+        assert kinds == [("loop_without_label", (0, 3)), ("loop_without_label", (2, 5))]
+        full = ProblemGraph(6, graph.odometry, graph.loops, oracle_labels={c.pair: False for c in loops})
+        assert validate(full) == [] and validate(graph) == []
+
     def test_validate_is_idempotent_and_pure(self):
         graph, _ = small_graph(np.random.default_rng(6))
         before = [(c.i, c.p.copy(), c.q.copy()) for c in graph.odometry]
@@ -106,6 +119,22 @@ class TestMatchTable:
         constraints = [*graph.odometry, *graph.loops]
         np.testing.assert_array_equal(table.p, np.concatenate([c.p for c in constraints]))
         np.testing.assert_array_equal(table.q, np.concatenate([c.q for c in constraints]))
+
+    def test_subset_keeps_the_chosen_constraints_in_order(self):
+        rng = np.random.default_rng(6)
+        sizes = [3, 0, 5, 1, 4]
+        constraints = [
+            LoopClosureConstraint(c, c + 2, rng.normal(size=(k, 3)), rng.normal(size=(k, 3)))
+            for c, k in enumerate(sizes)
+        ]
+        table = MatchTable.from_constraints(constraints)
+        keep = np.array([True, True, False, True, True])
+        sub = table.subset(keep)
+        expected = MatchTable.from_constraints([c for c, kept in zip(constraints, keep) if kept])
+        for name in ("pairs", "sizes", "seg", "p", "q"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(expected, name))
+        assert table.subset(np.ones(5, dtype=bool)) is table
+        assert len(table.subset(np.zeros(5, dtype=bool))) == 0
 
     def test_segment_sum_with_empty_constraints(self):
         """Empty constraints sum to zero wherever they sit, and row shapes carry through."""
@@ -383,3 +412,94 @@ class TestInitializePoses:
         for est, gt in zip(recovered, poses):
             rot, trans = se3.pose_difference(est, gt)
             assert rot < 5e-3 and trans < 5e-3
+
+
+def _displaced_chain(rng, n, k=40, fraction=0.3):
+    """Odometry of a random chain whose matches carry 2 cm noise, with the
+    given fraction of each constraint's q points displaced by 2.5-7.5 m."""
+    poses = chain_poses(rng, n)
+    constraints = []
+    for i in range(n - 1):
+        world = 0.5 * (poses[i].trans + poses[i + 1].trans) + rng.uniform(-5.0, 5.0, (k, 3))
+        p = se3.transform_points(se3.inverse(poses[i]), world)
+        q = se3.transform_points(se3.inverse(poses[i + 1]), world) + rng.normal(scale=0.02, size=(k, 3))
+        which = rng.choice(k, int(fraction * k), replace=False)
+        bump = rng.normal(size=(len(which), 3))
+        bump *= rng.uniform(2.5, 7.5, (len(which), 1)) / np.linalg.norm(bump, axis=1, keepdims=True)
+        q[which] += bump
+        constraints.append(OdometryConstraint(i, p, q))
+    return constraints
+
+
+def _odometry_case(name: str) -> list:
+    """The odometry of a named case: a benchmark workload's first scene, a
+    random displaced chain, or chains with failing constraints among good ones."""
+    if name == "circle-100":
+        return generate(ScenarioConfig(seed=0)).odometry
+    if name == "gaussian-clean-200":
+        clean = dict(match_noise=0.01, outlier_match_fraction=0.0, outlier_loop_fraction=0.2)
+        return generate(ScenarioConfig(num_fragments=200, seed=0, **clean)).odometry
+    if name == "circle-400":
+        return generate(ScenarioConfig(num_fragments=400, seed=0)).odometry
+    if name.startswith("displaced-"):
+        return _displaced_chain(np.random.default_rng(100 + int(name[-1])), 30)
+    rng = np.random.default_rng(110)
+    odometry = _displaced_chain(rng, 12)
+    if name == "short-and-collinear":
+        # two matches: below the three a fit needs from the first round on.
+        # Trimming alone cannot go below three: a fit's residuals over its
+        # active matches sum to zero, so the largest of three is at most
+        # twice the median, and of more than three at least three stay
+        odometry[4] = OdometryConstraint(4, odometry[4].p[:2], odometry[4].q[:2])
+        line = np.outer(np.arange(8.0), [0.3, -1.2, 0.7])
+        odometry[7] = OdometryConstraint(7, line + [1.0, 2.0, 3.0], line)
+        return odometry
+    assert name == "near-1e200"
+    odometry[1].p[:1] *= 1e200  # one match
+    odometry[1].q[:1] *= -1e200
+    odometry[3].p[:] *= 1e200  # every match
+    odometry[3].q[:] *= -1e200
+    return odometry
+
+
+_CASES = ["circle-100", "gaussian-clean-200", "circle-400", "displaced-0", "displaced-1", "displaced-2",
+          "short-and-collinear", "near-1e200"]
+
+
+class TestIncrementalTrimming:
+    """_robust_fit refits only the constraints whose active matches changed
+    and stops at the trimming fixed point; the full refit of every constraint
+    in every round (oracle.robust_fit_full_refit) gives the same bits."""
+
+    @pytest.mark.parametrize("name", _CASES)
+    def test_matches_the_full_refit(self, name):
+        table = MatchTable.from_constraints(_odometry_case(name))
+        rots, trans, failures = model._robust_fit(table, 3, 3.0)
+        ref_rots, ref_trans, ref_failures = robust_fit_full_refit(table, 3, 3.0)
+        np.testing.assert_array_equal(rots, ref_rots)
+        np.testing.assert_array_equal(trans, ref_trans)
+        assert failures == ref_failures
+        if name == "short-and-collinear":
+            assert sorted(failures) == [4, 7]
+            assert failures[4].startswith("only 2 matches") and "degenerate" in failures[7]
+        if name == "near-1e200":
+            assert sorted(failures) == [1, 3] and all("overflow" in r for r in failures.values())
+
+    def test_stops_at_the_fixed_point(self, monkeypatch):
+        """Each round fits only what the last trim changed: exact matches
+        keep every match, so the first fit is the last."""
+        fitted = []
+        real = model._fit_rigid
+
+        def spy(table, active):
+            fitted.append(len(table.sizes))
+            return real(table, active)
+
+        monkeypatch.setattr(model, "_fit_rigid", spy)
+        graph, _ = small_graph(np.random.default_rng(30), n=12)
+        model._robust_fit(MatchTable.from_constraints(graph.odometry), 3, 3.0)
+        assert fitted == [11]
+        fitted.clear()
+        odometry = _displaced_chain(np.random.default_rng(31), 12)
+        model._robust_fit(MatchTable.from_constraints(odometry), 3, 3.0)
+        assert fitted == [11, 11, 2]  # all; all, as the first trim changed each; then two

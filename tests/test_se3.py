@@ -151,6 +151,57 @@ class TestQuaternionInvariants:
             R = T.rotation_matrix()
             np.testing.assert_allclose(se3.matrix_to_quat(R), T.quat, atol=1e-9)
 
+    def test_batched_matrix_to_quat_is_bit_identical(self):
+        """A stack of matrices gives, row for row, the bits that each matrix
+        gives alone, and those of Shepperd's scalar branches, on each of the
+        four branches and at w = 0."""
+        rng = np.random.default_rng(8)
+        angles = {0: 0.4, 1: 3.0, 2: 3.0, 3: 3.0}  # branch 0 needs tr > 0, the others a large angle
+        mats = []
+        for branch, angle in angles.items():
+            for _ in range(5):
+                axis = rng.normal(size=3) * 0.2
+                axis[max(branch - 1, 0)] = 1.0
+                mats.append(se3.exp(np.r_[angle * axis / np.linalg.norm(axis), 0, 0, 0]).rotation_matrix())
+        mats += [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]  # w = 0
+        mats += [rand_pose(rng).rotation_matrix() for _ in range(20)]
+        mats = np.array(mats)
+        branches = [_shepperd_branch(R) for R in mats]
+        assert set(branches) == {0, 1, 2, 3}
+        batch = se3.matrix_to_quat(mats)
+        single = np.array([se3.matrix_to_quat(R) for R in mats])
+        scalar = np.array([_shepperd_scalar(R) for R in mats])
+        assert batch.tobytes() == single.tobytes() == scalar.tobytes()
+        np.testing.assert_array_equal(batch[20:23], [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert se3.matrix_to_quat(mats[:0]).shape == (0, 4)
+
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
             se3.Pose(np.zeros(4), np.zeros(3))
+
+
+def _shepperd_branch(R) -> int:
+    if R[0, 0] + R[1, 1] + R[2, 2] > 0.0:
+        return 0
+    if R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        return 1
+    return 2 if R[1, 1] >= R[2, 2] else 3
+
+
+def _shepperd_scalar(R) -> np.ndarray:
+    """One rotation matrix's quaternion by Shepperd's branches, one matrix
+    entry at a time, as a canonical pose holds it."""
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0.0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+    elif R[1, 1] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+    else:
+        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+    return se3.Pose(np.array(q), np.zeros(3)).quat

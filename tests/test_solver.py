@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from robustpgo import se3, solver
+from robustpgo import em, se3, solver
 from robustpgo.model import (
     Hyperparams,
     LoopClosureConstraint,
@@ -420,6 +420,69 @@ class TestPattern:
             options={"SymmetricMode": True},
         )
         assert pose_ordered.nnz <= scalar.nnz
+
+
+class TestPatternReuse:
+    """One pattern per kept set: solves of the same table object, pose
+    count, gauge and kept mask share the last pattern built."""
+
+    def test_em_matches_a_fresh_pattern_per_solve(self, monkeypatch):
+        """circle-400 seed 0 keeps one loop fewer after its first M-step, so
+        its run builds two patterns for four M-steps, and gives the poses,
+        posteriors and per-M-step counts of a pattern built for every solve."""
+        graph = generate(ScenarioConfig(num_fragments=400, seed=0))
+        kept_sets = []
+        real = solver._Pattern
+
+        class Pattern(real):
+            def __init__(self, pairs, num_poses, gauge, kept):
+                kept_sets.append(int(kept.sum()))
+                super().__init__(pairs, num_poses, gauge, kept)
+
+        monkeypatch.setattr(solver, "_Pattern", Pattern)
+        shared = em.run_em(graph, Hyperparams())
+        assert len(shared[2]) == 4 and len(kept_sets) == 2 and kept_sets[0] == kept_sets[1] + 1
+        kept_sets.clear()
+
+        def fresh_pattern(table, num_poses, gauge, kept):
+            return Pattern(table.pairs, num_poses, gauge, kept)
+
+        monkeypatch.setattr(solver, "_kept_pattern", fresh_pattern)
+        fresh = em.run_em(graph, Hyperparams())
+        assert len(kept_sets) == 4
+        for a, b in zip(se3.stack(shared[0]), se3.stack(fresh[0])):
+            assert a.tobytes() == b.tobytes()
+        assert shared[1].posteriors.tobytes() == fresh[1].posteriors.tobytes()
+
+        def counts(trace):
+            return [(it.factorizations, it.pcg_iterations) for it in trace.iterations]
+
+        assert counts(shared[2]) == counts(fresh[2])
+
+    def test_another_key_builds_a_new_pattern(self):
+        """Another kept mask, table object, pose count or gauge does not get
+        the last pattern; the pattern goes when its table does."""
+        problem, _ = two_loop_problem()
+
+        def pattern(table, weights, num_poses=12, gauge=0):
+            return solver._Stepper(Problem(table, weights, problem.kernel), num_poses, gauge).pattern
+
+        table, weights = problem.table, problem.weights.copy()
+        first = pattern(table, weights)
+        assert pattern(table, weights) is first
+        weights[-1] = 0.0  # the 1e-9 loop was left out of the subgraph already: the same kept set
+        assert pattern(table, weights) is first
+        weights[-1] = 1.0  # kept now
+        kept_all = pattern(table, weights)
+        assert kept_all is not first and kept_all.kept.all()
+        assert pattern(table, problem.weights) is not first  # the slot held the other mask
+        copy = MatchTable(*(getattr(table, name).copy() for name in ("pairs", "sizes", "seg", "p", "q")))
+        on_copy = pattern(copy, problem.weights)
+        assert on_copy is not pattern(table, problem.weights)
+        assert pattern(table, problem.weights, gauge=1) is not pattern(table, problem.weights)
+        assert pattern(table, problem.weights, num_poses=13) is not pattern(table, problem.weights)
+        del problem, table
+        assert solver._last_pattern is None
 
 
 class TestRetractAll:

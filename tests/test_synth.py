@@ -188,6 +188,15 @@ class TestEvaluate:
         with pytest.raises(ScenarioError, match="at least 6"):
             evaluate(graph.ground_truth[:5], small, [])
 
+    def test_partial_oracle_labels(self):
+        """Labels for some loops only: no score, and no KeyError."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
+        missing = graph.loops[1].pair
+        del graph.oracle_labels[missing]
+        with pytest.raises(ScenarioError, match=rf"no oracle label for loop \({missing[0]}, {missing[1]}\)"):
+            evaluate(graph.ground_truth, graph, oracle)
+
     @pytest.mark.parametrize("count", [3, 19, 21])
     def test_pose_count_mismatch(self, count):
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
