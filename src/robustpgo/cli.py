@@ -3,7 +3,9 @@
 Exit codes identify the failure class:
     0 success          3 input parse error       5 solver or initialization failure
     2 usage error      4 graph/config invalid    6 I/O error
-    7 --require-converged set, and EM hit its iteration cap or the LM cap stopped an M-step
+    7 --require-converged set, and EM hit its iteration cap without converging or the LM
+      cap stopped an M-step; an M-step that takes no step counts as converged, also when it
+      is the --max-em-iters-th
 """
 
 from __future__ import annotations
@@ -216,11 +218,11 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
     def objectives(prob, delta):
         """Each problem's objective at its poses retracted by the twists delta, (18,) or (count, 18)."""
         delta = np.broadcast_to(delta, (count, 18)).ravel()
-        _, errors, _ = solver._evaluate(prob, *solver._retract_all(quats, trans, delta, -1))
+        errors = solver._evaluate(prob, *solver._retract_all(quats, trans, delta, -1)).errors
         return (prob.weights * sizes * errors).reshape(count, 4).sum(axis=1)
 
     def hessian_error(prob, curvature):
-        residuals = solver._evaluate(prob, quats, trans)[0]
+        residuals = solver._evaluate(prob, quats, trans).residuals
         blocks = solver._assemble(prob, residuals, 3 * count, curvature)[1]
         # the poses of _assemble's blocks: H_ii, H_jj, H_ij, H_ji of each constraint (i, j) in turn
         rows, cols = np.concatenate([pairs[:, [0, 0]], pairs[:, [1, 1]], pairs, pairs[:, ::-1]]).T
@@ -233,7 +235,7 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
         error = np.abs(second - np.einsum("bk,bkl,bl->b", u, dense, u)) / np.abs(dense).max(axis=(1, 2))
         return float(error.max())
 
-    residuals = solver._evaluate(problem, quats, trans)[0]
+    residuals = solver._evaluate(problem, quats, trans).residuals
     grad = solver._assemble(problem, residuals, 3 * count)[0].reshape(count, 18)
     h = 1e-6
     numeric = np.stack([objectives(problem, d) - objectives(problem, -d) for d in h * np.eye(18)], axis=1)
@@ -288,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out-poses", help="write final poses here")
     ps.add_argument("--out-report", help="write the run report here")
     ps.add_argument("--out-csv", help="write id,tx,ty,tz trajectory rows here")
-    ps.add_argument("--require-converged", action="store_true")
+    ps.add_argument(
+        "--require-converged", action="store_true",
+        help="exit 7 unless EM converged (its objective stalled, or an M-step, also the last one "
+        "allowed, took no step) and the LM iteration cap stopped no M-step",
+    )
     ps.set_defaults(func=_cmd_solve)
 
     pg = sub.add_parser("simulate", help="generate a synthetic scenario graph")

@@ -31,6 +31,13 @@ class EmError(Exception):
     pass
 
 
+def evaluate_poses(table: MatchTable, poses: list[Pose], kernel: str, sigma: float) -> solver.PoseState:
+    """The solver's weight-free evaluation of the poses over the table, with
+    its kernel rho: the pose state a solve starts from."""
+    problem = solver.Problem(table, np.ones(len(table.sizes)), kernel, sigma)
+    return solver._evaluate(problem, *se3.stack(poses))
+
+
 def constraint_errors(
     table: MatchTable, poses: list[Pose], kernel: str, sigma: float
 ) -> np.ndarray:
@@ -38,8 +45,7 @@ def constraint_errors(
     over each constraint's matches, with the solver's kernel rho, as a solve
     reports it at its poses (SolverReport.errors). That is A under the
     log-Cauchy kernel and B under the squared kernel."""
-    problem = solver.Problem(table, np.ones(len(table.sizes)), kernel, sigma)
-    return solver._evaluate(problem, *se3.stack(poses))[1]
+    return evaluate_poses(table, poses, kernel, sigma).errors
 
 
 def lower_median(values) -> float:
@@ -118,15 +124,20 @@ class EmIteration(solver.SolverReport):
 @dataclass
 class EmTrace:
     iterations: list[EmIteration] = field(default_factory=list)
+    # the last M-step's objective moved by less than em_tol relative, the
+    # last M-step took no step (so the next would replay it), or the graph
+    # has no loop; a zero-step M-step counts even when it is the
+    # max_em_iters-th
     converged: bool = False
 
     def __len__(self):
         return len(self.iterations)
 
 
-def _max_update(old: list[Pose], new: list[Pose]) -> float:
-    """Largest twist norm of log(new_k o old_k^-1) over the poses."""
-    step = se3.compose_arrays(*se3.stack(new), *se3.inverse_arrays(*se3.stack(old)))
+def _max_update(old: tuple[np.ndarray, np.ndarray], new: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest twist norm of log(new_k o old_k^-1) over poses given as
+    (quaternion, translation) arrays."""
+    step = se3.compose_arrays(*new, *se3.inverse_arrays(*old))
     return float(np.linalg.norm(se3.log_arrays(*step)[0], axis=1).max(initial=0.0))
 
 
@@ -134,22 +145,26 @@ def run_em(
     graph: ProblemGraph, params: Hyperparams
 ) -> tuple[list[Pose], PosteriorState, EmTrace]:
     """Alternate posterior updates and pose optimization until the M-step
-    objective stalls.
+    objective stalls or an M-step takes no step.
 
     Each pass learns theta (every pass with refresh_theta, else once), runs
     the E-step at the poses it holds, then returns, once EM has converged or
     run max_em_iters M-steps, or runs the next M-step; so the posteriors
     returned are evaluated at the poses returned. With no loop constraints
-    one M-step over odometry alone is the fixed point. The errors are
-    evaluated once, at the initial poses; each M-step reports them at its own.
+    one M-step over odometry alone is the fixed point, and so is an M-step
+    that takes no step: the next would start from the same poses, errors,
+    theta and posteriors. One pose state is carried through the run: the
+    initial poses are evaluated once, and each M-step is handed the state
+    the last one evaluated and weighs it, so every pose state is evaluated
+    once; theta and the E-step read its errors.
     """
-    poses = initialize_poses(graph)
-    errors = constraint_errors(graph.table, poses, solver.KERNELS[params.mode], params.sigma)
+    pose_state = evaluate_poses(graph.table, initialize_poses(graph), solver.KERNELS[params.mode], params.sigma)
     odometry = len(graph.odometry)
     trace = EmTrace()
 
     theta = None
     while True:
+        errors = pose_state.errors
         if theta is None or params.refresh_theta:
             if params.mode == "cauchy":
                 theta = learn_theta_cauchy(errors[:odometry], params.p_hat)
@@ -157,10 +172,14 @@ def run_em(
                 theta = learn_theta_gaussian(params.epsilon, params.p_hat, params.gaussian_calibration)
         state = e_step(errors[odometry:], theta, params)
         if trace.converged or len(trace) == params.max_em_iters:
-            return poses, state, trace
+            return se3.unstack(pose_state.quats, pose_state.trans), state, trace
         problem = solver.build_problem(graph, state, params)
+        # the solve holds the only reference to its start state, so the
+        # state's M-sized arrays go at its first accepted step
+        start = pose_state.quats, pose_state.trans
+        handed, pose_state = [pose_state], None
         try:
-            poses_new, report = solver.solve(problem, poses, gauge=0)
+            pose_state, report = solver.solve(problem, handed.pop(), gauge=0)
         except solver.SolverError as err:
             raise EmError(f"EM iteration {len(trace) + 1}: {err}") from err
         trace.iterations.append(
@@ -168,11 +187,10 @@ def run_em(
                 **vars(report),
                 theta=theta,
                 inlier_count=int(np.sum(state.posteriors > params.inlier_threshold)),
-                max_pose_update=_max_update(poses, poses_new),
+                max_pose_update=_max_update(start, (pose_state.quats, pose_state.trans)),
             )
         )
-        poses, errors = poses_new, report.errors
         ends = [rec.objective_end for rec in trace.iterations[-2:]]
         rel = abs(ends[0] - ends[-1]) / max(abs(ends[0]), 1e-300) if len(ends) == 2 else math.inf
         # with no loop there is no posterior to update: one M-step is the fixed point
-        trace.converged = not graph.loops or rel < params.em_tol
+        trace.converged = not graph.loops or report.iterations == 0 or rel < params.em_tol

@@ -37,7 +37,9 @@ matrix instead. A zero pivot there or a step that is not finite rejects
 the trial, as the strict-decrease test rejects an uphill step. A trial that
 does not move the objective beyond objective_tol ends the solve untaken, and
 a solve stalls when the damping passes its cap. The poses stay in (N, 4)
-quaternion and (N, 3) translation arrays while LM runs.
+quaternion and (N, 3) translation arrays while LM runs, each pose state with
+its weight-free evaluation (PoseState), which EM hands from one M-step to the
+next.
 
 `robustpgo check-grad` checks _assemble's gradient and H against finite
 differences of _evaluate under _retract_all, the functions LM itself calls.
@@ -89,6 +91,43 @@ class Problem:
 
     def __len__(self) -> int:
         return len(self.table)
+
+    def objective(self, state: PoseState) -> float:
+        """weights @ sums at a pose state evaluated for this problem's table,
+        kernel and sigma; inf when a residual is not finite."""
+        # a kernel value past the float range is inf (NaN at weight 0), not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.weights @ state.sums) if state.finite else math.inf
+
+
+@dataclass(frozen=True)
+class PoseState:
+    """Poses as (N, 4) quaternion and (N, 3) translation arrays, with their
+    weight-free evaluation over one table, kernel and sigma: the rotations
+    and every match's frame-i residual and squared norm (rots, trans, e_i, s),
+    and each constraint's sum of rho(s) over its matches. Any weights give
+    its objective (Problem.objective) without another residual pass."""
+
+    quats: np.ndarray
+    trans: np.ndarray
+    residuals: tuple
+    sums: np.ndarray  # (C,)
+    finite: bool  # every residual is finite
+    table: MatchTable
+    kernel: str
+    sigma: float
+
+    def __len__(self) -> int:
+        return len(self.quats)
+
+    @property
+    def errors(self) -> np.ndarray:
+        """(C,) each constraint's mean rho over its matches."""
+        return self.sums / self.table.sizes
+
+    def fits(self, problem: Problem) -> bool:
+        """Whether this state is evaluated for the problem's table, kernel and sigma."""
+        return self.table is problem.table and (self.kernel, self.sigma) == (problem.kernel, problem.sigma)
 
 
 @dataclass
@@ -149,20 +188,18 @@ def _nonfinite(table: MatchTable, s: np.ndarray) -> SolverError:
     return SolverError(f"non-finite residual in constraint {c} (i={i}, j={j}, match {k})")
 
 
-def _evaluate(problem: Problem, quats, trans):
-    """One pose state, evaluated once: the pose rotations and translations
-    with every match's frame-i residual and squared norm (rots, trans, e_i, s),
-    each constraint's error (the mean of rho(s) over its matches) and the
-    objective, inf when a residual is not finite. LM keeps it with the poses
-    it holds, for the gradient, H and the report."""
+def _evaluate(problem: Problem, quats, trans) -> PoseState:
+    """One pose state, evaluated once for the problem's table, kernel and
+    sigma. LM keeps it with the poses it holds, for the objective, the
+    gradient, H and the report."""
     table = problem.table
     rots = se3.quat_to_matrix(quats)
     ei, s = table.residuals(rots, trans)
-    # a kernel value past the float range is inf (NaN at weight 0), not a warning
+    # a kernel value past the float range is inf, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         sums = table.segment_sum(_rho(s, problem.kernel, problem.sigma))
-        objective = float(problem.weights @ sums) if np.isfinite(s).all() else math.inf
-    return (rots, trans, ei, s), sums / table.sizes, objective
+    finite = bool(np.isfinite(s).all())
+    return PoseState(quats, trans, (rots, trans, ei, s), sums, finite, table, problem.kernel, problem.sigma)
 
 
 def _skew_gram(S: np.ndarray) -> np.ndarray:
@@ -197,8 +234,8 @@ def _world_moment(ra, local, rb, ua, tb, ta, sb) -> np.ndarray:
 
 
 def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = False):
-    """Exact gradient and the (4C, 6, 6) blocks of H, from the finite pose
-    state (rots, trans, e_i, s) of _evaluate: H_ii, H_jj, H_ij, H_ji of each
+    """Exact gradient and the (4C, 6, 6) blocks of H, from the residuals
+    (rots, trans, e_i, s) of a finite PoseState: H_ii, H_jj, H_ij, H_ji of each
     constraint (i, j) in turn; _Pattern places them.
 
     A match with alpha = 2 w rho'(s) has world points y_i = T_i p, y_j = T_j q,
@@ -476,12 +513,12 @@ def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
 
 def solve(
     problem: Problem,
-    poses: list[Pose],
+    poses: list[Pose] | PoseState,
     gauge: int = 0,
     max_iterations: int = MAX_INNER_ITERS,
     gradient_tol: float = GRADIENT_TOL,
     objective_tol: float = OBJECTIVE_TOL,
-) -> tuple[list[Pose], SolverReport]:
+) -> tuple[list[Pose] | PoseState, SolverReport]:
     """Minimize the problem's objective over all poses except the gauge pose.
 
     Levenberg-Marquardt trust strategy: damping starts at 1e-4, x10 on a
@@ -496,19 +533,30 @@ def solve(
     solve also stalls when the damping passes 1e8. Each LM pass, the capped
     one too, assembles at the poses it holds, so a solve assembles once more
     than it accepts steps and reports the last gradient, at the returned poses.
+
+    Poses given as a PoseState come back as the PoseState LM last accepted
+    (the start state when no step is taken). A start state evaluated for the
+    problem's table, kernel and sigma is weighed, not evaluated again, and
+    the solve drops its reference to it at its first accepted step.
     """
     num_poses = len(poses)
     if not 0 <= gauge < num_poses:
         raise ValueError(f"gauge index {gauge} out of range")
-    quats, trans = se3.stack(poses)
-    residuals, errors, objective = _evaluate(problem, quats, trans)
-    if not np.isfinite(residuals[3]).all():
-        raise _nonfinite(problem.table, residuals[3])
-    objective_start = objective
+    returns_state = isinstance(poses, PoseState)
+    if not returns_state:
+        state = _evaluate(problem, *se3.stack(poses))
+    elif poses.fits(problem):
+        state = poses
+    else:
+        state = _evaluate(problem, poses.quats, poses.trans)
+    del poses  # only `state` refers to the start state, until the first accepted step
+    if not state.finite:
+        raise _nonfinite(problem.table, state.residuals[3])
+    objective = objective_start = problem.objective(state)
 
     if num_poses == 1:
-        report = SolverReport(0, objective_start, objective, "gradient", 0.0, errors)
-        return se3.unstack(quats, trans), report
+        report = SolverReport(0, objective_start, objective, "gradient", 0.0, state.errors)
+        return (state if returns_state else se3.unstack(state.quats, state.trans)), report
 
     stepper = _Stepper(problem, num_poses, gauge)
     damping = DAMPING_INIT
@@ -520,7 +568,7 @@ def solve(
     curvature_steps = 0
 
     while not termination:
-        grad, blocks = _assemble(problem, residuals, num_poses, curvature)
+        grad, blocks = _assemble(problem, state.residuals, num_poses, curvature)
         gradient_norm = float(np.abs(grad[stepper.free]).max())
         if gradient_norm < gradient_tol:
             termination = "gradient"
@@ -534,9 +582,8 @@ def solve(
             step = stepper(blocks, grad, damping)
             trial_objective = math.inf
             if step is not None and np.isfinite(step).all():
-                trial_quats, trial_trans = _retract_all(quats, trans, step, gauge)
-                trial = _evaluate(problem, trial_quats, trial_trans)
-                trial_objective = trial[2]
+                trial = _evaluate(problem, *_retract_all(state.quats, state.trans, step, gauge))
+                trial_objective = problem.objective(trial)
 
             # a trial this close to the objective is at the floor of its float
             # precision: neither it nor a more damped one tells a decrease
@@ -544,7 +591,7 @@ def solve(
                 termination = "objective" if trial_objective < objective else "stalled"
                 break
             if trial_objective < objective:
-                quats, trans, (residuals, errors, _) = trial_quats, trial_trans, trial
+                state = trial
                 drop = objective - trial_objective
                 objective = trial_objective
                 accepted += 1
@@ -559,7 +606,7 @@ def solve(
                 break
 
     report = SolverReport(
-        accepted, objective_start, objective, termination, gradient_norm, errors,
+        accepted, objective_start, objective, termination, gradient_norm, state.errors,
         objective_path, factorizations, curvature_steps, stepper.pcg_iterations, stepper.fallbacks,
     )
-    return se3.unstack(quats, trans), report
+    return (state if returns_state else se3.unstack(state.quats, state.trans)), report

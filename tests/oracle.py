@@ -5,15 +5,20 @@ objective, gradient and H that LM runs: they evaluate one match at a time in
 the world frame, through the single-pose se3 functions. robust_fit_full_refit
 is the initialization's trimmed fit as it was before it refitted only the
 constraints whose match set changed: every round refits every constraint.
+run_em_replaying is the EM driver as it was before M-steps handed their pose
+state on: every M-step starts from a list of poses and evaluates it again,
+and a run goes on after an M-step that takes no step, replaying it.
 None of them is on the solve path.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from robustpgo import se3
-from robustpgo.model import MatchTable, _fit_rigid, _segment_medians
+from robustpgo import se3, solver
+from robustpgo.em import EmError, EmIteration, EmTrace, constraint_errors, e_step, learn_theta_cauchy
+from robustpgo.model import MatchTable, _fit_rigid, _segment_medians, initialize_poses, learn_theta_gaussian
 from robustpgo.se3 import Pose
 from robustpgo.solver import _drho, _rho
 
@@ -133,3 +138,48 @@ def robust_fit_full_refit(table: MatchTable, rounds: int, trim_factor: float):
             # absolute floor keeps exact matches from trimming each other at med == 0
             active = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
     return rots, trans, failures
+
+
+def _max_update(old: list[Pose], new: list[Pose]) -> float:
+    """Largest twist norm of log(new_k o old_k^-1) over the poses."""
+    step = se3.compose_arrays(*se3.stack(new), *se3.inverse_arrays(*se3.stack(old)))
+    return float(np.linalg.norm(se3.log_arrays(*step)[0], axis=1).max(initial=0.0))
+
+
+def run_em_replaying(graph, params):
+    """run_em with a list of poses between M-steps, each evaluated again by
+    the next solve, and with convergence only by the relative change of the
+    M-step objective (or no loops)."""
+    poses = initialize_poses(graph)
+    errors = constraint_errors(graph.table, poses, solver.KERNELS[params.mode], params.sigma)
+    odometry = len(graph.odometry)
+    trace = EmTrace()
+
+    theta = None
+    while True:
+        if theta is None or params.refresh_theta:
+            if params.mode == "cauchy":
+                theta = learn_theta_cauchy(errors[:odometry], params.p_hat)
+            else:
+                theta = learn_theta_gaussian(params.epsilon, params.p_hat, params.gaussian_calibration)
+        state = e_step(errors[odometry:], theta, params)
+        if trace.converged or len(trace) == params.max_em_iters:
+            return poses, state, trace
+        problem = solver.build_problem(graph, state, params)
+        try:
+            poses_new, report = solver.solve(problem, poses, gauge=0)
+        except solver.SolverError as err:
+            raise EmError(f"EM iteration {len(trace) + 1}: {err}") from err
+        trace.iterations.append(
+            EmIteration(
+                **vars(report),
+                theta=theta,
+                inlier_count=int(np.sum(state.posteriors > params.inlier_threshold)),
+                max_pose_update=_max_update(poses, poses_new),
+            )
+        )
+        poses, errors = poses_new, report.errors
+        ends = [rec.objective_end for rec in trace.iterations[-2:]]
+        rel = abs(ends[0] - ends[-1]) / max(abs(ends[0]), 1e-300) if len(ends) == 2 else math.inf
+        # with no loop there is no posterior to update: one M-step is the fixed point
+        trace.converged = not graph.loops or rel < params.em_tol

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from robustpgo.model import (
 )
 from robustpgo.synth import ScenarioConfig, generate
 
+from oracle import run_em_replaying
 from test_model import exact_odometry, chain_poses
+
+
+def record_bytes(rec: em.EmIteration) -> dict:
+    """An EM record's fields, with each array as its bytes."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(rec).items()}
 
 
 def identity_pair():
@@ -370,9 +377,9 @@ class TestRunEm:
 
     @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
     def test_evaluates_each_pose_state_once(self, monkeypatch, mode):
-        """One evaluation at the initial poses, then one per LM start and per
-        trial: theta, the E-step and the final posteriors read the errors the
-        M-steps report."""
+        """One evaluation at the initial poses, then one per LM trial: each
+        M-step weighs the state the last one evaluated, and theta, the E-step
+        and the final posteriors read its errors."""
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
         calls = []
         real = MatchTable.residuals
@@ -384,7 +391,95 @@ class TestRunEm:
         monkeypatch.setattr(MatchTable, "residuals", spy)
         _, _, trace = em.run_em(graph, Hyperparams(mode=mode))
         assert len(trace) >= 2
-        assert len(calls) == sum(it.factorizations for it in trace.iterations) + len(trace) + 1
+        assert len(calls) == sum(it.factorizations for it in trace.iterations) + 1
+
+    def test_hands_on_one_pose_state(self, monkeypatch):
+        """Each M-step is handed the state the last one evaluated, and holds
+        it only until its first accepted step: whenever LM assembles, the
+        pose state it assembles from is the only one alive."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+        states, alone = [], []
+        real_evaluate, real_assemble = solver._evaluate, solver._assemble
+
+        def evaluate(*args):
+            state = real_evaluate(*args)
+            states.append(weakref.ref(state))
+            return state
+
+        def assemble(problem, residuals, *args):
+            live = [ref for ref in states if ref() is not None]
+            alone.append(len(live) == 1 and live[0]().residuals is residuals)
+            return real_assemble(problem, residuals, *args)
+
+        monkeypatch.setattr(solver, "_evaluate", evaluate)
+        monkeypatch.setattr(solver, "_assemble", assemble)
+        _, _, trace = em.run_em(graph, Hyperparams())
+        assert len(trace) >= 2 and all(rec.iterations > 0 for rec in trace.iterations[:-1])
+        assert len(alone) == sum(rec.iterations + 1 for rec in trace.iterations) and all(alone)
+
+    @pytest.mark.parametrize(
+        "config, mode, replays",
+        [
+            (ScenarioConfig(seed=0), "cauchy", 1),
+            (ScenarioConfig(seed=9), "cauchy", 1),
+            (ScenarioConfig(seed=4), "cauchy", 0),
+            (
+                ScenarioConfig(
+                    num_fragments=200, seed=4, match_noise=0.01,
+                    outlier_match_fraction=0.0, outlier_loop_fraction=0.2,
+                ),
+                "gaussian",
+                1,
+            ),
+        ],
+    )
+    def test_matches_the_replaying_oracle(self, config, mode, replays):
+        """The poses, posteriors and theta of the EM loop that evaluates each
+        M-step's start again and goes on past a zero-step M-step
+        (tests/oracle.py), bit for bit. Its trace is the oracle's without the
+        records that replay the one before them, and each of those follows
+        a record that took no step."""
+        graph = generate(config)
+        params = Hyperparams(mode=mode)
+        poses, state, trace = em.run_em(graph, params)
+        expected_poses, expected_state, expected = run_em_replaying(graph, params)
+        for a, b in zip(se3.stack(poses), se3.stack(expected_poses)):
+            assert a.tobytes() == b.tobytes()
+        assert state.posteriors.tobytes() == expected_state.posteriors.tobytes()
+        assert state.theta == expected_state.theta
+        records = [record_bytes(rec) for rec in expected.iterations]
+        replayed = [k for k in range(1, len(records)) if records[k] == records[k - 1]]
+        assert len(replayed) == replays
+        assert all(expected.iterations[k - 1].iterations == 0 for k in replayed)
+        kept = [rec for k, rec in enumerate(records) if k not in replayed]
+        assert [record_bytes(rec) for rec in trace.iterations] == kept
+        assert trace.converged == expected.converged
+
+    def test_a_zero_step_m_step_is_a_fixed_point(self):
+        """circle-400 seed 0 ends on an M-step that takes no step. A further
+        solve from the returned poses, weighted by the returned posteriors,
+        takes none either: it returns the poses bit for bit, at the last
+        record's objective."""
+        graph = generate(ScenarioConfig(num_fragments=400, seed=0))
+        params = Hyperparams()
+        poses, state, trace = em.run_em(graph, params)
+        assert trace.converged and trace.iterations[-1].iterations == 0
+        assert all(rec.iterations > 0 for rec in trace.iterations[:-1])
+        out, report = solver.solve(solver.build_problem(graph, state, params), poses, gauge=0)
+        assert report.iterations == 0
+        assert report.objective_end == trace.iterations[-1].objective_end
+        for a, b in zip(se3.stack(out), se3.stack(poses)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_zero_step_m_step_converges_at_the_iteration_cap(self):
+        """A run whose last allowed M-step takes no step has converged, though
+        the M-step objective moved by more than em_tol."""
+        graph = generate(ScenarioConfig(seed=0))
+        _, _, trace = em.run_em(graph, Hyperparams(max_em_iters=3))
+        assert len(trace) == 3 and trace.iterations[-1].iterations == 0
+        ends = [rec.objective_end for rec in trace.iterations[-2:]]
+        assert abs(ends[0] - ends[1]) > Hyperparams().em_tol * abs(ends[0])
+        assert trace.converged
 
     def test_each_iteration_is_its_m_steps_report(self):
         """Each EM record carries its M-step's report: one accepted step per

@@ -4,7 +4,12 @@ suite, and not only in `python3 -m pytest perfbench -q`."""
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
+
+from robustpgo import em, solver
+from robustpgo.model import Hyperparams
+from robustpgo.synth import ScenarioConfig, generate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -22,3 +27,25 @@ def test_every_trace_point_resolves_to_a_callable(monkeypatch):
     ]
     assert not missing, missing
     assert {point.module.__name__.split(".")[0] for point in harness.TRACE_POINTS} == {"robustpgo"}
+
+
+def test_run_em_calls_the_traced_names(monkeypatch):
+    """perfbench's solver.solve and model.initialize_poses spans wrap the
+    module attributes run_em calls: solver.solve once per EM iteration and
+    em.initialize_poses once per run."""
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(solver, "solve")
+    spy(em, "initialize_poses")
+    _, _, trace = em.run_em(generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5)), Hyperparams())
+    assert len(trace) >= 2
+    assert calls == {"solve": len(trace), "initialize_poses": 1}

@@ -58,7 +58,7 @@ def stepped_objective(problem, poses):
 
     def objective(delta):
         q, t = solver._retract_all(quats, trans, delta, gauge=-1)  # no pose held fixed
-        return solver._evaluate(problem, q, t)[2]
+        return problem.objective(solver._evaluate(problem, q, t))
 
     return objective
 
@@ -66,8 +66,8 @@ def stepped_objective(problem, poses):
 def lm_terms(problem, poses):
     """The objective, gradient and H blocks LM forms at the given poses, from
     one evaluation of them."""
-    residuals, _, objective = solver._evaluate(problem, *se3.stack(poses))
-    return (objective, *solver._assemble(problem, residuals, len(poses)))
+    state = solver._evaluate(problem, *se3.stack(poses))
+    return (problem.objective(state), *solver._assemble(problem, state.residuals, len(poses)))
 
 
 def random_pose_pair(rng):
@@ -280,7 +280,7 @@ class TestGradients:
         poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
         problem = random_problem(rng, KERNEL_SQUARED)
         objective = stepped_objective(problem, poses)
-        residuals = solver._evaluate(problem, *se3.stack(poses))[0]
+        residuals = solver._evaluate(problem, *se3.stack(poses)).residuals
         assert np.sqrt(residuals[3]).min() > 0.1
         h = 1e-4
         basis = h * np.eye(18)
@@ -314,7 +314,7 @@ class TestGradients:
         poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
         poses = [se3.Pose(p.quat, p.trans + offset) for p in poses]
         problem = random_problem(rng, kernel)
-        residuals = solver._evaluate(problem, *se3.stack(poses))[0]
+        residuals = solver._evaluate(problem, *se3.stack(poses)).residuals
         blocks = per_match_blocks(problem)
         expected_grad = np.zeros(18)
         for b in blocks:
@@ -347,11 +347,11 @@ class TestEvaluate:
         problem = build_problem(graph, PosteriorState(1.0, np.full(len(graph.loops), 0.5)), Hyperparams())
         quats, trans = se3.stack(initialize_poses(graph))
         trans = np.round(trans * 1024.0) / 1024.0
-        _, errors, objective = solver._evaluate(problem, quats, trans)
-        _, shifted_errors, shifted_objective = solver._evaluate(problem, quats, trans + [2.0**20, 0.0, 0.0])
-        assert objective > 0.0 and errors.min() > 0.0
-        np.testing.assert_array_equal(shifted_errors, errors)
-        assert shifted_objective == objective
+        state = solver._evaluate(problem, quats, trans)
+        shifted = solver._evaluate(problem, quats, trans + [2.0**20, 0.0, 0.0])
+        assert problem.objective(state) > 0.0 and state.errors.min() > 0.0
+        np.testing.assert_array_equal(shifted.errors, state.errors)
+        assert problem.objective(shifted) == problem.objective(state)
 
 
 class TestKernel:
@@ -428,7 +428,7 @@ class TestPatternReuse:
 
     def test_em_matches_a_fresh_pattern_per_solve(self, monkeypatch):
         """circle-400 seed 0 keeps one loop fewer after its first M-step, so
-        its run builds two patterns for four M-steps, and gives the poses,
+        its run builds two patterns for three M-steps, and gives the poses,
         posteriors and per-M-step counts of a pattern built for every solve."""
         graph = generate(ScenarioConfig(num_fragments=400, seed=0))
         kept_sets = []
@@ -441,7 +441,7 @@ class TestPatternReuse:
 
         monkeypatch.setattr(solver, "_Pattern", Pattern)
         shared = em.run_em(graph, Hyperparams())
-        assert len(shared[2]) == 4 and len(kept_sets) == 2 and kept_sets[0] == kept_sets[1] + 1
+        assert len(shared[2]) == 3 and len(kept_sets) == 2 and kept_sets[0] == kept_sets[1] + 1
         kept_sets.clear()
 
         def fresh_pattern(table, num_poses, gauge, kept):
@@ -449,7 +449,7 @@ class TestPatternReuse:
 
         monkeypatch.setattr(solver, "_kept_pattern", fresh_pattern)
         fresh = em.run_em(graph, Hyperparams())
-        assert len(kept_sets) == 4
+        assert len(kept_sets) == 3
         for a, b in zip(se3.stack(shared[0]), se3.stack(fresh[0])):
             assert a.tobytes() == b.tobytes()
         assert shared[1].posteriors.tobytes() == fresh[1].posteriors.tobytes()
@@ -627,7 +627,7 @@ class TestSolve:
             return total, grad.reshape(-1)
 
         def cost_only(quats, trans):
-            return solver._evaluate(problem, quats, trans)[2]
+            return problem.objective(solver._evaluate(problem, quats, trans))
 
         poses = se3.stack(init)
         f, g = cost_and_grad(*poses)
@@ -854,7 +854,7 @@ class TestSolve:
         graph = ProblemGraph(12, graph.odometry, [far])
         problem = build_problem(graph, PosteriorState(1.0, np.array([1e-9])), Hyperparams(mode="gaussian"))
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.002, size=6)) for p in truth[1:]]
-        residuals = solver._evaluate(problem, *se3.stack(start))[0]
+        residuals = solver._evaluate(problem, *se3.stack(start)).residuals
         grad, blocks = solver._assemble(problem, residuals, 12, curvature=True)
         pairs, damping = problem.table.pairs, 1e-4
         full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping * np.eye(66)
@@ -931,6 +931,36 @@ class TestSolve:
         assert report.iterations >= 2 and report.termination != "gradient"
         assert len(calls) == report.factorizations + 1
 
+    def test_a_handed_state_is_weighed_not_evaluated_again(self, monkeypatch):
+        """Given a PoseState evaluated for the problem's table, kernel and
+        sigma, a solve evaluates only its trials, and returns the PoseState
+        it ends at, with the poses and report of a solve of the same poses as
+        a list. A state evaluated for another sigma is evaluated again."""
+        rng = np.random.default_rng(19)
+        graph, truth = noisy_chain_graph(rng, n=12)
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+        problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        expected_poses, expected = solve(problem, start, gauge=0)
+        calls = []
+        real = MatchTable.residuals
+
+        def spy(table, rots, trans):
+            calls.append(len(table))
+            return real(table, rots, trans)
+
+        monkeypatch.setattr(MatchTable, "residuals", spy)
+        for sigma, evaluations in ((problem.sigma, 0), (2.0 * problem.sigma, 1)):
+            state = em.evaluate_poses(graph.table, start, problem.kernel, sigma)
+            calls.clear()
+            out, report = solve(problem, state, gauge=0)
+            assert isinstance(out, solver.PoseState) and out.fits(problem)
+            assert report.iterations >= 2 and len(calls) == report.factorizations + evaluations
+            for a, b in zip((out.quats, out.trans), se3.stack(expected_poses)):
+                assert a.tobytes() == b.tobytes()
+            assert {k: np.asarray(v).tobytes() for k, v in vars(report).items()} == {
+                k: np.asarray(v).tobytes() for k, v in vars(expected).items()
+            }
+
     def test_assembles_once_per_pass_and_reports_the_last_gradient(self, monkeypatch):
         """Each pass of LM assembles once, the cap's included, and no pass
         follows the last: a solve that ends "objective" and one the cap stops
@@ -953,7 +983,7 @@ class TestSolve:
             monkeypatch.setattr(solver, "_assemble", real)
             assert report.termination == termination and report.iterations >= 2
             assert len(calls) == report.iterations + 1
-            residuals = solver._evaluate(problem, *se3.stack(out))[0]
+            residuals = solver._evaluate(problem, *se3.stack(out)).residuals
             grad = solver._assemble(problem, residuals, len(out))[0]
             assert report.gradient_norm == np.abs(grad[6:]).max()  # the gauge is pose 0
 
