@@ -54,19 +54,24 @@ def _parse_graph(text: str, path: str):
         raise SystemExit(EXIT_PARSE) from err
 
 
+def _hyperparams(args) -> Hyperparams:
+    """The settings of `robustpgo solve`'s options; ValueError names a bad value."""
+    return Hyperparams(
+        sigma=args.sigma,
+        p_hat=args.p_hat,
+        epsilon=args.epsilon,
+        mode=args.mode,
+        max_em_iters=args.max_em_iters,
+        em_tol=args.em_tol,
+        inlier_threshold=args.threshold,
+        refresh_theta=not args.freeze_theta,
+        gaussian_calibration=args.gaussian_calibration,
+    )
+
+
 def _cmd_solve(args) -> int:
     try:
-        params = Hyperparams(
-            sigma=args.sigma,
-            p_hat=args.p_hat,
-            epsilon=args.epsilon,
-            mode=args.mode,
-            max_em_iters=args.max_em_iters,
-            em_tol=args.em_tol,
-            inlier_threshold=args.threshold,
-            refresh_theta=not args.freeze_theta,
-            gaussian_calibration=args.gaussian_calibration,
-        )
+        params = _hyperparams(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -222,8 +227,7 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
         return (prob.weights * sizes * errors).reshape(count, 4).sum(axis=1)
 
     def hessian_error(prob, curvature):
-        residuals = solver._evaluate(prob, quats, trans).residuals
-        blocks = solver._assemble(prob, residuals, 3 * count, curvature)[1]
+        blocks = solver._assemble(prob, solver._evaluate(prob, quats, trans), curvature)[1]
         # the poses of _assemble's blocks: H_ii, H_jj, H_ij, H_ji of each constraint (i, j) in turn
         rows, cols = np.concatenate([pairs[:, [0, 0]], pairs[:, [1, 1]], pairs, pairs[:, ::-1]]).T
         dense = np.zeros((count, 3, 3, 6, 6))
@@ -235,8 +239,7 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
         error = np.abs(second - np.einsum("bk,bkl,bl->b", u, dense, u)) / np.abs(dense).max(axis=(1, 2))
         return float(error.max())
 
-    residuals = solver._evaluate(problem, quats, trans).residuals
-    grad = solver._assemble(problem, residuals, 3 * count)[0].reshape(count, 18)
+    grad = solver._assemble(problem, solver._evaluate(problem, quats, trans))[0].reshape(count, 18)
     h = 1e-6
     numeric = np.stack([objectives(problem, d) - objectives(problem, -d) for d in h * np.eye(18)], axis=1)
     error = np.abs(numeric / (2.0 * h) - grad).max(axis=1) / np.maximum(np.abs(grad).max(axis=1), 1e-8)
@@ -250,6 +253,9 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
 def _cmd_check_grad(args) -> int:
     if not 1 <= args.blocks <= _CHECK_MAX_BLOCKS:
         print(f"error: --blocks must lie in [1, {_CHECK_MAX_BLOCKS}], got {args.blocks}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     grad_error = h_error = 0.0
@@ -275,16 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="prune loop closures and optimize fragment poses")
     ps.add_argument("--in", dest="infile", required=True, help="input graph file")
-    ps.add_argument("--mode", choices=["cauchy", "gaussian"], default="cauchy")
-    ps.add_argument("--sigma", type=float, default=0.5, help="residual scale in meters")
-    ps.add_argument("--p-hat", dest="p_hat", type=float, default=0.9)
-    ps.add_argument("--epsilon", type=float, default=0.05, help="gaussian-mode residual bound")
-    ps.add_argument("--max-em-iters", type=int, default=50)
-    ps.add_argument("--em-tol", type=float, default=1e-6)
-    ps.add_argument("--threshold", type=float, default=0.5, help="inlier posterior threshold")
+    default = Hyperparams()
+    ps.add_argument("--mode", choices=["cauchy", "gaussian"], default=default.mode)
+    ps.add_argument("--sigma", type=float, default=default.sigma, help="residual scale in meters")
+    ps.add_argument("--p-hat", dest="p_hat", type=float, default=default.p_hat)
+    ps.add_argument("--epsilon", type=float, default=default.epsilon, help="gaussian-mode residual bound")
+    ps.add_argument("--max-em-iters", type=int, default=default.max_em_iters)
+    ps.add_argument("--em-tol", type=float, default=default.em_tol)
+    ps.add_argument(
+        "--threshold", type=float, default=default.inlier_threshold, help="inlier posterior threshold"
+    )
     ps.add_argument("--freeze-theta", action="store_true", help="learn theta once, then freeze")
     ps.add_argument(
-        "--gaussian-calibration", choices=["rms", "literal"], default="rms",
+        "--gaussian-calibration", choices=["rms", "literal"], default=default.gaussian_calibration,
         help="how epsilon maps to the gaussian-mode constant",
     )
     ps.add_argument("--out-poses", help="write final poses here")

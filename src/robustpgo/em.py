@@ -179,7 +179,7 @@ def run_em(
         start = pose_state.quats, pose_state.trans
         handed, pose_state = [pose_state], None
         try:
-            pose_state, report = solver.solve(problem, handed.pop(), gauge=0)
+            pose_state, report = solver.solve(problem, handed.pop())
         except solver.SolverError as err:
             raise EmError(f"EM iteration {len(trace) + 1}: {err}") from err
         trace.iterations.append(

@@ -16,6 +16,7 @@ may lie a kilometre or more from the fragments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,7 +75,7 @@ class LoopClosureConstraint(_MatchSet):
         return (self.i, self.j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchTable:
     """The match sets of a list of constraints, stacked flat.
 
@@ -142,7 +143,7 @@ class MatchTable:
             [starts[:-1], starts[:-1] + count, starts[:-1] + 2 * count, [3 * count]]
         ).astype(np.int32)
 
-    def residuals(self, rots: np.ndarray, trans: np.ndarray):
+    def frame_residuals(self, rots: np.ndarray, trans: np.ndarray):
         """Per-match residual e_i = T_i^-1 (T_i p - T_j q) = p - R_ij q - t_ij in
         constraint frame i and its squared norm s, for poses given as (N, 3, 3)
         rotations and (N, 3) translations. The relative pose R_ij = R_i^T R_j,
@@ -205,8 +206,8 @@ class Hyperparams:
             raise ValueError("sigma must be positive and finite, and sigma^2 a positive finite float")
         if not 0.0 < self.p_hat < 1.0:
             raise ValueError("p_hat must lie in (0, 1)")
-        if self.max_em_iters < 1:
-            raise ValueError("max_em_iters must be at least 1")
+        if not (isinstance(self.max_em_iters, numbers.Integral) and self.max_em_iters >= 1):
+            raise ValueError("max_em_iters must be an integer of at least 1")
         if not 0.0 <= self.em_tol < math.inf:
             raise ValueError("em_tol must be non-negative and finite")
         if not 0.0 <= self.inlier_threshold <= 1.0:

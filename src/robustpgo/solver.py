@@ -1,45 +1,47 @@
 """Damped second-order descent over fragment poses for the weighted robust objective.
 
-The objective is a sum over feature matches of w * rho(||T_i p - T_j q||^2)
-with rho either the log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared
-kernel s, and w one weight per constraint. Each residual is evaluated in its
-constraint's frame i, and the gradient and H are built from moments of the
-constant local points p and q, rotated and translated per constraint. Poses
-are updated through left-multiplicative twist retractions; one pose (the
-gauge) stays fixed. The damped normal equations are assembled block-sparse
-from per-constraint sums over a flat match table. Their sparsity pattern
-depends only on which poses the constraints couple, so a solve maps every
-block entry to its slot once and each LM trial only refills the values. H is
-the Gauss-Newton approximation, so the damped matrix is symmetric positive
-definite, until an accepted step lowers the objective by less than
-CURVATURE_SWITCH relative. From then on, for the rest of the solve, H also
-holds the per-pose residual-curvature term that Gauss-Newton drops, which
-speeds up the linear tail of a large-residual problem but may leave the matrix
-indefinite.
+The M-step's entry is solve(problem, poses): it takes a Pose list or a
+PoseState and returns the same kind, with a SolverReport. The objective is a
+sum over feature matches of w * rho(||T_i p - T_j q||^2) with rho either the
+log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared kernel s, and w one
+weight per constraint. Each residual is evaluated in its constraint's frame
+i, and the gradient and H are built from moments of the constant local
+points p and q, rotated and translated per constraint. Poses are updated
+through left-multiplicative twist retractions, and pose 0 (the gauge) stays
+fixed. LM stops at MAX_INNER_ITERS accepted steps, at a gradient max-norm
+below GRADIENT_TOL, or at a trial within OBJECTIVE_TOL (relative) of the
+objective. H is the Gauss-Newton approximation, so the damped matrix is
+symmetric positive definite, until an accepted step lowers the objective by
+less than CURVATURE_SWITCH relative. From then on, for the rest of the
+solve, H also holds the per-pose residual-curvature term that Gauss-Newton
+drops, which speeds up the linear tail of a large-residual problem but may
+leave the matrix indefinite.
 
-Each trial solves the damped system by subgraph preconditioning (Dellaert et
-al., IROS 2010, Subgraph-preconditioned conjugate gradients for large scale
-SLAM). A loop whose posterior is below SUBGRAPH_POSTERIOR adds next to
-nothing to H, but its pose pair spans the graph and drives the fill-in of a
-sparse factor. So only the odometry and the weighted loops are factored, by
-SuperLU in symmetric mode with pivots on the diagonal, and preconditioned
-conjugate gradients (PCG) with that factor recover the step of the full
-system. There is one pattern per kept set: the M-steps of an EM run that
-keep the same loops share it, and PCG multiplies by the matrix a miss
-factors. The pattern holds every constraint and is ordered once, when it is
-built, by minimum degree on the weighted subgraph's poses with each pose's
-six dofs together, and every factorization keeps that order. Each trial
-fills it twice: as the full system, and with the weightless loops left out
-as the subgraph. Where PCG misses (a direction of non-positive curvature,
-which the curvature phase can give, a value that is not finite, or no
-convergence within PCG_MAX_ITERS), the trial factors the full system's
-matrix instead. A zero pivot there or a step that is not finite rejects
-the trial, as the strict-decrease test rejects an uphill step. A trial that
-does not move the objective beyond objective_tol ends the solve untaken, and
-a solve stalls when the damping passes its cap. The poses stay in (N, 4)
+The damped normal equations are assembled block-sparse from per-constraint
+sums over a flat match table. Their sparsity pattern depends only on which
+poses the constraints couple, so a _Pattern maps every block entry to its
+slot once and each LM trial only refills the values. Each trial solves the
+damped system by subgraph preconditioning (Dellaert et al., IROS 2010,
+Subgraph-preconditioned conjugate gradients for large scale SLAM). A loop
+whose posterior is below SUBGRAPH_POSTERIOR adds next to nothing to H, but
+its pose pair spans the graph and drives the fill-in of a sparse factor. So
+only the odometry and the weighted loops are factored, by SuperLU in
+symmetric mode with pivots on the diagonal, and preconditioned conjugate
+gradients (PCG) with that factor recover the step of the full system. A
+pattern holds every constraint and is ordered once, when it is built, by
+minimum degree on the weighted subgraph's poses with each pose's six dofs
+together, and every factorization keeps that order. Each table keeps the
+last pattern built for it, so the M-steps of an EM run that keep the same
+loops share one, and it goes with its table. Each trial fills it twice: as
+the full system, and with the weightless loops left out as the subgraph.
+Where PCG misses (a direction of non-positive curvature, which the
+curvature phase can give, a value that is not finite, or no convergence
+within PCG_MAX_ITERS), the trial factors the full system's matrix instead.
+A zero pivot there or a step that is not finite rejects the trial, as the
+strict-decrease test rejects an uphill step. The poses stay in (N, 4)
 quaternion and (N, 3) translation arrays while LM runs, each pose state with
-its weight-free evaluation (PoseState), which EM hands from one M-step to the
-next.
+its weight-free evaluation (PoseState), which EM hands from one M-step to
+the next.
 
 `robustpgo check-grad` checks _assemble's gradient and H against finite
 differences of _evaluate under _retract_all, the functions LM itself calls.
@@ -103,14 +105,16 @@ class Problem:
 @dataclass(frozen=True)
 class PoseState:
     """Poses as (N, 4) quaternion and (N, 3) translation arrays, with their
-    weight-free evaluation over one table, kernel and sigma: the rotations
-    and every match's frame-i residual and squared norm (rots, trans, e_i, s),
-    and each constraint's sum of rho(s) over its matches. Any weights give
-    its objective (Problem.objective) without another residual pass."""
+    weight-free evaluation over one table, kernel and sigma: the rotations,
+    every match's frame-i residual and its squared norm, and each
+    constraint's sum of rho(s) over its matches. Any weights give its
+    objective (Problem.objective) without another residual pass."""
 
     quats: np.ndarray
     trans: np.ndarray
-    residuals: tuple
+    rots: np.ndarray  # (N, 3, 3)
+    ei: np.ndarray  # (M, 3) R_i^T (T_i p - T_j q)
+    s: np.ndarray  # (M,) |e_i|^2
     sums: np.ndarray  # (C,)
     finite: bool  # every residual is finite
     table: MatchTable
@@ -135,7 +139,7 @@ class SolverReport:
     iterations: int  # accepted steps
     objective_start: float  # the objective at the start poses
     objective_end: float  # the objective at the returned poses
-    # "gradient" | "max_iterations" | "objective" / "stalled": a trial within objective_tol of
+    # "gradient" | "max_iterations" | "objective" / "stalled": a trial within OBJECTIVE_TOL of
     # the objective, lower / not lower, ended the solve untaken; "stalled" also past DAMPING_MAX
     termination: str
     gradient_norm: float  # max-norm over free dofs of the last gradient assembled, at the returned poses
@@ -194,12 +198,12 @@ def _evaluate(problem: Problem, quats, trans) -> PoseState:
     gradient, H and the report."""
     table = problem.table
     rots = se3.quat_to_matrix(quats)
-    ei, s = table.residuals(rots, trans)
+    ei, s = table.frame_residuals(rots, trans)
     # a kernel value past the float range is inf, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         sums = table.segment_sum(_rho(s, problem.kernel, problem.sigma))
     finite = bool(np.isfinite(s).all())
-    return PoseState(quats, trans, (rots, trans, ei, s), sums, finite, table, problem.kernel, problem.sigma)
+    return PoseState(quats, trans, rots, ei, s, sums, finite, table, problem.kernel, problem.sigma)
 
 
 def _skew_gram(S: np.ndarray) -> np.ndarray:
@@ -233,10 +237,10 @@ def _world_moment(ra, local, rb, ua, tb, ta, sb) -> np.ndarray:
     return ra @ local @ np.swapaxes(rb, 1, 2) + outer
 
 
-def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = False):
-    """Exact gradient and the (4C, 6, 6) blocks of H, from the residuals
-    (rots, trans, e_i, s) of a finite PoseState: H_ii, H_jj, H_ij, H_ji of each
-    constraint (i, j) in turn; _Pattern places them.
+def _assemble(problem: Problem, state: PoseState, curvature: bool = False):
+    """Exact gradient and the (4C, 6, 6) blocks of H at a finite PoseState
+    evaluated for the problem: H_ii, H_jj, H_ij, H_ji of each constraint
+    (i, j) in turn; _Pattern places them.
 
     A match with alpha = 2 w rho'(s) has world points y_i = T_i p, y_j = T_j q,
     residual e = y_i - y_j = R_i e_i and Jacobians J_i = [-[y_i]x, I] and
@@ -269,11 +273,10 @@ def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = Fal
     [[tr(m) I - m, [c]x], [-[c]x, a0 I]] with m = 1/2 (sij + sij^T) and
     c = 1/2 (si + sj). H is then symmetric but may be indefinite.
     """
-    table = problem.table
-    rots, trans, ei, s = residuals
+    table, ei = problem.table, state.ei
     i, j = table.pairs[:, 0], table.pairs[:, 1]
-    ri, rj, ti, tj = rots[i], rots[j], trans[i], trans[j]
-    alpha = 2.0 * problem.weights[table.seg] * _drho(s, problem.kernel, problem.sigma)
+    ri, rj, ti, tj = state.rots[i], state.rots[j], state.trans[i], state.trans[j]
+    alpha = 2.0 * problem.weights[table.seg] * _drho(state.s, problem.kernel, problem.sigma)
 
     # the local moments sum alpha p q^T (X) and sum alpha p e_i^T, P and Q
     # below; on ones, each operator gives its row sums, sum alpha p or sum alpha q
@@ -285,7 +288,7 @@ def _assemble(problem: Problem, residuals, num_poses: int, curvature: bool = Fal
     e_sum = np.einsum("cab,cb->ca", ri, table.segment_sum(ei, alpha))  # E
     cross = pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]]  # sum alpha p x e_i
     g = np.hstack([np.einsum("cab,cb->ca", ri, cross) + np.cross(ti, e_sum), e_sum])
-    grad = np.zeros((num_poses, 6))
+    grad = np.zeros((len(state), 6))
     np.add.at(grad, i, g)
     np.add.at(grad, j, -g)
 
@@ -328,14 +331,13 @@ def _pose_order(pairs: np.ndarray, num_poses: int, gauge: int) -> np.ndarray:
 class _Pattern:
     """Where every block entry lands in the compressed sparse column (CSC)
     matrix of a damped system over the free dofs. The pattern is fixed by
-    the constraint pairs and ordered by the kept ones: one pattern per kept
-    set, which each LM trial refills as the full system and as the kept
-    pairs' subgraph; PCG multiplies by the matrix a miss factors. Its order,
-    fixed when it is built, is _pose_order's pose-level minimum degree of
-    the kept pairs' graph (all pairs by default): free dof k sits at
-    position pos[k]. The gauge pose's
-    rows and columns are left out and each diagonal slot is present.
-    """
+    the constraint pairs and ordered by the kept ones: each LM trial refills
+    it as the full system and as the kept pairs' subgraph, and PCG
+    multiplies by the matrix a miss factors. Its order, fixed when it is
+    built, is _pose_order's pose-level minimum degree of the kept pairs'
+    graph (all pairs by default): free dof k sits at position pos[k]. The
+    gauge pose's rows and columns are left out and each diagonal slot is
+    present."""
 
     def __init__(self, pairs: np.ndarray, num_poses: int, gauge: int, kept: np.ndarray | None = None):
         i, j = pairs[:, 0], pairs[:, 1]
@@ -388,31 +390,20 @@ class _Pattern:
         return out
 
 
-# the last pattern built, as (weak reference to its table, num_poses, gauge, pattern)
-_last_pattern: tuple | None = None
+# the last pattern built for each table, freed with its table
+_patterns: weakref.WeakKeyDictionary[MatchTable, _Pattern] = weakref.WeakKeyDictionary()
 
 
-def _forget_pattern(table_ref: weakref.ref) -> None:
-    """Drop the last pattern when its table is freed, so it outlives no graph."""
-    global _last_pattern
-    if _last_pattern is not None and _last_pattern[0] is table_ref:
-        _last_pattern = None
-
-
-def _kept_pattern(table: MatchTable, num_poses: int, gauge: int, kept: np.ndarray) -> _Pattern:
-    """The pattern of the table's pairs in the order of the kept pairs'
-    subgraph: one pattern per kept set. The last pattern built is returned
-    again for the same table object, pose count, gauge and kept mask, as the
-    M-steps of an EM run mostly ask for; any other key builds a new one,
-    which replaces it."""
-    global _last_pattern
-    last = _last_pattern
-    if last is not None and last[0]() is table and last[1:3] == (num_poses, gauge):
-        if np.array_equal(last[3].kept, kept):
-            return last[3]
-    _last_pattern = last = None  # the old pattern is freed before its successor is built
-    pattern = _Pattern(table.pairs, num_poses, gauge, kept)
-    _last_pattern = (weakref.ref(table, _forget_pattern), num_poses, gauge, pattern)
+def _kept_pattern(table: MatchTable, num_poses: int, kept: np.ndarray) -> _Pattern:
+    """The pattern of the table's pairs over num_poses poses, gauge pose 0,
+    in the order of the kept pairs' subgraph. The table's last pattern is
+    returned again for the same pose count and kept mask, as the M-steps of
+    an EM run mostly ask for; any other builds a new one, which replaces it."""
+    pattern = _patterns.pop(table, None)
+    if pattern is None or len(pattern.free) != 6 * num_poses or not np.array_equal(pattern.kept, kept):
+        del pattern  # the old pattern is freed before its successor is built
+        pattern = _Pattern(table.pairs, num_poses, 0, kept)
+    _patterns[table] = pattern
     return pattern
 
 
@@ -456,47 +447,34 @@ def _pcg(product, precondition, rhs: np.ndarray):
     return (x, k) if np.isfinite(x).all() else (None, k)
 
 
-class _Stepper:
-    """The trial steps of one solve, each the solution of
-    (H + damping I) step = -grad over the free dofs, with H over all
-    constraints. Subgraph preconditioning (Dellaert et al., IROS 2010):
-    only the odometry and the loops whose posterior (weight * match count)
-    is at least SUBGRAPH_POSTERIOR are factored, and PCG with that factor
-    recovers the step of the full system. One pattern per kept set
-    (_kept_pattern), built before the first factor that keeps it, holds
-    every constraint in the subgraph's pose-level order; PCG multiplies by
-    the matrix a miss factors, so the right-hand side is taken into that
-    order once and the step put back once. A PCG
-    miss, or a zero pivot in the subgraph's factor, falls back to factoring
-    the full system."""
+def _step(pattern: _Pattern, blocks: np.ndarray, grad: np.ndarray, damping: float):
+    """One trial step: the solution of (H + damping I) step = -grad over the
+    free dofs, with H over all constraints, as a 6N vector that is zero on
+    the gauge, or None when a zero pivot of the full system rejects the
+    trial; with the PCG iterations taken and whether it fell back.
 
-    def __init__(self, problem: Problem, num_poses: int, gauge: int):
-        table = problem.table
-        kept = problem.weights * table.sizes >= SUBGRAPH_POSTERIOR
-        self.pattern = _kept_pattern(table, num_poses, gauge, kept)
-        self.free = self.pattern.free
-        self.pcg_iterations = 0
-        self.fallbacks = 0
-
-    def __call__(self, blocks: np.ndarray, grad: np.ndarray, damping: float) -> np.ndarray | None:
-        """The 6N step, zero on the gauge; None when a zero pivot of the full system rejects the trial."""
-        pattern, solution = self.pattern, None
-        system, rhs = pattern.matrix(blocks, damping), pattern.take(-grad)
-        try:
-            factor = _factor(pattern.matrix(blocks, damping, subgraph=True))
-        except RuntimeError:
-            pass
-        else:
-            solution, iterations = _pcg(system.dot, factor.solve, rhs)
-            self.pcg_iterations += iterations
-            del factor  # freed before a fallback factors the full system
-        if solution is None:
-            self.fallbacks += 1
-            try:
-                solution = _factor(system).solve(rhs)
-            except RuntimeError:
-                return None
-        return pattern.put(solution)
+    Subgraph preconditioning (Dellaert et al., IROS 2010): only the pattern's
+    kept pairs are factored, and PCG with that factor recovers the step of
+    the full system, which it multiplies by in the same order, so the
+    right-hand side is taken into that order once and the step put back
+    once. A PCG miss, or a zero pivot in the subgraph's factor, falls back
+    to factoring the full system."""
+    system, rhs = pattern.matrix(blocks, damping), pattern.take(-grad)
+    solution, iterations = None, 0
+    try:
+        factor = _factor(pattern.matrix(blocks, damping, subgraph=True))
+    except RuntimeError:
+        pass
+    else:
+        solution, iterations = _pcg(system.dot, factor.solve, rhs)
+        del factor  # freed before a fallback factors the full system
+    if solution is not None:
+        return pattern.put(solution), iterations, False
+    try:
+        solution = _factor(system).solve(rhs)
+    except RuntimeError:
+        return None, iterations, True
+    return pattern.put(solution), iterations, True
 
 
 def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
@@ -511,83 +489,80 @@ def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
     return quats_new, trans_new
 
 
-def solve(
-    problem: Problem,
-    poses: list[Pose] | PoseState,
-    gauge: int = 0,
-    max_iterations: int = MAX_INNER_ITERS,
-    gradient_tol: float = GRADIENT_TOL,
-    objective_tol: float = OBJECTIVE_TOL,
-) -> tuple[list[Pose] | PoseState, SolverReport]:
-    """Minimize the problem's objective over all poses except the gauge pose.
+def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] | PoseState, SolverReport]:
+    """Minimize the problem's objective over every pose but pose 0.
 
-    Levenberg-Marquardt trust strategy: damping starts at 1e-4, x10 on a
-    rejected step, x0.5 on acceptance, clamped to [1e-12, 1e8]; a step is
-    accepted only if it strictly decreases the objective, so the objective
-    sequence over accepted steps is non-increasing. H is the Gauss-Newton
-    approximation until an accepted step lowers the objective by less than
-    CURVATURE_SWITCH relative; from then on it also holds the residual-
-    curvature term (see _assemble), for the rest of the solve. A trial
-    within objective_tol (relative) of the current objective ends the solve
-    and is not taken: "objective" if it is lower, "stalled" if not. The
-    solve also stalls when the damping passes 1e8. Each LM pass, the capped
-    one too, assembles at the poses it holds, so a solve assembles once more
-    than it accepts steps and reports the last gradient, at the returned poses.
+    Levenberg-Marquardt trust strategy: damping starts at DAMPING_INIT, x10
+    on a rejected step, x0.5 on acceptance, clamped to [DAMPING_MIN,
+    DAMPING_MAX]; a step is accepted only if it strictly decreases the
+    objective, so the objective sequence over accepted steps is
+    non-increasing. H is the Gauss-Newton approximation until an accepted
+    step lowers the objective by less than CURVATURE_SWITCH relative; from
+    then on it also holds the residual-curvature term (see _assemble), for
+    the rest of the solve. The solve ends "gradient" when the max-norm of the
+    gradient over the free dofs is below GRADIENT_TOL, and "max_iterations"
+    after MAX_INNER_ITERS accepted steps. A trial within OBJECTIVE_TOL
+    (relative) of the current objective ends it untaken: "objective" if it
+    is lower, "stalled" if not. The solve also stalls when the damping passes
+    DAMPING_MAX. Each LM pass, the capped one too, assembles at the poses it
+    holds, so a solve assembles once more than it accepts steps and reports
+    the last gradient, at the returned poses.
 
-    Poses given as a PoseState come back as the PoseState LM last accepted
-    (the start state when no step is taken). A start state evaluated for the
-    problem's table, kernel and sigma is weighed, not evaluated again, and
-    the solve drops its reference to it at its first accepted step.
+    Poses given as a Pose list come back as one. A PoseState must be
+    evaluated for the problem's table, kernel and sigma (else ValueError); it
+    is weighed, not evaluated again, and comes back as the PoseState LM last
+    accepted (the start state when no step is taken). The solve drops its
+    reference to the start state at its first accepted step.
     """
-    num_poses = len(poses)
-    if not 0 <= gauge < num_poses:
-        raise ValueError(f"gauge index {gauge} out of range")
+    if not len(poses):
+        raise ValueError("no pose to hold fixed")
     returns_state = isinstance(poses, PoseState)
     if not returns_state:
         state = _evaluate(problem, *se3.stack(poses))
     elif poses.fits(problem):
         state = poses
     else:
-        state = _evaluate(problem, poses.quats, poses.trans)
+        raise ValueError("the pose state is evaluated for another table, kernel or sigma than the problem")
     del poses  # only `state` refers to the start state, until the first accepted step
     if not state.finite:
-        raise _nonfinite(problem.table, state.residuals[3])
+        raise _nonfinite(problem.table, state.s)
     objective = objective_start = problem.objective(state)
 
-    if num_poses == 1:
+    if len(state) == 1:
         report = SolverReport(0, objective_start, objective, "gradient", 0.0, state.errors)
         return (state if returns_state else se3.unstack(state.quats, state.trans)), report
 
-    stepper = _Stepper(problem, num_poses, gauge)
+    kept = problem.weights * problem.table.sizes >= SUBGRAPH_POSTERIOR  # the subgraph's constraints
+    pattern = _kept_pattern(problem.table, len(state), kept)
     damping = DAMPING_INIT
-    accepted = 0
+    accepted = factorizations = curvature_steps = pcg_iterations = fallbacks = 0
     termination = ""
     objective_path = []
-    factorizations = 0
     curvature = False
-    curvature_steps = 0
 
     while not termination:
-        grad, blocks = _assemble(problem, state.residuals, num_poses, curvature)
-        gradient_norm = float(np.abs(grad[stepper.free]).max())
-        if gradient_norm < gradient_tol:
+        grad, blocks = _assemble(problem, state, curvature)
+        gradient_norm = float(np.abs(grad[pattern.free]).max())
+        if gradient_norm < GRADIENT_TOL:
             termination = "gradient"
             break
-        if accepted >= max_iterations:
+        if accepted >= MAX_INNER_ITERS:
             termination = "max_iterations"
             break
 
         while True:
             factorizations += 1
-            step = stepper(blocks, grad, damping)
+            step, iterations, fell_back = _step(pattern, blocks, grad, damping)
+            pcg_iterations += iterations
+            fallbacks += fell_back
             trial_objective = math.inf
             if step is not None and np.isfinite(step).all():
-                trial = _evaluate(problem, *_retract_all(state.quats, state.trans, step, gauge))
+                trial = _evaluate(problem, *_retract_all(state.quats, state.trans, step, 0))
                 trial_objective = problem.objective(trial)
 
             # a trial this close to the objective is at the floor of its float
             # precision: neither it nor a more damped one tells a decrease
-            if abs(trial_objective - objective) <= objective_tol * max(abs(objective), 1e-300):
+            if abs(trial_objective - objective) <= OBJECTIVE_TOL * max(abs(objective), 1e-300):
                 termination = "objective" if trial_objective < objective else "stalled"
                 break
             if trial_objective < objective:
@@ -607,6 +582,6 @@ def solve(
 
     report = SolverReport(
         accepted, objective_start, objective, termination, gradient_norm, state.errors,
-        objective_path, factorizations, curvature_steps, stepper.pcg_iterations, stepper.fallbacks,
+        objective_path, factorizations, curvature_steps, pcg_iterations, fallbacks,
     )
     return (state if returns_state else se3.unstack(state.quats, state.trans)), report

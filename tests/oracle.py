@@ -167,7 +167,7 @@ def run_em_replaying(graph, params):
             return poses, state, trace
         problem = solver.build_problem(graph, state, params)
         try:
-            poses_new, report = solver.solve(problem, poses, gauge=0)
+            poses_new, report = solver.solve(problem, poses)
         except solver.SolverError as err:
             raise EmError(f"EM iteration {len(trace) + 1}: {err}") from err
         trace.iterations.append(

@@ -1,5 +1,4 @@
 import argparse
-import functools
 import json
 import os
 import re
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 from robustpgo import cli, solver
+from robustpgo.model import Hyperparams
 from robustpgo.graphio import parse_poses, write_graph, write_poses
 from robustpgo.synth import ScenarioConfig, generate
 
@@ -32,6 +32,10 @@ def scenario_file(tmp_path):
 
 
 class TestSolve:
+    def test_default_options_are_the_default_hyperparams(self):
+        args = cli.build_parser().parse_args(["solve", "--in", "x"])
+        assert cli._hyperparams(args) == Hyperparams()
+
     def test_end_to_end(self, tmp_path, scenario_file, capsys):
         poses = tmp_path / "poses.txt"
         report = tmp_path / "report.txt"
@@ -236,13 +240,13 @@ class TestSolve:
         assert "odometry constraint 0->1" in err and "Traceback" not in err
 
     def test_warns_when_lm_cap_stops_an_m_step(self, scenario_file, capsys, monkeypatch):
-        monkeypatch.setattr(solver, "solve", functools.partial(solver.solve, max_iterations=1))
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
         assert run_cli(["solve", "--in", str(scenario_file), "--max-em-iters", "2"]) == 0
         err = capsys.readouterr().err
         assert err.startswith("warning:") and "EM iteration 1, 2" in err
 
     def test_lm_cap_fails_require_converged(self, scenario_file, capsys, monkeypatch):
-        monkeypatch.setattr(solver, "solve", functools.partial(solver.solve, max_iterations=1))
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
         args = ["solve", "--in", str(scenario_file), "--max-em-iters", "2"]
         assert run_cli([*args, "--require-converged"]) == cli.EXIT_NOT_CONVERGED
         err = capsys.readouterr().err.splitlines()
@@ -260,7 +264,7 @@ class TestSolve:
         assert run_cli(args) == 0
         expected = report.read_text()
         traces, calls = [], []
-        real_run_em, real_residuals = em.run_em, MatchTable.residuals
+        real_run_em, real_residuals = em.run_em, MatchTable.frame_residuals
 
         def run_em(graph, params):
             traces.append(real_run_em(graph, params))
@@ -271,7 +275,7 @@ class TestSolve:
             return real_residuals(self, rots, trans)
 
         monkeypatch.setattr(em, "run_em", run_em)
-        monkeypatch.setattr(MatchTable, "residuals", residuals)
+        monkeypatch.setattr(MatchTable, "frame_residuals", residuals)
         assert run_cli(args) == 0
         trace = traces[0][2]
         assert len(calls) == sum(rec.factorizations for rec in trace.iterations) + 1
@@ -467,6 +471,12 @@ class TestCheckGrad:
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_no_problem_to_check_is_usage_error(self, capsys, count):
         assert run_cli(["check-grad", "--blocks", count]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run_cli(["check-grad", "--seed", "-1", "--blocks", "1"]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""

@@ -300,7 +300,7 @@ class TestRunEm:
         from robustpgo.model import PosteriorState
 
         problem = solver.build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        direct, _ = solver.solve(problem, initialize_poses(graph), gauge=0)
+        direct, _ = solver.solve(problem, initialize_poses(graph))
         for a, b in zip(out, direct):
             np.testing.assert_array_equal(a.quat, b.quat)
             np.testing.assert_array_equal(a.trans, b.trans)
@@ -382,13 +382,13 @@ class TestRunEm:
         and the final posteriors read its errors."""
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
         calls = []
-        real = MatchTable.residuals
+        real = MatchTable.frame_residuals
 
         def spy(table, rots, trans):
             calls.append(len(table))
             return real(table, rots, trans)
 
-        monkeypatch.setattr(MatchTable, "residuals", spy)
+        monkeypatch.setattr(MatchTable, "frame_residuals", spy)
         _, _, trace = em.run_em(graph, Hyperparams(mode=mode))
         assert len(trace) >= 2
         assert len(calls) == sum(it.factorizations for it in trace.iterations) + 1
@@ -406,10 +406,10 @@ class TestRunEm:
             states.append(weakref.ref(state))
             return state
 
-        def assemble(problem, residuals, *args):
+        def assemble(problem, state, *args):
             live = [ref for ref in states if ref() is not None]
-            alone.append(len(live) == 1 and live[0]().residuals is residuals)
-            return real_assemble(problem, residuals, *args)
+            alone.append(len(live) == 1 and live[0]() is state)
+            return real_assemble(problem, state, *args)
 
         monkeypatch.setattr(solver, "_evaluate", evaluate)
         monkeypatch.setattr(solver, "_assemble", assemble)
@@ -465,7 +465,7 @@ class TestRunEm:
         poses, state, trace = em.run_em(graph, params)
         assert trace.converged and trace.iterations[-1].iterations == 0
         assert all(rec.iterations > 0 for rec in trace.iterations[:-1])
-        out, report = solver.solve(solver.build_problem(graph, state, params), poses, gauge=0)
+        out, report = solver.solve(solver.build_problem(graph, state, params), poses)
         assert report.iterations == 0
         assert report.objective_end == trace.iterations[-1].objective_end
         for a, b in zip(se3.stack(out), se3.stack(poses)):

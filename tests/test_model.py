@@ -223,7 +223,7 @@ class TestMatchTable:
         table = MatchTable.from_graph(graph)
         rots = np.stack([p.rotation_matrix() for p in poses])
         trans = np.stack([p.trans for p in poses])
-        ei, s = table.residuals(rots, trans)
+        ei, s = table.frame_residuals(rots, trans)
         for m, (i, j) in enumerate(table.pairs[table.seg]):
             world = se3.transform_point(poses[i], table.p[m]) - se3.transform_point(poses[j], table.q[m])
             np.testing.assert_allclose(ei[m], rots[i].T @ world, atol=1e-12)
@@ -245,6 +245,9 @@ class TestHyperparams:
             dict(mode="gaussian", p_hat=0.9999999999999999, epsilon=1e77),
             dict(em_tol=math.nan), dict(em_tol=-1.0), dict(em_tol=math.inf),
             dict(inlier_threshold=math.nan), dict(inlier_threshold=2.0), dict(inlier_threshold=-0.5),
+            # run_em's cap test len(trace) == max_em_iters never stops EM at these
+            dict(max_em_iters=0), dict(max_em_iters=2.5), dict(max_em_iters=math.inf),
+            dict(max_em_iters=math.nan), dict(max_em_iters="3"),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def lm_terms(problem, poses):
     """The objective, gradient and H blocks LM forms at the given poses, from
     one evaluation of them."""
     state = solver._evaluate(problem, *se3.stack(poses))
-    return (problem.objective(state), *solver._assemble(problem, state.residuals, len(poses)))
+    return (problem.objective(state), *solver._assemble(problem, state))
 
 
 def random_pose_pair(rng):
@@ -96,6 +97,12 @@ def dense_hessian(blocks, pairs, num_poses):
     for a, b, block in zip(np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]), blocks):
         H[a, :, b, :] += block
     return H.reshape(6 * num_poses, 6 * num_poses)
+
+
+def kept_pattern(problem, num_poses):
+    """The pattern a solve of the problem over num_poses poses factors in."""
+    kept = problem.weights * problem.table.sizes >= solver.SUBGRAPH_POSTERIOR
+    return solver._kept_pattern(problem.table, num_poses, kept)
 
 
 def natural(system, pattern):
@@ -280,8 +287,8 @@ class TestGradients:
         poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
         problem = random_problem(rng, KERNEL_SQUARED)
         objective = stepped_objective(problem, poses)
-        residuals = solver._evaluate(problem, *se3.stack(poses)).residuals
-        assert np.sqrt(residuals[3]).min() > 0.1
+        state = solver._evaluate(problem, *se3.stack(poses))
+        assert np.sqrt(state.s).min() > 0.1
         h = 1e-4
         basis = h * np.eye(18)
         numeric = np.array(
@@ -295,9 +302,9 @@ class TestGradients:
             ]
         )
         pattern = solver._Pattern(problem.table.pairs, 3, gauge=-1)
-        _, blocks = solver._assemble(problem, residuals, 3, curvature=True)
+        _, blocks = solver._assemble(problem, state, curvature=True)
         assembled = natural(pattern.matrix(blocks, 0.0).toarray(), pattern)
-        gauss_newton = pattern.matrix(solver._assemble(problem, residuals, 3)[1], 0.0).toarray()
+        gauss_newton = pattern.matrix(solver._assemble(problem, state)[1], 0.0).toarray()
         gauss_newton = natural(gauss_newton, pattern)
         np.testing.assert_array_equal(assembled, assembled.T)
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
@@ -314,7 +321,7 @@ class TestGradients:
         poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
         poses = [se3.Pose(p.quat, p.trans + offset) for p in poses]
         problem = random_problem(rng, kernel)
-        residuals = solver._evaluate(problem, *se3.stack(poses)).residuals
+        state = solver._evaluate(problem, *se3.stack(poses))
         blocks = per_match_blocks(problem)
         expected_grad = np.zeros(18)
         for b in blocks:
@@ -322,7 +329,7 @@ class TestGradients:
             expected_grad[6 * b.i : 6 * b.i + 6] += gi
             expected_grad[6 * b.j : 6 * b.j + 6] += gj
         for curvature in (False, True):
-            grad, assembled = solver._assemble(problem, residuals, 3, curvature)
+            grad, assembled = solver._assemble(problem, state, curvature)
             expected = np.zeros((3, 6, 3, 6))
             for b in blocks:
                 h_ii, h_jj, h_ij = hessian_blocks(b, poses, curvature)
@@ -409,7 +416,7 @@ class TestPattern:
         graph = generate(ScenarioConfig(num_fragments=100, seed=0))
         posteriors = np.array([float(graph.oracle_labels[c.pair]) for c in graph.loops])
         problem = build_problem(graph, PosteriorState(1.0, posteriors), Hyperparams())
-        pattern = solver._Stepper(problem, 100, gauge=0).pattern
+        pattern = kept_pattern(problem, 100)
         assert 0 < pattern.kept.sum() < len(pattern.kept)
         _, _, blocks = lm_terms(problem, graph.ground_truth)
         subgraph = pattern.matrix(blocks, solver.DAMPING_INIT, subgraph=True)
@@ -424,7 +431,7 @@ class TestPattern:
 
 class TestPatternReuse:
     """One pattern per kept set: solves of the same table object, pose
-    count, gauge and kept mask share the last pattern built."""
+    count and kept mask share the last pattern built for that table."""
 
     def test_em_matches_a_fresh_pattern_per_solve(self, monkeypatch):
         """circle-400 seed 0 keeps one loop fewer after its first M-step, so
@@ -444,8 +451,8 @@ class TestPatternReuse:
         assert len(shared[2]) == 3 and len(kept_sets) == 2 and kept_sets[0] == kept_sets[1] + 1
         kept_sets.clear()
 
-        def fresh_pattern(table, num_poses, gauge, kept):
-            return Pattern(table.pairs, num_poses, gauge, kept)
+        def fresh_pattern(table, num_poses, kept):
+            return Pattern(table.pairs, num_poses, 0, kept)
 
         monkeypatch.setattr(solver, "_kept_pattern", fresh_pattern)
         fresh = em.run_em(graph, Hyperparams())
@@ -460,12 +467,13 @@ class TestPatternReuse:
         assert counts(shared[2]) == counts(fresh[2])
 
     def test_another_key_builds_a_new_pattern(self):
-        """Another kept mask, table object, pose count or gauge does not get
-        the last pattern; the pattern goes when its table does."""
+        """Another kept mask, table object or pose count does not get the
+        last pattern; each table keeps its own, which goes when its table
+        does."""
         problem, _ = two_loop_problem()
 
-        def pattern(table, weights, num_poses=12, gauge=0):
-            return solver._Stepper(Problem(table, weights, problem.kernel), num_poses, gauge).pattern
+        def pattern(table, weights, num_poses=12):
+            return kept_pattern(Problem(table, weights, problem.kernel), num_poses)
 
         table, weights = problem.table, problem.weights.copy()
         first = pattern(table, weights)
@@ -475,14 +483,16 @@ class TestPatternReuse:
         weights[-1] = 1.0  # kept now
         kept_all = pattern(table, weights)
         assert kept_all is not first and kept_all.kept.all()
-        assert pattern(table, problem.weights) is not first  # the slot held the other mask
+        again = pattern(table, problem.weights)
+        assert again is not first  # the table held the other mask
         copy = MatchTable(*(getattr(table, name).copy() for name in ("pairs", "sizes", "seg", "p", "q")))
         on_copy = pattern(copy, problem.weights)
-        assert on_copy is not pattern(table, problem.weights)
-        assert pattern(table, problem.weights, gauge=1) is not pattern(table, problem.weights)
+        assert on_copy is not again and pattern(table, problem.weights) is again
+        assert pattern(copy, problem.weights) is on_copy
         assert pattern(table, problem.weights, num_poses=13) is not pattern(table, problem.weights)
-        del problem, table
-        assert solver._last_pattern is None
+        last = weakref.ref(pattern(table, problem.weights))
+        del problem, table, first, kept_all, again
+        assert last() is None and solver._patterns[copy] is on_copy
 
 
 class TestRetractAll:
@@ -578,7 +588,7 @@ class TestSolve:
         rng = np.random.default_rng(10)
         problem, truth = exact_pair_problem(rng)
         poses = [se3.identity(), truth]
-        out, report = solve(problem, poses, gauge=0)
+        out, report = solve(problem, poses)
         assert report.iterations == 0
         assert report.termination == "gradient"
         for a, b in zip(out, poses):
@@ -589,7 +599,7 @@ class TestSolve:
         rng = np.random.default_rng(11)
         problem, truth = exact_pair_problem(rng)
         start = [se3.identity(), se3.retract(truth, np.array([0.05, -0.1, 0.08, 0.5, -0.3, 0.2]))]
-        out, report = solve(problem, start, gauge=0)
+        out, report = solve(problem, start)
         rot, trans = se3.pose_difference(out[1], truth)
         assert rot < 1e-8 and trans < 1e-8
         assert report.objective_end <= report.objective_start
@@ -603,7 +613,7 @@ class TestSolve:
 
         init = initialize_poses(graph)
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        _, report = solve(problem, init, gauge=0)
+        _, report = solve(problem, init)
 
         table = problem.table
         i, j = table.pairs[table.seg, 0], table.pairs[table.seg, 1]
@@ -667,11 +677,11 @@ class TestSolve:
 
         init = initialize_poses(graph)
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        out_a, _ = solve(problem, init, gauge=0)
+        out_a, _ = solve(problem, init)
 
         G = se3.exp(np.array([0.3, -0.2, 0.9, 5.0, -2.0, 1.0]))
         init_b = [se3.compose(G, p) for p in init]
-        out_b, _ = solve(problem, init_b, gauge=0)
+        out_b, _ = solve(problem, init_b)
         for a, b in zip(out_a, out_b):
             rot, trans = se3.pose_difference(se3.compose(G, a), b)
             assert rot < 1e-6 and trans < 1e-6
@@ -687,8 +697,8 @@ class TestSolve:
         params = Hyperparams()
         problem_odo = build_problem(graph, PosteriorState(1.0, np.zeros(0)), params)
         problem_off = build_problem(with_loop, PosteriorState(1.0, np.array([0.0])), params)
-        out_a, _ = solve(problem_odo, init, gauge=0)
-        out_b, _ = solve(problem_off, init, gauge=0)
+        out_a, _ = solve(problem_odo, init)
+        out_b, _ = solve(problem_off, init)
         for a, b in zip(out_a, out_b):
             np.testing.assert_array_equal(a.quat, b.quat)
             np.testing.assert_array_equal(a.trans, b.trans)
@@ -698,22 +708,23 @@ class TestSolve:
         bad = LoopClosureConstraint(1, 2, np.array([[np.nan, 0, 0]]), np.zeros((1, 3)))
         problem = Problem(MatchTable.from_constraints([bad]), np.ones(1), KERNEL_SQUARED)
         with pytest.raises(solver.SolverError, match=r"i=1, j=2"):
-            solve(problem, poses, gauge=0)
+            solve(problem, poses)
 
-    def test_stalled_when_no_strict_decrease_possible(self):
-        """At the global minimum with gradient_tol 0, damping escalates until the
+    def test_stalled_when_no_strict_decrease_possible(self, monkeypatch):
+        """At the global minimum with GRADIENT_TOL 0, damping escalates until the
         solver gives up and returns its best-so-far."""
         rng = np.random.default_rng(15)
         problem, truth = exact_pair_problem(rng)
         poses = [se3.identity(), truth]
-        out, report = solve(problem, poses, gauge=0, gradient_tol=0.0)
+        monkeypatch.setattr(solver, "GRADIENT_TOL", 0.0)
+        out, report = solve(problem, poses)
         assert report.termination == "stalled"
         assert report.objective_end <= report.objective_start
 
     def test_empty_problem_is_a_noop(self):
         poses = [se3.identity(), se3.identity()]
         empty = Problem(MatchTable.from_constraints([]), np.zeros(0), KERNEL_SQUARED)
-        out, report = solve(empty, poses, gauge=0)
+        out, report = solve(empty, poses)
         assert report.iterations == 0 and report.objective_end == 0.0
 
     def test_spd_step_matches_dense_solve(self, monkeypatch):
@@ -731,7 +742,8 @@ class TestSolve:
             return real_splu(system, **options)
 
         monkeypatch.setattr(solver, "splu", spy)
-        out, report = solve(problem, start, gauge=0, max_iterations=1)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
+        out, report = solve(problem, start)
         assert report.iterations == 1 and report.factorizations == len(factored) == 1
         system, options = factored[0]
         assert options["options"] == {"SymmetricMode": True} and options["permc_spec"] == "NATURAL"
@@ -753,7 +765,8 @@ class TestSolve:
         graph, truth = noisy_chain_graph(rng, n=12)
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        first, _ = solve(problem, start, gauge=0, max_iterations=1)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
+        first, _ = solve(problem, start)
         factored = []
         real_splu = solver.splu
 
@@ -762,7 +775,8 @@ class TestSolve:
             return real_splu(system, **options)
 
         monkeypatch.setattr(solver, "splu", spy)
-        out, report = solve(problem, start, gauge=0, max_iterations=2)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 2)
+        out, report = solve(problem, start)
         assert report.iterations == 2 and report.factorizations == len(factored) == 2
         assert [spec for _, spec in factored] == ["NATURAL", "NATURAL"]
 
@@ -781,7 +795,8 @@ class TestSolve:
         still returns the step of the full damped system."""
         problem, start = two_loop_problem()
         factored = factor_spy(monkeypatch)
-        out, report = solve(problem, start, gauge=0, max_iterations=1)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
+        out, report = solve(problem, start)
         assert report.iterations == report.factorizations == len(factored) == 1
         assert report.fallbacks == 0 and report.pcg_iterations >= 1
 
@@ -811,7 +826,8 @@ class TestSolve:
             return real_splu(system, **options)
 
         monkeypatch.setattr(solver, "splu", spy)
-        solve(problem, start, gauge=0, max_iterations=1)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
+        solve(problem, start)
         assert len(stored) == 1
         system, pairs = stored[0], problem.table.pairs
         alone = solver._Pattern(pairs[:-1], 12, 0)
@@ -822,7 +838,7 @@ class TestSolve:
         rows = pose[system.indices]
         cols = pose[np.repeat(np.arange(66), np.diff(system.indptr))]
         assert not ((rows == 2) & (cols == 9)).any() and not ((rows == 9) & (cols == 2)).any()
-        full = solver._Stepper(problem, 12, 0).pattern
+        full = kept_pattern(problem, 12)
         assert len(full.indices) > system.nnz
 
     def test_pcg_miss_falls_back_to_the_full_factor(self, monkeypatch):
@@ -831,14 +847,15 @@ class TestSolve:
         problem, start = two_loop_problem()
         monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
         factored = factor_spy(monkeypatch)
-        out, report = solve(problem, start, gauge=0, max_iterations=1)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
+        out, report = solve(problem, start)
         assert report.iterations == report.factorizations == 1
         assert report.fallbacks == 1 and report.pcg_iterations == 0 and len(factored) == 2
 
         _, grad, blocks = lm_terms(problem, start)
         full = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
         # the fallback factors the full system in the one pattern's order, the subgraph's
-        np.testing.assert_array_equal(natural(factored[1], solver._Stepper(problem, 12, 0).pattern), full)
+        np.testing.assert_array_equal(natural(factored[1], kept_pattern(problem, 12)), full)
         expected = np.linalg.solve(full, -grad[6:])
         taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -854,8 +871,7 @@ class TestSolve:
         graph = ProblemGraph(12, graph.odometry, [far])
         problem = build_problem(graph, PosteriorState(1.0, np.array([1e-9])), Hyperparams(mode="gaussian"))
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.002, size=6)) for p in truth[1:]]
-        residuals = solver._evaluate(problem, *se3.stack(start)).residuals
-        grad, blocks = solver._assemble(problem, residuals, 12, curvature=True)
+        grad, blocks = solver._assemble(problem, solver._evaluate(problem, *se3.stack(start)), curvature=True)
         pairs, damping = problem.table.pairs, 1e-4
         full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping * np.eye(66)
         subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, :-1].reshape(-1, 6, 6), pairs[:-1], 12)
@@ -864,10 +880,10 @@ class TestSolve:
         assert np.linalg.eigvalsh(subgraph).min() > 0 and first @ full @ first < 0
 
         factored = factor_spy(monkeypatch)
-        stepper = solver._Stepper(problem, 12, gauge=0)
-        step = stepper(blocks, grad, damping)
-        assert stepper.fallbacks == 1 and stepper.pcg_iterations == 1 and len(factored) == 2
-        np.testing.assert_array_equal(natural(factored[1], stepper.pattern), full)
+        pattern = kept_pattern(problem, 12)
+        step, iterations, fell_back = solver._step(pattern, blocks, grad, damping)
+        assert fell_back and iterations == 1 and len(factored) == 2
+        np.testing.assert_array_equal(natural(factored[1], pattern), full)
         expected = np.linalg.solve(full, -grad[6:])
         assert not step[:6].any()
         assert np.abs(step[6:] - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -907,7 +923,8 @@ class TestSolve:
                 super().__init__(*args)
 
         monkeypatch.setattr(solver, "_Pattern", Pattern)
-        _, report = solve(problem, start, gauge=0, max_iterations=2)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 2)
+        _, report = solve(problem, start)
         assert report.factorizations >= 1 and report.fallbacks == report.factorizations
         assert len(calls) == report.factorizations + report.fallbacks
         assert alive_at_build == [0] and alive[0] == 0
@@ -920,14 +937,14 @@ class TestSolve:
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
         calls = []
-        real = MatchTable.residuals
+        real = MatchTable.frame_residuals
 
         def spy(table, rots, trans):
             calls.append(len(table))
             return real(table, rots, trans)
 
-        monkeypatch.setattr(MatchTable, "residuals", spy)
-        _, report = solve(problem, start, gauge=0)
+        monkeypatch.setattr(MatchTable, "frame_residuals", spy)
+        _, report = solve(problem, start)
         assert report.iterations >= 2 and report.termination != "gradient"
         assert len(calls) == report.factorizations + 1
 
@@ -935,31 +952,35 @@ class TestSolve:
         """Given a PoseState evaluated for the problem's table, kernel and
         sigma, a solve evaluates only its trials, and returns the PoseState
         it ends at, with the poses and report of a solve of the same poses as
-        a list. A state evaluated for another sigma is evaluated again."""
+        a list. A state evaluated for another sigma is refused unevaluated."""
         rng = np.random.default_rng(19)
         graph, truth = noisy_chain_graph(rng, n=12)
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        expected_poses, expected = solve(problem, start, gauge=0)
+        expected_poses, expected = solve(problem, start)
         calls = []
-        real = MatchTable.residuals
+        real = MatchTable.frame_residuals
 
         def spy(table, rots, trans):
             calls.append(len(table))
             return real(table, rots, trans)
 
-        monkeypatch.setattr(MatchTable, "residuals", spy)
-        for sigma, evaluations in ((problem.sigma, 0), (2.0 * problem.sigma, 1)):
-            state = em.evaluate_poses(graph.table, start, problem.kernel, sigma)
-            calls.clear()
-            out, report = solve(problem, state, gauge=0)
-            assert isinstance(out, solver.PoseState) and out.fits(problem)
-            assert report.iterations >= 2 and len(calls) == report.factorizations + evaluations
-            for a, b in zip((out.quats, out.trans), se3.stack(expected_poses)):
-                assert a.tobytes() == b.tobytes()
-            assert {k: np.asarray(v).tobytes() for k, v in vars(report).items()} == {
-                k: np.asarray(v).tobytes() for k, v in vars(expected).items()
-            }
+        monkeypatch.setattr(MatchTable, "frame_residuals", spy)
+        state = em.evaluate_poses(graph.table, start, problem.kernel, problem.sigma)
+        calls.clear()
+        out, report = solve(problem, state)
+        assert isinstance(out, solver.PoseState) and out.fits(problem)
+        assert report.iterations >= 2 and len(calls) == report.factorizations
+        for a, b in zip((out.quats, out.trans), se3.stack(expected_poses)):
+            assert a.tobytes() == b.tobytes()
+        assert {k: np.asarray(v).tobytes() for k, v in vars(report).items()} == {
+            k: np.asarray(v).tobytes() for k, v in vars(expected).items()
+        }
+        other = em.evaluate_poses(graph.table, start, problem.kernel, 2.0 * problem.sigma)
+        calls.clear()
+        with pytest.raises(ValueError, match="another table, kernel or sigma"):
+            solve(problem, other)
+        assert not calls
 
     def test_assembles_once_per_pass_and_reports_the_last_gradient(self, monkeypatch):
         """Each pass of LM assembles once, the cap's included, and no pass
@@ -975,16 +996,16 @@ class TestSolve:
             calls = []
 
             def spy(*args, **kwargs):
-                calls.append(args[2])
+                calls.append(args[1])
                 return real(*args, **kwargs)
 
+            monkeypatch.setattr(solver, "MAX_INNER_ITERS", max_iterations)
             monkeypatch.setattr(solver, "_assemble", spy)
-            out, report = solve(problem, start, gauge=0, max_iterations=max_iterations)
+            out, report = solve(problem, start)
             monkeypatch.setattr(solver, "_assemble", real)
             assert report.termination == termination and report.iterations >= 2
             assert len(calls) == report.iterations + 1
-            residuals = solver._evaluate(problem, *se3.stack(out)).residuals
-            grad = solver._assemble(problem, residuals, len(out))[0]
+            grad = solver._assemble(problem, solver._evaluate(problem, *se3.stack(out)))[0]
             assert report.gradient_norm == np.abs(grad[6:]).max()  # the gauge is pose 0
 
     @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
@@ -998,25 +1019,26 @@ class TestSolve:
         params = Hyperparams(mode=mode, sigma=0.3)
         problem = build_problem(graph, PosteriorState(1.0, np.array([0.6])), params)
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
-        out, report = solve(problem, start, gauge=0)
+        out, report = solve(problem, start)
         assert report.iterations >= 1
         expected = em.constraint_errors(graph.table, out, problem.kernel, params.sigma)
         assert report.errors.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
-    def test_restart_from_converged_poses_stops_at_once(self, mode):
+    def test_restart_from_converged_poses_stops_at_once(self, monkeypatch, mode):
         """A solve restarted where another converged finds no trial that moves
-        the objective beyond objective_tol, so it takes no step and returns
-        its input poses bit for bit, restart after restart; gradient_tol 0
+        the objective beyond OBJECTIVE_TOL, so it takes no step and returns
+        its input poses bit for bit, restart after restart; GRADIENT_TOL 0
         leaves only that test to stop it."""
         rng = np.random.default_rng(21)
         graph, truth = noisy_chain_graph(rng, n=12)
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams(mode=mode))
-        poses, report = solve(problem, start, gauge=0)
+        poses, report = solve(problem, start)
         assert report.termination in ("objective", "gradient")
+        monkeypatch.setattr(solver, "GRADIENT_TOL", 0.0)
         for _ in range(3):
-            out, again = solve(problem, poses, gauge=0, gradient_tol=0.0)
+            out, again = solve(problem, poses)
             assert again.iterations == 0 and again.factorizations <= 2
             assert again.termination in ("objective", "stalled")
             assert again.objective_end == report.objective_end
@@ -1041,9 +1063,9 @@ class TestSolve:
         graph = ProblemGraph(n, graph.odometry, loops)
         problem = build_problem(graph, PosteriorState(1.0, np.full(3, 0.5)), Hyperparams())
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
-        _, hybrid = solve(problem, start, gauge=0)
+        _, hybrid = solve(problem, start)
         monkeypatch.setattr(solver, "CURVATURE_SWITCH", 0.0)
-        _, gauss_newton = solve(problem, start, gauge=0)
+        _, gauss_newton = solve(problem, start)
         assert gauss_newton.curvature_steps == 0 < hybrid.curvature_steps
         assert hybrid.termination == gauss_newton.termination == "objective"
         assert hybrid.factorizations < gauss_newton.factorizations
@@ -1055,5 +1077,5 @@ class TestSolve:
         from robustpgo.model import initialize_poses
 
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        _, report = solve(problem, initialize_poses(graph), gauge=0)
+        _, report = solve(problem, initialize_poses(graph))
         assert report.objective_end <= report.objective_start + 1e-12
