@@ -93,9 +93,11 @@ def _cmd_solve(args) -> int:
     if graph.ground_truth is not None and graph.num_fragments >= 6:
         if graph.oracle_labels is None:
             metrics["ate_mean"] = synth.anchored_ate(poses, graph.ground_truth)
+            metrics["ate_full"] = synth.full_alignment_ate(poses, graph.ground_truth)
         else:
             result = synth.evaluate(poses, graph, labels)
             metrics["ate_mean"] = result.mean_translation_error
+            metrics["ate_full"] = result.full_alignment_ate
             metrics["precision"] = result.precision
             metrics["recall"] = result.recall
 
@@ -175,6 +177,7 @@ def _cmd_eval(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATE
     print(f"ate_mean: {result.mean_translation_error:.6f}")
+    print(f"ate_full: {result.full_alignment_ate:.6f}")
     print(f"precision: {result.precision:.6f}")
     print(f"recall: {result.recall:.6f}")
     return EXIT_OK
@@ -192,13 +195,17 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
     random problems, stacked over disjoint pose triples into one match table.
 
     Each problem's objective is read from the per-constraint errors of
-    solver._evaluate at poses moved by solver._retract_all (no gauge). Its
-    central differences along the 18 twist axes check the gradient. A second
-    difference along one random unit direction u checks u^T H u where H is
-    the exact Hessian: at a copy of the problem whose residuals are all zero,
-    and, for the squared kernel, with the curvature term at the random
-    residuals. The gradient error is relative to the problem's largest
-    gradient entry, the H error to its largest H entry.
+    solver._evaluate at poses moved by solver._retract_all (no gauge), with
+    the anchor of the state being checked, as LM evaluates a trial from the
+    state it holds. Its central differences along the 18 twist axes check
+    the gradient. A second difference along one random unit direction u
+    checks u^T H u where H is the exact Hessian: at a copy of the problem
+    whose residuals are all zero, and, for the squared kernel, with the
+    curvature term at the random residuals. The squared kernel is checked at
+    the state that is its own anchor and at one a random twist away from it,
+    whose trials take their objective from the first state's anchor. The
+    gradient error is relative to the problem's largest gradient entry, the
+    H error to its largest H entry.
     """
     pairs = (_CHECK_PAIRS + 3 * np.arange(count)[:, None, None]).reshape(-1, 2)
     sizes = np.tile(_CHECK_SIZES, count)
@@ -220,33 +227,44 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
     u = rng.normal(size=(count, 18))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
 
-    def objectives(prob, delta):
-        """Each problem's objective at its poses retracted by the twists delta, (18,) or (count, 18)."""
+    def objectives(prob, state, delta):
+        """Each problem's objective at the state's poses retracted by the
+        twists delta, (18,) or (count, 18), with the state's anchor."""
         delta = np.broadcast_to(delta, (count, 18)).ravel()
-        errors = solver._evaluate(prob, *solver._retract_all(quats, trans, delta, -1)).errors
+        moved = solver._retract_all(state.quats, state.trans, delta, -1)
+        errors = solver._evaluate(prob, *moved, state.anchor).errors
         return (prob.weights * sizes * errors).reshape(count, 4).sum(axis=1)
 
-    def hessian_error(prob, curvature):
-        blocks = solver._assemble(prob, solver._evaluate(prob, quats, trans), curvature)[1]
+    def gradient_error(prob, state):
+        grad = solver._assemble(prob, state)[0].reshape(count, 18)
+        h = 1e-6
+        differences = [objectives(prob, state, d) - objectives(prob, state, -d) for d in h * np.eye(18)]
+        numeric = np.stack(differences, axis=1)
+        error = np.abs(numeric / (2.0 * h) - grad).max(axis=1) / np.maximum(np.abs(grad).max(axis=1), 1e-8)
+        return float(error.max())
+
+    def hessian_error(prob, state, curvature):
+        blocks = solver._assemble(prob, state, curvature)[1]
         # the poses of _assemble's blocks: H_ii, H_jj, H_ij, H_ji of each constraint (i, j) in turn
         rows, cols = np.concatenate([pairs[:, [0, 0]], pairs[:, [1, 1]], pairs, pairs[:, ::-1]]).T
         dense = np.zeros((count, 3, 3, 6, 6))
         np.add.at(dense, (rows // 3, rows % 3, cols % 3), blocks)
         dense = dense.transpose(0, 1, 3, 2, 4).reshape(count, 18, 18)
         h = 1e-4
-        at = objectives(prob, np.zeros(18))
-        second = (objectives(prob, h * u) - 2.0 * at + objectives(prob, -h * u)) / (h * h)
+        at = objectives(prob, state, np.zeros(18))
+        second = (objectives(prob, state, h * u) - 2.0 * at + objectives(prob, state, -h * u)) / (h * h)
         error = np.abs(second - np.einsum("bk,bkl,bl->b", u, dense, u)) / np.abs(dense).max(axis=(1, 2))
         return float(error.max())
 
-    grad = solver._assemble(problem, solver._evaluate(problem, quats, trans))[0].reshape(count, 18)
-    h = 1e-6
-    numeric = np.stack([objectives(problem, d) - objectives(problem, -d) for d in h * np.eye(18)], axis=1)
-    error = np.abs(numeric / (2.0 * h) - grad).max(axis=1) / np.maximum(np.abs(grad).max(axis=1), 1e-8)
-    grad_error = float(error.max())
-    h_error = hessian_error(exact, False)
+    state = solver._evaluate(problem, quats, trans)
+    grad_error = gradient_error(problem, state)
+    h_error = hessian_error(exact, solver._evaluate(exact, quats, trans), False)
     if kernel == solver.KERNEL_SQUARED:
-        h_error = max(h_error, hessian_error(problem, True))
+        away = solver._evaluate(
+            problem, *solver._retract_all(quats, trans, rng.uniform(-1, 1, 18 * count), -1), state.anchor
+        )
+        grad_error = max(grad_error, gradient_error(problem, away))
+        h_error = max(h_error, hessian_error(problem, state, True), hessian_error(problem, away, True))
     return grad_error, h_error
 
 

@@ -156,7 +156,9 @@ def run_em(
     theta and posteriors. One pose state is carried through the run: the
     initial poses are evaluated once, and each M-step is handed the state
     the last one evaluated and weighs it, so every pose state is evaluated
-    once; theta and the E-step read its errors.
+    once (in gaussian mode, a solve that takes a step evaluates its end
+    poses once more, per match, see solver.solve); theta and the E-step read
+    its errors.
     """
     pose_state = evaluate_poses(graph.table, initialize_poses(graph), solver.KERNELS[params.mode], params.sigma)
     odometry = len(graph.odometry)

@@ -10,7 +10,9 @@ ProblemGraph.table builds, and the initialization fits every odometry
 constraint at once over a table of its own. The table evaluates each match
 in its constraint's frame i, p - T_i^-1 T_j q, from one relative pose per
 constraint, so no match point is carried to the world frame, whose origin
-may lie a kilometre or more from the fragments.
+may lie a kilometre or more from the fragments. It also keeps each
+constraint's fixed point moments (MatchMoments), from which the squared
+kernel's objective, gradient and H follow with no pass over the matches.
 """
 
 from __future__ import annotations
@@ -143,18 +145,33 @@ class MatchTable:
             [starts[:-1], starts[:-1] + count, starts[:-1] + 2 * count, [3 * count]]
         ).astype(np.int32)
 
+    @cached_property
+    def moments(self) -> MatchMoments:
+        """The constraints' fixed point moments, formed on first use and kept."""
+        return MatchMoments.of(self)
+
+    def relative_poses(self, rots: np.ndarray, trans: np.ndarray):
+        """Each constraint's relative pose R_ij = R_i^T R_j, t_ij = R_i^T (t_j - t_i),
+        (C, 3, 3) and (C, 3), for poses given as (N, 3, 3) rotations and (N, 3)
+        translations. Poses far enough apart overflow to inf, which the caller
+        reports, so numpy is not asked to warn of it."""
+        i, j = self.pairs[:, 0], self.pairs[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (
+                np.einsum("cba,cbd->cad", rots[i], rots[j]),
+                np.einsum("cba,cb->ca", rots[i], trans[j] - trans[i]),
+            )
+
     def frame_residuals(self, rots: np.ndarray, trans: np.ndarray):
         """Per-match residual e_i = T_i^-1 (T_i p - T_j q) = p - R_ij q - t_ij in
         constraint frame i and its squared norm s, for poses given as (N, 3, 3)
-        rotations and (N, 3) translations. The relative pose R_ij = R_i^T R_j,
-        t_ij = R_i^T (t_j - t_i) is formed once per constraint, so no point is
-        carried to the world frame and the residuals do not depend on where the
-        world origin lies. Poses far enough apart overflow to inf, which the
-        caller reports, so numpy is not asked to warn of it."""
-        i, j = self.pairs[:, 0], self.pairs[:, 1]
+        rotations and (N, 3) translations. The relative pose is formed once per
+        constraint (relative_poses), so no point is carried to the world frame
+        and the residuals do not depend on where the world origin lies. Poses
+        far enough apart overflow to inf, which the caller reports, so numpy is
+        not asked to warn of it."""
+        rij, tij = self.relative_poses(rots, trans)
         with np.errstate(over="ignore", invalid="ignore"):
-            rij = np.einsum("cba,cbd->cad", rots[i], rots[j])
-            tij = np.einsum("cba,cb->ca", rots[i], trans[j] - trans[i])
             ei = self.p - np.einsum("mab,mb->ma", np.repeat(rij, self.sizes, axis=0), self.q)
             ei -= np.repeat(tij, self.sizes, axis=0)
             return ei, np.einsum("ma,ma->m", ei, ei)
@@ -178,6 +195,65 @@ class MatchTable:
         data = np.multiply(y.T, weights, order="C").ravel()
         rows = csr_matrix((data, *self._outer_index), shape=(3 * num, count))
         return lambda x: np.moveaxis((rows @ x).reshape(3, num, *x.shape[1:]), 0, 1)
+
+
+@dataclass(frozen=True)
+class MatchMoments:
+    """Per-constraint moments of a table's match points, fixed for any poses:
+    the means p_mean and q_mean, and the second moments of the centred points
+    p~ = p - p_mean and q~ = q - q_mean, P~ = sum p~ p~^T, Q~ = sum q~ q~^T and
+    X~ = sum p~ q~^T. Each second moment is held as the moment of
+    p~ / 2^exponent and q~ / 2^exponent, whose coordinates lie in (-1, 1):
+    points whose products pass the float range still have finite moments,
+    and the scaling rounds nothing. unscale gives a moment back; where it
+    passes the float range it is inf, and a zero stays zero. The squared
+    kernel's objective, gradient and H at any poses follow from these and
+    each constraint's relative pose, with no pass over the matches."""
+
+    exponent: np.ndarray  # (C,) integer
+    p_mean: np.ndarray  # (C, 3)
+    q_mean: np.ndarray  # (C, 3)
+    pp: np.ndarray  # (C, 3, 3) P~ / 4^exponent
+    qq: np.ndarray  # (C, 3, 3) Q~ / 4^exponent
+    pq: np.ndarray  # (C, 3, 3) X~ / 4^exponent
+
+    @classmethod
+    def of(cls, table: MatchTable) -> MatchMoments:
+        """The moments of the table's constraints. The points are first divided
+        by a power of two above their largest coordinate, so their sums do not
+        overflow, then centred and divided by a power of two above the largest
+        centred coordinate. A coordinate that is not finite makes its
+        constraint's moments NaN, with no warning."""
+        seg, filled = table.seg, table.sizes > 0
+        count = np.maximum(table.sizes, 1)[:, None]
+
+        def exponent(p, q):
+            """Per constraint, the e with every coordinate below 2^e in size (0 for none)."""
+            top = np.zeros(len(table.sizes))
+            if filled.any():
+                coordinates = np.abs(np.hstack([p, q]))
+                top[filled] = np.maximum.reduceat(coordinates, table.offsets[:-1][filled]).max(axis=1)
+            return np.frexp(top)[1]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            outer = exponent(table.p, table.q)
+            p, q = np.ldexp(table.p, -outer[seg, None]), np.ldexp(table.q, -outer[seg, None])
+            p_mean, q_mean = table.segment_sum(p) / count, table.segment_sum(q) / count
+            p, q = p - p_mean[seg], q - q_mean[seg]
+            inner = exponent(p, q)
+            p, q = np.ldexp(p, -inner[seg, None]), np.ldexp(q, -inner[seg, None])
+            ones = np.ones(len(table))
+            about_p, about_q = table.outer_operator(ones, p), table.outer_operator(ones, q)
+            return cls(
+                outer + inner, np.ldexp(p_mean, outer[:, None]), np.ldexp(q_mean, outer[:, None]),
+                about_p(p), about_q(q), about_p(q),
+            )
+
+    def unscale(self, moment: np.ndarray) -> np.ndarray:
+        """(C, ...) values times 4^exponent, in two exact steps."""
+        e = self.exponent.reshape((-1,) + (1,) * (moment.ndim - 1))
+        with np.errstate(over="ignore"):
+            return np.ldexp(np.ldexp(moment, e), e)
 
 
 @dataclass

@@ -6,7 +6,17 @@ sum over feature matches of w * rho(||T_i p - T_j q||^2) with rho either the
 log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared kernel s, and w one
 weight per constraint. Each residual is evaluated in its constraint's frame
 i, and the gradient and H are built from moments of the constant local
-points p and q, rotated and translated per constraint. Poses are updated
+points p and q, rotated and translated per constraint. Under the squared
+kernel alpha = 2 w is constant within each constraint, so a trial costs
+O(C), not O(M) (the per-pair information matrix of Choi, Zhou & Koltun,
+CVPR 2015, Robust Reconstruction of Indoor Scenes): the gradient and H
+follow from the table's fixed, centred moments (MatchTable.moments) and each
+constraint's relative pose, and the objective from the anchor the solve's
+start state computed in its one pass over the matches, as
+S0 + 4 (|v|^2 tr K0 - v^T K0 v - w v . kappa0) + k |e_mean|^2 with (w, v)
+the quaternion of the turn from the anchor (_anchored_sums). A solve that
+accepts a step evaluates its end poses per match once more, so what it
+reports and returns are per-match values. Poses are updated
 through left-multiplicative twist retractions, and pose 0 (the gauge) stays
 fixed. LM stops at MAX_INNER_ITERS accepted steps, at a gradient max-norm
 below GRADIENT_TOL, or at a trial within OBJECTIVE_TOL (relative) of the
@@ -52,6 +62,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_matrix, diags, linalg as sparse_linalg
@@ -103,23 +114,50 @@ class Problem:
 
 
 @dataclass(frozen=True)
+class _Anchor:
+    """A squared-kernel reference for the objective of states near the one
+    evaluated per match: per constraint, its relative rotation there, R0 as a
+    quaternion, the exact centred sum S0 = sum |p~ - R0 q~|^2 over its matches,
+    and, from K0 = R0 X~^T (held scaled as table.moments are), tr K0, K0 and
+    the axial vector kappa0 = (K0_12 - K0_21, K0_20 - K0_02, K0_01 - K0_10)."""
+
+    quat: np.ndarray  # (C, 4)
+    centred: np.ndarray  # (C,) S0
+    trace: np.ndarray  # (C,)
+    k0: np.ndarray  # (C, 3, 3)
+    axial: np.ndarray  # (C, 3)
+
+
+@dataclass(frozen=True)
 class PoseState:
     """Poses as (N, 4) quaternion and (N, 3) translation arrays, with their
     weight-free evaluation over one table, kernel and sigma: the rotations,
-    every match's frame-i residual and its squared norm, and each
-    constraint's sum of rho(s) over its matches. Any weights give its
-    objective (Problem.objective) without another residual pass."""
+    the terms _assemble reads, and each constraint's sum of rho(s) over its
+    matches. Any weights give its objective (Problem.objective) without
+    another pass.
+
+    Under the cauchy kernel the terms are per match: every frame-i residual
+    e_i and its squared norm s. Under the squared kernel they are per
+    constraint, with no M-sized array: the relative rotation R_ij and the
+    mean residual e_mean = p_mean - R_ij q_mean - t_ij. A squared-kernel state
+    evaluated from bare poses makes the one pass over the matches, for its
+    sums and its anchor (_Anchor); a state evaluated with an anchor, as LM
+    evaluates its trials with the start state's, takes its sums from the
+    anchor and the table's moments (_anchored_sums)."""
 
     quats: np.ndarray
     trans: np.ndarray
     rots: np.ndarray  # (N, 3, 3)
-    ei: np.ndarray  # (M, 3) R_i^T (T_i p - T_j q)
-    s: np.ndarray  # (M,) |e_i|^2
     sums: np.ndarray  # (C,)
     finite: bool  # every residual is finite
     table: MatchTable
     kernel: str
     sigma: float
+    ei: np.ndarray | None = None  # (M, 3) R_i^T (T_i p - T_j q), cauchy kernel
+    s: np.ndarray | None = None  # (M,) |e_i|^2, cauchy kernel
+    rij: np.ndarray | None = None  # (C, 3, 3) R_i^T R_j, squared kernel
+    e_mean: np.ndarray | None = None  # (C, 3) mean e_i of each constraint, squared kernel
+    anchor: _Anchor | None = None  # squared kernel
 
     def __len__(self) -> int:
         return len(self.quats)
@@ -184,7 +222,11 @@ def _drho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _nonfinite(table: MatchTable, s: np.ndarray) -> SolverError:
+def _nonfinite(state: PoseState) -> SolverError:
+    """The error that names the first match whose residual at the state's
+    poses is not finite."""
+    table = state.table
+    _, s = table.frame_residuals(state.rots, state.trans)
     m = int(np.argmin(np.isfinite(s)))
     c = int(table.seg[m])
     i, j = table.pairs[c]
@@ -192,18 +234,64 @@ def _nonfinite(table: MatchTable, s: np.ndarray) -> SolverError:
     return SolverError(f"non-finite residual in constraint {c} (i={i}, j={j}, match {k})")
 
 
-def _evaluate(problem: Problem, quats, trans) -> PoseState:
+def _relative_quats(table: MatchTable, quats: np.ndarray) -> np.ndarray:
+    """(C, 4) each constraint's relative rotation R_i^T R_j as a quaternion."""
+    i, j = table.pairs[:, 0], table.pairs[:, 1]
+    return se3.quat_mul(quats[i] * [1.0, -1.0, -1.0, -1.0], quats[j])
+
+
+def _anchored_sums(table: MatchTable, anchor: _Anchor, quats: np.ndarray, e_mean: np.ndarray) -> np.ndarray:
+    """Each constraint's sum of |e_i|^2 = S0 + 2 tr((I - D) K0) + k |e_mean|^2,
+    where D = R_ij R0^T has the quaternion (w, v): with I - D =
+    2 |v|^2 I - 2 v v^T - 2 w [v]x, the middle term is
+    4 (|v|^2 tr K0 - v^T K0 v - w v . kappa0). It is exact where D = I and
+    small near it, so no large moment cancels, unlike tr P~ + tr Q~ -
+    2 tr(R_ij X~^T). K0 is held scaled as the table's moments are."""
+    d = se3.quat_mul(_relative_quats(table, quats), anchor.quat * [1.0, -1.0, -1.0, -1.0])
+    w, v = d[:, 0], d[:, 1:]
+    turn = 4.0 * (
+        np.einsum("ca,ca->c", v, v) * anchor.trace
+        - np.einsum("ca,cab,cb->c", v, anchor.k0, v)
+        - w * np.einsum("ca,ca->c", v, anchor.axial)
+    )
+    return anchor.centred + table.moments.unscale(turn) + table.sizes * np.einsum("ca,ca->c", e_mean, e_mean)
+
+
+def _evaluate(problem: Problem, quats, trans, anchor: _Anchor | None = None) -> PoseState:
     """One pose state, evaluated once for the problem's table, kernel and
     sigma. LM keeps it with the poses it holds, for the objective, the
-    gradient, H and the report."""
-    table = problem.table
+    gradient, H and the report. With no anchor the evaluation is one pass
+    over the matches, and a squared-kernel state becomes its own anchor;
+    with one (LM's squared-kernel trials, with the start state's) it is
+    O(C)."""
+    table, kernel, sigma = problem.table, problem.kernel, problem.sigma
     rots = se3.quat_to_matrix(quats)
-    ei, s = table.frame_residuals(rots, trans)
-    # a kernel value past the float range is inf, not a warning
+    if anchor is None:
+        ei, s = table.frame_residuals(rots, trans)
+        # a kernel value past the float range is inf, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = table.segment_sum(_rho(s, kernel, sigma))
+        finite = bool(np.isfinite(s).all())
+        if kernel != KERNEL_SQUARED:
+            return PoseState(quats, trans, rots, sums, finite, table, kernel, sigma, ei=ei, s=s)
+
+    moments = table.moments
+    rij, tij = table.relative_poses(rots, trans)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = table.segment_sum(_rho(s, problem.kernel, problem.sigma))
-    finite = bool(np.isfinite(s).all())
-    return PoseState(quats, trans, rots, ei, s, sums, finite, table, problem.kernel, problem.sigma)
+        e_mean = moments.p_mean - np.einsum("cab,cb->ca", rij, moments.q_mean) - tij
+        if anchor is None:
+            centred = ei - np.repeat(e_mean, table.sizes, axis=0)  # p~ - R_ij q~
+            k0 = rij @ np.swapaxes(moments.pq, 1, 2)  # R_ij X~^T / 4^exponent
+            anchor = _Anchor(
+                _relative_quats(table, quats), table.segment_sum(np.einsum("ma,ma->m", centred, centred)),
+                np.trace(k0, axis1=1, axis2=2), k0, k0[:, [1, 2, 0], [2, 0, 1]] - k0[:, [2, 0, 1], [1, 2, 0]],
+            )
+        else:
+            sums = _anchored_sums(table, anchor, quats, e_mean)
+            finite = bool(np.isfinite(sums).all())
+    return PoseState(
+        quats, trans, rots, sums, finite, table, kernel, sigma, rij=rij, e_mean=e_mean, anchor=anchor
+    )
 
 
 def _skew_gram(S: np.ndarray) -> np.ndarray:
@@ -223,10 +311,15 @@ def _block6(gram, upper, lower, corner) -> np.ndarray:
     [v]x is e_k x v."""
     out = np.zeros((len(gram), 6, 6))
     out[:, :3, :3] = gram
-    out[:, :3, 3:] = np.cross(np.eye(3), upper[:, None, :])
-    out[:, 3:, :3] = np.cross(np.eye(3), lower[:, None, :])
+    out[:, _SKEW_ROWS, 3 + _SKEW_COLS] = upper[:, _SKEW_FROM] * _SKEW_SIGN
+    out[:, 3 + _SKEW_ROWS, _SKEW_COLS] = lower[:, _SKEW_FROM] * _SKEW_SIGN
     out[:, 3:, 3:] = corner[:, None, None] * np.eye(3)
     return out
+
+
+# the off-diagonal entries of [v]x = [[0, -v2, v1], [v2, 0, -v0], [-v1, v0, 0]]: row, column, +-v[from]
+_SKEW_ROWS, _SKEW_COLS = np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 0, 2, 0, 1])
+_SKEW_FROM, _SKEW_SIGN = np.array([2, 1, 2, 0, 1, 0]), np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 
 
 def _world_moment(ra, local, rb, ua, tb, ta, sb) -> np.ndarray:
@@ -250,8 +343,10 @@ def _assemble(problem: Problem, state: PoseState, curvature: bool = False):
     [w, E] with E = sum alpha e = R_i sum alpha e_i and
     w = sum alpha y_i x e = R_i (sum alpha p x e_i) + t_i x E; pose j gets
     -[w, E], as y_j x e = y_i x e. The sum of p x e_i is the antisymmetric
-    part of the per-match moment sum alpha p e_i^T, never a difference of
-    large moments. The H blocks depend only on the world moments a0 = sum
+    part of the local moment sum alpha p e_i^T, never a difference of large
+    world moments. The local moments come from _local_moments, per match
+    under the cauchy kernel and in O(C) under the squared kernel. The H
+    blocks depend only on the world moments a0 = sum
     alpha, si = sum alpha y_i, sii = sum alpha y_i y_i^T, sij = sum alpha
     y_i y_j^T, sj and sjj, which are rebuilt from moments of the constant
     local points: with P = sum alpha p p^T, Q = sum alpha q q^T,
@@ -273,39 +368,87 @@ def _assemble(problem: Problem, state: PoseState, curvature: bool = False):
     [[tr(m) I - m, [c]x], [-[c]x, a0 I]] with m = 1/2 (sij + sij^T) and
     c = 1/2 (si + sj). H is then symmetric but may be indefinite.
     """
-    table, ei = problem.table, state.ei
+    table = problem.table
     i, j = table.pairs[:, 0], table.pairs[:, 1]
     ri, rj, ti, tj = state.rots[i], state.rots[j], state.trans[i], state.trans[j]
-    alpha = 2.0 * problem.weights[table.seg] * _drho(state.s, problem.kernel, problem.sigma)
+    m = _local_moments(problem, state, curvature)
 
-    # the local moments sum alpha p q^T (X) and sum alpha p e_i^T, P and Q
-    # below; on ones, each operator gives its row sums, sum alpha p or sum alpha q
-    alpha_p, alpha_q = table.outer_operator(alpha, table.p), table.outer_operator(alpha, table.q)
-    ones = np.ones(len(table))
-    pq, pe = alpha_p(table.q), alpha_p(ei)
-    a0 = table.segment_sum(alpha)
-
-    e_sum = np.einsum("cab,cb->ca", ri, table.segment_sum(ei, alpha))  # E
-    cross = pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]]  # sum alpha p x e_i
-    g = np.hstack([np.einsum("cab,cb->ca", ri, cross) + np.cross(ti, e_sum), e_sum])
+    e_sum = np.einsum("cab,cb->ca", ri, m.e)  # E
+    g = np.hstack([np.einsum("cab,cb->ca", ri, m.cross) + np.cross(ti, e_sum), e_sum])
     grad = np.zeros((len(state), 6))
     np.add.at(grad, i, g)
     np.add.at(grad, j, -g)
 
-    rp, rq = np.einsum("cab,cb->ca", ri, alpha_p(ones)), np.einsum("cab,cb->ca", rj, alpha_q(ones))
-    si, sj = rp + a0[:, None] * ti, rq + a0[:, None] * tj
-    sij = _world_moment(ri, pq, rj, rp, tj, ti, sj)
+    rp, rq = np.einsum("cab,cb->ca", ri, m.p), np.einsum("cab,cb->ca", rj, m.q)
+    si, sj = rp + m.a0[:, None] * ti, rq + m.a0[:, None] * tj
+    sij = _world_moment(ri, m.pq, rj, rp, tj, ti, sj)
     if curvature:
         c = 0.5 * (si + sj)
-        h_ii = h_jj = _block6(_skew_gram(0.5 * (sij + np.swapaxes(sij, 1, 2))), c, -c, a0)
+        h_ii = h_jj = _block6(_skew_gram(0.5 * (sij + np.swapaxes(sij, 1, 2))), c, -c, m.a0)
     else:
-        pp, qq = alpha_p(table.p), alpha_q(table.q)  # P, Q
-        sii = _world_moment(ri, pp, ri, rp, ti, ti, si)
-        sjj = _world_moment(rj, qq, rj, rq, tj, tj, sj)
-        h_ii = _block6(_skew_gram(sii), si, -si, a0)
-        h_jj = _block6(_skew_gram(sjj), sj, -sj, a0)
-    h_ij = _block6(-_skew_gram(sij), -si, sj, -a0)
+        sii = _world_moment(ri, m.pp, ri, rp, ti, ti, si)
+        sjj = _world_moment(rj, m.qq, rj, rq, tj, tj, sj)
+        h_ii = _block6(_skew_gram(sii), si, -si, m.a0)
+        h_jj = _block6(_skew_gram(sjj), sj, -sj, m.a0)
+    h_ij = _block6(-_skew_gram(sij), -si, sj, -m.a0)
     return grad.reshape(-1), np.concatenate([h_ii, h_jj, h_ij, np.swapaxes(h_ij, 1, 2)])
+
+
+class _Moments(NamedTuple):
+    """The local moments of each constraint's matches that _assemble reads,
+    with alpha = 2 w rho'(s): a0 = sum alpha, p = sum alpha p, q = sum alpha q,
+    e = sum alpha e_i, cross = sum alpha p x e_i, pq = X = sum alpha p q^T,
+    and P = sum alpha p p^T and Q = sum alpha q q^T (None with curvature)."""
+
+    a0: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    e: np.ndarray
+    cross: np.ndarray
+    pq: np.ndarray
+    pp: np.ndarray | None
+    qq: np.ndarray | None
+
+
+def _local_moments(problem: Problem, state: PoseState, curvature: bool) -> _Moments:
+    """The local moments at the state, per match under the cauchy kernel and
+    from the table's fixed moments under the squared kernel, whose alpha = 2 w
+    is constant within each constraint. There, with the centred moments of
+    MatchMoments, sum alpha e_i = a0 e_mean and sum alpha p e_i^T =
+    2 w (P~ - X~ R_ij^T + k p_mean e_mean^T), whose antisymmetric part leaves
+    out the symmetric P~; sum alpha p q^T = 2 w (X~ + k p_mean q_mean^T), and
+    P and Q alike."""
+    table = problem.table
+    if problem.kernel != KERNEL_SQUARED:
+        alpha = 2.0 * problem.weights[table.seg] * _drho(state.s, problem.kernel, problem.sigma)
+        # on ones, each operator gives its row sums, sum alpha p or sum alpha q
+        alpha_p, alpha_q = table.outer_operator(alpha, table.p), table.outer_operator(alpha, table.q)
+        ones = np.ones(len(table))
+        pe = alpha_p(state.ei)
+        return _Moments(
+            table.segment_sum(alpha), alpha_p(ones), alpha_q(ones), table.segment_sum(state.ei, alpha),
+            pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]], alpha_p(table.q),
+            None if curvature else alpha_p(table.p), None if curvature else alpha_q(table.q),
+        )
+
+    moments = table.moments
+    w2, k = 2.0 * problem.weights, table.sizes
+    a0 = w2 * k
+
+    def second(centred, a, b):
+        """2 w (4^exponent centred + k a b^T), the sum of alpha a' b'^T over the matches."""
+        outer = k[:, None, None] * a[:, :, None] * b[:, None, :]
+        return w2[:, None, None] * (moments.unscale(centred) + outer)
+
+    # sum p e_i^T without P~, whose antisymmetric part is zero
+    pe = second(-moments.pq @ np.swapaxes(state.rij, 1, 2), moments.p_mean, state.e_mean)
+    return _Moments(
+        a0, a0[:, None] * moments.p_mean, a0[:, None] * moments.q_mean, a0[:, None] * state.e_mean,
+        pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]],
+        second(moments.pq, moments.p_mean, moments.q_mean),
+        None if curvature else second(moments.pp, moments.p_mean, moments.p_mean),
+        None if curvature else second(moments.qq, moments.q_mean, moments.q_mean),
+    )
 
 
 # entries of a 6x6 block of H that are not zero by construction
@@ -356,7 +499,7 @@ class _Pattern:
         # entries in the gauge's rows or columns all go to one spare slot
         self.slot = np.full(len(rows), len(keys))
         self.slot[placed] = slots[: placed.sum()]
-        self.diagonal = slots[placed.sum() :]
+        self.diagonal = slots[placed.sum() :].copy()  # a view would keep all of slots alive
         self.indices = keys % n
         self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
         self.shape = (n, n)
@@ -508,6 +651,12 @@ def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] |
     holds, so a solve assembles once more than it accepts steps and reports
     the last gradient, at the returned poses.
 
+    Under the squared kernel each trial is evaluated in O(C) from the start
+    state's anchor (_evaluate), and a solve that accepts a step evaluates its
+    end poses per match once more: the objective_end and errors it reports,
+    and the state it returns, are then those of any per-match evaluation of
+    the returned poses, bit for bit.
+
     Poses given as a Pose list come back as one. A PoseState must be
     evaluated for the problem's table, kernel and sigma (else ValueError); it
     is weighed, not evaluated again, and comes back as the PoseState LM last
@@ -525,7 +674,7 @@ def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] |
         raise ValueError("the pose state is evaluated for another table, kernel or sigma than the problem")
     del poses  # only `state` refers to the start state, until the first accepted step
     if not state.finite:
-        raise _nonfinite(problem.table, state.s)
+        raise _nonfinite(state)
     objective = objective_start = problem.objective(state)
 
     if len(state) == 1:
@@ -557,7 +706,7 @@ def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] |
             fallbacks += fell_back
             trial_objective = math.inf
             if step is not None and np.isfinite(step).all():
-                trial = _evaluate(problem, *_retract_all(state.quats, state.trans, step, 0))
+                trial = _evaluate(problem, *_retract_all(state.quats, state.trans, step, 0), state.anchor)
                 trial_objective = problem.objective(trial)
 
             # a trial this close to the objective is at the floor of its float
@@ -580,6 +729,12 @@ def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] |
                 termination = "stalled"
                 break
 
+    if accepted and problem.kernel == KERNEL_SQUARED:
+        # the sums of an accepted trial are anchored at the start: the state
+        # returned is evaluated per match, so its objective and errors are the
+        # ones any evaluation of the returned poses gives, bit for bit
+        state = _evaluate(problem, state.quats, state.trans)
+        objective = problem.objective(state)
     report = SolverReport(
         accepted, objective_start, objective, termination, gradient_norm, state.errors,
         objective_path, factorizations, curvature_steps, pcg_iterations, fallbacks,

@@ -75,6 +75,7 @@ class EvalResult:
     recall: float
     confusion: list[tuple[int, int, bool, bool]] = field(default_factory=list)
     # rows are (i, j, predicted inlier, oracle inlier)
+    full_alignment_ate: float = math.nan  # m, after one rigid alignment over all poses
 
 
 def _yaw_pose(position: np.ndarray, yaw: float) -> Pose:
@@ -269,18 +270,18 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
     )
 
 
-def anchored_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
-    """Mean translation error of poses 5.. after the rigid fit that aligns the
-    first five estimated positions onto ground truth (m). Each error's length
-    is a nested hypot, which squares nothing, so the mean is inf, with no
-    warning, only where some length is. Finite lengths whose sum passes the
-    float range are averaged again as fractions of the largest; every mean
-    whose sum stays finite keeps its bits."""
+def _aligned_error(poses: list[Pose], ground_truth: list[Pose], fitted: int, scored: slice) -> float:
+    """Mean translation error of the scored poses after the rigid fit that
+    aligns the first `fitted` estimated positions onto ground truth (m).
+    Each error's length is a nested hypot, which squares nothing, so the
+    mean is inf, with no warning, only where some length is. Finite lengths
+    whose sum passes the float range are averaged again as fractions of the
+    largest; every mean whose sum stays finite keeps its bits."""
     est = np.stack([p.trans for p in poses])
     gt = np.stack([p.trans for p in ground_truth])
     with np.errstate(over="ignore", invalid="ignore"):
-        aligned = se3.transform_points(fit_rigid_transform(est[:5], gt[:5]), est)
-        x, y, z = (aligned[5:] - gt[5:]).T
+        aligned = se3.transform_points(fit_rigid_transform(est[:fitted], gt[:fitted]), est)
+        x, y, z = (aligned[scored] - gt[scored]).T
         lengths = np.hypot(np.hypot(x, y), z)
         mean = lengths.mean()
         if np.isinf(mean) and np.isfinite(lengths).all():
@@ -289,9 +290,26 @@ def anchored_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
         return float(mean)
 
 
+def anchored_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
+    """Mean translation error of poses 5.. after the rigid fit that aligns the
+    first five estimated positions onto ground truth (m), with the overflow
+    handling of _aligned_error."""
+    return _aligned_error(poses, ground_truth, 5, slice(5, None))
+
+
+def full_alignment_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
+    """Mean translation error of every pose after one rigid fit of all the
+    estimated positions onto ground truth (m), by model.fit_rigid_transform
+    (Horn 1987; the ATE of Sturm et al. 2012), as perfbench's ate_full_m. A
+    trajectory that is the truth moved rigidly scores 0, however far from
+    the first five poses the motion carries it."""
+    return _aligned_error(poses, ground_truth, len(poses), slice(None))
+
+
 def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
-    """Trajectory error after aligning the first five poses, plus loop precision
-    and recall against the graph's oracle labels.
+    """Trajectory error after aligning the first five poses and after aligning
+    all of them, plus loop precision and recall against the graph's oracle
+    labels.
 
     `labels` are predicted inlier booleans aligned with graph.loops.
     """
@@ -326,4 +344,4 @@ def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
             fn += 1
     precision = tp / (tp + fp) if (tp + fp) else 1.0
     recall = tp / (tp + fn) if (tp + fn) else 1.0
-    return EvalResult(ate, precision, recall, confusion)
+    return EvalResult(ate, precision, recall, confusion, full_alignment_ate(poses, graph.ground_truth))

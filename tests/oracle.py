@@ -2,7 +2,8 @@
 
 ResidualBlock and its helpers are the per-match oracle for the flat
 objective, gradient and H that LM runs: they evaluate one match at a time in
-the world frame, through the single-pose se3 functions. robust_fit_full_refit
+the world frame, through the single-pose se3 functions. block6_cross is H's
+6x6 block with its skew parts built by np.cross. robust_fit_full_refit
 is the initialization's trimmed fit as it was before it refitted only the
 constraints whose match set changed: every round refits every constraint.
 run_em_replaying is the EM driver as it was before M-steps handed their pose
@@ -114,6 +115,17 @@ def hessian_blocks(block: ResidualBlock, poses: list[Pose], curvature: bool = Fa
             h[:3, 3:] -= 0.5 * _cross_matrix(ae)
             h[3:, :3] += 0.5 * _cross_matrix(ae)
     return h_ii, h_jj, h_ij
+
+
+def block6_cross(gram, upper, lower, corner) -> np.ndarray:
+    """solver._block6 with its skew blocks built by np.cross: row k of [v]x
+    is e_k x v."""
+    out = np.zeros((len(gram), 6, 6))
+    out[:, :3, :3] = gram
+    out[:, :3, 3:] = np.cross(np.eye(3), upper[:, None, :])
+    out[:, 3:, :3] = np.cross(np.eye(3), lower[:, None, :])
+    out[:, 3:, 3:] = corner[:, None, None] * np.eye(3)
+    return out
 
 
 def robust_fit_full_refit(table: MatchTable, rounds: int, trim_factor: float):

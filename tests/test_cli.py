@@ -55,7 +55,7 @@ class TestSolve:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "inlier loops" in captured.out and "ate_mean" in captured.out
+        assert "inlier loops" in captured.out and "ate_mean" in captured.out and "ate_full" in captured.out
         assert "warning" not in captured.err
         assert len(parse_poses(poses.read_text())) == 20
         assert csv.read_text().startswith("id,tx,ty,tz")
@@ -418,7 +418,7 @@ class TestEval:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "ate_mean" in out and "precision" in out and "recall" in out
+        assert "ate_mean" in out and "ate_full" in out and "precision" in out and "recall" in out
 
 
     def test_zero_quaternion_pose_exit_code(self, tmp_path, scenario_file, capsys):
@@ -513,6 +513,21 @@ class TestCheckGrad:
             return grad, blocks
 
         monkeypatch.setattr(solver, "_assemble", faulty)
+        assert run_cli(["check-grad", "--seed", "1", "--blocks", "20"]) == cli.EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("error:")
+
+
+    def test_checks_the_objective_of_lm_trials(self, capsys, monkeypatch):
+        """check-grad evaluates its difference points as LM evaluates a
+        trial, with the anchor of the state being checked: a squared-kernel
+        trial objective off by 1% fails it, though the anchor's own
+        evaluation is exact."""
+        real = solver._anchored_sums
+
+        def faulty(*args):
+            return 1.01 * real(*args)
+
+        monkeypatch.setattr(solver, "_anchored_sums", faulty)
         assert run_cli(["check-grad", "--seed", "1", "--blocks", "20"]) == cli.EXIT_SOLVER
         assert capsys.readouterr().err.startswith("error:")
 

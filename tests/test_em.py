@@ -379,19 +379,41 @@ class TestRunEm:
     def test_evaluates_each_pose_state_once(self, monkeypatch, mode):
         """One evaluation at the initial poses, then one per LM trial: each
         M-step weighs the state the last one evaluated, and theta, the E-step
-        and the final posteriors read its errors."""
+        and the final posteriors read its errors. Under the cauchy kernel
+        each evaluation is a pass over the matches. Under the squared kernel
+        no trial is: the passes are the initial poses' and, for each M-step
+        that accepts a step, its end poses', and the graph table's per-match
+        sum operators are built once, for its moments."""
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
-        calls = []
-        real = MatchTable.frame_residuals
+        evaluations, passes, operators = [], [], []
+        real_evaluate = solver._evaluate
+        real_residuals, real_operator = MatchTable.frame_residuals, MatchTable.outer_operator
 
-        def spy(table, rots, trans):
-            calls.append(len(table))
-            return real(table, rots, trans)
+        def evaluate(*args):
+            evaluations.append(len(args) > 3 and args[3] is not None)  # with an anchor
+            return real_evaluate(*args)
 
-        monkeypatch.setattr(MatchTable, "frame_residuals", spy)
+        def residuals(table, rots, trans):
+            passes.append(len(table))
+            return real_residuals(table, rots, trans)
+
+        def operator(table, weights, y):
+            operators.append(table is graph.table)
+            return real_operator(table, weights, y)
+
+        monkeypatch.setattr(solver, "_evaluate", evaluate)
+        monkeypatch.setattr(MatchTable, "frame_residuals", residuals)
+        monkeypatch.setattr(MatchTable, "outer_operator", operator)
         _, _, trace = em.run_em(graph, Hyperparams(mode=mode))
         assert len(trace) >= 2
-        assert len(calls) == sum(it.factorizations for it in trace.iterations) + 1
+        trials = sum(it.factorizations for it in trace.iterations)
+        if mode == "cauchy":
+            assert len(evaluations) == len(passes) == trials + 1 and not any(evaluations)
+        else:
+            stepped = sum(it.iterations > 0 for it in trace.iterations)
+            assert len(evaluations) == trials + 1 + stepped and sum(evaluations) == trials
+            assert len(passes) == 1 + stepped < trials
+            assert sum(operators) == 2
 
     def test_hands_on_one_pose_state(self, monkeypatch):
         """Each M-step is handed the state the last one evaluated, and holds

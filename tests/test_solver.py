@@ -20,6 +20,7 @@ from robustpgo.solver import KERNEL_CAUCHY, KERNEL_SQUARED, Problem, build_probl
 from robustpgo.synth import ScenarioConfig, generate
 from oracle import (
     ResidualBlock,
+    block6_cross,
     block_cost,
     finite_difference_gradient,
     hessian_blocks,
@@ -288,7 +289,7 @@ class TestGradients:
         problem = random_problem(rng, KERNEL_SQUARED)
         objective = stepped_objective(problem, poses)
         state = solver._evaluate(problem, *se3.stack(poses))
-        assert np.sqrt(state.s).min() > 0.1
+        assert np.sqrt(problem.table.frame_residuals(state.rots, state.trans)[1]).min() > 0.1
         h = 1e-4
         basis = h * np.eye(18)
         numeric = np.array(
@@ -343,6 +344,21 @@ class TestGradients:
             assert np.abs(hessian - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+class TestBlock6:
+    def test_index_built_skew_blocks_match_np_cross(self):
+        """_block6 places [v]x by index; every entry it fills equals the
+        np.cross form's (tests/oracle.py) bit for bit, and the entries that
+        are zero by construction are zero in both."""
+        rng = np.random.default_rng(31)
+        gram, upper, lower, corner = (rng.normal(size=(50,) + shape) for shape in ((3, 3), (3,), (3,), ()))
+        out, expected = solver._block6(gram, upper, lower, corner), block6_cross(gram, upper, lower, corner)
+        entries = solver._BLOCK_ENTRIES
+        flat, flat_expected = out.reshape(50, 36), expected.reshape(50, 36)
+        assert flat[:, entries].tobytes() == flat_expected[:, entries].tobytes()
+        np.testing.assert_array_equal(out, expected)
+        assert not np.delete(flat, entries, axis=1).any()
+
+
 class TestEvaluate:
     def test_errors_do_not_depend_on_the_world_origin(self):
         """Shifting every pose by (2^20, 0, 0) leaves the errors and the
@@ -359,6 +375,147 @@ class TestEvaluate:
         assert problem.objective(state) > 0.0 and state.errors.min() > 0.0
         np.testing.assert_array_equal(shifted.errors, state.errors)
         assert problem.objective(shifted) == problem.objective(state)
+
+
+def moment_path_problem(rng, offset=0.0):
+    """A squared-kernel problem over four poses about `offset` from the world
+    origin: constraints of 1 and 2 matches, a collinear one, two of 5 and 7
+    matches with 5 cm noise and an outlier loop of 6 unrelated matches. Its
+    poses are returned too."""
+    twists = np.hstack([rng.uniform(-1, 1, (4, 3)), rng.uniform(-3, 3, (4, 3)) + offset])
+    poses = [se3.exp(twist) for twist in twists]
+    constraints = []
+    for (i, j), k, shape in (
+        ((0, 1), 1, "noisy"), ((0, 1), 2, "noisy"), ((1, 2), 6, "collinear"),
+        ((0, 2), 5, "noisy"), ((2, 3), 7, "noisy"), ((0, 3), 6, "outlier"),
+    ):
+        world = poses[i].trans + rng.uniform(-2, 2, (k, 3))
+        if shape == "collinear":
+            world = poses[i].trans + np.outer(rng.uniform(-2, 2, k), rng.normal(size=3))
+        p = se3.transform_points(se3.inverse(poses[i]), world)
+        q = se3.transform_points(se3.inverse(poses[j]), world) + rng.normal(scale=0.05, size=(k, 3))
+        if shape == "outlier":
+            q = rng.uniform(-2, 2, (k, 3))
+        constraints.append(LoopClosureConstraint(i, j, p, q))
+    weights = rng.uniform(0.1, 1.0, len(constraints))
+    return Problem(MatchTable.from_constraints(constraints), weights, KERNEL_SQUARED), poses
+
+
+def turned(rng, poses, angle):
+    """The poses, each but pose 0 left-retracted by a rotation of the given
+    angle about a random axis and a random shift: each constraint on pose 0
+    turns by that angle."""
+    axes = rng.normal(size=(len(poses), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    twists = np.hstack([angle * axes, rng.uniform(-0.5, 0.5, (len(poses), 3))])
+    twists[0] = 0.0
+    return [se3.retract(pose, twist) for pose, twist in zip(poses, twists)]
+
+
+ANGLES = [1e-7, 1e-3, 0.3, 1.0, 2.0, math.pi - 1e-6, math.pi]
+
+
+class TestMomentPath:
+    """Under the squared kernel an LM trial is evaluated from its start
+    state's anchor and the table's moments, with no pass over the matches."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_anchored_sums_match_the_per_match_sums(self, offset):
+        """At states turned up to pi from the anchor, also 1 km from the world
+        origin, each constraint's anchored sum of |e_i|^2 equals
+        frame_residuals + segment_sum (rel 1e-12), for constraints of 1 and 2
+        matches, collinear ones and an outlier loop."""
+        rng = np.random.default_rng(60)
+        problem, poses = moment_path_problem(rng, offset)
+        table = problem.table
+        anchor = solver._evaluate(problem, *se3.stack(poses))
+        exact = table.segment_sum(table.frame_residuals(anchor.rots, anchor.trans)[1])
+        assert anchor.sums.tobytes() == exact.tobytes()
+        for angle in ANGLES:
+            quats, trans = se3.stack(turned(rng, poses, angle))
+            state = solver._evaluate(problem, quats, trans, anchor.anchor)
+            expected = table.segment_sum(table.frame_residuals(state.rots, state.trans)[1])
+            assert state.finite and (np.abs(state.sums - expected) <= 1e-12 * expected).all()
+            objective = problem.objective(solver._evaluate(problem, quats, trans))
+            assert problem.objective(state) == pytest.approx(objective, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_gradient_and_hessian_at_anchored_states_match_the_per_match_oracle(self, offset):
+        """The gradient and H, with and without the curvature term, assembled
+        at states turned up to pi from the anchor equal the per-match sums of
+        the world-frame oracle (rel 1e-12 of the largest entry)."""
+        rng = np.random.default_rng(61)
+        problem, poses = moment_path_problem(rng, offset)
+        anchor = solver._evaluate(problem, *se3.stack(poses)).anchor
+        blocks = per_match_blocks(problem)
+        for angle in [0.0, *ANGLES]:
+            at = turned(rng, poses, angle) if angle else poses
+            state = solver._evaluate(problem, *se3.stack(at), anchor)
+            expected_grad = np.zeros(24)
+            for b in blocks:
+                _, gi, gj = residual_and_jacobian(b, at)
+                expected_grad[6 * b.i : 6 * b.i + 6] += gi
+                expected_grad[6 * b.j : 6 * b.j + 6] += gj
+            for curvature in (False, True):
+                grad, assembled = solver._assemble(problem, state, curvature)
+                expected = np.zeros((4, 6, 4, 6))
+                for b in blocks:
+                    h_ii, h_jj, h_ij = hessian_blocks(b, at, curvature)
+                    expected[b.i, :, b.i] += h_ii
+                    expected[b.j, :, b.j] += h_jj
+                    expected[b.i, :, b.j] += h_ij
+                    expected[b.j, :, b.i] += h_ij.T
+                expected = expected.reshape(24, 24)
+                assert np.abs(grad - expected_grad).max() <= 1e-12 * np.abs(expected_grad).max()
+                hessian = dense_hessian(assembled, problem.table.pairs, 4)
+                assert np.abs(hessian - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("size", [1e154, 1e200, 1e308])
+    def test_huge_coordinates_keep_a_finite_objective_finite(self, size):
+        """Matches whose coordinates square past the float range, at exact
+        correspondences: wherever the per-match objective is finite (at the
+        anchor, a shift away, and for 1e154 a small turn away), so are the
+        anchored sums, from moments of points scaled before they are formed,
+        and they agree; where it is not, neither are they."""
+        rng = np.random.default_rng(62)
+        world = size * rng.uniform(-0.9, 0.9, (5, 3))
+        constraints = [LoopClosureConstraint(0, 1, world, world), OdometryConstraint(0, world[:3], world[:3])]
+        problem = Problem(MatchTable.from_constraints(constraints), np.ones(2), KERNEL_SQUARED)
+        table = problem.table
+        for name in ("pp", "qq", "pq"):
+            assert np.isfinite(getattr(table.moments, name)).all()
+        poses = [se3.identity(), se3.identity()]
+        anchor = solver._evaluate(problem, *se3.stack(poses))
+        assert anchor.finite and problem.objective(anchor) == 0.0
+        finite = []
+        for twist in (np.zeros(6), np.array([0, 0, 0, 1e-3, 0, 0]), np.array([1e-3, 0, 0, 0, 0, 0])):
+            quats, trans = se3.stack([poses[0], se3.retract(poses[1], twist)])
+            state = solver._evaluate(problem, quats, trans, anchor.anchor)
+            expected = table.segment_sum(table.frame_residuals(state.rots, state.trans)[1])
+            finite.append(bool(np.isfinite(expected).all()))
+            assert state.finite == finite[-1]
+            if finite[-1]:
+                np.testing.assert_allclose(state.sums, expected, rtol=1e-9)
+        assert finite == [True, True, size == 1e154]
+
+    @pytest.mark.parametrize("value", [np.nan, 1e154, 1e200, 1e308])
+    def test_nonfinite_residual_names_the_match_under_either_kernel(self, value):
+        """A match whose residual is not finite at the start poses fails the
+        solve with the error that names its constraint and match, the same
+        under either kernel."""
+        rng = np.random.default_rng(63)
+        p, q = rng.uniform(-1, 1, (2, 4, 3))
+        p[2] = [value, -value, value]
+        constraints = [OdometryConstraint(0, q, q), LoopClosureConstraint(0, 2, p, q)]
+        constraints.append(OdometryConstraint(1, q, q))
+        poses = [se3.identity()] * 3
+        messages = set()
+        for kernel in (KERNEL_CAUCHY, KERNEL_SQUARED):
+            problem = Problem(MatchTable.from_constraints(constraints), np.ones(3), kernel)
+            with pytest.raises(solver.SolverError) as exc:
+                solve(problem, poses)
+            messages.add(str(exc.value))
+        assert messages == {"non-finite residual in constraint 1 (i=0, j=2, match 2)"}
 
 
 class TestKernel:
@@ -396,6 +553,18 @@ class TestPattern:
         back = pattern.put(taken)
         np.testing.assert_array_equal(back[free], grad[free])
         assert not back[~free].any()
+
+    @pytest.mark.parametrize("gauge", [0, 2, 3])
+    def test_diagonal_owns_its_memory(self, gauge):
+        """The diagonal slots are an array of their own, not a view that keeps
+        np.unique's whole inverse alive: slot d holds entry (d, d) of the
+        system, as the matrix stores it."""
+        problem = random_problem(np.random.default_rng(45 + gauge), KERNEL_CAUCHY)
+        pattern = solver._Pattern(problem.table.pairs, 4, gauge)
+        assert pattern.diagonal.base is None
+        columns = np.searchsorted(pattern.indptr, pattern.diagonal, side="right") - 1
+        np.testing.assert_array_equal(columns, np.arange(18))
+        np.testing.assert_array_equal(pattern.indices[pattern.diagonal], np.arange(18))
 
     @pytest.mark.parametrize("gauge", [0, 2, 3])
     def test_pose_order_keeps_each_pose_whole(self, gauge):

@@ -8,7 +8,9 @@ from robustpgo.synth import (
     ScenarioConfig,
     ScenarioError,
     _MIN_REVISIT_GAP,
+    anchored_ate,
     evaluate,
+    full_alignment_ate,
     generate,
 )
 
@@ -161,6 +163,28 @@ class TestEvaluate:
         oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
         res = evaluate(moved, graph, oracle)
         assert res.mean_translation_error < 1e-9
+
+    def test_full_alignment_ate_does_not_hinge_on_the_first_five_poses(self):
+        """A trajectory that is the truth moved rigidly scores 0 after one
+        alignment over all poses. Its first five poses lie on a line, so the
+        rotation about that line is left to the anchored fit, which misses
+        it: a large anchored ATE on the poses that turn off the line."""
+        straight = [np.array([k, 0.0, 0.0]) for k in range(8)]
+        turn = [np.array([7 + 5 * np.sin(0.3 * k), 5 - 5 * np.cos(0.3 * k), 0.0]) for k in range(1, 23)]
+        truth = [se3.Pose(np.array([1.0, 0.0, 0.0, 0.0]), t) for t in straight + turn]
+        move = se3.exp(np.array([0.3, -0.7, 0.4, 5.0, -2.0, 1.0]))
+        moved = [se3.compose(move, p) for p in truth]
+        assert full_alignment_ate(moved, truth) < 1e-12
+        assert anchored_ate(moved, truth) > 1.0
+
+    def test_evaluate_reports_the_full_alignment_ate(self):
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=6))
+        rng = np.random.default_rng(3)
+        noisy = [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in graph.ground_truth]
+        oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
+        res = evaluate(noisy, graph, oracle)
+        assert res.full_alignment_ate == full_alignment_ate(noisy, graph.ground_truth)
+        assert 0.0 < res.full_alignment_ate < res.mean_translation_error
 
     def test_confusion_arithmetic(self):
         """10 true / 40 false loops; one true missed, all false rejected:
