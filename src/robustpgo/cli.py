@@ -147,7 +147,7 @@ def _cmd_simulate(args) -> int:
     try:
         config = synth.ScenarioConfig(**cfg)
         graph = synth.generate(config)
-    except (synth.ScenarioError, TypeError) as err:
+    except (synth.ScenarioError, TypeError, OverflowError) as err:  # OverflowError: an int no float holds
         print(f"error: invalid scenario config: {err}", file=sys.stderr)
         return EXIT_VALIDATE
     _write(args.out, graphio.write_graph(graph))
@@ -209,21 +209,19 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
     """
     pairs = (_CHECK_PAIRS + 3 * np.arange(count)[:, None, None]).reshape(-1, 2)
     sizes = np.tile(_CHECK_SIZES, count)
-    seg = np.repeat(np.arange(len(sizes)), sizes)
     twists = np.hstack([rng.uniform(-0.5, 0.5, (3 * count, 3)), rng.uniform(-2, 2, (3 * count, 3))])
     quats, trans = se3.exp_arrays(twists)
-    points = rng.uniform(-3, 3, (2, len(seg), 3))
-    table = MatchTable(pairs, sizes, seg, *points)
+    table = MatchTable(pairs, sizes, *rng.uniform(-3, 3, (2, sizes.sum(), 3)))
     weights = rng.uniform(0.05, 1.0, len(sizes))
     problem = solver.Problem(table, weights, kernel, float(rng.uniform(0.2, 1.0)))
 
     # exact correspondences: every residual is zero at these poses
     rots = se3.quat_to_matrix(quats)
-    world = rng.uniform(-3, 3, (len(seg), 3))
-    i, j = pairs[seg].T
+    world = rng.uniform(-3, 3, (len(table), 3))
+    i, j = pairs[table.seg].T
     p = np.einsum("mba,mb->ma", rots[i], world - trans[i])
     q = np.einsum("mba,mb->ma", rots[j], world - trans[j])
-    exact = solver.Problem(MatchTable(pairs, sizes, seg, p, q), weights, kernel, problem.sigma)
+    exact = solver.Problem(MatchTable(pairs, sizes, p, q), weights, kernel, problem.sigma)
     u = rng.normal(size=(count, 18))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
 

@@ -91,7 +91,7 @@ def posterior_gaussian(b_values: np.ndarray, theta: float) -> np.ndarray:
 
 def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> np.ndarray:
     """Per-loop error functional at the given poses (A in cauchy mode, B in gaussian)."""
-    errors = constraint_errors(graph.table, poses, solver.KERNELS[params.mode], params.sigma)
+    errors = constraint_errors(graph.table, poses, params.mode, params.sigma)
     return errors[len(graph.odometry) :]
 
 
@@ -99,11 +99,8 @@ def e_step(errors: np.ndarray, theta: float, params: Hyperparams) -> PosteriorSt
     """Inlier posteriors of the loops from their errors (A in cauchy mode, B in gaussian)."""
     if not theta > 0:
         raise ValueError("theta must be positive")
-    if params.mode == "cauchy":
-        post = posterior_cauchy(errors, theta)
-    else:
-        post = posterior_gaussian(errors, theta)
-    return PosteriorState(theta=theta, posteriors=post)
+    posterior = posterior_cauchy if params.mode == "cauchy" else posterior_gaussian
+    return PosteriorState(theta=theta, posteriors=posterior(errors, theta))
 
 
 def classify_loops(state: PosteriorState, inlier_threshold: float = 0.5) -> np.ndarray:
@@ -160,7 +157,7 @@ def run_em(
     poses once more, per match, see solver.solve); theta and the E-step read
     its errors.
     """
-    pose_state = evaluate_poses(graph.table, initialize_poses(graph), solver.KERNELS[params.mode], params.sigma)
+    pose_state = evaluate_poses(graph.table, initialize_poses(graph), params.mode, params.sigma)
     odometry = len(graph.odometry)
     trace = EmTrace()
 

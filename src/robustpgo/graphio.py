@@ -80,12 +80,14 @@ class _Lines:
         )
 
 
-def _read_matches(lines: _Lines, count: int, what: str):
-    """The `count` M rows after a record's header as C-contiguous (count, 3)
-    arrays p and q. Each row's structure is checked as it is read; the
-    record's numbers are then converted in one batch. Errors keep line order:
-    a bad number on an earlier row is reported before a short or missing
-    later row."""
+def _read_matches(lines: _Lines, count: int, what: str, header_no: int):
+    """The `count` M rows after a record's header, on line header_no, as
+    C-contiguous (count, 3) arrays p and q. Each row's structure is checked
+    as it is read; the record's numbers are then converted in one batch.
+    Errors keep line order: a bad number on an earlier row is reported before
+    a short or missing later row."""
+    if count < 0:
+        raise ParseError(header_no, f"negative match count {count}")
     nos: list[int] = []
     tokens: list[str] = []
     # zip draws on range(count) first, so it stops without taking a row too
@@ -159,20 +161,14 @@ def parse(text: str) -> ProblemGraph:
             if len(parts) != 3:
                 raise ParseError(no, "ODOM record needs <i> <match count>")
             i = _int(parts[1], no)
-            k = _int(parts[2], no)
-            if k < 0:
-                raise ParseError(no, f"negative match count {k}")
-            p, q = _read_matches(lines, k, f"ODOM {i}")
+            p, q = _read_matches(lines, _int(parts[2], no), f"ODOM {i}", no)
             odometry.append(OdometryConstraint(i, p, q))
         elif kind == "LOOP":
             if len(parts) != 4:
                 raise ParseError(no, "LOOP record needs <i> <j> <match count>")
             i = _int(parts[1], no)
             j = _int(parts[2], no)
-            k = _int(parts[3], no)
-            if k < 0:
-                raise ParseError(no, f"negative match count {k}")
-            p, q = _read_matches(lines, k, f"LOOP {i} {j}")
+            p, q = _read_matches(lines, _int(parts[3], no), f"LOOP {i} {j}", no)
             loops.append(LoopClosureConstraint(i, j, p, q))
         elif kind == "LABEL":
             if len(parts) != 4:
@@ -192,11 +188,10 @@ def parse(text: str) -> ProblemGraph:
     def _collect(store: dict[int, Pose], kind: str) -> list[Pose] | None:
         if not store:
             return None
-        missing = [i for i in range(n) if i not in store]
-        if missing:
-            raise ParseError(
-                lines.last_no, f"{kind} records incomplete: missing fragment {missing[0]}"
-            )
+        # ids lie in [0, n), so the lowest missing one is at most len(store)
+        missing = min(set(range(len(store) + 1)) - store.keys())
+        if missing < n:
+            raise ParseError(lines.last_no, f"{kind} records incomplete: missing fragment {missing}")
         return [store[i] for i in range(n)]
 
     return ProblemGraph(

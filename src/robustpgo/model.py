@@ -81,27 +81,25 @@ class LoopClosureConstraint(_MatchSet):
 class MatchTable:
     """The match sets of a list of constraints, stacked flat.
 
-    Constraint c couples poses pairs[c] and owns the matches whose segment id
-    seg[m] equals c; those are contiguous and in the constraint's own order.
-    Every per-constraint sum is one product with a (C, M) indicator of the
-    segments, held in compressed sparse row form: row c has a nonzero at each
-    match of constraint c. A row sums its matches in order, as np.bincount
-    over seg does, so either gives the same bits.
+    Constraint c couples poses pairs[c] and owns sizes[c] contiguous matches,
+    in the constraint's own order; the segment id seg[m] of each match, its
+    constraint, and the start of each constraint's matches follow from the
+    sizes. Every per-constraint sum is one product with a (C, M) indicator of
+    the segments, held in compressed sparse row form: row c has a nonzero at
+    each match of constraint c. A row sums its matches in order, as
+    np.bincount over seg does, so either gives the same bits.
     """
 
     pairs: np.ndarray  # (C, 2) pose indices (i, j)
     sizes: np.ndarray  # (C,) match count per constraint
-    seg: np.ndarray  # (M,) constraint index of each match
     p: np.ndarray  # (M, 3) points in frame i
     q: np.ndarray  # (M, 3) points in frame j
 
     @classmethod
     def from_constraints(cls, constraints) -> MatchTable:
-        sizes = np.array([c.size for c in constraints], dtype=np.intp)
         return cls(
             pairs=np.array([c.pair for c in constraints], dtype=np.intp).reshape(-1, 2),
-            sizes=sizes,
-            seg=np.repeat(np.arange(len(sizes)), sizes),
+            sizes=np.array([c.size for c in constraints], dtype=np.intp),
             p=np.concatenate([np.zeros((0, 3)), *(c.p for c in constraints)]),
             q=np.concatenate([np.zeros((0, 3)), *(c.q for c in constraints)]),
         )
@@ -112,18 +110,20 @@ class MatchTable:
         return cls.from_constraints([*graph.odometry, *graph.loops])
 
     def __len__(self) -> int:
-        return len(self.seg)
+        return len(self.p)
 
     def subset(self, keep: np.ndarray) -> MatchTable:
         """The table of the constraints where keep (C,) is true, in order;
         the table itself when every one is kept."""
         if keep.all():
             return self
-        sizes = self.sizes[keep]
         rows = keep[self.seg]
-        return MatchTable(
-            self.pairs[keep], sizes, np.repeat(np.arange(len(sizes)), sizes), self.p[rows], self.q[rows]
-        )
+        return MatchTable(self.pairs[keep], self.sizes[keep], self.p[rows], self.q[rows])
+
+    @cached_property
+    def seg(self) -> np.ndarray:
+        """(M,) constraint index of each match."""
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -133,14 +133,14 @@ class MatchTable:
     @cached_property
     def _summer_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and row pointers of the (C, M) segment indicator."""
-        return np.arange(len(self.seg), dtype=np.int32), self.offsets.astype(np.int32)
+        return np.arange(len(self), dtype=np.int32), self.offsets.astype(np.int32)
 
     @cached_property
     def _outer_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The same for the (3C, M) operator whose row (a, c) is constraint
         c's row of the indicator."""
         columns, starts = self._summer_index
-        count = len(self.seg)
+        count = len(self)
         return np.tile(columns, 3), np.concatenate(
             [starts[:-1], starts[:-1] + count, starts[:-1] + 2 * count, [3 * count]]
         ).astype(np.int32)
@@ -180,8 +180,8 @@ class MatchTable:
         """Sum per-match rows (M, ...), each times its weight when weights (M,)
         are given, over each constraint's matches; an empty constraint sums to
         zero."""
-        data = np.ones(len(self.seg)) if weights is None else weights
-        summer = csr_matrix((data, *self._summer_index), shape=(len(self.sizes), len(self.seg)))
+        data = np.ones(len(self)) if weights is None else weights
+        summer = csr_matrix((data, *self._summer_index), shape=(len(self.sizes), len(self)))
         flat = values.reshape(len(values), math.prod(values.shape[1:]))
         return (summer @ flat).reshape((len(self.sizes),) + values.shape[1:])
 
@@ -191,7 +191,7 @@ class MatchTable:
         (C, 3)), with no per-match product: one (3C, M) operator, whose row
         (a, c) holds weights * y[:, a] over the matches of constraint c, serves
         every x, and sums a row's matches in order for each column of x."""
-        num, count = len(self.sizes), len(self.seg)
+        num, count = len(self.sizes), len(self)
         data = np.multiply(y.T, weights, order="C").ravel()
         rows = csr_matrix((data, *self._outer_index), shape=(3 * num, count))
         return lambda x: np.moveaxis((rows @ x).reshape(3, num, *x.shape[1:]), 0, 1)
@@ -399,9 +399,14 @@ def validate(graph: ProblemGraph) -> list[Violation]:
             out.append(_empty(c))
         elif not (np.isfinite(c.p).all() and np.isfinite(c.q).all()):
             out.append(Violation("nonfinite_match", (c.i, c.i + 1), "non-finite coordinates"))
-    for i in range(n - 1):
-        if i not in seen_odo:
-            out.append(Violation("missing_odometry", (i,), f"no constraint between {i} and {i + 1}"))
+    # each run of consecutive missing pairs once, so the cost follows the records, not n
+    present = sorted(seen_odo)
+    for first, last in zip([0, *(i + 1 for i in present)], [*(i - 1 for i in present), n - 2]):
+        if first == last:
+            out.append(Violation("missing_odometry", (first,), f"no constraint between {first} and {first + 1}"))
+        elif first < last:
+            detail = f"no constraint between i and i + 1 for any i from {first} to {last}"
+            out.append(Violation("missing_odometry", (first, last), detail))
 
     seen_loops: set[tuple[int, int]] = set()
     for c in graph.loops:

@@ -3,8 +3,10 @@
 The M-step's entry is solve(problem, poses): it takes a Pose list or a
 PoseState and returns the same kind, with a SolverReport. The objective is a
 sum over feature matches of w * rho(||T_i p - T_j q||^2) with rho either the
-log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared kernel s, and w one
-weight per constraint. Each residual is evaluated in its constraint's frame
+log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared kernel s, each the
+negative log-likelihood of the inlier distribution of the EM mode that names
+it ("cauchy", "gaussian"), and w one weight per constraint. Each residual is
+evaluated in its constraint's frame
 i, and the gradient and H are built from moments of the constant local
 points p and q, rotated and translated per constraint. Under the squared
 kernel alpha = 2 w is constant within each constraint, so a trial costs
@@ -28,9 +30,10 @@ drops, which speeds up the linear tail of a large-residual problem but may
 leave the matrix indefinite.
 
 The damped normal equations are assembled block-sparse from per-constraint
-sums over a flat match table. Their sparsity pattern depends only on which
-poses the constraints couple, so a _Pattern maps every block entry to its
-slot once and each LM trial only refills the values. Each trial solves the
+sums over a flat match table, whose segment ids follow from its match counts.
+Their sparsity pattern depends only on which poses the constraints couple, so
+a _Pattern maps every block entry to its slot once, leaving out the gauge,
+pose 0, and each LM trial only refills the values. Each trial solves the
 damped system by subgraph preconditioning (Dellaert et al., IROS 2010,
 Subgraph-preconditioned conjugate gradients for large scale SLAM). A loop
 whose posterior is below SUBGRAPH_POSTERIOR adds next to nothing to H, but
@@ -72,9 +75,8 @@ from . import se3
 from .model import Hyperparams, MatchTable, PosteriorState, ProblemGraph
 from .se3 import Pose
 
-KERNEL_CAUCHY = "cauchy-log"
-KERNEL_SQUARED = "squared"
-KERNELS = {"cauchy": KERNEL_CAUCHY, "gaussian": KERNEL_SQUARED}  # kernel of each EM mode
+KERNEL_CAUCHY = "cauchy"  # rho(s) = ln(1 + s / sigma^2), the cauchy mode's kernel
+KERNEL_SQUARED = "gaussian"  # rho(s) = s, the gaussian mode's kernel
 
 MAX_INNER_ITERS = 100
 GRADIENT_TOL = 1e-8
@@ -197,7 +199,7 @@ def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparam
             f"posterior count {len(state.posteriors)} != loop count {len(graph.loops)}"
         )
     numerators = np.concatenate([np.ones(len(graph.odometry)), state.posteriors])
-    return Problem(graph.table, numerators / graph.table.sizes, KERNELS[params.mode], params.sigma)
+    return Problem(graph.table, numerators / graph.table.sizes, params.mode, params.sigma)
 
 
 def _rho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
@@ -455,15 +457,14 @@ def _local_moments(problem: Problem, state: PoseState, curvature: bool) -> _Mome
 _BLOCK_ENTRIES = np.flatnonzero(_block6(np.ones((1, 3, 3)), np.ones((1, 3)), np.ones((1, 3)), np.ones(1)))
 
 
-def _pose_order(pairs: np.ndarray, num_poses: int, gauge: int) -> np.ndarray:
+def _pose_order(pairs: np.ndarray, num_poses: int) -> np.ndarray:
     """Position of each free dof in SuperLU's minimum-degree order of the free
     poses' graph, each pose's six dofs together (Square Root SAM, Dellaert &
     Kaess, IJRR 2006): perm_c of the graph's Laplacian plus I, factored by
-    scipy's splu rather than the module global, as it is no LM factorization."""
-    free = np.arange(num_poses) != gauge
-    i, j = (np.cumsum(free) - 1)[pairs[free[pairs].all(axis=1)]].T  # numbered among the free poses
-    n = int(free.sum())
-    coupled = csc_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+    scipy's splu rather than the module global, as it is no LM factorization.
+    Pose 0 is the gauge, so free pose k is numbered k - 1."""
+    i, j = (pairs[(pairs > 0).all(axis=1)] - 1).T
+    coupled = csc_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(num_poses - 1,) * 2)
     perm = sparse_linalg.splu(
         diags(1.0 + coupled.sum(axis=0).A1, format="csc") - coupled, permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0, options={"SymmetricMode": True},
@@ -473,23 +474,22 @@ def _pose_order(pairs: np.ndarray, num_poses: int, gauge: int) -> np.ndarray:
 
 class _Pattern:
     """Where every block entry lands in the compressed sparse column (CSC)
-    matrix of a damped system over the free dofs. The pattern is fixed by
-    the constraint pairs and ordered by the kept ones: each LM trial refills
-    it as the full system and as the kept pairs' subgraph, and PCG
-    multiplies by the matrix a miss factors. Its order, fixed when it is
-    built, is _pose_order's pose-level minimum degree of the kept pairs'
-    graph (all pairs by default): free dof k sits at position pos[k]. The
-    gauge pose's rows and columns are left out and each diagonal slot is
-    present."""
+    matrix of a damped system over the free dofs, those of every pose but
+    pose 0, the gauge, which LM holds fixed. The pattern is fixed by the
+    constraint pairs and ordered by the kept ones: each LM trial refills it
+    as the full system and as the kept pairs' subgraph, and PCG multiplies
+    by the matrix a miss factors. Its order, fixed when it is built, is
+    _pose_order's pose-level minimum degree of the kept pairs' graph: free
+    dof k, entry 6 + k of a 6N vector, sits at position pos[k]. The gauge's
+    rows and columns are left out and each diagonal slot is present."""
 
-    def __init__(self, pairs: np.ndarray, num_poses: int, gauge: int, kept: np.ndarray | None = None):
+    def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray):
         i, j = pairs[:, 0], pairs[:, 1]
-        self.kept = np.ones(len(pairs), dtype=bool) if kept is None else kept
-        self.free = np.arange(6 * num_poses) // 6 != gauge
-        self.pos = _pose_order(pairs[self.kept], num_poses, gauge)
+        self.kept = kept
+        self.pos = _pose_order(pairs[kept], num_poses)
         n = len(self.pos)
         place = np.full(6 * num_poses, -1)
-        place[self.free] = self.pos
+        place[6:] = self.pos
         rows = place[(6 * np.concatenate([i, j, i, j])[:, None] + _BLOCK_ENTRIES // 6).ravel()]
         cols = place[(6 * np.concatenate([i, j, j, i])[:, None] + _BLOCK_ENTRIES % 6).ravel()]
         placed = (rows >= 0) & (cols >= 0)
@@ -523,13 +523,13 @@ class _Pattern:
     def take(self, vector: np.ndarray) -> np.ndarray:
         """A full 6N vector's free entries, in the pattern's order."""
         out = np.empty(self.shape[0])
-        out[self.pos] = vector[self.free]
+        out[self.pos] = vector[6:]
         return out
 
     def put(self, values: np.ndarray) -> np.ndarray:
         """The 6N vector with the pattern-ordered values on the free dofs, zero on the gauge."""
-        out = np.zeros(len(self.free))
-        out[self.free] = values[self.pos]
+        out = np.zeros(6 + self.shape[0])
+        out[6:] = values[self.pos]
         return out
 
 
@@ -538,14 +538,14 @@ _patterns: weakref.WeakKeyDictionary[MatchTable, _Pattern] = weakref.WeakKeyDict
 
 
 def _kept_pattern(table: MatchTable, num_poses: int, kept: np.ndarray) -> _Pattern:
-    """The pattern of the table's pairs over num_poses poses, gauge pose 0,
-    in the order of the kept pairs' subgraph. The table's last pattern is
+    """The pattern of the table's pairs over num_poses poses in the order of
+    the kept pairs' subgraph. The table's last pattern is
     returned again for the same pose count and kept mask, as the M-steps of
     an EM run mostly ask for; any other builds a new one, which replaces it."""
     pattern = _patterns.pop(table, None)
-    if pattern is None or len(pattern.free) != 6 * num_poses or not np.array_equal(pattern.kept, kept):
+    if pattern is None or len(pattern.pos) != 6 * num_poses - 6 or not np.array_equal(pattern.kept, kept):
         del pattern  # the old pattern is freed before its successor is built
-        pattern = _Pattern(table.pairs, num_poses, 0, kept)
+        pattern = _Pattern(table.pairs, num_poses, kept)
     _patterns[table] = pattern
     return pattern
 
@@ -691,7 +691,7 @@ def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] |
 
     while not termination:
         grad, blocks = _assemble(problem, state, curvature)
-        gradient_norm = float(np.abs(grad[pattern.free]).max())
+        gradient_norm = float(np.abs(grad[6:]).max())
         if gradient_norm < GRADIENT_TOL:
             termination = "gradient"
             break

@@ -11,6 +11,7 @@ False loops connect far-apart fragments with entirely random correspondences.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,12 +47,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_fragments", "matches_per_constraint", "loops_per_keyframe", "keyframe_stride", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ScenarioError(f"{name} must be an integer")
         if self.num_fragments < 2:
             raise ScenarioError("need at least 2 fragments")
         if self.shape not in SHAPES:
             raise ScenarioError(f"unknown shape {self.shape!r}")
-        if not self.spacing > 0:
-            raise ScenarioError("spacing must be positive")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ScenarioError("spacing must be positive and finite")
         if self.matches_per_constraint < 3:
             raise ScenarioError("need at least 3 matches per constraint")
         for name in ("match_noise", "outlier_displacement"):
@@ -179,13 +183,8 @@ def _revisit_partners(
 ) -> list[tuple[float, int]]:
     """Genuinely revisited fragments within radius of fragment k, nearest first."""
     dist = np.linalg.norm(translations - translations[k], axis=1)
-    out = [
-        (float(dist[j]), j)
-        for j in range(len(translations))
-        if abs(j - k) >= _MIN_REVISIT_GAP and dist[j] <= radius
-    ]
-    out.sort()
-    return out
+    near = np.flatnonzero((np.abs(np.arange(len(translations)) - k) >= _MIN_REVISIT_GAP) & (dist <= radius))
+    return sorted((float(dist[j]), int(j)) for j in near)
 
 
 def plan_loops(config: ScenarioConfig, gt: list[Pose]) -> tuple[list[tuple[int, int]], int]:
@@ -224,7 +223,14 @@ def plan_loops(config: ScenarioConfig, gt: list[Pose]) -> tuple[list[tuple[int, 
 def generate(config: ScenarioConfig) -> ProblemGraph:
     """Deterministic scene for a given config; carries ground truth and oracle labels."""
     rng = np.random.default_rng(config.seed)
-    gt = _trajectory(config)
+    # a trajectory past the float range is rejected here, so numpy is not asked to warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gt = _trajectory(config)
+        translations = np.stack([p.trans for p in gt])
+        span = np.ptp(translations, axis=0)
+        # every squared distance the scene is built from stays finite, as do the solver's residuals
+        if not span @ span < math.inf:
+            raise ScenarioError(f"spacing {config.spacing:g} puts the scene's squared size past the float range")
     n = config.num_fragments
     point_radius = 1.5 * config.spacing
 
@@ -234,7 +240,10 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
     ]
 
     true_pairs, n_false = plan_loops(config, gt)
-    translations = np.stack([p.trans for p in gt])
+    # the pairs (i, j) with j - i >= 2 that are no true loop bound the false loops sampling can find
+    free = (n - 1) * (n - 2) // 2 - len(true_pairs)
+    if n_false > free:
+        raise ScenarioError(f"{n_false} false loops asked for; {free} pairs with j - i >= 2 are not true loops")
     false_pairs: set[tuple[int, int]] = set()
     taken = set(true_pairs)
     guard = 0
@@ -259,6 +268,8 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
         p, q = maker(rng, config, gt[i], gt[j], point_radius)
         loops.append(LoopClosureConstraint(i, j, p, q))
         labels[(i, j)] = truth
+    if not all(np.isfinite(c.p).all() and np.isfinite(c.q).all() for c in (*odometry, *loops)):
+        raise ScenarioError("match_noise or outlier_displacement puts a match point past the float range")
 
     return ProblemGraph(
         num_fragments=n,
@@ -331,17 +342,10 @@ def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
     unlabelled = [c.pair for c in graph.loops if c.pair not in graph.oracle_labels]
     if unlabelled:
         raise ScenarioError(f"graph carries no oracle label for loop {unlabelled[0]}")
-    tp = fp = fn = 0
-    confusion = []
-    for c, predicted in zip(graph.loops, labels):
-        oracle = graph.oracle_labels[c.pair]
-        confusion.append((c.i, c.j, bool(predicted), bool(oracle)))
-        if predicted and oracle:
-            tp += 1
-        elif predicted and not oracle:
-            fp += 1
-        elif oracle and not predicted:
-            fn += 1
+    confusion = [(c.i, c.j, bool(p), bool(graph.oracle_labels[c.pair])) for c, p in zip(graph.loops, labels)]
+    tp = sum(p and o for *_, p, o in confusion)
+    fp = sum(p and not o for *_, p, o in confusion)
+    fn = sum(o and not p for *_, p, o in confusion)
     precision = tp / (tp + fp) if (tp + fp) else 1.0
     recall = tp / (tp + fn) if (tp + fn) else 1.0
     return EvalResult(ate, precision, recall, confusion, full_alignment_ate(poses, graph.ground_truth))

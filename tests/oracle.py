@@ -163,7 +163,7 @@ def run_em_replaying(graph, params):
     the next solve, and with convergence only by the relative change of the
     M-step objective (or no loops)."""
     poses = initialize_poses(graph)
-    errors = constraint_errors(graph.table, poses, solver.KERNELS[params.mode], params.sigma)
+    errors = constraint_errors(graph.table, poses, params.mode, params.sigma)
     odometry = len(graph.odometry)
     trace = EmTrace()
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -105,6 +106,25 @@ class TestSolve:
             "LOOP 0 5 1\nM 0 0 0 0 0 0\n"
         )
         assert run_cli(["solve", "--in", str(bad)]) == cli.EXIT_VALIDATE
+
+    @pytest.mark.parametrize(
+        "doc, code",
+        [
+            ("PCG 1 2000000000\n", cli.EXIT_VALIDATE),
+            ("PCG 1 2000000000\nINIT 0 0 0 0 1 0 0 0\n", cli.EXIT_PARSE),
+        ],
+    )
+    def test_a_ten_digit_fragment_count_ends_at_once(self, tmp_path, capsys, doc, code):
+        """With no odometry, one violation names the whole missing run; with
+        one INIT record, the parse names the first missing one."""
+        path = tmp_path / "huge.pcg"
+        path.write_text(doc)
+        start = time.perf_counter()
+        assert run_cli(["solve", "--in", str(path)]) == code
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        expected = "missing_odometry(0, 1999999998)" if code == cli.EXIT_VALIDATE else "missing fragment 1"
+        assert len(err) == 1 and expected in err[0]
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run_cli(["solve", "--in", str(tmp_path / "nope.pcg")]) == cli.EXIT_IO

@@ -1,14 +1,19 @@
 """Mutation fuzzing of `robustpgo solve` and `robustpgo eval`: small valid
 graph files, and POSE files for eval, with tokens, counts and values replaced
-(NaN, inf, 1e308, 1e200, zero quaternions), lines dropped or repeated, match
-rows split or joined, and POSE rows added. Every outcome must be a documented
-exit code, with no uncaught exception and no warning."""
+(NaN, inf, 1e308, 1e200, a ten-digit count, zero quaternions), lines dropped
+or repeated, match rows split or joined, and POSE rows added; and of
+`robustpgo simulate`, with each field of a small scenario config set to a
+value out of its range or type. Every outcome must be a documented exit code,
+with no uncaught exception and no warning."""
 
 import contextlib
 import io
+import json
+import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -23,7 +28,7 @@ from robustpgo.model import LoopClosureConstraint, OdometryConstraint, ProblemGr
 from robustpgo.synth import ScenarioConfig, generate
 
 DOCUMENTED = {0, 2, 3, 4, 5, 6, 7}
-VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "0", "-3", "2", "7", "x"]
+VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "0", "-3", "2", "7", "2000000000", "x"]
 
 
 def base_graph(with_poses: bool) -> str:
@@ -129,7 +134,9 @@ def run_quietly(argv):
 
 
 def assert_documented(argv):
+    start = time.perf_counter()
     code, caught, err = run_quietly(argv)
+    assert time.perf_counter() - start < 5.0  # no input costs more than its records
     assert code in DOCUMENTED
     assert caught == []
     assert "Warning" not in err and "Traceback" not in err
@@ -202,3 +209,23 @@ def test_huge_match_coordinate_solves_cleanly(tmp_path):
     assert done.returncode == cli.EXIT_OK
     assert done.stderr == ""
     assert "converged: True" in done.stdout
+
+
+SCENARIO_FLOATS = ["spacing", "match_noise", "outlier_match_fraction", "outlier_displacement", "outlier_loop_fraction"]
+SCENARIO_COUNTS = ["num_fragments", "matches_per_constraint", "loops_per_keyframe", "keyframe_stride", "seed"]
+HUGE_INT = 10**400  # a JSON number that no float holds
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, v) for name in SCENARIO_FLOATS for v in (math.nan, math.inf, -math.inf, 1e308, HUGE_INT, 0.0, -1.0)]
+    + [(name, v) for name in SCENARIO_COUNTS for v in (0, -1, 2.5, True, "x")],
+    ids=lambda v: "10**400" if v is HUGE_INT else None,
+)
+def test_simulate_exits_with_a_documented_code(tmp_path, name, value):
+    """A 20-fragment, 3-match scene with one field out of its range or
+    type: non-finite or huge floats, an integer past the float range, and
+    counts that are zero, negative, fractional, boolean or a string."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"num_fragments": 20, "matches_per_constraint": 3, name: value}))
+    assert_documented(["simulate", "--config", str(config), "--out", str(tmp_path / "scene.pcg")])

@@ -163,6 +163,9 @@ MALFORMED = [
     ),
     ("PCG 1 2\r\nODOM 0 2\r\nM 1 2 3 4 5 6\r\n\r\nM 1 2 3 4 5\r\n", 5, "needs 6 numbers"),
     ("PCG 1 2\nODOM 0 100000000000000000000\nM 1 2 3 4 5 6\n", 4, "expected M record 2 of"),
+    # the first missing pose is found from the records, not by a scan of the header's count
+    ("PCG 1 2000000000\nGT 0 0 0 0 1 0 0 0\nGT 2 0 0 0 1 0 0 0\n", 4, "GT records incomplete: missing fragment 1"),
+    ("PCG 1 2000000000\nINIT 1 0 0 0 1 0 0 0\n", 3, "INIT records incomplete: missing fragment 0"),
 ]
 
 

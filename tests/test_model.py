@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -63,6 +64,22 @@ class TestValidate:
         graph = ProblemGraph(graph.num_fragments, graph.odometry[:1], [])
         kinds = [(v.kind, v.where) for v in validate(graph)]
         assert ("missing_odometry", (1,)) in kinds
+
+    def test_each_run_of_missing_odometry_is_reported_once(self):
+        """A run of missing pairs names its first and last index, a single
+        gap keeps its one-index form, in index order."""
+        graph, _ = small_graph(np.random.default_rng(1), n=4)
+        kept = [c for c in graph.odometry if c.i == 1]
+        kinds = [(v.kind, v.where) for v in validate(ProblemGraph(9, kept, []))]
+        assert kinds == [("missing_odometry", (0,)), ("missing_odometry", (2, 7))]
+
+    def test_a_header_sized_gap_costs_one_violation(self):
+        """Two billion fragments and no odometry: one violation, found in
+        time that does not grow with the fragment count."""
+        start = time.perf_counter()
+        violations = validate(ProblemGraph(2_000_000_000, [], []))
+        assert time.perf_counter() - start < 1.0
+        assert [(v.kind, v.where) for v in violations] == [("missing_odometry", (0, 1_999_999_998))]
 
     def test_loop_too_short(self):
         graph, _ = small_graph(np.random.default_rng(2), n=4, loops=[loop_of(1, 2)])

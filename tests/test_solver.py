@@ -29,6 +29,10 @@ from oracle import (
 from test_model import chain_poses
 
 
+# test ids by each kernel's rho: ln(1 + s/sigma^2) and s
+KERNEL_IDS = ["cauchy-log", "squared"]
+
+
 def random_block(rng, kernel):
     return ResidualBlock(
         0,
@@ -104,6 +108,11 @@ def kept_pattern(problem, num_poses):
     """The pattern a solve of the problem over num_poses poses factors in."""
     kept = problem.weights * problem.table.sizes >= solver.SUBGRAPH_POSTERIOR
     return solver._kept_pattern(problem.table, num_poses, kept)
+
+
+def every_pair_pattern(pairs, num_poses=12):
+    """The pattern of the pairs over num_poses poses, ordered by all of them."""
+    return solver._Pattern(pairs, num_poses, np.ones(len(pairs), dtype=bool))
 
 
 def natural(system, pattern):
@@ -194,7 +203,7 @@ class TestGradients:
         np.testing.assert_allclose(gi[3:], [2.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(gj[3:], [-2.0, 0.0, 0.0], atol=1e-14)
 
-    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED])
+    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED], ids=KERNEL_IDS)
     def test_finite_difference_sweep(self, kernel):
         """Analytic gradient vs central differences on 1000 random blocks."""
         rng = np.random.default_rng(42)
@@ -228,7 +237,7 @@ class TestGradients:
             assert total == pytest.approx(expected_total, rel=1e-12)
             np.testing.assert_allclose(grad, expected_grad, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED])
+    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED], ids=KERNEL_IDS)
     def test_assembled_gradient_and_hessian_match_finite_differences(self, kernel):
         """The gradient and H that LM uses, against finite differences of the
         objective it minimizes under its own retraction: central differences
@@ -254,7 +263,7 @@ class TestGradients:
         i, j = t.pairs[t.seg, 0], t.pairs[t.seg, 1]
         p = np.einsum("mba,mb->ma", rots[i], world - trans[i])
         q = np.einsum("mba,mb->ma", rots[j], world - trans[j])
-        exact = Problem(MatchTable(t.pairs, t.sizes, t.seg, p, q), problem.weights, kernel, 0.5)
+        exact = Problem(MatchTable(t.pairs, t.sizes, p, q), problem.weights, kernel, 0.5)
         total, grad, blocks = lm_terms(exact, poses)
         assert total < 1e-25 and np.abs(grad).max() < 1e-12
         exact_objective = stepped_objective(exact, poses)
@@ -275,8 +284,7 @@ class TestGradients:
                 for a in basis
             ]
         )
-        pattern = solver._Pattern(t.pairs, 3, gauge=-1)
-        assembled = natural(pattern.matrix(blocks, 0.0).toarray(), pattern)
+        assembled = dense_hessian(blocks, t.pairs, 3)
         assert np.abs(assembled - assembled.T).max() <= 1e-14 * np.abs(assembled).max()
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
 
@@ -302,16 +310,14 @@ class TestGradients:
                 for a in basis
             ]
         )
-        pattern = solver._Pattern(problem.table.pairs, 3, gauge=-1)
         _, blocks = solver._assemble(problem, state, curvature=True)
-        assembled = natural(pattern.matrix(blocks, 0.0).toarray(), pattern)
-        gauss_newton = pattern.matrix(solver._assemble(problem, state)[1], 0.0).toarray()
-        gauss_newton = natural(gauss_newton, pattern)
+        assembled = dense_hessian(blocks, problem.table.pairs, 3)
+        gauss_newton = dense_hessian(solver._assemble(problem, state)[1], problem.table.pairs, 3)
         np.testing.assert_array_equal(assembled, assembled.T)
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
         assert np.abs(numeric - gauss_newton).max() > 0.1 * np.abs(assembled).max()
 
-    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED])
+    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED], ids=KERNEL_IDS)
     def test_assembly_far_from_the_origin_matches_per_match_oracle(self, kernel):
         """About 1 km from the world origin, where the t_i terms of the world
         moments that _assemble rebuilds from local ones dominate, its gradient
@@ -532,27 +538,36 @@ class TestKernel:
         assert rho[0] == pytest.approx(710.583, abs=1e-3)
 
 
+def gauge_swapped(pairs, gauge):
+    """The pairs with poses 0 and gauge swapped, so that the couplings of
+    pose gauge sit at pose 0, the pattern's gauge, and the permutation
+    (its own inverse) that maps a pose to the one it swapped with."""
+    perm = np.arange(4)
+    perm[[0, gauge]] = perm[[gauge, 0]]
+    return perm[pairs], perm
+
+
 class TestPattern:
     @pytest.mark.parametrize("gauge", [0, 2, 3])
     def test_refilled_system_matches_dense(self, gauge):
-        """H[free][:, free] + damping I, for a gauge that is first, in the
-        middle or last; pose 3 is coupled to no other, so only the damping
-        fills its diagonal."""
+        """H[6:, 6:] + damping I, with the couplings of pose 0, 2 or 3 at
+        the gauge, pose 0: the gauge is coupled to every pose, to some, or
+        to none, when pose 3 sits there, which is coupled to no other."""
         rng = np.random.default_rng(40 + gauge)
         poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(4)]
         problem = random_problem(rng, KERNEL_CAUCHY)
-        pairs = problem.table.pairs
+        pairs, perm = gauge_swapped(problem.table.pairs, gauge)
         _, grad, blocks = lm_terms(problem, poses)
-        free = np.arange(24) // 6 != gauge
-        expected = dense_hessian(blocks, pairs, 4)[free][:, free] + 0.3 * np.eye(18)
+        grad = grad.reshape(4, 6)[perm].ravel()  # in the swapped poses' order
+        expected = dense_hessian(blocks, pairs, 4)[6:, 6:] + 0.3 * np.eye(18)
 
-        pattern = solver._Pattern(pairs, 4, gauge)
+        pattern = every_pair_pattern(pairs, 4)
         np.testing.assert_array_equal(natural(pattern.matrix(blocks, 0.3).toarray(), pattern), expected)
         taken = pattern.take(grad)
-        np.testing.assert_array_equal(taken[pattern.pos], grad[free])
+        np.testing.assert_array_equal(taken[pattern.pos], grad[6:])
         back = pattern.put(taken)
-        np.testing.assert_array_equal(back[free], grad[free])
-        assert not back[~free].any()
+        np.testing.assert_array_equal(back[6:], grad[6:])
+        assert not back[:6].any()
 
     @pytest.mark.parametrize("gauge", [0, 2, 3])
     def test_diagonal_owns_its_memory(self, gauge):
@@ -560,7 +575,8 @@ class TestPattern:
         np.unique's whole inverse alive: slot d holds entry (d, d) of the
         system, as the matrix stores it."""
         problem = random_problem(np.random.default_rng(45 + gauge), KERNEL_CAUCHY)
-        pattern = solver._Pattern(problem.table.pairs, 4, gauge)
+        pairs, _ = gauge_swapped(problem.table.pairs, gauge)
+        pattern = every_pair_pattern(pairs, 4)
         assert pattern.diagonal.base is None
         columns = np.searchsorted(pattern.indptr, pattern.diagonal, side="right") - 1
         np.testing.assert_array_equal(columns, np.arange(18))
@@ -569,10 +585,10 @@ class TestPattern:
     @pytest.mark.parametrize("gauge", [0, 2, 3])
     def test_pose_order_keeps_each_pose_whole(self, gauge):
         """A permutation of the free dofs that moves each pose's six dofs
-        together, in order, for a gauge that is first, in the middle or
-        last; pose 3 is coupled to no other."""
+        together, in order, with the couplings of pose 0, 2 or 3 at the
+        gauge, pose 0; pose 3 is coupled to no other."""
         problem = random_problem(np.random.default_rng(50 + gauge), KERNEL_CAUCHY)
-        pos = solver._pose_order(problem.table.pairs, 4, gauge)
+        pos = solver._pose_order(gauge_swapped(problem.table.pairs, gauge)[0], 4)
         np.testing.assert_array_equal(np.sort(pos), np.arange(18))
         blocks = pos.reshape(3, 6)
         assert (blocks[:, 0] % 6 == 0).all()
@@ -611,9 +627,9 @@ class TestPatternReuse:
         real = solver._Pattern
 
         class Pattern(real):
-            def __init__(self, pairs, num_poses, gauge, kept):
+            def __init__(self, pairs, num_poses, kept):
                 kept_sets.append(int(kept.sum()))
-                super().__init__(pairs, num_poses, gauge, kept)
+                super().__init__(pairs, num_poses, kept)
 
         monkeypatch.setattr(solver, "_Pattern", Pattern)
         shared = em.run_em(graph, Hyperparams())
@@ -621,7 +637,7 @@ class TestPatternReuse:
         kept_sets.clear()
 
         def fresh_pattern(table, num_poses, kept):
-            return Pattern(table.pairs, num_poses, 0, kept)
+            return Pattern(table.pairs, num_poses, kept)
 
         monkeypatch.setattr(solver, "_kept_pattern", fresh_pattern)
         fresh = em.run_em(graph, Hyperparams())
@@ -654,7 +670,7 @@ class TestPatternReuse:
         assert kept_all is not first and kept_all.kept.all()
         again = pattern(table, problem.weights)
         assert again is not first  # the table held the other mask
-        copy = MatchTable(*(getattr(table, name).copy() for name in ("pairs", "sizes", "seg", "p", "q")))
+        copy = MatchTable(*(getattr(table, name).copy() for name in ("pairs", "sizes", "p", "q")))
         on_copy = pattern(copy, problem.weights)
         assert on_copy is not again and pattern(table, problem.weights) is again
         assert pattern(copy, problem.weights) is on_copy
@@ -920,7 +936,7 @@ class TestSolve:
         _, grad, blocks = lm_terms(problem, start)
         H = dense_hessian(blocks, problem.table.pairs, 12)
         dense = H[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
-        np.testing.assert_array_equal(natural(system, solver._Pattern(problem.table.pairs, 12, 0)), dense)
+        np.testing.assert_array_equal(natural(system, every_pair_pattern(problem.table.pairs)), dense)
         expected = np.linalg.solve(dense, -grad[6:])
         step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(start)))
         taken = se3.log_arrays(*step)[0][1:].reshape(-1)
@@ -952,7 +968,7 @@ class TestSolve:
         _, grad, blocks = lm_terms(problem, first)
         dense = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:]
         dense += 0.5 * solver.DAMPING_INIT * np.eye(66)  # halved after the first accepted step
-        pattern = solver._Pattern(problem.table.pairs, 12, 0)
+        pattern = every_pair_pattern(problem.table.pairs)
         np.testing.assert_array_equal(natural(factored[1][0], pattern), dense)
         expected = np.linalg.solve(dense, -grad[6:])
         step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(first)))
@@ -973,7 +989,7 @@ class TestSolve:
         pairs, damping = problem.table.pairs, solver.DAMPING_INIT * np.eye(66)
         kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
         subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
-        system = natural(factored[0], solver._Pattern(pairs[kept], 12, 0))
+        system = natural(factored[0], every_pair_pattern(pairs[kept]))
         np.testing.assert_array_equal(system, subgraph[6:, 6:] + damping)
         full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping
         assert not system[6:12, 48:54].any() and full[6:12, 48:54].any()  # poses 2 and 9
@@ -999,7 +1015,7 @@ class TestSolve:
         solve(problem, start)
         assert len(stored) == 1
         system, pairs = stored[0], problem.table.pairs
-        alone = solver._Pattern(pairs[:-1], 12, 0)
+        alone = every_pair_pattern(pairs[:-1])
         np.testing.assert_array_equal(system.indptr, alone.indptr)
         np.testing.assert_array_equal(system.indices, alone.indices)
         pose = np.empty(66, dtype=int)

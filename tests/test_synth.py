@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,35 @@ class TestGenerate:
     )
     def test_noise_fields_must_be_finite_and_nonnegative(self, name, value):
         with pytest.raises(ScenarioError, match=name):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("spacing", [math.inf, 1e308, 1e200])
+    def test_spacing_past_the_float_range_is_rejected(self, spacing):
+        """inf fails the config; 1e308 and 1e200 give a scene whose
+        coordinates, or their squares, pass the float range. Each raises
+        with no warning, which the suite turns into an error."""
+        with pytest.raises(ScenarioError, match="spacing"):
+            generate(ScenarioConfig(num_fragments=20, spacing=spacing))
+
+    def test_nonfinite_match_points_are_rejected(self):
+        with pytest.raises(ScenarioError, match="match point"):
+            generate(ScenarioConfig(num_fragments=20, match_noise=1e308))
+
+    @pytest.mark.parametrize("loops", [1000, 10_000])
+    def test_more_false_loops_than_free_pairs_fail_at_once(self, loops):
+        """20 keyframes ask for 20,000 or 200,000 false loops, past the
+        4,851 pairs with j - i >= 2 that 100 fragments have: the config fails
+        before any pair is sampled."""
+        cfg = ScenarioConfig(outlier_loop_fraction=1.0, loops_per_keyframe=loops)
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match="; 4851 pairs"):
+            generate(cfg)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("name", ["num_fragments", "matches_per_constraint", "keyframe_stride", "seed"])
+    @pytest.mark.parametrize("value", [2.5, "7"])
+    def test_count_fields_must_be_integers(self, name, value):
+        with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
             ScenarioConfig(**{name: value})
 
     @pytest.mark.parametrize("num_fragments", [1, 0, -5])
