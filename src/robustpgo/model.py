@@ -136,6 +136,15 @@ class MatchTable:
         return np.arange(len(self), dtype=np.int32), self.offsets.astype(np.int32)
 
     @cached_property
+    def _rotator(self) -> csr_matrix:
+        """The (M, 3C) operator whose row m holds q[m] at columns 3 seg[m] + b,
+        b = 0, 1, 2: its product with the (3C, 3) stack of the constraints'
+        R^T gives every R q, each constraint's matrix applied to its matches."""
+        columns = (3 * self.seg[:, None] + np.arange(3)).astype(np.int32).reshape(-1)
+        starts = np.arange(0, 3 * len(self) + 1, 3, dtype=np.int32)
+        return csr_matrix((self.q.reshape(-1), columns, starts), shape=(len(self), 3 * len(self.sizes)))
+
+    @cached_property
     def _outer_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The same for the (3C, M) operator whose row (a, c) is constraint
         c's row of the indicator."""
@@ -167,12 +176,13 @@ class MatchTable:
         constraint frame i and its squared norm s, for poses given as (N, 3, 3)
         rotations and (N, 3) translations. The relative pose is formed once per
         constraint (relative_poses), so no point is carried to the world frame
-        and the residuals do not depend on where the world origin lies. Poses
+        and the residuals do not depend on where the world origin lies; every
+        R_ij q is one product with the table's operator (_rotator). Poses
         far enough apart overflow to inf, which the caller reports, so numpy is
         not asked to warn of it."""
         rij, tij = self.relative_poses(rots, trans)
         with np.errstate(over="ignore", invalid="ignore"):
-            ei = self.p - np.einsum("mab,mb->ma", np.repeat(rij, self.sizes, axis=0), self.q)
+            ei = self.p - self._rotator @ np.swapaxes(rij, 1, 2).reshape(-1, 3)
             ei -= np.repeat(tij, self.sizes, axis=0)
             return ei, np.einsum("ma,ma->m", ei, ei)
 
@@ -550,8 +560,8 @@ def initialize_poses(graph: ProblemGraph) -> list[Pose]:
     """Initial fragment poses: explicit initial poses verbatim when present,
     otherwise a chain of robust closed-form alignments of the odometry match
     sets, anchored at T_0 = identity. All alignments are fitted at once, and
-    the chain is composed as arrays; the error names the lowest constraint
-    that cannot be aligned."""
+    the chain is composed as arrays in ceil(log2 N) batched rounds; the error
+    names the lowest constraint that cannot be aligned."""
     if graph.initial_poses is not None:
         return [p.copy() for p in graph.initial_poses]
     by_index = {c.i: c for c in graph.odometry}
@@ -565,9 +575,13 @@ def initialize_poses(graph: ProblemGraph) -> list[Pose]:
     if len(chain) < graph.num_fragments - 1:
         i = len(chain)
         raise AlignmentError(f"no odometry constraint between {i} and {i + 1}")
-    quats, trans = np.empty((len(chain) + 1, 4)), np.empty((len(chain) + 1, 3))
-    quats[0], trans[0] = (1.0, 0.0, 0.0, 0.0), 0.0
-    # residual model is T_i p - T_{i+1} q, so each fit maps frame i+1 into frame i
-    for k, step in enumerate(se3.matrix_to_quat(rots)):
-        quats[k + 1], trans[k + 1] = se3.compose_arrays(quats[k], trans[k], step, steps[k])
+    # residual model is T_i p - T_{i+1} q, so each fit maps frame i+1 into frame i,
+    # and T_k = step_0 ... step_{k-1}: a prefix scan, where round d composes
+    # each pose with the one d before it, so ceil(log2 N) rounds give every T_k
+    quats = np.concatenate([[[1.0, 0.0, 0.0, 0.0]], se3.matrix_to_quat(rots)])
+    trans = np.concatenate([np.zeros((1, 3)), steps])
+    d = 1
+    while d < len(quats):
+        quats[d:], trans[d:] = se3.compose_arrays(quats[:-d], trans[:-d], quats[d:], trans[d:])
+        d *= 2
     return se3.unstack(quats, trans)

@@ -33,20 +33,25 @@ The damped normal equations are assembled block-sparse from per-constraint
 sums over a flat match table, whose segment ids follow from its match counts.
 Their sparsity pattern depends only on which poses the constraints couple, so
 a _Pattern maps every block entry to its slot once, leaving out the gauge,
-pose 0, and each LM trial only refills the values. Each trial solves the
+pose 0, and each LM trial only refills the values, with one bincount per
+system. The pattern is built by 6x6 pose blocks, which all share one entry
+layout: one np.unique over the block keys ranks each block in its block
+column, and an entry's slot follows by arithmetic. Each trial solves the
 damped system by subgraph preconditioning (Dellaert et al., IROS 2010,
 Subgraph-preconditioned conjugate gradients for large scale SLAM). A loop
 whose posterior is below SUBGRAPH_POSTERIOR adds next to nothing to H, but
 its pose pair spans the graph and drives the fill-in of a sparse factor. So
 only the odometry and the weighted loops are factored, by SuperLU in
-symmetric mode with pivots on the diagonal, and preconditioned conjugate
-gradients (PCG) with that factor recover the step of the full system. A
+symmetric mode with pivots on the diagonal and supernodes sized to the pose
+blocks, and preconditioned conjugate gradients (PCG) with that factor
+recover the step of the full system. A
 pattern holds every constraint and is ordered once, when it is built, by
 minimum degree on the weighted subgraph's poses with each pose's six dofs
 together, and every factorization keeps that order. Each table keeps the
 last pattern built for it, so the M-steps of an EM run that keep the same
-loops share one, and it goes with its table. Each trial fills it twice: as
-the full system, and with the weightless loops left out as the subgraph.
+loops share one, and it goes with its table. It holds two structures, the
+full system's and the subgraph's, which stores only the kept pairs' blocks,
+and each trial fills both.
 Where PCG misses (a direction of non-positive curvature, which the
 curvature phase can give, a value that is not finite, or no convergence
 within PCG_MAX_ITERS), the trial factors the full system's matrix instead.
@@ -453,8 +458,14 @@ def _local_moments(problem: Problem, state: PoseState, curvature: bool) -> _Mome
     )
 
 
-# entries of a 6x6 block of H that are not zero by construction
+# entries of a 6x6 block of H that are not zero by construction, in row-major order; the
+# layout is symmetric, so an H_ji block has the same one as H_ij
 _BLOCK_ENTRIES = np.flatnonzero(_block6(np.ones((1, 3, 3)), np.ones((1, 3)), np.ones((1, 3)), np.ones(1)))
+_ENTRY_ROWS, _ENTRY_COLS = np.divmod(_BLOCK_ENTRIES, 6)
+_COLUMN_COUNTS = np.bincount(_ENTRY_COLS, minlength=6)  # entries in each column of the layout
+# each entry's rank among the layout's entries in its column, and the entries on the diagonal
+_ROW_RANKS = np.array([np.count_nonzero(_ENTRY_COLS[:k] == c) for k, c in enumerate(_ENTRY_COLS)])
+_DIAGONAL_ENTRIES = np.searchsorted(_BLOCK_ENTRIES, 7 * np.arange(6))
 
 
 def _pose_order(pairs: np.ndarray, num_poses: int) -> np.ndarray:
@@ -472,53 +483,89 @@ def _pose_order(pairs: np.ndarray, num_poses: int) -> np.ndarray:
     return (6 * perm[:, None] + np.arange(6)).ravel()
 
 
+class _Structure(NamedTuple):
+    """One compressed sparse column (CSC) system of a _Pattern: the slot of
+    each entry of _BLOCK_ENTRIES in each of _assemble's blocks (a spare
+    slot, len(indices), for a block the system leaves out), the slot of each
+    diagonal entry, and the index arrays."""
+
+    slot: np.ndarray  # (4C, 24)
+    diagonal: np.ndarray  # (n,)
+    indices: np.ndarray  # int32
+    indptr: np.ndarray  # int32
+
+
+def _structure(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: int) -> _Structure:
+    """The CSC structure over `size` free poses of the blocks where present
+    is true, block b at block row rows[b] and block column cols[b], and of
+    every diagonal entry. The blocks are ranked by one np.unique over their
+    keys. In the column of block column B that holds layout column c, every
+    block of B stores _COLUMN_COUNTS[c] entries, in the blocks' row order,
+    so an entry's slot follows from its block's rank in B and its row's
+    fixed rank in c. A pose that no present block couples stores only its
+    six diagonal entries."""
+    off = present & (rows != cols)
+    keys, key = np.unique(
+        np.concatenate([cols[off] * size + rows[off], np.arange(size) * (size + 1)]), return_inverse=True
+    )
+    diagonal_keys = key[off.sum() :]
+    block_cols, block_rows = np.divmod(keys, size)
+    starts = np.searchsorted(block_cols, np.arange(size + 1))  # each block column's first key
+    coupled = np.zeros(size, dtype=bool)
+    coupled[rows[present]] = True  # a present pair places a block on each free pose's diagonal
+    counts = np.where(coupled[:, None], np.diff(starts)[:, None] * _COLUMN_COUNTS, 1)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    rank = np.arange(len(keys)) - starts[block_cols]
+    # each key's 24 slots, meant only for the keys in coupled poses' block columns, then the spare's
+    first = indptr[6 * block_cols[:, None] + _ENTRY_COLS] + rank[:, None] * _COLUMN_COUNTS[_ENTRY_COLS] + _ROW_RANKS
+    first = np.concatenate([first, np.full((1, len(_BLOCK_ENTRIES)), indptr[-1])])
+    diagonal = np.where(np.repeat(coupled, 6), first[diagonal_keys][:, _DIAGONAL_ENTRIES].ravel(), indptr[:-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    filled = coupled[block_cols]
+    indices[first[:-1][filled]] = 6 * block_rows[filled, None] + _ENTRY_ROWS
+    indices[diagonal] = np.arange(6 * size)
+    block_key = np.where(present, diagonal_keys[np.maximum(rows, 0)], len(keys))
+    block_key[off] = key[: off.sum()]
+    slot = first[block_key]
+    return _Structure(slot, diagonal, indices, indptr)
+
+
 class _Pattern:
     """Where every block entry lands in the compressed sparse column (CSC)
-    matrix of a damped system over the free dofs, those of every pose but
+    matrices of a damped system over the free dofs, those of every pose but
     pose 0, the gauge, which LM holds fixed. The pattern is fixed by the
-    constraint pairs and ordered by the kept ones: each LM trial refills it
-    as the full system and as the kept pairs' subgraph, and PCG multiplies
-    by the matrix a miss factors. Its order, fixed when it is built, is
-    _pose_order's pose-level minimum degree of the kept pairs' graph: free
-    dof k, entry 6 + k of a 6N vector, sits at position pos[k]. The gauge's
-    rows and columns are left out and each diagonal slot is present."""
+    constraint pairs and ordered by the kept ones. It holds two structures
+    (_structure), built once by 6x6 pose blocks: `full`, of every pair, and
+    `subgraph`, of the kept pairs alone, which stores no entry where only
+    the other pairs' blocks land, as SuperLU's fill follows the stored
+    entries. Each LM trial refills both, and PCG multiplies by the full
+    system, which a miss factors. The order, fixed when the pattern is
+    built, is _pose_order's pose-level minimum degree of the kept pairs'
+    graph: free dof k, entry 6 + k of a 6N vector, sits at position pos[k].
+    The gauge's rows and columns are left out and each diagonal slot is
+    present."""
 
     def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray):
         i, j = pairs[:, 0], pairs[:, 1]
         self.kept = kept
         self.pos = _pose_order(pairs[kept], num_poses)
-        n = len(self.pos)
-        place = np.full(6 * num_poses, -1)
-        place[6:] = self.pos
-        rows = place[(6 * np.concatenate([i, j, i, j])[:, None] + _BLOCK_ENTRIES // 6).ravel()]
-        cols = place[(6 * np.concatenate([i, j, j, i])[:, None] + _BLOCK_ENTRIES % 6).ravel()]
+        place = np.concatenate([[-1], self.pos[::6] // 6])  # each pose's block position; the gauge has none
+        rows, cols = place[np.concatenate([i, j, i, j])], place[np.concatenate([i, j, j, i])]
         placed = (rows >= 0) & (cols >= 0)
-        keys, slots = np.unique(
-            np.concatenate([cols[placed] * n + rows[placed], np.arange(n) * (n + 1)]), return_inverse=True
-        )
-        # entries in the gauge's rows or columns all go to one spare slot
-        self.slot = np.full(len(rows), len(keys))
-        self.slot[placed] = slots[: placed.sum()]
-        self.diagonal = slots[placed.sum() :].copy()  # a view would keep all of slots alive
-        self.indices = keys % n
-        self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
-        self.shape = (n, n)
+        self.full = _structure(rows, cols, placed, num_poses - 1)
+        self.subgraph = _structure(rows, cols, placed & np.tile(kept, 4), num_poses - 1)
+        self.shape = (len(self.pos), len(self.pos))
 
     def matrix(self, blocks: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
         """The system H + damping I over the free dofs, from _assemble's
-        blocks; with subgraph, over the kept pairs only, with no entry stored
-        where only the other pairs' blocks land, as SuperLU's fill follows
-        the stored entries."""
+        blocks; with subgraph, over the kept pairs only. One bincount fills
+        the structure's slots, and the blocks it leaves out go to the spare."""
+        structure = self.subgraph if subgraph else self.full
         values = blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES]
-        if subgraph:
-            values = np.where(np.tile(self.kept, 4)[:, None], values, 0.0)
-        data = np.bincount(self.slot, weights=values.ravel(), minlength=len(self.indices) + 1)[:-1]
-        data[self.diagonal] += damping
-        # eliminate_zeros works in place, so on copies of the pattern's index arrays
-        system = csc_matrix((data, self.indices, self.indptr), shape=self.shape, copy=subgraph)
-        if subgraph:
-            system.eliminate_zeros()
-        return system
+        spare = len(structure.indices)
+        data = np.bincount(structure.slot.ravel(), weights=values.ravel(), minlength=spare + 1)[:spare]
+        data[structure.diagonal] += damping
+        return csc_matrix((data, structure.indices, structure.indptr), shape=self.shape)
 
     def take(self, vector: np.ndarray) -> np.ndarray:
         """A full 6N vector's free entries, in the pattern's order."""
@@ -555,8 +602,15 @@ def _factor(system: csc_matrix):
     symmetric mode with pivots on the diagonal; a zero pivot raises
     RuntimeError. SuperLU keeps the pattern's own pose-level order
     (NATURAL): with one pattern per kept set, PCG multiplies by the matrix a
-    miss factors, in the order the subgraph's factor has."""
-    return splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    miss factors, in the order the subgraph's factor has. The order keeps
+    each pose's six dofs together, so supernodes are sized to those blocks:
+    relaxed supernodes of at most 3 columns and panels of 6. SuperLU's
+    wider default relaxation stores explicit zeros around the pose blocks,
+    so its factors hold more nonzeros and take longer."""
+    return splu(
+        system, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=3, panel_size=6,
+        options={"SymmetricMode": True},
+    )
 
 
 def _pcg(product, precondition, rhs: np.ndarray):

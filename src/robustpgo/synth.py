@@ -268,8 +268,15 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
         p, q = maker(rng, config, gt[i], gt[j], point_radius)
         loops.append(LoopClosureConstraint(i, j, p, q))
         labels[(i, j)] = truth
-    if not all(np.isfinite(c.p).all() and np.isfinite(c.q).all() for c in (*odometry, *loops)):
-        raise ScenarioError("match_noise or outlier_displacement puts a match point past the float range")
+    # as with the spacing, squares stay finite: each constraint's summed squared
+    # coordinates, which bound the moments solve fits its match set from
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = [np.einsum("ma,ma->", c.p, c.p) + np.einsum("ma,ma->", c.q, c.q) for c in (*odometry, *loops)]
+    if not all(square < math.inf for square in squares):
+        raise ScenarioError(
+            "match_noise or outlier_displacement puts a constraint's summed squared match point "
+            "coordinates past the float range"
+        )
 
     return ProblemGraph(
         num_fragments=n,

@@ -9,6 +9,9 @@ constraints whose match set changed: every round refits every constraint.
 run_em_replaying is the EM driver as it was before M-steps handed their pose
 state on: every M-step starts from a list of poses and evaluates it again,
 and a run goes on after an M-step that takes no step, replaying it.
+EntryPattern is the LM system's pattern as it was before it was built by
+pose blocks: one np.unique over the keys of every block entry, and a
+subgraph that zeroes the left-out blocks and drops every zero it stores.
 None of them is on the solve path.
 """
 
@@ -21,7 +24,8 @@ from robustpgo import se3, solver
 from robustpgo.em import EmError, EmIteration, EmTrace, constraint_errors, e_step, learn_theta_cauchy
 from robustpgo.model import MatchTable, _fit_rigid, _segment_medians, initialize_poses, learn_theta_gaussian
 from robustpgo.se3 import Pose
-from robustpgo.solver import _drho, _rho
+from robustpgo.solver import _BLOCK_ENTRIES, _drho, _pose_order, _rho
+from scipy.sparse import csc_matrix
 
 
 @dataclass
@@ -195,3 +199,43 @@ def run_em_replaying(graph, params):
         rel = abs(ends[0] - ends[-1]) / max(abs(ends[0]), 1e-300) if len(ends) == 2 else math.inf
         # with no loop there is no posterior to update: one M-step is the fixed point
         trace.converged = not graph.loops or rel < params.em_tol
+
+
+class EntryPattern:
+    """solver._Pattern built entry by entry: every entry of every block of
+    _assemble is keyed by its column and row in the pose order, and one
+    np.unique over those keys and the diagonal's gives the CSC structure of
+    the full system. The subgraph fills the same structure with the blocks
+    of the pairs left out set to zero, then drops every stored zero."""
+
+    def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray):
+        i, j = pairs[:, 0], pairs[:, 1]
+        self.kept = kept
+        self.pos = _pose_order(pairs[kept], num_poses)
+        n = len(self.pos)
+        place = np.full(6 * num_poses, -1)
+        place[6:] = self.pos
+        rows = place[(6 * np.concatenate([i, j, i, j])[:, None] + _BLOCK_ENTRIES // 6).ravel()]
+        cols = place[(6 * np.concatenate([i, j, j, i])[:, None] + _BLOCK_ENTRIES % 6).ravel()]
+        placed = (rows >= 0) & (cols >= 0)
+        keys, slots = np.unique(
+            np.concatenate([cols[placed] * n + rows[placed], np.arange(n) * (n + 1)]), return_inverse=True
+        )
+        # entries in the gauge's rows or columns all go to one spare slot
+        self.slot = np.full(len(rows), len(keys))
+        self.slot[placed] = slots[: placed.sum()]
+        self.diagonal = slots[placed.sum() :]
+        self.indices = keys % n
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        self.shape = (n, n)
+
+    def matrix(self, blocks: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
+        values = blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES]
+        if subgraph:
+            values = np.where(np.tile(self.kept, 4)[:, None], values, 0.0)
+        data = np.bincount(self.slot, weights=values.ravel(), minlength=len(self.indices) + 1)[:-1]
+        data[self.diagonal] += damping
+        system = csc_matrix((data, self.indices, self.indptr), shape=self.shape, copy=True)
+        if subgraph:
+            system.eliminate_zeros()
+        return system

@@ -379,6 +379,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "JSON object" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field", [{"outlier_displacement": 1e308}, {"match_noise": 1e300}])
+    def test_scene_whose_moments_overflow_is_refused(self, tmp_path, capsys, field):
+        """A scene whose match sets' summed squared coordinates pass the float
+        range, which solve could not fit (its moments overflow), fails the
+        config with no warning and writes nothing."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_fragments": 20, **field}))
+        out = tmp_path / "o.pcg"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_VALIDATE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario config:") and "squared" in err
+        assert "Warning" not in err and not out.exists()
+
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"laps": 7}))

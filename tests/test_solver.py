@@ -19,6 +19,7 @@ from robustpgo.solver import KERNEL_CAUCHY, KERNEL_SQUARED, Problem, build_probl
 
 from robustpgo.synth import ScenarioConfig, generate
 from oracle import (
+    EntryPattern,
     ResidualBlock,
     block6_cross,
     block_cost,
@@ -547,6 +548,18 @@ def gauge_swapped(pairs, gauge):
     return perm[pairs], perm
 
 
+def assert_entry_level_systems(pairs, num_poses, kept, blocks, damping):
+    """The pattern's full and subgraph systems store the indptr, indices and
+    data of the entry-level construction's, bit for bit, in the same order."""
+    pattern, entries = solver._Pattern(pairs, num_poses, kept), EntryPattern(pairs, num_poses, kept)
+    np.testing.assert_array_equal(pattern.pos, entries.pos)
+    for subgraph in (False, True):
+        system, expected = pattern.matrix(blocks, damping, subgraph), entries.matrix(blocks, damping, subgraph)
+        np.testing.assert_array_equal(system.indptr, expected.indptr)
+        np.testing.assert_array_equal(system.indices, expected.indices)
+        assert system.data.tobytes() == expected.data.tobytes()
+
+
 class TestPattern:
     @pytest.mark.parametrize("gauge", [0, 2, 3])
     def test_refilled_system_matches_dense(self, gauge):
@@ -577,10 +590,40 @@ class TestPattern:
         problem = random_problem(np.random.default_rng(45 + gauge), KERNEL_CAUCHY)
         pairs, _ = gauge_swapped(problem.table.pairs, gauge)
         pattern = every_pair_pattern(pairs, 4)
-        assert pattern.diagonal.base is None
-        columns = np.searchsorted(pattern.indptr, pattern.diagonal, side="right") - 1
-        np.testing.assert_array_equal(columns, np.arange(18))
-        np.testing.assert_array_equal(pattern.indices[pattern.diagonal], np.arange(18))
+        for structure in (pattern.full, pattern.subgraph):
+            assert structure.diagonal.base is None
+            columns = np.searchsorted(structure.indptr, structure.diagonal, side="right") - 1
+            np.testing.assert_array_equal(columns, np.arange(18))
+            np.testing.assert_array_equal(structure.indices[structure.diagonal], np.arange(18))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_structures_match_the_entry_level_construction(self, seed):
+        """The full and subgraph systems built by pose blocks store the
+        indptr, indices and filled data of the entry-level construction
+        (tests/oracle.py), bit for bit, on random pair sets over 10 poses:
+        an odometry chain over poses 0-7, random loops, some at the gauge,
+        pose 0, and some left out of the subgraph, pose 8 coupled only by a
+        left-out loop, and pose 9 coupled to nothing."""
+        rng = np.random.default_rng(70 + seed)
+        chain = np.stack([np.arange(7), np.arange(1, 8)], axis=1)
+        i = rng.integers(0, 6, 10)
+        j = np.minimum(i + rng.integers(2, 8, 10), 7)
+        loops = np.concatenate([np.stack([i, j], axis=1), [[0, 5], [0, 7], [3, 8]]])
+        pairs = np.concatenate([chain, loops])
+        kept = np.concatenate([np.ones(len(chain), dtype=bool), rng.random(len(loops)) < 0.5])
+        kept[-3], kept[-1] = True, False  # a kept loop at the gauge, and pose 8's left out
+        assert_entry_level_systems(pairs, 10, kept, rng.normal(size=(4 * len(pairs), 6, 6)), 0.3)
+
+    def test_block_structures_match_the_entry_level_construction_on_a_scene(self):
+        """The same on a circle-100 scene, with its H blocks at ground truth
+        and the subgraph of the loops its oracle labels keep."""
+        graph = generate(ScenarioConfig(num_fragments=100, seed=0))
+        posteriors = np.array([float(graph.oracle_labels[c.pair]) for c in graph.loops])
+        problem = build_problem(graph, PosteriorState(1.0, posteriors), Hyperparams())
+        kept = problem.weights * problem.table.sizes >= solver.SUBGRAPH_POSTERIOR
+        assert 0 < kept.sum() < len(kept)
+        _, _, blocks = lm_terms(problem, graph.ground_truth)
+        assert_entry_level_systems(problem.table.pairs, 100, kept, blocks, solver.DAMPING_INIT)
 
     @pytest.mark.parametrize("gauge", [0, 2, 3])
     def test_pose_order_keeps_each_pose_whole(self, gauge):
@@ -1016,15 +1059,15 @@ class TestSolve:
         assert len(stored) == 1
         system, pairs = stored[0], problem.table.pairs
         alone = every_pair_pattern(pairs[:-1])
-        np.testing.assert_array_equal(system.indptr, alone.indptr)
-        np.testing.assert_array_equal(system.indices, alone.indices)
+        np.testing.assert_array_equal(system.indptr, alone.full.indptr)
+        np.testing.assert_array_equal(system.indices, alone.full.indices)
         pose = np.empty(66, dtype=int)
         pose[alone.pos] = np.arange(66) // 6 + 1  # the pose of each position; the gauge is pose 0
         rows = pose[system.indices]
         cols = pose[np.repeat(np.arange(66), np.diff(system.indptr))]
         assert not ((rows == 2) & (cols == 9)).any() and not ((rows == 9) & (cols == 2)).any()
-        full = kept_pattern(problem, 12)
-        assert len(full.indices) > system.nnz
+        pattern = kept_pattern(problem, 12)
+        assert len(pattern.full.indices) > system.nnz
 
     def test_pcg_miss_falls_back_to_the_full_factor(self, monkeypatch):
         """With no PCG iteration allowed, the trial factors the full damped
