@@ -10,8 +10,8 @@ from .em import (
     EmIteration,
     EmTrace,
     classify_loops,
-    constraint_errors,
     e_step,
+    evaluate_poses,
     learn_theta_cauchy,
     learn_theta_gaussian,
     run_em,
@@ -30,7 +30,7 @@ from .model import (
     initialize_poses,
     validate,
 )
-from .se3 import Pose, compose, exp, identity, inverse, log, retract, transform_point
+from .se3 import Pose, compose, exp, identity, inverse, retract
 from .solver import SolverError, SolverReport, build_problem, solve
 from .synth import EvalResult, ScenarioConfig, ScenarioError, evaluate, generate
 
@@ -59,9 +59,9 @@ __all__ = [
     "build_problem",
     "classify_loops",
     "compose",
-    "constraint_errors",
     "e_step",
     "evaluate",
+    "evaluate_poses",
     "exp",
     "generate",
     "identity",
@@ -69,14 +69,12 @@ __all__ = [
     "inverse",
     "learn_theta_cauchy",
     "learn_theta_gaussian",
-    "log",
     "parse",
     "parse_poses",
     "retract",
     "run_em",
     "solve",
     "theta_from_errors",
-    "transform_point",
     "validate",
     "write_graph",
     "write_poses",

@@ -31,21 +31,18 @@ class EmError(Exception):
     pass
 
 
-def evaluate_poses(table: MatchTable, poses: list[Pose], kernel: str, sigma: float) -> solver.PoseState:
-    """The solver's weight-free evaluation of the poses over the table, with
-    its kernel rho: the pose state a solve starts from."""
+def evaluate_poses(
+    table: MatchTable, quats: np.ndarray, trans: np.ndarray, kernel: str, sigma: float
+) -> solver.PoseState:
+    """The solver's weight-free evaluation over the table of the poses held
+    as (N, 4) quaternion and (N, 3) translation arrays, with its kernel rho:
+    the pose state a solve starts from. Its errors are the per-constraint
+    error functional: the mean of rho(||T_i p - T_j q||^2) over each
+    constraint's matches, as a solve reports it at its poses
+    (SolverReport.errors). That is A under the log-Cauchy kernel and B under
+    the squared kernel."""
     problem = solver.Problem(table, np.ones(len(table.sizes)), kernel, sigma)
-    return solver._evaluate(problem, *se3.stack(poses))
-
-
-def constraint_errors(
-    table: MatchTable, poses: list[Pose], kernel: str, sigma: float
-) -> np.ndarray:
-    """Per-constraint error functional: the mean of rho(||T_i p - T_j q||^2)
-    over each constraint's matches, with the solver's kernel rho, as a solve
-    reports it at its poses (SolverReport.errors). That is A under the
-    log-Cauchy kernel and B under the squared kernel."""
-    return evaluate_poses(table, poses, kernel, sigma).errors
+    return solver._evaluate(problem, quats, trans)
 
 
 def lower_median(values) -> float:
@@ -91,7 +88,7 @@ def posterior_gaussian(b_values: np.ndarray, theta: float) -> np.ndarray:
 
 def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> np.ndarray:
     """Per-loop error functional at the given poses (A in cauchy mode, B in gaussian)."""
-    errors = constraint_errors(graph.table, poses, params.mode, params.sigma)
+    errors = evaluate_poses(graph.table, *se3.stack(poses), params.mode, params.sigma).errors
     return errors[len(graph.odometry) :]
 
 
@@ -157,7 +154,7 @@ def run_em(
     poses once more, per match, see solver.solve); theta and the E-step read
     its errors.
     """
-    pose_state = evaluate_poses(graph.table, initialize_poses(graph), params.mode, params.sigma)
+    pose_state = evaluate_poses(graph.table, *initialize_poses(graph), params.mode, params.sigma)
     odometry = len(graph.odometry)
     trace = EmTrace()
 

@@ -556,14 +556,15 @@ def fit_rigid_transform(source: np.ndarray, target: np.ndarray) -> Pose:
     return se3.from_matrix(rots[0], trans[0])
 
 
-def initialize_poses(graph: ProblemGraph) -> list[Pose]:
-    """Initial fragment poses: explicit initial poses verbatim when present,
-    otherwise a chain of robust closed-form alignments of the odometry match
-    sets, anchored at T_0 = identity. All alignments are fitted at once, and
-    the chain is composed as arrays in ceil(log2 N) batched rounds; the error
-    names the lowest constraint that cannot be aligned."""
+def initialize_poses(graph: ProblemGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Initial fragment poses as (N, 4) quaternion and (N, 3) translation
+    arrays: explicit initial poses verbatim when present, otherwise a chain
+    of robust closed-form alignments of the odometry match sets, anchored at
+    T_0 = identity. All alignments are fitted at once, and the chain is
+    composed in ceil(log2 N) batched rounds; the error names the lowest
+    constraint that cannot be aligned."""
     if graph.initial_poses is not None:
-        return [p.copy() for p in graph.initial_poses]
+        return se3.stack(graph.initial_poses)
     by_index = {c.i: c for c in graph.odometry}
     chain = []
     while len(chain) < graph.num_fragments - 1 and len(chain) in by_index:
@@ -584,4 +585,4 @@ def initialize_poses(graph: ProblemGraph) -> list[Pose]:
     while d < len(quats):
         quats[d:], trans[d:] = se3.compose_arrays(quats[:-d], trans[:-d], quats[d:], trans[d:])
         d *= 2
-    return se3.unstack(quats, trans)
+    return quats, trans

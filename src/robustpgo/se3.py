@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# log() flags results this close to the pi branch point of the rotation angle.
+# log_arrays flags results this close to the pi branch point of the rotation angle.
 NEAR_PI_TOL = 1e-6
 
 _UNIT_TOL = 1e-12
@@ -72,9 +72,6 @@ class Pose:
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.quat)
-
-    def copy(self) -> "Pose":
-        return Pose(self.quat, self.trans)
 
 
 def identity() -> Pose:
@@ -174,10 +171,6 @@ def inverse(p: Pose) -> Pose:
     return Pose(*inverse_arrays(p.quat, p.trans))
 
 
-def transform_point(T: Pose, p: np.ndarray) -> np.ndarray:
-    return T.rotation_matrix() @ np.asarray(p, dtype=float) + T.trans
-
-
 def transform_points(T: Pose, pts: np.ndarray) -> np.ndarray:
     """Apply T to an (n, 3) array of points."""
     return np.asarray(pts, dtype=float) @ T.rotation_matrix().T + T.trans
@@ -236,28 +229,7 @@ def exp(xi: np.ndarray) -> Pose:
     return Pose(*exp_arrays(np.asarray(xi, dtype=float).reshape(6)))
 
 
-def log_flagged(T: Pose) -> tuple[np.ndarray, bool]:
-    """Inverse of exp; the flag marks rotation angles within NEAR_PI_TOL of pi."""
-    xi, near_pi = log_arrays(T.quat, T.trans)
-    return xi, bool(near_pi)
-
-
-def log(T: Pose) -> np.ndarray:
-    return log_flagged(T)[0]
-
-
 def retract(T: Pose, delta: np.ndarray) -> Pose:
     """Left-multiplicative update: compose(exp(delta), T)."""
     return compose(exp(delta), T)
 
-
-def rotation_angle(p: Pose) -> float:
-    """Rotation angle in [0, pi]."""
-    vec = p.quat[1:]
-    return 2.0 * math.atan2(math.sqrt(float(vec @ vec)), p.quat[0])
-
-
-def pose_difference(a: Pose, b: Pose) -> tuple[float, float]:
-    """(rotation angle, translation norm) of a o b^-1."""
-    d = compose(a, inverse(b))
-    return rotation_angle(d), float(np.linalg.norm(d.trans))

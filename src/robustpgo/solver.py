@@ -1,7 +1,7 @@
 """Damped second-order descent over fragment poses for the weighted robust objective.
 
-The M-step's entry is solve(problem, poses): it takes a Pose list or a
-PoseState and returns the same kind, with a SolverReport. The objective is a
+The M-step's entry is solve(problem, state): it takes a PoseState and
+returns the PoseState it ends at, with a SolverReport. The objective is a
 sum over feature matches of w * rho(||T_i p - T_j q||^2) with rho either the
 log-Cauchy kernel ln(1 + s/sigma^2) or the plain squared kernel s, each the
 negative log-likelihood of the inlier distribution of the EM mode that names
@@ -78,7 +78,6 @@ from scipy.sparse.linalg import splu
 
 from . import se3
 from .model import Hyperparams, MatchTable, PosteriorState, ProblemGraph
-from .se3 import Pose
 
 KERNEL_CAUCHY = "cauchy"  # rho(s) = ln(1 + s / sigma^2), the cauchy mode's kernel
 KERNEL_SQUARED = "gaussian"  # rho(s) = s, the gaussian mode's kernel
@@ -473,7 +472,7 @@ def _pose_order(pairs: np.ndarray, num_poses: int) -> np.ndarray:
     poses' graph, each pose's six dofs together (Square Root SAM, Dellaert &
     Kaess, IJRR 2006): perm_c of the graph's Laplacian plus I, factored by
     scipy's splu rather than the module global, as it is no LM factorization.
-    Pose 0 is the gauge, so free pose k is numbered k - 1."""
+    The gauge is pose 0, so free pose k is numbered k - 1."""
     i, j = (pairs[(pairs > 0).all(axis=1)] - 1).T
     coupled = csc_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(num_poses - 1,) * 2)
     perm = sparse_linalg.splu(
@@ -686,7 +685,7 @@ def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
     return quats_new, trans_new
 
 
-def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] | PoseState, SolverReport]:
+def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
     """Minimize the problem's objective over every pose but pose 0.
 
     Levenberg-Marquardt trust strategy: damping starts at DAMPING_INIT, x10
@@ -711,29 +710,22 @@ def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] |
     and the state it returns, are then those of any per-match evaluation of
     the returned poses, bit for bit.
 
-    Poses given as a Pose list come back as one. A PoseState must be
-    evaluated for the problem's table, kernel and sigma (else ValueError); it
-    is weighed, not evaluated again, and comes back as the PoseState LM last
-    accepted (the start state when no step is taken). The solve drops its
-    reference to the start state at its first accepted step.
+    The start state must be evaluated for the problem's table, kernel and
+    sigma (em.evaluate_poses; else ValueError). It is weighed, not evaluated
+    again, and the solve returns the PoseState LM last accepted (the start
+    state when no step is taken). The solve drops its reference to the start
+    state at its first accepted step.
     """
-    if not len(poses):
+    if not len(state):
         raise ValueError("no pose to hold fixed")
-    returns_state = isinstance(poses, PoseState)
-    if not returns_state:
-        state = _evaluate(problem, *se3.stack(poses))
-    elif poses.fits(problem):
-        state = poses
-    else:
+    if not state.fits(problem):
         raise ValueError("the pose state is evaluated for another table, kernel or sigma than the problem")
-    del poses  # only `state` refers to the start state, until the first accepted step
     if not state.finite:
         raise _nonfinite(state)
     objective = objective_start = problem.objective(state)
 
     if len(state) == 1:
-        report = SolverReport(0, objective_start, objective, "gradient", 0.0, state.errors)
-        return (state if returns_state else se3.unstack(state.quats, state.trans)), report
+        return state, SolverReport(0, objective_start, objective, "gradient", 0.0, state.errors)
 
     kept = problem.weights * problem.table.sizes >= SUBGRAPH_POSTERIOR  # the subgraph's constraints
     pattern = _kept_pattern(problem.table, len(state), kept)
@@ -793,4 +785,4 @@ def solve(problem: Problem, poses: list[Pose] | PoseState) -> tuple[list[Pose] |
         accepted, objective_start, objective, termination, gradient_norm, state.errors,
         objective_path, factorizations, curvature_steps, pcg_iterations, fallbacks,
     )
-    return (state if returns_state else se3.unstack(state.quats, state.trans)), report
+    return state, report

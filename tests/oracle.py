@@ -2,7 +2,9 @@
 
 ResidualBlock and its helpers are the per-match oracle for the flat
 objective, gradient and H that LM runs: they evaluate one match at a time in
-the world frame, through the single-pose se3 functions. block6_cross is H's
+the world frame, one pose at a time (transform_point). pose_difference
+measures how far apart two poses are, and solve_poses runs the M-step on a
+list of poses, evaluated afresh for the problem. block6_cross is H's
 6x6 block with its skew parts built by np.cross. robust_fit_full_refit
 is the initialization's trimmed fit as it was before it refitted only the
 constraints whose match set changed: every round refits every constraint.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustpgo import se3, solver
-from robustpgo.em import EmError, EmIteration, EmTrace, constraint_errors, e_step, learn_theta_cauchy
+from robustpgo.em import EmError, EmIteration, EmTrace, e_step, evaluate_poses, learn_theta_cauchy
 from robustpgo.model import MatchTable, _fit_rigid, _segment_medians, initialize_poses, learn_theta_gaussian
 from robustpgo.se3 import Pose
 from robustpgo.solver import _BLOCK_ENTRIES, _drho, _pose_order, _rho
@@ -43,8 +45,28 @@ class ResidualBlock:
     sigma: float = 1.0
 
 
+def transform_point(pose: Pose, p: np.ndarray) -> np.ndarray:
+    """The pose applied to one point, through its rotation matrix."""
+    return pose.rotation_matrix() @ np.asarray(p, dtype=float) + pose.trans
+
+
+def pose_difference(a: Pose, b: Pose) -> tuple[float, float]:
+    """(rotation angle in [0, pi], translation norm) of a o b^-1."""
+    d = se3.compose(a, se3.inverse(b))
+    vec = d.quat[1:]
+    return 2.0 * math.atan2(math.sqrt(float(vec @ vec)), d.quat[0]), float(np.linalg.norm(d.trans))
+
+
+def solve_poses(problem: solver.Problem, poses: list[Pose]) -> tuple[list[Pose], solver.SolverReport]:
+    """solver.solve from a list of poses, evaluated afresh for the problem's
+    table, kernel and sigma: the poses it ends at, as a list, and its report."""
+    start = evaluate_poses(problem.table, *se3.stack(poses), problem.kernel, problem.sigma)
+    state, report = solver.solve(problem, start)
+    return se3.unstack(state.quats, state.trans), report
+
+
 def block_cost(block: ResidualBlock, pose_i: Pose, pose_j: Pose) -> float:
-    e = se3.transform_point(pose_i, block.p) - se3.transform_point(pose_j, block.q)
+    e = transform_point(pose_i, block.p) - transform_point(pose_j, block.q)
     s = float(e @ e)
     return block.weight * float(_rho(np.array([s]), block.kernel, block.sigma)[0])
 
@@ -58,8 +80,8 @@ def residual_and_jacobian(
     gradient is 1 / (sigma^2 + s).
     """
     pose_i, pose_j = poses[block.i], poses[block.j]
-    yi = se3.transform_point(pose_i, block.p)
-    yj = se3.transform_point(pose_j, block.q)
+    yi = transform_point(pose_i, block.p)
+    yj = transform_point(pose_j, block.q)
     e = yi - yj
     s = float(e @ e)
     alpha = 2.0 * block.weight * float(_drho(np.array([s]), block.kernel, block.sigma)[0])
@@ -106,8 +128,8 @@ def hessian_blocks(block: ResidualBlock, poses: list[Pose], curvature: bool = Fa
     of alpha e . d2e under the left retraction, whose second-order part of
     y is 1/2 w x (w x y) + 1/2 w x v; e . d2e carries the sign of y in e."""
     pose_i, pose_j = poses[block.i], poses[block.j]
-    yi = se3.transform_point(pose_i, block.p)
-    yj = se3.transform_point(pose_j, block.q)
+    yi = transform_point(pose_i, block.p)
+    yj = transform_point(pose_j, block.q)
     e = yi - yj
     alpha = 2.0 * block.weight * float(_drho(np.array([e @ e]), block.kernel, block.sigma)[0])
     ji = np.hstack([-_cross_matrix(yi), np.eye(3)])
@@ -166,8 +188,8 @@ def run_em_replaying(graph, params):
     """run_em with a list of poses between M-steps, each evaluated again by
     the next solve, and with convergence only by the relative change of the
     M-step objective (or no loops)."""
-    poses = initialize_poses(graph)
-    errors = constraint_errors(graph.table, poses, params.mode, params.sigma)
+    poses = se3.unstack(*initialize_poses(graph))
+    errors = evaluate_poses(graph.table, *se3.stack(poses), params.mode, params.sigma).errors
     odometry = len(graph.odometry)
     trace = EmTrace()
 
@@ -183,7 +205,7 @@ def run_em_replaying(graph, params):
             return poses, state, trace
         problem = solver.build_problem(graph, state, params)
         try:
-            poses_new, report = solver.solve(problem, poses)
+            poses_new, report = solve_poses(problem, poses)
         except solver.SolverError as err:
             raise EmError(f"EM iteration {len(trace) + 1}: {err}") from err
         trace.iterations.append(

@@ -44,7 +44,7 @@ class Run:
 def execute(cfg: ScenarioConfig, params: Hyperparams) -> Run:
     graph = generate(cfg)
     oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
-    init = initialize_poses(graph)
+    init = se3.unstack(*initialize_poses(graph))
     init_ate = evaluate(init, graph, oracle).mean_translation_error
     start = time.perf_counter()
     poses, state, trace = em.run_em(graph, params)
@@ -247,7 +247,7 @@ def test_criterion_7_gauge_invariance():
     changes the final ATE by < 1e-6 m."""
     cfg = ScenarioConfig(seed=0, num_fragments=60, keyframe_stride=3)
     graph = generate(cfg)
-    init = initialize_poses(graph)
+    init = se3.unstack(*initialize_poses(graph))
     base = ProblemGraph(
         graph.num_fragments, graph.odometry, graph.loops, init, graph.ground_truth, graph.oracle_labels
     )

@@ -392,6 +392,26 @@ class TestSimulate:
         assert err.startswith("error: invalid scenario config:") and "squared" in err
         assert "Warning" not in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, reason",
+        [
+            ({"match_noise": 1e150}, "too large to learn theta from"),
+            ({"outlier_displacement": 1e150}, "surviving matches are degenerate"),
+        ],
+    )
+    def test_scene_with_noise_far_above_the_spacing_is_refused_by_solve(self, tmp_path, capsys, field, reason):
+        """Noise or displacement far above the spacing, yet below the overflow
+        rule, makes a scene that simulate writes and solve refuses: exit 5,
+        with a solver error and no traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_fragments": 20, **field}))
+        scene = tmp_path / "scene.pcg"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(scene)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert run_cli(["solve", "--in", str(scene), "--out-poses", str(tmp_path / "p.txt")]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver:") and reason in err and "Traceback" not in err
+
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"laps": 7}))

@@ -19,7 +19,7 @@ from robustpgo.model import (
 )
 from robustpgo.synth import ScenarioConfig, generate
 
-from oracle import run_em_replaying
+from oracle import pose_difference, run_em_replaying, solve_poses, transform_point
 from test_model import exact_odometry, chain_poses
 
 
@@ -43,7 +43,7 @@ def constraint_arrays(residual_norms):
 def match_set_error(p, q, Ti, Tj, kernel, sigma=1.0):
     """Error functional of one match set between poses Ti and Tj."""
     table = MatchTable.from_constraints([OdometryConstraint(0, p, q)])
-    return em.constraint_errors(table, [Ti, Tj], kernel, sigma)[0]
+    return em.evaluate_poses(table, *se3.stack([Ti, Tj]), kernel, sigma).errors[0]
 
 
 def error_cauchy(p, q, Ti, Tj, sigma):
@@ -82,7 +82,7 @@ class TestErrorCauchy:
             [
                 math.log(
                     1.0
-                    + np.sum((se3.transform_point(Ti, pi) - se3.transform_point(Tj, qi)) ** 2)
+                    + np.sum((transform_point(Ti, pi) - transform_point(Tj, qi)) ** 2)
                     / sigma**2
                 )
                 for pi, qi in zip(p, q)
@@ -99,9 +99,9 @@ class TestErrorCauchy:
             LoopClosureConstraint(i, j, rng.uniform(-3, 3, (k, 3)), rng.uniform(-3, 3, (k, 3)))
             for (i, j), k in (((0, 2), 5), ((1, 3), 1), ((0, 3), 8))
         ]
-        errors = em.constraint_errors(
-            MatchTable.from_constraints(constraints), poses, solver.KERNEL_CAUCHY, 0.7
-        )
+        errors = em.evaluate_poses(
+            MatchTable.from_constraints(constraints), *se3.stack(poses), solver.KERNEL_CAUCHY, 0.7
+        ).errors
         for c, err in zip(constraints, errors):
             alone = error_cauchy(c.p, c.q, poses[c.i], poses[c.j], 0.7)
             assert err == pytest.approx(alone, rel=1e-12)
@@ -126,7 +126,7 @@ class TestErrorGaussian:
 
 
 def odometry_errors(graph, poses, sigma):
-    errors = em.constraint_errors(graph.table, poses, solver.KERNEL_CAUCHY, sigma)
+    errors = em.evaluate_poses(graph.table, *se3.stack(poses), solver.KERNEL_CAUCHY, sigma).errors
     return errors[: len(graph.odometry)]
 
 
@@ -300,10 +300,27 @@ class TestRunEm:
         from robustpgo.model import PosteriorState
 
         problem = solver.build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
-        direct, _ = solver.solve(problem, initialize_poses(graph))
+        direct, _ = solve_poses(problem, se3.unstack(*initialize_poses(graph)))
         for a, b in zip(out, direct):
             np.testing.assert_array_equal(a.quat, b.quat)
             np.testing.assert_array_equal(a.trans, b.trans)
+
+    def test_makes_pose_objects_only_at_its_return(self, monkeypatch):
+        """run_em holds its poses as arrays from initialization on and makes
+        one Pose per fragment, at its return."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+        made = []
+        real = se3.Pose.__post_init__
+
+        def counted(pose):
+            made.append(pose)
+            real(pose)
+
+        monkeypatch.setattr(se3.Pose, "__post_init__", counted)
+        poses, _, trace = em.run_em(graph, Hyperparams())
+        assert len(trace) >= 2
+        assert len(made) == graph.num_fragments
+        assert all(a is b for a, b in zip(made, poses))
 
     def test_circle_scene_separates_loops(self):
         """20-fragment circle, 10 true + 40 false loops: every true loop keeps
@@ -340,7 +357,7 @@ class TestRunEm:
             assert labels.all()
             results[mode] = poses
         for a, b in zip(results["cauchy"], results["gaussian"]):
-            rot, trans = se3.pose_difference(a, b)
+            rot, trans = pose_difference(a, b)
             assert rot < 1e-7 and trans < 1e-7
 
     def test_reports_curvature_steps(self):
@@ -487,7 +504,7 @@ class TestRunEm:
         poses, state, trace = em.run_em(graph, params)
         assert trace.converged and trace.iterations[-1].iterations == 0
         assert all(rec.iterations > 0 for rec in trace.iterations[:-1])
-        out, report = solver.solve(solver.build_problem(graph, state, params), poses)
+        out, report = solve_poses(solver.build_problem(graph, state, params), poses)
         assert report.iterations == 0
         assert report.objective_end == trace.iterations[-1].objective_end
         for a, b in zip(se3.stack(out), se3.stack(poses)):
@@ -532,7 +549,7 @@ class TestRunEm:
         for call in (
             lambda: em.run_em(graph, params),
             lambda: solver.build_problem(graph, state, params),
-            lambda: em.loop_errors(graph, initialize_poses(graph), params),
+            lambda: em.loop_errors(graph, se3.unstack(*initialize_poses(graph)), params),
         ):
             with pytest.raises(ValueError) as exc:
                 call()

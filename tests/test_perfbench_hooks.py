@@ -14,11 +14,15 @@ from robustpgo.synth import ScenarioConfig, generate
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_trace_point_resolves_to_a_callable(monkeypatch):
+def import_harness(monkeypatch):
     # harness imports its siblings by bare name; nothing is written beside them
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    harness = importlib.import_module("harness")
+    return importlib.import_module("harness")
+
+
+def test_every_trace_point_resolves_to_a_callable(monkeypatch):
+    harness = import_harness(monkeypatch)
     assert len(harness.TRACE_POINTS) > 0
     missing = [
         f"{point.name}: {point.module.__name__}.{point.attr}"
@@ -49,3 +53,17 @@ def test_run_em_calls_the_traced_names(monkeypatch):
     _, _, trace = em.run_em(generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5)), Hyperparams())
     assert len(trace) >= 2
     assert calls == {"solve": len(trace), "initialize_poses": 1}
+
+
+def test_the_benchmark_reads_the_output_of_a_solve(monkeypatch):
+    """perfbench's solve path, output checks and scores run on one small
+    scene: they read run_em's poses, posteriors and trace, loop_errors and
+    the report as the package makes them."""
+    harness = import_harness(monkeypatch)
+    params = Hyperparams()
+    text = harness.scene_text(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5), 0)
+    sol, _, _ = harness.timed_solve(text, params)
+    harness.check_output(sol)
+    scores = harness.score(sol)
+    assert 0.0 <= scores["precision"] <= 1.0 and 0.0 <= scores["recall"] <= 1.0
+    assert scores["ate_mean_m"] >= 0.0 and scores["ate_full_m"] >= 0.0

@@ -266,7 +266,7 @@ class TestEvaluate:
         does not: the mean over the 15 evaluated poses is 1e200 / 15, with no
         warning (RuntimeWarning is an error in this suite)."""
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
-        poses = [p.copy() for p in graph.ground_truth]
+        poses = list(graph.ground_truth)
         poses[7] = se3.Pose(poses[7].quat, np.array([1e200, 0.0, 0.0]))
         oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
         ate = evaluate(poses, graph, oracle).mean_translation_error
@@ -276,7 +276,7 @@ class TestEvaluate:
         """Two poses 1.5e308 m off have finite errors whose sum is not: the
         mean over the 15 evaluated poses is still 3e308 / 15 = 2e307."""
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
-        poses = [p.copy() for p in graph.ground_truth]
+        poses = list(graph.ground_truth)
         for k in (7, 12):
             poses[k] = se3.Pose(poses[k].quat, np.array([1.5e308, 0.0, 0.0]))
         oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
