@@ -278,8 +278,9 @@ def write_report(report: RunReport) -> str:
     """The run report's rows: REPORT, MODE and CONVERGED; per EM iteration a
     THETA row, a TRACE row (objective at the start and end, inlier count,
     largest pose update) and a SOLVE row (the M-step's termination, accepted
-    steps, factorizations, curvature steps, PCG iterations, fallbacks and
-    gradient norm); a LOOP row per loop; a METRIC row per metric."""
+    steps, factorizations, curvature steps, PCG iterations, trials rejected
+    for want of a step and gradient norm); a LOOP row per loop; a METRIC row
+    per metric."""
     out = ["REPORT 1", f"MODE {report.mode}", f"CONVERGED {1 if report.trace.converged else 0}"]
     for it, rec in enumerate(report.trace.iterations, start=1):
         out.append(f"THETA {it} {_fmt(rec.theta)}")
@@ -291,7 +292,7 @@ def write_report(report: RunReport) -> str:
     for it, rec in enumerate(report.trace.iterations, start=1):
         out.append(
             f"SOLVE {it} {rec.termination} {rec.iterations} {rec.factorizations} {rec.curvature_steps} "
-            f"{rec.pcg_iterations} {rec.fallbacks} {_fmt(rec.gradient_norm)}"
+            f"{rec.pcg_iterations} {rec.misses} {_fmt(rec.gradient_norm)}"
         )
     for (i, j), err, post, lab in zip(
         report.pairs, report.errors, report.posteriors, report.labels

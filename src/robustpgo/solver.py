@@ -33,29 +33,17 @@ The damped normal equations are assembled block-sparse from per-constraint
 sums over a flat match table, whose segment ids follow from its match counts.
 Their sparsity pattern depends only on which poses the constraints couple, so
 a _Pattern maps every block entry to its slot once, leaving out the gauge,
-pose 0, and each LM trial only refills the values, with one bincount per
-system. The pattern is built by 6x6 pose blocks, which all share one entry
-layout: one np.unique over the block keys ranks each block in its block
-column, and an entry's slot follows by arithmetic. Each trial solves the
+pose 0, and each LM trial only refills the values. Each trial solves the
 damped system by subgraph preconditioning (Dellaert et al., IROS 2010,
 Subgraph-preconditioned conjugate gradients for large scale SLAM). A loop
 whose posterior is below SUBGRAPH_POSTERIOR adds next to nothing to H, but
 its pose pair spans the graph and drives the fill-in of a sparse factor. So
-only the odometry and the weighted loops are factored, by SuperLU in
-symmetric mode with pivots on the diagonal and supernodes sized to the pose
-blocks, and preconditioned conjugate gradients (PCG) with that factor
-recover the step of the full system. A
-pattern holds every constraint and is ordered once, when it is built, by
-minimum degree on the weighted subgraph's poses with each pose's six dofs
-together, and every factorization keeps that order. Each table keeps the
-last pattern built for it, so the M-steps of an EM run that keep the same
-loops share one, and it goes with its table. It holds two structures, the
-full system's and the subgraph's, which stores only the kept pairs' blocks,
-and each trial fills both.
-Where PCG misses (a direction of non-positive curvature, which the
-curvature phase can give, a value that is not finite, or no convergence
-within PCG_MAX_ITERS), the trial factors the full system's matrix instead.
-A zero pivot there or a step that is not finite rejects the trial, as the
+only the odometry and the weighted loops are factored (_factor), and
+preconditioned conjugate gradients (PCG) with that factor recover the step
+of the full system, which is never factored. A trial that gets no step,
+from a zero pivot in the subgraph's factor or a PCG miss (a direction of
+non-positive curvature, which the curvature phase can give, a value that is
+not finite, or no convergence within PCG_MAX_ITERS), is rejected, as the
 strict-decrease test rejects an uphill step. The poses stay in (N, 4)
 quaternion and (N, 3) translation arrays while LM runs, each pose state with
 its weight-free evaluation (PoseState), which EM hands from one M-step to
@@ -88,7 +76,7 @@ OBJECTIVE_TOL = 1e-10
 CURVATURE_SWITCH = 1e-5  # an accepted step's relative drop below which H gains the curvature term
 SUBGRAPH_POSTERIOR = 1e-6  # a loop's posterior below which the preconditioner leaves it out
 PCG_TOL = 1e-13  # residual, relative to the right-hand side, at which PCG returns the step
-PCG_MAX_ITERS = 20  # PCG iterations after which a trial falls back to the full factorization
+PCG_MAX_ITERS = 20  # PCG iterations after which PCG misses and the trial is rejected
 DAMPING_INIT = 1e-4
 DAMPING_MIN = 1e-12
 DAMPING_MAX = 1e8
@@ -189,10 +177,10 @@ class SolverReport:
     gradient_norm: float  # max-norm over free dofs of the last gradient assembled, at the returned poses
     errors: np.ndarray  # (C,) each constraint's mean rho over its matches at the returned poses
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
-    factorizations: int = 0  # LM trial steps, each factoring one system (a fallback adds another)
+    factorizations: int = 0  # LM trial steps, each factoring one system
     curvature_steps: int = 0  # accepted steps whose H held the residual-curvature term
     pcg_iterations: int = 0  # PCG iterations over all trials
-    fallbacks: int = 0  # full-system factorizations made after a PCG miss
+    misses: int = 0  # trials that got no step (a zero pivot or a PCG miss) and were rejected
 
 
 def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparams) -> Problem:
@@ -236,7 +224,7 @@ def _nonfinite(state: PoseState) -> SolverError:
     m = int(np.argmin(np.isfinite(s)))
     c = int(table.seg[m])
     i, j = table.pairs[c]
-    k = m - int(np.searchsorted(table.seg, c))
+    k = m - int(table.offsets[c])
     return SolverError(f"non-finite residual in constraint {c} (i={i}, j={j}, match {k})")
 
 
@@ -537,8 +525,8 @@ class _Pattern:
     (_structure), built once by 6x6 pose blocks: `full`, of every pair, and
     `subgraph`, of the kept pairs alone, which stores no entry where only
     the other pairs' blocks land, as SuperLU's fill follows the stored
-    entries. Each LM trial refills both, and PCG multiplies by the full
-    system, which a miss factors. The order, fixed when the pattern is
+    entries. Each LM trial refills both: it factors the subgraph, and PCG
+    multiplies by the full system. The order, fixed when the pattern is
     built, is _pose_order's pose-level minimum degree of the kept pairs'
     graph: free dof k, entry 6 + k of a 6N vector, sits at position pos[k].
     The gauge's rows and columns are left out and each diagonal slot is
@@ -600,8 +588,8 @@ def _factor(system: csc_matrix):
     """SuperLU's factor of a damped system from _Pattern.matrix, in
     symmetric mode with pivots on the diagonal; a zero pivot raises
     RuntimeError. SuperLU keeps the pattern's own pose-level order
-    (NATURAL): with one pattern per kept set, PCG multiplies by the matrix a
-    miss factors, in the order the subgraph's factor has. The order keeps
+    (NATURAL), so PCG's products with the full system and its solves with
+    the subgraph's factor share one order. The order keeps
     each pose's six dofs together, so supernodes are sized to those blocks:
     relaxed supernodes of at most 3 columns and panels of 6. SuperLU's
     wider default relaxation stores explicit zeros around the pose blocks,
@@ -646,31 +634,20 @@ def _pcg(product, precondition, rhs: np.ndarray):
 def _step(pattern: _Pattern, blocks: np.ndarray, grad: np.ndarray, damping: float):
     """One trial step: the solution of (H + damping I) step = -grad over the
     free dofs, with H over all constraints, as a 6N vector that is zero on
-    the gauge, or None when a zero pivot of the full system rejects the
-    trial; with the PCG iterations taken and whether it fell back.
+    the gauge, or None when the trial gets no step; with the PCG iterations
+    taken.
 
     Subgraph preconditioning (Dellaert et al., IROS 2010): only the pattern's
     kept pairs are factored, and PCG with that factor recovers the step of
     the full system, which it multiplies by in the same order, so the
     right-hand side is taken into that order once and the step put back
-    once. A PCG miss, or a zero pivot in the subgraph's factor, falls back
-    to factoring the full system."""
-    system, rhs = pattern.matrix(blocks, damping), pattern.take(-grad)
-    solution, iterations = None, 0
+    once. A zero pivot in the subgraph's factor or a PCG miss gives None."""
     try:
         factor = _factor(pattern.matrix(blocks, damping, subgraph=True))
     except RuntimeError:
-        pass
-    else:
-        solution, iterations = _pcg(system.dot, factor.solve, rhs)
-        del factor  # freed before a fallback factors the full system
-    if solution is not None:
-        return pattern.put(solution), iterations, False
-    try:
-        solution = _factor(system).solve(rhs)
-    except RuntimeError:
-        return None, iterations, True
-    return pattern.put(solution), iterations, True
+        return None, 0
+    solution, iterations = _pcg(pattern.matrix(blocks, damping).dot, factor.solve, pattern.take(-grad))
+    return (None if solution is None else pattern.put(solution)), iterations
 
 
 def _retract_all(quats, trans, delta: np.ndarray, gauge: int):
@@ -730,7 +707,7 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
     kept = problem.weights * problem.table.sizes >= SUBGRAPH_POSTERIOR  # the subgraph's constraints
     pattern = _kept_pattern(problem.table, len(state), kept)
     damping = DAMPING_INIT
-    accepted = factorizations = curvature_steps = pcg_iterations = fallbacks = 0
+    accepted = factorizations = curvature_steps = pcg_iterations = misses = 0
     termination = ""
     objective_path = []
     curvature = False
@@ -747,11 +724,11 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
 
         while True:
             factorizations += 1
-            step, iterations, fell_back = _step(pattern, blocks, grad, damping)
+            step, iterations = _step(pattern, blocks, grad, damping)
             pcg_iterations += iterations
-            fallbacks += fell_back
+            misses += step is None
             trial_objective = math.inf
-            if step is not None and np.isfinite(step).all():
+            if step is not None:
                 trial = _evaluate(problem, *_retract_all(state.quats, state.trans, step, 0), state.anchor)
                 trial_objective = problem.objective(trial)
 
@@ -783,6 +760,6 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
         objective = problem.objective(state)
     report = SolverReport(
         accepted, objective_start, objective, termination, gradient_norm, state.errors,
-        objective_path, factorizations, curvature_steps, pcg_iterations, fallbacks,
+        objective_path, factorizations, curvature_steps, pcg_iterations, misses,
     )
     return state, report

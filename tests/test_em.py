@@ -367,16 +367,16 @@ class TestRunEm:
         assert sum(steps) > 0
         assert all(k <= len(rec.objective_path) for k, rec in zip(steps, trace.iterations))
 
-    def test_reports_pcg_iterations_and_fallbacks(self, monkeypatch):
-        """Each M-step reports its PCG iterations and fallbacks: no fallback
-        on a reference circle scene, and one per trial when PCG may take no
-        iteration."""
+    def test_reports_pcg_iterations_and_misses(self, monkeypatch):
+        """Each M-step reports its PCG iterations and the trials rejected for
+        want of a step: none on a reference circle scene, and every trial
+        when PCG may take no iteration."""
         graph = generate(ScenarioConfig(seed=0))
         _, _, trace = em.run_em(graph, Hyperparams())
-        assert all(rec.fallbacks == 0 < rec.factorizations <= rec.pcg_iterations for rec in trace.iterations)
+        assert all(rec.misses == 0 < rec.factorizations <= rec.pcg_iterations for rec in trace.iterations)
         monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
         _, _, trace = em.run_em(graph, Hyperparams())
-        assert all(rec.fallbacks == rec.factorizations > 0 == rec.pcg_iterations for rec in trace.iterations)
+        assert all(rec.misses == rec.factorizations > 0 == rec.pcg_iterations for rec in trace.iterations)
 
     def test_trace_bounded_by_max_iters(self):
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=7))

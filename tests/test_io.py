@@ -272,7 +272,7 @@ class TestReport:
         for it, (row, rec) in enumerate(zip(rows, trace.iterations), start=1):
             assert row[:8] == [
                 "SOLVE", str(it), rec.termination, str(rec.iterations), str(rec.factorizations),
-                str(rec.curvature_steps), str(rec.pcg_iterations), str(rec.fallbacks),
+                str(rec.curvature_steps), str(rec.pcg_iterations), str(rec.misses),
             ]
             assert len(row) == 9 and float(row[8]) == rec.gradient_norm
         assert parse_report_labels(text) == dict(zip(pairs, labels.tolist()))

@@ -1028,7 +1028,7 @@ class TestSolve:
         monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
         out, report = solve_poses(problem, start)
         assert report.iterations == report.factorizations == len(factored) == 1
-        assert report.fallbacks == 0 and report.pcg_iterations >= 1
+        assert report.misses == 0 and report.pcg_iterations >= 1
 
         _, grad, blocks = lm_terms(problem, start)
         pairs, damping = problem.table.pairs, solver.DAMPING_INIT * np.eye(66)
@@ -1071,30 +1071,36 @@ class TestSolve:
         pattern = kept_pattern(problem, 12)
         assert len(pattern.full.indices) > system.nnz
 
-    def test_pcg_miss_falls_back_to_the_full_factor(self, monkeypatch):
-        """With no PCG iteration allowed, the trial factors the full damped
-        system after the subgraph's and takes its step."""
+    def test_pcg_miss_rejects_the_trial(self, monkeypatch):
+        """With no PCG iteration allowed, every trial factors only the
+        subgraph, misses and is rejected, each with ten times the damping of
+        the last, until the damping passes DAMPING_MAX: the solve stalls at
+        its start state."""
         problem, start = two_loop_problem()
         monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
         factored = factor_spy(monkeypatch)
         monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
-        out, report = solve_poses(problem, start)
-        assert report.iterations == report.factorizations == 1
-        assert report.fallbacks == 1 and report.pcg_iterations == 0 and len(factored) == 2
+        state = em.evaluate_poses(problem.table, *se3.stack(start), problem.kernel, problem.sigma)
+        out, report = solve(problem, state)
+        assert out is state and report.termination == "stalled" and report.iterations == 0
+        assert report.factorizations == report.misses == len(factored) == 13
+        assert report.pcg_iterations == 0
 
-        _, grad, blocks = lm_terms(problem, start)
-        full = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
-        # the fallback factors the full system in the one pattern's order, the subgraph's
-        np.testing.assert_array_equal(natural(factored[1], kept_pattern(problem, 12)), full)
-        expected = np.linalg.solve(full, -grad[6:])
-        taken = taken_step(start, out)
-        assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
+        _, _, blocks = lm_terms(problem, start)
+        pairs = problem.table.pairs
+        kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
+        subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
+        pattern, damping = kept_pattern(problem, 12), solver.DAMPING_INIT
+        for system in factored:
+            np.testing.assert_array_equal(natural(system, pattern), subgraph[6:, 6:] + damping * np.eye(66))
+            damping *= 10.0
+        assert damping > solver.DAMPING_MAX  # the damping the solve stalled at
 
-    def test_negative_curvature_in_pcg_falls_back(self, monkeypatch):
+    def test_negative_curvature_in_pcg_rejects_the_trial(self, monkeypatch):
         """A curvature-phase system that the left-out loop makes indefinite:
         the subgraph is positive definite, yet PCG's first direction has
-        p^T A p < 0. The trial takes the full system's step, not the CG
-        iterate."""
+        p^T A p < 0. The trial gets no step after that one iteration, and
+        only the subgraph is factored."""
         rng = np.random.default_rng(23)
         graph, truth = noisy_chain_graph(rng, n=12)
         far = LoopClosureConstraint(2, 9, rng.uniform(-1e6, 1e6, (10, 3)), rng.uniform(-1e6, 1e6, (10, 3)))
@@ -1111,20 +1117,17 @@ class TestSolve:
 
         factored = factor_spy(monkeypatch)
         pattern = kept_pattern(problem, 12)
-        step, iterations, fell_back = solver._step(pattern, blocks, grad, damping)
-        assert fell_back and iterations == 1 and len(factored) == 2
-        np.testing.assert_array_equal(natural(factored[1], pattern), full)
-        expected = np.linalg.solve(full, -grad[6:])
-        assert not step[:6].any()
-        assert np.abs(step[6:] - expected).max() <= 1e-10 * np.abs(expected).max()
+        step, iterations = solver._step(pattern, blocks, grad, damping)
+        assert step is None and iterations == 1 and len(factored) == 1
+        np.testing.assert_array_equal(natural(factored[0], pattern), subgraph)
 
     def test_no_pattern_is_built_while_a_factor_is_alive(self, monkeypatch):
         """A solve builds one pattern, which lives for the rest of the solve,
-        before its first factorization, even when every trial falls back (no
+        before its first factorization, even when every trial misses (no
         PCG iteration allowed). Built while a factor, and with it SuperLU's
         workspace, held the top of the heap, it would keep that memory
-        resident after the solve. Each trial factors its subgraph and each
-        fallback the full system, and nothing else is factored."""
+        resident after the solve. Each trial factors its subgraph, and
+        nothing else is factored."""
         problem, start = two_loop_problem()
         monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
         alive = [0]
@@ -1155,9 +1158,64 @@ class TestSolve:
         monkeypatch.setattr(solver, "_Pattern", Pattern)
         monkeypatch.setattr(solver, "MAX_INNER_ITERS", 2)
         _, report = solve_poses(problem, start)
-        assert report.factorizations >= 1 and report.fallbacks == report.factorizations
-        assert len(calls) == report.factorizations + report.fallbacks
+        assert report.factorizations >= 1 and report.misses == report.factorizations
+        assert len(calls) == report.factorizations
         assert alive_at_build == [0] and alive[0] == 0
+
+    def test_zero_pivot_in_the_subgraph_rejects_the_trial(self, monkeypatch):
+        """A zero pivot in the subgraph's factor rejects the trial as a miss:
+        the next trial factors the subgraph with ten times DAMPING_INIT on
+        its diagonal and takes that system's full step."""
+        problem, start = two_loop_problem()
+        factored = []
+        real_splu = solver.splu
+
+        def spy(system, **options):
+            factored.append(system.toarray())
+            if len(factored) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return real_splu(system, **options)
+
+        monkeypatch.setattr(solver, "splu", spy)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
+        out, report = solve_poses(problem, start)
+        assert report.iterations == 1 and report.factorizations == len(factored) == 2
+        assert report.misses == 1 and report.pcg_iterations >= 1
+
+        _, grad, blocks = lm_terms(problem, start)
+        pairs, damping = problem.table.pairs, 10.0 * solver.DAMPING_INIT * np.eye(66)
+        kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
+        subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
+        pattern = kept_pattern(problem, 12)
+        np.testing.assert_array_equal(natural(factored[1], pattern), subgraph[6:, 6:] + damping)
+        full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping
+        expected = np.linalg.solve(full, -grad[6:])
+        taken = taken_step(start, out)
+        assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_no_full_system_is_factored_on_a_scene_that_misses(self, monkeypatch):
+        """On a gaussian 200-fragment scene whose curvature-phase trials miss
+        in PCG, every factored matrix is a subgraph system."""
+        real_matrix = solver._Pattern.matrix
+
+        def matrix(self, blocks, damping, subgraph=False):
+            out = real_matrix(self, blocks, damping, subgraph)
+            out.built_as_subgraph = subgraph
+            return out
+
+        factored = []  # whether each factored matrix was built as a subgraph's
+        real_splu = solver.splu
+
+        def spy(system, **options):
+            factored.append(system.built_as_subgraph)
+            return real_splu(system, **options)
+
+        monkeypatch.setattr(solver._Pattern, "matrix", matrix)
+        monkeypatch.setattr(solver, "splu", spy)
+        _, _, trace = em.run_em(generate(ScenarioConfig(num_fragments=200, seed=0)), Hyperparams(mode="gaussian"))
+        assert sum(rec.misses for rec in trace.iterations) >= 1
+        assert all(factored)
+        assert len(factored) == sum(rec.factorizations for rec in trace.iterations)
 
     def test_evaluates_each_pose_state_once(self, monkeypatch):
         """The start and every trial are evaluated once; the gradient, H and
