@@ -67,9 +67,13 @@ def learn_theta_cauchy(odometry_errors: np.ndarray, p_hat: float) -> float:
     if not len(odometry_errors):
         raise EmError("cannot learn theta without odometry constraints")
     median = lower_median(odometry_errors)
-    if not median < 354.0:  # exp(2A) overflows from A = 354.9 on; NaN fails too
+    try:
+        theta = p_hat / (1.0 - p_hat) * math.exp(2.0 * median)
+    except OverflowError:  # exp(2A) past the float range
+        theta = math.inf
+    if not 0.0 < theta < math.inf:  # a NaN median fails too
         raise EmError(f"median odometry error {median:.6g} is too large to learn theta from")
-    return p_hat / (1.0 - p_hat) * math.exp(2.0 * median)
+    return theta
 
 
 def posterior_cauchy(a_values: np.ndarray, theta: float) -> np.ndarray:
@@ -78,12 +82,9 @@ def posterior_cauchy(a_values: np.ndarray, theta: float) -> np.ndarray:
 
 
 def posterior_gaussian(b_values: np.ndarray, theta: float) -> np.ndarray:
-    """theta / (theta + B^2), log-space; B == 0 maps to posterior 1."""
-    b = np.asarray(b_values, dtype=float)
-    out = np.ones_like(b)
-    pos = b > 0.0
-    out[pos] = expit(math.log(theta) - 2.0 * np.log(b[pos]))
-    return out
+    """theta / (theta + B^2): the cauchy posterior at A = log B; B == 0 maps to 1."""
+    with np.errstate(divide="ignore"):
+        return posterior_cauchy(np.log(b_values), theta)
 
 
 def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> np.ndarray:
@@ -94,8 +95,8 @@ def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> 
 
 def e_step(errors: np.ndarray, theta: float, params: Hyperparams) -> PosteriorState:
     """Inlier posteriors of the loops from their errors (A in cauchy mode, B in gaussian)."""
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError("theta must be a positive finite float")
     posterior = posterior_cauchy if params.mode == "cauchy" else posterior_gaussian
     return PosteriorState(theta=theta, posteriors=posterior(errors, theta))
 
@@ -132,7 +133,7 @@ def _max_update(old: tuple[np.ndarray, np.ndarray], new: tuple[np.ndarray, np.nd
     """Largest twist norm of log(new_k o old_k^-1) over poses given as
     (quaternion, translation) arrays."""
     step = se3.compose_arrays(*new, *se3.inverse_arrays(*old))
-    return float(np.linalg.norm(se3.log_arrays(*step)[0], axis=1).max(initial=0.0))
+    return float(np.linalg.norm(se3.log_arrays(*step), axis=1).max(initial=0.0))
 
 
 def run_em(
@@ -182,7 +183,7 @@ def run_em(
             EmIteration(
                 **vars(report),
                 theta=theta,
-                inlier_count=int(np.sum(state.posteriors > params.inlier_threshold)),
+                inlier_count=int(np.count_nonzero(classify_loops(state, params.inlier_threshold))),
                 max_pose_update=_max_update(start, (pose_state.quats, pose_state.trans)),
             )
         )

@@ -304,13 +304,16 @@ def write_report(report: RunReport) -> str:
 
 
 def parse_report_labels(text: str) -> dict[tuple[int, int], bool]:
-    """Predicted labels from a report's LOOP rows."""
+    """Predicted labels from a report's LOOP rows, read as a graph is ('#'
+    starts a comment); a second row for one loop is a ParseError."""
     out: dict[tuple[int, int], bool] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0] != "LOOP":
+    for no, parts in _Lines(text).rows:
+        if parts[0] != "LOOP":
             continue
         if len(parts) != 6 or parts[5] not in ("0", "1"):
             raise ParseError(no, "malformed LOOP report row")
-        out[(_int(parts[1], no), _int(parts[2], no))] = parts[5] == "1"
+        pair = (_int(parts[1], no), _int(parts[2], no))
+        if pair in out:
+            raise ParseError(no, f"duplicate LOOP row for loop {pair}")
+        out[pair] = parts[5] == "1"
     return out

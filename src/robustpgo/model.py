@@ -300,8 +300,6 @@ class Hyperparams:
             raise ValueError("inlier_threshold must lie in [0, 1]")
         if self.mode not in ("cauchy", "gaussian"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.gaussian_calibration not in ("rms", "literal"):
-            raise ValueError(f"unknown gaussian_calibration {self.gaussian_calibration!r}")
         if self.mode == "gaussian":
             learn_theta_gaussian(self.epsilon, self.p_hat, self.gaussian_calibration)
         else:

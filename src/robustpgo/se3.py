@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# log_arrays flags results this close to the pi branch point of the rotation angle.
-NEAR_PI_TOL = 1e-6
-
 _UNIT_TOL = 1e-12
 
 # below this squared rotation angle, exp and log use truncated series
@@ -199,9 +196,8 @@ def exp_arrays(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _canonical_quats(quat), (v.T + c1 * wv.T + c2 * np.cross(omega, wv).T).T
 
 
-def log_arrays(quat: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of exp_arrays for canonical quaternions: twists (6,) or (N, 6)
-    and a flag marking rotation angles within NEAR_PI_TOL of pi."""
+def log_arrays(quat: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Inverse of exp_arrays for canonical quaternions: twists (6,) or (N, 6)."""
     quat, trans = np.asarray(quat, dtype=float), np.asarray(trans, dtype=float)
     w, x, y, z = quat.T
     vec = quat[..., 1:]
@@ -221,7 +217,7 @@ def log_arrays(quat: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndar
     )
     wt = np.cross(omega, trans)
     rho = (trans.T - 0.5 * wt.T + c3 * np.cross(omega, wt).T).T
-    return np.concatenate([omega, rho], axis=-1), np.abs(theta - math.pi) < NEAR_PI_TOL
+    return np.concatenate([omega, rho], axis=-1)
 
 
 def exp(xi: np.ndarray) -> Pose:

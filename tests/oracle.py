@@ -181,7 +181,7 @@ def robust_fit_full_refit(table: MatchTable, rounds: int, trim_factor: float):
 def _max_update(old: list[Pose], new: list[Pose]) -> float:
     """Largest twist norm of log(new_k o old_k^-1) over the poses."""
     step = se3.compose_arrays(*se3.stack(new), *se3.inverse_arrays(*se3.stack(old)))
-    return float(np.linalg.norm(se3.log_arrays(*step)[0], axis=1).max(initial=0.0))
+    return float(np.linalg.norm(se3.log_arrays(*step), axis=1).max(initial=0.0))
 
 
 def run_em_replaying(graph, params):

@@ -211,6 +211,20 @@ class TestSolve:
         else:
             assert err == []
 
+    def test_theta_past_the_float_range_is_a_solver_error(self, tmp_path, capsys):
+        """At sigma = 3.3e-78 this scene's median odometry A lies near 353.87,
+        where exp(2A) is finite but theta at the default p_hat = 0.9 is not:
+        exit 5 with a solver error, not a run that weighs every loop as an
+        inlier."""
+        scene = tmp_path / "scene.pcg"
+        scene.write_text(write_graph(generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))))
+        report = tmp_path / "report.txt"
+        code = run_cli(["solve", "--in", str(scene), "--sigma", "3.3e-78", "--out-report", str(report)])
+        assert code == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver:") and "too large to learn theta from" in err
+        assert "Traceback" not in err and not report.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -502,6 +516,24 @@ class TestEval:
         assert code == cli.EXIT_VALIDATE
         err = capsys.readouterr().err
         assert f"{count} poses for 100 fragments" in err and "Traceback" not in err
+
+    def test_repeated_report_loop_exit_code(self, tmp_path, scenario_file, capsys):
+        """A report that labels one loop twice is a parse error, as a graph
+        with two LABEL records for it is; a row's trailing comment is not."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        poses = tmp_path / "poses.txt"
+        poses.write_text(write_poses(graph.ground_truth))
+        rows = [f"LOOP {c.i} {c.j} 0 0 1  # labelled inlier\n" for c in graph.loops]
+        report = tmp_path / "report.txt"
+        args = ["eval", "--poses", str(poses), "--graph", str(scenario_file), "--labels-from-report", str(report)]
+        report.write_text("".join(rows))
+        assert run_cli(args) == cli.EXIT_OK
+        report.write_text("".join(rows + rows[:1]))
+        capsys.readouterr()
+        assert run_cli(args) == cli.EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        c = graph.loops[0]
+        assert err == [f"error: line {len(rows) + 1}: duplicate LOOP row for loop ({c.i}, {c.j})"]
 
     @pytest.mark.parametrize("pose", ["1 nan 0 0 1 0 0 0", "1 1 0 0 1 0 0 inf"])
     def test_nonfinite_pose_exit_code(self, tmp_path, scenario_file, capsys, pose):

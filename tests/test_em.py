@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from robustpgo import em, se3, solver
 from robustpgo.model import (
@@ -173,12 +174,14 @@ class TestLearnThetaCauchy:
         assert em.theta_from_errors(errors + [med], 0.9) == em.theta_from_errors(errors, 0.9)
 
     def test_overflowing_theta_is_an_em_error(self):
-        """theta is refused from a median A of 354 on, just short of where exp(2A)
-        overflows (354.9); an infinite or NaN median is refused too."""
+        """theta is refused once it is not a positive finite float: from a
+        median A of 354.9 on exp(2A) overflows, and below that p_hat / (1 - p_hat)
+        times it may (at p_hat = 0.9 from A near 353.79 on, while 353.9 is
+        finite at p_hat = 1/2); an infinite or NaN median is refused too."""
         assert math.isfinite(em.learn_theta_cauchy(np.array([353.9]), p_hat=0.5))
-        for a in (355.0, np.inf, np.nan):
+        for a, p_hat in [(355.0, 0.9), (np.inf, 0.9), (np.nan, 0.9), (353.9, 0.9), (340.0, 0.9999999999999999)]:
             with pytest.raises(em.EmError, match="too large"):
-                em.learn_theta_cauchy(np.array([0.0, a, a]), p_hat=0.9)
+                em.learn_theta_cauchy(np.array([0.0, a, a]), p_hat)
 
     def test_lower_median_for_even_counts(self):
         assert em.lower_median([4.0, 1.0, 3.0, 2.0]) == 2.0
@@ -265,6 +268,29 @@ class TestEStep:
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
             em.e_step(np.zeros(0), 0.0, Hyperparams())
+
+    @pytest.mark.parametrize("theta", [math.inf, math.nan])
+    @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
+    def test_rejects_nonfinite_theta(self, theta, mode):
+        """An infinite theta would make every finite error's posterior 1."""
+        with pytest.raises(ValueError, match="positive finite"):
+            em.e_step(np.array([0.0, 1.0, np.inf]), theta, Hyperparams(mode=mode))
+
+    def test_gaussian_posterior_at_zero_and_infinite_error(self):
+        post = em.posterior_gaussian(np.array([0.0, np.inf]), 0.0225)
+        assert post[0] == 1.0 and post[1] == 0.0
+
+    def test_gaussian_posterior_matches_the_masked_form(self):
+        """The log-space form gives the bits of the form that sets B == 0 to 1
+        and takes the sigmoid of log theta - 2 log B elsewhere."""
+        rng = np.random.default_rng(7)
+        b = np.concatenate([[0.0, 0.0, np.inf, 5e-324, 1e308], 10.0 ** rng.uniform(-300, 300, 500)])
+        b[rng.random(len(b)) < 0.1] = 0.0
+        for theta in (0.0225, 9.0 * 0.05**4, 1e-300, 1e300):
+            expected = np.ones_like(b)
+            pos = b > 0.0
+            expected[pos] = expit(math.log(theta) - 2.0 * np.log(b[pos]))
+            assert em.posterior_gaussian(b, theta).tobytes() == expected.tobytes()
 
 
 class TestClassifyLoops:

@@ -251,6 +251,20 @@ class TestReport:
         assert len(loops) == 2
         assert parse_report_labels(text) == {(0, 5): False, (2, 9): True}
 
+    def test_label_parse_reads_comments_as_the_graph_does(self):
+        lines = write_report(self.make_report([(0, 5), (2, 9)], [False, True])).splitlines()
+        text = "".join(f"{line}  # checked\n" if line.startswith("LOOP") else f"{line}\n" for line in lines)
+        assert parse_report_labels(text) == {(0, 5): False, (2, 9): True}
+
+    def test_label_parse_rejects_a_repeated_loop(self):
+        """A second LOOP row for a pair is an error, as a second LABEL record
+        is, not a row that silently wins."""
+        text = write_report(self.make_report([(0, 5), (2, 9)], [False, True])) + "LOOP 0 5 0 0.9 1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_report_labels(text)
+        assert exc.value.line_no == len(text.splitlines())
+        assert exc.value.reason == "duplicate LOOP row for loop (0, 5)"
+
     def test_theta_and_trace_rows(self):
         text = write_report(self.make_report([(0, 5)], [True]))
         lines = text.splitlines()
