@@ -30,11 +30,14 @@ EXIT_NOT_CONVERGED = 7
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r") as f:
+        with open(path, "r", encoding="utf-8") as f:
             return f.read()
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from err
+    except UnicodeDecodeError as err:  # names the byte and its offset
+        print(f"error: {path}: {err}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from err
 
 
 def _write(path: str, text: str):

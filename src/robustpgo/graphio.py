@@ -17,6 +17,7 @@ exactly; writers emit records in canonical order (by id, then by (i, j)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -66,28 +67,72 @@ def _float(token: str, line_no: int) -> float:
 
 
 class _Lines:
-    """Token stream over non-empty, comment-stripped lines. Each line is split
-    only when the stream reaches it, so a parse holds the tokens of one record
-    at a time; `rows` yields (line number, tokens)."""
+    """Token stream over non-empty, comment-stripped lines. `raw` holds the
+    text's lines and `at` the index of the next one to read; `rows` yields
+    (line number, tokens) from that cursor, splitting each line only when it
+    reaches it. A record's M rows are split and converted as one block
+    (`_read_block`), which moves the same cursor; a block that holds a
+    comment, a blank line or an error goes through `rows` instead."""
 
     def __init__(self, text: str):
-        raw = text.splitlines()
-        self.last_no = len(raw) + 1
-        self.rows = (
-            (no, parts)
-            for no, line in enumerate(raw, start=1)
-            if (parts := line.split("#", 1)[0].split())
-        )
+        self.raw = text.splitlines()
+        self.at = 0
+        self.last_no = len(self.raw) + 1
+        self.rows = self._rows()
+
+    def _rows(self):
+        raw = self.raw
+        while self.at < len(raw):
+            line = raw[self.at]
+            self.at += 1
+            if parts := line.split("#", 1)[0].split():
+                yield self.at, parts
 
 
 def _read_matches(lines: _Lines, count: int, what: str, header_no: int):
     """The `count` M rows after a record's header, on line header_no, as
-    C-contiguous (count, 3) arrays p and q. Each row's structure is checked
-    as it is read; the record's numbers are then converted in one batch.
-    Errors keep line order: a bad number on an earlier row is reported before
-    a short or missing later row."""
+    C-contiguous (count, 3) arrays p and q. The rows are read as one block
+    when they can be; otherwise each row's structure is checked as it is
+    read, and the record's numbers are then converted in one batch. Errors
+    keep line order: a bad number on an earlier row is reported before a
+    short or missing later row."""
     if count < 0:
         raise ParseError(header_no, f"negative match count {count}")
+    vals = _read_block(lines, count)
+    if vals is None:
+        vals = np.array(_read_rows(lines, count, what))
+    vals = vals.reshape(count, 6)
+    return np.ascontiguousarray(vals[:, :3]), np.ascontiguousarray(vals[:, 3:])
+
+
+def _read_block(lines: _Lines, count: int) -> np.ndarray | None:
+    """The next `count` raw lines' numbers, 6 a line, if each line is `M`
+    and 6 numbers `float` accepts; then the cursor moves past them. Else
+    None, and nothing is consumed. A blank line has no 7 tokens, and a '#'
+    would sit in the first token, which is then not `M`, or in one that
+    `float` refuses. So a block that passes holds no blank line or comment,
+    and `rows` would yield exactly these lines and tokens."""
+    block = lines.raw[lines.at : lines.at + count]
+    if len(block) != count:  # nothing sized by count is built before this
+        return None
+    rows = list(map(str.split, block))
+    if list(map(len, rows)) != [7] * count:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if flat[::7] != ["M"] * count:
+        return None
+    del flat[::7]
+    try:
+        vals = np.fromiter(map(float, flat), float, count=6 * count)
+    except ValueError:
+        return None
+    lines.at += count
+    return vals
+
+
+def _read_rows(lines: _Lines, count: int, what: str) -> list[float]:
+    """The numbers of the next `count` M rows read one row at a time; a
+    ParseError names the first bad row or number in line order."""
     nos: list[int] = []
     tokens: list[str] = []
     # zip draws on range(count) first, so it stops without taking a row too
@@ -104,8 +149,7 @@ def _read_matches(lines: _Lines, count: int, what: str, header_no: int):
     if len(nos) < count:
         _floats(tokens, nos)
         raise ParseError(lines.last_no, f"expected M record {len(nos) + 1} of {count} for {what}")
-    vals = np.array(_floats(tokens, nos)).reshape(count, 6)
-    return np.ascontiguousarray(vals[:, :3]), np.ascontiguousarray(vals[:, 3:])
+    return _floats(tokens, nos)
 
 
 def _floats(tokens: list[str], nos: list[int]) -> list[float]:

@@ -129,6 +129,13 @@ class TestSolve:
     def test_missing_file_exit_code(self, tmp_path):
         assert run_cli(["solve", "--in", str(tmp_path / "nope.pcg")]) == cli.EXIT_IO
 
+    def test_input_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pcg"
+        bad.write_bytes(b"PCG 1 2\nODOM 0 1\nM 1 2 3 4 5 \xff\n")
+        assert run_cli(["solve", "--in", str(bad)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 29: invalid start byte"]
+
     def test_require_converged(self, tmp_path, scenario_file):
         code = run_cli(
             ["solve", "--in", str(scenario_file), "--max-em-iters", "1", "--require-converged"]
@@ -362,6 +369,14 @@ class TestSimulate:
             == cli.EXIT_PARSE
         )
 
+    def test_config_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": 1, "shape": "\xe9"}')
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.pcg")]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and "position 22" in err and "Traceback" not in err
+        assert not (tmp_path / "o.pcg").exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"shape": "helix"}))
@@ -534,6 +549,24 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         c = graph.loops[0]
         assert err == [f"error: line {len(rows) + 1}: duplicate LOOP row for loop ({c.i}, {c.j})"]
+
+    @pytest.mark.parametrize("which", ["--poses", "--graph", "--labels-from-report"])
+    def test_input_that_is_not_utf8_exit_code(self, tmp_path, scenario_file, capsys, which):
+        """Each of eval's three inputs is read as UTF-8; a byte that is not
+        is a parse error that names the file and the byte's offset."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        files = {
+            "--poses": tmp_path / "poses.txt",
+            "--graph": scenario_file,
+            "--labels-from-report": tmp_path / "report.txt",
+        }
+        files["--poses"].write_text(write_poses(graph.ground_truth))
+        files["--labels-from-report"].write_text("".join(f"LOOP {c.i} {c.j} 0 0 1\n" for c in graph.loops))
+        files[which].write_bytes(files[which].read_bytes() + b"# \xc3\n")
+        args = ["eval"] + [part for flag, path in files.items() for part in (flag, str(path))]
+        assert run_cli(args) == cli.EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {files[which]}: 'utf-8' codec can't decode byte 0xc3")
 
     @pytest.mark.parametrize("pose", ["1 nan 0 0 1 0 0 0", "1 1 0 0 1 0 0 inf"])
     def test_nonfinite_pose_exit_code(self, tmp_path, scenario_file, capsys, pose):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robustpgo import se3
+from robustpgo import graphio, se3
 from robustpgo.em import EmIteration, EmTrace, classify_loops, run_em
 from robustpgo.graphio import (
     ParseError,
@@ -110,8 +110,9 @@ class TestParse:
             assert c.p.flags.c_contiguous and c.q.flags.c_contiguous
 
     def test_peak_memory_stays_within_three_times_the_text(self):
-        """The parse splits one line at a time and holds one record's tokens,
-        so its traced peak stays near the line list's size (about twice the
+        """The parse holds the text's line list and the tokens and numbers of
+        one record's M rows, which it splits and converts as one block, so
+        its traced peak stays near the line list's size (about twice the
         text), not that of every line's tokens at once (7x)."""
         text = write_graph(generate(ScenarioConfig(num_fragments=100, seed=0)))
         tracemalloc.start()
@@ -128,6 +129,89 @@ class TestParse:
         for _ in range(100):
             graph = random_graph(rng)
             assert graphs_equal(parse(write_graph(graph)), graph)
+
+
+def with_comments(text: str) -> str:
+    """`text` with ' # x' after every M row, which sends each record's rows
+    to the row reader; line ends are kept."""
+    out = []
+    for line in text.splitlines(keepends=True):
+        body = line.rstrip("\r\n")
+        out.append(body + " # x" + line[len(body):] if body.split()[:1] == ["M"] else line)
+    return "".join(out)
+
+
+def parse_tracking_blocks(text: str):
+    """parse(text), and per record whether its M rows were read as one block."""
+    taken = []
+    read_block = graphio._read_block
+
+    def spy(lines, count):
+        vals = read_block(lines, count)
+        taken.append(vals is not None)
+        return vals
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_read_block", spy)
+        return parse(text), taken
+
+
+def match_bytes(graph: ProblemGraph) -> list[bytes]:
+    return [c.p.tobytes() + c.q.tobytes() for c in graph.odometry + graph.loops]
+
+
+class TestBlockReader:
+    """A record's M rows are read as one block when every row is `M` and 6
+    numbers; any other block goes to the row reader. Each document is parsed
+    as written and with a comment on every M row, which the block reader
+    never takes: both must give the same graph, or the same error."""
+
+    def assert_readers_agree(self, text: str, blocks: bool = True):
+        graph, taken = parse_tracking_blocks(text)
+        commented, taken_commented = parse_tracking_blocks(with_comments(text))
+        assert taken and all(taken) == blocks and not any(taken_commented)
+        assert write_graph(graph) == write_graph(commented) and match_bytes(graph) == match_bytes(commented)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda line: line,
+            lambda line: line.replace(" ", "\t"),
+            lambda line: "   " + line.replace(" ", " \t "),
+            lambda line: line + "\r",
+        ],
+        ids=["as-written", "tabs", "leading-space", "crlf"],
+    )
+    def test_fuzzed_documents(self, layout):
+        rng = np.random.default_rng(7)
+        texts = [write_graph(random_graph(rng)) for _ in range(30)]
+        texts.append(write_graph(generate(ScenarioConfig(num_fragments=30, keyframe_stride=1, seed=2))))
+        for text in texts:
+            self.assert_readers_agree("".join(layout(line) + "\n" for line in text.splitlines()))
+
+    def test_a_comment_glued_to_a_number(self):
+        text = write_graph(generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=4)))
+        glued = "".join(f"{line}#c\n" if line.startswith("M ") else f"{line}\n" for line in text.splitlines())
+        self.assert_readers_agree(glued, blocks=False)
+        assert graphs_equal(parse(glued), parse(text))
+
+    @pytest.mark.parametrize("token", ["1_0", "+.5", "-0", "inf", "-Infinity", "nan", "1E5", "\u0661\u0662"])
+    def test_tokens_float_accepts(self, token):
+        text = f"PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nM 1 {token} 3 4 5 {token}\n"
+        self.assert_readers_agree(text)
+        odom = parse(text).odometry[0]
+        row = np.concatenate([odom.p[1], odom.q[1]])
+        assert np.array_equal(row, [1, float(token), 3, 4, 5, float(token)], equal_nan=True)
+
+    @pytest.mark.parametrize("token", ["0x1p3", "1__0", "_1", "1_"])
+    def test_tokens_float_refuses(self, token):
+        text = f"PCG 1 2\nODOM 0 3\nM 1 2 3 4 5 6\nM 1 2 {token} 4 5 6\nM 1 2 3 4 5 6\n"
+        errors = []
+        for doc in (text, with_comments(text)):
+            with pytest.raises(ParseError) as exc:
+                parse(doc)
+            errors.append((exc.value.line_no, exc.value.reason))
+        assert errors == [(4, f"expected number, got {token!r}")] * 2
 
 
 MALFORMED = [
@@ -166,6 +250,17 @@ MALFORMED = [
     # the first missing pose is found from the records, not by a scan of the header's count
     ("PCG 1 2000000000\nGT 0 0 0 0 1 0 0 0\nGT 2 0 0 0 1 0 0 0\n", 4, "GT records incomplete: missing fragment 1"),
     ("PCG 1 2000000000\nINIT 1 0 0 0 1 0 0 0\n", 3, "INIT records incomplete: missing fragment 0"),
+    # a record's rows are first tried as one block; each case here fails that
+    # block's checks and is decided, as before, row by row. The tokens of
+    # these two rows line up in sevens, but the first row has 7 numbers:
+    ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6 M\n1 2 3 4 5 6\n", 3, "needs 6 numbers, got 7"),
+    # a form feed or a line separator inside a row ends its line
+    ("PCG 1 2\nODOM 0 1\nM 1 2 3\x0c4 5 6\n", 3, "needs 6 numbers, got 3"),
+    ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nM 1 2\u20283 4 5 6\n", 4, "needs 6 numbers, got 2"),
+    # a row of 7 tokens whose first is not M
+    ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nm 1 2 3 4 5 6\n", 4, "expected M record 2 of 2 for ODOM 0"),
+    # the block runs into the next record's header
+    ("PCG 1 3\nODOM 0 2\nM 1 2 3 4 5 6\nODOM 1 1\nM 1 2 3 4 5 6\n", 4, "expected M record 2 of 2 for ODOM 0"),
 ]
 
 
