@@ -29,7 +29,7 @@ EXIT_NOT_CONVERGED = 7
 
 
 def _read(path: str) -> str:
-    try:
+    try:  # universal newlines: '\r' and '\r\n' line ends reach the parser as '\n'
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
     except OSError as err:
@@ -49,9 +49,10 @@ def _write(path: str, text: str):
         raise SystemExit(EXIT_IO) from err
 
 
-def _parse_graph(text: str, path: str):
+def _parse(path: str, reader):
+    """The file at `path`, read by `reader`; a ParseError exits 3, naming the file."""
     try:
-        return graphio.parse(text)
+        return reader(_read(path))
     except graphio.ParseError as err:
         print(f"error: {path}: {err}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from err
@@ -78,7 +79,7 @@ def _cmd_solve(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    graph = _parse_graph(_read(args.infile), args.infile)
+    graph = _parse(args.infile, graphio.parse)
     violations = validate(graph)
     if violations:
         for v in violations:
@@ -162,13 +163,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    graph = _parse_graph(_read(args.graph), args.graph)
-    try:
-        poses = graphio.parse_poses(_read(args.poses))
-        by_pair = graphio.parse_report_labels(_read(args.labels_from_report))
-    except graphio.ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    graph = _parse(args.graph, graphio.parse)
+    poses = _parse(args.poses, graphio.parse_poses)
+    by_pair = _parse(args.labels_from_report, graphio.parse_report_labels)
     try:
         labels = [by_pair[c.pair] for c in graph.loops]
     except KeyError as err:

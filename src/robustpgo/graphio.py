@@ -1,4 +1,4 @@
-"""Line-oriented text format for constraint graphs, poses, and run reports.
+r"""Line-oriented text format for constraint graphs, poses, and run reports.
 
 Graph grammar (whitespace-separated, '#' starts a comment):
 
@@ -10,8 +10,10 @@ Graph grammar (whitespace-separated, '#' starts a comment):
     M px py pz qx qy qz                one feature match (p then q)
     LABEL <i> <j> <0|1>                oracle label for a declared loop
 
-Numbers are written with 17 significant digits so every float round-trips
-exactly; writers emit records in canonical order (by id, then by (i, j)).
+Lines end at '\n'; a '\r' before it, and any other whitespace inside a line
+(`str.isspace`), separates tokens, so a lone '\r' is whitespace. Numbers are
+written with 17 significant digits so every float round-trips exactly;
+writers emit records in canonical order (by id, then by (i, j)).
 """
 
 from __future__ import annotations
@@ -67,15 +69,17 @@ def _float(token: str, line_no: int) -> float:
 
 
 class _Lines:
-    """Token stream over non-empty, comment-stripped lines. `raw` holds the
-    text's lines and `at` the index of the next one to read; `rows` yields
-    (line number, tokens) from that cursor, splitting each line only when it
-    reaches it. A record's M rows are split and converted as one block
-    (`_read_block`), which moves the same cursor; a block that holds a
+    r"""Token stream over non-empty, comment-stripped lines, which end at '\n'.
+    `raw` holds them and `at` the index of the next one to read; `rows`
+    yields (line number, tokens) from that cursor, splitting each line only
+    when it reaches it. A record's M rows are split and converted as one
+    block (`_read_block`), which moves the same cursor; a block that holds a
     comment, a blank line or an error goes through `rows` instead."""
 
     def __init__(self, text: str):
-        self.raw = text.splitlines()
+        self.raw = text.split("\n")
+        if not self.raw[-1]:  # the empty piece after a final '\n', or of ""
+            self.raw.pop()
         self.at = 0
         self.last_no = len(self.raw) + 1
         self.rows = self._rows()
@@ -92,10 +96,9 @@ class _Lines:
 def _read_matches(lines: _Lines, count: int, what: str, header_no: int):
     """The `count` M rows after a record's header, on line header_no, as
     C-contiguous (count, 3) arrays p and q. The rows are read as one block
-    when they can be; otherwise each row's structure is checked as it is
-    read, and the record's numbers are then converted in one batch. Errors
-    keep line order: a bad number on an earlier row is reported before a
-    short or missing later row."""
+    when they can be; otherwise each row is checked and converted as it is
+    read, so errors keep line order: a bad number on an earlier row is
+    reported before a short or missing later row."""
     if count < 0:
         raise ParseError(header_no, f"negative match count {count}")
     vals = _read_block(lines, count)
@@ -131,37 +134,20 @@ def _read_block(lines: _Lines, count: int) -> np.ndarray | None:
 
 
 def _read_rows(lines: _Lines, count: int, what: str) -> list[float]:
-    """The numbers of the next `count` M rows read one row at a time; a
-    ParseError names the first bad row or number in line order."""
-    nos: list[int] = []
-    tokens: list[str] = []
+    """The numbers of the next `count` M rows, each checked and converted as
+    it is read; a ParseError names the first bad row or number in line order."""
+    vals: list[float] = []
     # zip draws on range(count) first, so it stops without taking a row too
     # many, and range takes counts past sys.maxsize, which islice does not
-    for _, (no, parts) in zip(range(count), lines.rows):
+    for k, (no, parts) in zip(range(count), lines.rows):
         if parts[0] != "M":
-            _floats(tokens, nos)
-            raise ParseError(no, f"expected M record {len(nos) + 1} of {count} for {what}")
+            raise ParseError(no, f"expected M record {k + 1} of {count} for {what}")
         if len(parts) != 7:
-            _floats(tokens, nos)
             raise ParseError(no, f"M record needs 6 numbers, got {len(parts) - 1}")
-        nos.append(no)
-        tokens += parts[1:]
-    if len(nos) < count:
-        _floats(tokens, nos)
-        raise ParseError(lines.last_no, f"expected M record {len(nos) + 1} of {count} for {what}")
-    return _floats(tokens, nos)
-
-
-def _floats(tokens: list[str], nos: list[int]) -> list[float]:
-    """The numbers of the M rows stacked in `tokens`, six a row, as one list
-    of floats. On a bad token, the error names the first one, at its row's
-    line number."""
-    try:
-        return list(map(float, tokens))
-    except ValueError:
-        for at, token in enumerate(tokens):
-            _float(token, nos[at // 6])
-        raise
+        vals += [_float(v, no) for v in parts[1:]]
+    if len(vals) < 6 * count:
+        raise ParseError(lines.last_no, f"expected M record {len(vals) // 6 + 1} of {count} for {what}")
+    return vals
 
 
 def parse(text: str) -> ProblemGraph:

@@ -136,6 +136,18 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 29: invalid start byte"]
 
+    def test_cr_and_crlf_scenes_write_the_same_report(self, tmp_path, scenario_file):
+        r"""The CLI reads with universal newlines: a scene whose lines end in
+        '\r' or '\r\n' solves to the same report, byte for byte."""
+        text = scenario_file.read_text()
+        reports = []
+        for end in ("\n", "\r", "\r\n"):
+            scene, report = tmp_path / "scene.txt", tmp_path / f"report{len(reports)}.txt"
+            scene.write_bytes(text.replace("\n", end).encode())
+            assert run_cli(["solve", "--in", str(scene), "--out-report", str(report)]) == cli.EXIT_OK
+            reports.append(report.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_require_converged(self, tmp_path, scenario_file):
         code = run_cli(
             ["solve", "--in", str(scenario_file), "--max-em-iters", "1", "--require-converged"]
@@ -548,7 +560,32 @@ class TestEval:
         assert run_cli(args) == cli.EXIT_PARSE
         err = capsys.readouterr().err.splitlines()
         c = graph.loops[0]
-        assert err == [f"error: line {len(rows) + 1}: duplicate LOOP row for loop ({c.i}, {c.j})"]
+        assert err == [f"error: {report}: line {len(rows) + 1}: duplicate LOOP row for loop ({c.i}, {c.j})"]
+
+    @pytest.mark.parametrize(
+        "which, bad, reason",
+        [
+            ("--poses", "POSE 0 0 0 0 1 0 0\n", "expected: POSE <id> tx ty tz qw qx qy qz"),
+            ("--labels-from-report", "LOOP 0 2 0 0 yes\n", "malformed LOOP report row"),
+        ],
+        ids=["poses", "report"],
+    )
+    def test_parse_error_names_its_file(self, tmp_path, scenario_file, capsys, which, bad, reason):
+        """A parse error in any of eval's three inputs names that file."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        files = {
+            "--poses": tmp_path / "poses.txt",
+            "--graph": scenario_file,
+            "--labels-from-report": tmp_path / "report.txt",
+        }
+        files["--poses"].write_text(write_poses(graph.ground_truth))
+        files["--labels-from-report"].write_text("".join(f"LOOP {c.i} {c.j} 0 0 1\n" for c in graph.loops))
+        text = files[which].read_text() + bad
+        files[which].write_text(text)
+        args = ["eval"] + [part for flag, path in files.items() for part in (flag, str(path))]
+        assert run_cli(args) == cli.EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {files[which]}: line {text.count(chr(10))}: {reason}"]
 
     @pytest.mark.parametrize("which", ["--poses", "--graph", "--labels-from-report"])
     def test_input_that_is_not_utf8_exit_code(self, tmp_path, scenario_file, capsys, which):

@@ -1,7 +1,8 @@
 """Mutation fuzzing of `robustpgo solve` and `robustpgo eval`: small valid
 graph files, and POSE files for eval, with tokens, counts and values replaced
 (NaN, inf, 1e308, 1e200, a ten-digit count, zero quaternions), lines dropped
-or repeated, match rows split or joined, and POSE rows added; and of
+or repeated, match rows split or joined, POSE rows added, and whitespace
+that ends no line, or a lone carriage return, put inside a line; and of
 `robustpgo simulate`, with each field of a small scenario config set to a
 value out of its range or type. Every outcome must be a documented exit code,
 with no uncaught exception and no warning."""
@@ -29,6 +30,7 @@ from robustpgo.synth import ScenarioConfig, generate
 
 DOCUMENTED = {0, 2, 3, 4, 5, 6, 7}
 VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "0", "-3", "2", "7", "2000000000", "x"]
+SPACES = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"]
 
 
 def base_graph(with_poses: bool) -> str:
@@ -77,6 +79,11 @@ def edits(*kinds):
     return st.tuples(st.sampled_from(kinds), st.integers(0, 999), st.integers(0, 9), st.sampled_from(VALUES))
 
 
+def spaces():
+    """Edits that put one of SPACES at a column of a line."""
+    return st.tuples(st.just("space"), st.integers(0, 999), st.integers(0, 999), st.sampled_from(SPACES))
+
+
 def mutate(text: str, changes) -> str:
     lines = text.splitlines()
     for kind, k, j, value in changes:
@@ -96,6 +103,9 @@ def mutate(text: str, changes) -> str:
             lines.insert(at, lines[at])
         elif kind == "extra":
             lines.append(f"POSE {len(lines) + j} 0 0 0 1 0 0 0")
+        elif kind == "space":
+            column = j % (len(lines[at]) + 1)
+            lines[at] = lines[at][:column] + value + lines[at][column:]
         elif kind == "split":
             rows = [n for n, line in enumerate(lines) if line.startswith("M ")]
             if rows:
@@ -156,9 +166,18 @@ def test_solve_exits_with_a_documented_code(graph_path, base, mode, changes):
 @given(st.sampled_from([0, 1]), st.lists(edits("split", "split", "token", "delete"), min_size=1, max_size=3))
 def test_split_match_rows_exit_with_a_documented_code(graph_path, base, changes):
     """Match rows cut in two or joined to the next line, beside bad values:
-    the parser reads a record's rows before it converts their numbers, and
-    its errors still reach the CLI as exit 3."""
+    such a record goes to the row reader, and its errors reach the CLI as
+    exit 3."""
     graph_path.write_text(mutate(BASES[base], changes))
+    assert_documented(["solve", "--in", str(graph_path)])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([0, 1]), st.lists(spaces(), min_size=1, max_size=3))
+def test_whitespace_in_lines_exits_with_a_documented_code(graph_path, base, changes):
+    r"""Whitespace that ends no line in the parser, and a lone '\r', which the
+    CLI's universal-newline read makes a line end, at random columns."""
+    graph_path.write_text(mutate(BASES[base], changes), encoding="utf-8")
     assert_documented(["solve", "--in", str(graph_path)])
 
 
@@ -187,6 +206,17 @@ def test_eval_exits_with_a_documented_code(eval_paths, changes):
     by NaN, inf, overflowing numbers or zero quaternions."""
     eval_paths[1].write_text(mutate(EVAL_BASE[1], changes))
     assert_documented(eval_argv(eval_paths))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([0, 1, 2]), st.lists(spaces(), min_size=1, max_size=3))
+def test_eval_whitespace_in_lines_exits_with_a_documented_code(eval_paths, which, changes):
+    """The same whitespace in the graph, POSE or report file of eval."""
+    try:
+        eval_paths[which].write_text(mutate(EVAL_BASE[which], changes), encoding="utf-8")
+        assert_documented(eval_argv(eval_paths))
+    finally:
+        eval_paths[which].write_text(EVAL_BASE[which])
 
 
 def test_huge_match_coordinate_solves_cleanly(tmp_path):

@@ -132,13 +132,13 @@ class TestParse:
 
 
 def with_comments(text: str) -> str:
-    """`text` with ' # x' after every M row, which sends each record's rows
-    to the row reader; line ends are kept."""
+    r"""`text` with ' # x' after every M row, which sends each record's rows
+    to the row reader; lines end at '\n', and a '\r' before it is kept."""
     out = []
-    for line in text.splitlines(keepends=True):
-        body = line.rstrip("\r\n")
+    for line in text.split("\n"):
+        body = line.rstrip("\r")
         out.append(body + " # x" + line[len(body):] if body.split()[:1] == ["M"] else line)
-    return "".join(out)
+    return "\n".join(out)
 
 
 def parse_tracking_blocks(text: str):
@@ -158,6 +158,13 @@ def parse_tracking_blocks(text: str):
 
 def match_bytes(graph: ProblemGraph) -> list[bytes]:
     return [c.p.tobytes() + c.q.tobytes() for c in graph.odometry + graph.loops]
+
+
+SPACES = ["\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029"]
+LINE_RULE_DOC = (
+    "PCG 1 3\nODOM 0 2\nM 1 2 3 4 5 6\nM 1 2 3{row}4 5 6\n# a{comment}ODOM is here\n{between}\n"
+    "ODOM 1 1\nM 0.5 1 1.5 2 2.5 3\nLOOP 0 2 1\nM 1 1 1 2 2 2\n"
+)
 
 
 class TestBlockReader:
@@ -203,6 +210,22 @@ class TestBlockReader:
         row = np.concatenate([odom.p[1], odom.q[1]])
         assert np.array_equal(row, [1, float(token), 3, 4, 5, float(token)], equal_nan=True)
 
+    @pytest.mark.parametrize("space", SPACES, ids=ascii)
+    @pytest.mark.parametrize("where", ["row", "comment", "between"])
+    def test_whitespace_that_ends_no_line(self, where, space):
+        r"""A character `str.isspace` accepts, other than '\n', inside an M
+        row, inside a comment or on a line of its own between two records
+        reads as a plain space there, and line numbers count '\n' only."""
+        slots = {"row": " ", "comment": " ", "between": " "}
+        plain = LINE_RULE_DOC.format(**slots)
+        text = LINE_RULE_DOC.format(**{**slots, where: space})
+        self.assert_readers_agree(text)
+        assert write_graph(parse(text)) == write_graph(parse(plain))
+        for doc in (text, with_comments(text)):
+            with pytest.raises(ParseError) as exc:
+                parse(doc + "M 1 2 3 4 5 6\n")
+            assert (exc.value.line_no, exc.value.reason) == (11, "stray M record outside ODOM/LOOP")
+
     @pytest.mark.parametrize("token", ["0x1p3", "1__0", "_1", "1_"])
     def test_tokens_float_refuses(self, token):
         text = f"PCG 1 2\nODOM 0 3\nM 1 2 3 4 5 6\nM 1 2 {token} 4 5 6\nM 1 2 3 4 5 6\n"
@@ -234,8 +257,8 @@ MALFORMED = [
     ("PCG 1 3\nEDGE 0 1\n", 2, "unknown record kind"),
     ("PCG 1 2\nODOM 0 1 9\n", 2, "ODOM record needs"),
     ("PCG 1 4\nLOOP 0 2\n", 2, "LOOP record needs"),
-    # a record's numbers are converted in one batch, after its rows are read:
-    # the first error in line order still wins
+    # a record's rows are checked and converted in line order: the first
+    # error in line order wins
     ("PCG 1 2\nODOM 0 3\nM 1 2 x 4 5 6\nM 1 2 3 4 5 6\nM 1 2 3 4 5\n", 3, "expected number, got 'x'"),
     ("PCG 1 2\nODOM 0 3\nM 1 2 3 4 5 6\nM 1 2 3 4 5 y\n", 4, "expected number, got 'y'"),
     ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nM 1 2 3 4 5\nM 1 2 3 4 5 z\n", 4, "needs 6 numbers"),
@@ -254,9 +277,10 @@ MALFORMED = [
     # block's checks and is decided, as before, row by row. The tokens of
     # these two rows line up in sevens, but the first row has 7 numbers:
     ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6 M\n1 2 3 4 5 6\n", 3, "needs 6 numbers, got 7"),
-    # a form feed or a line separator inside a row ends its line
-    ("PCG 1 2\nODOM 0 1\nM 1 2 3\x0c4 5 6\n", 3, "needs 6 numbers, got 3"),
-    ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nM 1 2\u20283 4 5 6\n", 4, "needs 6 numbers, got 2"),
+    # a form feed inside a row, or a line separator inside a comment, is
+    # whitespace: lines end at '\n' only
+    ("PCG 1 2\nODOM 0 1\nM 1 2 3\x0c4 5\n", 3, "needs 6 numbers, got 5"),
+    ("PCG 1 2\n# a\u2028b\nODOM 0 2\nM 1 2 3 4 5 6\nM 1 2 3 4 5\n", 5, "needs 6 numbers, got 5"),
     # a row of 7 tokens whose first is not M
     ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nm 1 2 3 4 5 6\n", 4, "expected M record 2 of 2 for ODOM 0"),
     # the block runs into the next record's header
@@ -271,6 +295,15 @@ class TestMalformedInput:
             parse(doc)
         assert exc.value.line_no == line
         assert fragment in exc.value.reason
+
+    def test_form_feed_in_a_comment_is_whitespace(self):
+        graph = parse("PCG 1 2\n# a\x0cODOM is here\nODOM 0 1\nM 1 2 3 4 5 6\n")
+        assert len(graph.odometry) == 1 and graph.odometry[0].size == 1
+
+    def test_line_numbers_count_newlines_only(self):
+        with pytest.raises(ParseError) as exc:
+            parse("PCG 1 2\n# note\x85\nODOM 0 1\nM 1 2 3 4 5\n")
+        assert exc.value.line_no == 4 and exc.value.reason == "M record needs 6 numbers, got 5"
 
     def test_semantic_problems_defer_to_validate(self):
         # short loop parses fine; validate is the one to reject it
