@@ -14,18 +14,30 @@ Lines end at '\n'; a '\r' before it, and any other whitespace inside a line
 (`str.isspace`), separates tokens, so a lone '\r' is whitespace. Numbers are
 written with 17 significant digits so every float round-trips exactly;
 writers emit records in canonical order (by id, then by (i, j)).
+
+A parse makes one pass over the lines. An ODOM/LOOP record whose k raw lines
+are plain M rows (after any leading whitespace, `M` and a space or tab, and
+no '#') is deferred; after the pass every deferred row, its `M` dropped, is
+converted by one np.loadtxt call. A run of INIT or GT rows, or of POSE rows
+in a pose file, is read as one block. The row reader, which checks and
+converts each row as it reads it, decides what a block does not take: a
+record or run with a comment, a blank line or an error; every deferred
+record, in file order, when loadtxt refuses their rows; and the deferred
+records before a line at which the pass raises. So every ParseError names
+the first bad line, with the reason the row reader gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .em import EmTrace
 from .model import LoopClosureConstraint, OdometryConstraint, ProblemGraph
-from .se3 import Pose
+from .se3 import Pose, unstack
 
 
 class ParseError(Exception):
@@ -42,16 +54,6 @@ def _fmt(x: float) -> str:
 def _pose_fields(p: Pose) -> str:
     t, q = p.trans, p.quat
     return " ".join(_fmt(v) for v in (t[0], t[1], t[2], q[0], q[1], q[2], q[3]))
-
-
-def _parse_pose(parts: list[str], line_no: int) -> Pose:
-    vals = [_float(v, line_no) for v in parts]
-    if not np.isfinite(vals).all():
-        raise ParseError(line_no, "pose values must be finite")
-    try:
-        return Pose(np.array(vals[3:7]), np.array(vals[0:3]))
-    except ValueError as err:  # a zero quaternion has no rotation
-        raise ParseError(line_no, str(err)) from None
 
 
 def _int(token: str, line_no: int) -> int:
@@ -72,16 +74,19 @@ class _Lines:
     r"""Token stream over non-empty, comment-stripped lines, which end at '\n'.
     `raw` holds them and `at` the index of the next one to read; `rows`
     yields (line number, tokens) from that cursor, splitting each line only
-    when it reaches it. A record's M rows are split and converted as one
-    block (`_read_block`), which moves the same cursor; a block that holds a
-    comment, a blank line or an error goes through `rows` instead."""
+    when it reaches it. A reader that takes a run of raw lines at once moves
+    the same cursor forward; `seek` moves it anywhere, back too, and makes
+    `rows` anew there, as a generator that has run out stays spent."""
 
     def __init__(self, text: str):
         self.raw = text.split("\n")
         if not self.raw[-1]:  # the empty piece after a final '\n', or of ""
             self.raw.pop()
-        self.at = 0
         self.last_no = len(self.raw) + 1
+        self.seek(0)
+
+    def seek(self, at: int) -> None:
+        self.at = at
         self.rows = self._rows()
 
     def _rows(self):
@@ -93,49 +98,119 @@ class _Lines:
                 yield self.at, parts
 
 
-def _read_matches(lines: _Lines, count: int, what: str, header_no: int):
-    """The `count` M rows after a record's header, on line header_no, as
-    C-contiguous (count, 3) arrays p and q. The rows are read as one block
-    when they can be; otherwise each row is checked and converted as it is
-    read, so errors keep line order: a bad number on an earlier row is
-    reported before a short or missing later row."""
+_POSE_USAGE = "expected: POSE <id> tx ty tz qw qx qy qz"
+
+
+def _read_poses(lines: _Lines, no: int, parts: list[str], store: dict[int, Pose], n: int | None) -> None:
+    """Stores the run of pose rows that starts with `parts`, the INIT, GT or
+    POSE row on line `no` that `lines` read last. The run is that row and the
+    raw lines right after it that hold the same kind; a run holds no '#', so
+    a row with a comment is a run of its own. A run is read as one block
+    when it passes every check (`_pose_block`), else row by row, so the first
+    bad row in line order raises, with its own reason. `n` is the graph's
+    fragment count, or None for a pose file, whose ids have no upper bound."""
+    kind, raw, run = parts[0], lines.raw, [parts]
+    if "#" not in raw[lines.at - 1]:
+        while lines.at < len(raw) and "#" not in raw[lines.at] and (tokens := raw[lines.at].split())[:1] == [kind]:
+            run.append(tokens)
+            lines.at += 1
+        if _pose_block(run, store, n):
+            return
+    for k, tokens in enumerate(run):
+        _pose_row(no + k, tokens, store, n)
+
+
+def _pose_block(run: list[list[str]], store: dict[int, Pose], n: int | None) -> bool:
+    """Stores a run's poses if its rows pass the row reader's checks, each
+    made once over the whole run: 9 tokens, integer ids in range and not yet
+    stored, numbers `float` takes, all finite, and quaternion norms that
+    `Pose` accepts; else stores nothing and returns False."""
+    if any(len(tokens) != 9 for tokens in run):
+        return False
+    try:
+        ids = [int(tokens[1]) for tokens in run]
+        vals = np.fromiter(map(float, chain.from_iterable(tokens[2:] for tokens in run)), float, count=7 * len(run))
+    except ValueError:
+        return False
+    if min(ids) < 0 or (n is not None and max(ids) >= n):
+        return False
+    if len(set(ids)) < len(ids) or not store.keys().isdisjoint(ids):
+        return False
+    vals = vals.reshape(-1, 7)
+    if not np.isfinite(vals).all():
+        return False
+    try:
+        poses = unstack(vals[:, 3:], vals[:, :3])
+    except ValueError:  # a quaternion norm below 1e-9 or past the float range
+        return False
+    store.update(zip(ids, poses))
+    return True
+
+
+def _pose_row(no: int, parts: list[str], store: dict[int, Pose], n: int | None) -> None:
+    kind = parts[0]
+    if len(parts) != 9:
+        raise ParseError(no, _POSE_USAGE if n is None else f"{kind} record needs id plus 7 numbers")
+    idx = _int(parts[1], no)
+    if n is None and idx < 0:
+        raise ParseError(no, f"POSE id {idx} is negative")
+    if n is not None and not 0 <= idx < n:
+        raise ParseError(no, f"{kind} id {idx} out of range [0, {n - 1}]")
+    if idx in store:
+        raise ParseError(no, f"duplicate {kind} record for fragment {idx}")
+    vals = [_float(v, no) for v in parts[2:]]
+    if not np.isfinite(vals).all():
+        raise ParseError(no, "pose values must be finite")
+    try:
+        store[idx] = Pose(np.array(vals[3:7]), np.array(vals[0:3]))
+    except ValueError as err:  # a quaternion norm below 1e-9 or past the float range
+        raise ParseError(no, str(err)) from None
+
+
+@dataclass
+class _Matches:
+    """The `count` M rows of an ODOM/LOOP record, from raw line `start` on;
+    p and q, each (count, 3) and C-contiguous, once they are read."""
+
+    what: str
+    start: int
+    count: int
+    p: np.ndarray | None = None
+    q: np.ndarray | None = None
+
+
+_PLAIN_HEADS = {"M ", "M\t"}
+_HEAD = itemgetter(slice(2))
+
+
+def _read_matches(lines: _Lines, count: int, what: str, header_no: int, deferred: list[_Matches]) -> _Matches:
+    """The `count` M rows after a record's header, on line header_no. Plain
+    M rows are deferred: after any leading whitespace each raw line is `M`
+    and a space or tab, and none holds a '#', so the row reader would take
+    exactly these lines, none blank or a comment. The cursor moves past them
+    and the record joins `deferred`, which `_read_deferred` converts after
+    the pass. Any other rows are read now by the row reader."""
     if count < 0:
         raise ParseError(header_no, f"negative match count {count}")
-    vals = _read_block(lines, count)
-    if vals is None:
-        vals = np.array(_read_rows(lines, count, what))
-    vals = vals.reshape(count, 6)
-    return np.ascontiguousarray(vals[:, :3]), np.ascontiguousarray(vals[:, 3:])
+    matches = _Matches(what, lines.at, count)
+    seg = lines.raw[lines.at : lines.at + count]
+    if (
+        count
+        and len(seg) == count
+        and set(map(_HEAD, map(str.lstrip, seg))) <= _PLAIN_HEADS
+        and "#" not in "".join(seg)
+    ):
+        lines.at += count
+        deferred.append(matches)
+    else:
+        _read_rows(lines, matches)
+    return matches
 
 
-def _read_block(lines: _Lines, count: int) -> np.ndarray | None:
-    """The next `count` raw lines' numbers, 6 a line, if each line is `M`
-    and 6 numbers `float` accepts; then the cursor moves past them. Else
-    None, and nothing is consumed. A blank line has no 7 tokens, and a '#'
-    would sit in the first token, which is then not `M`, or in one that
-    `float` refuses. So a block that passes holds no blank line or comment,
-    and `rows` would yield exactly these lines and tokens."""
-    block = lines.raw[lines.at : lines.at + count]
-    if len(block) != count:  # nothing sized by count is built before this
-        return None
-    rows = list(map(str.split, block))
-    if list(map(len, rows)) != [7] * count:
-        return None
-    flat = list(chain.from_iterable(rows))
-    if flat[::7] != ["M"] * count:
-        return None
-    del flat[::7]
-    try:
-        vals = np.fromiter(map(float, flat), float, count=6 * count)
-    except ValueError:
-        return None
-    lines.at += count
-    return vals
-
-
-def _read_rows(lines: _Lines, count: int, what: str) -> list[float]:
-    """The numbers of the next `count` M rows, each checked and converted as
+def _read_rows(lines: _Lines, matches: _Matches) -> None:
+    """Reads the record's rows from the cursor, each checked and converted as
     it is read; a ParseError names the first bad row or number in line order."""
+    count, what = matches.count, matches.what
     vals: list[float] = []
     # zip draws on range(count) first, so it stops without taking a row too
     # many, and range takes counts past sys.maxsize, which islice does not
@@ -147,7 +222,40 @@ def _read_rows(lines: _Lines, count: int, what: str) -> list[float]:
         vals += [_float(v, no) for v in parts[1:]]
     if len(vals) < 6 * count:
         raise ParseError(lines.last_no, f"expected M record {len(vals) // 6 + 1} of {count} for {what}")
-    return vals
+    block = np.array(vals).reshape(count, 6)
+    matches.p, matches.q = np.ascontiguousarray(block[:, :3]), np.ascontiguousarray(block[:, 3:])
+
+
+def _reread(lines: _Lines, deferred: list[_Matches]) -> None:
+    """Reads the deferred records with the row reader, in file order."""
+    for matches in deferred:
+        lines.seek(matches.start)
+        _read_rows(lines, matches)
+
+
+def _read_deferred(lines: _Lines, deferred: list[_Matches]) -> None:
+    r"""Converts the deferred records' rows, their `M` dropped, with one
+    np.loadtxt: its C tokenizer splits on the whitespace `str.split` splits
+    on, and its correctly rounded conversion gives the bits `float` gives.
+    It takes no `usecols`, so a row of 7 numbers fails the shape check. When
+    loadtxt refuses the rows (a token only `float` takes, such as `1_0`, or a
+    '\r' inside a row) or returns another shape, `_reread` decides instead."""
+    if not deferred:
+        return  # loadtxt warns on empty input
+    raw = lines.raw
+    rows = (line.lstrip()[1:] for m in deferred for line in raw[m.start : m.start + m.count])
+    try:
+        vals = np.loadtxt(rows, comments=None, ndmin=2)
+    except ValueError:
+        vals = None
+    if vals is None or vals.shape != (sum(m.count for m in deferred), 6):
+        _reread(lines, deferred)
+        return
+    p, q = np.ascontiguousarray(vals[:, :3]), np.ascontiguousarray(vals[:, 3:])
+    at = 0
+    for m in deferred:
+        m.p, m.q = p[at : at + m.count], q[at : at + m.count]
+        at += m.count
 
 
 def parse(text: str) -> ProblemGraph:
@@ -171,49 +279,48 @@ def parse(text: str) -> ProblemGraph:
 
     init: dict[int, Pose] = {}
     gt: dict[int, Pose] = {}
-    odometry: list[OdometryConstraint] = []
-    loops: list[LoopClosureConstraint] = []
+    odometry: list[tuple[int, _Matches]] = []
+    loops: list[tuple[int, int, _Matches]] = []
     labels: dict[tuple[int, int], bool] = {}
+    deferred: list[_Matches] = []
 
-    for no, parts in lines.rows:
-        kind = parts[0]
-        if kind in ("INIT", "GT"):
-            if len(parts) != 9:
-                raise ParseError(no, f"{kind} record needs id plus 7 numbers")
-            idx = _int(parts[1], no)
-            if not 0 <= idx < n:
-                raise ParseError(no, f"{kind} id {idx} out of range [0, {n - 1}]")
-            store = init if kind == "INIT" else gt
-            if idx in store:
-                raise ParseError(no, f"duplicate {kind} record for fragment {idx}")
-            store[idx] = _parse_pose(parts[2:], no)
-        elif kind == "ODOM":
-            if len(parts) != 3:
-                raise ParseError(no, "ODOM record needs <i> <match count>")
-            i = _int(parts[1], no)
-            p, q = _read_matches(lines, _int(parts[2], no), f"ODOM {i}", no)
-            odometry.append(OdometryConstraint(i, p, q))
-        elif kind == "LOOP":
-            if len(parts) != 4:
-                raise ParseError(no, "LOOP record needs <i> <j> <match count>")
-            i = _int(parts[1], no)
-            j = _int(parts[2], no)
-            p, q = _read_matches(lines, _int(parts[3], no), f"LOOP {i} {j}", no)
-            loops.append(LoopClosureConstraint(i, j, p, q))
-        elif kind == "LABEL":
-            if len(parts) != 4:
-                raise ParseError(no, "LABEL record needs <i> <j> <0|1>")
-            i = _int(parts[1], no)
-            j = _int(parts[2], no)
-            if parts[3] not in ("0", "1"):
-                raise ParseError(no, f"LABEL value must be 0 or 1, got {parts[3]!r}")
-            if (i, j) in labels:
-                raise ParseError(no, f"duplicate LABEL for loop ({i}, {j})")
-            labels[(i, j)] = parts[3] == "1"
-        elif kind == "M":
-            raise ParseError(no, "stray M record outside ODOM/LOOP")
-        else:
-            raise ParseError(no, f"unknown record kind {kind!r}")
+    try:
+        for no, parts in lines.rows:
+            kind = parts[0]
+            if kind in ("INIT", "GT"):
+                _read_poses(lines, no, parts, init if kind == "INIT" else gt, n)
+            elif kind == "ODOM":
+                if len(parts) != 3:
+                    raise ParseError(no, "ODOM record needs <i> <match count>")
+                i = _int(parts[1], no)
+                odometry.append((i, _read_matches(lines, _int(parts[2], no), f"ODOM {i}", no, deferred)))
+            elif kind == "LOOP":
+                if len(parts) != 4:
+                    raise ParseError(no, "LOOP record needs <i> <j> <match count>")
+                i = _int(parts[1], no)
+                j = _int(parts[2], no)
+                loops.append((i, j, _read_matches(lines, _int(parts[3], no), f"LOOP {i} {j}", no, deferred)))
+            elif kind == "LABEL":
+                if len(parts) != 4:
+                    raise ParseError(no, "LABEL record needs <i> <j> <0|1>")
+                i = _int(parts[1], no)
+                j = _int(parts[2], no)
+                if parts[3] not in ("0", "1"):
+                    raise ParseError(no, f"LABEL value must be 0 or 1, got {parts[3]!r}")
+                if (i, j) in labels:
+                    raise ParseError(no, f"duplicate LABEL for loop ({i}, {j})")
+                labels[(i, j)] = parts[3] == "1"
+            elif kind == "M":
+                raise ParseError(no, "stray M record outside ODOM/LOOP")
+            else:
+                raise ParseError(no, f"unknown record kind {kind!r}")
+    except ParseError:
+        try:  # a bad deferred row lies before the error: it is the first in line order
+            _reread(lines, deferred)
+        except ParseError as earlier:
+            raise earlier from None
+        raise
+    _read_deferred(lines, deferred)
 
     def _collect(store: dict[int, Pose], kind: str) -> list[Pose] | None:
         if not store:
@@ -226,8 +333,8 @@ def parse(text: str) -> ProblemGraph:
 
     return ProblemGraph(
         num_fragments=n,
-        odometry=odometry,
-        loops=loops,
+        odometry=[OdometryConstraint(i, m.p, m.q) for i, m in odometry],
+        loops=[LoopClosureConstraint(i, j, m.p, m.q) for i, j, m in loops],
         initial_poses=_collect(init, "INIT"),
         ground_truth=_collect(gt, "GT"),
         oracle_labels=labels or None,
@@ -268,12 +375,9 @@ def parse_poses(text: str) -> list[Pose]:
     lines = _Lines(text)
     store: dict[int, Pose] = {}
     for no, parts in lines.rows:
-        if parts[0] != "POSE" or len(parts) != 9:
-            raise ParseError(no, "expected: POSE <id> tx ty tz qw qx qy qz")
-        idx = _int(parts[1], no)
-        if idx in store:
-            raise ParseError(no, f"duplicate POSE record for fragment {idx}")
-        store[idx] = _parse_pose(parts[2:], no)
+        if parts[0] != "POSE":
+            raise ParseError(no, _POSE_USAGE)
+        _read_poses(lines, no, parts, store, None)
     missing = [i for i in range(len(store)) if i not in store]
     if missing:
         raise ParseError(lines.last_no, f"missing POSE record {missing[0]}")

@@ -53,6 +53,24 @@ def _canonical_quat(q: np.ndarray) -> np.ndarray:
     return _canonical_quats(q)
 
 
+def _canonical_rows(q: np.ndarray) -> np.ndarray:
+    """A new (N, 4) array of what `_canonical_quat` makes of each row of
+    (N, 4) quaternions, bit for bit, in one batch; raises its ValueError if
+    any row would. Each norm is the (1, 4) @ (4, 1) product of its row, the
+    dot `q @ q` that `_canonical_quat` rounds."""
+    q = np.array(q, dtype=float).reshape(-1, 4)
+    with np.errstate(over="ignore"):  # reported below
+        n = np.sqrt(np.matmul(q[:, None, :], q[:, :, None]).reshape(-1))
+    if np.count_nonzero(n < 1e-9):
+        raise ValueError("quaternion norm too small to normalize")
+    if np.count_nonzero(n == np.inf):
+        raise ValueError("quaternion norm too large to normalize")
+    redo = ~((q[:, 0] > 0.0) & (np.abs(n - 1.0) <= _UNIT_TOL))
+    if np.count_nonzero(redo):
+        q[redo] = _canonical_quats(q[redo])
+    return q
+
+
 @dataclass
 class Pose:
     """A rigid transform: unit quaternion (w,x,y,z) plus translation (m).
@@ -145,8 +163,15 @@ def stack(poses) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unstack(quats: np.ndarray, trans: np.ndarray) -> list[Pose]:
-    """Poses of (N, 4) canonical quaternions and (N, 3) translations."""
-    return [Pose(q, t) for q, t in zip(quats, trans)]
+    """Poses of (N, 4) quaternions and (N, 3) translations, made canonical in
+    one batch, the bits `Pose` makes one at a time; raises ValueError as
+    `Pose` does. Each pose holds views of its rows of the new arrays."""
+    poses = []
+    for q, t in zip(_canonical_rows(quats), np.array(trans, dtype=float).reshape(-1, 3)):
+        pose = object.__new__(Pose)  # skips __post_init__: q is canonical already
+        pose.quat, pose.trans = q, t
+        poses.append(pose)
+    return poses
 
 
 def compose_arrays(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:

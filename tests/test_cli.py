@@ -526,6 +526,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
 
+    def test_negative_pose_id_exit_code(self, tmp_path, scenario_file, capsys):
+        """A negative POSE id is refused at its own line, not as a missing
+        record at the end of the file."""
+        poses = tmp_path / "poses.txt"
+        poses.write_text("POSE -1 0 0 0 1 0 0 0\nPOSE 0 0 0 0 1 0 0 0\n")
+        report = tmp_path / "report.txt"
+        report.write_text("")
+        code = run_cli(["eval", "--poses", str(poses), "--graph", str(scenario_file),
+                        "--labels-from-report", str(report)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == [f"error: {poses}: line 1: POSE id -1 is negative"]
+
 
     @pytest.mark.parametrize("count", [3, 96, 101])
     def test_wrong_pose_count_exit_code(self, tmp_path, capsys, count):

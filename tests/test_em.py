@@ -333,16 +333,23 @@ class TestRunEm:
 
     def test_makes_pose_objects_only_at_its_return(self, monkeypatch):
         """run_em holds its poses as arrays from initialization on and makes
-        one Pose per fragment, at its return."""
+        one Pose per fragment, at its return. `unstack` makes its poses
+        without `__post_init__`, so both are counted."""
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
         made = []
-        real = se3.Pose.__post_init__
+        real_post_init, real_unstack = se3.Pose.__post_init__, se3.unstack
 
         def counted(pose):
             made.append(pose)
-            real(pose)
+            real_post_init(pose)
+
+        def counted_unstack(quats, trans):
+            poses = real_unstack(quats, trans)
+            made.extend(poses)
+            return poses
 
         monkeypatch.setattr(se3.Pose, "__post_init__", counted)
+        monkeypatch.setattr(se3, "unstack", counted_unstack)
         poses, _, trace = em.run_em(graph, Hyperparams())
         assert len(trace) >= 2
         assert len(made) == graph.num_fragments

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustpgo import graphio, se3
 from robustpgo.em import EmIteration, EmTrace, classify_loops, run_em
@@ -18,6 +20,7 @@ from robustpgo.graphio import (
 )
 from robustpgo.model import Hyperparams, LoopClosureConstraint, OdometryConstraint, ProblemGraph
 from robustpgo.synth import ScenarioConfig, generate
+from test_se3 import near_unit_quats
 
 MINIMAL = """# two fragments, one odometry constraint
 PCG 1 2
@@ -110,10 +113,10 @@ class TestParse:
             assert c.p.flags.c_contiguous and c.q.flags.c_contiguous
 
     def test_peak_memory_stays_within_three_times_the_text(self):
-        """The parse holds the text's line list and the tokens and numbers of
-        one record's M rows, which it splits and converts as one block, so
-        its traced peak stays near the line list's size (about twice the
-        text), not that of every line's tokens at once (7x)."""
+        """The parse holds the text's line list and the numbers of every M
+        row, which one np.loadtxt call converts after the pass, and never
+        every line's tokens at once (7x), so its traced peak stays near
+        2.4 times the text."""
         text = write_graph(generate(ScenarioConfig(num_fragments=100, seed=0)))
         tracemalloc.start()
         try:
@@ -141,19 +144,31 @@ def with_comments(text: str) -> str:
     return "\n".join(out)
 
 
-def parse_tracking_blocks(text: str):
-    """parse(text), and per record whether its M rows were read as one block."""
-    taken = []
-    read_block = graphio._read_block
+def parse_tracking_bulk(text: str):
+    """parse(text), and per ODOM/LOOP record whether its M rows were
+    converted in bulk, by the one np.loadtxt call, and not by the row reader."""
+    records, by_rows = [], []
+    read_matches, read_rows = graphio._read_matches, graphio._read_rows
 
-    def spy(lines, count):
-        vals = read_block(lines, count)
-        taken.append(vals is not None)
-        return vals
+    def spy_matches(*args):
+        records.append(read_matches(*args))
+        return records[-1]
+
+    def spy_rows(lines, matches):
+        by_rows.append(id(matches))
+        read_rows(lines, matches)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphio, "_read_block", spy)
-        return parse(text), taken
+        mp.setattr(graphio, "_read_matches", spy_matches)
+        mp.setattr(graphio, "_read_rows", spy_rows)
+        graph = parse(text)
+    return graph, [id(m) not in by_rows for m in records]
+
+
+def parse_error(text: str) -> tuple[int, str]:
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    return exc.value.line_no, exc.value.reason
 
 
 def match_bytes(graph: ProblemGraph) -> list[bytes]:
@@ -168,15 +183,16 @@ LINE_RULE_DOC = (
 
 
 class TestBlockReader:
-    """A record's M rows are read as one block when every row is `M` and 6
-    numbers; any other block goes to the row reader. Each document is parsed
-    as written and with a comment on every M row, which the block reader
-    never takes: both must give the same graph, or the same error."""
+    """A record whose raw lines are plain M rows waits for the one np.loadtxt
+    call after the pass; when loadtxt refuses the rows, the row reader reads
+    every waiting record. Each document is parsed as written and with a
+    comment on every M row, which is never converted in bulk: both must give
+    the same graph, or the same error."""
 
-    def assert_readers_agree(self, text: str, blocks: bool = True):
-        graph, taken = parse_tracking_blocks(text)
-        commented, taken_commented = parse_tracking_blocks(with_comments(text))
-        assert taken and all(taken) == blocks and not any(taken_commented)
+    def assert_readers_agree(self, text: str, bulk: bool = True):
+        graph, taken = parse_tracking_bulk(text)
+        commented, taken_commented = parse_tracking_bulk(with_comments(text))
+        assert taken and all(taken) == bulk and not any(taken_commented)
         assert write_graph(graph) == write_graph(commented) and match_bytes(graph) == match_bytes(commented)
 
     @pytest.mark.parametrize(
@@ -199,13 +215,15 @@ class TestBlockReader:
     def test_a_comment_glued_to_a_number(self):
         text = write_graph(generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=4)))
         glued = "".join(f"{line}#c\n" if line.startswith("M ") else f"{line}\n" for line in text.splitlines())
-        self.assert_readers_agree(glued, blocks=False)
+        self.assert_readers_agree(glued, bulk=False)
         assert graphs_equal(parse(glued), parse(text))
 
     @pytest.mark.parametrize("token", ["1_0", "+.5", "-0", "inf", "-Infinity", "nan", "1E5", "\u0661\u0662"])
     def test_tokens_float_accepts(self, token):
+        """loadtxt takes the tokens `float` takes, but for underscores and
+        digits outside ASCII, which send the rows to the row reader."""
         text = f"PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nM 1 {token} 3 4 5 {token}\n"
-        self.assert_readers_agree(text)
+        self.assert_readers_agree(text, bulk=token.isascii() and "_" not in token)
         odom = parse(text).odometry[0]
         row = np.concatenate([odom.p[1], odom.q[1]])
         assert np.array_equal(row, [1, float(token), 3, 4, 5, float(token)], equal_nan=True)
@@ -215,11 +233,13 @@ class TestBlockReader:
     def test_whitespace_that_ends_no_line(self, where, space):
         r"""A character `str.isspace` accepts, other than '\n', inside an M
         row, inside a comment or on a line of its own between two records
-        reads as a plain space there, and line numbers count '\n' only."""
+        reads as a plain space there, and line numbers count '\n' only.
+        loadtxt ends a line at a '\r', so one inside a row sends the rows to
+        the row reader."""
         slots = {"row": " ", "comment": " ", "between": " "}
         plain = LINE_RULE_DOC.format(**slots)
         text = LINE_RULE_DOC.format(**{**slots, where: space})
-        self.assert_readers_agree(text)
+        self.assert_readers_agree(text, bulk=(where, space) != ("row", "\r"))
         assert write_graph(parse(text)) == write_graph(parse(plain))
         for doc in (text, with_comments(text)):
             with pytest.raises(ParseError) as exc:
@@ -236,7 +256,47 @@ class TestBlockReader:
             errors.append((exc.value.line_no, exc.value.reason))
         assert errors == [(4, f"expected number, got {token!r}")] * 2
 
+    @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\u0661\u0662", 12.0), ("\r", None)])
+    def test_one_record_that_loadtxt_refuses(self, token, value):
+        """One record among many whose row holds a token only `float` takes,
+        or a '\r' inside it, sends every waiting record to the row reader,
+        and the document parses as its commented twin does."""
+        lines = write_graph(generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=6))).split("\n")
+        at = [k for k, line in enumerate(lines) if line.startswith("M ")][40]
+        row = lines[at].split()
+        if value is None:  # a separator
+            lines[at] = " ".join(row[:3]) + token + " ".join(row[3:])
+        else:
+            lines[at] = " ".join(row[:3] + [token] + row[4:])
+        text = "\n".join(lines)
+        graph, taken = parse_tracking_bulk(text)
+        commented, _ = parse_tracking_bulk(with_comments(text))
+        assert len(taken) > 20 and not any(taken)
+        assert write_graph(graph) == write_graph(commented) and match_bytes(graph) == match_bytes(commented)
+        if value is not None:
+            assert value in np.concatenate([c.p for c in graph.odometry + graph.loops])
 
+    def test_a_bad_row_before_a_bad_header(self):
+        """A bad number in the 3rd record is reported, not the malformed
+        header after the 5th that stops the pass with the 3rd still waiting."""
+        doc = "PCG 1 7\n" + "".join(f"ODOM {i} 2\nM 1 2 3 4 5 6\nM 1 2 3 4 5 6\n" for i in range(6))
+        lines = doc.split("\n")
+        lines[8] = "M 1 2 3 4 5 x"  # line 9, the 3rd record's first row
+        lines[16] = "ODOM 5"  # line 17, the 6th record's header
+        doc = "\n".join(lines)
+        for text in (doc, with_comments(doc)):
+            assert parse_error(text) == (9, "expected number, got 'x'")
+
+    def test_rows_of_seven_numbers(self):
+        """Every row holds 7 numbers: loadtxt reads them all, as it takes no
+        `usecols`, and the shape sends them to the row reader, which fails
+        the first, as before."""
+        doc = "PCG 1 3\nODOM 0 2\nM 1 2 3 4 5 6 7\nM 1 2 3 4 5 6 7\nODOM 1 1\nM 1 2 3 4 5 6 7\n"
+        for text in (doc, with_comments(doc)):
+            assert parse_error(text) == (3, "M record needs 6 numbers, got 7")
+
+
+I = "0 0 0 1 0 0 0"  # the identity pose's fields
 MALFORMED = [
     ("", 1, "empty document"),
     ("FOO 1 2\n", 1, "expected header"),
@@ -285,6 +345,16 @@ MALFORMED = [
     ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nm 1 2 3 4 5 6\n", 4, "expected M record 2 of 2 for ODOM 0"),
     # the block runs into the next record's header
     ("PCG 1 3\nODOM 0 2\nM 1 2 3 4 5 6\nODOM 1 1\nM 1 2 3 4 5 6\n", 4, "expected M record 2 of 2 for ODOM 0"),
+    # a run of INIT or GT rows fails its block checks at a later row, and the
+    # row reader names that row
+    (f"PCG 1 3\nGT 0 {I}\nGT 1 0 0 0 1 0 0\n", 3, "GT record needs id plus 7 numbers"),
+    (f"PCG 1 3\nINIT 0 {I}\nINIT 1 {I}\nINIT one {I}\n", 4, "expected integer, got 'one'"),
+    (f"PCG 1 3\nGT 0 {I}\nGT 3 {I}\n", 3, "GT id 3 out of range [0, 2]"),
+    (f"PCG 1 3\nINIT 0 {I}\nINIT 1 {I}\nINIT 1 {I}\n", 4, "duplicate INIT record for fragment 1"),
+    (f"PCG 1 3\nINIT 0 {I}\nGT 0 {I}\nINIT 0 {I}\n", 4, "duplicate INIT record for fragment 0"),
+    (f"PCG 1 3\nGT 0 {I}\nGT 1 0 0 nan 1 0 0 0\n", 3, "pose values must be finite"),
+    (f"PCG 1 3\nINIT 0 {I}\nINIT 1 0 0 0 0 0 0 0\n", 3, "quaternion norm too small to normalize"),
+    (f"PCG 1 3\nGT 0 {I}\nGT 1 {I}\nGT 2 0 0 0 1e200 0 0 0\n", 4, "quaternion norm too large to normalize"),
 ]
 
 
@@ -335,6 +405,11 @@ class TestPoseIO:
         with pytest.raises(ParseError, match="missing POSE"):
             parse_poses("POSE 0 0 0 0 1 0 0 0\nPOSE 2 0 0 0 1 0 0 0\n")
 
+    def test_negative_pose_record(self):
+        with pytest.raises(ParseError) as exc:
+            parse_poses("POSE -1 0 0 0 1 0 0 0\nPOSE 0 0 0 0 1 0 0 0\n")
+        assert (exc.value.line_no, exc.value.reason) == (1, "POSE id -1 is negative")
+
     def test_duplicate_pose_record(self):
         with pytest.raises(ParseError, match="duplicate POSE"):
             parse_poses("POSE 0 0 0 0 1 0 0 0\nPOSE 0 0 0 0 1 0 0 0\n")
@@ -343,6 +418,59 @@ class TestPoseIO:
         with pytest.raises(ParseError) as exc:
             parse_poses("POSE 0 0 0 0 1 0 0\n")
         assert exc.value.line_no == 1
+
+
+@st.composite
+def pose_runs(draw):
+    """Fields of 1 to 12 poses as write_poses writes them, in a random id
+    order, with quaternions as `near_unit_quats` draws them."""
+    n = draw(st.integers(1, 12))
+    quats = [draw(near_unit_quats()) for _ in range(n)]
+    trans = draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return [f"{i} " + " ".join(map(graphio._fmt, [*trans[i], *quats[i]])) for i in order]
+
+
+def parse_counting_rows(parse_fn, text: str):
+    """parse_fn(text), and how many pose rows the row reader read."""
+    calls = []
+    pose_row = graphio._pose_row
+
+    def spy(*args):
+        calls.append(args[0])
+        pose_row(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_pose_row", spy)
+        return parse_fn(text), len(calls)
+
+
+def pose_bytes(poses) -> bytes:
+    return b"".join(p.quat.tobytes() + p.trans.tobytes() for p in poses)
+
+
+class TestPoseRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(pose_runs(), pose_runs())
+    def test_blocks_give_the_row_readers_bits(self, init, gt):
+        """INIT, GT and POSE runs read as one block give the quaternions and
+        translations the row reader gives, bit for bit; a comment on every
+        row sends each to the row reader."""
+        n = min(len(init), len(gt))
+        init = [row for row in init if int(row.split()[0]) < n]
+        gt = [row for row in gt if int(row.split()[0]) < n]
+        plain = f"PCG 1 {n}\n" + "".join(f"INIT {r}\n" for r in init) + "".join(f"GT {r}\n" for r in gt)
+        commented = plain.replace("\n", " # c\n")
+        graph, rows = parse_counting_rows(parse, plain)
+        by_rows, all_rows = parse_counting_rows(parse, commented)
+        assert (rows, all_rows) == (0, 2 * n)
+        assert pose_bytes(graph.initial_poses) == pose_bytes(by_rows.initial_poses)
+        assert pose_bytes(graph.ground_truth) == pose_bytes(by_rows.ground_truth)
+        text = "".join(f"POSE {r}\n" for r in init)
+        poses, rows = parse_counting_rows(parse_poses, text)
+        by_rows, all_rows = parse_counting_rows(parse_poses, text.replace("\n", "#\n"))
+        assert (rows, all_rows) == (0, n)
+        assert pose_bytes(poses) == pose_bytes(by_rows) == pose_bytes(graph.initial_poses)
 
 
 class TestReport:

@@ -121,6 +121,23 @@ class TestRetract:
         assert_poses_close(se3.retract(T, d), se3.compose(se3.exp(d), T))
 
 
+@st.composite
+def near_unit_quats(draw):
+    """Quaternions with w of either sign: unit ones scaled by 1 + d, with d
+    up to 3e-12 or a few ulps from +-1e-12, where the norm test's rounding
+    picks the branch, or of any norm from 0.01 to 100."""
+    q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    if np.linalg.norm(q) < 1e-3:
+        q = np.array([0.0, 0.0, 0.0, 1.0])
+    q = q / np.linalg.norm(q)
+    scale = draw(st.sampled_from(["near", "threshold", "any"]))
+    if scale == "near":
+        return q * (1.0 + draw(st.floats(-3e-12, 3e-12)))
+    if scale == "threshold":
+        return q * (1.0 + draw(st.sampled_from([-1e-12, 1e-12])) + draw(st.integers(-4, 4)) * 2.0**-52)
+    return q * draw(st.floats(0.01, 100.0))
+
+
 class TestQuaternionInvariants:
     def test_unit_norm_after_operations(self):
         rng = np.random.default_rng(6)
@@ -169,6 +186,30 @@ class TestQuaternionInvariants:
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
             se3.Pose(np.zeros(4), np.zeros(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(near_unit_quats(), min_size=1, max_size=8))
+    def test_unstack_makes_each_quaternion_as_one_at_a_time(self, quats):
+        """A batch gives, row for row, the bits of one quaternion made
+        canonical alone, with w < 0, far from unit norm, and within a few
+        1e-12 of it, where the norm test picks the branch."""
+        quats = np.array(quats)
+        poses = se3.unstack(quats, np.zeros((len(quats), 3)))
+        expected = np.array([se3._canonical_quat(q) for q in quats])
+        assert np.array([p.quat for p in poses]).tobytes() == expected.tobytes()
+
+    def test_unstack_at_the_norm_threshold(self):
+        """Unit quaternions scaled to a few ulps from 1 +- 1e-12: about one in
+        a hundred is kept or renormalized according to how the norm is
+        rounded, so the batch must round it as `q @ q` does."""
+        rng = np.random.default_rng(9)
+        u = rng.uniform(-1.0, 1.0, (2000, 4))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        scales = 1.0 + np.array([-1e-12, 1e-12])[:, None] + np.arange(-4, 5) * 2.0**-52
+        quats = (u[:, None, None, :] * scales[None, :, :, None]).reshape(-1, 4)
+        poses = se3.unstack(quats, np.zeros((len(quats), 3)))
+        expected = np.array([se3._canonical_quat(q) for q in quats])
+        assert np.array([p.quat for p in poses]).tobytes() == expected.tobytes()
 
 
 def _shepperd_branch(R) -> int:
