@@ -88,9 +88,17 @@ def posterior_gaussian(b_values: np.ndarray, theta: float) -> np.ndarray:
 
 
 def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> np.ndarray:
-    """Per-loop error functional at the given poses (A in cauchy mode, B in gaussian)."""
-    errors = evaluate_poses(graph.table, *se3.stack(poses), params.mode, params.sigma).errors
-    return errors[len(graph.odometry) :]
+    """Per-loop error functional at the given poses (A in cauchy mode, B in
+    gaussian), as evaluate_poses gives it, over a table of views of the
+    graph table's loop rows: the odometry is not evaluated."""
+    table, odometry = graph.table, len(graph.odometry)
+    start = table.offsets[odometry]
+    loops = MatchTable(table.pairs[odometry:], table.sizes[odometry:], table.p[start:], table.q[start:])
+    quats, trans = se3.stack(poses)
+    _, s = loops.frame_residuals(se3.quat_to_matrix(quats), trans)
+    # a kernel value past the float range is inf, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return loops.segment_sum(solver._rho(s, params.mode, params.sigma)) / loops.sizes
 
 
 def e_step(errors: np.ndarray, theta: float, params: Hyperparams) -> PosteriorState:

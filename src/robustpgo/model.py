@@ -451,26 +451,40 @@ class AlignmentError(Exception):
     """Closed-form alignment failed (too few usable matches or degenerate geometry)."""
 
 
+def _projected_s1(table: MatchTable, w: np.ndarray, source: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Per constraint, the second singular value of its centered points
+    source (M, 3), weighed by w (M,), as the top one of the points left once
+    its dominant direction axis (C, 3) is projected out: resolved to the
+    precision of an SVD of the points."""
+    axis = np.repeat(axis, table.sizes, axis=0)
+    rest = source - np.einsum("ma,ma->m", source, axis)[:, None] * axis
+    rest_scatter = table.outer_operator(w, rest)(rest)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(rest_scatter)[:, 2], 0.0))
+
+
 def _fit_rigid(table: MatchTable, active: np.ndarray):
     """Per constraint, the least-squares rigid transform (R, t) with
     p ~ R q + t over its active matches, by the SVD closed form: (C, 3, 3)
     rotations, (C, 3) translations, and by constraint the reason its active
     matches cannot fix a transform: fewer than 3, or degenerate ones.
 
-    Degenerate means the second singular value of the centered q points is at
-    most 1e-9 * max(1, the first). Both come from scatter eigenvalues; the
-    second is the top eigenvalue of the scatter left once the dominant
-    direction is projected out, which resolves it to the precision of an SVD
-    of the points. The full scatter's own second eigenvalue carries an error
-    near 1e-8 of the first singular value, above the threshold.
+    Degenerate means the second singular value s1 of the centered q points
+    is at most 1e-9 * max(1, s0), s0 the first. Both come from scatter
+    eigenvalues. The full scatter's own second eigenvalue carries an error
+    near 1e-8 of s0, above that bound, so where it puts s1 at or below
+    1e-4 * max(1, s0), s1 is taken again by _projected_s1. Elsewhere the
+    coarse s1 decides: by Cauchy interlacing the projected scatter's top
+    eigenvalue is at least the full scatter's second, and a coarse s1^2 above
+    1e-8 * s0^2 lies about 1e8 above its rounding error, so the precise s1
+    could not fall to the bound.
     """
     w = active.astype(float)
     count = table.segment_sum(w)
     scale = np.maximum(count, 1.0)[:, None]
     cq, cp = table.segment_sum(table.q, w) / scale, table.segment_sum(table.p, w) / scale
-    source = table.q - cq[table.seg]
+    source = table.q - np.repeat(cq, table.sizes, axis=0)
     moments = table.outer_operator(w, source)
-    cross, scatter = moments(table.p - cp[table.seg]), moments(source)
+    cross, scatter = moments(table.p - np.repeat(cp, table.sizes, axis=0)), moments(source)
     # moments of coordinates from about 1e154 on overflow, and LAPACK may not
     # return on a non-finite matrix, so such a constraint is fitted to zeros
     overflow = ~(np.isfinite(cross).all(axis=(1, 2)) & np.isfinite(scatter).all(axis=(1, 2)))
@@ -481,12 +495,14 @@ def _fit_rigid(table: MatchTable, active: np.ndarray):
     rots = (V * np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)[:, None, :]) @ Ut
 
     spread, axes = np.linalg.eigh(scatter)
-    axis = axes[:, :, 2][table.seg]
-    rest = source - np.einsum("ma,ma->m", source, axis)[:, None] * axis
-    rest_scatter = table.outer_operator(w, rest)(rest)
-    rest_scatter[overflow] = 0.0
     s0 = np.sqrt(np.maximum(spread[:, 2], 0.0))
-    s1 = np.sqrt(np.maximum(np.linalg.eigvalsh(rest_scatter)[:, 2], 0.0))
+    s1 = np.sqrt(np.maximum(spread[:, 1], 0.0))
+    # a constraint with too few matches, or whose moments overflow, has its
+    # reason already (and the points of the latter are not finite)
+    near = (s1 <= 1e-4 * np.maximum(1.0, s0)) & (count >= 3) & ~overflow
+    if near.any():
+        rows = np.repeat(near, table.sizes)
+        s1[near] = _projected_s1(table.subset(near), w[rows], source[rows], axes[near, :, 2])
     failures = {}
     for c in np.flatnonzero((count < 3) | overflow | (s1 <= 1e-9 * np.maximum(1.0, s0))):
         if count[c] < 3:
@@ -499,10 +515,22 @@ def _fit_rigid(table: MatchTable, active: np.ndarray):
 
 
 def _segment_medians(table: MatchTable, values: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """np.median of values over each constraint's active matches, from one
-    sort by (constraint, value) with inactive matches last in their segment."""
-    order = np.lexsort((np.where(active, values, np.inf), table.seg))
-    ranked = values[order]
+    """The median of values over each constraint's active matches, as
+    np.median gives it while fewer than half of them are NaN or inf: the
+    middle ranks of a sort by (constraint, value) in which inactive matches
+    are held as inf, after every active value but NaN, and equal keys keep
+    match order, as np.lexsort ranks them.
+
+    The order is a sort by value, then a stable sort by constraint, whose
+    ids are cast to int16 where they fit, which numpy sorts by radix. Equal
+    finite keys read the same value in either order, so only the inf and
+    NaN keys, whose values differ, are ranked stably, apart from the rest."""
+    key = np.where(active, values, np.inf)
+    plain = key < np.inf
+    head, tail = np.flatnonzero(plain), np.flatnonzero(~plain)
+    by_value = np.concatenate([head[np.argsort(key[head])], tail[np.argsort(key[tail], kind="stable")]])
+    ids = table.seg.astype(np.int16 if len(table.sizes) <= 1 << 15 else np.int32)[by_value]
+    ranked = values[by_value[np.argsort(ids, kind="stable")]]
     count = table.segment_sum(active.astype(float)).astype(np.intp)
     start = table.offsets[:-1]
     lo = np.clip(start + (count - 1) // 2, 0, len(values) - 1)
@@ -526,7 +554,7 @@ def _robust_fit(table: MatchTable, rounds: int, trim_factor: float):
     # is not asked to warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(rounds + 2):
-            index, rows = np.flatnonzero(changed), changed[table.seg]
+            index, rows = np.flatnonzero(changed), np.repeat(changed, table.sizes)
             sub, sub_active = table.subset(changed), active[rows]
             sub_rots, sub_trans, sub_failures = _fit_rigid(sub, sub_active)
             rots[index], trans[index] = sub_rots, sub_trans
@@ -534,13 +562,13 @@ def _robust_fit(table: MatchTable, rounds: int, trim_factor: float):
                 failures.setdefault(int(index[c]), reason)
             if r == rounds + 1 or len(failures) == len(table.sizes):
                 break
-            seg = sub.seg
-            moved = np.einsum("mab,mb->ma", sub_rots[seg], sub.q) + sub_trans[seg]
+            moved = np.einsum("mab,mb->ma", np.repeat(sub_rots, sub.sizes, axis=0), sub.q)
+            moved += np.repeat(sub_trans, sub.sizes, axis=0)
             resid = np.linalg.norm(moved - sub.p, axis=1)
             med = _segment_medians(sub, resid, sub_active)
             # absolute floor keeps exact matches from trimming each other at med == 0
-            trimmed = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
-            changed[index] = np.bincount(seg[trimmed != sub_active], minlength=len(index)) > 0
+            trimmed = resid <= np.repeat(np.maximum(trim_factor * med, 1e-9), sub.sizes)
+            changed[index] = np.bincount(sub.seg[trimmed != sub_active], minlength=len(index)) > 0
             if not changed.any():
                 break
             active[rows] = trimmed

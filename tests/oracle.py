@@ -5,9 +5,14 @@ objective, gradient and H that LM runs: they evaluate one match at a time in
 the world frame, one pose at a time (transform_point). pose_difference
 measures how far apart two poses are, and solve_poses runs the M-step on a
 list of poses, evaluated afresh for the problem. block6_cross is H's
-6x6 block with its skew parts built by np.cross. robust_fit_full_refit
-is the initialization's trimmed fit as it was before it refitted only the
-constraints whose match set changed: every round refits every constraint.
+6x6 block with its skew parts built by np.cross. segment_medians_lexsort
+and fit_rigid_projected are the initialization's median and fit as they
+were before the medians took two sorts and the projected degeneracy check
+ran only near its bound: one np.lexsort by (constraint, value), and the
+projected second singular value taken for every constraint.
+robust_fit_full_refit is the initialization's trimmed fit, with those two,
+as it was before it refitted only the constraints whose match set changed:
+every round refits every constraint.
 run_em_replaying is the EM driver as it was before M-steps handed their pose
 state on: every M-step starts from a list of poses and evaluates it again,
 and a run goes on after an M-step that takes no step, replaying it.
@@ -24,7 +29,7 @@ import numpy as np
 
 from robustpgo import se3, solver
 from robustpgo.em import EmError, EmIteration, EmTrace, e_step, evaluate_poses, learn_theta_cauchy
-from robustpgo.model import MatchTable, _fit_rigid, _segment_medians, initialize_poses, learn_theta_gaussian
+from robustpgo.model import MatchTable, initialize_poses, learn_theta_gaussian
 from robustpgo.se3 import Pose
 from robustpgo.solver import _BLOCK_ENTRIES, _drho, _pose_order, _rho
 from scipy.sparse import csc_matrix
@@ -154,6 +159,53 @@ def block6_cross(gram, upper, lower, corner) -> np.ndarray:
     return out
 
 
+def segment_medians_lexsort(table: MatchTable, values: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """np.median of values over each constraint's active matches, from one
+    sort by (constraint, value) with inactive matches last in their segment."""
+    order = np.lexsort((np.where(active, values, np.inf), table.seg))
+    ranked = values[order]
+    count = table.segment_sum(active.astype(float)).astype(np.intp)
+    start = table.offsets[:-1]
+    lo = np.clip(start + (count - 1) // 2, 0, len(values) - 1)
+    hi = np.clip(start + count // 2, 0, len(values) - 1)
+    return 0.5 * (ranked[lo] + ranked[hi])
+
+
+def fit_rigid_projected(table: MatchTable, active: np.ndarray):
+    """model._fit_rigid with the second singular value of every constraint
+    taken from the scatter left once the dominant direction is projected out."""
+    w = active.astype(float)
+    count = table.segment_sum(w)
+    scale = np.maximum(count, 1.0)[:, None]
+    cq, cp = table.segment_sum(table.q, w) / scale, table.segment_sum(table.p, w) / scale
+    source = table.q - cq[table.seg]
+    moments = table.outer_operator(w, source)
+    cross, scatter = moments(table.p - cp[table.seg]), moments(source)
+    overflow = ~(np.isfinite(cross).all(axis=(1, 2)) & np.isfinite(scatter).all(axis=(1, 2)))
+    cross[overflow] = scatter[overflow] = 0.0
+    U, _, Vt = np.linalg.svd(cross)
+    V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
+    d = np.sign(np.linalg.det(V @ Ut))
+    rots = (V * np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)[:, None, :]) @ Ut
+
+    spread, axes = np.linalg.eigh(scatter)
+    axis = axes[:, :, 2][table.seg]
+    rest = source - np.einsum("ma,ma->m", source, axis)[:, None] * axis
+    rest_scatter = table.outer_operator(w, rest)(rest)
+    rest_scatter[overflow] = 0.0
+    s0 = np.sqrt(np.maximum(spread[:, 2], 0.0))
+    s1 = np.sqrt(np.maximum(np.linalg.eigvalsh(rest_scatter)[:, 2], 0.0))
+    failures = {}
+    for c in np.flatnonzero((count < 3) | overflow | (s1 <= 1e-9 * np.maximum(1.0, s0))):
+        if count[c] < 3:
+            failures[int(c)] = f"only {int(count[c])} matches survive trimming (need 3)"
+        elif overflow[c]:
+            failures[int(c)] = "match coordinates too large to fit (their moments overflow)"
+        else:
+            failures[int(c)] = "surviving matches are degenerate (collinear or coincident)"
+    return rots, cp - np.einsum("cab,cb->ca", rots, cq), failures
+
+
 def robust_fit_full_refit(table: MatchTable, rounds: int, trim_factor: float):
     """Rigid fit of every constraint with iterative trimming of matches above
     trim_factor * their constraint's median residual. Returns the rotations,
@@ -164,7 +216,7 @@ def robust_fit_full_refit(table: MatchTable, rounds: int, trim_factor: float):
     # is not asked to warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(rounds + 2):
-            rots, trans, round_failures = _fit_rigid(table, active)
+            rots, trans, round_failures = fit_rigid_projected(table, active)
             for c, reason in round_failures.items():
                 failures.setdefault(c, reason)
             if r == rounds + 1 or len(failures) == len(table.sizes):
@@ -172,7 +224,7 @@ def robust_fit_full_refit(table: MatchTable, rounds: int, trim_factor: float):
             seg = table.seg
             moved = np.einsum("mab,mb->ma", rots[seg], table.q) + trans[seg]
             resid = np.linalg.norm(moved - table.p, axis=1)
-            med = _segment_medians(table, resid, active)
+            med = segment_medians_lexsort(table, resid, active)
             # absolute floor keeps exact matches from trimming each other at med == 0
             active = resid <= np.maximum(trim_factor * med, 1e-9)[seg]
     return rots, trans, failures

@@ -567,6 +567,18 @@ class TestRunEm:
         last = trace.iterations[-1].errors[len(graph.odometry) :]
         assert last.tobytes() == em.loop_errors(graph, poses, params).tobytes()
 
+    @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
+    def test_loop_errors_are_the_loop_part_of_the_evaluation(self, mode):
+        """loop_errors evaluates the loop rows alone, to the bits of the loop
+        part of the whole table's evaluation; with no loop it is empty."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+        params = Hyperparams(mode=mode)
+        poses = se3.unstack(*initialize_poses(graph))
+        full = em.evaluate_poses(graph.table, *se3.stack(poses), mode, params.sigma).errors
+        assert em.loop_errors(graph, poses, params).tobytes() == full[len(graph.odometry) :].tobytes()
+        out = em.loop_errors(ProblemGraph(graph.num_fragments, graph.odometry, []), poses, params)
+        assert out.shape == (0,) and out.dtype == float
+
     def test_empty_constraint_is_rejected_in_validates_words(self):
         """A loop with no matches has no error to weight: run_em,
         build_problem and loop_errors name it as validate does, with no

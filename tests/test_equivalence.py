@@ -1,0 +1,54 @@
+"""The digests of tools/equivalence.py."""
+
+import copy
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from robustpgo import em
+from robustpgo.model import Hyperparams
+from robustpgo.synth import ScenarioConfig, generate
+
+_spec = importlib.util.spec_from_file_location(
+    "equivalence", Path(__file__).resolve().parent.parent / "tools" / "equivalence.py"
+)
+equivalence = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(equivalence)
+
+
+def test_a_one_ulp_change_to_a_pose_changes_the_run_digest():
+    graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+    params = Hyperparams()
+    result = em.run_em(graph, params)
+
+    def digest(nudge: bool) -> str:
+        def run_em(g, p):
+            poses, state, trace = copy.deepcopy(result)
+            if nudge:
+                poses[5].trans[1] = np.nextafter(poses[5].trans[1], np.inf)
+            return poses, state, trace
+
+        return equivalence.run_digest(SimpleNamespace(run_em=run_em, loop_errors=em.loop_errors), graph, params)
+
+    assert digest(False) == equivalence.run_digest(em, graph, params)
+    assert digest(True) != digest(False)
+
+
+def test_a_one_ulp_change_to_a_match_changes_the_graph_digest():
+    graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+    before = equivalence.graph_digest(graph)
+    assert equivalence.graph_digest(copy.deepcopy(graph)) == before
+    graph.loops[0].q[2, 0] = np.nextafter(graph.loops[0].q[2, 0], -np.inf)
+    assert equivalence.graph_digest(graph) != before
+
+
+def test_a_failed_run_is_digested_by_its_error():
+    graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+
+    def run_em(g, p):
+        raise ValueError("no")
+
+    stub = SimpleNamespace(run_em=run_em, loop_errors=em.loop_errors)
+    assert equivalence.run_digest(stub, graph, Hyperparams()) == equivalence.digest("raised", "ValueError", "no")

@@ -17,7 +17,13 @@ from robustpgo.model import (
     validate,
 )
 from robustpgo.synth import ScenarioConfig, generate
-from oracle import pose_difference, robust_fit_full_refit, transform_point
+from oracle import (
+    fit_rigid_projected,
+    pose_difference,
+    robust_fit_full_refit,
+    segment_medians_lexsort,
+    transform_point,
+)
 
 
 def chain_poses(rng, n):
@@ -310,6 +316,37 @@ class TestRigidFit:
             initialize_poses(ProblemGraph(2, [OdometryConstraint(0, pts, pts)], []))
 
 
+def _off_axis_line_chain(also_short: bool) -> list:
+    """Exact odometry of a random 9-pose chain whose constraint 3's matches
+    lie on one line, off every axis; with also_short, constraint 6 keeps two
+    matches."""
+    rng = np.random.default_rng(26)
+    graph, _ = small_graph(rng, n=9)
+    odometry = list(graph.odometry)
+    # the centered points' scatter alone puts their second singular value
+    # near 2e-7, far above the 1e-9 test; their SVD puts it near 1e-15
+    spread = np.random.default_rng(0).uniform(-3.0, 3.0, (12, 1))
+    line = np.array([2.0, 5.0, -1.0]) + spread * np.array([0.3, -1.2, 0.7])
+    turn = se3.exp(np.array([0.2, -0.4, 0.1, 1.0, 2.0, 3.0]))
+    odometry[3] = OdometryConstraint(3, se3.transform_points(turn, line), line)
+    if also_short:
+        odometry[6] = OdometryConstraint(6, odometry[6].p[:2], odometry[6].q[:2])
+    return odometry
+
+
+def _spy_projected(monkeypatch) -> list:
+    """Record the pairs of every table model._projected_s1 is given."""
+    taken = []
+    real = model._projected_s1
+
+    def spy(table, *args):
+        taken.append(table.pairs.tolist())
+        return real(table, *args)
+
+    monkeypatch.setattr(model, "_projected_s1", spy)
+    return taken
+
+
 class TestInitializePoses:
     def test_exact_matches_recover_ground_truth(self):
         rng = np.random.default_rng(20)
@@ -381,22 +418,14 @@ class TestInitializePoses:
             np.testing.assert_allclose(est.trans, ref.trans, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("also_short", [False, True])
-    def test_lowest_failing_constraint_is_named(self, also_short):
+    def test_lowest_failing_constraint_is_named(self, also_short, monkeypatch):
         """Constraint 3's matches lie on one line, off every axis; with
-        also_short, constraint 6 has too few matches as well."""
-        rng = np.random.default_rng(26)
-        graph, _ = small_graph(rng, n=9)
-        odometry = list(graph.odometry)
-        # the centered points' scatter alone puts their second singular value
-        # near 2e-7, far above the 1e-9 test; their SVD puts it near 1e-15
-        spread = np.random.default_rng(0).uniform(-3.0, 3.0, (12, 1))
-        line = np.array([2.0, 5.0, -1.0]) + spread * np.array([0.3, -1.2, 0.7])
-        turn = se3.exp(np.array([0.2, -0.4, 0.1, 1.0, 2.0, 3.0]))
-        odometry[3] = OdometryConstraint(3, se3.transform_points(turn, line), line)
-        if also_short:
-            odometry[6] = OdometryConstraint(6, odometry[6].p[:2], odometry[6].q[:2])
+        also_short, constraint 6 has too few matches as well. Only constraint
+        3 is near the degeneracy bound, so only it takes the projected check."""
+        projected = _spy_projected(monkeypatch)
         with pytest.raises(AlignmentError, match=r"^odometry constraint 3->4: surviving matches are degenerate"):
-            initialize_poses(ProblemGraph(9, odometry, []))
+            initialize_poses(ProblemGraph(9, _off_axis_line_chain(also_short), []))
+        assert projected and all(pairs == [[3, 4]] for pairs in projected)
 
     def test_segment_medians_match_np_median(self):
         rng = np.random.default_rng(27)
@@ -433,6 +462,118 @@ class TestInitializePoses:
         for est, gt in zip(recovered, poses):
             rot, trans = pose_difference(est, gt)
             assert rot < 5e-3 and trans < 5e-3
+
+
+def _median_case(name: str):
+    """A table and per-match values and active flags for one named median case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "int32":  # more segments than int16 ids hold
+        sizes = rng.integers(1, 4, 40_000)
+    elif name == "one-match":
+        sizes = rng.integers(0, 2, 300)
+    else:
+        sizes = rng.integers(0, 12, 300)
+    table = MatchTable.from_constraints(
+        [LoopClosureConstraint(0, 2, np.zeros((k, 3)), np.zeros((k, 3))) for k in sizes]
+    )
+    values = rng.uniform(0.0, 1.0, len(table))
+    active = rng.uniform(size=len(table)) < 0.7
+    if name == "ties":
+        values = rng.integers(0, 4, len(table)) * 0.25
+    if name == "inactive":
+        active = rng.uniform(size=len(table)) < 0.2
+    if name == "nan":  # often past half of a segment, so its median reads the inactive ones
+        values[rng.uniform(size=len(table)) < 0.4] = np.nan
+        values[rng.uniform(size=len(table)) < 0.1] = np.inf
+    return table, values, active
+
+
+class TestSegmentMedians:
+    """_segment_medians against one np.lexsort by (constraint, value)
+    (oracle.segment_medians_lexsort), bit for bit on every constraint with
+    an active match."""
+
+    @pytest.mark.parametrize("name", ["uniform", "ties", "nan", "inactive", "one-match", "int32"])
+    def test_matches_the_lexsort_oracle(self, name):
+        table, values, active = _median_case(name)
+        filled = table.segment_sum(active.astype(float)) > 0
+        got = model._segment_medians(table, values, active)
+        expected = segment_medians_lexsort(table, values, active)
+        assert got[filled].tobytes() == expected[filled].tobytes()
+        assert filled.sum() > 50
+        if name == "int32":
+            assert len(table.sizes) > 1 << 15
+        if name == "nan":
+            # some medians read an inactive match's value, ranked among the inf keys
+            finite = table.segment_sum((active & np.isfinite(values)).astype(float))
+            count = table.segment_sum(active.astype(float))
+            reads_past = filled & (finite <= count // 2) & (table.segment_sum((~active).astype(float)) > 1)
+            assert reads_past.any() and np.isfinite(expected[reads_past]).any()
+
+
+def _spread(rng, singular, k=12, centre=(2.0, 5.0, -1.0)):
+    """k points about centre whose centered coordinates have the given three
+    singular values, along random directions."""
+    centered = rng.normal(size=(k, 3))
+    basis, _ = np.linalg.qr(centered - centered.mean(axis=0))
+    turn = se3.exp(np.concatenate([rng.uniform(-2.0, 2.0, 3), np.zeros(3)])).rotation_matrix()
+    return np.asarray(centre) + basis @ np.diag(singular) @ turn
+
+
+def _degeneracy_sweep() -> tuple[list, np.ndarray]:
+    """Constraints whose centered q points have a second singular value of
+    10^-2.25 down to 10^-12.25 of the first, for a first below and above 1,
+    then exactly collinear, coincident, off-axis line and 1e200-coordinate
+    ones; and by constraint, whether its second singular value lies near the
+    degeneracy bound, at or below 1e-4 * max(1, the first), with its moments
+    finite. The ratios keep clear of that bound."""
+    rng = np.random.default_rng(40)
+    turn = se3.exp(np.array([0.3, -0.2, 0.5, 4.0, -1.0, 2.0]))
+    clouds, near = [], []
+    for s0 in (0.02, 0.7, 3.0, 250.0):
+        for ratio in 10.0 ** -np.arange(2.25, 12.5, 0.5):
+            clouds.append(_spread(rng, [s0, s0 * ratio, 0.3 * s0 * ratio]))
+            near.append(s0 * ratio <= 1e-4 * max(1.0, s0))
+    axis_line = np.outer(np.arange(8.0), [1.0, 0.0, 0.0])
+    off_axis = np.array([2.0, 5.0, -1.0]) + np.outer(np.linspace(-3.0, 3.0, 12), [0.3, -1.2, 0.7])
+    clouds += [axis_line, axis_line * 0.01, np.full((6, 3), 1.5), off_axis, off_axis * 1e-3]
+    clouds += [_spread(rng, [3.0, 2.0, 1.0]) * 1e200]
+    near += [True] * 5 + [False]
+    odometry = [OdometryConstraint(i, se3.transform_points(turn, q), q) for i, q in enumerate(clouds)]
+    return odometry, np.array(near)
+
+
+class TestDegeneracyCheck:
+    """_fit_rigid takes the projected second singular value only near the
+    bound, and gives the rotations, translations and failures of the fit
+    that takes it for every constraint (oracle.fit_rigid_projected)."""
+
+    @pytest.mark.parametrize("some_inactive", [False, True])
+    def test_matches_the_projected_check_everywhere(self, some_inactive):
+        table = MatchTable.from_constraints(_degeneracy_sweep()[0])
+        active = np.ones(len(table), dtype=bool)
+        if some_inactive:
+            active[::5] = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            rots, trans, failures = model._fit_rigid(table, active)
+            ref_rots, ref_trans, ref_failures = fit_rigid_projected(table, active)
+        assert rots.tobytes() == ref_rots.tobytes() and trans.tobytes() == ref_trans.tobytes()
+        assert failures == ref_failures
+        # the sweep crosses the bound at each first singular value
+        reasons = [failures.get(c, "") for c in range(len(table.sizes))]
+        assert sum("degenerate" in r for r in reasons) >= 20 and reasons.count("") >= 20
+        assert all("degenerate" in r for r in reasons[-6:-1]) and "overflow" in reasons[-1]
+
+    def test_projected_check_runs_only_near_the_bound(self, monkeypatch):
+        projected = _spy_projected(monkeypatch)
+        model._robust_fit(MatchTable.from_constraints(_odometry_case("circle-100")), 3, 3.0)
+        assert projected == []
+        odometry, near = _degeneracy_sweep()
+        table = MatchTable.from_constraints(odometry)
+        with np.errstate(over="ignore", invalid="ignore"):
+            model._fit_rigid(table, np.ones(len(table), dtype=bool))
+        assert projected == [table.pairs[near].tolist()]
+        assert 10 <= near.sum() < len(near) - 10
 
 
 def _displaced_chain(rng, n, k=40, fraction=0.3):

@@ -1,0 +1,160 @@
+"""Bit-identity of parsed graphs and EM runs: a parent commit against the working tree.
+
+Run from the repository root:
+
+    python3 tools/equivalence.py --parent HEAD
+
+The parent commit is exported with `bench_pairs.export` into a temporary
+directory. In each tree, a fresh interpreter (single-threaded BLAS, no
+bytecode written) makes the text of every perfbench scene with its match
+rows shuffled by seed 0 and by seed 1 (`harness.scene_text`), parses it, and
+runs `em.run_em` on the graph with its workload's hyperparameters. Two
+sha256 digests are kept per scene and seed:
+
+- the parsed graph: fragment count, every constraint's pair and match bytes,
+  INIT and GT poses, and the oracle labels;
+- the run: poses, posteriors, theta, `converged`, every `EmIteration` field,
+  and `em.loop_errors` at the returned poses (or the error a run raised).
+
+The digests of the two trees are compared key by key, and the result is
+printed as one JSON object; the exit status is 1 when any digest differs.
+perfbench is imported read-only; nothing is written into either tree.
+Uses the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SHUFFLE_SEEDS = (0, 1)
+
+
+def _feed(h, value) -> None:
+    """Add one value to the hash, with its type, shape and every byte, so
+    equal digests mean equal values down to the last bit."""
+    if isinstance(value, np.ndarray):
+        h.update(f"array {value.dtype.str} {value.shape}|".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, (bool, int, str, type(None), np.bool_, np.integer)):
+        h.update(f"{type(value).__name__} {value!r}|".encode())
+    elif isinstance(value, (float, np.floating)):
+        h.update(f"float {float(value).hex()}|".encode())
+    elif isinstance(value, (list, tuple)):
+        h.update(f"seq {len(value)}|".encode())
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, dict):
+        h.update(f"map {len(value)}|".encode())
+        for key in sorted(value, key=repr):
+            _feed(h, key)
+            _feed(h, value[key])
+    elif dataclasses.is_dataclass(value):
+        h.update(f"{type(value).__name__}|".encode())
+        _feed(h, {f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+    else:
+        raise TypeError(f"cannot digest {type(value).__name__}")
+
+
+def digest(*values) -> str:
+    h = hashlib.sha256()
+    for value in values:
+        _feed(h, value)
+    return h.hexdigest()
+
+
+def graph_digest(graph) -> str:
+    """The parsed graph's fragment count, constraints, INIT/GT poses and labels."""
+    return digest(
+        graph.num_fragments,
+        [(c.pair, c.p, c.q) for c in (*graph.odometry, *graph.loops)],
+        graph.initial_poses,
+        graph.ground_truth,
+        graph.oracle_labels,
+    )
+
+
+def run_digest(em, graph, params) -> str:
+    """run_em's poses, posteriors, theta, converged flag and every iteration's
+    fields, and loop_errors at its poses; or the error the run raised."""
+    try:
+        poses, state, trace = em.run_em(graph, params)
+    except Exception as err:  # a run that fails must fail alike in both trees
+        return digest("raised", type(err).__name__, str(err))
+    return digest(poses, state, trace.iterations, trace.converged, em.loop_errors(graph, poses, params))
+
+
+def tree_digests(tree: Path) -> dict[str, dict[str, str]]:
+    """Graph and run digests of every perfbench scene and shuffle seed, read
+    with the package and perfbench of `tree` (in this process)."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import harness
+    from robustpgo import em, graphio
+
+    out: dict[str, dict[str, str]] = {"graphs": {}, "runs": {}}
+    for name, workload in harness.WORKLOADS.items():
+        for config in workload.scenes:
+            for seed in SHUFFLE_SEEDS:
+                key = f"{name} scene {config.seed} shuffle {seed}"
+                graph = graphio.parse(harness.scene_text(config, seed))
+                out["graphs"][key] = graph_digest(graph)
+                out["runs"][key] = run_digest(em, graph, workload.params)
+    return out
+
+
+def digests_in(tree: Path) -> dict[str, dict[str, str]]:
+    """tree_digests(tree), computed by a fresh single-threaded interpreter."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import equivalence; from pathlib import Path; "
+        "print(json.dumps(equivalence.tree_digests(Path(sys.argv[2]))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(tree)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"digests in {tree} failed: {done.stderr.strip()[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def compare(parent: dict, change: dict) -> dict:
+    """Per kind, how many keys both trees hold with equal digests, and which differ."""
+    out = {}
+    for kind in ("graphs", "runs"):
+        keys = sorted(parent[kind].keys() | change[kind].keys())
+        differ = [k for k in keys if parent[kind].get(k) != change[kind].get(k)]
+        out[kind] = {"identical": len(keys) - len(differ), "total": len(keys), "differ": differ}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from bench_pairs import export, git
+
+    with tempfile.TemporaryDirectory() as tmp:
+        export(git("rev-parse", args.parent), Path(tmp))
+        result = compare(digests_in(Path(tmp)), digests_in(ROOT))
+    result["parent"] = git("rev-parse", args.parent)
+    print(json.dumps(result, indent=1))
+    return 0 if not any(result[kind]["differ"] for kind in ("graphs", "runs")) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
