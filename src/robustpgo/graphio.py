@@ -18,19 +18,20 @@ writers emit records in canonical order (by id, then by (i, j)).
 A parse makes one pass over the lines. An ODOM/LOOP record whose k raw lines
 are plain M rows (after any leading whitespace, `M` and a space or tab, and
 no '#') is deferred; after the pass every deferred row, its `M` dropped, is
-converted by one np.loadtxt call. A run of INIT or GT rows, or of POSE rows
-in a pose file, is read as one block. The row reader, which checks and
-converts each row as it reads it, decides what a block does not take: a
-record or run with a comment, a blank line or an error; every deferred
-record, in file order, when loadtxt refuses their rows; and the deferred
-records before a line at which the pass raises. So every ParseError names
-the first bad line, with the reason the row reader gives.
+converted by one np.loadtxt call. The M row reader, which checks and
+converts each row as it reads it, decides what loadtxt does not take: a
+record with a comment, a blank line or an error; every deferred record, in
+file order, when loadtxt refuses their rows; and the deferred records before
+a line at which the pass raises. Each row of a run of INIT or GT rows, or of
+POSE rows in a pose file, is checked and converted as it is read, and each
+run's poses are built by one `se3.unstack`. So every ParseError names the
+first bad line, with the reason its row's checks give.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -105,66 +106,49 @@ def _read_poses(lines: _Lines, no: int, parts: list[str], store: dict[int, Pose]
     """Stores the run of pose rows that starts with `parts`, the INIT, GT or
     POSE row on line `no` that `lines` read last. The run is that row and the
     raw lines right after it that hold the same kind; a run holds no '#', so
-    a row with a comment is a run of its own. A run is read as one block
-    when it passes every check (`_pose_block`), else row by row, so the first
+    a row with a comment is a run of its own. Each row is checked and
+    converted as it is read, and the run's poses are built by one `unstack`.
+    When a row check raises, the rows before it are built first, so the first
     bad row in line order raises, with its own reason. `n` is the graph's
     fragment count, or None for a pose file, whose ids have no upper bound."""
-    kind, raw, run = parts[0], lines.raw, [parts]
-    if "#" not in raw[lines.at - 1]:
-        while lines.at < len(raw) and "#" not in raw[lines.at] and (tokens := raw[lines.at].split())[:1] == [kind]:
-            run.append(tokens)
+    kind, raw = parts[0], lines.raw
+    plain = "#" not in raw[no - 1]
+    rows: dict[int, list[float]] = {}  # the run's 7 numbers by id, in line order
+
+    def build() -> None:
+        block = np.array([*rows.values()]).reshape(-1, 7)
+        try:
+            store.update(zip(rows, unstack(block[:, 3:], block[:, :3])))
+        except ValueError:  # a quaternion norm below 1e-9 or past the float range
+            for k, row in enumerate(block):
+                try:
+                    unstack(row[3:], row[:3])
+                except ValueError as err:
+                    raise ParseError(no + k, str(err)) from None
+
+    try:
+        while True:
+            at = lines.at
+            if len(parts) != 9:
+                raise ParseError(at, _POSE_USAGE if n is None else f"{kind} record needs id plus 7 numbers")
+            idx = _int(parts[1], at)
+            if n is None and idx < 0:
+                raise ParseError(at, f"POSE id {idx} is negative")
+            if n is not None and not 0 <= idx < n:
+                raise ParseError(at, f"{kind} id {idx} out of range [0, {n - 1}]")
+            if idx in store or idx in rows:
+                raise ParseError(at, f"duplicate {kind} record for fragment {idx}")
+            row = [_float(v, at) for v in parts[2:]]
+            if not all(map(math.isfinite, row)):
+                raise ParseError(at, "pose values must be finite")
+            rows[idx] = row
+            if not plain or at == len(raw) or "#" in raw[at] or (parts := raw[at].split())[:1] != [kind]:
+                break
             lines.at += 1
-        if _pose_block(run, store, n):
-            return
-    for k, tokens in enumerate(run):
-        _pose_row(no + k, tokens, store, n)
-
-
-def _pose_block(run: list[list[str]], store: dict[int, Pose], n: int | None) -> bool:
-    """Stores a run's poses if its rows pass the row reader's checks, each
-    made once over the whole run: 9 tokens, integer ids in range and not yet
-    stored, numbers `float` takes, all finite, and quaternion norms that
-    `Pose` accepts; else stores nothing and returns False."""
-    if any(len(tokens) != 9 for tokens in run):
-        return False
-    try:
-        ids = [int(tokens[1]) for tokens in run]
-        vals = np.fromiter(map(float, chain.from_iterable(tokens[2:] for tokens in run)), float, count=7 * len(run))
-    except ValueError:
-        return False
-    if min(ids) < 0 or (n is not None and max(ids) >= n):
-        return False
-    if len(set(ids)) < len(ids) or not store.keys().isdisjoint(ids):
-        return False
-    vals = vals.reshape(-1, 7)
-    if not np.isfinite(vals).all():
-        return False
-    try:
-        poses = unstack(vals[:, 3:], vals[:, :3])
-    except ValueError:  # a quaternion norm below 1e-9 or past the float range
-        return False
-    store.update(zip(ids, poses))
-    return True
-
-
-def _pose_row(no: int, parts: list[str], store: dict[int, Pose], n: int | None) -> None:
-    kind = parts[0]
-    if len(parts) != 9:
-        raise ParseError(no, _POSE_USAGE if n is None else f"{kind} record needs id plus 7 numbers")
-    idx = _int(parts[1], no)
-    if n is None and idx < 0:
-        raise ParseError(no, f"POSE id {idx} is negative")
-    if n is not None and not 0 <= idx < n:
-        raise ParseError(no, f"{kind} id {idx} out of range [0, {n - 1}]")
-    if idx in store:
-        raise ParseError(no, f"duplicate {kind} record for fragment {idx}")
-    vals = [_float(v, no) for v in parts[2:]]
-    if not np.isfinite(vals).all():
-        raise ParseError(no, "pose values must be finite")
-    try:
-        store[idx] = Pose(np.array(vals[3:7]), np.array(vals[0:3]))
-    except ValueError as err:  # a quaternion norm below 1e-9 or past the float range
-        raise ParseError(no, str(err)) from None
+    except ParseError:
+        build()  # a refused quaternion on an earlier row comes first in line order
+        raise
+    build()
 
 
 @dataclass
@@ -349,10 +333,10 @@ def write_graph(graph: ProblemGraph) -> str:
     if graph.ground_truth is not None:
         for i, p in enumerate(graph.ground_truth):
             out.append(f"GT {i} {_pose_fields(p)}")
-    for c in sorted(graph.odometry, key=lambda c: c.i):
+    for c in graph.odometry:
         out.append(f"ODOM {c.i} {c.size}")
         out.extend(_match_lines(c.p, c.q))
-    for c in sorted(graph.loops, key=lambda c: (c.i, c.j)):
+    for c in graph.loops:
         out.append(f"LOOP {c.i} {c.j} {c.size}")
         out.extend(_match_lines(c.p, c.q))
     if graph.oracle_labels is not None:

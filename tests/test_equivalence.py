@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from robustpgo import em
+from robustpgo import em, graphio
 from robustpgo.model import Hyperparams
 from robustpgo.synth import ScenarioConfig, generate
 
@@ -52,3 +52,12 @@ def test_a_failed_run_is_digested_by_its_error():
 
     stub = SimpleNamespace(run_em=run_em, loop_errors=em.loop_errors)
     assert equivalence.run_digest(stub, graph, Hyperparams()) == equivalence.digest("raised", "ValueError", "no")
+
+
+def test_a_one_ulp_change_to_a_pose_changes_the_poses_digest():
+    graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+    poses = copy.deepcopy(graph.ground_truth)
+    before = equivalence.poses_digest(graphio, graph, poses)
+    assert equivalence.poses_digest(graphio, graph, copy.deepcopy(poses)) == before
+    poses[7].quat[2] = np.nextafter(poses[7].quat[2], np.inf)
+    assert equivalence.poses_digest(graphio, graph, poses) != before

@@ -345,8 +345,8 @@ MALFORMED = [
     ("PCG 1 2\nODOM 0 2\nM 1 2 3 4 5 6\nm 1 2 3 4 5 6\n", 4, "expected M record 2 of 2 for ODOM 0"),
     # the block runs into the next record's header
     ("PCG 1 3\nODOM 0 2\nM 1 2 3 4 5 6\nODOM 1 1\nM 1 2 3 4 5 6\n", 4, "expected M record 2 of 2 for ODOM 0"),
-    # a run of INIT or GT rows fails its block checks at a later row, and the
-    # row reader names that row
+    # a run of INIT or GT rows fails a check at a later row, and the error
+    # names that row
     (f"PCG 1 3\nGT 0 {I}\nGT 1 0 0 0 1 0 0\n", 3, "GT record needs id plus 7 numbers"),
     (f"PCG 1 3\nINIT 0 {I}\nINIT 1 {I}\nINIT one {I}\n", 4, "expected integer, got 'one'"),
     (f"PCG 1 3\nGT 0 {I}\nGT 3 {I}\n", 3, "GT id 3 out of range [0, 2]"),
@@ -355,6 +355,10 @@ MALFORMED = [
     (f"PCG 1 3\nGT 0 {I}\nGT 1 0 0 nan 1 0 0 0\n", 3, "pose values must be finite"),
     (f"PCG 1 3\nINIT 0 {I}\nINIT 1 0 0 0 0 0 0 0\n", 3, "quaternion norm too small to normalize"),
     (f"PCG 1 3\nGT 0 {I}\nGT 1 {I}\nGT 2 0 0 0 1e200 0 0 0\n", 4, "quaternion norm too large to normalize"),
+    # a refused quaternion is found when its run is built, and still comes
+    # before an error on a later row of that run
+    (f"PCG 1 4\nGT 0 {I}\nGT 1 0 0 0 0 0 0 0\nGT two {I}\n", 3, "quaternion norm too small to normalize"),
+    (f"PCG 1 4\nGT 0 {I}\nGT 1 0 0 0 0 0 0 0\nGT 1 {I}\n", 3, "quaternion norm too small to normalize"),
 ]
 
 
@@ -410,6 +414,11 @@ class TestPoseIO:
             parse_poses("POSE -1 0 0 0 1 0 0 0\nPOSE 0 0 0 0 1 0 0 0\n")
         assert (exc.value.line_no, exc.value.reason) == (1, "POSE id -1 is negative")
 
+    def test_a_refused_quaternion_before_a_negative_id(self):
+        with pytest.raises(ParseError) as exc:
+            parse_poses("POSE 0 0 0 0 1 0 0 0\nPOSE 1 0 0 0 1e200 0 0 0\nPOSE -1 0 0 0 1 0 0 0\n")
+        assert (exc.value.line_no, exc.value.reason) == (2, "quaternion norm too large to normalize")
+
     def test_duplicate_pose_record(self):
         with pytest.raises(ParseError, match="duplicate POSE"):
             parse_poses("POSE 0 0 0 0 1 0 0 0\nPOSE 0 0 0 0 1 0 0 0\n")
@@ -431,17 +440,17 @@ def pose_runs(draw):
     return [f"{i} " + " ".join(map(graphio._fmt, [*trans[i], *quats[i]])) for i in order]
 
 
-def parse_counting_rows(parse_fn, text: str):
-    """parse_fn(text), and how many pose rows the row reader read."""
+def parse_counting_batches(parse_fn, text: str):
+    """parse_fn(text), and how many times it called `unstack`."""
     calls = []
-    pose_row = graphio._pose_row
+    unstack = graphio.unstack
 
     def spy(*args):
         calls.append(args[0])
-        pose_row(*args)
+        return unstack(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphio, "_pose_row", spy)
+        mp.setattr(graphio, "unstack", spy)
         return parse_fn(text), len(calls)
 
 
@@ -452,25 +461,29 @@ def pose_bytes(poses) -> bytes:
 class TestPoseRuns:
     @settings(max_examples=60, deadline=None)
     @given(pose_runs(), pose_runs())
-    def test_blocks_give_the_row_readers_bits(self, init, gt):
-        """INIT, GT and POSE runs read as one block give the quaternions and
-        translations the row reader gives, bit for bit; a comment on every
-        row sends each to the row reader."""
+    def test_a_run_is_one_batch_with_the_bits_of_its_rows(self, init, gt):
+        """An INIT, GT or POSE run's poses are built by one `unstack` call; a
+        comment on every row makes each row a run of its own, and the poses
+        are the same, bit for bit."""
         n = min(len(init), len(gt))
         init = [row for row in init if int(row.split()[0]) < n]
         gt = [row for row in gt if int(row.split()[0]) < n]
         plain = f"PCG 1 {n}\n" + "".join(f"INIT {r}\n" for r in init) + "".join(f"GT {r}\n" for r in gt)
         commented = plain.replace("\n", " # c\n")
-        graph, rows = parse_counting_rows(parse, plain)
-        by_rows, all_rows = parse_counting_rows(parse, commented)
-        assert (rows, all_rows) == (0, 2 * n)
+        graph, batches = parse_counting_batches(parse, plain)
+        by_rows, all_batches = parse_counting_batches(parse, commented)
+        assert (batches, all_batches) == (2, 2 * n)
         assert pose_bytes(graph.initial_poses) == pose_bytes(by_rows.initial_poses)
         assert pose_bytes(graph.ground_truth) == pose_bytes(by_rows.ground_truth)
         text = "".join(f"POSE {r}\n" for r in init)
-        poses, rows = parse_counting_rows(parse_poses, text)
-        by_rows, all_rows = parse_counting_rows(parse_poses, text.replace("\n", "#\n"))
-        assert (rows, all_rows) == (0, n)
+        poses, batches = parse_counting_batches(parse_poses, text)
+        by_rows, all_batches = parse_counting_batches(parse_poses, text.replace("\n", "#\n"))
+        assert (batches, all_batches) == (1, n)
         assert pose_bytes(poses) == pose_bytes(by_rows) == pose_bytes(graph.initial_poses)
+
+    def test_a_duplicate_at_the_end_of_a_long_run(self):
+        text = "PCG 1 5000\n" + "".join(f"GT {i} {I}\n" for i in range(5000)) + f"GT 0 {I}\n"
+        assert parse_error(text) == (5002, "duplicate GT record for fragment 0")
 
 
 class TestReport:

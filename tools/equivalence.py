@@ -8,13 +8,16 @@ The parent commit is exported with `bench_pairs.export` into a temporary
 directory. In each tree, a fresh interpreter (single-threaded BLAS, no
 bytecode written) makes the text of every perfbench scene with its match
 rows shuffled by seed 0 and by seed 1 (`harness.scene_text`), parses it, and
-runs `em.run_em` on the graph with its workload's hyperparameters. Two
+runs `em.run_em` on the graph with its workload's hyperparameters. Three
 sha256 digests are kept per scene and seed:
 
 - the parsed graph: fragment count, every constraint's pair and match bytes,
   INIT and GT poses, and the oracle labels;
 - the run: poses, posteriors, theta, `converged`, every `EmIteration` field,
-  and `em.loop_errors` at the returned poses (or the error a run raised).
+  and `em.loop_errors` at the returned poses (or the error a run raised);
+- the run's poses read back from text: from a pose file (`write_poses`, then
+  `parse_poses`) and as the INIT rows of the scene's graph (`write_graph`
+  with those poses as its initial poses, then `parse`).
 
 The digests of the two trees are compared key by key, and the result is
 printed as one JSON object; the exit status is 1 when any digest differs.
@@ -38,6 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SHUFFLE_SEEDS = (0, 1)
+KINDS = ("graphs", "runs", "poses")
 
 
 def _feed(h, value) -> None:
@@ -87,29 +91,41 @@ def graph_digest(graph) -> str:
 def run_digest(em, graph, params) -> str:
     """run_em's poses, posteriors, theta, converged flag and every iteration's
     fields, and loop_errors at its poses; or the error the run raised."""
+    return _run(em, graph, params)[0]
+
+
+def _run(em, graph, params) -> tuple[str, list | None]:
+    """run_digest, and the run's poses (None when it raised)."""
     try:
         poses, state, trace = em.run_em(graph, params)
     except Exception as err:  # a run that fails must fail alike in both trees
-        return digest("raised", type(err).__name__, str(err))
-    return digest(poses, state, trace.iterations, trace.converged, em.loop_errors(graph, poses, params))
+        return digest("raised", type(err).__name__, str(err)), None
+    return digest(poses, state, trace.iterations, trace.converged, em.loop_errors(graph, poses, params)), poses
+
+
+def poses_digest(graphio, graph, poses) -> str:
+    """`poses` read back from a pose file, and as the INIT rows of `graph`'s text."""
+    text = graphio.write_graph(dataclasses.replace(graph, initial_poses=poses))
+    return digest(graphio.parse_poses(graphio.write_poses(poses)), graphio.parse(text).initial_poses)
 
 
 def tree_digests(tree: Path) -> dict[str, dict[str, str]]:
-    """Graph and run digests of every perfbench scene and shuffle seed, read
-    with the package and perfbench of `tree` (in this process)."""
+    """Graph, run and poses digests of every perfbench scene and shuffle seed,
+    read with the package and perfbench of `tree` (in this process)."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import harness
     from robustpgo import em, graphio
 
-    out: dict[str, dict[str, str]] = {"graphs": {}, "runs": {}}
+    out: dict[str, dict[str, str]] = {kind: {} for kind in KINDS}
     for name, workload in harness.WORKLOADS.items():
         for config in workload.scenes:
             for seed in SHUFFLE_SEEDS:
                 key = f"{name} scene {config.seed} shuffle {seed}"
                 graph = graphio.parse(harness.scene_text(config, seed))
                 out["graphs"][key] = graph_digest(graph)
-                out["runs"][key] = run_digest(em, graph, workload.params)
+                out["runs"][key], poses = _run(em, graph, workload.params)
+                out["poses"][key] = digest(None) if poses is None else poses_digest(graphio, graph, poses)
     return out
 
 
@@ -134,7 +150,7 @@ def digests_in(tree: Path) -> dict[str, dict[str, str]]:
 def compare(parent: dict, change: dict) -> dict:
     """Per kind, how many keys both trees hold with equal digests, and which differ."""
     out = {}
-    for kind in ("graphs", "runs"):
+    for kind in KINDS:
         keys = sorted(parent[kind].keys() | change[kind].keys())
         differ = [k for k in keys if parent[kind].get(k) != change[kind].get(k)]
         out[kind] = {"identical": len(keys) - len(differ), "total": len(keys), "differ": differ}
@@ -153,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         result = compare(digests_in(Path(tmp)), digests_in(ROOT))
     result["parent"] = git("rev-parse", args.parent)
     print(json.dumps(result, indent=1))
-    return 0 if not any(result[kind]["differ"] for kind in ("graphs", "runs")) else 1
+    return 0 if not any(result[kind]["differ"] for kind in KINDS) else 1
 
 
 if __name__ == "__main__":
