@@ -95,7 +95,7 @@ def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> 
     start = table.offsets[odometry]
     loops = MatchTable(table.pairs[odometry:], table.sizes[odometry:], table.p[start:], table.q[start:])
     quats, trans = se3.stack(poses)
-    _, s = loops.frame_residuals(se3.quat_to_matrix(quats), trans)
+    s = loops.frame_residuals(se3.quat_to_matrix(quats), trans).s
     # a kernel value past the float range is inf, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         return loops.segment_sum(solver._rho(s, params.mode, params.sigma)) / loops.sizes

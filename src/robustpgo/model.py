@@ -21,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -77,6 +78,17 @@ class LoopClosureConstraint(_MatchSet):
         return (self.i, self.j)
 
 
+class FrameResiduals(NamedTuple):
+    """MatchTable.frame_residuals at one set of poses: per match, the
+    residual e_i in constraint frame i and its squared norm s; per
+    constraint, the relative pose (R_ij, t_ij) they were formed from."""
+
+    ei: np.ndarray  # (M, 3)
+    s: np.ndarray  # (M,)
+    rij: np.ndarray  # (C, 3, 3)
+    tij: np.ndarray  # (C, 3)
+
+
 @dataclass(frozen=True, eq=False)
 class MatchTable:
     """The match sets of a list of constraints, stacked flat.
@@ -131,9 +143,26 @@ class MatchTable:
         return np.concatenate([[0], np.cumsum(self.sizes)])
 
     @cached_property
+    def ones(self) -> np.ndarray:
+        """(M,) ones, read-only: the data of the segment indicator, and on an
+        outer_operator they give its row sums."""
+        out = np.ones(len(self))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _summer_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and row pointers of the (C, M) segment indicator."""
         return np.arange(len(self), dtype=np.int32), self.offsets.astype(np.int32)
+
+    @cached_property
+    def _summer(self) -> csr_matrix:
+        """The (C, M) segment indicator, whose product sums each constraint's matches."""
+        return self._weighted_summer(self.ones)
+
+    def _weighted_summer(self, data: np.ndarray) -> csr_matrix:
+        """The segment indicator with data (M,) in place of its ones."""
+        return csr_matrix((data, *self._summer_index), shape=(len(self.sizes), len(self)))
 
     @cached_property
     def _rotator(self) -> csr_matrix:
@@ -171,27 +200,26 @@ class MatchTable:
                 np.einsum("cba,cb->ca", rots[i], trans[j] - trans[i]),
             )
 
-    def frame_residuals(self, rots: np.ndarray, trans: np.ndarray):
+    def frame_residuals(self, rots: np.ndarray, trans: np.ndarray) -> FrameResiduals:
         """Per-match residual e_i = T_i^-1 (T_i p - T_j q) = p - R_ij q - t_ij in
         constraint frame i and its squared norm s, for poses given as (N, 3, 3)
-        rotations and (N, 3) translations. The relative pose is formed once per
-        constraint (relative_poses), so no point is carried to the world frame
-        and the residuals do not depend on where the world origin lies; every
-        R_ij q is one product with the table's operator (_rotator). Poses
-        far enough apart overflow to inf, which the caller reports, so numpy is
-        not asked to warn of it."""
+        rotations and (N, 3) translations, with the relative poses. The
+        relative pose is formed once per constraint (relative_poses), so no
+        point is carried to the world frame and the residuals do not depend on
+        where the world origin lies; every R_ij q is one product with the
+        table's operator (_rotator). Poses far enough apart overflow to inf,
+        which the caller reports, so numpy is not asked to warn of it."""
         rij, tij = self.relative_poses(rots, trans)
         with np.errstate(over="ignore", invalid="ignore"):
             ei = self.p - self._rotator @ np.swapaxes(rij, 1, 2).reshape(-1, 3)
             ei -= np.repeat(tij, self.sizes, axis=0)
-            return ei, np.einsum("ma,ma->m", ei, ei)
+            return FrameResiduals(ei, np.einsum("ma,ma->m", ei, ei), rij, tij)
 
     def segment_sum(self, values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Sum per-match rows (M, ...), each times its weight when weights (M,)
         are given, over each constraint's matches; an empty constraint sums to
-        zero."""
-        data = np.ones(len(self)) if weights is None else weights
-        summer = csr_matrix((data, *self._summer_index), shape=(len(self.sizes), len(self)))
+        zero. The unweighted indicator is built once per table."""
+        summer = self._summer if weights is None else self._weighted_summer(weights)
         flat = values.reshape(len(values), math.prod(values.shape[1:]))
         return (summer @ flat).reshape((len(self.sizes),) + values.shape[1:])
 
@@ -234,26 +262,33 @@ class MatchMoments:
         overflow, then centred and divided by a power of two above the largest
         centred coordinate. A coordinate that is not finite makes its
         constraint's moments NaN, with no warning."""
-        seg, filled = table.seg, table.sizes > 0
-        count = np.maximum(table.sizes, 1)[:, None]
+        sizes, filled = table.sizes, table.sizes > 0
+        count = np.maximum(sizes, 1)[:, None]
 
         def exponent(p, q):
             """Per constraint, the e with every coordinate below 2^e in size (0 for none)."""
-            top = np.zeros(len(table.sizes))
+            top = np.zeros(len(sizes))
             if filled.any():
-                coordinates = np.abs(np.hstack([p, q]))
-                top[filled] = np.maximum.reduceat(coordinates, table.offsets[:-1][filled]).max(axis=1)
+                starts = table.offsets[:-1][filled]
+                top[filled] = np.maximum(
+                    np.maximum.reduceat(np.abs(p), starts).max(axis=1),
+                    np.maximum.reduceat(np.abs(q), starts).max(axis=1),
+                )
             return np.frexp(top)[1]
+
+        def scaled(p, q, e):
+            """p and q each divided by 2^e of its constraint."""
+            shift = -np.repeat(e, sizes)[:, None]
+            return np.ldexp(p, shift), np.ldexp(q, shift)
 
         with np.errstate(over="ignore", invalid="ignore"):
             outer = exponent(table.p, table.q)
-            p, q = np.ldexp(table.p, -outer[seg, None]), np.ldexp(table.q, -outer[seg, None])
+            p, q = scaled(table.p, table.q, outer)
             p_mean, q_mean = table.segment_sum(p) / count, table.segment_sum(q) / count
-            p, q = p - p_mean[seg], q - q_mean[seg]
+            p, q = p - np.repeat(p_mean, sizes, axis=0), q - np.repeat(q_mean, sizes, axis=0)
             inner = exponent(p, q)
-            p, q = np.ldexp(p, -inner[seg, None]), np.ldexp(q, -inner[seg, None])
-            ones = np.ones(len(table))
-            about_p, about_q = table.outer_operator(ones, p), table.outer_operator(ones, q)
+            p, q = scaled(p, q, inner)
+            about_p, about_q = table.outer_operator(table.ones, p), table.outer_operator(table.ones, q)
             return cls(
                 outer + inner, np.ldexp(p_mean, outer[:, None]), np.ldexp(q_mean, outer[:, None]),
                 about_p(p), about_q(q), about_p(q),

@@ -49,6 +49,14 @@ quaternion and (N, 3) translation arrays while LM runs, each pose state with
 its weight-free evaluation (PoseState), which EM hands from one M-step to
 the next.
 
+What is formed how often: once per table, its segment ids, sum operators,
+moments and last _Pattern; once per solve, on first use by its Problem,
+whose weights are a read-only copy, the cauchy kernel's per-match 2 w, the
+squared kernel's weight-only local moments and the gradient's scatter slots;
+once per pose state, at each LM pass, the rest of the local moments and
+_assemble's gradient and H blocks; once per trial, the subgraph's factor,
+PCG and the trial's evaluation.
+
 `robustpgo check-grad` checks _assemble's gradient and H against finite
 differences of _evaluate under _retract_all, the functions LM itself calls.
 """
@@ -58,6 +66,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -89,15 +98,48 @@ class SolverError(Exception):
 @dataclass(frozen=True)
 class Problem:
     """The objective over a match table: every match of constraint c adds
-    weights[c] * rho(s). Its length is the match count."""
+    weights[c] * rho(s). Its length is the match count. The weights are held
+    as a read-only float copy, as what a solve forms from them once
+    (_match_alpha, _fixed_moments) must stay theirs."""
 
     table: MatchTable
     weights: np.ndarray  # (C,) per-match weight of each constraint
     kernel: str
     sigma: float = 1.0
 
+    def __post_init__(self):
+        weights = np.array(self.weights, dtype=float)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+
     def __len__(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def _match_alpha(self) -> np.ndarray:
+        """(M,) 2 w of each match's constraint: under the cauchy kernel, the
+        part of alpha = 2 w rho'(s) that the weights fix."""
+        return 2.0 * self.weights[self.table.seg]
+
+    @cached_property
+    def _fixed_moments(self) -> _Moments:
+        """The squared kernel's local moments that the weights alone fix, with
+        alpha = 2 w constant within each constraint: a0, p, q, pq, pp and qq
+        (e and cross, which the poses move, are None)."""
+        moments = self.table.moments
+        a0 = 2.0 * self.weights * self.table.sizes
+        return _Moments(
+            a0, a0[:, None] * moments.p_mean, a0[:, None] * moments.q_mean, None, None,
+            _squared_moment(self, moments.pq, moments.p_mean, moments.q_mean),
+            _squared_moment(self, moments.pp, moments.p_mean, moments.p_mean),
+            _squared_moment(self, moments.qq, moments.q_mean, moments.q_mean),
+        )
+
+    @cached_property
+    def _gradient_slots(self) -> np.ndarray:
+        """(12C,) the entry of a 6N gradient that each entry of the (2C, 6)
+        stack of the constraints' pose-i terms, then pose-j terms, adds to."""
+        return (6 * self.table.pairs.T.reshape(-1, 1) + np.arange(6)).ravel()
 
     def objective(self, state: PoseState) -> float:
         """weights @ sums at a pose state evaluated for this problem's table,
@@ -200,8 +242,10 @@ def _rho(s: np.ndarray, kernel: str, sigma: float) -> np.ndarray:
             ratio = s / (sigma * sigma)
         out = np.log1p(ratio)
         # where s / sigma^2 is past the float range, ln(1 + s/sigma^2) is ln(s) - 2 ln(sigma)
-        huge = np.isinf(ratio) & np.isfinite(s)
-        out[huge] = np.log(s[huge]) - 2.0 * math.log(sigma)
+        huge = np.isinf(ratio)
+        if huge.any():
+            huge &= np.isfinite(s)
+            out[huge] = np.log(s[huge]) - 2.0 * math.log(sigma)
         return out
     if kernel == KERNEL_SQUARED:
         return s
@@ -220,7 +264,7 @@ def _nonfinite(state: PoseState) -> SolverError:
     """The error that names the first match whose residual at the state's
     poses is not finite."""
     table = state.table
-    _, s = table.frame_residuals(state.rots, state.trans)
+    s = table.frame_residuals(state.rots, state.trans).s
     m = int(np.argmin(np.isfinite(s)))
     c = int(table.seg[m])
     i, j = table.pairs[c]
@@ -261,16 +305,17 @@ def _evaluate(problem: Problem, quats, trans, anchor: _Anchor | None = None) -> 
     table, kernel, sigma = problem.table, problem.kernel, problem.sigma
     rots = se3.quat_to_matrix(quats)
     if anchor is None:
-        ei, s = table.frame_residuals(rots, trans)
+        ei, s, rij, tij = table.frame_residuals(rots, trans)
         # a kernel value past the float range is inf, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             sums = table.segment_sum(_rho(s, kernel, sigma))
         finite = bool(np.isfinite(s).all())
         if kernel != KERNEL_SQUARED:
             return PoseState(quats, trans, rots, sums, finite, table, kernel, sigma, ei=ei, s=s)
+    else:
+        rij, tij = table.relative_poses(rots, trans)
 
     moments = table.moments
-    rij, tij = table.relative_poses(rots, trans)
     with np.errstate(over="ignore", invalid="ignore"):
         e_mean = moments.p_mean - np.einsum("cab,cb->ca", rij, moments.q_mean) - tij
         if anchor is None:
@@ -369,30 +414,37 @@ def _assemble(problem: Problem, state: PoseState, curvature: bool = False):
 
     e_sum = np.einsum("cab,cb->ca", ri, m.e)  # E
     g = np.hstack([np.einsum("cab,cb->ca", ri, m.cross) + np.cross(ti, e_sum), e_sum])
-    grad = np.zeros((len(state), 6))
-    np.add.at(grad, i, g)
-    np.add.at(grad, j, -g)
+    # one bincount adds the terms in the order two np.add.at would: pose i's, then pose j's
+    grad = np.bincount(problem._gradient_slots, weights=np.concatenate([g, -g]).ravel(), minlength=6 * len(state))
 
     rp, rq = np.einsum("cab,cb->ca", ri, m.p), np.einsum("cab,cb->ca", rj, m.q)
     si, sj = rp + m.a0[:, None] * ti, rq + m.a0[:, None] * tj
     sij = _world_moment(ri, m.pq, rj, rp, tj, ti, sj)
+    # the diagonal block kinds, then H_ij, stacked C rows each into one _skew_gram
+    # and one _block6 call; with curvature H_ii and H_jj are one block
     if curvature:
         c = 0.5 * (si + sj)
-        h_ii = h_jj = _block6(_skew_gram(0.5 * (sij + np.swapaxes(sij, 1, 2))), c, -c, m.a0)
+        grams, uppers, lowers, corners = [0.5 * (sij + np.swapaxes(sij, 1, 2))], [c], [-c], [m.a0]
     else:
         sii = _world_moment(ri, m.pp, ri, rp, ti, ti, si)
         sjj = _world_moment(rj, m.qq, rj, rq, tj, tj, sj)
-        h_ii = _block6(_skew_gram(sii), si, -si, m.a0)
-        h_jj = _block6(_skew_gram(sjj), sj, -sj, m.a0)
-    h_ij = _block6(-_skew_gram(sij), -si, sj, -m.a0)
-    return grad.reshape(-1), np.concatenate([h_ii, h_jj, h_ij, np.swapaxes(h_ij, 1, 2)])
+        grams, uppers, lowers, corners = [sii, sjj], [si, sj], [-si, -sj], [m.a0, m.a0]
+    gram = _skew_gram(np.concatenate([*grams, sij]))
+    h_ij = len(gram) - len(sij)  # the first row of H_ij, whose gram is the negated one
+    np.negative(gram[h_ij:], out=gram[h_ij:])
+    blocks = _block6(
+        gram, np.concatenate([*uppers, -si]), np.concatenate([*lowers, sj]), np.concatenate([*corners, -m.a0])
+    )
+    diagonal = [blocks[:h_ij]] * (2 if curvature else 1)
+    return grad, np.concatenate([*diagonal, blocks[h_ij:], np.swapaxes(blocks[h_ij:], 1, 2)])
 
 
 class _Moments(NamedTuple):
     """The local moments of each constraint's matches that _assemble reads,
     with alpha = 2 w rho'(s): a0 = sum alpha, p = sum alpha p, q = sum alpha q,
     e = sum alpha e_i, cross = sum alpha p x e_i, pq = X = sum alpha p q^T,
-    and P = sum alpha p p^T and Q = sum alpha q q^T (None with curvature)."""
+    and P = sum alpha p p^T and Q = sum alpha q q^T (not read with
+    curvature, and under the cauchy kernel then None)."""
 
     a0: np.ndarray
     p: np.ndarray
@@ -404,6 +456,15 @@ class _Moments(NamedTuple):
     qq: np.ndarray | None
 
 
+def _squared_moment(problem: Problem, centred: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2 w (4^exponent centred + k a b^T): under the squared kernel, the sum
+    of alpha a' b'^T over each constraint's matches, from a centred moment
+    held scaled as the table's moments are and the means a and b."""
+    k = problem.table.sizes
+    outer = k[:, None, None] * a[:, :, None] * b[:, None, :]
+    return (2.0 * problem.weights)[:, None, None] * (problem.table.moments.unscale(centred) + outer)
+
+
 def _local_moments(problem: Problem, state: PoseState, curvature: bool) -> _Moments:
     """The local moments at the state, per match under the cauchy kernel and
     from the table's fixed moments under the squared kernel, whose alpha = 2 w
@@ -411,37 +472,25 @@ def _local_moments(problem: Problem, state: PoseState, curvature: bool) -> _Mome
     MatchMoments, sum alpha e_i = a0 e_mean and sum alpha p e_i^T =
     2 w (P~ - X~ R_ij^T + k p_mean e_mean^T), whose antisymmetric part leaves
     out the symmetric P~; sum alpha p q^T = 2 w (X~ + k p_mean q_mean^T), and
-    P and Q alike."""
+    P and Q alike. Those last and a0, sum alpha p and sum alpha q depend on
+    the weights alone, so each solve forms them once (Problem._fixed_moments)."""
     table = problem.table
     if problem.kernel != KERNEL_SQUARED:
-        alpha = 2.0 * problem.weights[table.seg] * _drho(state.s, problem.kernel, problem.sigma)
+        alpha = problem._match_alpha * _drho(state.s, problem.kernel, problem.sigma)
         # on ones, each operator gives its row sums, sum alpha p or sum alpha q
         alpha_p, alpha_q = table.outer_operator(alpha, table.p), table.outer_operator(alpha, table.q)
-        ones = np.ones(len(table))
         pe = alpha_p(state.ei)
         return _Moments(
-            table.segment_sum(alpha), alpha_p(ones), alpha_q(ones), table.segment_sum(state.ei, alpha),
+            table.segment_sum(alpha), alpha_p(table.ones), alpha_q(table.ones), table.segment_sum(state.ei, alpha),
             pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]], alpha_p(table.q),
             None if curvature else alpha_p(table.p), None if curvature else alpha_q(table.q),
         )
 
-    moments = table.moments
-    w2, k = 2.0 * problem.weights, table.sizes
-    a0 = w2 * k
-
-    def second(centred, a, b):
-        """2 w (4^exponent centred + k a b^T), the sum of alpha a' b'^T over the matches."""
-        outer = k[:, None, None] * a[:, :, None] * b[:, None, :]
-        return w2[:, None, None] * (moments.unscale(centred) + outer)
-
+    moments, fixed = table.moments, problem._fixed_moments
     # sum p e_i^T without P~, whose antisymmetric part is zero
-    pe = second(-moments.pq @ np.swapaxes(state.rij, 1, 2), moments.p_mean, state.e_mean)
-    return _Moments(
-        a0, a0[:, None] * moments.p_mean, a0[:, None] * moments.q_mean, a0[:, None] * state.e_mean,
-        pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]],
-        second(moments.pq, moments.p_mean, moments.q_mean),
-        None if curvature else second(moments.pp, moments.p_mean, moments.p_mean),
-        None if curvature else second(moments.qq, moments.q_mean, moments.q_mean),
+    pe = _squared_moment(problem, -moments.pq @ np.swapaxes(state.rij, 1, 2), moments.p_mean, state.e_mean)
+    return fixed._replace(
+        e=fixed.a0[:, None] * state.e_mean, cross=pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]]
     )
 
 

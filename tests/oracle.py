@@ -19,6 +19,11 @@ and a run goes on after an M-step that takes no step, replaying it.
 EntryPattern is the LM system's pattern as it was before it was built by
 pose blocks: one np.unique over the keys of every block entry, and a
 subgraph that zeroes the left-out blocks and drops every zero it stores.
+assemble_per_block is LM's gradient and H as they were built before a solve
+formed its weight-only terms once and H's block kinds were stacked: every
+pass forms the squared kernel's weight-only local moments and the cauchy
+kernel's per-match 2 w again, each block kind takes its own _skew_gram and
+_block6 call, and the gradient is scattered by two np.add.at.
 None of them is on the solve path.
 """
 
@@ -31,7 +36,9 @@ from robustpgo import se3, solver
 from robustpgo.em import EmError, EmIteration, EmTrace, e_step, evaluate_poses, learn_theta_cauchy
 from robustpgo.model import MatchTable, initialize_poses, learn_theta_gaussian
 from robustpgo.se3 import Pose
-from robustpgo.solver import _BLOCK_ENTRIES, _drho, _pose_order, _rho
+from robustpgo.solver import (
+    _BLOCK_ENTRIES, KERNEL_SQUARED, _block6, _drho, _pose_order, _rho, _skew_gram, _world_moment,
+)
 from scipy.sparse import csc_matrix
 
 
@@ -313,3 +320,65 @@ class EntryPattern:
         if subgraph:
             system.eliminate_zeros()
         return system
+
+
+def _local_moments_per_pass(problem: solver.Problem, state: solver.PoseState, curvature: bool):
+    """solver._local_moments with nothing formed once per solve: (a0, p, q,
+    e, cross, pq, pp, qq), pp and qq None with curvature."""
+    table = problem.table
+    if problem.kernel != KERNEL_SQUARED:
+        alpha = 2.0 * problem.weights[table.seg] * _drho(state.s, problem.kernel, problem.sigma)
+        alpha_p, alpha_q = table.outer_operator(alpha, table.p), table.outer_operator(alpha, table.q)
+        ones = np.ones(len(table))
+        pe = alpha_p(state.ei)
+        return (
+            table.segment_sum(alpha), alpha_p(ones), alpha_q(ones), table.segment_sum(state.ei, alpha),
+            pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]], alpha_p(table.q),
+            None if curvature else alpha_p(table.p), None if curvature else alpha_q(table.q),
+        )
+
+    moments = table.moments
+    w2, k = 2.0 * problem.weights, table.sizes
+    a0 = w2 * k
+
+    def second(centred, a, b):
+        outer = k[:, None, None] * a[:, :, None] * b[:, None, :]
+        return w2[:, None, None] * (moments.unscale(centred) + outer)
+
+    pe = second(-moments.pq @ np.swapaxes(state.rij, 1, 2), moments.p_mean, state.e_mean)
+    return (
+        a0, a0[:, None] * moments.p_mean, a0[:, None] * moments.q_mean, a0[:, None] * state.e_mean,
+        pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]],
+        second(moments.pq, moments.p_mean, moments.q_mean),
+        None if curvature else second(moments.pp, moments.p_mean, moments.p_mean),
+        None if curvature else second(moments.qq, moments.q_mean, moments.q_mean),
+    )
+
+
+def assemble_per_block(problem: solver.Problem, state: solver.PoseState, curvature: bool = False):
+    """solver._assemble's gradient and (4C, 6, 6) blocks, one _skew_gram and
+    _block6 call per block kind and the gradient added by np.add.at."""
+    table = problem.table
+    i, j = table.pairs[:, 0], table.pairs[:, 1]
+    ri, rj, ti, tj = state.rots[i], state.rots[j], state.trans[i], state.trans[j]
+    a0, mp, mq, me, cross, pq, pp, qq = _local_moments_per_pass(problem, state, curvature)
+
+    e_sum = np.einsum("cab,cb->ca", ri, me)
+    g = np.hstack([np.einsum("cab,cb->ca", ri, cross) + np.cross(ti, e_sum), e_sum])
+    grad = np.zeros((len(state), 6))
+    np.add.at(grad, i, g)
+    np.add.at(grad, j, -g)
+
+    rp, rq = np.einsum("cab,cb->ca", ri, mp), np.einsum("cab,cb->ca", rj, mq)
+    si, sj = rp + a0[:, None] * ti, rq + a0[:, None] * tj
+    sij = _world_moment(ri, pq, rj, rp, tj, ti, sj)
+    if curvature:
+        c = 0.5 * (si + sj)
+        h_ii = h_jj = _block6(_skew_gram(0.5 * (sij + np.swapaxes(sij, 1, 2))), c, -c, a0)
+    else:
+        sii = _world_moment(ri, pp, ri, rp, ti, ti, si)
+        sjj = _world_moment(rj, qq, rj, rq, tj, tj, sj)
+        h_ii = _block6(_skew_gram(sii), si, -si, a0)
+        h_jj = _block6(_skew_gram(sjj), sj, -sj, a0)
+    h_ij = _block6(-_skew_gram(sij), -si, sj, -a0)
+    return grad.reshape(-1), np.concatenate([h_ii, h_jj, h_ij, np.swapaxes(h_ij, 1, 2)])

@@ -246,11 +246,14 @@ class TestMatchTable:
         table = MatchTable.from_graph(graph)
         rots = np.stack([p.rotation_matrix() for p in poses])
         trans = np.stack([p.trans for p in poses])
-        ei, s = table.frame_residuals(rots, trans)
+        ei, s, rij, tij = table.frame_residuals(rots, trans)
         for m, (i, j) in enumerate(table.pairs[table.seg]):
             world = transform_point(poses[i], table.p[m]) - transform_point(poses[j], table.q[m])
             np.testing.assert_allclose(ei[m], rots[i].T @ world, atol=1e-12)
         np.testing.assert_allclose(s, np.sum(ei * ei, axis=1), rtol=1e-14)
+        # the relative poses the residuals were formed from
+        for a, b in zip((rij, tij), table.relative_poses(rots, trans)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestHyperparams:

@@ -21,6 +21,7 @@ from robustpgo.synth import ScenarioConfig, generate
 from oracle import (
     EntryPattern,
     ResidualBlock,
+    assemble_per_block,
     block6_cross,
     block_cost,
     finite_difference_gradient,
@@ -186,6 +187,25 @@ class TestBuildProblem:
         )
         with pytest.raises(ValueError):
             build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+
+    def test_weights_are_a_read_only_copy(self):
+        """A problem holds its own read-only float copy of the weights, from
+        which a solve forms its fixed terms once: writing the array it was
+        given leaves it unchanged, and writing its own raises."""
+        graph = ProblemGraph(
+            4,
+            [OdometryConstraint(i, np.zeros((3, 3)), np.zeros((3, 3))) for i in range(3)],
+            [LoopClosureConstraint(0, 2, np.zeros((5, 3)), np.zeros((5, 3)))],
+        )
+        given = np.array([1, 2, 3, 4])
+        problem = Problem(graph.table, given, KERNEL_SQUARED)
+        given[0] = 9
+        assert problem.weights.dtype == float and problem.weights.tolist() == [1.0, 2.0, 3.0, 4.0]
+        built = build_problem(graph, PosteriorState(1.0, np.array([0.8])), Hyperparams())
+        for weights in (problem.weights, built.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 0.5
+        assert built.weights[0] == 1.0 / 3.0
 
 
 class TestGradients:
@@ -366,6 +386,47 @@ class TestBlock6:
         assert flat[:, entries].tobytes() == flat_expected[:, entries].tobytes()
         np.testing.assert_array_equal(out, expected)
         assert not np.delete(flat, entries, axis=1).any()
+
+
+class TestAssembleBytes:
+    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED], ids=KERNEL_IDS)
+    def test_assemble_gives_the_per_block_build_bytes(self, kernel):
+        """_assemble's gradient and blocks, with its weight-only terms formed
+        once per problem, its block kinds stacked and its gradient scattered
+        by one bincount, are the bytes of the per-block build (tests/oracle.py)
+        in both phases: on random tables over six poses whose pairs repeat,
+        include pose 0 on either side and come in either order, at per-match
+        states and, under the squared kernel, anchored ones, several per
+        problem, so the problem's fixed terms are read again."""
+        rng = np.random.default_rng(47)
+        for _ in range(12):
+            count = int(rng.integers(1, 12))
+            pairs = rng.choice(6, size=(count, 2), replace=True)
+            same = pairs[:, 0] == pairs[:, 1]
+            pairs[same, 1] = (pairs[same, 1] + 1) % 6
+            a = int(rng.integers(1, 6))
+            on_pose_0 = np.array([[0, a], [0, a], [a, 0]])[:count]  # repeated, in either order
+            pairs[: len(on_pose_0)] = on_pose_0
+            sizes = rng.integers(1, 7, count)
+            scale = 10.0 ** rng.uniform(-1, 3)
+            table = MatchTable(pairs, sizes, *rng.uniform(-scale, scale, (2, sizes.sum(), 3)))
+            weights = rng.uniform(0.0, 1.0, count) * (rng.random(count) > 0.2)
+            problem = Problem(table, weights, kernel, sigma=float(rng.uniform(0.2, 1.0)))
+            start = None
+            for _ in range(3):
+                twists = np.hstack([rng.uniform(-1, 1, (6, 3)), rng.uniform(-50, 50, (6, 3))])
+                quats, trans = se3.exp_arrays(twists)
+                states = [solver._evaluate(problem, quats, trans)]
+                if kernel == KERNEL_SQUARED:
+                    start = states[0] if start is None else start
+                    states.append(solver._evaluate(problem, quats, trans, start.anchor))
+                for state in states:
+                    for curvature in (False, True):
+                        grad, blocks = solver._assemble(problem, state, curvature)
+                        expected_grad, expected_blocks = assemble_per_block(problem, state, curvature)
+                        assert grad.shape == (36,) and blocks.shape == (4 * count, 6, 6)
+                        assert grad.tobytes() == expected_grad.tobytes()
+                        assert blocks.tobytes() == expected_blocks.tobytes()
 
 
 class TestEvaluate:
