@@ -614,7 +614,7 @@ def fit_rigid_transform(source: np.ndarray, target: np.ndarray) -> Pose:
     """Least-squares rigid transform with target ~ R @ source + t (SVD closed form)."""
     table = MatchTable.from_constraints([LoopClosureConstraint(0, 1, target, source)])
     rots, trans, _ = _fit_rigid(table, np.ones(len(table), dtype=bool))
-    return se3.from_matrix(rots[0], trans[0])
+    return Pose(se3.matrix_to_quat(rots[0]), trans[0])
 
 
 def initialize_poses(graph: ProblemGraph) -> tuple[np.ndarray, np.ndarray]:

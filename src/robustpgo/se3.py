@@ -12,7 +12,6 @@ quaternion, or a stack of N, e.g. (N, 4) quaternions, (N, 3) translations or
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,24 +39,13 @@ def _canonical_quats(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _canonical_quat(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(4)
-    with np.errstate(over="ignore"):  # reported below
-        n = math.sqrt(float(q @ q))
-    if n < 1e-9:
-        raise ValueError("quaternion norm too small to normalize")
-    if n == math.inf:
-        raise ValueError("quaternion norm too large to normalize")
-    if q[0] > 0.0 and abs(n - 1.0) <= _UNIT_TOL:  # canonical already, e.g. read from a file
-        return q.copy()
-    return _canonical_quats(q)
-
-
 def _canonical_rows(q: np.ndarray) -> np.ndarray:
-    """A new (N, 4) array of what `_canonical_quat` makes of each row of
-    (N, 4) quaternions, bit for bit, in one batch; raises its ValueError if
-    any row would. Each norm is the (1, 4) @ (4, 1) product of its row, the
-    dot `q @ q` that `_canonical_quat` rounds."""
+    """A new (N, 4) array of quaternions (4,) or (N, 4), each row made
+    canonical by `_canonical_quats` unless it is already (w > 0 and its norm
+    within 1e-12 of 1, e.g. read from a file); raises ValueError if any row's
+    norm is below 1e-9 or past the float range. Each norm is the
+    (1, 4) @ (4, 1) product of its row, which rounds as the dot `q @ q` of
+    that row alone does, so a row gets the same bits in any batch."""
     q = np.array(q, dtype=float).reshape(-1, 4)
     with np.errstate(over="ignore"):  # reported below
         n = np.sqrt(np.matmul(q[:, None, :], q[:, :, None]).reshape(-1))
@@ -82,7 +70,7 @@ class Pose:
     trans: np.ndarray
 
     def __post_init__(self):
-        self.quat = _canonical_quat(self.quat)
+        self.quat = _canonical_rows(self.quat).reshape(4)
         self.trans = np.asarray(self.trans, dtype=float).reshape(3).copy()
 
     def rotation_matrix(self) -> np.ndarray:
@@ -149,11 +137,7 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
     rows = np.arange(len(m))
     q = numerators[rows, branch] / s[:, None]
     q[rows, branch] = 0.25 * s
-    return _canonical_quat(q[0]) if R.ndim == 2 else _canonical_quats(q)
-
-
-def from_matrix(R: np.ndarray, t: np.ndarray) -> Pose:
-    return Pose(matrix_to_quat(R), t)
+    return _canonical_rows(q)[0] if R.ndim == 2 else _canonical_quats(q)
 
 
 def stack(poses) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +148,8 @@ def stack(poses) -> tuple[np.ndarray, np.ndarray]:
 
 def unstack(quats: np.ndarray, trans: np.ndarray) -> list[Pose]:
     """Poses of (N, 4) quaternions and (N, 3) translations, made canonical in
-    one batch, the bits `Pose` makes one at a time; raises ValueError as
-    `Pose` does. Each pose holds views of its rows of the new arrays."""
+    one batch, the bits `Pose` makes of each; raises ValueError as `Pose`
+    does. Each pose holds views of its rows of the new arrays."""
     poses = []
     for q, t in zip(_canonical_rows(quats), np.array(trans, dtype=float).reshape(-1, 3)):
         pose = object.__new__(Pose)  # skips __post_init__: q is canonical already

@@ -82,15 +82,18 @@ class EvalResult:
     full_alignment_ate: float = math.nan  # m, after one rigid alignment over all poses
 
 
-def _yaw_pose(position: np.ndarray, yaw: float) -> Pose:
-    quat = np.array([math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)])
-    return Pose(quat, position)
+def _yaw_quats(yaws) -> np.ndarray:
+    """Canonical (N, 4) quaternions of turns by each yaw about z. Each angle
+    goes through math's cos and sin, whose roundings numpy's need not share."""
+    return se3._canonical_rows([[math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)] for yaw in yaws])
 
 
-def _trajectory(config: ScenarioConfig) -> list[Pose]:
+def _trajectory(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth poses as canonical (N, 4) quaternions and (N, 3)
+    translations, each fragment facing along the path."""
     n, d = config.num_fragments, config.spacing
     if config.shape == "line":
-        return [_yaw_pose(np.array([k * d, 0.0, 0.0]), 0.0) for k in range(n)]
+        return _yaw_quats([0.0] * n), np.array([[k * d, 0.0, 0.0] for k in range(n)], dtype=float)
     if config.shape == "circle":
         # several laps: fragment k revisits k + m*n/laps, giving loop partners
         # at multiple offsets that knit the whole trajectory together; small
@@ -98,12 +101,9 @@ def _trajectory(config: ScenarioConfig) -> list[Pose]:
         # loops (pairs farther than 3x spacing) to exist at all
         laps = 4 if n >= 48 else 2
         radius = n * d / (2.0 * laps * math.pi)
-        poses = []
-        for k in range(n):
-            angle = 2.0 * laps * math.pi * k / n
-            pos = np.array([radius * math.cos(angle), radius * math.sin(angle), 0.0])
-            poses.append(_yaw_pose(pos, angle + 0.5 * math.pi))
-        return poses
+        angles = [2.0 * laps * math.pi * k / n for k in range(n)]
+        trans = np.array([[radius * math.cos(a), radius * math.sin(a), 0.0] for a in angles])
+        return _yaw_quats([a + 0.5 * math.pi for a in angles]), trans
     # figure-eight: Gerono lemniscate resampled to uniform arc length
     t = np.linspace(0.0, 2.0 * math.pi, 20000, endpoint=False)
     xy = np.stack([np.sin(t), np.sin(t) * np.cos(t)], axis=1)
@@ -113,63 +113,64 @@ def _trajectory(config: ScenarioConfig) -> list[Pose]:
     cumulative = np.concatenate([[0.0], np.cumsum(seg)])[:-1]
     targets = np.arange(n) * (length_unit / n)
     idx = np.searchsorted(cumulative, targets, side="right") - 1
-    poses = []
-    for k in idx:
-        pos = scale * np.array([xy[k, 0], xy[k, 1], 0.0])
-        nxt = xy[(k + 1) % len(xy)] - xy[k]
-        poses.append(_yaw_pose(pos, math.atan2(nxt[1], nxt[0])))
-    return poses
+    trans = scale * np.concatenate([xy[idx], np.zeros((n, 1))], axis=1)
+    heading = xy[(idx + 1) % len(xy)] - xy[idx]
+    return _yaw_quats([math.atan2(dy, dx) for dx, dy in heading.tolist()]), trans
 
 
 def _ball(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
     """Uniform draws from a solid ball."""
-    direction = rng.normal(size=(count, 3))
+    try:
+        direction = rng.normal(size=(count, 3))
+    except (ValueError, MemoryError) as err:  # numpy's size check, or an allocation that fails
+        raise ScenarioError(f"cannot draw {count} match points: {err}") from None
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     r = radius * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
     return direction * r
 
 
+def _in_frame(fragment: tuple[np.ndarray, np.ndarray], world: np.ndarray) -> np.ndarray:
+    """World points in the frame of a fragment given by its (quat, trans) rows."""
+    quat, trans = se3.inverse_arrays(*fragment)
+    return world @ se3.quat_to_matrix(quat).T + trans
+
+
 def _match_set(
     rng: np.random.Generator,
     config: ScenarioConfig,
-    pose_a: Pose,
-    pose_b: Pose,
+    a: tuple[np.ndarray, np.ndarray],
+    b: tuple[np.ndarray, np.ndarray],
     point_radius: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inlier-style matches: shared world points near the two fragments, noise on
+    """Inlier-style matches between fragments a and b, each given by its
+    (quat, trans) rows: shared world points near the two fragments, noise on
     the q side, and the configured fraction displaced into outliers."""
     k = config.matches_per_constraint
-    center = 0.5 * (pose_a.trans + pose_b.trans)
+    center = 0.5 * (a[1] + b[1])
     world = center + _ball(rng, k, point_radius)
-    inv_a, inv_b = se3.inverse(pose_a), se3.inverse(pose_b)
-    p = se3.transform_points(inv_a, world)
-    q = se3.transform_points(inv_b, world)
+    p = _in_frame(a, world)
+    q = _in_frame(b, world)
     if config.match_noise > 0:
         q = q + rng.normal(scale=config.match_noise, size=(k, 3))
     n_out = round(config.outlier_match_fraction * k)
     if n_out:
         which = rng.choice(k, size=n_out, replace=False)
-        q[which] = se3.transform_points(inv_b, world[which]) + _ball(
-            rng, n_out, config.outlier_displacement
-        )
+        q[which] = _in_frame(b, world[which]) + _ball(rng, n_out, config.outlier_displacement)
     return p, q
 
 
 def _false_match_set(
     rng: np.random.Generator,
     config: ScenarioConfig,
-    pose_a: Pose,
-    pose_b: Pose,
+    a: tuple[np.ndarray, np.ndarray],
+    b: tuple[np.ndarray, np.ndarray],
     point_radius: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random correspondences: each side samples points near its own fragment."""
     k = config.matches_per_constraint
-    world_a = pose_a.trans + _ball(rng, k, point_radius)
-    world_b = pose_b.trans + _ball(rng, k, point_radius)
-    return (
-        se3.transform_points(se3.inverse(pose_a), world_a),
-        se3.transform_points(se3.inverse(pose_b), world_b),
-    )
+    world_a = a[1] + _ball(rng, k, point_radius)
+    world_b = b[1] + _ball(rng, k, point_radius)
+    return _in_frame(a, world_a), _in_frame(b, world_b)
 
 
 # a pair only counts as a revisit when the chain index gap is too large for
@@ -187,14 +188,14 @@ def _revisit_partners(
     return sorted((float(dist[j]), int(j)) for j in near)
 
 
-def plan_loops(config: ScenarioConfig, gt: list[Pose]) -> tuple[list[tuple[int, int]], int]:
-    """Unique true-loop pairs from keyframe revisits, plus the false-loop count
-    that realizes the configured outlier-loop ratio exactly (within rounding)."""
+def plan_loops(config: ScenarioConfig, translations: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+    """Unique true-loop pairs from keyframe revisits of the (N, 3) ground-truth
+    translations, plus the false-loop count that realizes the configured
+    outlier-loop ratio exactly (within rounding)."""
     n = config.num_fragments
     k2 = config.loops_per_keyframe
     f_out = config.outlier_loop_fraction
     keyframes = list(range(0, n, config.keyframe_stride))
-    translations = np.stack([p.trans for p in gt])
     revisit_radius = 2.5 * config.spacing
 
     if f_out == 1.0:
@@ -225,21 +226,21 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
     rng = np.random.default_rng(config.seed)
     # a trajectory past the float range is rejected here, so numpy is not asked to warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        gt = _trajectory(config)
-        translations = np.stack([p.trans for p in gt])
+        quats, translations = _trajectory(config)
         span = np.ptp(translations, axis=0)
         # every squared distance the scene is built from stays finite, as do the solver's residuals
         if not span @ span < math.inf:
             raise ScenarioError(f"spacing {config.spacing:g} puts the scene's squared size past the float range")
     n = config.num_fragments
     point_radius = 1.5 * config.spacing
+    fragments = list(zip(quats, translations))
 
     odometry = [
-        OdometryConstraint(i, *_match_set(rng, config, gt[i], gt[i + 1], point_radius))
+        OdometryConstraint(i, *_match_set(rng, config, fragments[i], fragments[i + 1], point_radius))
         for i in range(n - 1)
     ]
 
-    true_pairs, n_false = plan_loops(config, gt)
+    true_pairs, n_false = plan_loops(config, translations)
     # the pairs (i, j) with j - i >= 2 that are no true loop bound the false loops sampling can find
     free = (n - 1) * (n - 2) // 2 - len(true_pairs)
     if n_false > free:
@@ -265,7 +266,7 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
     for i, j in sorted(taken):
         truth = (i, j) in true_set
         maker = _match_set if truth else _false_match_set
-        p, q = maker(rng, config, gt[i], gt[j], point_radius)
+        p, q = maker(rng, config, fragments[i], fragments[j], point_radius)
         loops.append(LoopClosureConstraint(i, j, p, q))
         labels[(i, j)] = truth
     # as with the spacing, squares stay finite: each constraint's summed squared
@@ -283,7 +284,7 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
         odometry=odometry,
         loops=loops,
         initial_poses=None,
-        ground_truth=gt,
+        ground_truth=se3.unstack(quats, translations),
         oracle_labels=labels,
     )
 

@@ -24,6 +24,9 @@ formed its weight-only terms once and H's block kinds were stacked: every
 pass forms the squared kernel's weight-only local moments and the cauchy
 kernel's per-match 2 w again, each block kind takes its own _skew_gram and
 _block6 call, and the gradient is scattered by two np.add.at.
+canonical_quat is how a Pose made its quaternion canonical before the
+package made every quaternion canonical in batches: one quaternion, its
+norm the dot q @ q.
 None of them is on the solve path.
 """
 
@@ -55,6 +58,19 @@ class ResidualBlock:
     weight: float
     kernel: str
     sigma: float = 1.0
+
+
+def canonical_quat(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=float).reshape(4)
+    with np.errstate(over="ignore"):  # reported below
+        n = math.sqrt(float(q @ q))
+    if n < 1e-9:
+        raise ValueError("quaternion norm too small to normalize")
+    if n == math.inf:
+        raise ValueError("quaternion norm too large to normalize")
+    if q[0] > 0.0 and abs(n - 1.0) <= se3._UNIT_TOL:  # canonical already, e.g. read from a file
+        return q.copy()
+    return se3._canonical_quats(q)
 
 
 def transform_point(pose: Pose, p: np.ndarray) -> np.ndarray:

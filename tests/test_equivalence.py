@@ -61,3 +61,11 @@ def test_a_one_ulp_change_to_a_pose_changes_the_poses_digest():
     assert equivalence.poses_digest(graphio, graph, copy.deepcopy(poses)) == before
     poses[7].quat[2] = np.nextafter(poses[7].quat[2], np.inf)
     assert equivalence.poses_digest(graphio, graph, poses) != before
+
+
+def test_a_one_ulp_change_to_the_ground_truth_changes_the_scene_digest():
+    graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+    before = equivalence.scene_digest(graphio, graph)
+    assert equivalence.scene_digest(graphio, copy.deepcopy(graph)) == before
+    graph.ground_truth[3].quat[3] = np.nextafter(graph.ground_truth[3].quat[3], np.inf)
+    assert equivalence.scene_digest(graphio, graph) != before

@@ -249,13 +249,16 @@ HUGE_INT = 10**400  # a JSON number that no float holds
 @pytest.mark.parametrize(
     "name, value",
     [(name, v) for name in SCENARIO_FLOATS for v in (math.nan, math.inf, -math.inf, 1e308, HUGE_INT, 0.0, -1.0)]
-    + [(name, v) for name in SCENARIO_COUNTS for v in (0, -1, 2.5, True, "x")],
+    + [(name, v) for name in SCENARIO_COUNTS for v in (0, -1, 2.5, True, "x")]
+    + [("matches_per_constraint", v) for v in (10**18, 10**20)],
     ids=lambda v: "10**400" if v is HUGE_INT else None,
 )
 def test_simulate_exits_with_a_documented_code(tmp_path, name, value):
     """A 20-fragment, 3-match scene with one field out of its range or
-    type: non-finite or huge floats, an integer past the float range, and
-    counts that are zero, negative, fractional, boolean or a string."""
+    type: non-finite or huge floats, an integer past the float range,
+    counts that are zero, negative, fractional, boolean or a string, and
+    match counts whose arrays numpy refuses to allocate, by their size in
+    bytes or by their length."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"num_fragments": 20, "matches_per_constraint": 3, name: value}))
     assert_documented(["simulate", "--config", str(config), "--out", str(tmp_path / "scene.pcg")])

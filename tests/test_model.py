@@ -392,7 +392,7 @@ class TestInitializePoses:
             U, _, Vt = np.linalg.svd((source - cs).T @ (target - ct))
             d = np.sign(np.linalg.det(Vt.T @ U.T))
             R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-            return se3.from_matrix(R, ct - R @ cs)
+            return se3.Pose(se3.matrix_to_quat(R), ct - R @ cs)
 
         def trimmed_fit(source, target):
             active = np.ones(len(source), dtype=bool)

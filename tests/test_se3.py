@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustpgo import se3
-from oracle import pose_difference
+from oracle import canonical_quat, pose_difference
 
 
 def rand_pose(rng):
@@ -191,25 +191,28 @@ class TestQuaternionInvariants:
     @given(st.lists(near_unit_quats(), min_size=1, max_size=8))
     def test_unstack_makes_each_quaternion_as_one_at_a_time(self, quats):
         """A batch gives, row for row, the bits of one quaternion made
-        canonical alone, with w < 0, far from unit norm, and within a few
-        1e-12 of it, where the norm test picks the branch."""
+        canonical alone, by the oracle and by `Pose`, with w < 0, far from
+        unit norm, and within a few 1e-12 of it, where the norm test picks
+        the branch."""
         quats = np.array(quats)
         poses = se3.unstack(quats, np.zeros((len(quats), 3)))
-        expected = np.array([se3._canonical_quat(q) for q in quats])
+        expected = np.array([canonical_quat(q) for q in quats])
         assert np.array([p.quat for p in poses]).tobytes() == expected.tobytes()
+        assert np.array([se3.Pose(q, np.zeros(3)).quat for q in quats]).tobytes() == expected.tobytes()
 
     def test_unstack_at_the_norm_threshold(self):
         """Unit quaternions scaled to a few ulps from 1 +- 1e-12: about one in
         a hundred is kept or renormalized according to how the norm is
-        rounded, so the batch must round it as `q @ q` does."""
+        rounded, so the batch and `Pose` must round it as `q @ q` does."""
         rng = np.random.default_rng(9)
         u = rng.uniform(-1.0, 1.0, (2000, 4))
         u /= np.linalg.norm(u, axis=1)[:, None]
         scales = 1.0 + np.array([-1e-12, 1e-12])[:, None] + np.arange(-4, 5) * 2.0**-52
         quats = (u[:, None, None, :] * scales[None, :, :, None]).reshape(-1, 4)
         poses = se3.unstack(quats, np.zeros((len(quats), 3)))
-        expected = np.array([se3._canonical_quat(q) for q in quats])
+        expected = np.array([canonical_quat(q) for q in quats])
         assert np.array([p.quat for p in poses]).tobytes() == expected.tobytes()
+        assert np.array([se3.Pose(q, np.zeros(3)).quat for q in quats]).tobytes() == expected.tobytes()
 
 
 def _shepperd_branch(R) -> int:

@@ -1,4 +1,4 @@
-"""Bit-identity of parsed graphs and EM runs: a parent commit against the working tree.
+"""Bit-identity of scenes, parsed graphs and EM runs: a parent commit against the working tree.
 
 Run from the repository root:
 
@@ -9,7 +9,7 @@ directory. In each tree, a fresh interpreter (single-threaded BLAS, no
 bytecode written) makes the text of every perfbench scene with its match
 rows shuffled by seed 0 and by seed 1 (`harness.scene_text`), parses it, and
 runs `em.run_em` on the graph with its workload's hyperparameters. Three
-sha256 digests are kept per scene and seed:
+sha256 digests are kept per perfbench scene and seed:
 
 - the parsed graph: fragment count, every constraint's pair and match bytes,
   INIT and GT poses, and the oracle labels;
@@ -18,6 +18,11 @@ sha256 digests are kept per scene and seed:
 - the run's poses read back from text: from a pose file (`write_poses`, then
   `parse_poses`) and as the INIT rows of the scene's graph (`write_graph`
   with those poses as its initial poses, then `parse`).
+
+perfbench's scenes are all circles, so a fourth digest is kept for every
+shape `synth.SHAPES` names, at 20 and 100 fragments (a circle below 48
+fragments runs two laps, not four) and seeds 0 and 1: the `write_graph`
+text of `synth.generate`'s scene and the bytes of its ground truth.
 
 The digests of the two trees are compared key by key, and the result is
 printed as one JSON object; the exit status is 1 when any digest differs.
@@ -41,7 +46,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SHUFFLE_SEEDS = (0, 1)
-KINDS = ("graphs", "runs", "poses")
+SCENE_SIZES = (20, 100)
+SCENE_SEEDS = (0, 1)
+KINDS = ("graphs", "runs", "poses", "scenes")
 
 
 def _feed(h, value) -> None:
@@ -109,13 +116,19 @@ def poses_digest(graphio, graph, poses) -> str:
     return digest(graphio.parse_poses(graphio.write_poses(poses)), graphio.parse(text).initial_poses)
 
 
+def scene_digest(graphio, graph) -> str:
+    """A generated scene's graph text and the bytes of its ground truth."""
+    return digest(graphio.write_graph(graph), graph.ground_truth)
+
+
 def tree_digests(tree: Path) -> dict[str, dict[str, str]]:
     """Graph, run and poses digests of every perfbench scene and shuffle seed,
-    read with the package and perfbench of `tree` (in this process)."""
+    and the digest of every shape's scenes, made with the package and
+    perfbench of `tree` (in this process)."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import harness
-    from robustpgo import em, graphio
+    from robustpgo import em, graphio, synth
 
     out: dict[str, dict[str, str]] = {kind: {} for kind in KINDS}
     for name, workload in harness.WORKLOADS.items():
@@ -126,6 +139,13 @@ def tree_digests(tree: Path) -> dict[str, dict[str, str]]:
                 out["graphs"][key] = graph_digest(graph)
                 out["runs"][key], poses = _run(em, graph, workload.params)
                 out["poses"][key] = digest(None) if poses is None else poses_digest(graphio, graph, poses)
+    for shape in synth.SHAPES:
+        # a line never revisits itself, so every loop it has is a false one
+        loops = {"outlier_loop_fraction": 1.0} if shape == "line" else {}
+        for n in SCENE_SIZES:
+            for seed in SCENE_SEEDS:
+                config = synth.ScenarioConfig(num_fragments=n, shape=shape, seed=seed, **loops)
+                out["scenes"][f"{shape} {n} fragments seed {seed}"] = scene_digest(graphio, synth.generate(config))
     return out
 
 
