@@ -121,7 +121,7 @@ class EmIteration(solver.SolverReport):
 
     theta: float
     inlier_count: int  # posteriors above the classification threshold
-    max_pose_update: float  # largest twist norm of any pose update this iteration
+    max_pose_update: float  # largest twist norm of any pose update this iteration; 0.0 when it took no step
 
 
 @dataclass
@@ -187,12 +187,15 @@ def run_em(
             pose_state, report = solver.solve(problem, handed.pop())
         except solver.SolverError as err:
             raise EmError(f"EM iteration {len(trace) + 1}: {err}") from err
+        # a solve that takes no step returns its start poses: no update, not
+        # the rounding of composing each pose with its own inverse
+        update = _max_update(start, (pose_state.quats, pose_state.trans)) if report.iterations else 0.0
         trace.iterations.append(
             EmIteration(
                 **vars(report),
                 theta=theta,
                 inlier_count=int(np.count_nonzero(classify_loops(state, params.inlier_threshold))),
-                max_pose_update=_max_update(start, (pose_state.quats, pose_state.trans)),
+                max_pose_update=update,
             )
         )
         ends = [rec.objective_end for rec in trace.iterations[-2:]]

@@ -38,13 +38,19 @@ damped system by subgraph preconditioning (Dellaert et al., IROS 2010,
 Subgraph-preconditioned conjugate gradients for large scale SLAM). A loop
 whose posterior is below SUBGRAPH_POSTERIOR adds next to nothing to H, but
 its pose pair spans the graph and drives the fill-in of a sparse factor. So
-only the odometry and the weighted loops are factored (_factor), and
-preconditioned conjugate gradients (PCG) with that factor recover the step
-of the full system, which is never factored. A trial that gets no step,
-from a zero pivot in the subgraph's factor or a PCG miss (a direction of
-non-positive curvature, which the curvature phase can give, a value that is
-not finite, or no convergence within PCG_MAX_ITERS), is rejected, as the
-strict-decrease test rejects an uphill step. The poses stay in (N, 4)
+only the odometry and the weighted loops are factored, and preconditioned
+conjugate gradients (PCG) with that factor recover the step of the full
+system, which is never factored. The subgraph is a ring of odometry knit by
+revisits, which reverse Cuthill-McKee orders into a narrow band: where the
+band stores at most BAND_FILL_RATIO times the fill of a minimum-degree
+factor (_pose_order), LAPACK's banded Cholesky factors it (_band_factor),
+and elsewhere SuperLU does (_factor). A band that is not positive definite,
+which only the curvature phase gives, makes that trial the minimum-degree
+pattern's, which SuperLU factors. A trial that gets no step, from a zero
+pivot in SuperLU's factor or a PCG miss (a direction of non-positive
+curvature, which the curvature phase can give, a value that is not finite,
+or no convergence within PCG_MAX_ITERS), is rejected, as the strict-decrease
+test rejects an uphill step. The poses stay in (N, 4)
 quaternion and (N, 3) translation arrays while LM runs, each pose state with
 its weight-free evaluation (PoseState), which EM hands from one M-step to
 the next.
@@ -54,8 +60,10 @@ moments and last _Pattern; once per solve, on first use by its Problem,
 whose weights are a read-only copy, the cauchy kernel's per-match 2 w, the
 squared kernel's weight-only local moments and the gradient's scatter slots;
 once per pose state, at each LM pass, the rest of the local moments and
-_assemble's gradient and H blocks; once per trial, the subgraph's factor,
-PCG and the trial's evaluation.
+_assemble's gradient and H blocks; once per band pattern, on the first
+trial whose band is not positive definite, its minimum-degree fallback
+pattern; once per trial, the subgraph's band or CSC system and its factor,
+the full system, PCG and the trial's evaluation.
 
 `robustpgo check-grad` checks _assemble's gradient and H against finite
 differences of _evaluate under _retract_all, the functions LM itself calls.
@@ -70,7 +78,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csc_matrix, diags, linalg as sparse_linalg
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import se3
@@ -86,6 +96,7 @@ CURVATURE_SWITCH = 1e-5  # an accepted step's relative drop below which H gains 
 SUBGRAPH_POSTERIOR = 1e-6  # a loop's posterior below which the preconditioner leaves it out
 PCG_TOL = 1e-13  # residual, relative to the right-hand side, at which PCG returns the step
 PCG_MAX_ITERS = 20  # PCG iterations after which PCG misses and the trial is rejected
+BAND_FILL_RATIO = 3.0  # (b + 1) n' / fill at or below which the subgraph is factored as a band
 DAMPING_INIT = 1e-4
 DAMPING_MIN = 1e-12
 DAMPING_MAX = 1e8
@@ -504,19 +515,45 @@ _ROW_RANKS = np.array([np.count_nonzero(_ENTRY_COLS[:k] == c) for k, c in enumer
 _DIAGONAL_ENTRIES = np.searchsorted(_BLOCK_ENTRIES, 7 * np.arange(6))
 
 
-def _pose_order(pairs: np.ndarray, num_poses: int) -> np.ndarray:
-    """Position of each free dof in SuperLU's minimum-degree order of the free
-    poses' graph, each pose's six dofs together (Square Root SAM, Dellaert &
-    Kaess, IJRR 2006): perm_c of the graph's Laplacian plus I, factored by
-    scipy's splu rather than the module global, as it is no LM factorization.
-    The gauge is pose 0, so free pose k is numbered k - 1."""
+class _Order(NamedTuple):
+    """A pattern's order of the free dofs: free dof k, entry 6 + k of a 6N
+    vector, sits at position pos[k], each pose's six dofs together; the pose
+    bandwidth of pos when it is a band, else None; and the minimum-degree
+    order, which is pos when that is no band."""
+
+    pos: np.ndarray
+    bandwidth: int | None
+    minimum_degree: np.ndarray
+
+
+def _pose_order(pairs: np.ndarray, num_poses: int) -> _Order:
+    """The order a pattern of the pairs factors in, by whole poses (Square
+    Root SAM, Dellaert & Kaess, IJRR 2006). The gauge is pose 0, so free pose
+    k is numbered k - 1.
+
+    Two orders of the free poses' graph are formed: SuperLU's minimum degree,
+    perm_c of the graph's Laplacian plus I, factored by scipy's splu rather
+    than the module global, as it is no LM factorization, with the fill
+    nnz(L) + nnz(U) of that factor; and reverse Cuthill-McKee (Cuthill &
+    McKee 1969), whose bandwidth b is the largest distance in it between two
+    coupled poses. A band of n' free poses stores (b + 1) n' pose blocks, and
+    the RCM order is taken when that is at most BAND_FILL_RATIO times the
+    fill: a ring knit by revisits orders into a narrow band, a graph of long
+    chords does not."""
     i, j = (pairs[(pairs > 0).all(axis=1)] - 1).T
-    coupled = csc_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(num_poses - 1,) * 2)
-    perm = sparse_linalg.splu(
+    size = num_poses - 1
+    coupled = csc_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(size, size))
+    lu = sparse_linalg.splu(
         diags(1.0 + coupled.sum(axis=0).A1, format="csc") - coupled, permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0, options={"SymmetricMode": True},
-    ).perm_c
-    return (6 * perm[:, None] + np.arange(6)).ravel()
+    )
+    minimum_degree = (6 * lu.perm_c[:, None] + np.arange(6)).ravel()
+    place = np.empty(size, dtype=np.intp)
+    place[reverse_cuthill_mckee(coupled, symmetric_mode=True)] = np.arange(size)
+    bandwidth = int(np.abs(place[i] - place[j]).max(initial=0))
+    if (bandwidth + 1) * size <= BAND_FILL_RATIO * lu.nnz:
+        return _Order((6 * place[:, None] + np.arange(6)).ravel(), bandwidth, minimum_degree)
+    return _Order(minimum_degree, None, minimum_degree)
 
 
 class _Structure(NamedTuple):
@@ -566,42 +603,83 @@ def _structure(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: in
     return _Structure(slot, diagonal, indices, indptr)
 
 
-class _Pattern:
-    """Where every block entry lands in the compressed sparse column (CSC)
-    matrices of a damped system over the free dofs, those of every pose but
-    pose 0, the gauge, which LM holds fixed. The pattern is fixed by the
-    constraint pairs and ordered by the kept ones. It holds two structures
-    (_structure), built once by 6x6 pose blocks: `full`, of every pair, and
-    `subgraph`, of the kept pairs alone, which stores no entry where only
-    the other pairs' blocks land, as SuperLU's fill follows the stored
-    entries. Each LM trial refills both: it factors the subgraph, and PCG
-    multiplies by the full system. The order, fixed when the pattern is
-    built, is _pose_order's pose-level minimum degree of the kept pairs'
-    graph: free dof k, entry 6 + k of a 6N vector, sits at position pos[k].
-    The gauge's rows and columns are left out and each diagonal slot is
-    present."""
+def _band_slots(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: int, bandwidth: int) -> np.ndarray:
+    """The slot of each entry of _BLOCK_ENTRIES in each of _assemble's blocks
+    (4C, 24) in LAPACK's lower band storage of a system over `size` free
+    poses ordered into a band of pose bandwidth `bandwidth`, block b at block
+    row rows[b] and block column cols[b]: the (kd + 1, 6 size) array, with
+    kd = 6 bandwidth + 5, held in column-major order, that holds entry
+    (r, c), r >= c, at [r - c, c]. The entries above the diagonal, and those
+    of blocks where present is false, go to a spare slot, (kd + 1) 6 size."""
+    depth = 6 * bandwidth + 6
+    r, c = 6 * rows[:, None] + _ENTRY_ROWS, 6 * cols[:, None] + _ENTRY_COLS
+    return np.where(present[:, None] & (r >= c), c * depth + r - c, depth * 6 * size)
 
-    def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray):
+
+class _Pattern:
+    """Where every block entry lands in the matrices of a damped system over
+    the free dofs, those of every pose but pose 0, the gauge, which LM holds
+    fixed. The pattern is fixed by the constraint pairs and ordered by the
+    kept ones. Its order, fixed when it is built, is _pose_order's unless
+    one is given: reverse Cuthill-McKee where the kept pairs' graph orders
+    into a narrow band, else the pose-level minimum degree. Free dof k,
+    entry 6 + k of a 6N vector, sits at position pos[k]. The gauge's rows
+    and columns are left out and each diagonal slot is present.
+
+    `full` is the compressed sparse column (CSC) structure (_structure),
+    built once by 6x6 pose blocks, of every pair: PCG multiplies by it at
+    each LM trial. The kept pairs alone are what each trial factors. A band
+    pattern (bandwidth not None) holds their slots in LAPACK's lower band
+    storage (band_slot, _band_slots), for LAPACK's banded Cholesky. Any
+    other holds `subgraph`, their own CSC structure, which stores no entry
+    where only the other pairs' blocks land, as SuperLU's fill follows the
+    stored entries. A band pattern's `fallback` is the minimum-degree
+    pattern of the same pairs, built when a band that is not positive
+    definite first needs it."""
+
+    def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray, order: _Order | None = None):
+        self.pairs, self.kept = pairs, kept
+        self.order = _pose_order(pairs[kept], num_poses) if order is None else order
+        self.pos, self.bandwidth = self.order.pos, self.order.bandwidth
+        self.shape = (len(self.pos), len(self.pos))
         i, j = pairs[:, 0], pairs[:, 1]
-        self.kept = kept
-        self.pos = _pose_order(pairs[kept], num_poses)
         place = np.concatenate([[-1], self.pos[::6] // 6])  # each pose's block position; the gauge has none
         rows, cols = place[np.concatenate([i, j, i, j])], place[np.concatenate([i, j, j, i])]
         placed = (rows >= 0) & (cols >= 0)
         self.full = _structure(rows, cols, placed, num_poses - 1)
-        self.subgraph = _structure(rows, cols, placed & np.tile(kept, 4), num_poses - 1)
-        self.shape = (len(self.pos), len(self.pos))
+        if self.bandwidth is None:
+            self.subgraph = _structure(rows, cols, placed & np.tile(kept, 4), num_poses - 1)
+        else:
+            self.band_slot = _band_slots(rows, cols, placed & np.tile(kept, 4), num_poses - 1, self.bandwidth)
+
+    @cached_property
+    def fallback(self) -> _Pattern:
+        """A band pattern's minimum-degree pattern of the same pairs."""
+        minimum_degree = self.order.minimum_degree
+        return _Pattern(self.pairs, len(self.pos) // 6 + 1, self.kept, _Order(minimum_degree, None, minimum_degree))
 
     def matrix(self, blocks: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
         """The system H + damping I over the free dofs, from _assemble's
-        blocks; with subgraph, over the kept pairs only. One bincount fills
-        the structure's slots, and the blocks it leaves out go to the spare."""
+        blocks; with subgraph, over the kept pairs only (a pattern that is no
+        band). One bincount fills the structure's slots, and the blocks it
+        leaves out go to the spare."""
         structure = self.subgraph if subgraph else self.full
-        values = blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES]
         spare = len(structure.indices)
-        data = np.bincount(structure.slot.ravel(), weights=values.ravel(), minlength=spare + 1)[:spare]
+        data = np.bincount(structure.slot.ravel(), weights=_entries(blocks), minlength=spare + 1)[:spare]
         data[structure.diagonal] += damping
         return csc_matrix((data, structure.indices, structure.indptr), shape=self.shape)
+
+    def band(self, blocks: np.ndarray, damping: float) -> np.ndarray:
+        """A band pattern's subgraph system H + damping I over the kept pairs,
+        in LAPACK's lower band storage, column-major (kd + 1, n): one bincount
+        in matrix's per-slot order, so each entry on and below the diagonal
+        is summed as the CSC system of the kept pairs sums it, bit for bit."""
+        depth = 6 * self.bandwidth + 6
+        size = depth * self.shape[0]
+        flat = np.bincount(self.band_slot.ravel(), weights=_entries(blocks), minlength=size + 1)[:size]
+        band = flat.reshape((depth, self.shape[0]), order="F")
+        band[0] += damping
+        return band
 
     def take(self, vector: np.ndarray) -> np.ndarray:
         """A full 6N vector's free entries, in the pattern's order."""
@@ -614,6 +692,12 @@ class _Pattern:
         out = np.zeros(6 + self.shape[0])
         out[6:] = values[self.pos]
         return out
+
+
+def _entries(blocks: np.ndarray) -> np.ndarray:
+    """The entries of _BLOCK_ENTRIES of each of _assemble's blocks, flat, in
+    the order of a pattern's slot maps."""
+    return blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES].ravel()
 
 
 # the last pattern built for each table, freed with its table
@@ -634,19 +718,28 @@ def _kept_pattern(table: MatchTable, num_poses: int, kept: np.ndarray) -> _Patte
 
 
 def _factor(system: csc_matrix):
-    """SuperLU's factor of a damped system from _Pattern.matrix, in
+    """SuperLU's factor of a damped subgraph system from _Pattern.matrix, in
     symmetric mode with pivots on the diagonal; a zero pivot raises
-    RuntimeError. SuperLU keeps the pattern's own pose-level order
-    (NATURAL), so PCG's products with the full system and its solves with
-    the subgraph's factor share one order. The order keeps
-    each pose's six dofs together, so supernodes are sized to those blocks:
-    relaxed supernodes of at most 3 columns and panels of 6. SuperLU's
-    wider default relaxation stores explicit zeros around the pose blocks,
-    so its factors hold more nonzeros and take longer."""
+    RuntimeError. It factors the subgraph of a pattern that is no band, in
+    the pose-level minimum-degree order. SuperLU keeps that order (NATURAL),
+    so PCG's products with the full system and its solves with the
+    subgraph's factor share one order. The order keeps each pose's six dofs
+    together, so supernodes are sized to those blocks: relaxed supernodes of
+    at most 3 columns and panels of 6. SuperLU's wider default relaxation
+    stores explicit zeros around the pose blocks, so its factors hold more
+    nonzeros and take longer."""
     return splu(
         system, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=3, panel_size=6,
         options={"SymmetricMode": True},
     )
+
+
+def _band_factor(band: np.ndarray) -> np.ndarray | None:
+    """LAPACK's banded Cholesky factor (dpbtrf) of a damped subgraph system
+    in _Pattern.band's storage, factored in place; None when the band is not
+    positive definite, which only the curvature phase's H can make it."""
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    return factor if info == 0 else None
 
 
 def _pcg(product, precondition, rhs: np.ndarray):
@@ -690,12 +783,25 @@ def _step(pattern: _Pattern, blocks: np.ndarray, grad: np.ndarray, damping: floa
     kept pairs are factored, and PCG with that factor recovers the step of
     the full system, which it multiplies by in the same order, so the
     right-hand side is taken into that order once and the step put back
-    once. A zero pivot in the subgraph's factor or a PCG miss gives None."""
-    try:
-        factor = _factor(pattern.matrix(blocks, damping, subgraph=True))
-    except RuntimeError:
-        return None, 0
-    solution, iterations = _pcg(pattern.matrix(blocks, damping).dot, factor.solve, pattern.take(-grad))
+    once. A band pattern's subgraph is factored as a band (_band_factor).
+    Where that band is not positive definite, which only the curvature
+    phase gives, the trial is its fallback pattern's: SuperLU factors the
+    subgraph in the minimum-degree order (_factor), as for a pattern that is
+    no band. A zero pivot in SuperLU's factor or a PCG miss gives None."""
+    if pattern.bandwidth is None:
+        try:
+            precondition = _factor(pattern.matrix(blocks, damping, subgraph=True)).solve
+        except RuntimeError:
+            return None, 0
+    else:
+        factor = _band_factor(pattern.band(blocks, damping))
+        if factor is None:
+            return _step(pattern.fallback, blocks, grad, damping)
+
+        def precondition(rhs):
+            return dpbtrs(factor, rhs, lower=1)[0]
+
+    solution, iterations = _pcg(pattern.matrix(blocks, damping).dot, precondition, pattern.take(-grad))
     return (None if solution is None else pattern.put(solution)), iterations
 
 

@@ -288,7 +288,7 @@ def run_em_replaying(graph, params):
                 **vars(report),
                 theta=theta,
                 inlier_count=int(np.sum(state.posteriors > params.inlier_threshold)),
-                max_pose_update=_max_update(poses, poses_new),
+                max_pose_update=_max_update(poses, poses_new) if report.iterations else 0.0,
             )
         )
         poses, errors = poses_new, report.errors
@@ -300,15 +300,16 @@ def run_em_replaying(graph, params):
 
 class EntryPattern:
     """solver._Pattern built entry by entry: every entry of every block of
-    _assemble is keyed by its column and row in the pose order, and one
+    _assemble is keyed by its column and row in the pose order (the one
+    solver._pose_order chooses, or the one given), and one
     np.unique over those keys and the diagonal's gives the CSC structure of
     the full system. The subgraph fills the same structure with the blocks
     of the pairs left out set to zero, then drops every stored zero."""
 
-    def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray):
+    def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray, pos: np.ndarray | None = None):
         i, j = pairs[:, 0], pairs[:, 1]
         self.kept = kept
-        self.pos = _pose_order(pairs[kept], num_poses)
+        self.pos = _pose_order(pairs[kept], num_poses).pos if pos is None else pos  # the pattern's order
         n = len(self.pos)
         place = np.full(6 * num_poses, -1)
         place[6:] = self.pos

@@ -543,6 +543,15 @@ class TestRunEm:
         for a, b in zip(se3.stack(out), se3.stack(poses)):
             assert a.tobytes() == b.tobytes()
 
+    def test_a_zero_step_m_step_reports_no_pose_update(self):
+        """circle-100 seed 0 ends on an M-step that takes no step and returns
+        its start poses: its max_pose_update is exactly 0.0, not the rounding
+        of composing each pose with its own inverse, and each M-step before
+        it, which took steps, reports a positive update."""
+        _, _, trace = em.run_em(generate(ScenarioConfig(seed=0)), Hyperparams())
+        assert trace.iterations[-1].iterations == 0 and trace.iterations[-1].max_pose_update == 0.0
+        assert all(rec.iterations > 0 and rec.max_pose_update > 0.0 for rec in trace.iterations[:-1])
+
     def test_a_zero_step_m_step_converges_at_the_iteration_cap(self):
         """A run whose last allowed M-step takes no step has converged, though
         the M-step objective moved by more than em_tol."""

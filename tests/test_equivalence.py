@@ -69,3 +69,27 @@ def test_a_one_ulp_change_to_the_ground_truth_changes_the_scene_digest():
     assert equivalence.scene_digest(graphio, copy.deepcopy(graph)) == before
     graph.ground_truth[3].quat[3] = np.nextafter(graph.ground_truth[3].quat[3], np.inf)
     assert equivalence.scene_digest(graphio, graph) != before
+
+
+def test_a_run_that_differs_is_sized_by_its_largest_differences():
+    graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+    poses, state, trace = em.run_em(graph, Hyperparams())
+    before = equivalence.run_values(poses, state, trace)
+    poses = copy.deepcopy(poses)
+    poses[5].trans[1] += 2.0**-20
+    poses[3].quat[0] -= 2.0**-30
+    after = equivalence.run_values(poses, state, trace)
+    assert equivalence.sizes(before, before) == dict.fromkeys(before, 0.0)
+    sized = equivalence.sizes(before, after)
+    assert sized["trans"] == 2.0**-20 and sized["quat"] == 2.0**-30 and sized["posteriors"] == 0.0
+    fewer = dict(after, objective_end=after["objective_end"][:-1])
+    assert equivalence.sizes(before, fewer)["objective_end"] == "shapes differ"
+
+    parent = {kind: {"k": "a"} for kind in equivalence.KINDS}
+    change = {kind: {"k": "a" if kind in ("graphs", "scenes") else "b"} for kind in equivalence.KINDS}
+    parent["values"] = {"runs": {"k": before}, "poses": {}}
+    change["values"] = {"runs": {"k": after}, "poses": {}}
+    result = equivalence.compare(parent, change)
+    assert result["runs"]["differ"] == ["k"] and result["runs"]["sizes"] == {"k": sized}
+    assert result["poses"]["differ"] == ["k"] and result["poses"]["sizes"] == {}
+    assert result["graphs"]["identical"] == 1 and "sizes" not in result["graphs"]

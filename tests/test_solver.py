@@ -124,6 +124,24 @@ def natural(system, pattern):
     return system[np.ix_(pattern.pos, pattern.pos)]
 
 
+def lower_in_order(dense, pattern):
+    """A dense system over the free dofs, in free-dof order, as the lower
+    triangle of it in the pattern's order: what a factorization reads."""
+    ordered = np.empty_like(dense)
+    ordered[np.ix_(pattern.pos, pattern.pos)] = dense
+    return np.tril(ordered)
+
+
+def band_dense(band):
+    """The dense lower triangle that a band in LAPACK's lower band storage
+    holds: [k, c] is entry (c + k, c)."""
+    depth, n = band.shape
+    out = np.zeros((n, n))
+    for k in range(depth):
+        out[np.arange(k, n), np.arange(n - k)] = band[k, : n - k]
+    return out
+
+
 def pair_weights(problem, pair):
     """Per-match weights of the matches that couple the given pose pair."""
     t = problem.table
@@ -611,16 +629,30 @@ def gauge_swapped(pairs, gauge):
     return perm[pairs], perm
 
 
-def assert_entry_level_systems(pairs, num_poses, kept, blocks, damping):
+def assert_entry_level_systems(pairs, num_poses, kept, blocks, damping, pattern=None):
     """The pattern's full and subgraph systems store the indptr, indices and
-    data of the entry-level construction's, bit for bit, in the same order."""
-    pattern, entries = solver._Pattern(pairs, num_poses, kept), EntryPattern(pairs, num_poses, kept)
-    np.testing.assert_array_equal(pattern.pos, entries.pos)
-    for subgraph in (False, True):
+    data of the entry-level construction's in the pattern's order, bit for
+    bit. A band pattern's band holds the entry-level
+    subgraph's entries on and below the diagonal, bit for bit, and its
+    fallback is a pattern in the minimum-degree order that holds the same.
+    Returns the pattern."""
+    if pattern is None:
+        pattern = solver._Pattern(pairs, num_poses, kept)
+        np.testing.assert_array_equal(pattern.pos, solver._pose_order(pairs[kept], num_poses).pos)
+    entries = EntryPattern(pairs, num_poses, kept, pattern.pos)
+    for subgraph in (False, True) if pattern.bandwidth is None else (False,):
         system, expected = pattern.matrix(blocks, damping, subgraph), entries.matrix(blocks, damping, subgraph)
         np.testing.assert_array_equal(system.indptr, expected.indptr)
         np.testing.assert_array_equal(system.indices, expected.indices)
         assert system.data.tobytes() == expected.data.tobytes()
+    if pattern.bandwidth is not None:
+        lower = np.tril(entries.matrix(blocks, damping, subgraph=True).toarray())
+        assert band_dense(pattern.band(blocks, damping)).tobytes() == lower.tobytes()
+        fallback = pattern.fallback
+        assert fallback.bandwidth is None
+        np.testing.assert_array_equal(fallback.pos, solver._pose_order(pairs[kept], num_poses).minimum_degree)
+        assert_entry_level_systems(pairs, num_poses, kept, blocks, damping, fallback)
+    return pattern
 
 
 class TestPattern:
@@ -649,24 +681,27 @@ class TestPattern:
     def test_diagonal_owns_its_memory(self, gauge):
         """The diagonal slots are an array of their own, not a view that keeps
         np.unique's whole inverse alive: slot d holds entry (d, d) of the
-        system, as the matrix stores it."""
+        system, as the matrix stores it. Each pattern here is a band, so its
+        subgraph structure is its fallback's."""
         problem = random_problem(np.random.default_rng(45 + gauge), KERNEL_CAUCHY)
         pairs, _ = gauge_swapped(problem.table.pairs, gauge)
         pattern = every_pair_pattern(pairs, 4)
-        for structure in (pattern.full, pattern.subgraph):
+        assert pattern.bandwidth is not None
+        for structure in (pattern.full, pattern.fallback.full, pattern.fallback.subgraph):
             assert structure.diagonal.base is None
             columns = np.searchsorted(structure.indptr, structure.diagonal, side="right") - 1
             np.testing.assert_array_equal(columns, np.arange(18))
             np.testing.assert_array_equal(structure.indices[structure.diagonal], np.arange(18))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_block_structures_match_the_entry_level_construction(self, seed):
+    def test_block_structures_match_the_entry_level_construction(self, seed, monkeypatch):
         """The full and subgraph systems built by pose blocks store the
         indptr, indices and filled data of the entry-level construction
         (tests/oracle.py), bit for bit, on random pair sets over 10 poses:
         an odometry chain over poses 0-7, random loops, some at the gauge,
         pose 0, and some left out of the subgraph, pose 8 coupled only by a
-        left-out loop, and pose 9 coupled to nothing."""
+        left-out loop, and pose 9 coupled to nothing. Each set orders into a
+        band; the same holds in the minimum-degree order."""
         rng = np.random.default_rng(70 + seed)
         chain = np.stack([np.arange(7), np.arange(1, 8)], axis=1)
         i = rng.integers(0, 6, 10)
@@ -675,7 +710,10 @@ class TestPattern:
         pairs = np.concatenate([chain, loops])
         kept = np.concatenate([np.ones(len(chain), dtype=bool), rng.random(len(loops)) < 0.5])
         kept[-3], kept[-1] = True, False  # a kept loop at the gauge, and pose 8's left out
-        assert_entry_level_systems(pairs, 10, kept, rng.normal(size=(4 * len(pairs), 6, 6)), 0.3)
+        blocks = rng.normal(size=(4 * len(pairs), 6, 6))
+        assert assert_entry_level_systems(pairs, 10, kept, blocks, 0.3).bandwidth is not None
+        monkeypatch.setattr(solver, "BAND_FILL_RATIO", 0.0)
+        assert assert_entry_level_systems(pairs, 10, kept, blocks, 0.3).bandwidth is None
 
     def test_block_structures_match_the_entry_level_construction_on_a_scene(self):
         """The same on a circle-100 scene, with its H blocks at ground truth
@@ -686,7 +724,8 @@ class TestPattern:
         kept = problem.weights * problem.table.sizes >= solver.SUBGRAPH_POSTERIOR
         assert 0 < kept.sum() < len(kept)
         _, _, blocks = lm_terms(problem, graph.ground_truth)
-        assert_entry_level_systems(problem.table.pairs, 100, kept, blocks, solver.DAMPING_INIT)
+        pattern = assert_entry_level_systems(problem.table.pairs, 100, kept, blocks, solver.DAMPING_INIT)
+        assert pattern.bandwidth is not None
 
     @pytest.mark.parametrize("gauge", [0, 2, 3])
     def test_pose_order_keeps_each_pose_whole(self, gauge):
@@ -694,21 +733,23 @@ class TestPattern:
         together, in order, with the couplings of pose 0, 2 or 3 at the
         gauge, pose 0; pose 3 is coupled to no other."""
         problem = random_problem(np.random.default_rng(50 + gauge), KERNEL_CAUCHY)
-        pos = solver._pose_order(gauge_swapped(problem.table.pairs, gauge)[0], 4)
+        pos = solver._pose_order(gauge_swapped(problem.table.pairs, gauge)[0], 4).pos
         np.testing.assert_array_equal(np.sort(pos), np.arange(18))
         blocks = pos.reshape(3, 6)
         assert (blocks[:, 0] % 6 == 0).all()
         np.testing.assert_array_equal(blocks - blocks[:, :1], np.tile(np.arange(6), (3, 1)))
 
-    def test_pose_order_fills_no_more_than_scalar_minimum_degree(self):
+    def test_pose_order_fills_no_more_than_scalar_minimum_degree(self, monkeypatch):
         """On a circle-100 scene's weighted subgraph, the factor in the
-        pose-level order has no more nonzeros than SuperLU's own minimum-degree
-        order of the same system in free-dof order."""
+        pose-level minimum-degree order, which a pattern takes where no band
+        is narrow enough (here none is), has no more nonzeros than SuperLU's
+        own minimum-degree order of the same system in free-dof order."""
+        monkeypatch.setattr(solver, "BAND_FILL_RATIO", 0.0)
         graph = generate(ScenarioConfig(num_fragments=100, seed=0))
         posteriors = np.array([float(graph.oracle_labels[c.pair]) for c in graph.loops])
         problem = build_problem(graph, PosteriorState(1.0, posteriors), Hyperparams())
         pattern = kept_pattern(problem, 100)
-        assert 0 < pattern.kept.sum() < len(pattern.kept)
+        assert 0 < pattern.kept.sum() < len(pattern.kept) and pattern.bandwidth is None
         _, _, blocks = lm_terms(problem, graph.ground_truth)
         subgraph = pattern.matrix(blocks, solver.DAMPING_INIT, subgraph=True)
         pose_ordered = solver._factor(subgraph)
@@ -855,16 +896,42 @@ def two_loop_problem():
     return problem, start
 
 
-def factor_spy(monkeypatch):
-    """Record, as dense arrays, the systems solver.splu factors."""
-    factored = []
-    real_splu = solver.splu
+def chorded_chain_problem():
+    """A 50-pose noisy chain knit by 16 exact loops at posterior 1, each from
+    pose 1 to a random pose 4-49, and a start near the truth. The loops'
+    pairs order into no narrow band: reverse Cuthill-McKee must keep pose 1
+    near every other end."""
+    rng = np.random.default_rng(25)
+    graph, truth = noisy_chain_graph(rng, n=50)
+    loops = []
+    for j in np.sort(np.random.default_rng(0).choice(np.arange(4, 50), 16, replace=False)):
+        world = truth[1].trans + rng.uniform(-4.0, 4.0, (10, 3))
+        loops.append(LoopClosureConstraint(
+            1, int(j), se3.transform_points(se3.inverse(truth[1]), world),
+            se3.transform_points(se3.inverse(truth[j]), world),
+        ))
+    graph = ProblemGraph(50, graph.odometry, loops)
+    problem = build_problem(graph, PosteriorState(1.0, np.ones(len(loops))), Hyperparams())
+    start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
+    return problem, start
 
-    def spy(system, **options):
-        factored.append(system.toarray())
+
+def factor_spy(monkeypatch):
+    """Record, as dense lower triangles in the pattern's order, the systems
+    that solver._band_factor and solver.splu factor, one per call."""
+    factored = []
+    real_band, real_splu = solver._band_factor, solver.splu
+
+    def band_spy(band):
+        factored.append(band_dense(band))
+        return real_band(band)
+
+    def splu_spy(system, **options):
+        factored.append(np.tril(system.toarray()))
         return real_splu(system, **options)
 
-    monkeypatch.setattr(solver, "splu", spy)
+    monkeypatch.setattr(solver, "_band_factor", band_spy)
+    monkeypatch.setattr(solver, "splu", splu_spy)
     return factored
 
 
@@ -1019,12 +1086,36 @@ class TestSolve:
         assert report.iterations == 0 and report.objective_end == 0.0
 
     def test_spd_step_matches_dense_solve(self, monkeypatch):
-        """One LM step, factored as SPD, against np.linalg.solve on the dense
-        damped system that the step solves."""
+        """One LM step, its subgraph (a chain, a band of pose bandwidth 1)
+        factored as an SPD band, against np.linalg.solve on the dense damped
+        system that the step solves."""
         rng = np.random.default_rng(17)
         graph, truth = noisy_chain_graph(rng, n=12)
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.05, size=6)) for p in truth[1:]]
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
+        factored = factor_spy(monkeypatch)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
+        out, report = solve_poses(problem, start)
+        assert report.iterations == 1 and report.factorizations == len(factored) == 1
+        pattern = every_pair_pattern(problem.table.pairs)
+        assert pattern.bandwidth == 1
+
+        _, grad, blocks = lm_terms(problem, start)
+        H = dense_hessian(blocks, problem.table.pairs, 12)
+        dense = H[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
+        np.testing.assert_array_equal(factored[0], lower_in_order(dense, pattern))
+        expected = np.linalg.solve(dense, -grad[6:])
+        taken = taken_step(start, out)
+        assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_superlu_step_matches_dense_solve(self, monkeypatch):
+        """One LM step on a chain knit by long chords at weight 1, whose
+        kept pairs order into no narrow band: the pattern keeps the
+        minimum-degree order and SuperLU factors the subgraph as SPD, in that
+        order. The step solves the dense damped system (np.linalg.solve)."""
+        problem, start = chorded_chain_problem()
+        pattern = kept_pattern(problem, 50)
+        assert pattern.bandwidth is None
         factored = []
         real_splu = solver.splu
 
@@ -1040,12 +1131,10 @@ class TestSolve:
         assert options["options"] == {"SymmetricMode": True} and options["permc_spec"] == "NATURAL"
 
         _, grad, blocks = lm_terms(problem, start)
-        H = dense_hessian(blocks, problem.table.pairs, 12)
-        dense = H[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
-        np.testing.assert_array_equal(natural(system, every_pair_pattern(problem.table.pairs)), dense)
+        dense = dense_hessian(blocks, problem.table.pairs, 50)[6:, 6:] + solver.DAMPING_INIT * np.eye(294)
+        np.testing.assert_array_equal(natural(system, pattern), dense)
         expected = np.linalg.solve(dense, -grad[6:])
-        step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(start)))
-        taken = se3.log_arrays(*step)[1:].reshape(-1)
+        taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_reused_order_step_matches_dense_solve(self, monkeypatch):
@@ -1058,24 +1147,19 @@ class TestSolve:
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
         monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
         first, _ = solve_poses(problem, start)
-        factored = []
-        real_splu = solver.splu
-
-        def spy(system, **options):
-            factored.append((system.toarray(), options["permc_spec"]))
-            return real_splu(system, **options)
-
-        monkeypatch.setattr(solver, "splu", spy)
+        factored = factor_spy(monkeypatch)
         monkeypatch.setattr(solver, "MAX_INNER_ITERS", 2)
         out, report = solve_poses(problem, start)
         assert report.iterations == 2 and report.factorizations == len(factored) == 2
-        assert [spec for _, spec in factored] == ["NATURAL", "NATURAL"]
 
+        pattern = every_pair_pattern(problem.table.pairs)
+        _, _, blocks = lm_terms(problem, start)
+        dense = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
+        np.testing.assert_array_equal(factored[0], lower_in_order(dense, pattern))
         _, grad, blocks = lm_terms(problem, first)
         dense = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:]
         dense += 0.5 * solver.DAMPING_INIT * np.eye(66)  # halved after the first accepted step
-        pattern = every_pair_pattern(problem.table.pairs)
-        np.testing.assert_array_equal(natural(factored[1][0], pattern), dense)
+        np.testing.assert_array_equal(factored[1], lower_in_order(dense, pattern))
         expected = np.linalg.solve(dense, -grad[6:])
         step = se3.compose_arrays(*se3.stack(out), *se3.inverse_arrays(*se3.stack(first)))
         taken = se3.log_arrays(*step)[1:].reshape(-1)
@@ -1095,19 +1179,47 @@ class TestSolve:
         pairs, damping = problem.table.pairs, solver.DAMPING_INIT * np.eye(66)
         kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
         subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
-        system = natural(factored[0], every_pair_pattern(pairs[kept]))
-        np.testing.assert_array_equal(system, subgraph[6:, 6:] + damping)
+        pattern = every_pair_pattern(pairs[kept])
+        np.testing.assert_array_equal(factored[0], lower_in_order(subgraph[6:, 6:] + damping, pattern))
         full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping
-        assert not system[6:12, 48:54].any() and full[6:12, 48:54].any()  # poses 2 and 9
+        poses_2_9 = np.ix_(pattern.pos[6:12], pattern.pos[48:54])  # where H couples poses 2 and 9
+        assert not factored[0][poses_2_9].any() and not factored[0][poses_2_9[::-1]].any()
+        assert full[6:12, 48:54].any()
         expected = np.linalg.solve(full, -grad[6:])
         taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_factored_subgraph_stores_only_the_weighted_pairs_entries(self, monkeypatch):
-        """The factored subgraph stores exactly the entries of a pattern over
-        the weighted pairs alone, in the same order, and none in the blocks
-        that couple poses 2 and 9, which only the 1e-9 loop fills: SuperLU's
-        fill follows the stored entries, zero or not."""
+        """The factored band is the band of the weighted pairs alone, and no
+        entry of the blocks that couple poses 2 and 9, which only the 1e-9
+        loop fills, has a slot in it: those poses lie farther apart in the
+        pattern's order than its bandwidth."""
+        problem, start = two_loop_problem()
+        stored = []
+        real_band = solver._band_factor
+
+        def spy(band):
+            stored.append(band.shape)
+            return real_band(band)
+
+        monkeypatch.setattr(solver, "_band_factor", spy)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
+        solve_poses(problem, start)
+        pairs = problem.table.pairs
+        alone, pattern = every_pair_pattern(pairs[:-1]), kept_pattern(problem, 12)
+        np.testing.assert_array_equal(pattern.pos, alone.pos)
+        assert stored == [(6 * alone.bandwidth + 6, 66)] and pattern.bandwidth == alone.bandwidth
+        assert abs(int(pattern.pos[6]) - int(pattern.pos[48])) // 6 > pattern.bandwidth  # poses 2 and 9
+        spare = (6 * pattern.bandwidth + 6) * 66
+        assert (pattern.band_slot.reshape(4, len(pairs), -1)[:, -1] == spare).all()
+
+    def test_superlu_subgraph_stores_only_the_weighted_pairs_entries(self, monkeypatch):
+        """Where no band is narrow enough, the factored subgraph stores
+        exactly the entries of a pattern over the weighted pairs alone, in
+        the same order, and none in the blocks that couple poses 2 and 9,
+        which only the 1e-9 loop fills: SuperLU's fill follows the stored
+        entries, zero or not."""
+        monkeypatch.setattr(solver, "BAND_FILL_RATIO", 0.0)
         problem, start = two_loop_problem()
         stored = []
         real_splu = solver.splu
@@ -1153,7 +1265,7 @@ class TestSolve:
         subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
         pattern, damping = kept_pattern(problem, 12), solver.DAMPING_INIT
         for system in factored:
-            np.testing.assert_array_equal(natural(system, pattern), subgraph[6:, 6:] + damping * np.eye(66))
+            np.testing.assert_array_equal(system, lower_in_order(subgraph[6:, 6:] + damping * np.eye(66), pattern))
             damping *= 10.0
         assert damping > solver.DAMPING_MAX  # the damping the solve stalled at
 
@@ -1180,15 +1292,102 @@ class TestSolve:
         pattern = kept_pattern(problem, 12)
         step, iterations = solver._step(pattern, blocks, grad, damping)
         assert step is None and iterations == 1 and len(factored) == 1
-        np.testing.assert_array_equal(natural(factored[0], pattern), subgraph)
+        np.testing.assert_array_equal(factored[0], lower_in_order(subgraph, pattern))
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_indefinite_band_falls_back_to_superlu(self, seed, monkeypatch):
+        """A curvature-phase system that a far loop at posterior 1 makes
+        indefinite, in the subgraph too: the band is not positive definite,
+        so the trial is its fallback pattern's, which SuperLU factors in the
+        minimum-degree order, the order a pattern takes where no band is
+        narrow. It gets what such a pattern gets, bit for bit: at seed 20 the
+        step of the dense damped system, at seed 21 a PCG miss after one
+        iteration."""
+        rng = np.random.default_rng(seed)
+        graph, truth = noisy_chain_graph(rng, n=12)
+        far = LoopClosureConstraint(2, 9, rng.uniform(-1e3, 1e3, (10, 3)), rng.uniform(-1e3, 1e3, (10, 3)))
+        graph = ProblemGraph(12, graph.odometry, [far])
+        problem = build_problem(graph, PosteriorState(1.0, np.array([1.0])), Hyperparams(mode="gaussian"))
+        start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.002, size=6)) for p in truth[1:]]
+        grad, blocks = solver._assemble(problem, solver._evaluate(problem, *se3.stack(start)), curvature=True)
+        pairs, damping = problem.table.pairs, 1e-4
+        dense = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping * np.eye(66)
+        assert np.linalg.eigvalsh(dense).min() < 0
+
+        bands, factored = [], []
+        real_band, real_splu = solver._band_factor, solver.splu
+
+        def band_spy(band):
+            bands.append(real_band(band))
+            return bands[-1]
+
+        def splu_spy(system, **options):
+            factored.append(system.toarray())
+            return real_splu(system, **options)
+
+        monkeypatch.setattr(solver, "_band_factor", band_spy)
+        monkeypatch.setattr(solver, "splu", splu_spy)
+        pattern = every_pair_pattern(pairs)
+        assert pattern.bandwidth is not None
+        step, iterations = solver._step(pattern, blocks, grad, damping)
+        assert bands == [None] and len(factored) == 1
+        np.testing.assert_array_equal(natural(factored[0], pattern.fallback), dense)
+
+        monkeypatch.setattr(solver, "BAND_FILL_RATIO", 0.0)
+        minimum_degree = every_pair_pattern(pairs)
+        assert minimum_degree.bandwidth is None
+        np.testing.assert_array_equal(minimum_degree.pos, pattern.fallback.pos)
+        expected, expected_iterations = solver._step(minimum_degree, blocks, grad, damping)
+        assert iterations == expected_iterations == 1 and len(bands) == 1
+        assert (step is None) == (expected is None) == (seed == 21)
+        if step is not None:
+            assert step.tobytes() == expected.tobytes()
+            exact = np.linalg.solve(dense, -grad[6:])
+            assert np.abs(step[6:] - exact).max() <= 1e-10 * np.abs(exact).max()
 
     def test_no_pattern_is_built_while_a_factor_is_alive(self, monkeypatch):
         """A solve builds one pattern, which lives for the rest of the solve,
         before its first factorization, even when every trial misses (no
-        PCG iteration allowed). Built while a factor, and with it SuperLU's
+        PCG iteration allowed). Built while a factor, and with it its
         workspace, held the top of the heap, it would keep that memory
         resident after the solve. Each trial factors its subgraph, and
         nothing else is factored."""
+        problem, start = two_loop_problem()
+        monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
+        alive = [0]
+        real_band = solver._band_factor
+
+        def released():
+            alive[0] -= 1
+
+        calls = []
+
+        def spy(band):
+            calls.append(band.shape)
+            factor = real_band(band)
+            alive[0] += 1
+            weakref.finalize(factor, released)
+            return factor
+
+        monkeypatch.setattr(solver, "_band_factor", spy)
+        alive_at_build = []
+
+        class Pattern(solver._Pattern):
+            def __init__(self, *args):
+                alive_at_build.append(alive[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "_Pattern", Pattern)
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", 2)
+        _, report = solve_poses(problem, start)
+        assert report.factorizations >= 1 and report.misses == report.factorizations
+        assert len(calls) == report.factorizations
+        assert alive_at_build == [0] and alive[0] == 0
+
+    def test_no_pattern_is_built_while_a_superlu_factor_is_alive(self, monkeypatch):
+        """The same where no band is narrow enough and SuperLU factors each
+        trial's subgraph."""
+        monkeypatch.setattr(solver, "BAND_FILL_RATIO", 0.0)
         problem, start = two_loop_problem()
         monkeypatch.setattr(solver, "PCG_MAX_ITERS", 0)
         alive = [0]
@@ -1225,58 +1424,82 @@ class TestSolve:
 
     def test_zero_pivot_in_the_subgraph_rejects_the_trial(self, monkeypatch):
         """A zero pivot in the subgraph's factor rejects the trial as a miss:
-        the next trial factors the subgraph with ten times DAMPING_INIT on
-        its diagonal and takes that system's full step."""
+        the first trial's band is taken as not positive definite, and the
+        SuperLU factor of the same subgraph, in the fallback pattern's
+        minimum-degree order, has a zero pivot. The next trial factors the subgraph's band with ten times
+        DAMPING_INIT on its diagonal and takes that system's full step."""
         problem, start = two_loop_problem()
         factored = []
-        real_splu = solver.splu
+        real_band = solver._band_factor
 
-        def spy(system, **options):
+        def band_spy(band):
+            factored.append(band_dense(band))
+            return None if len(factored) == 1 else real_band(band)
+
+        def splu_spy(system, **options):
             factored.append(system.toarray())
-            if len(factored) == 1:
-                raise RuntimeError("Factor is exactly singular")
-            return real_splu(system, **options)
+            raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(solver, "splu", spy)
+        monkeypatch.setattr(solver, "_band_factor", band_spy)
+        monkeypatch.setattr(solver, "splu", splu_spy)
         monkeypatch.setattr(solver, "MAX_INNER_ITERS", 1)
         out, report = solve_poses(problem, start)
-        assert report.iterations == 1 and report.factorizations == len(factored) == 2
+        assert report.iterations == 1 and report.factorizations == 2 and len(factored) == 3
         assert report.misses == 1 and report.pcg_iterations >= 1
 
         _, grad, blocks = lm_terms(problem, start)
-        pairs, damping = problem.table.pairs, 10.0 * solver.DAMPING_INIT * np.eye(66)
+        pairs = problem.table.pairs
         kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
         subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
-        pattern = kept_pattern(problem, 12)
-        np.testing.assert_array_equal(natural(factored[1], pattern), subgraph[6:, 6:] + damping)
-        full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping
+        pattern, damping = kept_pattern(problem, 12), solver.DAMPING_INIT * np.eye(66)
+        np.testing.assert_array_equal(natural(factored[1], pattern.fallback), subgraph[6:, 6:] + damping)
+        np.testing.assert_array_equal(factored[2], lower_in_order(subgraph[6:, 6:] + 10.0 * damping, pattern))
+        full = dense_hessian(blocks, pairs, 12)[6:, 6:] + 10.0 * damping
         expected = np.linalg.solve(full, -grad[6:])
         taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_no_full_system_is_factored_on_a_scene_that_misses(self, monkeypatch):
         """On a gaussian 200-fragment scene whose curvature-phase trials miss
-        in PCG, every factored matrix is a subgraph system."""
-        real_matrix = solver._Pattern.matrix
+        in PCG, every factored matrix is a subgraph system: a band that
+        _Pattern.band filled, or a CSC system built as a subgraph's, which
+        SuperLU factors where a trial's band is not positive definite."""
+        real_matrix, real_band = solver._Pattern.matrix, solver._Pattern.band
 
         def matrix(self, blocks, damping, subgraph=False):
             out = real_matrix(self, blocks, damping, subgraph)
             out.built_as_subgraph = subgraph
             return out
 
-        factored = []  # whether each factored matrix was built as a subgraph's
-        real_splu = solver.splu
+        filled = [None]  # the last band _Pattern.band filled
 
-        def spy(system, **options):
+        def band(self, blocks, damping):
+            filled[0] = real_band(self, blocks, damping)
+            return filled[0]
+
+        factored = []  # whether each factored matrix was built as a subgraph's
+        not_definite = [0]
+        real_band_factor, real_splu = solver._band_factor, solver.splu
+
+        def band_spy(band):
+            factored.append(band is filled[0])
+            factor = real_band_factor(band)
+            not_definite[0] += factor is None
+            return factor
+
+        def splu_spy(system, **options):
             factored.append(system.built_as_subgraph)
             return real_splu(system, **options)
 
         monkeypatch.setattr(solver._Pattern, "matrix", matrix)
-        monkeypatch.setattr(solver, "splu", spy)
+        monkeypatch.setattr(solver._Pattern, "band", band)
+        monkeypatch.setattr(solver, "_band_factor", band_spy)
+        monkeypatch.setattr(solver, "splu", splu_spy)
         _, _, trace = em.run_em(generate(ScenarioConfig(num_fragments=200, seed=0)), Hyperparams(mode="gaussian"))
         assert sum(rec.misses for rec in trace.iterations) >= 1
         assert all(factored)
-        assert len(factored) == sum(rec.factorizations for rec in trace.iterations)
+        # a trial whose band is not positive definite factors a second time, with SuperLU
+        assert len(factored) - not_definite[0] == sum(rec.factorizations for rec in trace.iterations)
 
     def test_evaluates_each_pose_state_once(self, monkeypatch):
         """The start and every trial are evaluated once; the gradient, H and

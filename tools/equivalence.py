@@ -26,6 +26,11 @@ text of `synth.generate`'s scene and the bytes of its ground truth.
 
 The digests of the two trees are compared key by key, and the result is
 printed as one JSON object; the exit status is 1 when any digest differs.
+Each `runs` or `poses` key that differs is also sized: the largest absolute
+difference in the pose quaternions and translations (for `poses`, of the
+poses read back from a pose file), and for `runs` in the posteriors and in
+each `EmIteration`'s objective_start, objective_end and max_pose_update. So
+a change that moves only trailing bits shows how far it moves them.
 perfbench is imported read-only; nothing is written into either tree.
 Uses the standard library and numpy.
 """
@@ -101,13 +106,43 @@ def run_digest(em, graph, params) -> str:
     return _run(em, graph, params)[0]
 
 
-def _run(em, graph, params) -> tuple[str, list | None]:
-    """run_digest, and the run's poses (None when it raised)."""
+def _run(em, graph, params) -> tuple[str, list | None, dict | None]:
+    """run_digest, the run's poses and its run_values (None when it raised)."""
     try:
         poses, state, trace = em.run_em(graph, params)
     except Exception as err:  # a run that fails must fail alike in both trees
-        return digest("raised", type(err).__name__, str(err)), None
-    return digest(poses, state, trace.iterations, trace.converged, em.loop_errors(graph, poses, params)), poses
+        return digest("raised", type(err).__name__, str(err)), None, None
+    run = digest(poses, state, trace.iterations, trace.converged, em.loop_errors(graph, poses, params))
+    return run, poses, run_values(poses, state, trace)
+
+
+def pose_values(poses) -> dict[str, list]:
+    """The poses' quaternions and translations, as lists for JSON."""
+    return {"quat": [p.quat.tolist() for p in poses], "trans": [p.trans.tolist() for p in poses]}
+
+
+def run_values(poses, state, trace) -> dict[str, list]:
+    """What a run that differs is sized by: its poses, its posteriors, and
+    each iteration's objective at the start and the end of its M-step and
+    its largest pose update."""
+    return {
+        **pose_values(poses),
+        "posteriors": state.posteriors.tolist(),
+        "objective_start": [rec.objective_start for rec in trace.iterations],
+        "objective_end": [rec.objective_end for rec in trace.iterations],
+        "max_pose_update": [rec.max_pose_update for rec in trace.iterations],
+    }
+
+
+def sizes(parent: dict[str, list], change: dict[str, list]) -> dict[str, float | str]:
+    """The largest absolute difference of each value two trees hold for one
+    key, or "shapes differ" (say, when the runs took different numbers of
+    EM iterations)."""
+    out: dict[str, float | str] = {}
+    for name in sorted(parent.keys() & change.keys()):
+        a, b = np.asarray(parent[name], dtype=float), np.asarray(change[name], dtype=float)
+        out[name] = float(np.abs(a - b).max(initial=0.0)) if a.shape == b.shape else "shapes differ"
+    return out
 
 
 def poses_digest(graphio, graph, poses) -> str:
@@ -121,24 +156,30 @@ def scene_digest(graphio, graph) -> str:
     return digest(graphio.write_graph(graph), graph.ground_truth)
 
 
-def tree_digests(tree: Path) -> dict[str, dict[str, str]]:
+def tree_digests(tree: Path) -> dict[str, dict]:
     """Graph, run and poses digests of every perfbench scene and shuffle seed,
     and the digest of every shape's scenes, made with the package and
-    perfbench of `tree` (in this process)."""
+    perfbench of `tree` (in this process); under "values", the run_values of
+    each run and the pose_values of its poses read back from a pose file."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import harness
     from robustpgo import em, graphio, synth
 
-    out: dict[str, dict[str, str]] = {kind: {} for kind in KINDS}
+    out: dict[str, dict] = {kind: {} for kind in KINDS}
+    values: dict[str, dict] = {"runs": {}, "poses": {}}
     for name, workload in harness.WORKLOADS.items():
         for config in workload.scenes:
             for seed in SHUFFLE_SEEDS:
                 key = f"{name} scene {config.seed} shuffle {seed}"
                 graph = graphio.parse(harness.scene_text(config, seed))
                 out["graphs"][key] = graph_digest(graph)
-                out["runs"][key], poses = _run(em, graph, workload.params)
-                out["poses"][key] = digest(None) if poses is None else poses_digest(graphio, graph, poses)
+                out["runs"][key], poses, values["runs"][key] = _run(em, graph, workload.params)
+                if poses is None:
+                    out["poses"][key] = digest(None)
+                else:
+                    out["poses"][key] = poses_digest(graphio, graph, poses)
+                    values["poses"][key] = pose_values(graphio.parse_poses(graphio.write_poses(poses)))
     for shape in synth.SHAPES:
         # a line never revisits itself, so every loop it has is a false one
         loops = {"outlier_loop_fraction": 1.0} if shape == "line" else {}
@@ -146,10 +187,11 @@ def tree_digests(tree: Path) -> dict[str, dict[str, str]]:
             for seed in SCENE_SEEDS:
                 config = synth.ScenarioConfig(num_fragments=n, shape=shape, seed=seed, **loops)
                 out["scenes"][f"{shape} {n} fragments seed {seed}"] = scene_digest(graphio, synth.generate(config))
+    out["values"] = values
     return out
 
 
-def digests_in(tree: Path) -> dict[str, dict[str, str]]:
+def digests_in(tree: Path) -> dict[str, dict]:
     """tree_digests(tree), computed by a fresh single-threaded interpreter."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -168,12 +210,19 @@ def digests_in(tree: Path) -> dict[str, dict[str, str]]:
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """Per kind, how many keys both trees hold with equal digests, and which differ."""
+    """Per kind, how many keys both trees hold with equal digests, and which
+    differ; for `runs` and `poses`, each differing key's sizes where both
+    trees hold its values."""
     out = {}
     for kind in KINDS:
         keys = sorted(parent[kind].keys() | change[kind].keys())
         differ = [k for k in keys if parent[kind].get(k) != change[kind].get(k)]
         out[kind] = {"identical": len(keys) - len(differ), "total": len(keys), "differ": differ}
+        if kind in ("runs", "poses"):
+            held = parent["values"][kind], change["values"][kind]
+            out[kind]["sizes"] = {
+                k: sizes(held[0][k], held[1][k]) for k in differ if held[0].get(k) and held[1].get(k)
+            }
     return out
 
 
