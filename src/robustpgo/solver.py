@@ -44,14 +44,15 @@ system, which is never factored. The subgraph is a ring of odometry knit by
 revisits, which reverse Cuthill-McKee orders into a narrow band: where the
 band stores at most BAND_FILL_RATIO times the fill of a minimum-degree
 factor (_pose_order), LAPACK's banded Cholesky factors it (_band_factor),
-and elsewhere SuperLU does (_factor). A band that is not positive definite,
-which only the curvature phase gives, makes that trial the minimum-degree
-pattern's, which SuperLU factors. A trial that gets no step, from a zero
-pivot in SuperLU's factor or a PCG miss (a direction of non-positive
-curvature, which the curvature phase can give, a value that is not finite,
-or no convergence within PCG_MAX_ITERS), is rejected, as the strict-decrease
-test rejects an uphill step. The poses stay in (N, 4)
-quaternion and (N, 3) translation arrays while LM runs, each pose state with
+and elsewhere SuperLU does (_factor). A trial gets no step from a band that
+is not positive definite, a zero pivot in SuperLU's factor or a PCG miss (a
+direction of non-positive curvature, a value that is not finite, or no
+convergence within PCG_MAX_ITERS). In the curvature phase, whose H may be
+indefinite, such a trial is redone at the same damping with the
+Gauss-Newton H at the same poses, whose damped matrix is positive definite.
+A trial that still gets no step is rejected, as the strict-decrease test
+rejects an uphill step. The poses stay in (N, 4) quaternion and (N, 3)
+translation arrays while LM runs, each pose state with
 its weight-free evaluation (PoseState), which EM hands from one M-step to
 the next.
 
@@ -60,10 +61,11 @@ moments and last _Pattern; once per solve, on first use by its Problem,
 whose weights are a read-only copy, the cauchy kernel's per-match 2 w, the
 squared kernel's weight-only local moments and the gradient's scatter slots;
 once per pose state, at each LM pass, the rest of the local moments and
-_assemble's gradient and H blocks; once per band pattern, on the first
-trial whose band is not positive definite, its minimum-degree fallback
-pattern; once per trial, the subgraph's band or CSC system and its factor,
-the full system, PCG and the trial's evaluation.
+_assemble's gradient and H blocks, and in the curvature phase, on the first
+trial that gets no step, the Gauss-Newton H blocks at the same state; once
+per trial, and once more for a redo, the blocks' layout entries, the
+subgraph's band or CSC system and its factor, the full system and PCG; once
+per trial that gets a step, its evaluation.
 
 `robustpgo check-grad` checks _assemble's gradient and H against finite
 differences of _evaluate under _retract_all, the functions LM itself calls.
@@ -230,10 +232,11 @@ class SolverReport:
     gradient_norm: float  # max-norm over free dofs of the last gradient assembled, at the returned poses
     errors: np.ndarray  # (C,) each constraint's mean rho over its matches at the returned poses
     objective_path: list[float] = field(default_factory=list)  # after each accepted step
-    factorizations: int = 0  # LM trial steps, each factoring one system
+    factorizations: int = 0  # systems factored, one per LM trial and one per Gauss-Newton redo
     curvature_steps: int = 0  # accepted steps whose H held the residual-curvature term
-    pcg_iterations: int = 0  # PCG iterations over all trials
-    misses: int = 0  # trials that got no step (a zero pivot or a PCG miss) and were rejected
+    pcg_iterations: int = 0  # PCG iterations over all trials and redos
+    # trials rejected with no step (band not positive definite, zero pivot or PCG miss), after any redo
+    misses: int = 0
 
 
 def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparams) -> Problem:
@@ -515,21 +518,12 @@ _ROW_RANKS = np.array([np.count_nonzero(_ENTRY_COLS[:k] == c) for k, c in enumer
 _DIAGONAL_ENTRIES = np.searchsorted(_BLOCK_ENTRIES, 7 * np.arange(6))
 
 
-class _Order(NamedTuple):
-    """A pattern's order of the free dofs: free dof k, entry 6 + k of a 6N
-    vector, sits at position pos[k], each pose's six dofs together; the pose
-    bandwidth of pos when it is a band, else None; and the minimum-degree
-    order, which is pos when that is no band."""
-
-    pos: np.ndarray
-    bandwidth: int | None
-    minimum_degree: np.ndarray
-
-
-def _pose_order(pairs: np.ndarray, num_poses: int) -> _Order:
+def _pose_order(pairs: np.ndarray, num_poses: int) -> tuple[np.ndarray, int | None]:
     """The order a pattern of the pairs factors in, by whole poses (Square
-    Root SAM, Dellaert & Kaess, IJRR 2006). The gauge is pose 0, so free pose
-    k is numbered k - 1.
+    Root SAM, Dellaert & Kaess, IJRR 2006), as (pos, bandwidth): free dof k,
+    entry 6 + k of a 6N vector, sits at position pos[k], each pose's six
+    dofs together, and bandwidth is the pose bandwidth of pos when it is a
+    band, else None. The gauge is pose 0, so free pose k is numbered k - 1.
 
     Two orders of the free poses' graph are formed: SuperLU's minimum degree,
     perm_c of the graph's Laplacian plus I, factored by scipy's splu rather
@@ -539,7 +533,7 @@ def _pose_order(pairs: np.ndarray, num_poses: int) -> _Order:
     coupled poses. A band of n' free poses stores (b + 1) n' pose blocks, and
     the RCM order is taken when that is at most BAND_FILL_RATIO times the
     fill: a ring knit by revisits orders into a narrow band, a graph of long
-    chords does not."""
+    chords does not; else the minimum-degree order is."""
     i, j = (pairs[(pairs > 0).all(axis=1)] - 1).T
     size = num_poses - 1
     coupled = csc_matrix((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])), shape=(size, size))
@@ -547,13 +541,12 @@ def _pose_order(pairs: np.ndarray, num_poses: int) -> _Order:
         diags(1.0 + coupled.sum(axis=0).A1, format="csc") - coupled, permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0, options={"SymmetricMode": True},
     )
-    minimum_degree = (6 * lu.perm_c[:, None] + np.arange(6)).ravel()
     place = np.empty(size, dtype=np.intp)
     place[reverse_cuthill_mckee(coupled, symmetric_mode=True)] = np.arange(size)
     bandwidth = int(np.abs(place[i] - place[j]).max(initial=0))
     if (bandwidth + 1) * size <= BAND_FILL_RATIO * lu.nnz:
-        return _Order((6 * place[:, None] + np.arange(6)).ravel(), bandwidth, minimum_degree)
-    return _Order(minimum_degree, None, minimum_degree)
+        return (6 * place[:, None] + np.arange(6)).ravel(), bandwidth
+    return (6 * lu.perm_c[:, None] + np.arange(6)).ravel(), None
 
 
 class _Structure(NamedTuple):
@@ -620,9 +613,9 @@ class _Pattern:
     """Where every block entry lands in the matrices of a damped system over
     the free dofs, those of every pose but pose 0, the gauge, which LM holds
     fixed. The pattern is fixed by the constraint pairs and ordered by the
-    kept ones. Its order, fixed when it is built, is _pose_order's unless
-    one is given: reverse Cuthill-McKee where the kept pairs' graph orders
-    into a narrow band, else the pose-level minimum degree. Free dof k,
+    kept ones. Its order, fixed when it is built, is _pose_order's:
+    reverse Cuthill-McKee where the kept pairs' graph orders into a narrow
+    band, else the pose-level minimum degree. Free dof k,
     entry 6 + k of a 6N vector, sits at position pos[k]. The gauge's rows
     and columns are left out and each diagonal slot is present.
 
@@ -633,14 +626,12 @@ class _Pattern:
     storage (band_slot, _band_slots), for LAPACK's banded Cholesky. Any
     other holds `subgraph`, their own CSC structure, which stores no entry
     where only the other pairs' blocks land, as SuperLU's fill follows the
-    stored entries. A band pattern's `fallback` is the minimum-degree
-    pattern of the same pairs, built when a band that is not positive
-    definite first needs it."""
+    stored entries. The systems are filled from the flat layout entries of
+    _assemble's blocks (_entries), which each trial gathers once for both."""
 
-    def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray, order: _Order | None = None):
-        self.pairs, self.kept = pairs, kept
-        self.order = _pose_order(pairs[kept], num_poses) if order is None else order
-        self.pos, self.bandwidth = self.order.pos, self.order.bandwidth
+    def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray):
+        self.kept = kept
+        self.pos, self.bandwidth = _pose_order(pairs[kept], num_poses)
         self.shape = (len(self.pos), len(self.pos))
         i, j = pairs[:, 0], pairs[:, 1]
         place = np.concatenate([[-1], self.pos[::6] // 6])  # each pose's block position; the gauge has none
@@ -652,31 +643,26 @@ class _Pattern:
         else:
             self.band_slot = _band_slots(rows, cols, placed & np.tile(kept, 4), num_poses - 1, self.bandwidth)
 
-    @cached_property
-    def fallback(self) -> _Pattern:
-        """A band pattern's minimum-degree pattern of the same pairs."""
-        minimum_degree = self.order.minimum_degree
-        return _Pattern(self.pairs, len(self.pos) // 6 + 1, self.kept, _Order(minimum_degree, None, minimum_degree))
-
-    def matrix(self, blocks: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
-        """The system H + damping I over the free dofs, from _assemble's
-        blocks; with subgraph, over the kept pairs only (a pattern that is no
-        band). One bincount fills the structure's slots, and the blocks it
-        leaves out go to the spare."""
+    def matrix(self, entries: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
+        """The system H + damping I over the free dofs, from the layout
+        entries of _assemble's blocks (_entries); with subgraph, over the
+        kept pairs only (a pattern that is no band). One bincount fills the
+        structure's slots, and the blocks it leaves out go to the spare."""
         structure = self.subgraph if subgraph else self.full
         spare = len(structure.indices)
-        data = np.bincount(structure.slot.ravel(), weights=_entries(blocks), minlength=spare + 1)[:spare]
+        data = np.bincount(structure.slot.ravel(), weights=entries, minlength=spare + 1)[:spare]
         data[structure.diagonal] += damping
         return csc_matrix((data, structure.indices, structure.indptr), shape=self.shape)
 
-    def band(self, blocks: np.ndarray, damping: float) -> np.ndarray:
+    def band(self, entries: np.ndarray, damping: float) -> np.ndarray:
         """A band pattern's subgraph system H + damping I over the kept pairs,
-        in LAPACK's lower band storage, column-major (kd + 1, n): one bincount
+        from the layout entries of _assemble's blocks (_entries), in
+        LAPACK's lower band storage, column-major (kd + 1, n): one bincount
         in matrix's per-slot order, so each entry on and below the diagonal
         is summed as the CSC system of the kept pairs sums it, bit for bit."""
         depth = 6 * self.bandwidth + 6
         size = depth * self.shape[0]
-        flat = np.bincount(self.band_slot.ravel(), weights=_entries(blocks), minlength=size + 1)[:size]
+        flat = np.bincount(self.band_slot.ravel(), weights=entries, minlength=size + 1)[:size]
         band = flat.reshape((depth, self.shape[0]), order="F")
         band[0] += damping
         return band
@@ -783,25 +769,26 @@ def _step(pattern: _Pattern, blocks: np.ndarray, grad: np.ndarray, damping: floa
     kept pairs are factored, and PCG with that factor recovers the step of
     the full system, which it multiplies by in the same order, so the
     right-hand side is taken into that order once and the step put back
-    once. A band pattern's subgraph is factored as a band (_band_factor).
-    Where that band is not positive definite, which only the curvature
-    phase gives, the trial is its fallback pattern's: SuperLU factors the
-    subgraph in the minimum-degree order (_factor), as for a pattern that is
-    no band. A zero pivot in SuperLU's factor or a PCG miss gives None."""
+    once. A band pattern's subgraph is factored as a band (_band_factor),
+    any other's by SuperLU (_factor). The blocks' layout entries are
+    gathered once for the subgraph and the full system. A band that is not
+    positive definite, a zero pivot in SuperLU's factor or a PCG miss gives
+    None."""
+    entries = _entries(blocks)
     if pattern.bandwidth is None:
         try:
-            precondition = _factor(pattern.matrix(blocks, damping, subgraph=True)).solve
+            precondition = _factor(pattern.matrix(entries, damping, subgraph=True)).solve
         except RuntimeError:
             return None, 0
     else:
-        factor = _band_factor(pattern.band(blocks, damping))
+        factor = _band_factor(pattern.band(entries, damping))
         if factor is None:
-            return _step(pattern.fallback, blocks, grad, damping)
+            return None, 0
 
         def precondition(rhs):
             return dpbtrs(factor, rhs, lower=1)[0]
 
-    solution, iterations = _pcg(pattern.matrix(blocks, damping).dot, precondition, pattern.take(-grad))
+    solution, iterations = _pcg(pattern.matrix(entries, damping).dot, precondition, pattern.take(-grad))
     return (None if solution is None else pattern.put(solution)), iterations
 
 
@@ -827,7 +814,11 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
     non-increasing. H is the Gauss-Newton approximation until an accepted
     step lowers the objective by less than CURVATURE_SWITCH relative; from
     then on it also holds the residual-curvature term (see _assemble), for
-    the rest of the solve. The solve ends "gradient" when the max-norm of the
+    the rest of the solve. A curvature-phase trial that gets no step from
+    _step is redone at the same damping with the Gauss-Newton blocks at the
+    same state, assembled at most once per LM pass; only a trial that still
+    gets no step is rejected as a miss, and an accepted redo is no curvature
+    step. The solve ends "gradient" when the max-norm of the
     gradient over the free dofs is below GRADIENT_TOL, and "max_iterations"
     after MAX_INNER_ITERS accepted steps. A trial within OBJECTIVE_TOL
     (relative) of the current objective ends it untaken: "objective" if it
@@ -877,10 +868,18 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
             termination = "max_iterations"
             break
 
+        gauss_newton = None  # the Gauss-Newton blocks at this state, once a curvature trial needs them
         while True:
             factorizations += 1
             step, iterations = _step(pattern, blocks, grad, damping)
             pcg_iterations += iterations
+            redone = step is None and curvature  # with the Gauss-Newton H, positive definite once damped
+            if redone:
+                if gauss_newton is None:
+                    gauss_newton = _assemble(problem, state)[1]
+                factorizations += 1
+                step, iterations = _step(pattern, gauss_newton, grad, damping)
+                pcg_iterations += iterations
             misses += step is None
             trial_objective = math.inf
             if step is not None:
@@ -897,7 +896,7 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
                 drop = objective - trial_objective
                 objective = trial_objective
                 accepted += 1
-                curvature_steps += curvature
+                curvature_steps += curvature and not redone
                 objective_path.append(objective)
                 damping = max(damping * 0.5, DAMPING_MIN)
                 curvature = curvature or drop < CURVATURE_SWITCH * max(abs(objective), 1e-300)

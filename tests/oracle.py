@@ -309,7 +309,7 @@ class EntryPattern:
     def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray, pos: np.ndarray | None = None):
         i, j = pairs[:, 0], pairs[:, 1]
         self.kept = kept
-        self.pos = _pose_order(pairs[kept], num_poses).pos if pos is None else pos  # the pattern's order
+        self.pos = _pose_order(pairs[kept], num_poses)[0] if pos is None else pos  # the pattern's order
         n = len(self.pos)
         place = np.full(6 * num_poses, -1)
         place[6:] = self.pos

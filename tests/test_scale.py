@@ -1,0 +1,31 @@
+"""The scene runs of tools/scale.py."""
+
+import argparse
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("scale", Path(__file__).resolve().parent.parent / "tools" / "scale.py")
+scale = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale)
+
+
+def test_a_20_fragment_run_reports_its_counts_and_quality(tmp_path):
+    out = tmp_path / "scale.json"
+    assert scale.main(["--scene", "cauchy:20:0", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["parent"] is None and list(record["scenes"]) == ["cauchy:20:0"]
+    run = record["scenes"]["cauchy:20:0"]["change"]
+    assert "error" not in run
+    assert run["msteps"] == len(run["inliers"]) >= 1 and run["capped"] == 0
+    assert run["factor_calls"] == run["factorizations"] >= run["accepted"] >= 1
+    assert run["tp"] + run["fn"] >= 1 and 0.0 <= run["precision"] <= 1.0 and 0.0 <= run["recall"] <= 1.0
+    assert run["ate_full_m"] >= 0.0 and run["run_em_s"] > 0.0 and run["peak_rss_mb"] > 0.0
+
+
+@pytest.mark.parametrize("text", ["cauchy:20", "huber:20:0", "cauchy:1:0", "cauchy:20:-1", "gaussian:x:0"])
+def test_a_malformed_scene_is_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        scale.scene(text)
