@@ -15,22 +15,22 @@ Lines end at '\n'; a '\r' before it, and any other whitespace inside a line
 written with 17 significant digits so every float round-trips exactly;
 writers emit records in canonical order (by id, then by (i, j)).
 
-A parse makes one pass over the lines. An ODOM/LOOP record whose k raw lines
-are plain M rows (after any leading whitespace, `M` and a space or tab, and
-no '#') is deferred; after the pass every deferred row, its `M` dropped, is
-converted by one np.loadtxt call. The M row reader, which checks and
-converts each row as it reads it, decides what loadtxt does not take: a
-record with a comment, a blank line or an error; every deferred record, in
-file order, when loadtxt refuses their rows; and the deferred records before
-a line at which the pass raises. Each row of a run of INIT or GT rows, or of
-POSE rows in a pose file, is checked and converted as it is read, and each
-run's poses are built by one `se3.unstack`. So every ParseError names the
-first bad line, with the reason its row's checks give.
+A document is read in bulk first. That reading makes one pass over the
+lines. An ODOM/LOOP record whose k raw lines are plain M rows (after any
+leading whitespace, `M` and a space or tab, and no '#') is deferred; after
+the pass every deferred row, its `M` dropped, is converted by one
+np.loadtxt call, and any other record by the M row reader, which checks and
+converts each row as it reads it. A run of INIT or GT rows, or of POSE rows
+in a pose file, is converted and checked finite at once, and its poses are
+built by one `se3.unstack`. When that reading raises a ParseError, or a
+ValueError from a conversion or from loadtxt, the document is read again
+row by row: every M record goes to the row reader, and every pose row is a
+run of its own. That reading returns the result or raises a ParseError
+that names the first bad line, with the reason its row's checks give.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -72,22 +72,19 @@ def _float(token: str, line_no: int) -> float:
 
 
 class _Lines:
-    r"""Token stream over non-empty, comment-stripped lines, which end at '\n'.
-    `raw` holds them and `at` the index of the next one to read; `rows`
-    yields (line number, tokens) from that cursor, splitting each line only
-    when it reaches it. A reader that takes a run of raw lines at once moves
-    the same cursor forward; `seek` moves it anywhere, back too, and makes
-    `rows` anew there, as a generator that has run out stays spent."""
+    r"""Token stream over non-empty, comment-stripped lines, which end at '\n',
+    for one reading of a document: in bulk, or row by row. `raw` holds them
+    and `at` the index of the next one to read; `rows` yields (line number,
+    tokens) from that cursor, splitting each line only when it reaches it. A
+    reader that takes a run of raw lines at once moves the same cursor."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, bulk: bool = False):
         self.raw = text.split("\n")
         if not self.raw[-1]:  # the empty piece after a final '\n', or of ""
             self.raw.pop()
         self.last_no = len(self.raw) + 1
-        self.seek(0)
-
-    def seek(self, at: int) -> None:
-        self.at = at
+        self.bulk = bulk
+        self.at = 0
         self.rows = self._rows()
 
     def _rows(self):
@@ -99,56 +96,69 @@ class _Lines:
                 yield self.at, parts
 
 
+def _read(reader, text: str):
+    """reader(lines) over `text` read in bulk, or, when that reading raises a
+    ParseError or a ValueError, over `text` read again row by row. This is
+    the one place that decides which reading names an error: the second
+    returns the result or raises the first bad line, with its reason."""
+    try:
+        return reader(_Lines(text, bulk=True))
+    except (ParseError, ValueError):
+        pass  # the second reading starts once the first one's lines are freed
+    return reader(_Lines(text))
+
+
 _POSE_USAGE = "expected: POSE <id> tx ty tz qw qx qy qz"
 
 
 def _read_poses(lines: _Lines, no: int, parts: list[str], store: dict[int, Pose], n: int | None) -> None:
     """Stores the run of pose rows that starts with `parts`, the INIT, GT or
-    POSE row on line `no` that `lines` read last. The run is that row and the
-    raw lines right after it that hold the same kind; a run holds no '#', so
-    a row with a comment is a run of its own. Each row is checked and
-    converted as it is read, and the run's poses are built by one `unstack`.
-    When a row check raises, the rows before it are built first, so the first
-    bad row in line order raises, with its own reason. `n` is the graph's
-    fragment count, or None for a pose file, whose ids have no upper bound."""
+    POSE row on line `no` that `lines` read last. In a bulk reading the run
+    is that row and the raw lines right after it that hold the same kind; a
+    run holds no '#', so a row with a comment is a run of its own. Read row
+    by row, every row is a run of its own. Each row's id is checked as it is
+    read; then the run's numbers are converted, checked finite and built
+    into poses by one `unstack`, which refuses a quaternion norm below 1e-9
+    or past the float range. `n` is the graph's fragment count, or None for
+    a pose file, whose ids have no upper bound."""
     kind, raw = parts[0], lines.raw
-    plain = "#" not in raw[no - 1]
-    rows: dict[int, list[float]] = {}  # the run's 7 numbers by id, in line order
-
-    def build() -> None:
-        block = np.array([*rows.values()]).reshape(-1, 7)
-        try:
-            store.update(zip(rows, unstack(block[:, 3:], block[:, :3])))
-        except ValueError:  # a quaternion norm below 1e-9 or past the float range
-            for k, row in enumerate(block):
-                try:
-                    unstack(row[3:], row[:3])
-                except ValueError as err:
-                    raise ParseError(no + k, str(err)) from None
-
+    rows: dict[int, list[str]] = {}  # the run's 7 number tokens by id, in line order
+    at = no
+    while True:
+        if len(parts) != 9:
+            raise ParseError(at, _POSE_USAGE if n is None else f"{kind} record needs id plus 7 numbers")
+        idx = _int(parts[1], at)
+        if n is None and idx < 0:
+            raise ParseError(at, f"POSE id {idx} is negative")
+        if n is not None and not 0 <= idx < n:
+            raise ParseError(at, f"{kind} id {idx} out of range [0, {n - 1}]")
+        if idx in store or idx in rows:
+            raise ParseError(at, f"duplicate {kind} record for fragment {idx}")
+        rows[idx] = parts[2:]
+        if not lines.bulk or "#" in raw[no - 1] or at == len(raw) or "#" in raw[at] or (parts := raw[at].split())[:1] != [kind]:
+            break
+        at += 1
+    lines.at = at
+    if lines.bulk:
+        block = np.array([[*map(float, row)] for row in rows.values()])
+    else:
+        block = np.array([[_float(v, no) for v in rows[idx]]])
+    if not np.isfinite(block).all():
+        raise ParseError(no, "pose values must be finite")
     try:
-        while True:
-            at = lines.at
-            if len(parts) != 9:
-                raise ParseError(at, _POSE_USAGE if n is None else f"{kind} record needs id plus 7 numbers")
-            idx = _int(parts[1], at)
-            if n is None and idx < 0:
-                raise ParseError(at, f"POSE id {idx} is negative")
-            if n is not None and not 0 <= idx < n:
-                raise ParseError(at, f"{kind} id {idx} out of range [0, {n - 1}]")
-            if idx in store or idx in rows:
-                raise ParseError(at, f"duplicate {kind} record for fragment {idx}")
-            row = [_float(v, at) for v in parts[2:]]
-            if not all(map(math.isfinite, row)):
-                raise ParseError(at, "pose values must be finite")
-            rows[idx] = row
-            if not plain or at == len(raw) or "#" in raw[at] or (parts := raw[at].split())[:1] != [kind]:
-                break
-            lines.at += 1
-    except ParseError:
-        build()  # a refused quaternion on an earlier row comes first in line order
-        raise
-    build()
+        store.update(zip(rows, unstack(block[:, 3:], block[:, :3])))
+    except ValueError as err:
+        raise ParseError(no, str(err)) from None
+
+
+def _by_id(store: dict[int, Pose], n: int, no: int, missing: str) -> list[Pose]:
+    """The poses of ids 0 to n - 1; a ParseError on line `no` names the lowest
+    id `store` lacks, after the words `missing`."""
+    # ids are not negative, so the lowest missing one is at most len(store)
+    lowest = min(set(range(len(store) + 1)) - store.keys())
+    if lowest < n:
+        raise ParseError(no, f"{missing} {lowest}")
+    return [store[i] for i in range(n)]
 
 
 @dataclass
@@ -168,18 +178,20 @@ _HEAD = itemgetter(slice(2))
 
 
 def _read_matches(lines: _Lines, count: int, what: str, header_no: int, deferred: list[_Matches]) -> _Matches:
-    """The `count` M rows after a record's header, on line header_no. Plain
-    M rows are deferred: after any leading whitespace each raw line is `M`
-    and a space or tab, and none holds a '#', so the row reader would take
-    exactly these lines, none blank or a comment. The cursor moves past them
-    and the record joins `deferred`, which `_read_deferred` converts after
-    the pass. Any other rows are read now by the row reader."""
+    """The `count` M rows after a record's header, on line header_no. In a
+    bulk reading plain M rows are deferred: after any leading whitespace each
+    raw line is `M` and a space or tab, and none holds a '#', so the row
+    reader would take exactly these lines, none blank or a comment. The
+    cursor moves past them and the record joins `deferred`, which
+    `_read_deferred` converts after the pass. Any other rows, and every row
+    read row by row, are read now by the row reader."""
     if count < 0:
         raise ParseError(header_no, f"negative match count {count}")
     matches = _Matches(what, lines.at, count)
     seg = lines.raw[lines.at : lines.at + count]
     if (
-        count
+        lines.bulk
+        and count
         and len(seg) == count
         and set(map(_HEAD, map(str.lstrip, seg))) <= _PLAIN_HEADS
         and "#" not in "".join(seg)
@@ -210,31 +222,21 @@ def _read_rows(lines: _Lines, matches: _Matches) -> None:
     matches.p, matches.q = np.ascontiguousarray(block[:, :3]), np.ascontiguousarray(block[:, 3:])
 
 
-def _reread(lines: _Lines, deferred: list[_Matches]) -> None:
-    """Reads the deferred records with the row reader, in file order."""
-    for matches in deferred:
-        lines.seek(matches.start)
-        _read_rows(lines, matches)
-
-
 def _read_deferred(lines: _Lines, deferred: list[_Matches]) -> None:
     r"""Converts the deferred records' rows, their `M` dropped, with one
     np.loadtxt: its C tokenizer splits on the whitespace `str.split` splits
     on, and its correctly rounded conversion gives the bits `float` gives.
-    It takes no `usecols`, so a row of 7 numbers fails the shape check. When
-    loadtxt refuses the rows (a token only `float` takes, such as `1_0`, or a
-    '\r' inside a row) or returns another shape, `_reread` decides instead."""
+    It takes no `usecols`, so a row of 7 numbers fails the shape check.
+    When loadtxt refuses the rows (a token only `float` takes, such as
+    `1_0`, or a '\r' inside a row) or returns another shape, a ValueError
+    ends the bulk reading."""
     if not deferred:
         return  # loadtxt warns on empty input
     raw = lines.raw
     rows = (line.lstrip()[1:] for m in deferred for line in raw[m.start : m.start + m.count])
-    try:
-        vals = np.loadtxt(rows, comments=None, ndmin=2)
-    except ValueError:
-        vals = None
-    if vals is None or vals.shape != (sum(m.count for m in deferred), 6):
-        _reread(lines, deferred)
-        return
+    vals = np.loadtxt(rows, comments=None, ndmin=2)
+    if vals.shape != (sum(m.count for m in deferred), 6):
+        raise ValueError(f"M rows of shape {vals.shape}")
     p, q = np.ascontiguousarray(vals[:, :3]), np.ascontiguousarray(vals[:, 3:])
     at = 0
     for m in deferred:
@@ -248,7 +250,10 @@ def parse(text: str) -> ProblemGraph:
     Only syntax is enforced here; semantic rules (missing odometry, short
     loops, duplicates) are left to model.validate.
     """
-    lines = _Lines(text)
+    return _read(_parse_graph, text)
+
+
+def _parse_graph(lines: _Lines) -> ProblemGraph:
     row = next(lines.rows, None)
     if row is None:
         raise ParseError(1, "empty document, expected PCG header")
@@ -268,52 +273,39 @@ def parse(text: str) -> ProblemGraph:
     labels: dict[tuple[int, int], bool] = {}
     deferred: list[_Matches] = []
 
-    try:
-        for no, parts in lines.rows:
-            kind = parts[0]
-            if kind in ("INIT", "GT"):
-                _read_poses(lines, no, parts, init if kind == "INIT" else gt, n)
-            elif kind == "ODOM":
-                if len(parts) != 3:
-                    raise ParseError(no, "ODOM record needs <i> <match count>")
-                i = _int(parts[1], no)
-                odometry.append((i, _read_matches(lines, _int(parts[2], no), f"ODOM {i}", no, deferred)))
-            elif kind == "LOOP":
-                if len(parts) != 4:
-                    raise ParseError(no, "LOOP record needs <i> <j> <match count>")
-                i = _int(parts[1], no)
-                j = _int(parts[2], no)
-                loops.append((i, j, _read_matches(lines, _int(parts[3], no), f"LOOP {i} {j}", no, deferred)))
-            elif kind == "LABEL":
-                if len(parts) != 4:
-                    raise ParseError(no, "LABEL record needs <i> <j> <0|1>")
-                i = _int(parts[1], no)
-                j = _int(parts[2], no)
-                if parts[3] not in ("0", "1"):
-                    raise ParseError(no, f"LABEL value must be 0 or 1, got {parts[3]!r}")
-                if (i, j) in labels:
-                    raise ParseError(no, f"duplicate LABEL for loop ({i}, {j})")
-                labels[(i, j)] = parts[3] == "1"
-            elif kind == "M":
-                raise ParseError(no, "stray M record outside ODOM/LOOP")
-            else:
-                raise ParseError(no, f"unknown record kind {kind!r}")
-    except ParseError:
-        try:  # a bad deferred row lies before the error: it is the first in line order
-            _reread(lines, deferred)
-        except ParseError as earlier:
-            raise earlier from None
-        raise
+    for no, parts in lines.rows:
+        kind = parts[0]
+        if kind in ("INIT", "GT"):
+            _read_poses(lines, no, parts, init if kind == "INIT" else gt, n)
+        elif kind == "ODOM":
+            if len(parts) != 3:
+                raise ParseError(no, "ODOM record needs <i> <match count>")
+            i = _int(parts[1], no)
+            odometry.append((i, _read_matches(lines, _int(parts[2], no), f"ODOM {i}", no, deferred)))
+        elif kind == "LOOP":
+            if len(parts) != 4:
+                raise ParseError(no, "LOOP record needs <i> <j> <match count>")
+            i = _int(parts[1], no)
+            j = _int(parts[2], no)
+            loops.append((i, j, _read_matches(lines, _int(parts[3], no), f"LOOP {i} {j}", no, deferred)))
+        elif kind == "LABEL":
+            if len(parts) != 4:
+                raise ParseError(no, "LABEL record needs <i> <j> <0|1>")
+            i = _int(parts[1], no)
+            j = _int(parts[2], no)
+            if parts[3] not in ("0", "1"):
+                raise ParseError(no, f"LABEL value must be 0 or 1, got {parts[3]!r}")
+            if (i, j) in labels:
+                raise ParseError(no, f"duplicate LABEL for loop ({i}, {j})")
+            labels[(i, j)] = parts[3] == "1"
+        elif kind == "M":
+            raise ParseError(no, "stray M record outside ODOM/LOOP")
+        else:
+            raise ParseError(no, f"unknown record kind {kind!r}")
     _read_deferred(lines, deferred)
 
     def _collect(store: dict[int, Pose], kind: str) -> list[Pose] | None:
-        if not store:
-            return None
-        # ids lie in [0, n), so the lowest missing one is at most len(store)
-        missing = min(set(range(len(store) + 1)) - store.keys())
-        if missing < n:
-            raise ParseError(lines.last_no, f"{kind} records incomplete: missing fragment {missing}")
-        return [store[i] for i in range(n)]
+        return _by_id(store, n, lines.last_no, f"{kind} records incomplete: missing fragment") if store else None
 
     return ProblemGraph(
         num_fragments=n,
@@ -356,16 +348,16 @@ def write_poses(poses: list[Pose]) -> str:
 
 
 def parse_poses(text: str) -> list[Pose]:
-    lines = _Lines(text)
+    return _read(_parse_poses, text)
+
+
+def _parse_poses(lines: _Lines) -> list[Pose]:
     store: dict[int, Pose] = {}
     for no, parts in lines.rows:
         if parts[0] != "POSE":
             raise ParseError(no, _POSE_USAGE)
         _read_poses(lines, no, parts, store, None)
-    missing = [i for i in range(len(store)) if i not in store]
-    if missing:
-        raise ParseError(lines.last_no, f"missing POSE record {missing[0]}")
-    return [store[i] for i in range(len(store))]
+    return _by_id(store, len(store), lines.last_no, "missing POSE record")
 
 
 def write_poses_csv(poses: list[Pose]) -> str:

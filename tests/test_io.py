@@ -20,6 +20,7 @@ from robustpgo.graphio import (
 )
 from robustpgo.model import Hyperparams, LoopClosureConstraint, OdometryConstraint, ProblemGraph
 from robustpgo.synth import ScenarioConfig, generate
+from test_fuzz import BASES, EVAL_BASE, edits, mutate, spaces
 from test_se3 import near_unit_quats
 
 MINIMAL = """# two fragments, one odometry constraint
@@ -145,10 +146,17 @@ def with_comments(text: str) -> str:
 
 
 def parse_tracking_bulk(text: str):
-    """parse(text), and per ODOM/LOOP record whether its M rows were
-    converted in bulk, by the one np.loadtxt call, and not by the row reader."""
+    """parse(text), and per ODOM/LOOP record of the reading that returned the
+    graph whether its M rows were converted in bulk, by the one np.loadtxt
+    call, and not by the row reader. A document that the bulk reading
+    refuses is read again row by row; each reading makes its own `_Lines`."""
     records, by_rows = [], []
-    read_matches, read_rows = graphio._read_matches, graphio._read_rows
+    read_matches, read_rows, new_lines = graphio._read_matches, graphio._read_rows, graphio._Lines
+
+    def spy_lines(*args, **kwargs):
+        records.clear()
+        by_rows.clear()
+        return new_lines(*args, **kwargs)
 
     def spy_matches(*args):
         records.append(read_matches(*args))
@@ -161,6 +169,7 @@ def parse_tracking_bulk(text: str):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphio, "_read_matches", spy_matches)
         mp.setattr(graphio, "_read_rows", spy_rows)
+        mp.setattr(graphio, "_Lines", spy_lines)
         graph = parse(text)
     return graph, [id(m) not in by_rows for m in records]
 
@@ -484,6 +493,66 @@ class TestPoseRuns:
     def test_a_duplicate_at_the_end_of_a_long_run(self):
         text = "PCG 1 5000\n" + "".join(f"GT {i} {I}\n" for i in range(5000)) + f"GT 0 {I}\n"
         assert parse_error(text) == (5002, "duplicate GT record for fragment 0")
+
+
+def count_readings(parse_fn, text: str) -> int:
+    """How many times parse_fn(text) reads the document: each reading makes
+    its own `_Lines`."""
+    made = []
+    new_lines = graphio._Lines
+
+    def spy(*args, **kwargs):
+        made.append(1)
+        return new_lines(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_Lines", spy)
+        parse_fn(text)
+    return len(made)
+
+
+# `mutate` token edits to numbers `float` takes: loadtxt refuses the first two
+NUMBERS = st.tuples(st.just("token"), st.integers(0, 999), st.integers(0, 9), st.sampled_from(["1_0", "\u0661", "2.5"]))
+
+
+class TestReadingRule:
+    """A document is read in bulk; when that reading fails, it is read again
+    row by row, and that reading returns the result or names the error."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 2]),
+        st.lists(
+            st.one_of(spaces(), edits("token", "zero_quat", "delete", "duplicate", "split", "extra"), NUMBERS),
+            min_size=1, max_size=2,
+        ),
+    )
+    def test_a_bulk_reading_gives_what_the_row_reading_gives(self, base, changes):
+        """Fuzzed graphs and POSE files: the bulk reading fails, or gives the
+        graph text, match bytes and poses that the row-by-row reading gives."""
+        if base == 2:
+            read, bits = graphio._parse_poses, pose_bytes
+        else:
+            read, bits = graphio._parse_graph, lambda g: (write_graph(g), match_bytes(g))
+        text = mutate([*BASES, EVAL_BASE[1]][base], changes)
+        try:
+            bulk = read(graphio._Lines(text, bulk=True))
+        except (ParseError, ValueError):
+            return
+        assert bits(read(graphio._Lines(text))) == bits(bulk)
+
+    def test_documents_read_twice_are_the_ones_bulk_refuses(self):
+        r"""A valid document is read once, in bulk, as written, with a comment
+        on every M row, or with CRLF line ends, whose '\r' loadtxt takes at
+        a row's end; one token that only `float` takes makes two readings."""
+        graph = generate(ScenarioConfig(num_fragments=100, seed=0))
+        text = write_graph(graph)
+        lines = text.split("\n")
+        at = next(k for k, line in enumerate(lines) if line.startswith("M "))
+        lines[at] = " ".join(lines[at].split()[:-1] + ["1_0"])
+        docs = [text, with_comments(text), text.replace("\n", "\r\n"), "\n".join(lines)]
+        assert [count_readings(parse, doc) for doc in docs] == [1, 1, 1, 2]
+        assert count_readings(parse_poses, write_poses(graph.ground_truth)) == 1
 
 
 class TestReport:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -43,6 +44,25 @@ def export(rev: str, into: Path) -> None:
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
+
+
+def run_fresh(tool: str, function: str, tree: Path, *args: str):
+    """`tool.function(tree, *args)`, with `tool` a module of this directory, run
+    in `tree` by a fresh interpreter with single-threaded BLAS that writes
+    no bytecode, and returned through JSON; subprocess.CalledProcessError,
+    which holds its stderr, when the interpreter exits non-zero."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    code = (
+        f"import json, sys; sys.path.insert(0, sys.argv[1]); import {tool}; from pathlib import Path; "
+        f"print(json.dumps({tool}.{function}(Path(sys.argv[2]), *sys.argv[3:])))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(tree), *args],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -41,13 +41,15 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import export, git, run_fresh  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SHUFFLE_SEEDS = (0, 1)
@@ -193,20 +195,10 @@ def tree_digests(tree: Path) -> dict[str, dict]:
 
 def digests_in(tree: Path) -> dict[str, dict]:
     """tree_digests(tree), computed by a fresh single-threaded interpreter."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    code = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); import equivalence; from pathlib import Path; "
-        "print(json.dumps(equivalence.tree_digests(Path(sys.argv[2]))))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(tree)],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-    if done.returncode != 0:
-        raise RuntimeError(f"digests in {tree} failed: {done.stderr.strip()[-2000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    try:
+        return run_fresh("equivalence", "tree_digests", tree)
+    except subprocess.CalledProcessError as err:
+        raise RuntimeError(f"digests in {tree} failed: {err.stderr.strip()[-2000:]}") from None
 
 
 def compare(parent: dict, change: dict) -> dict:
@@ -230,9 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from bench_pairs import export, git
-
     with tempfile.TemporaryDirectory() as tmp:
         export(git("rev-parse", args.parent), Path(tmp))
         result = compare(digests_in(Path(tmp)), digests_in(ROOT))

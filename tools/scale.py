@@ -37,13 +37,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import export, git, run_fresh  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 MODES = ("cauchy", "gaussian")
@@ -111,20 +113,10 @@ def measure(tree: Path, name: str) -> dict:
 def run_in(tree: Path, name: str) -> dict:
     """measure(tree, name) in a fresh single-threaded interpreter, or
     {"error": ...} when it exits non-zero."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    code = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); import scale; from pathlib import Path; "
-        "print(json.dumps(scale.measure(Path(sys.argv[2]), sys.argv[3])))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(tree), name],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-    if done.returncode != 0:
-        return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    try:
+        return run_fresh("scale", "measure", tree, name)
+    except subprocess.CalledProcessError as err:
+        return {"error": f"exit {err.returncode}: {err.stderr.strip()[-500:]}"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,9 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", help="commit to run beside the working tree")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from bench_pairs import export, git
-
     scenes = args.scene or DEFAULT_SCENES
     record = {
         "change": git("rev-parse", "HEAD") + (" with uncommitted changes" if git("status", "--porcelain") else ""),
