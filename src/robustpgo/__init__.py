@@ -30,7 +30,7 @@ from .model import (
     initialize_poses,
     validate,
 )
-from .se3 import Pose, compose, exp, identity, inverse, retract
+from .se3 import Pose, identity, retract
 from .solver import SolverError, SolverReport, build_problem, solve
 from .synth import EvalResult, ScenarioConfig, ScenarioError, evaluate, generate
 
@@ -58,15 +58,12 @@ __all__ = [
     "Violation",
     "build_problem",
     "classify_loops",
-    "compose",
     "e_step",
     "evaluate",
     "evaluate_poses",
-    "exp",
     "generate",
     "identity",
     "initialize_poses",
-    "inverse",
     "learn_theta_cauchy",
     "learn_theta_gaussian",
     "parse",

@@ -1,13 +1,16 @@
 """SE(3) pose arithmetic on unit quaternions.
 
 Conventions, fixed repo-wide:
-  * quaternions are stored (w, x, y, z) and hemisphere-normalized (w >= 0)
+  * quaternions are stored (w, x, y, z), made canonical by `_canonical_quats`
+    alone: unit norm within 1e-12, and hemisphere-normalized (w >= 0)
   * twist vectors are (wx, wy, wz, vx, vy, vz): rotation first, then translation
-  * retract(T, d) == compose(exp(d), T), i.e. updates multiply on the left
+  * retract(T, d) is exp(d) o T, i.e. updates multiply on the left
 
 Each formula is written once, over arrays that hold one item, e.g. a (4,)
 quaternion, or a stack of N, e.g. (N, 4) quaternions, (N, 3) translations or
-(N, 6) twists. The Pose functions apply the same formulas to one pose.
+(N, 6) twists. A `Pose` holds one pose's two arrays; `identity`, `retract`
+and `transform_points` take or give one, for the edges of the package and
+for callers that hold poses one at a time.
 """
 
 from __future__ import annotations
@@ -23,39 +26,28 @@ _SMALL_ANGLE_SQ = 1e-8
 
 
 def _canonical_quats(q: np.ndarray) -> np.ndarray:
-    """Renormalize quaternions (4,) or (N, 4) whose norm is off 1 by more than
-    1e-12 and pick the w >= 0 hemisphere; at w == 0 the first nonzero
-    component is made positive, so the choice is deterministic."""
+    """A new array of quaternions (4,) or (N, 4), each renormalized if its
+    norm is off 1 by more than 1e-12 and put in the w >= 0 hemisphere; at
+    w == 0 the first nonzero component is made positive, so the choice is
+    deterministic. Raises ValueError if any norm is below 1e-9 or past the
+    float range; a NaN row passes through. Each norm is the (1, 4) @ (4, 1)
+    product of its row, which rounds as the dot `q @ q` of that row alone
+    does, so a row gets the same bits in any batch."""
     q = np.array(q, dtype=float)
-    w, x, y, z = q.T
-    n = np.sqrt(w * w + x * x + y * y + z * z)
-    off = np.abs(n - 1.0) > _UNIT_TOL
-    if np.count_nonzero(off):
-        np.divide(q.T, n, out=q.T, where=off)
-        w, x, y, z = q.T
-    if np.count_nonzero(w <= 0.0):
-        lead = np.where(w != 0.0, w, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
-        q = np.where(lead < 0.0, -q.T, q.T).T
-    return q
-
-
-def _canonical_rows(q: np.ndarray) -> np.ndarray:
-    """A new (N, 4) array of quaternions (4,) or (N, 4), each row made
-    canonical by `_canonical_quats` unless it is already (w > 0 and its norm
-    within 1e-12 of 1, e.g. read from a file); raises ValueError if any row's
-    norm is below 1e-9 or past the float range. Each norm is the
-    (1, 4) @ (4, 1) product of its row, which rounds as the dot `q @ q` of
-    that row alone does, so a row gets the same bits in any batch."""
-    q = np.array(q, dtype=float).reshape(-1, 4)
+    rows = q.reshape(-1, 4)
     with np.errstate(over="ignore"):  # reported below
-        n = np.sqrt(np.matmul(q[:, None, :], q[:, :, None]).reshape(-1))
+        n = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1))
     if np.count_nonzero(n < 1e-9):
         raise ValueError("quaternion norm too small to normalize")
     if np.count_nonzero(n == np.inf):
         raise ValueError("quaternion norm too large to normalize")
-    redo = ~((q[:, 0] > 0.0) & (np.abs(n - 1.0) <= _UNIT_TOL))
-    if np.count_nonzero(redo):
-        q[redo] = _canonical_quats(q[redo])
+    off = np.abs(n - 1.0) > _UNIT_TOL
+    if np.count_nonzero(off):
+        rows[off] /= n[off, None]
+    w, x, y, z = rows.T
+    if np.count_nonzero(w <= 0.0):
+        lead = np.where(w != 0.0, w, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
+        rows[lead < 0.0] *= -1.0
     return q
 
 
@@ -70,11 +62,8 @@ class Pose:
     trans: np.ndarray
 
     def __post_init__(self):
-        self.quat = _canonical_rows(self.quat).reshape(4)
+        self.quat = _canonical_quats(np.reshape(self.quat, 4))
         self.trans = np.asarray(self.trans, dtype=float).reshape(3).copy()
-
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.quat)
 
 
 def identity() -> Pose:
@@ -137,7 +126,7 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
     rows = np.arange(len(m))
     q = numerators[rows, branch] / s[:, None]
     q[rows, branch] = 0.25 * s
-    return _canonical_rows(q)[0] if R.ndim == 2 else _canonical_quats(q)
+    return _canonical_quats(q.reshape(R.shape[:-2] + (4,)))
 
 
 def stack(poses) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +140,7 @@ def unstack(quats: np.ndarray, trans: np.ndarray) -> list[Pose]:
     one batch, the bits `Pose` makes of each; raises ValueError as `Pose`
     does. Each pose holds views of its rows of the new arrays."""
     poses = []
-    for q, t in zip(_canonical_rows(quats), np.array(trans, dtype=float).reshape(-1, 3)):
+    for q, t in zip(_canonical_quats(np.reshape(quats, (-1, 4))), np.array(trans, dtype=float).reshape(-1, 3)):
         pose = object.__new__(Pose)  # skips __post_init__: q is canonical already
         pose.quat, pose.trans = q, t
         poses.append(pose)
@@ -168,18 +157,9 @@ def inverse_arrays(quat, trans) -> tuple[np.ndarray, np.ndarray]:
     return _canonical_quats(conj), -_rotate(conj, trans)
 
 
-def compose(a: Pose, b: Pose) -> Pose:
-    """(a o b) transforms points as a(b(p))."""
-    return Pose(*compose_arrays(a.quat, a.trans, b.quat, b.trans))
-
-
-def inverse(p: Pose) -> Pose:
-    return Pose(*inverse_arrays(p.quat, p.trans))
-
-
 def transform_points(T: Pose, pts: np.ndarray) -> np.ndarray:
     """Apply T to an (n, 3) array of points."""
-    return np.asarray(pts, dtype=float) @ T.rotation_matrix().T + T.trans
+    return np.asarray(pts, dtype=float) @ quat_to_matrix(T.quat).T + T.trans
 
 
 def exp_arrays(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +209,6 @@ def log_arrays(quat: np.ndarray, trans: np.ndarray) -> np.ndarray:
     return np.concatenate([omega, rho], axis=-1)
 
 
-def exp(xi: np.ndarray) -> Pose:
-    """Exponential map: twist (rotation-first 6-vector) to pose."""
-    return Pose(*exp_arrays(np.asarray(xi, dtype=float).reshape(6)))
-
-
 def retract(T: Pose, delta: np.ndarray) -> Pose:
-    """Left-multiplicative update: compose(exp(delta), T)."""
-    return compose(exp(delta), T)
-
+    """Left-multiplicative update: T moved by exp(delta) on the left."""
+    return Pose(*compose_arrays(*exp_arrays(np.reshape(delta, 6)), T.quat, T.trans))

@@ -85,7 +85,7 @@ class EvalResult:
 def _yaw_quats(yaws) -> np.ndarray:
     """Canonical (N, 4) quaternions of turns by each yaw about z. Each angle
     goes through math's cos and sin, whose roundings numpy's need not share."""
-    return se3._canonical_rows([[math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)] for yaw in yaws])
+    return se3._canonical_quats([[math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)] for yaw in yaws])
 
 
 def _trajectory(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,8 @@ _block6 call, and the gradient is scattered by two np.add.at.
 canonical_quat is how a Pose made its quaternion canonical before the
 package made every quaternion canonical in batches: one quaternion, its
 norm the dot q @ q.
+in_frame is not an oracle: it gives world points as a pose's frame sees
+them, by se3's array forms, for the tests that build exact matches.
 None of them is on the solve path.
 """
 
@@ -75,14 +77,19 @@ def canonical_quat(q: np.ndarray) -> np.ndarray:
 
 def transform_point(pose: Pose, p: np.ndarray) -> np.ndarray:
     """The pose applied to one point, through its rotation matrix."""
-    return pose.rotation_matrix() @ np.asarray(p, dtype=float) + pose.trans
+    return se3.quat_to_matrix(pose.quat) @ np.asarray(p, dtype=float) + pose.trans
+
+
+def in_frame(pose: Pose, world: np.ndarray) -> np.ndarray:
+    """World points as the frame of the pose sees them: pose^-1 applied."""
+    return se3.transform_points(Pose(*se3.inverse_arrays(pose.quat, pose.trans)), world)
 
 
 def pose_difference(a: Pose, b: Pose) -> tuple[float, float]:
     """(rotation angle in [0, pi], translation norm) of a o b^-1."""
-    d = se3.compose(a, se3.inverse(b))
-    vec = d.quat[1:]
-    return 2.0 * math.atan2(math.sqrt(float(vec @ vec)), d.quat[0]), float(np.linalg.norm(d.trans))
+    quat, trans = se3.compose_arrays(a.quat, a.trans, *se3.inverse_arrays(b.quat, b.trans))
+    vec = quat[1:]
+    return 2.0 * math.atan2(math.sqrt(float(vec @ vec)), quat[0]), float(np.linalg.norm(trans))
 
 
 def solve_poses(problem: solver.Problem, poses: list[Pose]) -> tuple[list[Pose], solver.SolverReport]:

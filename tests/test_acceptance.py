@@ -251,13 +251,13 @@ def test_criterion_7_gauge_invariance():
     base = ProblemGraph(
         graph.num_fragments, graph.odometry, graph.loops, init, graph.ground_truth, graph.oracle_labels
     )
-    G = se3.exp(np.array([0.2, -0.4, 1.1, 25.0, -10.0, 4.0]))
+    G = se3.Pose(*se3.exp_arrays(np.array([0.2, -0.4, 1.1, 25.0, -10.0, 4.0])))
     moved = ProblemGraph(
         graph.num_fragments,
         graph.odometry,
         graph.loops,
-        [se3.compose(G, p) for p in init],
-        [se3.compose(G, p) for p in graph.ground_truth],
+        [se3.Pose(*se3.compose_arrays(G.quat, G.trans, p.quat, p.trans)) for p in init],
+        [se3.Pose(*se3.compose_arrays(G.quat, G.trans, p.quat, p.trans)) for p in graph.ground_truth],
         graph.oracle_labels,
     )
     ates = []

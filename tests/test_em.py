@@ -74,8 +74,8 @@ class TestErrorCauchy:
 
     def test_direct_summation_oracle(self):
         rng = np.random.default_rng(0)
-        Ti = se3.exp(rng.uniform(-1, 1, 6))
-        Tj = se3.exp(rng.uniform(-1, 1, 6))
+        Ti = se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6)))
+        Tj = se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6)))
         p = rng.uniform(-3, 3, (17, 3))
         q = rng.uniform(-3, 3, (17, 3))
         sigma = 0.7
@@ -95,7 +95,7 @@ class TestErrorCauchy:
     def test_table_segments_match_single_constraint_errors(self):
         """Each row of a many-constraint table equals that constraint's error alone."""
         rng = np.random.default_rng(1)
-        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(4)]
+        poses = [se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6))) for _ in range(4)]
         constraints = [
             LoopClosureConstraint(i, j, rng.uniform(-3, 3, (k, 3)), rng.uniform(-3, 3, (k, 3)))
             for (i, j), k in (((0, 2), 5), ((1, 3), 1), ((0, 3), 8))

@@ -27,6 +27,7 @@ from robustpgo import cli, se3
 from robustpgo.graphio import write_graph, write_poses
 from robustpgo.model import LoopClosureConstraint, OdometryConstraint, ProblemGraph
 from robustpgo.synth import ScenarioConfig, generate
+from oracle import in_frame
 
 DOCUMENTED = {0, 2, 3, 4, 5, 6, 7}
 VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "0", "-3", "2", "7", "2000000000", "x"]
@@ -38,13 +39,13 @@ def base_graph(with_poses: bool) -> str:
     with INIT, GT and LABEL records, or with none so the solve initializes
     from the odometry."""
     rng = np.random.default_rng(0)
-    truth = [se3.exp(np.array([0.0, 0.0, 0.2 * k, 10.0 * k, 0.0, 0.0])) for k in range(4)]
+    truth = [se3.Pose(*se3.exp_arrays(np.array([0.0, 0.0, 0.2 * k, 10.0 * k, 0.0, 0.0]))) for k in range(4)]
 
     def matches(i, j, k=4):
         world = truth[i].trans + rng.uniform(-3.0, 3.0, (k, 3))
         return (
-            se3.transform_points(se3.inverse(truth[i]), world),
-            se3.transform_points(se3.inverse(truth[j]), world),
+            in_frame(truth[i], world),
+            in_frame(truth[j], world),
         )
 
     odometry = [OdometryConstraint(i, *matches(i, i + 1)) for i in range(3)]

@@ -19,6 +19,7 @@ from robustpgo.model import (
 from robustpgo.synth import ScenarioConfig, generate
 from oracle import (
     fit_rigid_projected,
+    in_frame,
     pose_difference,
     robust_fit_full_refit,
     segment_medians_lexsort,
@@ -30,7 +31,7 @@ def chain_poses(rng, n):
     poses = [se3.identity()]
     for _ in range(n - 1):
         step = np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-2.0, 2.0, 3)])
-        poses.append(se3.compose(poses[-1], se3.exp(step)))
+        poses.append(se3.Pose(*se3.compose_arrays(poses[-1].quat, poses[-1].trans, *se3.exp_arrays(step))))
     return poses
 
 
@@ -40,8 +41,8 @@ def exact_odometry(rng, poses, k=10):
     for i in range(len(poses) - 1):
         mid = 0.5 * (poses[i].trans + poses[i + 1].trans)
         world = mid + rng.uniform(-3.0, 3.0, (k, 3))
-        p = se3.transform_points(se3.inverse(poses[i]), world)
-        q = se3.transform_points(se3.inverse(poses[i + 1]), world)
+        p = in_frame(poses[i], world)
+        q = in_frame(poses[i + 1], world)
         out.append(OdometryConstraint(i, p, q))
     return out
 
@@ -244,7 +245,7 @@ class TestMatchTable:
         poses = chain_poses(rng, 3)
         graph, _ = small_graph(rng, n=3, loops=[loop_of(0, 2)])
         table = MatchTable.from_graph(graph)
-        rots = np.stack([p.rotation_matrix() for p in poses])
+        rots = np.stack([se3.quat_to_matrix(p.quat) for p in poses])
         trans = np.stack([p.trans for p in poses])
         ei, s, rij, tij = table.frame_residuals(rots, trans)
         for m, (i, j) in enumerate(table.pairs[table.seg]):
@@ -284,7 +285,7 @@ class TestHyperparams:
 class TestRigidFit:
     def test_recovers_known_transform(self):
         rng = np.random.default_rng(10)
-        truth = se3.exp(np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-5, 5, 3)]))
+        truth = se3.Pose(*se3.exp_arrays(np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-5, 5, 3)])))
         source = rng.uniform(-4, 4, (30, 3))
         target = se3.transform_points(truth, source)
         fit = fit_rigid_transform(source, target)
@@ -295,7 +296,7 @@ class TestRigidFit:
         """200 matches, 30% outliers displaced by >= 5 sigma, noiseless inliers."""
         rng = np.random.default_rng(11)
         sigma = 0.5
-        truth = se3.exp(np.array([0.2, -0.1, 0.4, 1.0, -2.0, 0.5]))
+        truth = se3.Pose(*se3.exp_arrays(np.array([0.2, -0.1, 0.4, 1.0, -2.0, 0.5])))
         source = rng.uniform(-5, 5, (200, 3))
         target = se3.transform_points(truth, source)
         n_out = 60
@@ -330,7 +331,7 @@ def _off_axis_line_chain(also_short: bool) -> list:
     # near 2e-7, far above the 1e-9 test; their SVD puts it near 1e-15
     spread = np.random.default_rng(0).uniform(-3.0, 3.0, (12, 1))
     line = np.array([2.0, 5.0, -1.0]) + spread * np.array([0.3, -1.2, 0.7])
-    turn = se3.exp(np.array([0.2, -0.4, 0.1, 1.0, 2.0, 3.0]))
+    turn = se3.Pose(*se3.exp_arrays(np.array([0.2, -0.4, 0.1, 1.0, 2.0, 3.0])))
     odometry[3] = OdometryConstraint(3, se3.transform_points(turn, line), line)
     if also_short:
         odometry[6] = OdometryConstraint(6, odometry[6].p[:2], odometry[6].q[:2])
@@ -407,15 +408,16 @@ class TestInitializePoses:
         constraints = []
         for i, k in enumerate([40, 7, 120, 3, 33, 64, 10, 51]):  # odd and even counts
             world = poses[i].trans + rng.uniform(-5.0, 5.0, (k, 3))
-            p = se3.transform_points(se3.inverse(poses[i]), world)
-            q = se3.transform_points(se3.inverse(poses[i + 1]), world) + rng.normal(scale=0.02, size=(k, 3))
+            p = in_frame(poses[i], world)
+            q = in_frame(poses[i + 1], world) + rng.normal(scale=0.02, size=(k, 3))
             which = rng.choice(k, k // 4, replace=False)
             q[which] += rng.uniform(-4.0, 4.0, (len(which), 3))
             constraints.append(OdometryConstraint(i, p, q))
         recovered = se3.unstack(*initialize_poses(ProblemGraph(9, constraints, [])))
         expected = [se3.identity()]
         for c in constraints:
-            expected.append(se3.compose(expected[-1], trimmed_fit(c.q, c.p)))
+            last, step = expected[-1], trimmed_fit(c.q, c.p)
+            expected.append(se3.Pose(*se3.compose_arrays(last.quat, last.trans, step.quat, step.trans)))
         for est, ref in zip(recovered, expected):
             np.testing.assert_allclose(est.quat, ref.quat, rtol=0, atol=1e-12)
             np.testing.assert_allclose(est.trans, ref.trans, rtol=0, atol=1e-12)
@@ -452,8 +454,8 @@ class TestInitializePoses:
         for i in range(5):
             mid = 0.5 * (poses[i].trans + poses[i + 1].trans)
             world = mid + rng.uniform(-5.0, 5.0, (200, 3))
-            p = se3.transform_points(se3.inverse(poses[i]), world)
-            q = se3.transform_points(se3.inverse(poses[i + 1]), world)
+            p = in_frame(poses[i], world)
+            q = in_frame(poses[i + 1], world)
             n_out = 60
             which = rng.choice(200, n_out, replace=False)
             bump = rng.normal(size=(n_out, 3))
@@ -519,7 +521,7 @@ def _spread(rng, singular, k=12, centre=(2.0, 5.0, -1.0)):
     singular values, along random directions."""
     centered = rng.normal(size=(k, 3))
     basis, _ = np.linalg.qr(centered - centered.mean(axis=0))
-    turn = se3.exp(np.concatenate([rng.uniform(-2.0, 2.0, 3), np.zeros(3)])).rotation_matrix()
+    turn = se3.quat_to_matrix(se3.exp_arrays(np.concatenate([rng.uniform(-2.0, 2.0, 3), np.zeros(3)]))[0])
     return np.asarray(centre) + basis @ np.diag(singular) @ turn
 
 
@@ -531,7 +533,7 @@ def _degeneracy_sweep() -> tuple[list, np.ndarray]:
     degeneracy bound, at or below 1e-4 * max(1, the first), with its moments
     finite. The ratios keep clear of that bound."""
     rng = np.random.default_rng(40)
-    turn = se3.exp(np.array([0.3, -0.2, 0.5, 4.0, -1.0, 2.0]))
+    turn = se3.Pose(*se3.exp_arrays(np.array([0.3, -0.2, 0.5, 4.0, -1.0, 2.0])))
     clouds, near = [], []
     for s0 in (0.02, 0.7, 3.0, 250.0):
         for ratio in 10.0 ** -np.arange(2.25, 12.5, 0.5):
@@ -586,8 +588,8 @@ def _displaced_chain(rng, n, k=40, fraction=0.3):
     constraints = []
     for i in range(n - 1):
         world = 0.5 * (poses[i].trans + poses[i + 1].trans) + rng.uniform(-5.0, 5.0, (k, 3))
-        p = se3.transform_points(se3.inverse(poses[i]), world)
-        q = se3.transform_points(se3.inverse(poses[i + 1]), world) + rng.normal(scale=0.02, size=(k, 3))
+        p = in_frame(poses[i], world)
+        q = in_frame(poses[i + 1], world) + rng.normal(scale=0.02, size=(k, 3))
         which = rng.choice(k, int(fraction * k), replace=False)
         bump = rng.normal(size=(len(which), 3))
         bump *= rng.uniform(2.5, 7.5, (len(which), 1)) / np.linalg.norm(bump, axis=1, keepdims=True)

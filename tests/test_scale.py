@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,18 @@ def test_a_20_fragment_run_reports_its_counts_and_quality(tmp_path):
 def test_a_malformed_scene_is_refused(text):
     with pytest.raises(argparse.ArgumentTypeError):
         scale.scene(text)
+
+
+def test_outside_a_git_checkout_the_change_is_unknown_and_a_parent_is_refused(tmp_path, monkeypatch, capsys):
+    def no_git(*args):
+        raise subprocess.CalledProcessError(128, ["git", *args], stderr="fatal: not a git repository")
+
+    monkeypatch.setattr(scale, "git", no_git)
+    out = tmp_path / "scale.json"
+    with pytest.raises(SystemExit) as refused:
+        scale.main(["--parent", "HEAD", "--scene", "cauchy:20:0", "--out", str(out)])
+    assert refused.value.code == 2 and "--parent HEAD" in capsys.readouterr().err and not out.exists()
+    assert scale.main(["--scene", "cauchy:20:0", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["change"] == "unknown" and record["parent"] is None
+    assert "error" not in record["scenes"]["cauchy:20:0"]["change"]

@@ -11,7 +11,12 @@ from oracle import canonical_quat, pose_difference
 
 def rand_pose(rng):
     xi = np.concatenate([rng.uniform(-1.5, 1.5, 3), rng.uniform(-5.0, 5.0, 3)])
-    return se3.exp(xi)
+    return se3.Pose(*se3.exp_arrays(xi))
+
+
+def composed(a, b):
+    """a o b by compose_arrays, as a pose."""
+    return se3.Pose(*se3.compose_arrays(a.quat, a.trans, b.quat, b.trans))
 
 
 def assert_poses_close(a, b, tol=1e-9):
@@ -30,7 +35,7 @@ class TestTransformPoint:
         np.testing.assert_array_equal(se3.transform_points(se3.identity(), p), p)
 
     def test_z_rotation_axis_symmetry(self):
-        T = se3.exp([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0])
+        T = se3.Pose(*se3.exp_arrays([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(
             se3.transform_points(T, [[1.0, 0.0, 0.0]]), [[0.0, 1.0, 0.0]], atol=1e-12
         )
@@ -47,34 +52,34 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = np.random.default_rng(0)
         P = rand_pose(rng)
-        assert_poses_close(se3.compose(se3.identity(), P), P)
-        assert_poses_close(se3.compose(P, se3.identity()), P)
+        assert_poses_close(composed(se3.identity(), P), P)
+        assert_poses_close(composed(P, se3.identity()), P)
 
     def test_inverse_law(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             P = rand_pose(rng)
-            assert_poses_close(se3.compose(P, se3.inverse(P)), se3.identity())
+            assert_poses_close(composed(P, se3.Pose(*se3.inverse_arrays(P.quat, P.trans))), se3.identity())
 
     def test_two_quarter_turns_make_half_turn(self):
         # quaternion product of two 90-deg z-rotations is (0, 0, 0, 1)
-        Tz90 = se3.exp([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0])
-        T = se3.compose(Tz90, Tz90)
+        Tz90 = se3.Pose(*se3.exp_arrays([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0]))
+        T = composed(Tz90, Tz90)
         np.testing.assert_allclose(T.quat, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     @given(twists, twists, twists)
     @settings(max_examples=60, deadline=None)
     def test_associativity(self, a, b, c):
-        A, B, C = se3.exp(a), se3.exp(b), se3.exp(c)
-        assert_poses_close(se3.compose(se3.compose(A, B), C), se3.compose(A, se3.compose(B, C)))
+        A, B, C = se3.Pose(*se3.exp_arrays(a)), se3.Pose(*se3.exp_arrays(b)), se3.Pose(*se3.exp_arrays(c))
+        assert_poses_close(composed(composed(A, B), C), composed(A, composed(B, C)))
 
     @given(twists, twists)
     @settings(max_examples=60, deadline=None)
     def test_compose_matches_chained_transform(self, a, b):
-        A, B = se3.exp(a), se3.exp(b)
+        A, B = se3.Pose(*se3.exp_arrays(a)), se3.Pose(*se3.exp_arrays(b))
         p = np.array([[0.7, -1.3, 2.1]])
         np.testing.assert_allclose(
-            se3.transform_points(se3.compose(A, B), p),
+            se3.transform_points(composed(A, B), p),
             se3.transform_points(A, se3.transform_points(B, p)),
             atol=1e-9,
         )
@@ -82,12 +87,12 @@ class TestCompose:
 
 class TestExpLog:
     def test_exp_zero_is_identity(self):
-        T = se3.exp(np.zeros(6))
+        T = se3.Pose(*se3.exp_arrays(np.zeros(6)))
         np.testing.assert_array_equal(T.quat, [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(T.trans, [0.0, 0.0, 0.0])
 
     def test_exp_axis_angle(self):
-        T = se3.exp([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0])
+        T = se3.Pose(*se3.exp_arrays([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0]))
         half = math.pi / 4
         np.testing.assert_allclose(T.quat, [math.cos(half), 0.0, 0.0, math.sin(half)], atol=1e-12)
 
@@ -118,7 +123,7 @@ class TestRetract:
         rng = np.random.default_rng(5)
         T = rand_pose(rng)
         d = rng.uniform(-0.5, 0.5, 6)
-        assert_poses_close(se3.retract(T, d), se3.compose(se3.exp(d), T))
+        assert_poses_close(se3.retract(T, d), composed(se3.Pose(*se3.exp_arrays(d)), T))
 
 
 @st.composite
@@ -143,7 +148,7 @@ class TestQuaternionInvariants:
         rng = np.random.default_rng(6)
         T = rand_pose(rng)
         for _ in range(100):
-            T = se3.compose(T, rand_pose(rng))
+            T = composed(T, rand_pose(rng))
             assert abs(np.linalg.norm(T.quat) - 1.0) < 1e-9
 
     def test_hemisphere_normalization(self):
@@ -156,13 +161,15 @@ class TestQuaternionInvariants:
         rng = np.random.default_rng(7)
         for _ in range(100):
             T = rand_pose(rng)
-            R = T.rotation_matrix()
+            R = se3.quat_to_matrix(T.quat)
             np.testing.assert_allclose(se3.matrix_to_quat(R), T.quat, atol=1e-9)
 
     def test_batched_matrix_to_quat_is_bit_identical(self):
         """A stack of matrices gives, row for row, the bits that each matrix
         gives alone, and those of Shepperd's scalar branches, on each of the
-        four branches and at w = 0."""
+        four branches and at w = 0; and gives each matrix's bits alone where
+        the quaternion's norm is within ulps of the renormalization
+        threshold."""
         rng = np.random.default_rng(8)
         angles = {0: 0.4, 1: 3.0, 2: 3.0, 3: 3.0}  # branch 0 needs tr > 0, the others a large angle
         mats = []
@@ -170,9 +177,10 @@ class TestQuaternionInvariants:
             for _ in range(5):
                 axis = rng.normal(size=3) * 0.2
                 axis[max(branch - 1, 0)] = 1.0
-                mats.append(se3.exp(np.r_[angle * axis / np.linalg.norm(axis), 0, 0, 0]).rotation_matrix())
+                quat = se3.exp_arrays(np.r_[angle * axis / np.linalg.norm(axis), 0, 0, 0])[0]
+                mats.append(se3.quat_to_matrix(quat))
         mats += [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]  # w = 0
-        mats += [rand_pose(rng).rotation_matrix() for _ in range(20)]
+        mats += [se3.quat_to_matrix(rand_pose(rng).quat) for _ in range(20)]
         mats = np.array(mats)
         branches = [_shepperd_branch(R) for R in mats]
         assert set(branches) == {0, 1, 2, 3}
@@ -182,6 +190,17 @@ class TestQuaternionInvariants:
         assert batch.tobytes() == single.tobytes() == scalar.tobytes()
         np.testing.assert_array_equal(batch[20:23], [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         assert se3.matrix_to_quat(mats[:0]).shape == (0, 4)
+
+        # rotations scaled by 1 +- 2e-12 and a few ulps: their quaternions'
+        # norms sit at the 1e-12 threshold, where the norm's rounding decides
+        # whether a row is renormalized
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=(3000, 4))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        scales = 1.0 + np.array([-2e-12, 2e-12])[:, None] + np.arange(-8, 9) * 2.0**-52
+        near = (se3.quat_to_matrix(u)[:, None, None] * scales[None, :, :, None, None]).reshape(-1, 3, 3)
+        single = np.array([se3.matrix_to_quat(R) for R in near])
+        assert se3.matrix_to_quat(near).tobytes() == single.tobytes()
 
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):

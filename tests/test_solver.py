@@ -1,4 +1,5 @@
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracle import (
     block_cost,
     finite_difference_gradient,
     hessian_blocks,
+    in_frame,
     pose_difference,
     residual_and_jacobian,
     solve_poses,
@@ -82,7 +84,7 @@ def lm_terms(problem, poses):
 
 def random_pose_pair(rng):
     return [
-        se3.exp(np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-2, 2, 3)]))
+        se3.Pose(*se3.exp_arrays(np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-2, 2, 3)])))
         for _ in range(2)
     ]
 
@@ -155,10 +157,8 @@ def noisy_chain_graph(rng, n=20, k=8, noise=0.05):
     for i in range(n - 1):
         mid = 0.5 * (poses[i].trans + poses[i + 1].trans)
         world = mid + rng.uniform(-4.0, 4.0, (k, 3))
-        p = se3.transform_points(se3.inverse(poses[i]), world)
-        q = se3.transform_points(se3.inverse(poses[i + 1]), world) + rng.normal(
-            scale=noise, size=(k, 3)
-        )
+        p = in_frame(poses[i], world)
+        q = in_frame(poses[i + 1], world) + rng.normal(scale=noise, size=(k, 3))
         constraints.append(OdometryConstraint(i, p, q))
     return ProblemGraph(n, constraints, []), poses
 
@@ -264,7 +264,7 @@ class TestGradients:
         """The flat objective and gradient must equal the sums of single-block
         costs and gradients."""
         rng = np.random.default_rng(7)
-        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
+        poses = [se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6))) for _ in range(3)]
         for kernel in (KERNEL_CAUCHY, KERNEL_SQUARED):
             problem = random_problem(rng, kernel)
             blocks = per_match_blocks(problem)
@@ -286,7 +286,7 @@ class TestGradients:
         problem. With every residual zero, the terms Gauss-Newton drops vanish
         for either kernel, so H is the exact Hessian there."""
         rng = np.random.default_rng(8)
-        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
+        poses = [se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6))) for _ in range(3)]
         problem = random_problem(rng, kernel)
         objective = stepped_objective(problem, poses)
         _, grad, _ = lm_terms(problem, poses)
@@ -334,7 +334,7 @@ class TestGradients:
         squared-kernel objective under LM's retraction, residuals or not;
         the Gauss-Newton H misses it by far at these residuals."""
         rng = np.random.default_rng(8)
-        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
+        poses = [se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6))) for _ in range(3)]
         problem = random_problem(rng, KERNEL_SQUARED)
         objective = stepped_objective(problem, poses)
         state = solver._evaluate(problem, *se3.stack(poses))
@@ -366,7 +366,7 @@ class TestGradients:
         of the world-frame oracle (rel 1e-12 of the largest entry)."""
         rng = np.random.default_rng(9)
         offset = np.array([700.0, -650.0, 300.0])
-        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
+        poses = [se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6))) for _ in range(3)]
         poses = [se3.Pose(p.quat, p.trans + offset) for p in poses]
         problem = random_problem(rng, kernel)
         state = solver._evaluate(problem, *se3.stack(poses))
@@ -471,7 +471,7 @@ def moment_path_problem(rng, offset=0.0):
     matches with 5 cm noise and an outlier loop of 6 unrelated matches. Its
     poses are returned too."""
     twists = np.hstack([rng.uniform(-1, 1, (4, 3)), rng.uniform(-3, 3, (4, 3)) + offset])
-    poses = [se3.exp(twist) for twist in twists]
+    poses = [se3.Pose(*se3.exp_arrays(twist)) for twist in twists]
     constraints = []
     for (i, j), k, shape in (
         ((0, 1), 1, "noisy"), ((0, 1), 2, "noisy"), ((1, 2), 6, "collinear"),
@@ -480,8 +480,8 @@ def moment_path_problem(rng, offset=0.0):
         world = poses[i].trans + rng.uniform(-2, 2, (k, 3))
         if shape == "collinear":
             world = poses[i].trans + np.outer(rng.uniform(-2, 2, k), rng.normal(size=3))
-        p = se3.transform_points(se3.inverse(poses[i]), world)
-        q = se3.transform_points(se3.inverse(poses[j]), world) + rng.normal(scale=0.05, size=(k, 3))
+        p = in_frame(poses[i], world)
+        q = in_frame(poses[j], world) + rng.normal(scale=0.05, size=(k, 3))
         if shape == "outlier":
             q = rng.uniform(-2, 2, (k, 3))
         constraints.append(LoopClosureConstraint(i, j, p, q))
@@ -655,7 +655,7 @@ class TestPattern:
         the gauge, pose 0: the gauge is coupled to every pose, to some, or
         to none, when pose 3 sits there, which is coupled to no other."""
         rng = np.random.default_rng(40 + gauge)
-        poses = [se3.exp(rng.uniform(-1, 1, 6)) for _ in range(4)]
+        poses = [se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6))) for _ in range(4)]
         problem = random_problem(rng, KERNEL_CAUCHY)
         pairs, perm = gauge_swapped(problem.table.pairs, gauge)
         _, grad, blocks = lm_terms(problem, poses)
@@ -839,7 +839,7 @@ class TestPatternReuse:
 class TestRetractAll:
     def random_state(self, rng, n):
         poses = [
-            se3.exp(np.concatenate([rng.uniform(-3.0, 3.0, 3), rng.uniform(-5.0, 5.0, 3)]))
+            se3.Pose(*se3.exp_arrays(np.concatenate([rng.uniform(-3.0, 3.0, 3), rng.uniform(-5.0, 5.0, 3)])))
             for _ in range(n)
         ]
         axes = rng.normal(size=(n, 3))
@@ -877,13 +877,29 @@ class TestRetractAll:
         moved = np.arange(30) != 7
         assert (np.abs(out_t[moved] - trans[moved]).max(axis=1) > 0).all()
 
+    def test_a_twist_too_large_for_floats_gives_a_non_finite_pose(self):
+        """Rotation parts of 1e308, +-inf or NaN on one axis, or 1e154 on all
+        three, whose squared angle overflows: those poses come back
+        non-finite, the others finite, and nothing raises or warns."""
+        rng = np.random.default_rng(32)
+        poses, delta = self.random_state(rng, 30)
+        bad = {3: [1e308, 0.0, 0.0], 8: [0.0, -1e308, 0.0], 12: [0.0, 0.0, np.inf], 17: [-np.inf, 0.0, 0.0],
+               21: [0.0, np.nan, 0.0], 26: [1e154, 1e154, 1e154]}
+        for k, omega in bad.items():
+            delta[k, :3] = omega
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quats, trans = solver._retract_all(*se3.stack(poses), delta.reshape(-1), gauge=-1)
+        finite = np.isfinite(quats).all(axis=1) & np.isfinite(trans).all(axis=1)
+        np.testing.assert_array_equal(np.flatnonzero(~finite), sorted(bad))
+
 
 def exact_pair_problem(rng, kernel=KERNEL_CAUCHY, k=20):
     """Two fragments with exact correspondences; optimum is the true pair."""
-    truth = se3.exp(np.concatenate([rng.uniform(-0.6, 0.6, 3), rng.uniform(-3, 3, 3)]))
+    truth = se3.Pose(*se3.exp_arrays(np.concatenate([rng.uniform(-0.6, 0.6, 3), rng.uniform(-3, 3, 3)])))
     world = rng.uniform(-4, 4, (k, 3))
     p = world
-    q = se3.transform_points(se3.inverse(truth), world)
+    q = in_frame(truth, world)
     table = MatchTable.from_constraints([OdometryConstraint(0, p, q)])
     return Problem(table, np.array([1.0 / k]), kernel, sigma=0.5), truth
 
@@ -895,8 +911,8 @@ def two_loop_problem():
     graph, truth = noisy_chain_graph(rng, n=12)
     world = rng.uniform(-4.0, 4.0, (10, 3))
     exact = LoopClosureConstraint(
-        0, 6, se3.transform_points(se3.inverse(truth[0]), world),
-        se3.transform_points(se3.inverse(truth[6]), world),
+        0, 6, in_frame(truth[0], world),
+        in_frame(truth[6], world),
     )
     outlier = LoopClosureConstraint(2, 9, rng.uniform(-3, 3, (10, 3)), rng.uniform(-3, 3, (10, 3)))
     graph = ProblemGraph(12, graph.odometry, [exact, outlier])
@@ -916,8 +932,8 @@ def chorded_chain_problem():
     for j in np.sort(np.random.default_rng(0).choice(np.arange(4, 50), 16, replace=False)):
         world = truth[1].trans + rng.uniform(-4.0, 4.0, (10, 3))
         loops.append(LoopClosureConstraint(
-            1, int(j), se3.transform_points(se3.inverse(truth[1]), world),
-            se3.transform_points(se3.inverse(truth[j]), world),
+            1, int(j), in_frame(truth[1], world),
+            in_frame(truth[j], world),
         ))
     graph = ProblemGraph(50, graph.odometry, loops)
     problem = build_problem(graph, PosteriorState(1.0, np.ones(len(loops))), Hyperparams())
@@ -1060,11 +1076,11 @@ class TestSolve:
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
         out_a, _ = solve_poses(problem, init)
 
-        G = se3.exp(np.array([0.3, -0.2, 0.9, 5.0, -2.0, 1.0]))
-        init_b = [se3.compose(G, p) for p in init]
+        G = se3.Pose(*se3.exp_arrays(np.array([0.3, -0.2, 0.9, 5.0, -2.0, 1.0])))
+        init_b = [se3.Pose(*se3.compose_arrays(G.quat, G.trans, p.quat, p.trans)) for p in init]
         out_b, _ = solve_poses(problem, init_b)
         for a, b in zip(out_a, out_b):
-            rot, trans = pose_difference(se3.compose(G, a), b)
+            rot, trans = pose_difference(se3.Pose(*se3.compose_arrays(G.quat, G.trans, a.quat, a.trans)), b)
             assert rot < 1e-6 and trans < 1e-6
 
     def test_zero_posteriors_reproduce_odometry_solution_exactly(self):

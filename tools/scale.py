@@ -25,10 +25,11 @@ single-threaded BLAS that writes no bytecode. It records:
 - `run_em_s`, the wall time of `run_em`, and `peak_rss_mb`, the run's
   interpreter's peak resident set.
 
-With `--parent REV` the commit is exported with `bench_pairs.export` into a
-temporary directory and each scene runs there too, one run at a time: the
-parent first at even scenes of the list, the working tree first at odd
-ones. The output is one JSON object, with each scene's runs under "scenes"
+The record names the working tree's commit, or "unknown" outside a git
+checkout. With `--parent REV`, which needs one, the commit is exported with
+`bench_pairs.export` into a temporary directory and each scene runs there
+too, one run at a time: the parent first at even scenes of the list, the
+working tree first at odd ones. The output is one JSON object, with each scene's runs under "scenes"
 by tree. Uses the standard library only, and writes nothing into either
 tree but `--out`.
 """
@@ -126,11 +127,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     scenes = args.scene or DEFAULT_SCENES
-    record = {
-        "change": git("rev-parse", "HEAD") + (" with uncommitted changes" if git("status", "--porcelain") else ""),
-        "parent": git("rev-parse", args.parent) if args.parent else None,
-        "scenes": {},
-    }
+    try:
+        change = git("rev-parse", "HEAD") + (" with uncommitted changes" if git("status", "--porcelain") else "")
+    except (OSError, subprocess.CalledProcessError):  # not a git checkout, e.g. a `git archive` export
+        change = "unknown"
+    try:
+        parent = git("rev-parse", args.parent) if args.parent else None
+    except (OSError, subprocess.CalledProcessError):
+        parser.error(f"--parent {args.parent}: not a commit of a git checkout")
+    record = {"change": change, "parent": parent, "scenes": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"change": ROOT}
         if args.parent:
