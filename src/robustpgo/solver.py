@@ -64,8 +64,9 @@ once per pose state, at each LM pass, the rest of the local moments and
 _assemble's gradient and H blocks, and in the curvature phase, on the first
 trial that gets no step, the Gauss-Newton H blocks at the same state; once
 per trial, and once more for a redo, the blocks' layout entries, the
-subgraph's band or CSC system and its factor, the full system and PCG; once
-per trial that gets a step, its evaluation.
+subgraph's system and the full system, each filled by one bincount into its
+structure's slots (_Pattern.matrix), the subgraph's factor and PCG; once per
+trial that gets a step, its evaluation.
 
 `robustpgo check-grad` checks _assemble's gradient and H against finite
 differences of _evaluate under _retract_all, the functions LM itself calls.
@@ -550,15 +551,16 @@ def _pose_order(pairs: np.ndarray, num_poses: int) -> tuple[np.ndarray, int | No
 
 
 class _Structure(NamedTuple):
-    """One compressed sparse column (CSC) system of a _Pattern: the slot of
-    each entry of _BLOCK_ENTRIES in each of _assemble's blocks (a spare
-    slot, len(indices), for a block the system leaves out), the slot of each
-    diagonal entry, and the index arrays."""
+    """Where one system of a _Pattern stores its entries: the slot of each
+    entry of _BLOCK_ENTRIES in each of _assemble's blocks (a spare slot, one
+    past the stored entries, for an entry the system leaves out) and the
+    slot of each diagonal entry. A compressed sparse column (CSC) system
+    (_structure) also holds its index arrays; a band (_band_slots) has none."""
 
     slot: np.ndarray  # (4C, 24)
     diagonal: np.ndarray  # (n,)
-    indices: np.ndarray  # int32
-    indptr: np.ndarray  # int32
+    indices: np.ndarray | None = None  # int32
+    indptr: np.ndarray | None = None  # int32
 
 
 def _structure(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: int) -> _Structure:
@@ -596,17 +598,19 @@ def _structure(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: in
     return _Structure(slot, diagonal, indices, indptr)
 
 
-def _band_slots(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: int, bandwidth: int) -> np.ndarray:
-    """The slot of each entry of _BLOCK_ENTRIES in each of _assemble's blocks
-    (4C, 24) in LAPACK's lower band storage of a system over `size` free
-    poses ordered into a band of pose bandwidth `bandwidth`, block b at block
-    row rows[b] and block column cols[b]: the (kd + 1, 6 size) array, with
-    kd = 6 bandwidth + 5, held in column-major order, that holds entry
-    (r, c), r >= c, at [r - c, c]. The entries above the diagonal, and those
-    of blocks where present is false, go to a spare slot, (kd + 1) 6 size."""
+def _band_slots(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: int, bandwidth: int) -> _Structure:
+    """The structure in LAPACK's lower band storage of a system over `size`
+    free poses ordered into a band of pose bandwidth `bandwidth`, of the
+    blocks where present is true, block b at block row rows[b] and block
+    column cols[b]: the (kd + 1, 6 size) array, with kd = 6 bandwidth + 5,
+    held in column-major order, that holds entry (r, c), r >= c, at
+    [r - c, c]. Its diagonal slots are the array's row 0. The entries above
+    the diagonal, and those of the other blocks, go to the spare slot,
+    (kd + 1) 6 size."""
     depth = 6 * bandwidth + 6
     r, c = 6 * rows[:, None] + _ENTRY_ROWS, 6 * cols[:, None] + _ENTRY_COLS
-    return np.where(present[:, None] & (r >= c), c * depth + r - c, depth * 6 * size)
+    slot = np.where(present[:, None] & (r >= c), c * depth + r - c, depth * 6 * size)
+    return _Structure(slot, depth * np.arange(6 * size))
 
 
 class _Pattern:
@@ -619,15 +623,14 @@ class _Pattern:
     entry 6 + k of a 6N vector, sits at position pos[k]. The gauge's rows
     and columns are left out and each diagonal slot is present.
 
-    `full` is the compressed sparse column (CSC) structure (_structure),
-    built once by 6x6 pose blocks, of every pair: PCG multiplies by it at
-    each LM trial. The kept pairs alone are what each trial factors. A band
-    pattern (bandwidth not None) holds their slots in LAPACK's lower band
-    storage (band_slot, _band_slots), for LAPACK's banded Cholesky. Any
-    other holds `subgraph`, their own CSC structure, which stores no entry
-    where only the other pairs' blocks land, as SuperLU's fill follows the
-    stored entries. The systems are filled from the flat layout entries of
-    _assemble's blocks (_entries), which each trial gathers once for both."""
+    It holds two _Structures: `full`, of every pair, the compressed sparse
+    column (CSC) structure built once by 6x6 pose blocks (_structure), which
+    PCG multiplies by; and `subgraph`, of the kept pairs alone, which each
+    trial factors: a band pattern's (bandwidth not None) in LAPACK's lower
+    band storage (_band_slots), any other's their own CSC structure, which
+    stores no entry where only the other pairs' blocks land, as SuperLU's
+    fill follows the stored entries. matrix fills either from the flat
+    layout entries of _assemble's blocks (_entries)."""
 
     def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray):
         self.kept = kept
@@ -638,34 +641,26 @@ class _Pattern:
         rows, cols = place[np.concatenate([i, j, i, j])], place[np.concatenate([i, j, j, i])]
         placed = (rows >= 0) & (cols >= 0)
         self.full = _structure(rows, cols, placed, num_poses - 1)
-        if self.bandwidth is None:
-            self.subgraph = _structure(rows, cols, placed & np.tile(kept, 4), num_poses - 1)
-        else:
-            self.band_slot = _band_slots(rows, cols, placed & np.tile(kept, 4), num_poses - 1, self.bandwidth)
+        subgraph = (rows, cols, placed & np.tile(kept, 4), num_poses - 1)
+        self.subgraph = _structure(*subgraph) if self.bandwidth is None else _band_slots(*subgraph, self.bandwidth)
 
-    def matrix(self, entries: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
-        """The system H + damping I over the free dofs, from the layout
-        entries of _assemble's blocks (_entries); with subgraph, over the
-        kept pairs only (a pattern that is no band). One bincount fills the
-        structure's slots, and the blocks it leaves out go to the spare."""
+    def matrix(self, entries: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix | np.ndarray:
+        """The system H + damping I over the free dofs, or with subgraph over
+        the kept pairs only, from the layout entries of _assemble's blocks
+        (_entries): one bincount fills its structure's slots (the entries it
+        leaves out go to the spare), and the damping is added on its
+        diagonal slots. A CSC structure gives a csc_matrix, a band the
+        column-major (kd + 1, n) array. Each sums a slot's entries in the
+        blocks' order, so a band holds the lower triangle of the kept pairs'
+        CSC system bit for bit."""
         structure = self.subgraph if subgraph else self.full
-        spare = len(structure.indices)
-        data = np.bincount(structure.slot.ravel(), weights=entries, minlength=spare + 1)[:spare]
+        band = structure.indices is None
+        size = (6 * self.bandwidth + 6) * self.shape[0] if band else len(structure.indices)
+        data = np.bincount(structure.slot.ravel(), weights=entries, minlength=size + 1)[:size]
         data[structure.diagonal] += damping
+        if band:
+            return data.reshape((-1, self.shape[0]), order="F")
         return csc_matrix((data, structure.indices, structure.indptr), shape=self.shape)
-
-    def band(self, entries: np.ndarray, damping: float) -> np.ndarray:
-        """A band pattern's subgraph system H + damping I over the kept pairs,
-        from the layout entries of _assemble's blocks (_entries), in
-        LAPACK's lower band storage, column-major (kd + 1, n): one bincount
-        in matrix's per-slot order, so each entry on and below the diagonal
-        is summed as the CSC system of the kept pairs sums it, bit for bit."""
-        depth = 6 * self.bandwidth + 6
-        size = depth * self.shape[0]
-        flat = np.bincount(self.band_slot.ravel(), weights=entries, minlength=size + 1)[:size]
-        band = flat.reshape((depth, self.shape[0]), order="F")
-        band[0] += damping
-        return band
 
     def take(self, vector: np.ndarray) -> np.ndarray:
         """A full 6N vector's free entries, in the pattern's order."""
@@ -721,9 +716,10 @@ def _factor(system: csc_matrix):
 
 
 def _band_factor(band: np.ndarray) -> np.ndarray | None:
-    """LAPACK's banded Cholesky factor (dpbtrf) of a damped subgraph system
-    in _Pattern.band's storage, factored in place; None when the band is not
-    positive definite, which only the curvature phase's H can make it."""
+    """LAPACK's banded Cholesky factor (dpbtrf) of a band pattern's damped
+    subgraph system from _Pattern.matrix, factored in place; None when the
+    band is not positive definite, which only the curvature phase's H can
+    make it."""
     factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
     return factor if info == 0 else None
 
@@ -769,19 +765,20 @@ def _step(pattern: _Pattern, blocks: np.ndarray, grad: np.ndarray, damping: floa
     kept pairs are factored, and PCG with that factor recovers the step of
     the full system, which it multiplies by in the same order, so the
     right-hand side is taken into that order once and the step put back
-    once. A band pattern's subgraph is factored as a band (_band_factor),
-    any other's by SuperLU (_factor). The blocks' layout entries are
-    gathered once for the subgraph and the full system. A band that is not
-    positive definite, a zero pivot in SuperLU's factor or a PCG miss gives
-    None."""
+    once. The blocks' layout entries are gathered once, and the subgraph and
+    the full system are each filled from them by _Pattern.matrix. A band
+    pattern's subgraph is factored as a band (_band_factor), any other's by
+    SuperLU (_factor). A band that is not positive definite, a zero pivot
+    in SuperLU's factor or a PCG miss gives None."""
     entries = _entries(blocks)
+    subgraph = pattern.matrix(entries, damping, subgraph=True)
     if pattern.bandwidth is None:
         try:
-            precondition = _factor(pattern.matrix(entries, damping, subgraph=True)).solve
+            precondition = _factor(subgraph).solve
         except RuntimeError:
             return None, 0
     else:
-        factor = _band_factor(pattern.band(entries, damping))
+        factor = _band_factor(subgraph)
         if factor is None:
             return None, 0
 

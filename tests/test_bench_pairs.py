@@ -1,6 +1,7 @@
 """The pair statistics of tools/bench_pairs.py."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,14 @@ def test_higher_is_better_and_ties_count_for_neither():
     out = bench_pairs.compare(higher, [1.0, 0.9, 1.0], [1.0, 0.95, 0.98])
     assert (out["change_won_pairs"], out["change_lost_pairs"]) == (1, 1)
     assert out["relative_change"] == pytest.approx(-0.02) and not out["within_bound"]
+
+
+def test_outside_a_git_checkout_a_parent_is_refused(tmp_path, monkeypatch, capsys):
+    def no_git(*args):
+        raise subprocess.CalledProcessError(128, ["git", *args], stderr="fatal: not a git repository")
+
+    monkeypatch.setattr(bench_pairs, "git", no_git)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "circle-100", "--seed", "0", "--out", str(out)])
+    assert refused.value.code == 2 and "--parent HEAD" in capsys.readouterr().err and not out.exists()

@@ -2,10 +2,12 @@
 
 import copy
 import importlib.util
+import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from robustpgo import em, graphio
 from robustpgo.model import Hyperparams
@@ -93,3 +95,13 @@ def test_a_run_that_differs_is_sized_by_its_largest_differences():
     assert result["runs"]["differ"] == ["k"] and result["runs"]["sizes"] == {"k": sized}
     assert result["poses"]["differ"] == ["k"] and result["poses"]["sizes"] == {}
     assert result["graphs"]["identical"] == 1 and "sizes" not in result["graphs"]
+
+
+def test_outside_a_git_checkout_a_parent_is_refused(monkeypatch, capsys):
+    def no_git(*args):
+        raise subprocess.CalledProcessError(128, ["git", *args], stderr="fatal: not a git repository")
+
+    monkeypatch.setattr(equivalence, "git", no_git)
+    with pytest.raises(SystemExit) as refused:
+        equivalence.main(["--parent", "HEAD"])
+    assert refused.value.code == 2 and "--parent HEAD" in capsys.readouterr().err

@@ -632,8 +632,9 @@ def gauge_swapped(pairs, gauge):
 def assert_entry_level_systems(pairs, num_poses, kept, blocks, damping):
     """The pattern's full and subgraph systems store the indptr, indices and
     data of the entry-level construction's in the pattern's order, bit for
-    bit. A band pattern's band holds the entry-level subgraph's entries on
-    and below the diagonal, bit for bit. Returns the pattern."""
+    bit. A band pattern's subgraph system, its band, holds the entry-level
+    subgraph's entries on and below the diagonal, bit for bit. Returns the
+    pattern."""
     pattern = solver._Pattern(pairs, num_poses, kept)
     np.testing.assert_array_equal(pattern.pos, solver._pose_order(pairs[kept], num_poses)[0])
     entries, flat = EntryPattern(pairs, num_poses, kept, pattern.pos), solver._entries(blocks)
@@ -644,7 +645,7 @@ def assert_entry_level_systems(pairs, num_poses, kept, blocks, damping):
         assert system.data.tobytes() == expected.data.tobytes()
     if pattern.bandwidth is not None:
         lower = np.tril(entries.matrix(blocks, damping, subgraph=True).toarray())
-        assert band_dense(pattern.band(flat, damping)).tobytes() == lower.tobytes()
+        assert band_dense(pattern.matrix(flat, damping, subgraph=True)).tobytes() == lower.tobytes()
     return pattern
 
 
@@ -675,9 +676,10 @@ class TestPattern:
     def test_diagonal_owns_its_memory(self, gauge, monkeypatch):
         """The diagonal slots are an array of their own, not a view that keeps
         np.unique's whole inverse alive: slot d holds entry (d, d) of the
-        system, as the matrix stores it. Each pattern here is a band, so its
-        subgraph structure is read from the minimum-degree pattern that
-        BAND_FILL_RATIO = 0 builds."""
+        system, as the matrix stores it. Each pattern here is a band, whose
+        own subgraph structure holds row 0 of its column-major band,
+        (6 b + 6) d; the CSC subgraph structure is read from the
+        minimum-degree pattern that BAND_FILL_RATIO = 0 builds."""
         problem = random_problem(np.random.default_rng(45 + gauge), KERNEL_CAUCHY)
         pairs, _ = gauge_swapped(problem.table.pairs, gauge)
         pattern = every_pair_pattern(pairs, 4)
@@ -685,6 +687,8 @@ class TestPattern:
         monkeypatch.setattr(solver, "BAND_FILL_RATIO", 0.0)
         minimum_degree = every_pair_pattern(pairs, 4)
         assert minimum_degree.bandwidth is None
+        assert pattern.subgraph.diagonal.base is None and pattern.subgraph.indices is None
+        np.testing.assert_array_equal(pattern.subgraph.diagonal, (6 * pattern.bandwidth + 6) * np.arange(18))
         for structure in (pattern.full, minimum_degree.full, minimum_degree.subgraph):
             assert structure.diagonal.base is None
             columns = np.searchsorted(structure.indptr, structure.diagonal, side="right") - 1
@@ -1250,7 +1254,7 @@ class TestSolve:
         assert stored == [(6 * alone.bandwidth + 6, 66)] and pattern.bandwidth == alone.bandwidth
         assert abs(int(pattern.pos[6]) - int(pattern.pos[48])) // 6 > pattern.bandwidth  # poses 2 and 9
         spare = (6 * pattern.bandwidth + 6) * 66
-        assert (pattern.band_slot.reshape(4, len(pairs), -1)[:, -1] == spare).all()
+        assert (pattern.subgraph.slot.reshape(4, len(pairs), -1)[:, -1] == spare).all()
 
     def test_superlu_subgraph_stores_only_the_weighted_pairs_entries(self, monkeypatch):
         """Where no band is narrow enough, the factored subgraph stores
@@ -1515,23 +1519,18 @@ class TestSolve:
     def test_no_full_system_is_factored_on_a_scene_that_misses(self, monkeypatch):
         """On a gaussian 200-fragment scene where a curvature-phase trial gets
         no step, from a band that is not positive definite, every factored
-        matrix is a subgraph system: a band that _Pattern.band filled, or a
-        CSC system built as a subgraph's. Each factor call, a redo's too, is
-        one of the factorizations the report counts."""
-        real_matrix, real_band = solver._Pattern.matrix, solver._Pattern.band
+        matrix is a subgraph system: the band or CSC system that
+        _Pattern.matrix last filled, and filled as a subgraph's. Each factor
+        call, a redo's too, is one of the factorizations the report counts."""
+        real_matrix = solver._Pattern.matrix
+        filled = [None]  # the last system _Pattern.matrix filled as a subgraph's, None after a full one
 
         def matrix(self, entries, damping, subgraph=False):
             out = real_matrix(self, entries, damping, subgraph)
-            out.built_as_subgraph = subgraph
+            filled[0] = out if subgraph else None
             return out
 
-        filled = [None]  # the last band _Pattern.band filled
-
-        def band(self, entries, damping):
-            filled[0] = real_band(self, entries, damping)
-            return filled[0]
-
-        factored = []  # whether each factored matrix was built as a subgraph's
+        factored = []  # whether each factored matrix is the subgraph system last filled
         not_definite = [0]
         real_band_factor, real_splu = solver._band_factor, solver.splu
 
@@ -1542,11 +1541,10 @@ class TestSolve:
             return factor
 
         def splu_spy(system, **options):
-            factored.append(system.built_as_subgraph)
+            factored.append(system is filled[0])
             return real_splu(system, **options)
 
         monkeypatch.setattr(solver._Pattern, "matrix", matrix)
-        monkeypatch.setattr(solver._Pattern, "band", band)
         monkeypatch.setattr(solver, "_band_factor", band_spy)
         monkeypatch.setattr(solver, "splu", splu_spy)
         _, _, trace = em.run_em(generate(ScenarioConfig(num_fragments=200, seed=0)), Hyperparams(mode="gaussian"))

@@ -4,7 +4,8 @@ Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD --workload circle-400 --pairs 10 --seed 3200 --out pairs.json
 
-The parent commit is exported with `git archive` into a temporary directory.
+The parent commit is exported with `git archive` into a temporary directory,
+so `--parent` needs a git checkout: outside one it is a usage error (exit 2).
 For each workload, pair k runs the benchmark command of BENCHMARK.json at
 seed `--seed + k` once in that export and once in the working tree, one run
 at a time; even pairs run the parent first, odd pairs the change first. For
@@ -122,7 +123,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    parent_sha = git("rev-parse", args.parent)
+    try:
+        parent_sha = git("rev-parse", args.parent)
+    except (OSError, subprocess.CalledProcessError):  # not a git checkout, e.g. a `git archive` export
+        parser.error(f"--parent {args.parent}: not a commit of a git checkout")
     record = {
         "command": " ".join(bench["command"]) + " --workload <w> --seed <s> "
         f"--seconds {args.seconds:g} --trace 0",

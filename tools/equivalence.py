@@ -5,7 +5,8 @@ Run from the repository root:
     python3 tools/equivalence.py --parent HEAD
 
 The parent commit is exported with `bench_pairs.export` into a temporary
-directory. In each tree, a fresh interpreter (single-threaded BLAS, no
+directory, so `--parent` needs a git checkout: outside one it is a usage
+error (exit 2). In each tree, a fresh interpreter (single-threaded BLAS, no
 bytecode written) makes the text of every perfbench scene with its match
 rows shuffled by seed 0 and by seed 1 (`harness.scene_text`), parses it, and
 runs `em.run_em` on the graph with its workload's hyperparameters. Three
@@ -222,10 +223,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
     args = parser.parse_args(argv)
+    try:
+        parent = git("rev-parse", args.parent)
+    except (OSError, subprocess.CalledProcessError):  # not a git checkout, e.g. a `git archive` export
+        parser.error(f"--parent {args.parent}: not a commit of a git checkout")
     with tempfile.TemporaryDirectory() as tmp:
-        export(git("rev-parse", args.parent), Path(tmp))
+        export(parent, Path(tmp))
         result = compare(digests_in(Path(tmp)), digests_in(ROOT))
-    result["parent"] = git("rev-parse", args.parent)
+    result["parent"] = parent
     print(json.dumps(result, indent=1))
     return 0 if not any(result[kind]["differ"] for kind in KINDS) else 1
 
