@@ -25,8 +25,11 @@ in a pose file, is converted and checked finite at once, and its poses are
 built by one `se3.unstack`. When that reading raises a ParseError, or a
 ValueError from a conversion or from loadtxt, the document is read again
 row by row: every M record goes to the row reader, and every pose row is a
-run of its own. That reading returns the result or raises a ParseError
-that names the first bad line, with the reason its row's checks give.
+run of its own, checked as it is read; the poses of all of them are built
+by one `unstack` once the reading ends or fails, and one by one only where
+it refuses a quaternion. That reading returns the result or raises a
+ParseError that names the first bad line, with the reason its row's checks
+give.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ class _Lines:
         self.bulk = bulk
         self.at = 0
         self.rows = self._rows()
+        # pose rows read row by row and checked, not built yet: (line number, store, id, 7 numbers)
+        self.pending: list[tuple[int, dict, int, np.ndarray]] = []
 
     def _rows(self):
         raw = self.raw
@@ -94,6 +99,30 @@ class _Lines:
             self.at += 1
             if parts := line.split("#", 1)[0].split():
                 yield self.at, parts
+
+    def build_poses(self) -> None:
+        """Builds the pending pose rows into their stores with one `unstack`.
+        Where it refuses a quaternion, the rows are built one by one, so
+        the ParseError names the first row it refuses, with its reason."""
+        if not self.pending:
+            return
+        nos, stores, ids, rows = zip(*self.pending)
+        self.pending = []
+        block = np.array(rows)
+        try:
+            poses = unstack(block[:, 3:], block[:, :3])
+        except ValueError:
+            poses = [_pose(no, row) for no, row in zip(nos, block)]
+        for store, idx, pose in zip(stores, ids, poses):
+            store[idx] = pose
+
+
+def _pose(no: int, row: np.ndarray) -> Pose:
+    """The pose of one row of 7 numbers, from line `no`."""
+    try:
+        return unstack(row[3:], row[:3])[0]
+    except ValueError as err:
+        raise ParseError(no, str(err)) from None
 
 
 def _read(reader, text: str):
@@ -105,7 +134,12 @@ def _read(reader, text: str):
         return reader(_Lines(text, bulk=True))
     except (ParseError, ValueError):
         pass  # the second reading starts once the first one's lines are freed
-    return reader(_Lines(text))
+    lines = _Lines(text)
+    try:
+        return reader(lines)
+    except ParseError:
+        lines.build_poses()  # a quaternion it refuses lies on a line before the error's
+        raise
 
 
 _POSE_USAGE = "expected: POSE <id> tx ty tz qw qx qy qz"
@@ -115,12 +149,14 @@ def _read_poses(lines: _Lines, no: int, parts: list[str], store: dict[int, Pose]
     """Stores the run of pose rows that starts with `parts`, the INIT, GT or
     POSE row on line `no` that `lines` read last. In a bulk reading the run
     is that row and the raw lines right after it that hold the same kind; a
-    run holds no '#', so a row with a comment is a run of its own. Read row
-    by row, every row is a run of its own. Each row's id is checked as it is
-    read; then the run's numbers are converted, checked finite and built
-    into poses by one `unstack`, which refuses a quaternion norm below 1e-9
-    or past the float range. `n` is the graph's fragment count, or None for
-    a pose file, whose ids have no upper bound."""
+    run holds no '#', so a row with a comment is a run of its own. Each
+    row's id is checked as it is read; then the run's numbers are converted,
+    checked finite and built into poses by one `unstack`, which refuses a
+    quaternion norm below 1e-9 or past the float range. Read row by row,
+    every row is a run of its own, whose numbers wait in `lines.pending`
+    until `build_poses` builds every row read so far at once. `n` is the
+    graph's fragment count, or None for a pose file, whose ids have no
+    upper bound."""
     kind, raw = parts[0], lines.raw
     rows: dict[int, list[str]] = {}  # the run's 7 number tokens by id, in line order
     at = no
@@ -145,6 +181,10 @@ def _read_poses(lines: _Lines, no: int, parts: list[str], store: dict[int, Pose]
         block = np.array([[_float(v, no) for v in rows[idx]]])
     if not np.isfinite(block).all():
         raise ParseError(no, "pose values must be finite")
+    if not lines.bulk:
+        store[idx] = None  # until lines.build_poses builds it
+        lines.pending.append((no, store, idx, block[0]))
+        return
     try:
         store.update(zip(rows, unstack(block[:, 3:], block[:, :3])))
     except ValueError as err:
@@ -303,6 +343,7 @@ def _parse_graph(lines: _Lines) -> ProblemGraph:
         else:
             raise ParseError(no, f"unknown record kind {kind!r}")
     _read_deferred(lines, deferred)
+    lines.build_poses()
 
     def _collect(store: dict[int, Pose], kind: str) -> list[Pose] | None:
         return _by_id(store, n, lines.last_no, f"{kind} records incomplete: missing fragment") if store else None
@@ -357,6 +398,7 @@ def _parse_poses(lines: _Lines) -> list[Pose]:
         if parts[0] != "POSE":
             raise ParseError(no, _POSE_USAGE)
         _read_poses(lines, no, parts, store, None)
+    lines.build_poses()
     return _by_id(store, len(store), lines.last_no, "missing POSE record")
 
 

@@ -4,7 +4,8 @@ A constraint stores its match set as two (k, 3) arrays: row m of `p` lives in
 the first fragment's local frame and pairs with row m of `q` in the second
 fragment's frame. Graphs are immutable after construction; constraints are
 kept in canonical order (odometry by i, loops by (i, j)). A MatchTable stacks
-the match sets of many constraints into flat arrays; the E-step, theta
+the match sets of many constraints into flat arrays, or shares them where
+they already lie one after another in one array; the E-step, theta
 learning and the pose solver all read a graph through the one table
 ProblemGraph.table builds, and the initialization fits every odometry
 constraint at once over a table of its own. The table evaluates each match
@@ -17,6 +18,7 @@ kernel's objective, gradient and H follow with no pass over the matches.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -35,6 +37,32 @@ def _as_points(arr, name: str) -> np.ndarray:
     if out.ndim != 2 or out.shape[1] != 3:
         raise ValueError(f"{name} must be (k, 3), got {out.shape}")
     return out
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a writable C-contiguous array's data (TypeError for
+    any other): ctypes reads it at a third of the cost of `ndarray.ctypes`."""
+    return ctypes.addressof((ctypes.c_char * 0).from_buffer(a))
+
+
+def _stacked(blocks: list[np.ndarray], sizes: np.ndarray) -> np.ndarray:
+    """The rows of the (k, 3) float blocks, sizes (C,) their row counts, in
+    order, as one array. Where each block is the next run of rows of their
+    common base, a writable C-contiguous (K, 3) array, this is a view of
+    those rows of the base; otherwise a copy."""
+    base = blocks[0].base if blocks else None
+    one_base = isinstance(base, np.ndarray) and base.dtype == float and base.shape[1:] == (3,)
+    if one_base and all(block.base is base for block in blocks):
+        row = 3 * base.itemsize
+        try:
+            starts = np.array([_address(block) for block in blocks]) - _address(base)
+        except TypeError:  # a block or the base is read-only or not C-contiguous
+            pass
+        else:
+            first, within = divmod(int(starts[0]), row)
+            if within == 0 and (starts[1:] == starts[:-1] + row * sizes[:-1]).all():
+                return base[first : first + sizes.sum()]
+    return np.concatenate([np.zeros((0, 3)), *blocks])
 
 
 class _MatchSet:
@@ -109,11 +137,16 @@ class MatchTable:
 
     @classmethod
     def from_constraints(cls, constraints) -> MatchTable:
+        """The table of the constraints, in order. Its p (and q) is a view
+        where each constraint's p is the next run of rows of one writable
+        C-contiguous (K, 3) array, as a parsed or generated graph's are, and
+        a copy otherwise; either holds the same bits."""
+        sizes = np.array([c.size for c in constraints], dtype=np.intp)
         return cls(
             pairs=np.array([c.pair for c in constraints], dtype=np.intp).reshape(-1, 2),
-            sizes=np.array([c.size for c in constraints], dtype=np.intp),
-            p=np.concatenate([np.zeros((0, 3)), *(c.p for c in constraints)]),
-            q=np.concatenate([np.zeros((0, 3)), *(c.q for c in constraints)]),
+            sizes=sizes,
+            p=_stacked([c.p for c in constraints], sizes),
+            q=_stacked([c.q for c in constraints], sizes),
         )
 
     @classmethod
@@ -211,7 +244,8 @@ class MatchTable:
         which the caller reports, so numpy is not asked to warn of it."""
         rij, tij = self.relative_poses(rots, trans)
         with np.errstate(over="ignore", invalid="ignore"):
-            ei = self.p - self._rotator @ np.swapaxes(rij, 1, 2).reshape(-1, 3)
+            rotated = self._rotator @ np.swapaxes(rij, 1, 2).reshape(-1, 3)
+            ei = np.subtract(self.p, rotated, out=rotated)
             ei -= np.repeat(tij, self.sizes, axis=0)
             return FrameResiduals(ei, np.einsum("ma,ma->m", ei, ei), rij, tij)
 

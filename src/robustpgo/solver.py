@@ -238,6 +238,7 @@ class SolverReport:
     pcg_iterations: int = 0  # PCG iterations over all trials and redos
     # trials rejected with no step (band not positive definite, zero pivot or PCG miss), after any redo
     misses: int = 0
+    redos: int = 0  # curvature trials with no step redone with the Gauss-Newton H
 
 
 def build_problem(graph: ProblemGraph, state: PosteriorState, params: Hyperparams) -> Problem:
@@ -557,7 +558,7 @@ class _Structure(NamedTuple):
     slot of each diagonal entry. A compressed sparse column (CSC) system
     (_structure) also holds its index arrays; a band (_band_slots) has none."""
 
-    slot: np.ndarray  # (4C, 24)
+    slot: np.ndarray  # (4C, 24) int32
     diagonal: np.ndarray  # (n,)
     indices: np.ndarray | None = None  # int32
     indptr: np.ndarray | None = None  # int32
@@ -594,8 +595,7 @@ def _structure(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: in
     indices[diagonal] = np.arange(6 * size)
     block_key = np.where(present, diagonal_keys[np.maximum(rows, 0)], len(keys))
     block_key[off] = key[: off.sum()]
-    slot = first[block_key]
-    return _Structure(slot, diagonal, indices, indptr)
+    return _Structure(first[block_key].astype(np.int32), diagonal, indices, indptr)
 
 
 def _band_slots(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: int, bandwidth: int) -> _Structure:
@@ -610,7 +610,7 @@ def _band_slots(rows: np.ndarray, cols: np.ndarray, present: np.ndarray, size: i
     depth = 6 * bandwidth + 6
     r, c = 6 * rows[:, None] + _ENTRY_ROWS, 6 * cols[:, None] + _ENTRY_COLS
     slot = np.where(present[:, None] & (r >= c), c * depth + r - c, depth * 6 * size)
-    return _Structure(slot, depth * np.arange(6 * size))
+    return _Structure(slot.astype(np.int32), depth * np.arange(6 * size))
 
 
 class _Pattern:
@@ -850,7 +850,7 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
     kept = problem.weights * problem.table.sizes >= SUBGRAPH_POSTERIOR  # the subgraph's constraints
     pattern = _kept_pattern(problem.table, len(state), kept)
     damping = DAMPING_INIT
-    accepted = factorizations = curvature_steps = pcg_iterations = misses = 0
+    accepted = factorizations = curvature_steps = pcg_iterations = misses = redos = 0
     termination = ""
     objective_path = []
     curvature = False
@@ -875,6 +875,7 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
                 if gauss_newton is None:
                     gauss_newton = _assemble(problem, state)[1]
                 factorizations += 1
+                redos += 1
                 step, iterations = _step(pattern, gauss_newton, grad, damping)
                 pcg_iterations += iterations
             misses += step is None
@@ -911,6 +912,6 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
         objective = problem.objective(state)
     report = SolverReport(
         accepted, objective_start, objective, termination, gradient_norm, state.errors,
-        objective_path, factorizations, curvature_steps, pcg_iterations, misses,
+        objective_path, factorizations, curvature_steps, pcg_iterations, misses, redos,
     )
     return state, report

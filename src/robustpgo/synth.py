@@ -75,8 +75,11 @@ class ScenarioConfig:
 @dataclass
 class EvalResult:
     mean_translation_error: float  # m, after aligning on the first five poses
-    precision: float
-    recall: float
+    precision: float  # tp / (tp + fp), 1.0 when no loop is classified inlier
+    recall: float  # tp / (tp + fn), 1.0 when no loop is an oracle inlier
+    tp: int  # loops classified inlier that are oracle inliers
+    fp: int  # loops classified inlier that are oracle outliers
+    fn: int  # oracle inliers classified outlier
     confusion: list[tuple[int, int, bool, bool]] = field(default_factory=list)
     # rows are (i, j, predicted inlier, oracle inlier)
     full_alignment_ate: float = math.nan  # m, after one rigid alignment over all poses
@@ -127,6 +130,14 @@ def _ball(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     r = radius * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
     return direction * r
+
+
+def _points(count: int) -> np.ndarray:
+    """An uninitialized (count, 3) array of match points."""
+    try:
+        return np.empty((count, 3))
+    except (ValueError, MemoryError) as err:  # numpy's size check, or an allocation that fails
+        raise ScenarioError(f"cannot hold {count} match points: {err}") from None
 
 
 def _in_frame(fragment: tuple[np.ndarray, np.ndarray], world: np.ndarray) -> np.ndarray:
@@ -235,16 +246,25 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
     point_radius = 1.5 * config.spacing
     fragments = list(zip(quats, translations))
 
-    odometry = [
-        OdometryConstraint(i, *_match_set(rng, config, fragments[i], fragments[i + 1], point_radius))
-        for i in range(n - 1)
-    ]
-
     true_pairs, n_false = plan_loops(config, translations)
     # the pairs (i, j) with j - i >= 2 that are no true loop bound the false loops sampling can find
     free = (n - 1) * (n - 2) // 2 - len(true_pairs)
     if n_false > free:
         raise ScenarioError(f"{n_false} false loops asked for; {free} pairs with j - i >= 2 are not true loops")
+    # every match set is drawn into its run of rows of one p and one q, in the
+    # graph's table order (odometry by i, then loops by (i, j)), which its
+    # MatchTable then shares
+    k = config.matches_per_constraint
+    count = (n - 1 + len(true_pairs) + n_false) * k
+    p, q = _points(count), _points(count)
+
+    def drawn(c: int, maker, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = slice(c * k, (c + 1) * k)
+        p[rows], q[rows] = maker(rng, config, fragments[i], fragments[j], point_radius)
+        return p[rows], q[rows]
+
+    odometry = [OdometryConstraint(i, *drawn(i, _match_set, i, i + 1)) for i in range(n - 1)]
+
     false_pairs: set[tuple[int, int]] = set()
     taken = set(true_pairs)
     guard = 0
@@ -263,11 +283,9 @@ def generate(config: ScenarioConfig) -> ProblemGraph:
     loops = []
     labels: dict[tuple[int, int], bool] = {}
     true_set = set(true_pairs)
-    for i, j in sorted(taken):
+    for c, (i, j) in enumerate(sorted(taken), start=n - 1):
         truth = (i, j) in true_set
-        maker = _match_set if truth else _false_match_set
-        p, q = maker(rng, config, fragments[i], fragments[j], point_radius)
-        loops.append(LoopClosureConstraint(i, j, p, q))
+        loops.append(LoopClosureConstraint(i, j, *drawn(c, _match_set if truth else _false_match_set, i, j)))
         labels[(i, j)] = truth
     # as with the spacing, squares stay finite: each constraint's summed squared
     # coordinates, which bound the moments solve fits its match set from
@@ -327,8 +345,8 @@ def full_alignment_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
 
 def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
     """Trajectory error after aligning the first five poses and after aligning
-    all of them, plus loop precision and recall against the graph's oracle
-    labels.
+    all of them, plus the loops' true positives, false positives and false
+    negatives, precision and recall against the graph's oracle labels.
 
     `labels` are predicted inlier booleans aligned with graph.loops.
     """
@@ -356,4 +374,4 @@ def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
     fn = sum(o and not p for *_, p, o in confusion)
     precision = tp / (tp + fp) if (tp + fp) else 1.0
     recall = tp / (tp + fn) if (tp + fn) else 1.0
-    return EvalResult(ate, precision, recall, confusion, full_alignment_ate(poses, graph.ground_truth))
+    return EvalResult(ate, precision, recall, tp, fp, fn, confusion, full_alignment_ate(poses, graph.ground_truth))

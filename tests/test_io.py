@@ -491,8 +491,24 @@ class TestPoseRuns:
         assert pose_bytes(poses) == pose_bytes(by_rows) == pose_bytes(graph.initial_poses)
 
     def test_a_duplicate_at_the_end_of_a_long_run(self):
+        """Read row by row, each row is checked as it is read, and the rows
+        read are built with one `unstack`, not one a row."""
         text = "PCG 1 5000\n" + "".join(f"GT {i} {I}\n" for i in range(5000)) + f"GT 0 {I}\n"
-        assert parse_error(text) == (5002, "duplicate GT record for fragment 0")
+        error, batches = parse_counting_batches(parse_error, text)
+        assert error == (5002, "duplicate GT record for fragment 0")
+        assert batches <= 2
+
+    @pytest.mark.parametrize("after", ["", f"GT 0 {I}\n", "M 1 2 3 4 5 6\n"])
+    def test_a_quaternion_refused_before_a_later_error_is_the_one_named(self, after):
+        """Read row by row, the rows are built once the reading ends or
+        fails, and one by one where a quaternion is refused: the first bad
+        line is named, as if each row were built as it was read."""
+        rows = [f"GT {i} {I}" for i in range(6)]
+        rows[2] = "GT 2 0 0 0 0 0 0 0"
+        rows[4] = "GT 4 0 0 0 1e200 1e200 0 0"
+        text = "PCG 1 6\n" + "".join(f"{row}\n" for row in rows) + after
+        assert parse_error(text) == (4, "quaternion norm too small to normalize")
+        assert parse_error(text.replace("GT 2 0 0 0 0 0 0 0", f"GT 2 {I}")) == (6, "quaternion norm too large to normalize")
 
 
 def count_readings(parse_fn, text: str) -> int:

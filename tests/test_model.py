@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from robustpgo import model, se3
+from robustpgo.graphio import parse, write_graph
 from robustpgo.model import (
     AlignmentError,
     Hyperparams,
@@ -255,6 +257,69 @@ class TestMatchTable:
         # the relative poses the residuals were formed from
         for a, b in zip((rij, tij), table.relative_poses(rots, trans)):
             assert a.tobytes() == b.tobytes()
+
+
+def shared_scene() -> ProblemGraph:
+    return generate(ScenarioConfig(num_fragments=30, keyframe_stride=3, seed=4))
+
+
+def check_table_rows(graph: ProblemGraph, shared: bool) -> None:
+    """The graph's table holds the bits of its constraints' rows, one after
+    another, and shares every constraint's rows where `shared`, none else."""
+    constraints = [*graph.odometry, *graph.loops]
+    for side in ("p", "q"):
+        rows = [getattr(c, side) for c in constraints]
+        stacked = getattr(graph.table, side)
+        assert stacked.tobytes() == np.concatenate(rows).tobytes() and stacked.flags.c_contiguous
+        assert [np.shares_memory(stacked, r) for r in rows] == [shared] * len(rows)
+
+
+class TestSharedRows:
+    """A table shares its constraints' rows where each constraint's are the
+    next rows of one C-contiguous array, as a generated graph's and a parsed
+    canonical document's are; any other graph's table is a copy."""
+
+    def test_a_generated_graph(self):
+        check_table_rows(shared_scene(), True)
+
+    def test_a_parsed_canonical_document(self):
+        check_table_rows(parse(write_graph(shared_scene())), True)
+
+    def test_the_odometry_chain_table_is_a_run_of_the_rows(self, monkeypatch):
+        graph, tables = shared_scene(), []
+        real = model._robust_fit
+        monkeypatch.setattr(model, "_robust_fit", lambda table, *args: real(tables.append(table) or table, *args))
+        initialize_poses(graph)
+        (chain,) = tables
+        assert chain.p.tobytes() == graph.table.p[: len(chain)].tobytes() == np.concatenate([c.p for c in graph.odometry]).tobytes()
+        assert all(np.shares_memory(chain.p, c.p) and np.shares_memory(chain.q, c.q) for c in graph.odometry)
+
+    def test_a_hand_built_graph(self):
+        graph, _ = small_graph(np.random.default_rng(8), n=5, loops=[loop_of(0, 3), loop_of(1, 4)])
+        check_table_rows(graph, False)
+
+    def test_a_deep_copy(self):
+        check_table_rows(copy.deepcopy(shared_scene()), False)
+
+    def test_a_read_only_base(self):
+        graph = shared_scene()
+        graph.odometry[0].p.base.flags.writeable = graph.odometry[0].q.base.flags.writeable = False
+        check_table_rows(graph, False)
+
+    def test_loops_out_of_canonical_order(self):
+        graph = shared_scene()
+        graph.loops = graph.loops[::-1]  # written in this order; parse sorts them back
+        parsed = parse(write_graph(graph))
+        assert [c.pair for c in parsed.loops] == sorted(c.pair for c in graph.loops)
+        check_table_rows(parsed, False)
+
+    def test_a_record_the_row_reader_reads(self):
+        lines = write_graph(shared_scene()).split("\n")
+        first_loop = next(k for k, line in enumerate(lines) if line.startswith("LOOP"))
+        lines[first_loop + 1] += " # a comment"
+        parsed = parse("\n".join(lines))
+        assert parsed.loops[0].p.base is not parsed.loops[1].p.base
+        check_table_rows(parsed, False)
 
 
 class TestHyperparams:

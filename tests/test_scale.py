@@ -5,6 +5,7 @@ import importlib.util
 import json
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,9 +22,15 @@ def test_a_20_fragment_run_reports_its_counts_and_quality(tmp_path):
     run = record["scenes"]["cauchy:20:0"]["change"]
     assert "error" not in run
     assert run["msteps"] == len(run["inliers"]) >= 1 and run["capped"] == 0
-    assert run["factor_calls"] == run["factorizations"] >= run["accepted"] >= 1
+    assert run["factor_calls"] == run["factorizations"] >= run["accepted"] >= 1 and run["redos"] >= 0
     assert run["tp"] + run["fn"] >= 1 and 0.0 <= run["precision"] <= 1.0 and 0.0 <= run["recall"] <= 1.0
     assert run["ate_full_m"] >= 0.0 and run["run_em_s"] > 0.0 and run["peak_rss_mb"] > 0.0
+
+
+def test_counts_are_read_from_the_result_or_counted_for_an_older_tree():
+    rows = [(0, 2, True, True), (0, 3, True, False), (1, 4, False, True), (1, 5, False, False)]
+    assert scale.counts(SimpleNamespace(confusion=rows)) == {"tp": 1, "fp": 1, "fn": 1}
+    assert scale.counts(SimpleNamespace(tp=7, fp=0, fn=2, confusion=rows)) == {"tp": 7, "fp": 0, "fn": 2}
 
 
 @pytest.mark.parametrize("text", ["cauchy:20", "huber:20:0", "cauchy:1:0", "cauchy:20:-1", "gaussian:x:0"])

@@ -1287,6 +1287,16 @@ class TestSolve:
         pattern = kept_pattern(problem, 12)
         assert len(pattern.full.indices) > system.nnz
 
+    @pytest.mark.parametrize("band_fill_ratio", [solver.BAND_FILL_RATIO, 0.0])
+    def test_slot_maps_are_int32(self, band_fill_ratio, monkeypatch):
+        """A pattern's two slot maps, (4C, 24) each, hold int32 slots, with
+        a band subgraph and with a CSC one alike."""
+        monkeypatch.setattr(solver, "BAND_FILL_RATIO", band_fill_ratio)
+        problem, _ = two_loop_problem()
+        pattern = kept_pattern(problem, 12)
+        assert (pattern.bandwidth is None) == (band_fill_ratio == 0.0)
+        assert pattern.full.slot.dtype == pattern.subgraph.slot.dtype == np.int32
+
     def test_pcg_miss_rejects_the_trial(self, monkeypatch):
         """With no PCG iteration allowed, every trial factors only the
         subgraph, misses and is rejected, each with ten times the damping of
@@ -1385,6 +1395,7 @@ class TestSolve:
         out, report = solve_poses(problem, start)
         assert report.iterations == 2 and report.misses == 0 and report.curvature_steps == 0
         assert report.factorizations == len(steps) and len(steps) % 2 == 1
+        assert report.redos == (len(steps) - 1) // 2 >= 1
         assert [curvature for _, curvature in assembled] == [False, True, False, True]
         state = assembled[1][0]  # the second pass's
         assert assembled[2][0] is state

@@ -230,6 +230,15 @@ class TestEvaluate:
         res = evaluate(graph.ground_truth, graph, predicted)
         assert res.precision == 1.0
         assert res.recall == pytest.approx(0.9)
+        assert (res.tp, res.fp, res.fn) == (9, 0, 1)
+
+    def test_no_loop_classified_inlier(self):
+        """With every loop classified outlier, precision reads 1.0 and only
+        the counts show that every true loop was lost."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        res = evaluate(graph.ground_truth, graph, np.zeros(len(graph.loops), dtype=bool))
+        assert (res.precision, res.recall) == (1.0, 0.0)
+        assert (res.tp, res.fp, res.fn) == (0, 0, 10)
 
     def test_requires_six_fragments(self):
         cfg = ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3)

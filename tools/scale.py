@@ -14,14 +14,16 @@ single-threaded BLAS that writes no bytecode. It records:
 
 - `msteps`, the EM iterations, each one M-step, and `capped`, the M-steps
   that MAX_INNER_ITERS stopped;
-- `accepted` LM steps, `factorizations` and `misses`, summed over the
-  M-steps' `SolverReport`s;
+- `accepted` LM steps, `factorizations`, `misses` and `redos` (curvature
+  trials redone with the Gauss-Newton H; None for a tree whose reports
+  lack it), summed over the M-steps' `SolverReport`s;
 - `factor_calls`, the calls to `solver._band_factor` and `solver.splu`, each
   one factorization of a system;
 - `inliers`, the inlier count of the posteriors that weighted each M-step;
 - `tp`, `fp`, `fn`, `precision` and `recall` of the loops `em.classify_loops`
   keeps, against the scene's oracle labels, and `ate_full_m`
-  (`synth.full_alignment_ate`);
+  (`synth.full_alignment_ate`), all from `synth.evaluate` (a tree whose
+  result lacks `tp`, `fp` and `fn` has them counted from its confusion rows);
 - `run_em_s`, the wall time of `run_em`, and `peak_rss_mb`, the run's
   interpreter's peak resident set.
 
@@ -66,6 +68,19 @@ def scene(text: str) -> str:
     return f"{parts[0]}:{int(parts[1])}:{int(parts[2])}"
 
 
+def counts(result) -> dict:
+    """TP / FP / FN of a `synth.evaluate` result, from its fields; a tree
+    whose EvalResult predates them has them counted from its confusion rows."""
+    if hasattr(result, "tp"):
+        return {"tp": result.tp, "fp": result.fp, "fn": result.fn}
+    rows = result.confusion
+    return {
+        "tp": sum(p and o for *_, p, o in rows),
+        "fp": sum(p and not o for *_, p, o in rows),
+        "fn": sum(o and not p for *_, p, o in rows),
+    }
+
+
 def measure(tree: Path, name: str) -> dict:
     """One run of the scene with the package of `tree`, in this process."""
     sys.dont_write_bytecode = True
@@ -99,10 +114,9 @@ def measure(tree: Path, name: str) -> dict:
         "factorizations": sum(rec.factorizations for rec in reports),
         "factor_calls": calls[0],
         "misses": sum(rec.misses for rec in reports),
+        "redos": sum(rec.redos for rec in reports) if all(hasattr(rec, "redos") for rec in reports) else None,
         "inliers": [rec.inlier_count for rec in reports],
-        "tp": sum(p and o for *_, p, o in result.confusion),
-        "fp": sum(p and not o for *_, p, o in result.confusion),
-        "fn": sum(o and not p for *_, p, o in result.confusion),
+        **counts(result),
         "precision": result.precision,
         "recall": result.recall,
         "ate_full_m": result.full_alignment_ate,
