@@ -20,16 +20,14 @@ lines. An ODOM/LOOP record whose k raw lines are plain M rows (after any
 leading whitespace, `M` and a space or tab, and no '#') is deferred; after
 the pass every deferred row, its `M` dropped, is converted by one
 np.loadtxt call, and any other record by the M row reader, which checks and
-converts each row as it reads it. A run of INIT or GT rows, or of POSE rows
-in a pose file, is converted and checked finite at once, and its poses are
-built by one `se3.unstack`. When that reading raises a ParseError, or a
-ValueError from a conversion or from loadtxt, the document is read again
-row by row: every M record goes to the row reader, and every pose row is a
-run of its own, checked as it is read; the poses of all of them are built
-by one `unstack` once the reading ends or fails, and one by one only where
-it refuses a quaternion. That reading returns the result or raises a
-ParseError that names the first bad line, with the reason its row's checks
-give.
+converts each row as it reads it. Each INIT, GT or POSE row is checked
+as it is read and queued; `_Lines.build_poses` builds the queue with one
+`se3.unstack`, and one by one only to name a row it refuses: in bulk at the
+end of each run of one kind with no '#' on any row, and read row by row
+once the reading ends or fails. When the bulk reading raises a ParseError,
+or a ValueError from loadtxt, the document is read again row by row, and
+every M record goes to the row reader. That reading returns the result or
+raises a ParseError that names the first bad line, with its row's reason.
 """
 
 from __future__ import annotations
@@ -89,8 +87,8 @@ class _Lines:
         self.bulk = bulk
         self.at = 0
         self.rows = self._rows()
-        # pose rows read row by row and checked, not built yet: (line number, store, id, 7 numbers)
-        self.pending: list[tuple[int, dict, int, np.ndarray]] = []
+        # pose rows checked and queued, not built yet: (line number, store, id, 7 number tokens)
+        self.pending: list[tuple[int, dict, int, list[str]]] = []
 
     def _rows(self):
         raw = self.raw
@@ -101,24 +99,29 @@ class _Lines:
                 yield self.at, parts
 
     def build_poses(self) -> None:
-        """Builds the pending pose rows into their stores with one `unstack`.
-        Where it refuses a quaternion, the rows are built one by one, so
-        the ParseError names the first row it refuses, with its reason."""
+        """Builds the queued pose rows into their stores: converted by
+        `float`, checked finite and built by one `unstack`, or, where a step
+        refuses a row, one by one, so the ParseError names the first row."""
         if not self.pending:
             return
         nos, stores, ids, rows = zip(*self.pending)
         self.pending = []
-        block = np.array(rows)
         try:
+            block = np.array([[*map(float, row)] for row in rows])
+            if not np.isfinite(block).all():
+                raise ValueError
             poses = unstack(block[:, 3:], block[:, :3])
         except ValueError:
-            poses = [_pose(no, row) for no, row in zip(nos, block)]
+            poses = [_pose(no, row) for no, row in zip(nos, rows)]
         for store, idx, pose in zip(stores, ids, poses):
             store[idx] = pose
 
 
-def _pose(no: int, row: np.ndarray) -> Pose:
-    """The pose of one row of 7 numbers, from line `no`."""
+def _pose(no: int, tokens: list[str]) -> Pose:
+    """The pose of the 7 number tokens of line `no`."""
+    row = np.array([_float(v, no) for v in tokens])
+    if not np.isfinite(row).all():
+        raise ParseError(no, "pose values must be finite")
     try:
         return unstack(row[3:], row[:3])[0]
     except ValueError as err:
@@ -138,7 +141,7 @@ def _read(reader, text: str):
     try:
         return reader(lines)
     except ParseError:
-        lines.build_poses()  # a quaternion it refuses lies on a line before the error's
+        lines.build_poses()  # a row it refuses lies on a line before the error's
         raise
 
 
@@ -146,19 +149,13 @@ _POSE_USAGE = "expected: POSE <id> tx ty tz qw qx qy qz"
 
 
 def _read_poses(lines: _Lines, no: int, parts: list[str], store: dict[int, Pose], n: int | None) -> None:
-    """Stores the run of pose rows that starts with `parts`, the INIT, GT or
-    POSE row on line `no` that `lines` read last. In a bulk reading the run
-    is that row and the raw lines right after it that hold the same kind; a
-    run holds no '#', so a row with a comment is a run of its own. Each
-    row's id is checked as it is read; then the run's numbers are converted,
-    checked finite and built into poses by one `unstack`, which refuses a
-    quaternion norm below 1e-9 or past the float range. Read row by row,
-    every row is a run of its own, whose numbers wait in `lines.pending`
-    until `build_poses` builds every row read so far at once. `n` is the
-    graph's fragment count, or None for a pose file, whose ids have no
-    upper bound."""
+    """Queues the run of pose rows that starts with `parts`, the INIT, GT or
+    POSE row on line `no` that `lines` read last, each checked as it is read
+    and held in `store` until `lines.build_poses` builds it. Read in bulk,
+    the run is that row and the raw lines right after it of the same kind,
+    none with a '#', built when it ends; read row by row, it is one row.
+    `n` is the graph's fragment count, or None for a pose file."""
     kind, raw = parts[0], lines.raw
-    rows: dict[int, list[str]] = {}  # the run's 7 number tokens by id, in line order
     at = no
     while True:
         if len(parts) != 9:
@@ -168,27 +165,16 @@ def _read_poses(lines: _Lines, no: int, parts: list[str], store: dict[int, Pose]
             raise ParseError(at, f"POSE id {idx} is negative")
         if n is not None and not 0 <= idx < n:
             raise ParseError(at, f"{kind} id {idx} out of range [0, {n - 1}]")
-        if idx in store or idx in rows:
+        if idx in store:
             raise ParseError(at, f"duplicate {kind} record for fragment {idx}")
-        rows[idx] = parts[2:]
+        store[idx] = None
+        lines.pending.append((at, store, idx, parts[2:]))
         if not lines.bulk or "#" in raw[no - 1] or at == len(raw) or "#" in raw[at] or (parts := raw[at].split())[:1] != [kind]:
             break
         at += 1
     lines.at = at
     if lines.bulk:
-        block = np.array([[*map(float, row)] for row in rows.values()])
-    else:
-        block = np.array([[_float(v, no) for v in rows[idx]]])
-    if not np.isfinite(block).all():
-        raise ParseError(no, "pose values must be finite")
-    if not lines.bulk:
-        store[idx] = None  # until lines.build_poses builds it
-        lines.pending.append((no, store, idx, block[0]))
-        return
-    try:
-        store.update(zip(rows, unstack(block[:, 3:], block[:, :3])))
-    except ValueError as err:
-        raise ParseError(no, str(err)) from None
+        lines.build_poses()
 
 
 def _by_id(store: dict[int, Pose], n: int, no: int, missing: str) -> list[Pose]:

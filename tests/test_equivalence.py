@@ -1,6 +1,7 @@
 """The digests of tools/equivalence.py."""
 
 import copy
+import dataclasses
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -95,6 +96,43 @@ def test_a_run_that_differs_is_sized_by_its_largest_differences():
     assert result["runs"]["differ"] == ["k"] and result["runs"]["sizes"] == {"k": sized}
     assert result["poses"]["differ"] == ["k"] and result["poses"]["sizes"] == {}
     assert result["graphs"]["identical"] == 1 and "sizes" not in result["graphs"]
+
+
+def test_a_field_only_one_tree_has_is_listed_apart_and_the_shared_ones_compared():
+    """A parent whose `EmIteration` lacks a field runs identical on the
+    fields both trees have, with the one it lacks listed apart under the
+    run's key; a shared field that differs still makes the run differ."""
+    graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+    params = Hyperparams()
+    result = em.run_em(graph, params)
+    names = [f.name for f in dataclasses.fields(em.EmIteration) if f.name != "redos"]
+    Older = dataclasses.make_dataclass("EmIteration", names)
+
+    def older_em(nudge: bool) -> SimpleNamespace:
+        def run_em(g, p):
+            poses, state, trace = copy.deepcopy(result)
+            iterations = [Older(**{name: getattr(rec, name) for name in names}) for rec in trace.iterations]
+            if nudge:
+                iterations[-1].theta = np.nextafter(iterations[-1].theta, np.inf)
+            return poses, state, em.EmTrace(iterations, trace.converged)
+
+        return SimpleNamespace(run_em=run_em, loop_errors=em.loop_errors)
+
+    def compared(parent_em) -> dict:
+        trees = []
+        for tree_em in (parent_em, em):
+            parts, _, values = equivalence._run(tree_em, graph, params)
+            trees.append({kind: {"k": "a"} for kind in equivalence.KINDS})
+            trees[-1]["runs"] = {"k": parts}
+            trees[-1]["values"] = {"runs": {"k": values}, "poses": {}}
+        return equivalence.compare(*trees)["runs"]
+
+    same = compared(older_em(False))
+    assert (same["identical"], same["differ"]) == (1, [])
+    assert same["apart"] == {"k": {"parent": [], "change": ["iteration redos"]}}
+    moved = compared(older_em(True))
+    assert moved["differ"] == ["k"] and moved["apart"] == same["apart"]
+    assert moved["sizes"]["k"]["posteriors"] == 0.0
 
 
 def test_outside_a_git_checkout_a_parent_is_refused(monkeypatch, capsys):

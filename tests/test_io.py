@@ -510,6 +510,33 @@ class TestPoseRuns:
         assert parse_error(text) == (4, "quaternion norm too small to normalize")
         assert parse_error(text.replace("GT 2 0 0 0 0 0 0 0", f"GT 2 {I}")) == (6, "quaternion norm too large to normalize")
 
+    @pytest.mark.parametrize(
+        "rows, batches",
+        [
+            ([f"INIT {i} {I}" + (" # c" if i == 2 else "") for i in range(6)], 3),
+            ([f"INIT {i} {I}" + (" # c" if i == 0 else "") for i in range(6)], 2),
+            ([f"INIT {i} {I}" + (" # c" if i == 5 else "") for i in range(6)], 2),
+            ([f"INIT 0 {I}", f"INIT 1 {I}", "", f"INIT 2 {I}", f"INIT 3 {I}"], 2),
+            ([f"INIT 0 {I}", f"INIT 1 {I}", "# c", f"INIT 2 {I}", f"INIT 3 {I}"], 2),
+            ([f"{kind} {i} {I}" for i in range(3) for kind in ("INIT", "GT")], 6),
+            ([f"INIT 0 {I}", "ODOM 0 1", "M 1 2 3 4 5 6", f"INIT 1 {I}", f"INIT 2 {I}"], 2),
+            ([f"INIT 0 {I}", f"  INIT 1 {I}", f"\tINIT 2 {I}", f"   INIT 3 {I}"], 1),
+            ([f"POSE {i} {I}" + (" # c" if i in (1, 2) else "") for i in range(5)], 4),
+        ],
+        ids=["comment-mid", "comment-first", "comment-last", "blank-line", "comment-line",
+             "interleaved", "odom-between", "leading-space", "pose-file"],
+    )
+    def test_a_run_is_adjacent_rows_of_one_kind_with_no_comment(self, rows, batches):
+        """Read in bulk, a run of pose rows ends at a row of another kind, at
+        any line that is not a pose row of its kind, and at a '#': a row
+        with a comment is a run of its own. Each run is one `unstack`."""
+        text = "".join(f"{row}\n" for row in rows)
+        if rows[0].startswith("POSE"):
+            assert parse_counting_batches(parse_poses, text)[1] == batches
+        else:
+            n = sum(row.lstrip().startswith("INIT") for row in rows)
+            assert parse_counting_batches(parse, f"PCG 1 {n}\n{text}")[1] == batches
+
 
 def count_readings(parse_fn, text: str) -> int:
     """How many times parse_fn(text) reads the document: each reading makes

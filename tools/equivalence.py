@@ -14,11 +14,16 @@ sha256 digests are kept per perfbench scene and seed:
 
 - the parsed graph: fragment count, every constraint's pair and match bytes,
   INIT and GT poses, and the oracle labels;
-- the run: poses, posteriors, theta, `converged`, every `EmIteration` field,
-  and `em.loop_errors` at the returned poses (or the error a run raised);
-- the run's poses read back from text: from a pose file (`write_poses`, then
-  `parse_poses`) and as the INIT rows of the scene's graph (`write_graph`
-  with those poses as its initial poses, then `parse`).
+- the run, in parts: one for its poses, posteriors, theta, `converged`,
+  iteration count and `em.loop_errors` at the returned poses (or the error
+  a run raised), and one for each `EmIteration` field over the iterations;
+- the run's poses read back from text four ways: from a pose file
+  (`write_poses`, then `parse_poses`) as written and with a '#' on every
+  row, which makes each row a run of its own, and as the INIT rows
+  of the scene's graph (`write_graph` with those poses as its initial
+  poses, then `parse`) as written and with one M row's last token written
+  `1_0`, which `float` takes and loadtxt refuses, so `parse` reads that
+  document row by row.
 
 perfbench's scenes are all circles, so a fourth digest is kept for every
 shape `synth.SHAPES` names, at 20 and 100 fragments (a circle below 48
@@ -27,6 +32,9 @@ text of `synth.generate`'s scene and the bytes of its ground truth.
 
 The digests of the two trees are compared key by key, and the result is
 printed as one JSON object; the exit status is 1 when any digest differs.
+A run is compared over the parts both trees hold, so a field that only one
+tree's `EmIteration` has is listed apart, under the run's key, and does not
+make the run differ.
 Each `runs` or `poses` key that differs is also sized: the largest absolute
 difference in the pose quaternions and translations (for `poses`, of the
 poses read back from a pose file), and for `runs` in the posteriors and in
@@ -104,19 +112,24 @@ def graph_digest(graph) -> str:
 
 
 def run_digest(em, graph, params) -> str:
-    """run_em's poses, posteriors, theta, converged flag and every iteration's
-    fields, and loop_errors at its poses; or the error the run raised."""
-    return _run(em, graph, params)[0]
+    """run_em's poses, posteriors, theta, converged flag and iteration count,
+    and loop_errors at its poses; or the error the run raised."""
+    return _run(em, graph, params)[0]["run"]
 
 
-def _run(em, graph, params) -> tuple[str, list | None, dict | None]:
-    """run_digest, the run's poses and its run_values (None when it raised)."""
+def _run(em, graph, params) -> tuple[dict[str, str], list | None, dict | None]:
+    """The run's parts: run_digest under "run", and the digest of each
+    `EmIteration` field over the iterations under "iteration <field>"; then
+    the run's poses and its run_values (None when it raised)."""
     try:
         poses, state, trace = em.run_em(graph, params)
     except Exception as err:  # a run that fails must fail alike in both trees
-        return digest("raised", type(err).__name__, str(err)), None, None
-    run = digest(poses, state, trace.iterations, trace.converged, em.loop_errors(graph, poses, params))
-    return run, poses, run_values(poses, state, trace)
+        return {"run": digest("raised", type(err).__name__, str(err))}, None, None
+    its = trace.iterations
+    parts = {"run": digest(poses, state, len(its), trace.converged, em.loop_errors(graph, poses, params))}
+    for name in {f.name for rec in its for f in dataclasses.fields(rec)}:
+        parts[f"iteration {name}"] = digest([getattr(rec, name) for rec in its])
+    return parts, poses, run_values(poses, state, trace)
 
 
 def pose_values(poses) -> dict[str, list]:
@@ -149,9 +162,25 @@ def sizes(parent: dict[str, list], change: dict[str, list]) -> dict[str, float |
 
 
 def poses_digest(graphio, graph, poses) -> str:
-    """`poses` read back from a pose file, and as the INIT rows of `graph`'s text."""
-    text = graphio.write_graph(dataclasses.replace(graph, initial_poses=poses))
-    return digest(graphio.parse_poses(graphio.write_poses(poses)), graphio.parse(text).initial_poses)
+    """`poses` read back from a pose file, as written and with a '#' on every
+    row, and as the INIT rows of `graph`'s text, read in bulk and row by row."""
+    text = graphio.write_poses(poses)
+    graph_text = graphio.write_graph(dataclasses.replace(graph, initial_poses=poses))
+    return digest(
+        graphio.parse_poses(text),
+        graphio.parse_poses(text.replace("\n", " #\n")),
+        graphio.parse(graph_text).initial_poses,
+        graphio.parse(refused_by_loadtxt(graph_text)).initial_poses,
+    )
+
+
+def refused_by_loadtxt(text: str) -> str:
+    """`text` with the last token of its first M row written `1_0`, which
+    `float` takes and loadtxt refuses, so `parse` reads it row by row."""
+    lines = text.split("\n")
+    at = next(k for k, line in enumerate(lines) if line.startswith("M "))
+    lines[at] = " ".join(lines[at].split()[:-1] + ["1_0"])
+    return "\n".join(lines)
 
 
 def scene_digest(graphio, graph) -> str:
@@ -202,15 +231,34 @@ def digests_in(tree: Path) -> dict[str, dict]:
         raise RuntimeError(f"digests in {tree} failed: {err.stderr.strip()[-2000:]}") from None
 
 
+def agree(a, b) -> bool:
+    """Two digests of one key agree: equal, or, for a run's parts, equal on
+    every part both trees hold."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return all(a[part] == b[part] for part in a.keys() & b.keys())
+    return a == b
+
+
+def apart(a, b) -> dict[str, list[str]]:
+    """The parts of a run that only one tree holds, by tree; {} when none."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return {}
+    only = {"parent": sorted(a.keys() - b.keys()), "change": sorted(b.keys() - a.keys())}
+    return only if any(only.values()) else {}
+
+
 def compare(parent: dict, change: dict) -> dict:
-    """Per kind, how many keys both trees hold with equal digests, and which
-    differ; for `runs` and `poses`, each differing key's sizes where both
-    trees hold its values."""
+    """Per kind, how many keys both trees hold with digests that agree, and
+    which differ; for `runs`, the parts each key holds in one tree only; for
+    `runs` and `poses`, each differing key's sizes where both trees hold its
+    values."""
     out = {}
     for kind in KINDS:
         keys = sorted(parent[kind].keys() | change[kind].keys())
-        differ = [k for k in keys if parent[kind].get(k) != change[kind].get(k)]
+        differ = [k for k in keys if not agree(parent[kind].get(k), change[kind].get(k))]
         out[kind] = {"identical": len(keys) - len(differ), "total": len(keys), "differ": differ}
+        if kind == "runs":
+            out[kind]["apart"] = {k: only for k in keys if (only := apart(parent[kind].get(k), change[kind].get(k)))}
         if kind in ("runs", "poses"):
             held = parent["values"][kind], change["values"][kind]
             out[kind]["sizes"] = {
