@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import se3, solver
 from .model import Hyperparams, MatchTable, PosteriorState, ProblemGraph, initialize_poses, learn_theta_gaussian
@@ -76,9 +75,20 @@ def learn_theta_cauchy(odometry_errors: np.ndarray, p_hat: float) -> float:
     return theta
 
 
+def _sigmoid(x: float) -> float:
+    """1 / (1 + e^-x) by libm's exp, the form and the exp of scipy.special.expit,
+    so its bits; 0.0 where e^-x is past the float range."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def posterior_cauchy(a_values: np.ndarray, theta: float) -> np.ndarray:
-    """theta / (theta + exp(2A)) computed as a sigmoid in log space."""
-    return expit(math.log(theta) - 2.0 * np.asarray(a_values, dtype=float))
+    """theta / (theta + exp(2A)) computed as a sigmoid in log space, one loop
+    at a time: numpy's vectorized exp can differ from libm's in the last bit."""
+    x = math.log(theta) - 2.0 * np.asarray(a_values, dtype=float)
+    return np.array([_sigmoid(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 def posterior_gaussian(b_values: np.ndarray, theta: float) -> np.ndarray:

@@ -362,6 +362,24 @@ class TestSolve:
         assert done.returncode == cli.EXIT_OK
         assert done.stdout.startswith("usage: robustpgo") and "check-grad" in done.stdout
 
+    def test_the_package_leaves_scipy_special_unloaded(self):
+        """A fresh interpreter that imports the CLI loads no scipy.special: the
+        package calls only scipy.sparse (with .linalg and .csgraph) and
+        scipy.linalg.lapack, and those alone may load it on some scipy."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys; import scipy.sparse, scipy.sparse.linalg, scipy.sparse.csgraph, scipy.linalg.lapack; "
+            "print('scipy.special' in sys.modules); import robustpgo, robustpgo.cli; "
+            "print('scipy.special' in sys.modules)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        by_scipy, by_package = done.stdout.split()
+        if by_scipy == "True":
+            pytest.skip("scipy's sparse and lapack modules load scipy.special themselves")
+        assert by_package == "False"
+
 
 class TestSimulate:
     def test_simulate_and_config(self, tmp_path, capsys):

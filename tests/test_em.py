@@ -227,6 +227,28 @@ class TestLearnThetaGaussian:
         assert str(exc.value) == message
 
 
+def posterior_cases() -> dict:
+    """Errors B of the E-step's byte-for-byte check, each with its thetas. At
+    theta = 1 the sigmoid's argument is x = -2 log B, so B = exp(-x / 2) puts
+    it where libm's exp(-x) overflows, or where the posterior is subnormal."""
+    rng = np.random.default_rng(7)
+    b = np.concatenate([[0.0, 0.0, np.inf, 5e-324, 1e308], 10.0 ** rng.uniform(-300, 300, 500)])
+    b[rng.random(len(b)) < 0.1] = 0.0
+    return {
+        "random": (b, (0.0225, 9.0 * 0.05**4, 1e-300, 1e300)),
+        "non-finite": (np.array([0.0, np.inf, np.nan]), (0.0225, 1e-300, 1e300)),  # x = +inf, -inf, NaN
+        "exp-overflow": (np.exp(-0.5 * np.linspace(-745.2, -709.8, 1001)), (1.0,)),
+        "subnormal": (np.exp(-0.5 * np.linspace(-709.78, -708.4, 1001)), (1.0,)),
+        "0-d": (np.array(0.3), (0.0225,)),
+        "2-d": (10.0 ** rng.uniform(-3, 3, (4, 5)), (0.0225,)),
+        "empty": (np.zeros(0), (0.0225,)),
+        "2-d-empty": (np.zeros((0, 3)), (0.0225,)),
+    }
+
+
+POSTERIOR_CASES = posterior_cases()
+
+
 class TestEStep:
     def test_posterior_at_zero_error(self):
         post = em.posterior_cauchy(np.array([0.0]), 45.0)
@@ -280,17 +302,24 @@ class TestEStep:
         post = em.posterior_gaussian(np.array([0.0, np.inf]), 0.0225)
         assert post[0] == 1.0 and post[1] == 0.0
 
-    def test_gaussian_posterior_matches_the_masked_form(self):
-        """The log-space form gives the bits of the form that sets B == 0 to 1
-        and takes the sigmoid of log theta - 2 log B elsewhere."""
-        rng = np.random.default_rng(7)
-        b = np.concatenate([[0.0, 0.0, np.inf, 5e-324, 1e308], 10.0 ** rng.uniform(-300, 300, 500)])
-        b[rng.random(len(b)) < 0.1] = 0.0
-        for theta in (0.0225, 9.0 * 0.05**4, 1e-300, 1e300):
-            expected = np.ones_like(b)
-            pos = b > 0.0
-            expected[pos] = expit(math.log(theta) - 2.0 * np.log(b[pos]))
-            assert em.posterior_gaussian(b, theta).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("mode", ["cauchy", "gaussian"])
+    @pytest.mark.parametrize("case", list(POSTERIOR_CASES))
+    def test_posteriors_have_the_bits_of_expit(self, case, mode):
+        """Each posterior is scipy.special.expit of log theta - 2A, bit for bit
+        and in the errors' shape. The cases are errors B: the cauchy posterior
+        takes A = log B, and the gaussian one B itself, against the form that
+        sets B == 0 to 1 and takes the sigmoid of log theta - 2 log B elsewhere."""
+        b, thetas = POSTERIOR_CASES[case]
+        for theta in thetas:
+            if mode == "cauchy":
+                with np.errstate(divide="ignore"):
+                    a = np.log(b)
+                got, expected = em.posterior_cauchy(a, theta), expit(math.log(theta) - 2.0 * a)
+            else:
+                got, expected = em.posterior_gaussian(b, theta), np.ones_like(b)
+                rest = b != 0.0
+                expected[rest] = expit(math.log(theta) - 2.0 * np.log(b[rest]))
+            assert np.shape(got) == np.shape(b) and got.tobytes() == expected.tobytes()
 
 
 class TestClassifyLoops:

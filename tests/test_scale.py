@@ -24,7 +24,7 @@ def test_a_20_fragment_run_reports_its_counts_and_quality(tmp_path):
     assert run["msteps"] == len(run["inliers"]) >= 1 and run["capped"] == 0
     assert run["factor_calls"] == run["factorizations"] >= run["accepted"] >= 1 and run["redos"] >= 0
     assert run["tp"] + run["fn"] >= 1 and 0.0 <= run["precision"] <= 1.0 and 0.0 <= run["recall"] <= 1.0
-    assert run["ate_full_m"] >= 0.0 and run["run_em_s"] > 0.0 and run["peak_rss_mb"] > 0.0
+    assert run["ate_full_m"] >= 0.0 and run["run_em_s"] > 0.0 and 0.0 < run["import_rss_mb"] <= run["peak_rss_mb"]
 
 
 def test_counts_are_read_from_the_result_or_counted_for_an_older_tree():

@@ -24,8 +24,10 @@ single-threaded BLAS that writes no bytecode. It records:
   keeps, against the scene's oracle labels, and `ate_full_m`
   (`synth.full_alignment_ate`), all from `synth.evaluate` (a tree whose
   result lacks `tp`, `fp` and `fn` has them counted from its confusion rows);
-- `run_em_s`, the wall time of `run_em`, and `peak_rss_mb`, the run's
-  interpreter's peak resident set.
+- `run_em_s`, the wall time of `run_em`; `import_rss_mb`, the run's
+  interpreter's peak resident set right after it imports the package, before
+  the scene is generated; and `peak_rss_mb`, its peak resident set at the
+  end, so the run's own growth is their difference.
 
 The record names the working tree's commit, or "unknown" outside a git
 checkout. With `--parent REV`, which needs one, the commit is exported with
@@ -81,6 +83,11 @@ def counts(result) -> dict:
     }
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MB (ru_maxrss is in KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def measure(tree: Path, name: str) -> dict:
     """One run of the scene with the package of `tree`, in this process."""
     sys.dont_write_bytecode = True
@@ -88,6 +95,7 @@ def measure(tree: Path, name: str) -> dict:
     from robustpgo import em, solver, synth
     from robustpgo.model import Hyperparams
 
+    import_rss_mb = peak_rss_mb()
     calls = [0]
 
     def counted(real):
@@ -121,7 +129,8 @@ def measure(tree: Path, name: str) -> dict:
         "recall": result.recall,
         "ate_full_m": result.full_alignment_ate,
         "run_em_s": seconds,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "import_rss_mb": import_rss_mb,
+        "peak_rss_mb": peak_rss_mb(),
     }
 
 
