@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -698,30 +699,34 @@ def _kept_pattern(table: MatchTable, num_poses: int, kept: np.ndarray) -> _Patte
     return pattern
 
 
-def _factor(system: csc_matrix):
-    """SuperLU's factor of a damped subgraph system from _Pattern.matrix, in
-    symmetric mode with pivots on the diagonal; a zero pivot raises
-    RuntimeError. It factors the subgraph of a pattern that is no band, in
-    the pose-level minimum-degree order. SuperLU keeps that order (NATURAL),
-    so PCG's products with the full system and its solves with the
-    subgraph's factor share one order. The order keeps each pose's six dofs
-    together, so supernodes are sized to those blocks: relaxed supernodes of
-    at most 3 columns and panels of 6. SuperLU's wider default relaxation
-    stores explicit zeros around the pose blocks, so its factors hold more
-    nonzeros and take longer."""
-    return splu(
-        system, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=3, panel_size=6,
-        options={"SymmetricMode": True},
-    )
+def _factor(system: csc_matrix) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The preconditioner of a damped subgraph system from _Pattern.matrix:
+    the solve with SuperLU's factor, in symmetric mode with pivots on the
+    diagonal, or None on a zero pivot. It factors the subgraph of a pattern
+    that is no band, in the pose-level minimum-degree order. SuperLU keeps
+    that order (NATURAL), so PCG's products with the full system and its
+    solves with the subgraph's factor share one order. The order keeps each
+    pose's six dofs together, so supernodes are sized to those blocks:
+    relaxed supernodes of at most 3 columns and panels of 6. SuperLU's wider
+    default relaxation stores explicit zeros around the pose blocks, so its
+    factors hold more nonzeros and take longer."""
+    try:
+        lu = splu(
+            system, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=3, panel_size=6,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # SuperLU's "Factor is exactly singular"
+        return None
+    return lu.solve
 
 
-def _band_factor(band: np.ndarray) -> np.ndarray | None:
-    """LAPACK's banded Cholesky factor (dpbtrf) of a band pattern's damped
-    subgraph system from _Pattern.matrix, factored in place; None when the
-    band is not positive definite, which only the curvature phase's H can
-    make it."""
+def _band_factor(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The preconditioner of a band pattern's damped subgraph system from
+    _Pattern.matrix: the solve (dpbtrs) with LAPACK's banded Cholesky factor
+    (dpbtrf), factored in place; None when the band is not positive
+    definite, which only the curvature phase's H can make it."""
     factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-    return factor if info == 0 else None
+    return (lambda rhs: dpbtrs(factor, rhs, lower=1)[0]) if info == 0 else None
 
 
 def _pcg(product, precondition, rhs: np.ndarray):
@@ -768,23 +773,14 @@ def _step(pattern: _Pattern, blocks: np.ndarray, grad: np.ndarray, damping: floa
     once. The blocks' layout entries are gathered once, and the subgraph and
     the full system are each filled from them by _Pattern.matrix. A band
     pattern's subgraph is factored as a band (_band_factor), any other's by
-    SuperLU (_factor). A band that is not positive definite, a zero pivot
-    in SuperLU's factor or a PCG miss gives None."""
+    SuperLU (_factor). Either returns the preconditioner PCG applies, or None
+    for a band that is not positive definite or a zero pivot in SuperLU's
+    factor; that None, or a PCG miss, gives None."""
     entries = _entries(blocks)
     subgraph = pattern.matrix(entries, damping, subgraph=True)
-    if pattern.bandwidth is None:
-        try:
-            precondition = _factor(subgraph).solve
-        except RuntimeError:
-            return None, 0
-    else:
-        factor = _band_factor(subgraph)
-        if factor is None:
-            return None, 0
-
-        def precondition(rhs):
-            return dpbtrs(factor, rhs, lower=1)[0]
-
+    precondition = (_factor if pattern.bandwidth is None else _band_factor)(subgraph)
+    if precondition is None:
+        return None, 0
     solution, iterations = _pcg(pattern.matrix(entries, damping).dot, precondition, pattern.take(-grad))
     return (None if solution is None else pattern.put(solution)), iterations
 

@@ -108,6 +108,52 @@ class TestSolve:
         assert run_cli(["solve", "--in", str(bad)]) == cli.EXIT_VALIDATE
 
     @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ("PCG 1 1\n", "bad_fragment_count(1,): need at least 2 fragments"),
+            (
+                "PCG 1 3\nODOM 0 1\nM 0 0 0 0 0 0\nODOM 1 1\nM 0 0 0 0 0 0\n"
+                "ODOM 5 3\nM 0 0 0 0 0 0\nM 0 0 0 0 0 0\nM 0 0 0 0 0 0\n",
+                "odometry_index(5,): i must lie in [0, 1]",
+            ),
+            ("PCG 1 2\nODOM 0 0\n", "empty_odometry(0,): constraint has no matches"),
+            (
+                "PCG 1 4\nODOM 0 1\nM 0 0 0 0 0 0\nODOM 1 1\nM 0 0 0 0 0 0\nODOM 2 1\nM 0 0 0 0 0 0\n"
+                "LOOP 3 1 3\nM 0 0 0 0 0 0\nM 0 0 0 0 0 0\nM 0 0 0 0 0 0\n",
+                "loop_order(3, 1): loops must have i < j",
+            ),
+            (
+                "PCG 1 4\nODOM 0 1\nM 0 0 0 0 0 0\nODOM 1 1\nM 0 0 0 0 0 0\nODOM 2 1\nM 0 0 0 0 0 0\n"
+                "LABEL 0 3 1\n",
+                "label_without_loop(0, 3): label refers to no declared loop",
+            ),
+        ],
+    )
+    def test_each_violation_a_file_can_hold_is_named(self, tmp_path, capsys, doc, line):
+        path = tmp_path / "invalid.pcg"
+        path.write_text(doc)
+        assert run_cli(["solve", "--in", str(path)]) == cli.EXIT_VALIDATE
+        assert capsys.readouterr().err.splitlines() == [f"error: invalid graph: {line}"]
+
+    def test_unwritable_output_exit_code(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "missing" / "poses.txt"
+        assert run_cli(["solve", "--in", str(scenario_file), "--out-poses", str(out)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_a_graph_without_labels_prints_ate_alone(self, tmp_path, capsys):
+        """simulate's seed-0 scene with its LABEL rows removed: solve prints
+        both ATEs, and no precision or recall."""
+        path = tmp_path / "scene.pcg"
+        assert run_cli(["simulate", "--seed", "0", "--out", str(path)]) == cli.EXIT_OK
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("LABEL")))
+        capsys.readouterr()
+        assert run_cli(["solve", "--in", str(path)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "ate_full: 0.032642" in out and "ate_mean: 0.178437" in out
+        assert not any(l.startswith(("precision", "recall")) for l in out)
+
+    @pytest.mark.parametrize(
         "doc, code",
         [
             ("PCG 1 2000000000\n", cli.EXIT_VALIDATE),

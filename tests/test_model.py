@@ -63,6 +63,10 @@ def loop_of(i, j, k=5):
     return LoopClosureConstraint(i, j, np.zeros((k, 3)), np.ones((k, 3)))
 
 
+def odometry_of(i, k=5):
+    return OdometryConstraint(i, np.zeros((k, 3)), np.ones((k, 3)))
+
+
 class TestValidate:
     def test_well_formed_graph_passes(self):
         graph, _ = small_graph(np.random.default_rng(0))
@@ -122,6 +126,25 @@ class TestValidate:
         assert kinds == [("loop_without_label", (0, 3)), ("loop_without_label", (2, 5))]
         full = ProblemGraph(6, graph.odometry, graph.loops, oracle_labels={c.pair: False for c in loops})
         assert validate(full) == [] and validate(graph) == []
+
+    @pytest.mark.parametrize(
+        "build, kind, where",
+        [
+            (lambda g: ProblemGraph(1, [], []), "bad_fragment_count", (1,)),
+            (lambda g: ProblemGraph(4, [*g.odometry, odometry_of(5)], []), "odometry_index", (5,)),
+            (lambda g: ProblemGraph(4, [*g.odometry[1:], odometry_of(0, k=0)], []), "empty_odometry", (0,)),
+            (lambda g: ProblemGraph(4, g.odometry, [loop_of(3, 1)]), "loop_order", (3, 1)),
+            (lambda g: ProblemGraph(4, g.odometry, [], initial_poses=g.ground_truth[:3]), "init_length", (3,)),
+            (lambda g: ProblemGraph(4, g.odometry, [], ground_truth=g.ground_truth * 2), "gt_length", (8,)),
+            (lambda g: ProblemGraph(4, g.odometry, [], oracle_labels={(0, 3): True}), "label_without_loop", (0, 3)),
+        ],
+    )
+    def test_each_rule_names_its_kind_and_place(self, build, kind, where):
+        """Each rule on an otherwise valid 4-fragment chain is the one
+        violation, with its kind and where. INIT and GT runs of the wrong
+        length are built by hand, as the parser refuses them."""
+        graph, _ = small_graph(np.random.default_rng(8), n=4)
+        assert [(v.kind, v.where) for v in validate(build(graph))] == [(kind, where)]
 
     def test_validate_is_idempotent_and_pure(self):
         graph, _ = small_graph(np.random.default_rng(6))

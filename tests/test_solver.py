@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -765,7 +766,16 @@ class TestPattern:
         assert 0 < pattern.kept.sum() < len(pattern.kept) and pattern.bandwidth is None
         _, _, blocks = lm_terms(problem, graph.ground_truth)
         subgraph = pattern.matrix(solver._entries(blocks), solver.DAMPING_INIT, subgraph=True)
-        pose_ordered = solver._factor(subgraph)
+        factored = []
+        real_splu = solver.splu
+
+        def spy(system, **options):
+            factored.append(real_splu(system, **options))
+            return factored[-1]
+
+        monkeypatch.setattr(solver, "splu", spy)
+        assert solver._factor(subgraph) is not None
+        (pose_ordered,) = factored
         system = natural(subgraph.toarray(), pattern)
         scalar = splu(
             csc_matrix(system), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -1714,3 +1724,58 @@ class TestSolve:
         problem = build_problem(graph, PosteriorState(1.0, np.zeros(0)), Hyperparams())
         _, report = solve_poses(problem, se3.unstack(*initialize_poses(graph)))
         assert report.objective_end <= report.objective_start + 1e-12
+
+    def test_no_pose_raises(self):
+        problem = Problem(MatchTable.from_constraints([]), np.zeros(0), KERNEL_SQUARED)
+        state = em.evaluate_poses(problem.table, np.zeros((0, 4)), np.zeros((0, 3)), KERNEL_SQUARED, 1.0)
+        with pytest.raises(ValueError, match="^no pose to hold fixed$"):
+            solve(problem, state)
+
+    def test_one_pose_returns_its_start(self):
+        """A lone pose is the gauge: the solve takes no step and returns the start state."""
+        problem = Problem(MatchTable.from_constraints([]), np.zeros(0), KERNEL_SQUARED)
+        state = em.evaluate_poses(problem.table, *se3.stack([se3.identity()]), KERNEL_SQUARED, 1.0)
+        out, report = solve(problem, state)
+        assert out is state
+        assert report.termination == "gradient" and report.iterations == 0
+        assert report.objective_end == report.objective_start
+
+
+class TestFactorContract:
+    """_factor and _band_factor each return the preconditioner PCG applies,
+    or None when the trial gets no step; _pcg returns None on a miss."""
+
+    def test_pcg_misses_on_a_preconditioner_that_is_not_positive_definite(self):
+        assert solver._pcg(lambda p: p, lambda r: -r, np.ones(3)) == (None, 1)
+
+    def test_zero_pivot_gives_no_preconditioner(self):
+        """An exactly singular system, a stored zero on its diagonal, which
+        SuperLU refuses to factor."""
+        system = csc_matrix((np.array([1.0, 0.0, 1.0]), np.arange(3), np.arange(4)), shape=(3, 3))
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert solver._factor(system) is None
+
+    @pytest.mark.parametrize("band_fill_ratio", [solver.BAND_FILL_RATIO, 0.0])
+    def test_preconditioner_solves_with_the_factor(self, band_fill_ratio, monkeypatch):
+        """On a band-pattern subgraph the preconditioner gives the bits of
+        dpbtrs over dpbtrf, and on a SuperLU-pattern one those of
+        splu(...).solve."""
+        monkeypatch.setattr(solver, "BAND_FILL_RATIO", band_fill_ratio)
+        problem, start = two_loop_problem()
+        pattern = kept_pattern(problem, 12)
+        assert (pattern.bandwidth is None) == (band_fill_ratio == 0.0)
+        _, grad, blocks = lm_terms(problem, start)
+        system = pattern.matrix(solver._entries(blocks), solver.DAMPING_INIT, subgraph=True)
+        rhs = pattern.take(-grad)
+        if pattern.bandwidth is None:
+            lu = splu(
+                system, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=3, panel_size=6,
+                options={"SymmetricMode": True},
+            )
+            expected, precondition = lu.solve(rhs), solver._factor(system)
+        else:
+            factor, info = dpbtrf(system, lower=1)
+            assert info == 0
+            expected, precondition = dpbtrs(factor, rhs, lower=1)[0], solver._band_factor(system)
+        assert precondition(rhs).tobytes() == expected.tobytes()

@@ -253,6 +253,18 @@ class TestEvaluate:
         with pytest.raises(ScenarioError, match="at least 6"):
             evaluate(graph.ground_truth[:5], small, [])
 
+    @pytest.mark.parametrize(
+        "field, message", [("ground_truth", "no ground truth"), ("oracle_labels", "no oracle loop labels")]
+    )
+    def test_graph_without_ground_truth_or_labels(self, field, message):
+        """A graph that carries no ground truth, or no labels at all, has no score."""
+        graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
+        oracle = [graph.oracle_labels[c.pair] for c in graph.loops]
+        poses = graph.ground_truth
+        setattr(graph, field, None)
+        with pytest.raises(ScenarioError, match=message):
+            evaluate(poses, graph, oracle)
+
     def test_partial_oracle_labels(self):
         """Labels for some loops only: no score, and no KeyError."""
         graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=3))
