@@ -242,12 +242,12 @@ def _derivative_errors(rng, kernel: str, count: int) -> tuple[float, float]:
         return float(error.max())
 
     def hessian_error(prob, state, curvature):
-        blocks = solver._assemble(prob, state, curvature)[1]
+        entries = solver._assemble(prob, state, curvature)[1]
         # the poses of _assemble's blocks: H_ii, H_jj, H_ij, H_ji of each constraint (i, j) in turn
         rows, cols = np.concatenate([pairs[:, [0, 0]], pairs[:, [1, 1]], pairs, pairs[:, ::-1]]).T
-        dense = np.zeros((count, 3, 3, 6, 6))
-        np.add.at(dense, (rows // 3, rows % 3, cols % 3), blocks)
-        dense = dense.transpose(0, 1, 3, 2, 4).reshape(count, 18, 18)
+        at_row, at_col = 6 * (rows % 3)[:, None] + solver._ENTRY_ROWS, 6 * (cols % 3)[:, None] + solver._ENTRY_COLS
+        dense = np.zeros((count, 18, 18))
+        np.add.at(dense, ((rows // 3)[:, None], at_row, at_col), entries)
         h = 1e-4
         at = objectives(prob, state, np.zeros(18))
         second = (objectives(prob, state, h * u) - 2.0 * at + objectives(prob, state, -h * u)) / (h * h)

@@ -227,11 +227,10 @@ class MatchTable:
         translations. Poses far enough apart overflow to inf, which the caller
         reports, so numpy is not asked to warn of it."""
         i, j = self.pairs[:, 0], self.pairs[:, 1]
+        # matmul takes R_i^T from a C-contiguous copy, as it is slow on a transposed view; einsum is fast on R_i
+        ri_t = np.ascontiguousarray(np.swapaxes(rots, 1, 2))[i]
         with np.errstate(over="ignore", invalid="ignore"):
-            return (
-                np.einsum("cba,cbd->cad", rots[i], rots[j]),
-                np.einsum("cba,cb->ca", rots[i], trans[j] - trans[i]),
-            )
+            return ri_t @ rots[j], np.einsum("cba,cb->ca", rots[i], trans[j] - trans[i])
 
     def frame_residuals(self, rots: np.ndarray, trans: np.ndarray) -> FrameResiduals:
         """Per-match residual e_i = T_i^-1 (T_i p - T_j q) = p - R_ij q - t_ij in
@@ -266,7 +265,7 @@ class MatchTable:
         num, count = len(self.sizes), len(self)
         data = np.multiply(y.T, weights, order="C").ravel()
         rows = csr_matrix((data, *self._outer_index), shape=(3 * num, count))
-        return lambda x: np.moveaxis((rows @ x).reshape(3, num, *x.shape[1:]), 0, 1)
+        return lambda x: (rows @ x).reshape(3, num, *x.shape[1:]).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -288,6 +287,7 @@ class MatchMoments:
     pp: np.ndarray  # (C, 3, 3) P~ / 4^exponent
     qq: np.ndarray  # (C, 3, 3) Q~ / 4^exponent
     pq: np.ndarray  # (C, 3, 3) X~ / 4^exponent
+    qp: np.ndarray  # (C, 3, 3) X~^T / 4^exponent, C-contiguous, the operand of R_ij X~^T
 
     @classmethod
     def of(cls, table: MatchTable) -> MatchMoments:
@@ -323,9 +323,10 @@ class MatchMoments:
             inner = exponent(p, q)
             p, q = scaled(p, q, inner)
             about_p, about_q = table.outer_operator(table.ones, p), table.outer_operator(table.ones, q)
+            pq = about_p(q)
             return cls(
                 outer + inner, np.ldexp(p_mean, outer[:, None]), np.ldexp(q_mean, outer[:, None]),
-                about_p(p), about_q(q), about_p(q),
+                about_p(p), about_q(q), pq, np.ascontiguousarray(np.swapaxes(pq, 1, 2)),
             )
 
     def unscale(self, moment: np.ndarray) -> np.ndarray:
@@ -486,6 +487,7 @@ def validate(graph: ProblemGraph) -> list[Violation]:
             out.append(Violation("missing_odometry", (first, last), detail))
 
     seen_loops: set[tuple[int, int]] = set()
+    declared = {(c.i, c.j) for c in graph.loops}  # valid or not: the pairs a label may name
     for c in graph.loops:
         if not (0 <= c.i < n and 0 <= c.j < n):
             out.append(Violation("loop_index", (c.i, c.j), f"fragment index out of [0, {n - 1}]"))
@@ -509,7 +511,7 @@ def validate(graph: ProblemGraph) -> list[Violation]:
         out.append(Violation("gt_length", (len(graph.ground_truth),), f"expected {n} poses"))
     if graph.oracle_labels is not None:
         for pair in graph.oracle_labels:
-            if pair not in seen_loops:
+            if pair not in declared:
                 out.append(Violation("label_without_loop", pair, "label refers to no declared loop"))
         for pair in sorted(seen_loops - graph.oracle_labels.keys()):
             out.append(Violation("loop_without_label", pair, "labels are given, but not for this loop"))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _UNIT_TOL = 1e-12
+CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])  # times a quaternion (w, x, y, z), its conjugate
 
 # below this squared rotation angle, exp and log use truncated series
 _SMALL_ANGLE_SQ = 1e-8
@@ -74,14 +75,17 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternions (4,) or (N, 4)."""
     aw, ax, ay, az = np.asarray(a, dtype=float).T
     bw, bx, by, bz = np.asarray(b, dtype=float).T
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    ).T
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + ax * bw + ay * bz - az * by
+    y = aw * by - ax * bz + ay * bw + az * bx
+    z = aw * bz + ax * by - ay * bx + az * bw
+    return np.stack([w, x, y, z], axis=-1)
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of 3-vectors (3,) or (N, 3): np.cross's formula and bits, without its call overhead."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -153,7 +157,7 @@ def compose_arrays(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inverse_arrays(quat, trans) -> tuple[np.ndarray, np.ndarray]:
-    conj = np.asarray(quat, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+    conj = np.asarray(quat, dtype=float) * CONJUGATE
     return _canonical_quats(conj), -_rotate(conj, trans)
 
 
@@ -180,9 +184,9 @@ def exp_arrays(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c2 = np.where(
         small, 1.0 / 6.0 - theta_sq / 120.0 + sq / 5040.0, (theta - np.sin(theta)) / (t2 * t1)
     )
-    quat = np.array([np.cos(half), *(k * omega.T)]).T
-    wv = np.cross(omega, v)
-    return _canonical_quats(quat), (v.T + c1 * wv.T + c2 * np.cross(omega, wv).T).T
+    quat = np.stack([np.cos(half), *(k * omega.T)], axis=-1)
+    wv = cross(omega, v)
+    return _canonical_quats(quat), (v.T + c1 * wv.T + c2 * cross(omega, wv).T).T
 
 
 def log_arrays(quat: np.ndarray, trans: np.ndarray) -> np.ndarray:
@@ -204,8 +208,8 @@ def log_arrays(quat: np.ndarray, trans: np.ndarray) -> np.ndarray:
         1.0 / 12.0 + theta_sq / 720.0 + theta_sq * theta_sq / 30240.0,
         (1.0 - 0.5 * theta * np.cos(half) / np.sin(half)) / np.where(small, 1.0, theta_sq),
     )
-    wt = np.cross(omega, trans)
-    rho = (trans.T - 0.5 * wt.T + c3 * np.cross(omega, wt).T).T
+    wt = cross(omega, trans)
+    rho = (trans.T - 0.5 * wt.T + c3 * cross(omega, wt).T).T
     return np.concatenate([omega, rho], axis=-1)
 
 

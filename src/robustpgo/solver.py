@@ -61,12 +61,14 @@ moments and last _Pattern; once per solve, on first use by its Problem,
 whose weights are a read-only copy, the cauchy kernel's per-match 2 w, the
 squared kernel's weight-only local moments and the gradient's scatter slots;
 once per pose state, at each LM pass, the rest of the local moments and
-_assemble's gradient and H blocks, and in the curvature phase, on the first
-trial that gets no step, the Gauss-Newton H blocks at the same state; once
-per trial, and once more for a redo, the blocks' layout entries, the
-subgraph's system and the full system, each filled by one bincount into its
-structure's slots (_Pattern.matrix), the subgraph's factor and PCG; once per
-trial that gets a step, its evaluation.
+_assemble's gradient and H, written straight into the 24 layout entries of
+each 6x6 block that _Pattern.matrix fills from (no dense block is formed),
+and in the curvature phase, on the first trial that gets no step, the
+Gauss-Newton H at the same state; once per trial, and once more for a redo,
+the subgraph's system and the full system, each filled by one bincount into
+its structure's slots (_Pattern.matrix), the subgraph's factor and PCG; once
+per trial that gets a step, its evaluation. Stacked 3x3 products take
+C-contiguous operands, on which numpy's matmul is fastest.
 
 `robustpgo check-grad` checks _assemble's gradient and H against finite
 differences of _evaluate under _retract_all, the functions LM itself calls.
@@ -88,7 +90,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import se3
-from .model import Hyperparams, MatchTable, PosteriorState, ProblemGraph
+from .model import Hyperparams, MatchMoments, MatchTable, PosteriorState, ProblemGraph
 
 KERNEL_CAUCHY = "cauchy"  # rho(s) = ln(1 + s / sigma^2), the cauchy mode's kernel
 KERNEL_SQUARED = "gaussian"  # rho(s) = s, the gaussian mode's kernel
@@ -292,7 +294,7 @@ def _nonfinite(state: PoseState) -> SolverError:
 def _relative_quats(table: MatchTable, quats: np.ndarray) -> np.ndarray:
     """(C, 4) each constraint's relative rotation R_i^T R_j as a quaternion."""
     i, j = table.pairs[:, 0], table.pairs[:, 1]
-    return se3.quat_mul(quats[i] * [1.0, -1.0, -1.0, -1.0], quats[j])
+    return se3.quat_mul(quats[i] * se3.CONJUGATE, quats[j])
 
 
 def _anchored_sums(table: MatchTable, anchor: _Anchor, quats: np.ndarray, e_mean: np.ndarray) -> np.ndarray:
@@ -302,7 +304,7 @@ def _anchored_sums(table: MatchTable, anchor: _Anchor, quats: np.ndarray, e_mean
     4 (|v|^2 tr K0 - v^T K0 v - w v . kappa0). It is exact where D = I and
     small near it, so no large moment cancels, unlike tr P~ + tr Q~ -
     2 tr(R_ij X~^T). K0 is held scaled as the table's moments are."""
-    d = se3.quat_mul(_relative_quats(table, quats), anchor.quat * [1.0, -1.0, -1.0, -1.0])
+    d = se3.quat_mul(_relative_quats(table, quats), anchor.quat * se3.CONJUGATE)
     w, v = d[:, 0], d[:, 1:]
     turn = 4.0 * (
         np.einsum("ca,ca->c", v, v) * anchor.trace
@@ -337,7 +339,7 @@ def _evaluate(problem: Problem, quats, trans, anchor: _Anchor | None = None) -> 
         e_mean = moments.p_mean - np.einsum("cab,cb->ca", rij, moments.q_mean) - tij
         if anchor is None:
             centred = ei - np.repeat(e_mean, table.sizes, axis=0)  # p~ - R_ij q~
-            k0 = rij @ np.swapaxes(moments.pq, 1, 2)  # R_ij X~^T / 4^exponent
+            k0 = _turned_cross(rij, moments)
             anchor = _Anchor(
                 _relative_quats(table, quats), table.segment_sum(np.einsum("ma,ma->m", centred, centred)),
                 np.trace(k0, axis1=1, axis2=2), k0, k0[:, [1, 2, 0], [2, 0, 1]] - k0[:, [2, 0, 1], [1, 2, 0]],
@@ -350,46 +352,54 @@ def _evaluate(problem: Problem, quats, trans, anchor: _Anchor | None = None) -> 
     )
 
 
-def _skew_gram(S: np.ndarray) -> np.ndarray:
-    """sum alpha [a]x^T [b]x = tr(S) I - S^T from the moments S = sum alpha a b^T.
+# entries of a 6x6 block of H that are not zero by construction, [[gram, [upper]x],
+# [[lower]x, corner I]], in row-major order; the layout is symmetric
+_BLOCK_ENTRIES = np.flatnonzero(np.block([[np.ones((3, 3)), 1.0 - np.eye(3)], [1.0 - np.eye(3), np.eye(3)]]))
+_ENTRY_ROWS, _ENTRY_COLS = np.divmod(_BLOCK_ENTRIES, 6)
+_TRANSPOSED = np.searchsorted(_BLOCK_ENTRIES, 6 * _ENTRY_COLS + _ENTRY_ROWS)  # a block's transpose's entries
+_COLUMN_COUNTS = np.bincount(_ENTRY_COLS, minlength=6)  # entries in each column of the layout
+# each entry's rank among the layout's entries in its column, and the entries on the diagonal
+_ROW_RANKS = np.array([np.count_nonzero(_ENTRY_COLS[:k] == c) for k, c in enumerate(_ENTRY_COLS)])
+_DIAGONAL_ENTRIES = np.searchsorted(_BLOCK_ENTRIES, 7 * np.arange(6))
+# each part's layout entries: gram's off its diagonal (-S^T, from S's flat _GRAM_SOURCE) and on it;
+# [upper]x's and [lower]x's, sign * v[source] as [v]x = [[0, -v2, v1], [v2, 0, -v0], [-v1, v0, 0]]; corner's
+_GRAM_OFF, _GRAM_SOURCE, _GRAM_DIAGONAL = [1, 2, 5, 7, 10, 11], [3, 6, 1, 7, 2, 5], [0, 6, 12]
+_UPPER, _LOWER, _CORNER = [3, 4, 8, 9, 13, 14], [15, 16, 18, 19, 21, 22], [17, 20, 23]
+_SKEW_SOURCE, _SKEW_SIGN = [2, 1, 2, 0, 1, 0], np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 
-    Each diagonal entry is summed from the other two diagonal moments rather
-    than as tr(S) - S_kk, so no large term cancels.
-    """
-    out = -np.swapaxes(S, 1, 2)
-    d = np.diagonal(S, axis1=1, axis2=2)
-    out[:, [0, 1, 2], [0, 1, 2]] = d[:, [1, 0, 0]] + d[:, [2, 2, 1]]
+
+def _block_entries(moment, upper, lower, corner) -> np.ndarray:
+    """The (n, 24) _BLOCK_ENTRIES of the 6x6 blocks [[gram, [upper]x], [[lower]x, corner I]]
+    with gram = sum alpha [a]x^T [b]x = tr(S) I - S^T from the moments S = sum alpha a b^T
+    (moment), each diagonal entry summed from the other two diagonal moments rather than
+    as tr(S) - S_kk, so no large term cancels."""
+    flat = moment.reshape(len(moment), 9)
+    out = np.empty((len(moment), len(_BLOCK_ENTRIES)))
+    out[:, _GRAM_OFF] = -flat[:, _GRAM_SOURCE]
+    out[:, _GRAM_DIAGONAL] = flat[:, [4, 0, 0]] + flat[:, [8, 8, 4]]
+    out[:, _UPPER] = upper[:, _SKEW_SOURCE] * _SKEW_SIGN
+    out[:, _LOWER] = lower[:, _SKEW_SOURCE] * _SKEW_SIGN
+    out[:, _CORNER] = corner[:, None]
     return out
 
 
-def _block6(gram, upper, lower, corner) -> np.ndarray:
-    """(C, 6, 6) blocks [[gram, [upper]x], [[lower]x, corner * I]]; row k of
-    [v]x is e_k x v."""
-    out = np.zeros((len(gram), 6, 6))
-    out[:, :3, :3] = gram
-    out[:, _SKEW_ROWS, 3 + _SKEW_COLS] = upper[:, _SKEW_FROM] * _SKEW_SIGN
-    out[:, 3 + _SKEW_ROWS, _SKEW_COLS] = lower[:, _SKEW_FROM] * _SKEW_SIGN
-    out[:, 3:, 3:] = corner[:, None, None] * np.eye(3)
-    return out
-
-
-# the off-diagonal entries of [v]x = [[0, -v2, v1], [v2, 0, -v0], [-v1, v0, 0]]: row, column, +-v[from]
-_SKEW_ROWS, _SKEW_COLS = np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 0, 2, 0, 1])
-_SKEW_FROM, _SKEW_SIGN = np.array([2, 1, 2, 0, 1, 0]), np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
-def _world_moment(ra, local, rb, ua, tb, ta, sb) -> np.ndarray:
+def _world_moment(ra, local, rb_t, ua, tb, ta, sb) -> np.ndarray:
     """sum alpha (R_a x + t_a)(R_b z + t_b)^T from the local moment
-    sum alpha x z^T, with ua = R_a sum alpha x and sb = sum alpha (R_b z + t_b):
-    R_a local R_b^T + ua t_b^T + t_a sb^T."""
+    sum alpha x z^T, with rb_t a C-contiguous R_b^T, ua = R_a sum alpha x and
+    sb = sum alpha (R_b z + t_b): R_a local R_b^T + ua t_b^T + t_a sb^T."""
     outer = ua[:, :, None] * tb[:, None, :] + ta[:, :, None] * sb[:, None, :]
-    return ra @ local @ np.swapaxes(rb, 1, 2) + outer
+    return ra @ local @ rb_t + outer
+
+
+def _turned_cross(rij: np.ndarray, moments: MatchMoments) -> np.ndarray:
+    """R_ij X~^T / 4^exponent per constraint, from C-contiguous operands; its transpose is X~ R_ij^T."""
+    return rij @ moments.qp
 
 
 def _assemble(problem: Problem, state: PoseState, curvature: bool = False):
-    """Exact gradient and the (4C, 6, 6) blocks of H at a finite PoseState
-    evaluated for the problem: H_ii, H_jj, H_ij, H_ji of each constraint
-    (i, j) in turn; _Pattern places them.
+    """Exact gradient and H at a finite PoseState evaluated for the problem,
+    H as the (4C, 24) _BLOCK_ENTRIES of its 6x6 blocks H_ii, H_jj, H_ij, H_ji
+    of each constraint (i, j) in turn, the layout _Pattern.matrix fills from.
 
     A match with alpha = 2 w rho'(s) has world points y_i = T_i p, y_j = T_j q,
     residual e = y_i - y_j = R_i e_i and Jacobians J_i = [-[y_i]x, I] and
@@ -427,33 +437,33 @@ def _assemble(problem: Problem, state: PoseState, curvature: bool = False):
     table = problem.table
     i, j = table.pairs[:, 0], table.pairs[:, 1]
     ri, rj, ti, tj = state.rots[i], state.rots[j], state.trans[i], state.trans[j]
+    rj_t = np.swapaxes(rj, 1, 2).copy()  # C-contiguous, as is each operand of a stacked product here
     m = _local_moments(problem, state, curvature)
 
     e_sum = np.einsum("cab,cb->ca", ri, m.e)  # E
-    g = np.hstack([np.einsum("cab,cb->ca", ri, m.cross) + np.cross(ti, e_sum), e_sum])
+    g = np.hstack([np.einsum("cab,cb->ca", ri, m.cross) + se3.cross(ti, e_sum), e_sum])
     # one bincount adds the terms in the order two np.add.at would: pose i's, then pose j's
     grad = np.bincount(problem._gradient_slots, weights=np.concatenate([g, -g]).ravel(), minlength=6 * len(state))
 
     rp, rq = np.einsum("cab,cb->ca", ri, m.p), np.einsum("cab,cb->ca", rj, m.q)
     si, sj = rp + m.a0[:, None] * ti, rq + m.a0[:, None] * tj
-    sij = _world_moment(ri, m.pq, rj, rp, tj, ti, sj)
-    # the diagonal block kinds, then H_ij, stacked C rows each into one _skew_gram
-    # and one _block6 call; with curvature H_ii and H_jj are one block
+    sij = _world_moment(ri, m.pq, rj_t, rp, tj, ti, sj)
+    # the diagonal block kinds, then H_ij, whose gram is that of -S, C rows each
+    # into one _block_entries call; with curvature H_ii and H_jj are one block
     if curvature:
         c = 0.5 * (si + sj)
-        grams, uppers, lowers, corners = [0.5 * (sij + np.swapaxes(sij, 1, 2))], [c], [-c], [m.a0]
+        moments, uppers, lowers, corners = [0.5 * (sij + np.swapaxes(sij, 1, 2))], [c], [-c], [m.a0]
     else:
-        sii = _world_moment(ri, m.pp, ri, rp, ti, ti, si)
-        sjj = _world_moment(rj, m.qq, rj, rq, tj, tj, sj)
-        grams, uppers, lowers, corners = [sii, sjj], [si, sj], [-si, -sj], [m.a0, m.a0]
-    gram = _skew_gram(np.concatenate([*grams, sij]))
-    h_ij = len(gram) - len(sij)  # the first row of H_ij, whose gram is the negated one
-    np.negative(gram[h_ij:], out=gram[h_ij:])
-    blocks = _block6(
-        gram, np.concatenate([*uppers, -si]), np.concatenate([*lowers, sj]), np.concatenate([*corners, -m.a0])
+        sii = _world_moment(ri, m.pp, np.swapaxes(ri, 1, 2).copy(), rp, ti, ti, si)
+        sjj = _world_moment(rj, m.qq, rj_t, rq, tj, tj, sj)
+        moments, uppers, lowers, corners = [sii, sjj], [si, sj], [-si, -sj], [m.a0, m.a0]
+    kinds = _block_entries(
+        np.concatenate([*moments, -sij]), np.concatenate([*uppers, -si]), np.concatenate([*lowers, sj]),
+        np.concatenate([*corners, -m.a0]),
     )
-    diagonal = [blocks[:h_ij]] * (2 if curvature else 1)
-    return grad, np.concatenate([*diagonal, blocks[h_ij:], np.swapaxes(blocks[h_ij:], 1, 2)])
+    h_ij = len(kinds) - len(sij)  # the first row of H_ij
+    diagonal = [kinds[:h_ij]] * (2 if curvature else 1)
+    return grad, np.concatenate([*diagonal, kinds[h_ij:], kinds[h_ij:, _TRANSPOSED]])  # H_ji = H_ij^T
 
 
 class _Moments(NamedTuple):
@@ -505,20 +515,11 @@ def _local_moments(problem: Problem, state: PoseState, curvature: bool) -> _Mome
 
     moments, fixed = table.moments, problem._fixed_moments
     # sum p e_i^T without P~, whose antisymmetric part is zero
-    pe = _squared_moment(problem, -moments.pq @ np.swapaxes(state.rij, 1, 2), moments.p_mean, state.e_mean)
+    turned = np.swapaxes(_turned_cross(state.rij, moments), 1, 2)
+    pe = _squared_moment(problem, -turned, moments.p_mean, state.e_mean)
     return fixed._replace(
         e=fixed.a0[:, None] * state.e_mean, cross=pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]]
     )
-
-
-# entries of a 6x6 block of H that are not zero by construction, in row-major order; the
-# layout is symmetric, so an H_ji block has the same one as H_ij
-_BLOCK_ENTRIES = np.flatnonzero(_block6(np.ones((1, 3, 3)), np.ones((1, 3)), np.ones((1, 3)), np.ones(1)))
-_ENTRY_ROWS, _ENTRY_COLS = np.divmod(_BLOCK_ENTRIES, 6)
-_COLUMN_COUNTS = np.bincount(_ENTRY_COLS, minlength=6)  # entries in each column of the layout
-# each entry's rank among the layout's entries in its column, and the entries on the diagonal
-_ROW_RANKS = np.array([np.count_nonzero(_ENTRY_COLS[:k] == c) for k, c in enumerate(_ENTRY_COLS)])
-_DIAGONAL_ENTRIES = np.searchsorted(_BLOCK_ENTRIES, 7 * np.arange(6))
 
 
 def _pose_order(pairs: np.ndarray, num_poses: int) -> tuple[np.ndarray, int | None]:
@@ -554,7 +555,7 @@ def _pose_order(pairs: np.ndarray, num_poses: int) -> tuple[np.ndarray, int | No
 
 class _Structure(NamedTuple):
     """Where one system of a _Pattern stores its entries: the slot of each
-    entry of _BLOCK_ENTRIES in each of _assemble's blocks (a spare slot, one
+    of _assemble's layout entries, _BLOCK_ENTRIES of each block (a spare slot, one
     past the stored entries, for an entry the system leaves out) and the
     slot of each diagonal entry. A compressed sparse column (CSC) system
     (_structure) also holds its index arrays; a band (_band_slots) has none."""
@@ -630,8 +631,8 @@ class _Pattern:
     trial factors: a band pattern's (bandwidth not None) in LAPACK's lower
     band storage (_band_slots), any other's their own CSC structure, which
     stores no entry where only the other pairs' blocks land, as SuperLU's
-    fill follows the stored entries. matrix fills either from the flat
-    layout entries of _assemble's blocks (_entries)."""
+    fill follows the stored entries. matrix fills either from the layout
+    entries of _assemble's blocks."""
 
     def __init__(self, pairs: np.ndarray, num_poses: int, kept: np.ndarray):
         self.kept = kept
@@ -647,8 +648,8 @@ class _Pattern:
 
     def matrix(self, entries: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix | np.ndarray:
         """The system H + damping I over the free dofs, or with subgraph over
-        the kept pairs only, from the layout entries of _assemble's blocks
-        (_entries): one bincount fills its structure's slots (the entries it
+        the kept pairs only, from the (4C, 24) layout entries of _assemble's
+        blocks: one bincount fills its structure's slots (the entries it
         leaves out go to the spare), and the damping is added on its
         diagonal slots. A CSC structure gives a csc_matrix, a band the
         column-major (kd + 1, n) array. Each sums a slot's entries in the
@@ -657,7 +658,7 @@ class _Pattern:
         structure = self.subgraph if subgraph else self.full
         band = structure.indices is None
         size = (6 * self.bandwidth + 6) * self.shape[0] if band else len(structure.indices)
-        data = np.bincount(structure.slot.ravel(), weights=entries, minlength=size + 1)[:size]
+        data = np.bincount(structure.slot.ravel(), weights=entries.ravel(), minlength=size + 1)[:size]
         data[structure.diagonal] += damping
         if band:
             return data.reshape((-1, self.shape[0]), order="F")
@@ -674,12 +675,6 @@ class _Pattern:
         out = np.zeros(6 + self.shape[0])
         out[6:] = values[self.pos]
         return out
-
-
-def _entries(blocks: np.ndarray) -> np.ndarray:
-    """The entries of _BLOCK_ENTRIES of each of _assemble's blocks, flat, in
-    the order of a pattern's slot maps."""
-    return blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES].ravel()
 
 
 # the last pattern built for each table, freed with its table
@@ -760,7 +755,7 @@ def _pcg(product, precondition, rhs: np.ndarray):
     return (x, k) if np.isfinite(x).all() else (None, k)
 
 
-def _step(pattern: _Pattern, blocks: np.ndarray, grad: np.ndarray, damping: float):
+def _step(pattern: _Pattern, entries: np.ndarray, grad: np.ndarray, damping: float):
     """One trial step: the solution of (H + damping I) step = -grad over the
     free dofs, with H over all constraints, as a 6N vector that is zero on
     the gauge, or None when the trial gets no step; with the PCG iterations
@@ -770,13 +765,12 @@ def _step(pattern: _Pattern, blocks: np.ndarray, grad: np.ndarray, damping: floa
     kept pairs are factored, and PCG with that factor recovers the step of
     the full system, which it multiplies by in the same order, so the
     right-hand side is taken into that order once and the step put back
-    once. The blocks' layout entries are gathered once, and the subgraph and
-    the full system are each filled from them by _Pattern.matrix. A band
+    once. The subgraph and the full system are each filled from H's layout
+    entries, as _assemble returns them, by _Pattern.matrix. A band
     pattern's subgraph is factored as a band (_band_factor), any other's by
     SuperLU (_factor). Either returns the preconditioner PCG applies, or None
     for a band that is not positive definite or a zero pivot in SuperLU's
     factor; that None, or a PCG miss, gives None."""
-    entries = _entries(blocks)
     subgraph = pattern.matrix(entries, damping, subgraph=True)
     precondition = (_factor if pattern.bandwidth is None else _band_factor)(subgraph)
     if precondition is None:
@@ -808,7 +802,7 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
     step lowers the objective by less than CURVATURE_SWITCH relative; from
     then on it also holds the residual-curvature term (see _assemble), for
     the rest of the solve. A curvature-phase trial that gets no step from
-    _step is redone at the same damping with the Gauss-Newton blocks at the
+    _step is redone at the same damping with the Gauss-Newton H at the
     same state, assembled at most once per LM pass; only a trial that still
     gets no step is rejected as a miss, and an accepted redo is no curvature
     step. The solve ends "gradient" when the max-norm of the
@@ -852,7 +846,7 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
     curvature = False
 
     while not termination:
-        grad, blocks = _assemble(problem, state, curvature)
+        grad, entries = _assemble(problem, state, curvature)
         gradient_norm = float(np.abs(grad[6:]).max())
         if gradient_norm < GRADIENT_TOL:
             termination = "gradient"
@@ -861,10 +855,10 @@ def solve(problem: Problem, state: PoseState) -> tuple[PoseState, SolverReport]:
             termination = "max_iterations"
             break
 
-        gauss_newton = None  # the Gauss-Newton blocks at this state, once a curvature trial needs them
+        gauss_newton = None  # the Gauss-Newton H at this state, once a curvature trial needs it
         while True:
             factorizations += 1
-            step, iterations = _step(pattern, blocks, grad, damping)
+            step, iterations = _step(pattern, entries, grad, damping)
             pcg_iterations += iterations
             redone = step is None and curvature  # with the Gauss-Newton H, positive definite once damped
             if redone:

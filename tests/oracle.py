@@ -5,7 +5,9 @@ objective, gradient and H that LM runs: they evaluate one match at a time in
 the world frame, one pose at a time (transform_point). pose_difference
 measures how far apart two poses are, and solve_poses runs the M-step on a
 list of poses, evaluated afresh for the problem. block6_cross is H's
-6x6 block with its skew parts built by np.cross. segment_medians_lexsort
+6x6 block with its skew parts built by np.cross, and skew_gram its gram
+block from moments, as the solver built both before it wrote H's layout
+entries directly. segment_medians_lexsort
 and fit_rigid_projected are the initialization's median and fit as they
 were before the medians took two sorts and the projected degeneracy check
 ran only near its bound: one np.lexsort by (constraint, value), and the
@@ -22,8 +24,9 @@ subgraph that zeroes the left-out blocks and drops every zero it stores.
 assemble_per_block is LM's gradient and H as they were built before a solve
 formed its weight-only terms once and H's block kinds were stacked: every
 pass forms the squared kernel's weight-only local moments and the cauchy
-kernel's per-match 2 w again, each block kind takes its own _skew_gram and
-_block6 call, and the gradient is scattered by two np.add.at.
+kernel's per-match 2 w again, each block kind takes its own _block_entries
+call, H_ji too (as the block of H_ij's transposed terms), and the gradient
+is scattered by two np.add.at.
 canonical_quat is how a Pose made its quaternion canonical before the
 package made every quaternion canonical in batches: one quaternion, its
 norm the dot q @ q.
@@ -42,7 +45,7 @@ from robustpgo.em import EmError, EmIteration, EmTrace, e_step, evaluate_poses, 
 from robustpgo.model import MatchTable, initialize_poses, learn_theta_gaussian
 from robustpgo.se3 import Pose
 from robustpgo.solver import (
-    _BLOCK_ENTRIES, KERNEL_SQUARED, _block6, _drho, _pose_order, _rho, _skew_gram, _world_moment,
+    _BLOCK_ENTRIES, KERNEL_SQUARED, _block_entries, _drho, _pose_order, _rho, _turned_cross, _world_moment,
 )
 from scipy.sparse import csc_matrix
 
@@ -178,9 +181,18 @@ def hessian_blocks(block: ResidualBlock, poses: list[Pose], curvature: bool = Fa
     return h_ii, h_jj, h_ij
 
 
+def skew_gram(S: np.ndarray) -> np.ndarray:
+    """sum alpha [a]x^T [b]x = tr(S) I - S^T from the moments S = sum alpha a b^T,
+    each diagonal entry summed from the other two diagonal moments."""
+    out = -np.swapaxes(S, 1, 2)
+    d = np.diagonal(S, axis1=1, axis2=2)
+    out[:, [0, 1, 2], [0, 1, 2]] = d[:, [1, 0, 0]] + d[:, [2, 2, 1]]
+    return out
+
+
 def block6_cross(gram, upper, lower, corner) -> np.ndarray:
-    """solver._block6 with its skew blocks built by np.cross: row k of [v]x
-    is e_k x v."""
+    """(n, 6, 6) blocks [[gram, [upper]x], [[lower]x, corner I]] with their
+    skew blocks built by np.cross: row k of [v]x is e_k x v."""
     out = np.zeros((len(gram), 6, 6))
     out[:, :3, :3] = gram
     out[:, :3, 3:] = np.cross(np.eye(3), upper[:, None, :])
@@ -334,11 +346,11 @@ class EntryPattern:
         self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
         self.shape = (n, n)
 
-    def matrix(self, blocks: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
-        values = blocks.reshape(len(blocks), 36)[:, _BLOCK_ENTRIES]
+    def matrix(self, entries: np.ndarray, damping: float, subgraph: bool = False) -> csc_matrix:
+        """The system from _assemble's (4C, 24) layout entries."""
         if subgraph:
-            values = np.where(np.tile(self.kept, 4)[:, None], values, 0.0)
-        data = np.bincount(self.slot, weights=values.ravel(), minlength=len(self.indices) + 1)[:-1]
+            entries = np.where(np.tile(self.kept, 4)[:, None], entries, 0.0)
+        data = np.bincount(self.slot, weights=entries.ravel(), minlength=len(self.indices) + 1)[:-1]
         data[self.diagonal] += damping
         system = csc_matrix((data, self.indices, self.indptr), shape=self.shape, copy=True)
         if subgraph:
@@ -369,7 +381,7 @@ def _local_moments_per_pass(problem: solver.Problem, state: solver.PoseState, cu
         outer = k[:, None, None] * a[:, :, None] * b[:, None, :]
         return w2[:, None, None] * (moments.unscale(centred) + outer)
 
-    pe = second(-moments.pq @ np.swapaxes(state.rij, 1, 2), moments.p_mean, state.e_mean)
+    pe = second(-np.swapaxes(_turned_cross(state.rij, moments), 1, 2), moments.p_mean, state.e_mean)
     return (
         a0, a0[:, None] * moments.p_mean, a0[:, None] * moments.q_mean, a0[:, None] * state.e_mean,
         pe[:, [1, 2, 0], [2, 0, 1]] - pe[:, [2, 0, 1], [1, 2, 0]],
@@ -380,8 +392,10 @@ def _local_moments_per_pass(problem: solver.Problem, state: solver.PoseState, cu
 
 
 def assemble_per_block(problem: solver.Problem, state: solver.PoseState, curvature: bool = False):
-    """solver._assemble's gradient and (4C, 6, 6) blocks, one _skew_gram and
-    _block6 call per block kind and the gradient added by np.add.at."""
+    """solver._assemble's gradient and (4C, 24) layout entries of H, one
+    _block_entries call per block kind and the gradient added by np.add.at.
+    H_ji = H_ij^T is built from its own terms: with gram(S) = tr(S) I - S^T,
+    gram(S)^T = gram(S^T) and [v]x^T = [-v]x."""
     table = problem.table
     i, j = table.pairs[:, 0], table.pairs[:, 1]
     ri, rj, ti, tj = state.rots[i], state.rots[j], state.trans[i], state.trans[j]
@@ -395,14 +409,17 @@ def assemble_per_block(problem: solver.Problem, state: solver.PoseState, curvatu
 
     rp, rq = np.einsum("cab,cb->ca", ri, mp), np.einsum("cab,cb->ca", rj, mq)
     si, sj = rp + a0[:, None] * ti, rq + a0[:, None] * tj
-    sij = _world_moment(ri, pq, rj, rp, tj, ti, sj)
+    ri_t, rj_t = np.swapaxes(ri, 1, 2), np.swapaxes(rj, 1, 2)
+    sij = _world_moment(ri, pq, rj_t, rp, tj, ti, sj)
     if curvature:
         c = 0.5 * (si + sj)
-        h_ii = h_jj = _block6(_skew_gram(0.5 * (sij + np.swapaxes(sij, 1, 2))), c, -c, a0)
+        h_ii = h_jj = _block_entries(0.5 * (sij + np.swapaxes(sij, 1, 2)), c, -c, a0)
     else:
-        sii = _world_moment(ri, pp, ri, rp, ti, ti, si)
-        sjj = _world_moment(rj, qq, rj, rq, tj, tj, sj)
-        h_ii = _block6(_skew_gram(sii), si, -si, a0)
-        h_jj = _block6(_skew_gram(sjj), sj, -sj, a0)
-    h_ij = _block6(-_skew_gram(sij), -si, sj, -a0)
-    return grad.reshape(-1), np.concatenate([h_ii, h_jj, h_ij, np.swapaxes(h_ij, 1, 2)])
+        sii = _world_moment(ri, pp, ri_t, rp, ti, ti, si)
+        sjj = _world_moment(rj, qq, rj_t, rq, tj, tj, sj)
+        h_ii = _block_entries(sii, si, -si, a0)
+        h_jj = _block_entries(sjj, sj, -sj, a0)
+    # -(tr(S) I - S^T) is gram(-S)
+    h_ij = _block_entries(-sij, -si, sj, -a0)
+    h_ji = _block_entries(-np.swapaxes(sij, 1, 2), -sj, si, -a0)
+    return grad.reshape(-1), np.concatenate([h_ii, h_jj, h_ij, h_ji])

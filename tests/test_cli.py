@@ -127,6 +127,17 @@ class TestSolve:
                 "LABEL 0 3 1\n",
                 "label_without_loop(0, 3): label refers to no declared loop",
             ),
+            # a label on a loop that is declared but invalid names that loop's violation alone
+            (
+                "PCG 1 4\nODOM 0 1\nM 0 0 0 0 0 0\nODOM 1 1\nM 0 0 0 0 0 0\nODOM 2 1\nM 0 0 0 0 0 0\n"
+                "LOOP 3 1 3\nM 0 0 0 0 0 0\nM 0 0 0 0 0 0\nM 0 0 0 0 0 0\nLABEL 3 1 1\n",
+                "loop_order(3, 1): loops must have i < j",
+            ),
+            (
+                "PCG 1 4\nODOM 0 1\nM 0 0 0 0 0 0\nODOM 1 1\nM 0 0 0 0 0 0\nODOM 2 1\nM 0 0 0 0 0 0\n"
+                "LOOP 0 9 3\nM 0 0 0 0 0 0\nM 0 0 0 0 0 0\nM 0 0 0 0 0 0\nLABEL 0 9 1\n",
+                "loop_index(0, 9): fragment index out of [0, 3]",
+            ),
         ],
     )
     def test_each_violation_a_file_can_hold_is_named(self, tmp_path, capsys, doc, line):
@@ -734,14 +745,14 @@ class TestCheckGrad:
         real = solver._assemble
 
         def faulty(*args, **kwargs):
-            grad, blocks = real(*args, **kwargs)
+            grad, entries = real(*args, **kwargs)
             if fault == "gradient_sign":
                 grad = grad.copy()
                 grad.reshape(-1, 6)[:, 3:] *= -1.0
             else:
-                off = len(blocks) // 2  # H_ii, H_jj, then H_ij, H_ji of every constraint
-                blocks = np.concatenate([blocks[:off], np.swapaxes(blocks[off:], 1, 2)])
-            return grad, blocks
+                off = len(entries) // 2  # H_ii, H_jj, then H_ij, H_ji of every constraint
+                entries = np.concatenate([entries[:off], entries[off:, solver._TRANSPOSED]])
+            return grad, entries
 
         monkeypatch.setattr(solver, "_assemble", faulty)
         assert run_cli(["check-grad", "--seed", "1", "--blocks", "20"]) == cli.EXIT_SOLVER

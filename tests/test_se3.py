@@ -110,6 +110,17 @@ class TestExpLog:
             xi = np.concatenate([scale * rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)])
             np.testing.assert_allclose(se3.log_arrays(*se3.exp_arrays(xi)), xi, atol=1e-12)
 
+    def test_cross_gives_the_bits_of_np_cross(self):
+        """se3.cross, the component formula exp_arrays, log_arrays and the
+        solver's gradient take in place of np.cross, gives np.cross's bits on
+        a stack and on one vector, across magnitudes and with inf and NaN."""
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 200, 3)) * 10.0 ** rng.integers(-150, 150, size=(2, 200, 1))
+        a[:3, 0], b[3:6, 1] = [np.inf, -np.inf, np.nan], [np.nan, np.inf, 0.0]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for x, y in ((a, b), (a[7], b[7]), (a[0], b[0])):
+                assert se3.cross(x, y).tobytes() == np.cross(x, y).tobytes()
+
 
 class TestRetract:
     def test_zero_retract_is_exact(self):

@@ -31,6 +31,7 @@ from oracle import (
     in_frame,
     pose_difference,
     residual_and_jacobian,
+    skew_gram,
     solve_poses,
 )
 from test_model import chain_poses
@@ -77,8 +78,8 @@ def stepped_objective(problem, poses):
 
 
 def lm_terms(problem, poses):
-    """The objective, gradient and H blocks LM forms at the given poses, from
-    one evaluation of them."""
+    """The objective, gradient and H layout entries LM forms at the given
+    poses, from one evaluation of them."""
     state = solver._evaluate(problem, *se3.stack(poses))
     return (problem.objective(state), *solver._assemble(problem, state))
 
@@ -102,13 +103,19 @@ def per_match_blocks(problem):
     ]
 
 
-def dense_hessian(blocks, pairs, num_poses):
-    """H as a dense (6N, 6N) array, each of _assemble's blocks added at its pose pair."""
+def dense_hessian(entries, pairs, num_poses):
+    """H as a dense (6N, 6N) array, the layout entries of each of _assemble's
+    blocks added at its pose pair."""
     i, j = pairs[:, 0], pairs[:, 1]
     H = np.zeros((num_poses, 6, num_poses, 6))
-    for a, b, block in zip(np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]), blocks):
-        H[a, :, b, :] += block
+    for a, b, block in zip(np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]), entries):
+        H[a, solver._ENTRY_ROWS, b, solver._ENTRY_COLS] += block
     return H.reshape(6 * num_poses, 6 * num_poses)
+
+
+def kept_entries(entries, kept):
+    """The layout entries of the blocks of the kept constraints, in _assemble's order."""
+    return entries.reshape(4, len(kept), -1)[:, kept].reshape(-1, entries.shape[1])
 
 
 def kept_pattern(problem, num_poses):
@@ -306,7 +313,7 @@ class TestGradients:
         p = np.einsum("mba,mb->ma", rots[i], world - trans[i])
         q = np.einsum("mba,mb->ma", rots[j], world - trans[j])
         exact = Problem(MatchTable(t.pairs, t.sizes, p, q), problem.weights, kernel, 0.5)
-        total, grad, blocks = lm_terms(exact, poses)
+        total, grad, entries = lm_terms(exact, poses)
         assert total < 1e-25 and np.abs(grad).max() < 1e-12
         exact_objective = stepped_objective(exact, poses)
         h = 1e-5
@@ -326,7 +333,7 @@ class TestGradients:
                 for a in basis
             ]
         )
-        assembled = dense_hessian(blocks, t.pairs, 3)
+        assembled = dense_hessian(entries, t.pairs, 3)
         assert np.abs(assembled - assembled.T).max() <= 1e-14 * np.abs(assembled).max()
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
 
@@ -352,8 +359,8 @@ class TestGradients:
                 for a in basis
             ]
         )
-        _, blocks = solver._assemble(problem, state, curvature=True)
-        assembled = dense_hessian(blocks, problem.table.pairs, 3)
+        _, entries = solver._assemble(problem, state, curvature=True)
+        assembled = dense_hessian(entries, problem.table.pairs, 3)
         gauss_newton = dense_hessian(solver._assemble(problem, state)[1], problem.table.pairs, 3)
         np.testing.assert_array_equal(assembled, assembled.T)
         assert np.abs(numeric - assembled).max() <= 1e-6 * np.abs(assembled).max()
@@ -394,25 +401,61 @@ class TestGradients:
 
 class TestBlock6:
     def test_index_built_skew_blocks_match_np_cross(self):
-        """_block6 places [v]x by index; every entry it fills equals the
-        np.cross form's (tests/oracle.py) bit for bit, and the entries that
-        are zero by construction are zero in both."""
+        """_block_entries writes gram and [v]x into the layout by index;
+        every entry it writes equals the np.cross form's (tests/oracle.py)
+        bit for bit, and the entries that are zero by construction, those
+        the layout leaves out, are zero there."""
         rng = np.random.default_rng(31)
-        gram, upper, lower, corner = (rng.normal(size=(50,) + shape) for shape in ((3, 3), (3,), (3,), ()))
-        out, expected = solver._block6(gram, upper, lower, corner), block6_cross(gram, upper, lower, corner)
+        moment, upper, lower, corner = (rng.normal(size=(50,) + shape) for shape in ((3, 3), (3,), (3,), ()))
+        out = solver._block_entries(moment, upper, lower, corner)
+        expected = block6_cross(skew_gram(moment), upper, lower, corner)
         entries = solver._BLOCK_ENTRIES
-        flat, flat_expected = out.reshape(50, 36), expected.reshape(50, 36)
-        assert flat[:, entries].tobytes() == flat_expected[:, entries].tobytes()
-        np.testing.assert_array_equal(out, expected)
-        assert not np.delete(flat, entries, axis=1).any()
+        flat_expected = expected.reshape(50, 36)
+        assert out.tobytes() == flat_expected[:, entries].tobytes()
+        assert not np.delete(flat_expected, entries, axis=1).any()
+
+
+class TestEntryLayout:
+    def test_block_entries_are_the_nonzero_layout_of_the_np_cross_blocks(self):
+        """_BLOCK_ENTRIES is the row-major nonzero layout of block6_cross's
+        blocks at generic values, and _ENTRY_ROWS, _ENTRY_COLS and
+        _TRANSPOSED follow from it."""
+        rng = np.random.default_rng(32)
+        gram, upper, lower, corner = (rng.normal(size=(20,) + shape) for shape in ((3, 3), (3,), (3,), ()))
+        nonzero = (block6_cross(gram, upper, lower, corner) != 0.0).reshape(20, 36)
+        assert (nonzero == nonzero[0]).all()
+        np.testing.assert_array_equal(solver._BLOCK_ENTRIES, np.flatnonzero(nonzero[0]))
+        np.testing.assert_array_equal(6 * solver._ENTRY_ROWS + solver._ENTRY_COLS, solver._BLOCK_ENTRIES)
+        transposed = 6 * solver._ENTRY_COLS + solver._ENTRY_ROWS
+        np.testing.assert_array_equal(solver._BLOCK_ENTRIES[solver._TRANSPOSED], transposed)
+
+    @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED], ids=KERNEL_IDS)
+    @pytest.mark.parametrize("curvature", [False, True], ids=["gauss-newton", "curvature"])
+    def test_scattered_entries_give_h_ji_as_the_transpose_of_h_ij(self, kernel, curvature):
+        """_assemble's (4C, 24) entries, each block's scattered by
+        _ENTRY_ROWS and _ENTRY_COLS into a dense 6x6 block, give H_ji
+        exactly H_ij^T, under either kernel and in either phase; in the
+        curvature phase H_ii and H_jj are one block."""
+        rng = np.random.default_rng(33)
+        problem = random_problem(rng, kernel)
+        poses = [se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6))) for _ in range(3)]
+        entries = solver._assemble(problem, solver._evaluate(problem, *se3.stack(poses)), curvature)[1]
+        count = len(problem.table.pairs)
+        assert entries.shape == (4 * count, 24) and entries.flags.c_contiguous
+        dense = np.zeros((4 * count, 6, 6))
+        dense[:, solver._ENTRY_ROWS, solver._ENTRY_COLS] = entries
+        h_ii, h_jj, h_ij, h_ji = dense.reshape(4, count, 6, 6)
+        assert h_ji.tobytes() == np.swapaxes(h_ij, 1, 2).tobytes()
+        assert (h_ii.tobytes() == h_jj.tobytes()) == curvature
 
 
 class TestAssembleBytes:
     @pytest.mark.parametrize("kernel", [KERNEL_CAUCHY, KERNEL_SQUARED], ids=KERNEL_IDS)
     def test_assemble_gives_the_per_block_build_bytes(self, kernel):
-        """_assemble's gradient and blocks, with its weight-only terms formed
-        once per problem, its block kinds stacked and its gradient scattered
-        by one bincount, are the bytes of the per-block build (tests/oracle.py)
+        """_assemble's gradient and H entries, with its weight-only terms
+        formed once per problem, its block kinds stacked, H_ji taken as H_ij's
+        entries transposed and its gradient scattered by one bincount, are
+        the bytes of the per-block build (tests/oracle.py)
         in both phases: on random tables over six poses whose pairs repeat,
         include pose 0 on either side and come in either order, at per-match
         states and, under the squared kernel, anchored ones, several per
@@ -441,11 +484,11 @@ class TestAssembleBytes:
                     states.append(solver._evaluate(problem, quats, trans, start.anchor))
                 for state in states:
                     for curvature in (False, True):
-                        grad, blocks = solver._assemble(problem, state, curvature)
-                        expected_grad, expected_blocks = assemble_per_block(problem, state, curvature)
-                        assert grad.shape == (36,) and blocks.shape == (4 * count, 6, 6)
+                        grad, entries = solver._assemble(problem, state, curvature)
+                        expected_grad, expected_entries = assemble_per_block(problem, state, curvature)
+                        assert grad.shape == (36,) and entries.shape == (4 * count, 24)
                         assert grad.tobytes() == expected_grad.tobytes()
-                        assert blocks.tobytes() == expected_blocks.tobytes()
+                        assert entries.tobytes() == expected_entries.tobytes()
 
 
 class TestEvaluate:
@@ -630,23 +673,23 @@ def gauge_swapped(pairs, gauge):
     return perm[pairs], perm
 
 
-def assert_entry_level_systems(pairs, num_poses, kept, blocks, damping):
-    """The pattern's full and subgraph systems store the indptr, indices and
-    data of the entry-level construction's in the pattern's order, bit for
-    bit. A band pattern's subgraph system, its band, holds the entry-level
-    subgraph's entries on and below the diagonal, bit for bit. Returns the
-    pattern."""
+def assert_entry_level_systems(pairs, num_poses, kept, entries, damping):
+    """The pattern's full and subgraph systems, filled from H's layout
+    entries, store the indptr, indices and data of the entry-level
+    construction's in the pattern's order, bit for bit. A band pattern's
+    subgraph system, its band, holds the entry-level subgraph's entries on
+    and below the diagonal, bit for bit. Returns the pattern."""
     pattern = solver._Pattern(pairs, num_poses, kept)
     np.testing.assert_array_equal(pattern.pos, solver._pose_order(pairs[kept], num_poses)[0])
-    entries, flat = EntryPattern(pairs, num_poses, kept, pattern.pos), solver._entries(blocks)
+    oracle = EntryPattern(pairs, num_poses, kept, pattern.pos)
     for subgraph in (False, True) if pattern.bandwidth is None else (False,):
-        system, expected = pattern.matrix(flat, damping, subgraph), entries.matrix(blocks, damping, subgraph)
+        system, expected = pattern.matrix(entries, damping, subgraph), oracle.matrix(entries, damping, subgraph)
         np.testing.assert_array_equal(system.indptr, expected.indptr)
         np.testing.assert_array_equal(system.indices, expected.indices)
         assert system.data.tobytes() == expected.data.tobytes()
     if pattern.bandwidth is not None:
-        lower = np.tril(entries.matrix(blocks, damping, subgraph=True).toarray())
-        assert band_dense(pattern.matrix(flat, damping, subgraph=True)).tobytes() == lower.tobytes()
+        lower = np.tril(oracle.matrix(entries, damping, subgraph=True).toarray())
+        assert band_dense(pattern.matrix(entries, damping, subgraph=True)).tobytes() == lower.tobytes()
     return pattern
 
 
@@ -660,12 +703,12 @@ class TestPattern:
         poses = [se3.Pose(*se3.exp_arrays(rng.uniform(-1, 1, 6))) for _ in range(4)]
         problem = random_problem(rng, KERNEL_CAUCHY)
         pairs, perm = gauge_swapped(problem.table.pairs, gauge)
-        _, grad, blocks = lm_terms(problem, poses)
+        _, grad, entries = lm_terms(problem, poses)
         grad = grad.reshape(4, 6)[perm].ravel()  # in the swapped poses' order
-        expected = dense_hessian(blocks, pairs, 4)[6:, 6:] + 0.3 * np.eye(18)
+        expected = dense_hessian(entries, pairs, 4)[6:, 6:] + 0.3 * np.eye(18)
 
         pattern = every_pair_pattern(pairs, 4)
-        system = pattern.matrix(solver._entries(blocks), 0.3)
+        system = pattern.matrix(entries, 0.3)
         np.testing.assert_array_equal(natural(system.toarray(), pattern), expected)
         taken = pattern.take(grad)
         np.testing.assert_array_equal(taken[pattern.pos], grad[6:])
@@ -713,10 +756,10 @@ class TestPattern:
         pairs = np.concatenate([chain, loops])
         kept = np.concatenate([np.ones(len(chain), dtype=bool), rng.random(len(loops)) < 0.5])
         kept[-3], kept[-1] = True, False  # a kept loop at the gauge, and pose 8's left out
-        blocks = rng.normal(size=(4 * len(pairs), 6, 6))
-        assert assert_entry_level_systems(pairs, 10, kept, blocks, 0.3).bandwidth is not None
+        entries = rng.normal(size=(4 * len(pairs), 6, 6)).reshape(-1, 36)[:, solver._BLOCK_ENTRIES]
+        assert assert_entry_level_systems(pairs, 10, kept, entries, 0.3).bandwidth is not None
         monkeypatch.setattr(solver, "BAND_FILL_RATIO", 0.0)
-        assert assert_entry_level_systems(pairs, 10, kept, blocks, 0.3).bandwidth is None
+        assert assert_entry_level_systems(pairs, 10, kept, entries, 0.3).bandwidth is None
 
     def test_block_structures_match_the_entry_level_construction_on_a_scene(self, monkeypatch):
         """The same on a circle-100 scene, with its H blocks at ground truth
@@ -727,11 +770,11 @@ class TestPattern:
         problem = build_problem(graph, PosteriorState(1.0, posteriors), Hyperparams())
         kept = problem.weights * problem.table.sizes >= solver.SUBGRAPH_POSTERIOR
         assert 0 < kept.sum() < len(kept)
-        _, _, blocks = lm_terms(problem, graph.ground_truth)
-        pattern = assert_entry_level_systems(problem.table.pairs, 100, kept, blocks, solver.DAMPING_INIT)
+        _, _, entries = lm_terms(problem, graph.ground_truth)
+        pattern = assert_entry_level_systems(problem.table.pairs, 100, kept, entries, solver.DAMPING_INIT)
         assert pattern.bandwidth is not None
         monkeypatch.setattr(solver, "BAND_FILL_RATIO", 0.0)
-        pattern = assert_entry_level_systems(problem.table.pairs, 100, kept, blocks, solver.DAMPING_INIT)
+        pattern = assert_entry_level_systems(problem.table.pairs, 100, kept, entries, solver.DAMPING_INIT)
         assert pattern.bandwidth is None
 
     @pytest.mark.parametrize("gauge", [0, 2, 3])
@@ -764,8 +807,8 @@ class TestPattern:
         problem = build_problem(graph, PosteriorState(1.0, posteriors), Hyperparams())
         pattern = kept_pattern(problem, 100)
         assert 0 < pattern.kept.sum() < len(pattern.kept) and pattern.bandwidth is None
-        _, _, blocks = lm_terms(problem, graph.ground_truth)
-        subgraph = pattern.matrix(solver._entries(blocks), solver.DAMPING_INIT, subgraph=True)
+        _, _, entries = lm_terms(problem, graph.ground_truth)
+        subgraph = pattern.matrix(entries, solver.DAMPING_INIT, subgraph=True)
         factored = []
         real_splu = solver.splu
 
@@ -1153,8 +1196,8 @@ class TestSolve:
         pattern = every_pair_pattern(problem.table.pairs)
         assert pattern.bandwidth == 1
 
-        _, grad, blocks = lm_terms(problem, start)
-        H = dense_hessian(blocks, problem.table.pairs, 12)
+        _, grad, entries = lm_terms(problem, start)
+        H = dense_hessian(entries, problem.table.pairs, 12)
         dense = H[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
         np.testing.assert_array_equal(factored[0], lower_in_order(dense, pattern))
         expected = np.linalg.solve(dense, -grad[6:])
@@ -1183,8 +1226,8 @@ class TestSolve:
         system, options = factored[0]
         assert options["options"] == {"SymmetricMode": True} and options["permc_spec"] == "NATURAL"
 
-        _, grad, blocks = lm_terms(problem, start)
-        dense = dense_hessian(blocks, problem.table.pairs, 50)[6:, 6:] + solver.DAMPING_INIT * np.eye(294)
+        _, grad, entries = lm_terms(problem, start)
+        dense = dense_hessian(entries, problem.table.pairs, 50)[6:, 6:] + solver.DAMPING_INIT * np.eye(294)
         np.testing.assert_array_equal(natural(system, pattern), dense)
         expected = np.linalg.solve(dense, -grad[6:])
         taken = taken_step(start, out)
@@ -1206,11 +1249,11 @@ class TestSolve:
         assert report.iterations == 2 and report.factorizations == len(factored) == 2
 
         pattern = every_pair_pattern(problem.table.pairs)
-        _, _, blocks = lm_terms(problem, start)
-        dense = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
+        _, _, entries = lm_terms(problem, start)
+        dense = dense_hessian(entries, problem.table.pairs, 12)[6:, 6:] + solver.DAMPING_INIT * np.eye(66)
         np.testing.assert_array_equal(factored[0], lower_in_order(dense, pattern))
-        _, grad, blocks = lm_terms(problem, first)
-        dense = dense_hessian(blocks, problem.table.pairs, 12)[6:, 6:]
+        _, grad, entries = lm_terms(problem, first)
+        dense = dense_hessian(entries, problem.table.pairs, 12)[6:, 6:]
         dense += 0.5 * solver.DAMPING_INIT * np.eye(66)  # halved after the first accepted step
         np.testing.assert_array_equal(factored[1], lower_in_order(dense, pattern))
         expected = np.linalg.solve(dense, -grad[6:])
@@ -1228,13 +1271,13 @@ class TestSolve:
         assert report.iterations == report.factorizations == len(factored) == 1
         assert report.misses == 0 and report.pcg_iterations >= 1
 
-        _, grad, blocks = lm_terms(problem, start)
+        _, grad, entries = lm_terms(problem, start)
         pairs, damping = problem.table.pairs, solver.DAMPING_INIT * np.eye(66)
         kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
-        subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
+        subgraph = dense_hessian(kept_entries(entries, kept), pairs[kept], 12)
         pattern = every_pair_pattern(pairs[kept])
         np.testing.assert_array_equal(factored[0], lower_in_order(subgraph[6:, 6:] + damping, pattern))
-        full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping
+        full = dense_hessian(entries, pairs, 12)[6:, 6:] + damping
         poses_2_9 = np.ix_(pattern.pos[6:12], pattern.pos[48:54])  # where H couples poses 2 and 9
         assert not factored[0][poses_2_9].any() and not factored[0][poses_2_9[::-1]].any()
         assert full[6:12, 48:54].any()
@@ -1322,10 +1365,10 @@ class TestSolve:
         assert report.factorizations == report.misses == len(factored) == 13
         assert report.pcg_iterations == 0
 
-        _, _, blocks = lm_terms(problem, start)
+        _, _, entries = lm_terms(problem, start)
         pairs = problem.table.pairs
         kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
-        subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
+        subgraph = dense_hessian(kept_entries(entries, kept), pairs[kept], 12)
         pattern, damping = kept_pattern(problem, 12), solver.DAMPING_INIT
         for system in factored:
             np.testing.assert_array_equal(system, lower_in_order(subgraph[6:, 6:] + damping * np.eye(66), pattern))
@@ -1343,17 +1386,17 @@ class TestSolve:
         graph = ProblemGraph(12, graph.odometry, [far])
         problem = build_problem(graph, PosteriorState(1.0, np.array([1e-9])), Hyperparams(mode="gaussian"))
         start = [truth[0]] + [se3.retract(p, rng.normal(scale=0.002, size=6)) for p in truth[1:]]
-        grad, blocks = solver._assemble(problem, solver._evaluate(problem, *se3.stack(start)), curvature=True)
+        grad, entries = solver._assemble(problem, solver._evaluate(problem, *se3.stack(start)), curvature=True)
         pairs, damping = problem.table.pairs, 1e-4
-        full = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping * np.eye(66)
-        subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, :-1].reshape(-1, 6, 6), pairs[:-1], 12)
+        full = dense_hessian(entries, pairs, 12)[6:, 6:] + damping * np.eye(66)
+        subgraph = dense_hessian(kept_entries(entries, np.arange(len(pairs)) < len(pairs) - 1), pairs[:-1], 12)
         subgraph = subgraph[6:, 6:] + damping * np.eye(66)
         first = np.linalg.solve(subgraph, -grad[6:])
         assert np.linalg.eigvalsh(subgraph).min() > 0 and first @ full @ first < 0
 
         factored = factor_spy(monkeypatch)
         pattern = kept_pattern(problem, 12)
-        step, iterations = solver._step(pattern, blocks, grad, damping)
+        step, iterations = solver._step(pattern, entries, grad, damping)
         assert step is None and iterations == 1 and len(factored) == 1
         np.testing.assert_array_equal(factored[0], lower_in_order(subgraph, pattern))
 
@@ -1364,15 +1407,15 @@ class TestSolve:
         the pattern's order, is not positive definite, so _step gets no step
         and factors nothing else."""
         problem, start = far_loop_problem(seed)
-        grad, blocks = solver._assemble(problem, solver._evaluate(problem, *se3.stack(start)), curvature=True)
+        grad, entries = solver._assemble(problem, solver._evaluate(problem, *se3.stack(start)), curvature=True)
         pairs, damping = problem.table.pairs, 1e-4
-        dense = dense_hessian(blocks, pairs, 12)[6:, 6:] + damping * np.eye(66)
+        dense = dense_hessian(entries, pairs, 12)[6:, 6:] + damping * np.eye(66)
         assert np.linalg.eigvalsh(dense).min() < 0
 
         factored = factor_spy(monkeypatch)
         pattern = every_pair_pattern(pairs)
         assert pattern.bandwidth is not None
-        assert solver._step(pattern, blocks, grad, damping) == (None, 0)
+        assert solver._step(pattern, entries, grad, damping) == (None, 0)
         assert len(factored) == 1  # the band alone: no SuperLU, no PCG
         np.testing.assert_array_equal(factored[0], lower_in_order(dense, pattern))
 
@@ -1381,7 +1424,7 @@ class TestSolve:
         """On the far-loop scenes, with H holding the curvature term from the
         second LM pass on (CURVATURE_SWITCH = inf), the band of each trial of
         that pass is not positive definite. Each such trial is redone at its
-        damping with the Gauss-Newton blocks at the same state, bit for bit
+        damping with the Gauss-Newton H at the same state, bit for bit
         _assemble(problem, state)[1], assembled once for the pass. The redo
         that is accepted takes the step of the dense damped Gauss-Newton
         system, the one the solve retracts by, and is not counted as a
@@ -1396,8 +1439,8 @@ class TestSolve:
             assembled.append((state, curvature))
             return real_assemble(problem, state, curvature)
 
-        def step_spy(pattern, blocks, grad, damping):
-            steps.append((blocks, grad, damping, real_step(pattern, blocks, grad, damping)))
+        def step_spy(pattern, entries, grad, damping):
+            steps.append((entries, grad, damping, real_step(pattern, entries, grad, damping)))
             return steps[-1][-1]
 
         monkeypatch.setattr(solver, "_assemble", assemble_spy)
@@ -1524,15 +1567,15 @@ class TestSolve:
         assert report.iterations == 1 and report.factorizations == len(factored) == 2
         assert report.misses == 1 and report.pcg_iterations >= 1 and report.curvature_steps == 0
 
-        _, grad, blocks = lm_terms(problem, start)
+        _, grad, entries = lm_terms(problem, start)
         pairs = problem.table.pairs
         kept = np.arange(len(pairs)) != len(pairs) - 1  # all but the 1e-9 loop
-        subgraph = dense_hessian(blocks.reshape(4, -1, 6, 6)[:, kept].reshape(-1, 6, 6), pairs[kept], 12)
+        subgraph = dense_hessian(kept_entries(entries, kept), pairs[kept], 12)
         pattern, damping = kept_pattern(problem, 12), solver.DAMPING_INIT * np.eye(66)
         assert pattern.bandwidth is None
         np.testing.assert_array_equal(natural(factored[0], pattern), subgraph[6:, 6:] + damping)
         np.testing.assert_array_equal(natural(factored[1], pattern), subgraph[6:, 6:] + 10.0 * damping)
-        full = dense_hessian(blocks, pairs, 12)[6:, 6:] + 10.0 * damping
+        full = dense_hessian(entries, pairs, 12)[6:, 6:] + 10.0 * damping
         expected = np.linalg.solve(full, -grad[6:])
         taken = taken_step(start, out)
         assert np.abs(taken - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -1765,8 +1808,8 @@ class TestFactorContract:
         problem, start = two_loop_problem()
         pattern = kept_pattern(problem, 12)
         assert (pattern.bandwidth is None) == (band_fill_ratio == 0.0)
-        _, grad, blocks = lm_terms(problem, start)
-        system = pattern.matrix(solver._entries(blocks), solver.DAMPING_INIT, subgraph=True)
+        _, grad, entries = lm_terms(problem, start)
+        system = pattern.matrix(entries, solver.DAMPING_INIT, subgraph=True)
         rhs = pattern.take(-grad)
         if pattern.bandwidth is None:
             lu = splu(
