@@ -99,11 +99,9 @@ def posterior_gaussian(b_values: np.ndarray, theta: float) -> np.ndarray:
 
 def loop_errors(graph: ProblemGraph, poses: list[Pose], params: Hyperparams) -> np.ndarray:
     """Per-loop error functional at the given poses (A in cauchy mode, B in
-    gaussian), as evaluate_poses gives it, over a table of views of the
-    graph table's loop rows: the odometry is not evaluated."""
-    table, odometry = graph.table, len(graph.odometry)
-    start = table.offsets[odometry]
-    loops = MatchTable(table.pairs[odometry:], table.sizes[odometry:], table.p[start:], table.q[start:])
+    gaussian), as evaluate_poses gives it, over the run of the graph
+    table's loop rows: the odometry is not evaluated."""
+    loops = graph.table.subset(np.arange(len(graph.table.sizes)) >= len(graph.odometry))
     quats, trans = se3.stack(poses)
     s = loops.frame_residuals(se3.quat_to_matrix(quats), trans).s
     # a kernel value past the float range is inf, not a warning

@@ -6,10 +6,10 @@ fragment's frame. Graphs are immutable after construction; constraints are
 kept in canonical order (odometry by i, loops by (i, j)). A MatchTable stacks
 the match sets of many constraints into flat arrays, or shares them where
 they already lie one after another in one array; the E-step, theta
-learning and the pose solver all read a graph through the one table
-ProblemGraph.table builds, and the initialization fits every odometry
-constraint at once over a table of its own. The table evaluates each match
-in its constraint's frame i, p - T_i^-1 T_j q, from one relative pose per
+learning, the pose solver and the initialization, which fits its odometry
+chain at once over a run of the table's rows, all read a graph through the
+one table ProblemGraph.table builds. The table evaluates each match in its
+constraint's frame i, p - T_i^-1 T_j q, from one relative pose per
 constraint, so no match point is carried to the world frame, whose origin
 may lie a kilometre or more from the fragments. It also keeps each
 constraint's fixed point moments (MatchMoments), from which the squared
@@ -158,12 +158,17 @@ class MatchTable:
         return len(self.p)
 
     def subset(self, keep: np.ndarray) -> MatchTable:
-        """The table of the constraints where keep (C,) is true, in order;
-        the table itself when every one is kept."""
-        if keep.all():
+        """The table of the constraints where keep (C,) is true, in order:
+        the table itself when every one is kept, views of this table's
+        arrays when the kept constraints are one run, a copy otherwise."""
+        kept = np.flatnonzero(keep)
+        if len(kept) == len(self.sizes):
             return self
-        rows = keep[self.seg]
-        return MatchTable(self.pairs[keep], self.sizes[keep], self.p[rows], self.q[rows])
+        if len(kept) and kept[-1] - kept[0] == len(kept) - 1:
+            run, rows = slice(kept[0], kept[-1] + 1), slice(self.offsets[kept[0]], self.offsets[kept[-1] + 1])
+        else:
+            run, rows = keep, keep[self.seg]
+        return MatchTable(self.pairs[run], self.sizes[run], self.p[rows], self.q[rows])
 
     @cached_property
     def seg(self) -> np.ndarray:
@@ -655,18 +660,19 @@ def fit_rigid_transform(source: np.ndarray, target: np.ndarray) -> Pose:
 
 def initialize_poses(graph: ProblemGraph) -> tuple[np.ndarray, np.ndarray]:
     """Initial fragment poses as (N, 4) quaternion and (N, 3) translation
-    arrays: explicit initial poses verbatim when present, otherwise a chain
-    of robust closed-form alignments of the odometry match sets, anchored at
-    T_0 = identity. All alignments are fitted at once, and the chain is
-    composed in ceil(log2 N) batched rounds; the error names the lowest
-    constraint that cannot be aligned."""
+    arrays: explicit initial poses verbatim when present, else a chain from
+    T_0 = identity of robust closed-form alignments of the last odometry
+    constraint for each i up to the first gap, all fitted at once over their
+    rows of graph.table and composed in ceil(log2 N) batched rounds; the
+    error names the lowest constraint that cannot be aligned."""
     if graph.initial_poses is not None:
         return se3.stack(graph.initial_poses)
-    by_index = {c.i: c for c in graph.odometry}
+    last = {c.i: k for k, c in enumerate(graph.odometry)}  # odometry leads graph.table's rows
     chain = []
-    while len(chain) < graph.num_fragments - 1 and len(chain) in by_index:
-        chain.append(by_index[len(chain)])
-    rots, steps, failures = _robust_fit(MatchTable.from_constraints(chain), 3, 3.0)
+    while len(chain) < graph.num_fragments - 1 and len(chain) in last:
+        chain.append(last[len(chain)])
+    keep = np.isin(np.arange(len(graph.table.sizes)), chain)
+    rots, steps, failures = _robust_fit(graph.table.subset(keep), 3, 3.0)
     if failures:
         i = min(failures)
         raise AlignmentError(f"odometry constraint {i}->{i + 1}: {failures[i]}")

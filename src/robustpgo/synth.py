@@ -343,25 +343,10 @@ def full_alignment_ate(poses: list[Pose], ground_truth: list[Pose]) -> float:
     return _aligned_error(poses, ground_truth, len(poses), slice(None))
 
 
-def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
-    """Trajectory error after aligning the first five poses and after aligning
-    all of them, plus the loops' true positives, false positives and false
-    negatives, precision and recall against the graph's oracle labels.
-
-    `labels` are predicted inlier booleans aligned with graph.loops.
-    """
-    if graph.ground_truth is None:
-        raise ScenarioError("graph carries no ground truth")
-    if graph.oracle_labels is None:
-        raise ScenarioError("graph carries no oracle loop labels")
-    n = graph.num_fragments
-    if n < 6:
-        raise ScenarioError("need at least 6 fragments to evaluate (5 for alignment)")
-    if len(poses) != n:
-        raise ScenarioError(f"{len(poses)} poses for {n} fragments")
-
-    ate = anchored_ate(poses, graph.ground_truth)
-
+def loop_scores(graph: ProblemGraph, labels) -> tuple[float, float, int, int, int, list]:
+    """Precision, recall, true positives, false positives, false negatives
+    and the confusion rows of predicted inlier `labels`, booleans aligned
+    with graph.loops, against the graph's oracle labels, as EvalResult holds them."""
     labels = np.asarray(labels, dtype=bool).reshape(-1)
     if len(labels) != len(graph.loops):
         raise ScenarioError(f"{len(labels)} labels for {len(graph.loops)} loops")
@@ -372,6 +357,21 @@ def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
     tp = sum(p and o for *_, p, o in confusion)
     fp = sum(p and not o for *_, p, o in confusion)
     fn = sum(o and not p for *_, p, o in confusion)
-    precision = tp / (tp + fp) if (tp + fp) else 1.0
-    recall = tp / (tp + fn) if (tp + fn) else 1.0
-    return EvalResult(ate, precision, recall, tp, fp, fn, confusion, full_alignment_ate(poses, graph.ground_truth))
+    return tp / (tp + fp) if (tp + fp) else 1.0, tp / (tp + fn) if (tp + fn) else 1.0, tp, fp, fn, confusion
+
+
+def evaluate(poses: list[Pose], graph: ProblemGraph, labels) -> EvalResult:
+    """Trajectory error after aligning the first five poses and after aligning
+    all of them, and the loop_scores of `labels`, predicted inlier booleans
+    aligned with graph.loops, against the graph's oracle labels."""
+    if graph.ground_truth is None:
+        raise ScenarioError("graph carries no ground truth")
+    if graph.oracle_labels is None:
+        raise ScenarioError("graph carries no oracle loop labels")
+    n = graph.num_fragments
+    if n < 6:
+        raise ScenarioError("need at least 6 fragments to evaluate (5 for alignment)")
+    if len(poses) != n:
+        raise ScenarioError(f"{len(poses)} poses for {n} fragments")
+    ate = anchored_ate(poses, graph.ground_truth)
+    return EvalResult(ate, *loop_scores(graph, labels), full_alignment_ate(poses, graph.ground_truth))

@@ -619,9 +619,10 @@ class TestRunEm:
 
     def test_empty_constraint_is_rejected_in_validates_words(self):
         """A loop with no matches has no error to weight: run_em,
-        build_problem and loop_errors name it as validate does, with no
-        warning, rather than iterating on NaN objectives."""
+        build_problem, loop_errors and initialize_poses name it as validate
+        does, with no warning, rather than iterating on NaN objectives."""
         graph = generate(ScenarioConfig(num_fragments=20, seed=0, outlier_loop_fraction=0.5))
+        poses = se3.unstack(*initialize_poses(graph))
         empty = LoopClosureConstraint(0, 10, np.zeros((0, 3)), np.zeros((0, 3)))
         graph = ProblemGraph(graph.num_fragments, graph.odometry, [*graph.loops, empty])
         (violation,) = [v for v in validate(graph) if v.kind == "empty_loop"]
@@ -632,7 +633,8 @@ class TestRunEm:
         for call in (
             lambda: em.run_em(graph, params),
             lambda: solver.build_problem(graph, state, params),
-            lambda: em.loop_errors(graph, se3.unstack(*initialize_poses(graph)), params),
+            lambda: em.loop_errors(graph, poses, params),
+            lambda: initialize_poses(graph),
         ):
             with pytest.raises(ValueError) as exc:
                 call()

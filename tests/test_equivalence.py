@@ -143,3 +143,38 @@ def test_outside_a_git_checkout_a_parent_is_refused(monkeypatch, capsys):
     with pytest.raises(SystemExit) as refused:
         equivalence.main(["--parent", "HEAD"])
     assert refused.value.code == 2 and "--parent HEAD" in capsys.readouterr().err
+
+
+def test_a_run_whose_m_step_gains_a_factorization_is_named_by_field_and_m_step():
+    """Of two runs alike but for one factorization more in their second
+    M-step, the run differs, every float is sized 0.0, and "moved" names
+    that M-step's field with both values; a changed M-step count is named
+    too, and a field only one tree holds is not compared."""
+    graph = generate(ScenarioConfig(num_fragments=20, keyframe_stride=1, seed=5))
+    params = Hyperparams()
+    result = em.run_em(graph, params)
+    assert len(result[2]) >= 2
+
+    def tree(gain: bool) -> dict:
+        def run_em(g, p):
+            poses, state, trace = copy.deepcopy(result)
+            if gain:
+                trace.iterations[1].factorizations += 1
+            return poses, state, trace
+
+        stub = SimpleNamespace(run_em=run_em, loop_errors=em.loop_errors)
+        parts, (_, _, trace), values = equivalence._run(stub, graph, params)
+        out = {kind: {"k": "a"} for kind in equivalence.KINDS}
+        out["runs"] = {"k": parts}
+        out["values"] = {"runs": {"k": values}, "poses": {}, "msteps": {"k": equivalence.mstep_counts(trace)}}
+        return out
+
+    same = equivalence.compare(tree(False), tree(False))["runs"]
+    assert (same["differ"], same["moved"]) == ([], {})
+    gained = equivalence.compare(tree(False), tree(True))["runs"]
+    before = result[2].iterations[1].factorizations
+    assert gained["differ"] == ["k"]
+    assert gained["moved"] == {"k": {"M-step 2": {"factorizations": [before, before + 1]}}}
+    assert set(gained["sizes"]["k"].values()) == {0.0}
+    assert equivalence.moved([{"misses": 0}], [{"misses": 0}, {"misses": 1}]) == {"msteps": [1, 2]}
+    assert equivalence.moved([{"redos": 0, "misses": 1}], [{"misses": 2}]) == {"M-step 1": {"misses": [1, 2]}}

@@ -185,6 +185,29 @@ class TestMatchTable:
         assert table.subset(np.ones(5, dtype=bool)) is table
         assert len(table.subset(np.zeros(5, dtype=bool))) == 0
 
+    def test_subset_of_one_run_is_views_of_its_rows(self):
+        """Constraints kept as one run come back as views of the table's
+        arrays, holding the bytes of those rows; a mask that is not one run
+        gives a copy; nothing kept gives an empty table."""
+        rng = np.random.default_rng(6)
+        constraints = [
+            LoopClosureConstraint(c, c + 2, rng.normal(size=(k, 3)), rng.normal(size=(k, 3)))
+            for c, k in enumerate([3, 0, 5, 1, 4])
+        ]
+        table = MatchTable.from_constraints(constraints)
+        for keep, shared in (([0, 1, 1, 1, 0], True), ([1, 1, 0, 0, 0], True), ([0, 0, 0, 0, 1], True),
+                             ([1, 0, 1, 0, 0], False), ([0, 1, 0, 1, 1], False)):
+            keep = np.array(keep, dtype=bool)
+            sub = table.subset(keep)
+            expected = MatchTable.from_constraints([c for c, kept in zip(constraints, keep) if kept])
+            for name in ("pairs", "sizes", "p", "q"):
+                got = getattr(sub, name)
+                assert got.dtype == getattr(expected, name).dtype
+                assert got.tobytes() == getattr(expected, name).tobytes()
+                assert np.shares_memory(got, getattr(table, name)) == shared
+        empty = table.subset(np.zeros(5, dtype=bool))
+        assert (empty.pairs.shape, empty.sizes.shape, empty.p.shape, empty.q.shape) == ((0, 2), (0,), (0, 3), (0, 3))
+
     def test_segment_sum_with_empty_constraints(self):
         """Empty constraints sum to zero wherever they sit, and row shapes carry through."""
         sizes = [0, 2, 0, 3, 0]
@@ -464,6 +487,24 @@ class TestInitializePoses:
         for q, t, b in zip(quats, trans, explicit):
             np.testing.assert_array_equal(q, b.quat)
             np.testing.assert_array_equal(t, b.trans)
+
+    def test_the_last_odometry_constraint_for_an_index_is_the_one_fitted(self):
+        """Of two odometry constraints for one i, the chain fits the later
+        one: the graph initializes bit for bit as the graph that keeps only
+        that one, and unlike the graph that keeps only the earlier one."""
+        graph, _ = small_graph(np.random.default_rng(27), n=6)
+        rng = np.random.default_rng(28)
+        other = OdometryConstraint(2, rng.uniform(-3, 3, (10, 3)), rng.uniform(-3, 3, (10, 3)))
+        real = graph.odometry[2]
+
+        def initialized(odometry):
+            return b"".join(a.tobytes() for a in initialize_poses(ProblemGraph(6, odometry, [])))
+
+        twice = [*graph.odometry[:2], other, *graph.odometry[2:]]
+        assert initialized(twice) == initialized(graph.odometry)
+        swapped = [*graph.odometry[:2], real, other, *graph.odometry[3:]]
+        assert initialized(swapped) == initialized([*graph.odometry[:2], other, *graph.odometry[3:]])
+        assert initialized(swapped) != initialized(twice)
 
     def test_broken_chain_reports_missing_constraint(self):
         rng = np.random.default_rng(24)

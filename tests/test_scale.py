@@ -23,6 +23,9 @@ def test_a_20_fragment_run_reports_its_counts_and_quality(tmp_path):
     assert "error" not in run
     assert run["msteps"] == len(run["inliers"]) >= 1 and run["capped"] == 0
     assert run["factor_calls"] == run["factorizations"] >= run["accepted"] >= 1 and run["redos"] >= 0
+    assert len(run["steps"]) == run["msteps"] and [step["inlier_count"] for step in run["steps"]] == run["inliers"]
+    for name in ("factorizations", "misses", "redos"):
+        assert sum(step[name] for step in run["steps"]) == run[name]
     assert run["tp"] + run["fn"] >= 1 and 0.0 <= run["precision"] <= 1.0 and 0.0 <= run["recall"] <= 1.0
     assert run["ate_full_m"] >= 0.0 and run["run_em_s"] > 0.0 and 0.0 < run["import_rss_mb"] <= run["peak_rss_mb"]
 

@@ -66,6 +66,18 @@ def run_fresh(tool: str, function: str, tree: Path, *args: str):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def mstep_counts(trace) -> list[dict]:
+    """Per M-step of an EM trace, its discrete `EmIteration` fields: the
+    termination, the accepted steps (`iterations`), factorizations,
+    curvature steps, PCG iterations, misses, Gauss-Newton redos and inlier
+    count, each one the tree's `EmIteration` has."""
+    names = (
+        "termination", "iterations", "factorizations", "curvature_steps",
+        "pcg_iterations", "misses", "redos", "inlier_count",
+    )
+    return [{name: getattr(rec, name) for name in names if hasattr(rec, name)} for rec in trace.iterations]
+
+
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in `tree`: the JSON object its last stdout line holds,
     or {"error": ...} if the run exits non-zero or prints no such line."""

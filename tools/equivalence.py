@@ -39,7 +39,12 @@ Each `runs` or `poses` key that differs is also sized: the largest absolute
 difference in the pose quaternions and translations (for `poses`, of the
 poses read back from a pose file), and for `runs` in the posteriors and in
 each `EmIteration`'s objective_start, objective_end and max_pose_update. So
-a change that moves only trailing bits shows how far it moves them.
+a change that moves only trailing bits shows how far it moves them. Each
+`runs` key that differs also has its discrete counts compared exactly, per
+M-step (`bench_pairs.mstep_counts`: termination, accepted steps,
+factorizations, curvature steps, PCG iterations, misses, redos and inlier
+count): under "moved", every such field that differs is named by M-step,
+with both values, and so is a changed number of M-steps.
 perfbench is imported read-only; nothing is written into either tree.
 Uses the standard library and numpy.
 """
@@ -58,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import export, git, run_fresh  # noqa: E402
+from bench_pairs import export, git, mstep_counts, run_fresh  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SHUFFLE_SEEDS = (0, 1)
@@ -117,19 +122,19 @@ def run_digest(em, graph, params) -> str:
     return _run(em, graph, params)[0]["run"]
 
 
-def _run(em, graph, params) -> tuple[dict[str, str], list | None, dict | None]:
+def _run(em, graph, params) -> tuple[dict[str, str], tuple | None, dict | None]:
     """The run's parts: run_digest under "run", and the digest of each
     `EmIteration` field over the iterations under "iteration <field>"; then
-    the run's poses and its run_values (None when it raised)."""
+    run_em's poses, state and trace, and its run_values (None when it raised)."""
     try:
-        poses, state, trace = em.run_em(graph, params)
+        poses, state, trace = result = em.run_em(graph, params)
     except Exception as err:  # a run that fails must fail alike in both trees
         return {"run": digest("raised", type(err).__name__, str(err))}, None, None
     its = trace.iterations
     parts = {"run": digest(poses, state, len(its), trace.converged, em.loop_errors(graph, poses, params))}
     for name in {f.name for rec in its for f in dataclasses.fields(rec)}:
         parts[f"iteration {name}"] = digest([getattr(rec, name) for rec in its])
-    return parts, poses, run_values(poses, state, trace)
+    return parts, result, run_values(poses, state, trace)
 
 
 def pose_values(poses) -> dict[str, list]:
@@ -158,6 +163,19 @@ def sizes(parent: dict[str, list], change: dict[str, list]) -> dict[str, float |
     for name in sorted(parent.keys() & change.keys()):
         a, b = np.asarray(parent[name], dtype=float), np.asarray(change[name], dtype=float)
         out[name] = float(np.abs(a - b).max(initial=0.0)) if a.shape == b.shape else "shapes differ"
+    return out
+
+
+def moved(parent: list[dict], change: list[dict]) -> dict[str, dict | list]:
+    """Where two trees' `mstep_counts` of one run differ: under "M-step k"
+    (from 1), each field both hold whose values differ, as [parent, change];
+    under "msteps", the two numbers of M-steps where they differ."""
+    out: dict[str, dict | list] = {}
+    if len(parent) != len(change):
+        out["msteps"] = [len(parent), len(change)]
+    for k, (a, b) in enumerate(zip(parent, change), 1):
+        if fields := {name: [a[name], b[name]] for name in a if name in b and a[name] != b[name]}:
+            out[f"M-step {k}"] = fields
     return out
 
 
@@ -191,25 +209,28 @@ def scene_digest(graphio, graph) -> str:
 def tree_digests(tree: Path) -> dict[str, dict]:
     """Graph, run and poses digests of every perfbench scene and shuffle seed,
     and the digest of every shape's scenes, made with the package and
-    perfbench of `tree` (in this process); under "values", the run_values of
-    each run and the pose_values of its poses read back from a pose file."""
+    perfbench of `tree` (in this process); under "values", the run_values
+    and mstep_counts of each run and the pose_values of its poses read back
+    from a pose file."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import harness
     from robustpgo import em, graphio, synth
 
     out: dict[str, dict] = {kind: {} for kind in KINDS}
-    values: dict[str, dict] = {"runs": {}, "poses": {}}
+    values: dict[str, dict] = {"runs": {}, "poses": {}, "msteps": {}}
     for name, workload in harness.WORKLOADS.items():
         for config in workload.scenes:
             for seed in SHUFFLE_SEEDS:
                 key = f"{name} scene {config.seed} shuffle {seed}"
                 graph = graphio.parse(harness.scene_text(config, seed))
                 out["graphs"][key] = graph_digest(graph)
-                out["runs"][key], poses, values["runs"][key] = _run(em, graph, workload.params)
-                if poses is None:
+                out["runs"][key], result, values["runs"][key] = _run(em, graph, workload.params)
+                if result is None:
                     out["poses"][key] = digest(None)
                 else:
+                    poses, _, trace = result
+                    values["msteps"][key] = mstep_counts(trace)
                     out["poses"][key] = poses_digest(graphio, graph, poses)
                     values["poses"][key] = pose_values(graphio.parse_poses(graphio.write_poses(poses)))
     for shape in synth.SHAPES:
@@ -249,9 +270,10 @@ def apart(a, b) -> dict[str, list[str]]:
 
 def compare(parent: dict, change: dict) -> dict:
     """Per kind, how many keys both trees hold with digests that agree, and
-    which differ; for `runs`, the parts each key holds in one tree only; for
-    `runs` and `poses`, each differing key's sizes where both trees hold its
-    values."""
+    which differ; for `runs`, the parts each key holds in one tree only, and
+    the counts each differing key moved where both trees hold its
+    mstep_counts; for `runs` and `poses`, each differing key's sizes where
+    both trees hold its values."""
     out = {}
     for kind in KINDS:
         keys = sorted(parent[kind].keys() | change[kind].keys())
@@ -259,6 +281,9 @@ def compare(parent: dict, change: dict) -> dict:
         out[kind] = {"identical": len(keys) - len(differ), "total": len(keys), "differ": differ}
         if kind == "runs":
             out[kind]["apart"] = {k: only for k in keys if (only := apart(parent[kind].get(k), change[kind].get(k)))}
+            steps = parent["values"].get("msteps", {}), change["values"].get("msteps", {})
+            both = [k for k in differ if k in steps[0] and k in steps[1]]
+            out[kind]["moved"] = {k: found for k in both if (found := moved(steps[0][k], steps[1][k]))}
         if kind in ("runs", "poses"):
             held = parent["values"][kind], change["values"][kind]
             out[kind]["sizes"] = {

@@ -12,14 +12,15 @@ The default grid is cauchy N in {1000, 2000, 4000, 8000} at seeds 0-2, and
 gaussian N in {400, 1000} at seed 0. Each run has a fresh interpreter with
 single-threaded BLAS that writes no bytecode. It records:
 
-- `msteps`, the EM iterations, each one M-step, and `capped`, the M-steps
-  that MAX_INNER_ITERS stopped;
-- `accepted` LM steps, `factorizations`, `misses` and `redos` (curvature
-  trials redone with the Gauss-Newton H; None for a tree whose reports
-  lack it), summed over the M-steps' `SolverReport`s;
+- `steps`, the per-M-step record `bench_pairs.mstep_counts` gives, which
+  `tools/equivalence.py` compares too; from it, `msteps`, the EM
+  iterations, each one M-step, and `capped`, the M-steps that
+  MAX_INNER_ITERS stopped; `accepted` LM steps, `factorizations`, `misses`
+  and `redos` (curvature trials redone with the Gauss-Newton H; None for a
+  tree whose reports lack it), summed over the M-steps; and `inliers`, the
+  inlier count of the posteriors that weighted each M-step;
 - `factor_calls`, the calls to `solver._band_factor` and `solver.splu`, each
   one factorization of a system;
-- `inliers`, the inlier count of the posteriors that weighted each M-step;
 - `tp`, `fp`, `fn`, `precision` and `recall` of the loops `em.classify_loops`
   keeps, against the scene's oracle labels, and `ate_full_m`
   (`synth.full_alignment_ate`), all from `synth.evaluate` (a tree whose
@@ -50,7 +51,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import export, git, run_fresh  # noqa: E402
+from bench_pairs import export, git, mstep_counts, run_fresh  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 MODES = ("cauchy", "gaussian")
@@ -114,16 +115,17 @@ def measure(tree: Path, name: str) -> dict:
     poses, state, trace = em.run_em(graph, params)
     seconds = time.perf_counter() - start
     result = synth.evaluate(poses, graph, em.classify_loops(state, params.inlier_threshold))
-    reports = trace.iterations
+    steps = mstep_counts(trace)
     return {
-        "msteps": len(reports),
-        "capped": sum(rec.termination == "max_iterations" for rec in reports),
-        "accepted": sum(rec.iterations for rec in reports),
-        "factorizations": sum(rec.factorizations for rec in reports),
+        "msteps": len(steps),
+        "capped": sum(step["termination"] == "max_iterations" for step in steps),
+        "accepted": sum(step["iterations"] for step in steps),
+        "factorizations": sum(step["factorizations"] for step in steps),
         "factor_calls": calls[0],
-        "misses": sum(rec.misses for rec in reports),
-        "redos": sum(rec.redos for rec in reports) if all(hasattr(rec, "redos") for rec in reports) else None,
-        "inliers": [rec.inlier_count for rec in reports],
+        "misses": sum(step["misses"] for step in steps),
+        "redos": sum(step["redos"] for step in steps) if all("redos" in step for step in steps) else None,
+        "inliers": [step["inlier_count"] for step in steps],
+        "steps": steps,
         **counts(result),
         "precision": result.precision,
         "recall": result.recall,
